@@ -1,6 +1,12 @@
 """Finite group actions on variable spaces, induced symmetries,
 coherent-state frames, and operator quantization, all at exhaustively
-checkable desk scale."""
+checkable desk scale.
+
+Groups, actions and unitary representations are validated from their
+generators: each "for all pairs" law is checked on generators x all
+elements, which is exact for integer tables and, for representations,
+holds every pair within 2*D times the generator tolerance (D the longest
+generator word)."""
 
 from .linalg import (
     SpectralData,

@@ -40,9 +40,15 @@ class NotUnitaryError(ValueError):
 class UnitaryRep:
     """One unitary matrix per group element, multiplicative over the table.
 
-    Validation is exhaustive: every matrix unitary within 1e-9*dim, the
-    identity element mapped to the identity matrix, and the product law
-    checked over every Cayley pair within 1e-8*dim (Frobenius).
+    Every matrix must be unitary within 1e-9*dim and the identity element
+    must map to the identity matrix. The product law V(s)V(k) = V(s*k) is
+    checked for every generator s of the group and every element k, within
+    eps = 1e-8*dim / (2*D) (Frobenius), where D is the group's generation
+    depth. The elements that satisfy the law exactly are closed under
+    products; in floating point the error of V(h)V(k) = V(h*k) for a word
+    h of L generators grows by at most 2*eps per letter (to first order in
+    the unitarity error), so every pair then satisfies the law within
+    2*D*eps = 1e-8*dim, the bound an all-pairs check would apply.
     """
 
     group: FiniteGroup
@@ -60,14 +66,14 @@ class UnitaryRep:
         for k in range(n):
             if not is_unitary(mats[k], 1e-9):
                 raise ValueError(f"matrix for element {k} is not unitary")
-        # product law over all pairs, batched by the left factor
-        for k1 in range(n):
-            prods = mats[k1] @ mats
-            target = mats[self.group.cayley[k1]]
+        tol = 1e-8 * d / (2 * self.group.depth)
+        for s in self.group.generating_set:
+            prods = mats[s] @ mats
+            target = mats[self.group.cayley[s]]
             err = float(np.max(np.linalg.norm(prods - target, axis=(1, 2))))
-            if err > 1e-8 * d:
+            if err > tol:
                 raise ValueError(
-                    f"representation product law fails at left element {k1} "
+                    f"representation product law fails at generator {s} "
                     f"(error {err:.3e})"
                 )
         mats.setflags(write=False)
@@ -105,7 +111,7 @@ def commutant_dimension(rep: UnitaryRep, tol: float = 1e-8) -> int:
     no generators.
     """
     d = rep.dim
-    gens = rep.group.generators or tuple(range(rep.group.order))
+    gens = rep.group.generating_set
     eye = np.eye(d)
     blocks = []
     for k in gens:
@@ -217,9 +223,13 @@ class FrameOperator:
 def frame_operator(cs: CoherentSystem) -> FrameOperator:
     """Sum the weighted state projectors and verify scalarity.
 
-    Commutation of T with every representation matrix is verified first;
-    then T must be lam*I with lam = trace(T)/dim > 0, otherwise
-    NotScalarError (a reducible representation or broken invariance).
+    Commutation of T with the representation is verified first, on the
+    group's generators within 1e-9*scale/D (D the generation depth). The
+    commutator with a word of L generators is at most the sum of its
+    letters' commutators plus the representation's product-law error, so
+    every element then commutes within 1e-9*scale up to that error. Then
+    T must be lam*I with lam = trace(T)/dim > 0, otherwise NotScalarError
+    (a reducible representation or broken invariance).
     """
     w = cs.state_weights()
     st = cs.states
@@ -227,11 +237,12 @@ def frame_operator(cs: CoherentSystem) -> FrameOperator:
     d = cs.rep.dim
     scale = max(1.0, float(np.linalg.norm(T)))
 
+    group = cs.rep.group
     comm_err = 0.0
-    for k in range(cs.rep.group.order):
-        V = cs.rep.matrices[k]
+    for s in group.generating_set:
+        V = cs.rep.matrices[s]
         comm_err = max(comm_err, float(np.linalg.norm(V @ T - T @ V)))
-    if comm_err > 1e-9 * scale:
+    if comm_err > 1e-9 * scale / group.depth:
         raise NotScalarError(
             f"frame operator fails to commute with the representation "
             f"(error {comm_err:.3e}); the measure is not invariant"

@@ -10,12 +10,11 @@ same rule using the paired generators of the factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_GROUP_ORDER = 10000
-_ASSOC_EXHAUSTIVE_LIMIT = 64
 
 
 class UnknownGroupNameError(ValueError):
@@ -45,8 +44,18 @@ class FiniteGroup:
     """A finite group given by its Cayley table on element indices.
 
     cayley[a, b] is the index of the product a*b. Validation checks the
-    Latin-square property, the identity and inverse laws exhaustively, and
-    associativity exhaustively up to order 64 (sampled above).
+    Latin-square property and the identity and inverse laws on every
+    element. It then checks that the recorded generators reach every
+    element by left multiplication (breadth first from the identity) and
+    runs Light's associativity test, (x*s)*y == x*(s*y) for every
+    generator s and all x, y. The elements s that pass the test are closed
+    under products, so the test proves associativity for all triples. An
+    empty generator tuple makes every element a generator: the test is
+    then the exhaustive one, at O(n^3) cost.
+
+    depth is the breadth-first depth: the longest shortest word in the
+    generators (at least 1). Constructors that check a law on generators
+    only scale their tolerance by it.
     """
 
     order: int
@@ -57,6 +66,7 @@ class FiniteGroup:
     element_names: tuple[str, ...] | None = None
     generators: tuple[int, ...] = ()
     elements: tuple | None = None
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cayley", _as_index_array(self.cayley))
@@ -84,28 +94,49 @@ class FiniteGroup:
             raise ValueError("inverse law fails")
         if not np.all(self.cayley[self.inverses, full] == e):
             raise ValueError("left inverse law fails")
-        self._check_associativity()
         if self.element_names is not None and len(self.element_names) != n:
             raise ValueError("element_names length mismatch")
         for g in self.generators:
             if not (0 <= g < n):
                 raise ValueError("generator index out of range")
-
-    def _check_associativity(self):
-        n = self.order
+        object.__setattr__(self, "depth", self._generation_depth())
         t = self.cayley
-        if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-            # (a*b)*c == a*(b*c) for all triples, vectorized
-            lhs = t[t, :]              # lhs[a,b,c] = (a*b)*c
-            rhs = t[:, t]              # rhs[a,b,c] = a*(b*c)
-            if not np.array_equal(lhs, rhs):
-                raise ValueError("associativity fails")
-        else:
-            rng = np.random.default_rng(0)
-            trip = rng.integers(0, n, size=(4096, 3))
-            a, b, c = trip.T
-            if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
-                raise ValueError("associativity fails on sampled triples")
+        for s in self.generating_set:
+            if not np.array_equal(t[t[:, s], :], t[:, t[s, :]]):
+                raise ValueError(f"associativity fails at generator {s}")
+
+    def _generation_depth(self) -> int:
+        """Breadth-first search from the identity, left-multiplying by the
+        generating set; raises unless every element is reached."""
+        gens = np.asarray(self.generating_set, dtype=np.intp)
+        seen = np.zeros(self.order, dtype=bool)
+        slot = np.empty(self.order, dtype=np.intp)
+        frontier = np.array([self.identity], dtype=np.intp)
+        seen[frontier] = True
+        depth = 0
+        while True:
+            reached = self.cayley[np.ix_(gens, frontier)].ravel()
+            reached = reached[~seen[reached]]
+            if reached.size == 0:
+                break
+            # one copy of each element: exactly one position wins slot[x]
+            # (np.unique would do, but costs ~10 ms on its first call)
+            pos = np.arange(reached.size)
+            slot[reached] = pos
+            frontier = reached[slot[reached] == pos]
+            seen[frontier] = True
+            depth += 1
+        if not seen.all():
+            raise ValueError(
+                f"generators {list(self.generators)} reach {int(seen.sum())} "
+                f"of {self.order} elements"
+            )
+        return max(depth, 1)
+
+    @property
+    def generating_set(self) -> tuple[int, ...]:
+        """The recorded generators, or every element when none are recorded."""
+        return self.generators or tuple(range(self.order))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.cayley[a, b])
@@ -122,8 +153,12 @@ class FiniteGroup:
 class GroupAction:
     """A left action of a finite group on {0..space_size-1}.
 
-    perm[k] is the permutation applied by element k; the composition law
-    perm[k1*k2] = perm[k1] o perm[k2] is verified exhaustively.
+    perm[k] is the permutation applied by element k. Every row must be a
+    bijection and the identity must act trivially. The composition law
+    perm[s*k] = perm[s] o perm[k] is checked for every generator s of the
+    group and every element k. The elements s that satisfy it are closed
+    under products, so the law holds for all pairs; permutations are
+    integers, so the check is exact.
     """
 
     group: FiniteGroup
@@ -142,13 +177,12 @@ class GroupAction:
             raise ValueError("each group element must act by a bijection")
         if not np.array_equal(self.perm[self.group.identity], full):
             raise ValueError("identity must act trivially")
-        # compatibility: perm[k1*k2][x] == perm[k1][perm[k2][x]], chunked by k1
         t = self.group.cayley
-        for k1 in range(n):
-            lhs = self.perm[t[k1]]           # (n, m)
-            rhs = self.perm[k1][self.perm]   # (n, m)
+        for s in self.group.generating_set:
+            lhs = self.perm[t[s]]           # (n, m)
+            rhs = self.perm[s][self.perm]   # (n, m)
             if not np.array_equal(lhs, rhs):
-                raise ValueError(f"action composition law fails at element {k1}")
+                raise ValueError(f"action composition law fails at generator {s}")
 
     def apply(self, k: int, point: int) -> int:
         return int(self.perm[k, point])
@@ -356,9 +390,8 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         return (int(t1[x[0], y[0]]), int(t2[x[1], y[1]]))
 
     e = (g1.identity, g2.identity)
-    gens1 = g1.generators or tuple(range(g1.order))
-    gens2 = g2.generators or tuple(range(g2.order))
-    gens = [(a, g2.identity) for a in gens1] + [(g1.identity, b) for b in gens2]
+    gens = ([(a, g2.identity) for a in g1.generating_set]
+            + [(g1.identity, b) for b in g2.generating_set])
 
     def nm(x):
         n1 = g1.element_names[x[0]] if g1.element_names else str(x[0])

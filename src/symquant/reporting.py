@@ -2,12 +2,14 @@
 
 Reports serialize to JSON with a fixed field order and floats rendered
 with 17 significant digits, so two runs with the same configuration
-produce identical bytes except for the timing field.
+produce identical bytes except for the timing field. Non-finite floats
+have no JSON form and are refused.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +82,8 @@ def _emit(obj, indent: int, level: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {float(obj)!r}")
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)

@@ -103,6 +103,10 @@ class SpinScenario:
         object.__setattr__(self, "direction", tuple(float(x) for x in a))
         if self.radius <= 0:
             raise ConfigParseError("radius must be positive")
+        if self.n_directions < 1 or self.n_angle_pairs < 1:
+            raise ConfigParseError(
+                "n_directions and n_angle_pairs must be at least 1"
+            )
 
     @property
     def dim(self) -> int:
@@ -536,10 +540,11 @@ def _phase_checks(params, tol: _Tol, rng) -> list[Check]:
     g = srep.group
 
     def rep_error(rep):
+        # generators x all elements bounds every pair (see UnitaryRep)
         worst = 0.0
-        for k1 in range(n):
-            prods = rep.matrices[k1] @ rep.matrices
-            target = rep.matrices[g.cayley[k1]]
+        for s in g.generating_set:
+            prods = rep.matrices[s] @ rep.matrices
+            target = rep.matrices[g.cayley[s]]
             worst = max(worst, float(np.max(np.abs(prods - target))))
         return worst
 
@@ -689,6 +694,9 @@ def parse_config(config) -> dict:
         tolerances = {str(k): float(v) for k, v in tolerances.items()}
     except (TypeError, ValueError):
         raise ConfigParseError("tolerance overrides must be numbers") from None
+    bad = sorted(k for k, v in tolerances.items() if not math.isfinite(v))
+    if bad:
+        raise ConfigParseError(f"tolerance overrides must be finite: {bad}")
     seed = config.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigParseError("seed must be an integer")

@@ -1,11 +1,14 @@
 """Tests for representations, irreducibility, coherent orbits, and frames."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from symquant.groups import (
     GroupAction,
+    InvariantMeasure,
     cyclic_group,
     dihedral_vertex_action,
     left_translation_action,
@@ -206,6 +209,18 @@ class TestFrameOperator:
         for k in range(g.order):
             V = rep.matrices[k]
             assert np.linalg.norm(V @ frame.T - frame.T @ V) <= 1e-9
+
+    def test_non_invariant_weights_fail_commutation(self, d4_rep):
+        # weights that differ between neighbouring vertices are not
+        # invariant: T = diag(4, 8) fails to commute with the rotations
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
+        uneven = InvariantMeasure(
+            weights=[1.0, 2.0, 1.0, 2.0], per_orbit_normalization=(1.0, 2.0, 1.0, 2.0),
+            orbit_blocks=((0,), (1,), (2,), (3,)),
+        )
+        with pytest.raises(NotScalarError, match="fails to commute"):
+            frame_operator(dataclasses.replace(cs, measure=uneven))
 
     def test_reducible_rep_not_scalar(self):
         g = cyclic_group(2)

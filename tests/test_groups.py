@@ -89,6 +89,28 @@ class TestNamedGroups:
             FiniteGroup(order=2, cayley=[[0, 0], [1, 1]], identity=0,
                         inverses=[0, 1])
 
+    def test_rejects_non_associative_loop_above_order_64(self):
+        # one intercalate swapped in the cyclic:66 table: still a Latin
+        # square with identity and inverses, but no longer associative
+        g = cyclic_group(66)
+        t = g.cayley.copy()
+        rows, cols = [1, 1, 34, 34], [1, 34, 1, 34]
+        t[rows, cols] = t[rows, cols][[1, 0, 3, 2]]
+        for gens in ((), (1,), tuple(range(1, 66))):
+            with pytest.raises(ValueError):
+                FiniteGroup(order=66, cayley=t, identity=0,
+                            inverses=g.inverses, generators=gens)
+        with pytest.raises(ValueError, match="associativity"):
+            FiniteGroup(order=66, cayley=t, identity=0, inverses=g.inverses)
+
+    def test_generators_must_generate(self):
+        g = cyclic_group(6)
+        with pytest.raises(ValueError, match="reach 3 of 6"):
+            FiniteGroup(order=6, cayley=g.cayley, identity=0,
+                        inverses=g.inverses, generators=(2,))
+        assert FiniteGroup(order=6, cayley=g.cayley, identity=0,
+                           inverses=g.inverses, generators=(2, 3)).depth == 3
+
 
 class TestActionsAndOrbits:
     def test_trivial_group_orbits(self):

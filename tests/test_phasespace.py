@@ -56,7 +56,8 @@ class TestShiftAndClock:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_reps_are_valid(self, n):
-        # UnitaryRep validation is exhaustive over all Cayley pairs
+        # UnitaryRep validation checks the product law on generators x all
+        # elements, which bounds every Cayley pair
         srep = shift_rep(n)
         crep = clock_rep(n)
         assert srep.dim == crep.dim == n

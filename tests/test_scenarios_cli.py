@@ -36,6 +36,11 @@ class TestReporting:
         assert '"a": 0.10000000000000001' in text
         assert '"c": 12345' in text
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_refused(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"a": value})
+
     def test_fixed_field_order(self):
         rep = run_scenario({"scenario": "phase"})
         obj = json.loads(dumps(rep))
@@ -89,6 +94,20 @@ class TestConfig:
         with pytest.raises(ConfigParseError):
             run_scenario({"scenario": "spin",
                           "params": {"direction": [0.0, 0.0, 0.0]}})
+
+    @pytest.mark.parametrize("params", [
+        {"n_directions": -5, "n_angle_pairs": 0},
+        {"n_directions": 0},
+        {"n_angle_pairs": 0},
+    ])
+    def test_spin_sample_counts_at_least_one(self, params):
+        with pytest.raises(ConfigParseError, match="at least 1"):
+            run_scenario({"scenario": "spin", "params": params})
+
+    @pytest.mark.parametrize("value", [1e400, -1e400, float("nan")])
+    def test_non_finite_tolerance_rejected(self, value):
+        with pytest.raises(ConfigParseError, match="finite"):
+            parse_config({"scenario": "phase", "tolerances": {"*": value}})
 
 
 class TestScenarios:
@@ -209,6 +228,32 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "phase"}))
         assert main(["verify", "--config", str(cfg), "--scenario", "spin"]) == 2
+
+    @pytest.mark.parametrize("value", ["1e400", "-inf", "nan"])
+    def test_non_finite_tolerance_exit_2(self, value, capsys):
+        assert main(["verify", "--scenario", "phase", f"--tolerance={value}"]) == 2
+        assert main(["verify", f"--tolerance={value}"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", [
+        '{"scenario": "phase", "tolerances": {"*": 1e400}}',
+        '{"scenario": "phase", "tolerances": {"shift_rep_of_cyclic_group": NaN}}',
+        '{"scenario": "spin", "tolerances": {"*": -Infinity}}',
+    ])
+    def test_non_finite_config_tolerance_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_vacuous_spin_counts_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "spin",
+            "params": {"n_directions": -5, "n_angle_pairs": 0},
+        }))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_failing_check_exit_1(self, capsys):
         assert main(["verify", "--scenario", "phase",
