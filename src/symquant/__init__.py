@@ -30,6 +30,7 @@ from .groups import (
     is_transitive,
     left_translation_action,
     make_named_group,
+    orbit_partition,
     orbits,
     subgroup_generated,
 )

@@ -474,33 +474,51 @@ def natural_permutation_action(g: FiniteGroup) -> GroupAction:
     return GroupAction(group=g, space_size=m, perm=perm)
 
 
+def orbit_partition(perms) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group generated by the rows of an (r, m) permutation
+    array, as blocks sorted by smallest point; r = 0 gives singletons.
+
+    Every point starts labelled by itself. Each round, a point takes the
+    smallest label among itself and its images and preimages under each
+    row, the point its label names takes that value too, and pointer
+    jumping (label <- label[label]) runs to a fixed point. On one long
+    cycle the rounds grow like log m, not like its length. Labels only
+    decrease and always name a point of the same orbit. Once every row
+    maps the labelling to itself, labels are constant on orbits; with
+    label[label] == label after the jumping, each point then carries the
+    smallest point of its orbit.
+    """
+    perms = np.asarray(perms, dtype=np.intp)
+    r, m = perms.shape
+    inverse = np.empty_like(perms)
+    inverse[np.arange(r)[:, None], perms] = np.arange(m)
+    label = np.arange(m)
+    while True:
+        low = np.minimum(label, label[perms].min(axis=0, initial=m))
+        np.minimum(low, label[inverse].min(axis=0, initial=m), out=low)
+        np.minimum.at(low, label, low)
+        while True:
+            jumped = low[low]
+            if (jumped == low).all():
+                break
+            low = jumped
+        label = low
+        if (label[perms] == label).all():
+            break
+    # points in ascending order: blocks appear by smallest point, sorted
+    blocks: dict[int, list[int]] = {}
+    for x, root in enumerate(label.tolist()):
+        blocks.setdefault(root, []).append(x)
+    return tuple(map(tuple, blocks.values()))
+
+
 def orbits(act: GroupAction) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the space, blocks sorted by smallest point.
 
     The output depends only on the set of permutations, so it is invariant
     under any reordering of the group elements.
     """
-    m = act.space_size
-    seen = np.zeros(m, dtype=bool)
-    blocks = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        block = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in act.perm[:, x]:
-                    y = int(y)
-                    if not seen[y]:
-                        seen[y] = True
-                        block.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        blocks.append(tuple(sorted(block)))
-    return tuple(blocks)
+    return orbit_partition(act.perm)
 
 
 def is_transitive(act: GroupAction) -> bool:
@@ -556,18 +574,9 @@ def subgroup_generated(g: FiniteGroup, gens) -> tuple[int, ...]:
         if not (0 <= int(x) < g.order):
             raise BadElementError(f"element index {x} out of range")
     seeds = sorted({g.identity} | {int(x) for x in gens})
-    closed = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in seeds:
-                for c in (int(g.cayley[a, b]), int(g.cayley[b, a])):
-                    if c not in closed:
-                        closed.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(closed))
+    # the subgroup is the orbit of the identity under x -> x*s, s in seeds
+    return next(b for b in orbit_partition(g.cayley[:, seeds].T)
+                if g.identity in b)
 
 
 def check_homomorphism(f, src: FiniteGroup, dst: FiniteGroup):

@@ -97,40 +97,46 @@ def is_unitary(U, tol: float = 1e-9) -> bool:
 class SpectralData:
     """Clustered eigendecomposition of a Hermitian matrix.
 
-    eigenvalues are ascending, one per cluster; projections[j] is the
-    orthogonal projection onto the j-th eigenspace; vectors holds the
-    orthonormal eigenbasis grouped cluster by cluster (columns).
-    degeneracy_tol records the clustering tolerance, since multiplicity
-    structure depends on it.
+    eigenvalues are ascending, one per cluster; vectors holds the
+    orthonormal eigenbasis as columns, grouped cluster by cluster, and
+    multiplicities[j] columns belong to cluster j, so their cumulative sum
+    gives the cluster offsets. The projection onto an eigenspace is built
+    on request from its columns. degeneracy_tol records the clustering
+    tolerance, since multiplicity structure depends on it.
     """
 
     eigenvalues: np.ndarray
-    projections: np.ndarray
     multiplicities: np.ndarray
     vectors: np.ndarray
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 
     @property
     def dim(self) -> int:
-        return self.projections.shape[1]
+        return self.vectors.shape[0]
 
     @property
     def n_clusters(self) -> int:
         return len(self.eigenvalues)
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted projections."""
-        return np.einsum("j,jkl->kl", self.eigenvalues, self.projections)
+    def projection(self, j: int) -> np.ndarray:
+        """Orthogonal projection onto the j-th eigenspace."""
+        j = range(self.n_clusters)[j]   # negative j counts from the end
+        stop = int(np.sum(self.multiplicities[: j + 1]))
+        W = self.vectors[:, stop - int(self.multiplicities[j]):stop]
+        return W @ W.conj().T
+
+    def reconstruct(self, values=None) -> np.ndarray:
+        """V diag(u) V^dag, each cluster's value repeated by its
+        multiplicity; values (one per cluster) default to the eigenvalues."""
+        u = self.eigenvalues if values is None else np.asarray(values, dtype=float)
+        V = self.vectors
+        return (V * np.repeat(u, self.multiplicities)) @ V.conj().T
 
     def expectation(self, v) -> float:
-        """Quadratic form <v|A|v> evaluated through the spectral sum."""
+        """Quadratic form <v|A|v> as sum_i u_i |<e_i|v>|^2."""
         v = as_cvector(v)
-        return float(
-            sum(
-                u * (v.conj() @ P @ v).real
-                for u, P in zip(self.eigenvalues, self.projections)
-            )
-        )
+        weights = np.abs(self.vectors.conj().T @ v) ** 2
+        return float(np.repeat(self.eigenvalues, self.multiplicities) @ weights)
 
     def basis(self) -> np.ndarray:
         """Orthonormal eigenbasis as columns, cluster by cluster."""
@@ -152,7 +158,7 @@ def eig_hermitian(A, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> Spectral
     """Eigendecomposition of a Hermitian matrix with degeneracy merging.
 
     Eigenvalues closer than degeneracy_tol * max(1, ||A||_F) are clustered
-    greedily in ascending order and share one projection.
+    greedily in ascending order and share one eigenspace.
     """
     A = as_cmatrix(A)
     _require_hermitian(A)
@@ -172,28 +178,22 @@ def eig_hermitian(A, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> Spectral
             clusters.append([i])
 
     eigenvalues = np.array([float(np.mean(w[c])) for c in clusters])
-    projections = np.stack(
-        [V[:, c] @ V[:, c].conj().T for c in clusters]
-    )
     multiplicities = np.array([len(c) for c in clusters], dtype=int)
+
+    for arr in (eigenvalues, multiplicities, V):
+        arr.setflags(write=False)
+    spec = SpectralData(eigenvalues, multiplicities, V,
+                        degeneracy_tol=float(degeneracy_tol))
 
     # merging replaces each raw eigenvalue by its cluster mean, which adds a
     # known, intentional reconstruction error on top of the solver's own
-    merge_err = float(np.sqrt(sum(
-        float(np.sum((w[c] - u) ** 2)) for u, c in zip(eigenvalues, clusters)
-    )))
-    recon_err = float(
-        np.linalg.norm(A - np.einsum("j,jkl->kl", eigenvalues, projections))
-    )
+    merge_err = float(np.linalg.norm(w - np.repeat(eigenvalues, multiplicities)))
+    recon_err = float(np.linalg.norm(A - spec.reconstruct()))
     if recon_err > 1e-9 * scale + merge_err:
         raise ConvergenceFailureError(
             f"spectral reconstruction error {recon_err:.3e} exceeds tolerance"
         )
-
-    for arr in (eigenvalues, projections, multiplicities, V):
-        arr.setflags(write=False)
-    return SpectralData(eigenvalues, projections, multiplicities, V,
-                        degeneracy_tol=float(degeneracy_tol))
+    return spec
 
 
 def expm_antihermitian(H, t: float) -> np.ndarray:

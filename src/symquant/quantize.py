@@ -26,6 +26,7 @@ from .linalg import (
     is_unitary,
     max_abs,
 )
+from .groups import orbit_partition
 from .variables import ConceptualVariable, GroupAction, element_value_map
 from .coherent import NotUnitaryError, UnitaryRep, resolution_deviation
 
@@ -71,7 +72,8 @@ class OperatorBundle:
 
     Bundles built from a state family keep the family (states, weights,
     labels) so covariance checks can rebuild relabelled operators; bundles
-    built straight from a matrix carry spectral projections only.
+    built straight from a matrix carry only the matrix and its clustered
+    eigenbasis, from which relabelled operators are rebuilt.
     """
 
     matrix: np.ndarray
@@ -296,7 +298,9 @@ def conjugation_covariance(bundle: OperatorBundle, unitary, value_perm,
 
     Compares U^dag A U against the operator rebuilt with labels permuted by
     value_perm (label'[i] = label[value_perm[i]]). Bundles without a state
-    family are rebuilt from their spectral projections instead.
+    family permute their eigenvalue clusters instead and are rebuilt as
+    V diag(u') V^dag from the eigenbasis V, with u'[j] = u[value_perm[j]]
+    repeated by the multiplicity of cluster j.
     """
     U = as_cmatrix(unitary)
     if not is_unitary(U, 1e-9):
@@ -317,8 +321,7 @@ def conjugation_covariance(bundle: OperatorBundle, unitary, value_perm,
             raise DimensionMismatchError(
                 "value permutation must act on the eigenvalue clusters"
             )
-        rhs = np.einsum("j,jkl->kl", bundle.eigenvalues[perm],
-                        bundle.spectrum.projections)
+        rhs = bundle.spectrum.reconstruct(bundle.eigenvalues[perm])
     dist = float(np.linalg.norm(lhs - rhs))
     tol = tol_scale * max(1.0, float(np.linalg.norm(A)))
     return CovarianceReport(distance=dist, tolerance=tol, passed=dist <= tol)
@@ -407,27 +410,7 @@ def eigen_orbit_partition(bundle: OperatorBundle, perms) -> EigenOrbitPartition:
     id set; blocks are sorted by smallest member.
     """
     n = bundle.spectrum.n_clusters
-    arr = _as_id_perms(perms, n)
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        block = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for row in arr:
-                    y = int(row[x])
-                    if not seen[y]:
-                        seen[y] = True
-                        block.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        blocks.append(tuple(sorted(block)))
-    blocks = tuple(blocks)
+    blocks = orbit_partition(_as_id_perms(perms, n))
     return EigenOrbitPartition(
         eigenvalues=tuple(float(x) for x in bundle.eigenvalues),
         blocks=blocks, single_orbit=len(blocks) == 1,
@@ -455,25 +438,13 @@ def model_reduce(eigenvalues, perms, target_orbit, tol=1e-9) -> ConceptualVariab
     id_set = set(ids)
     if len(id_set) != len(ids):
         raise NotAnOrbitError("target values are not distinct")
-    for row in arr:
-        image = {int(row[i]) for i in id_set}
-        if image != id_set:
-            raise NotAnOrbitError(
-                "target set is not closed under the induced transformations"
-            )
-    # connectivity: the target must be one orbit, not a union of several
-    seen = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for row in arr:
-                y = int(row[x])
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if seen != id_set:
+    # the rows are bijections, so a closed set is a union of orbits
+    touched = [b for b in orbit_partition(arr) if id_set.intersection(b)]
+    if set().union(*touched) != id_set:
+        raise NotAnOrbitError(
+            "target set is not closed under the induced transformations"
+        )
+    if len(touched) > 1:
         raise NotAnOrbitError("target set is a union of several orbits")
     labels = sorted(float(u[i]) for i in id_set)
     return ConceptualVariable(

@@ -72,6 +72,7 @@ from .variables import (
 )
 
 DEFAULT_SEED = 2026
+SPIN_GROUP_SOURCES = ("sampled", "binary_tetrahedral")
 
 
 class ConfigParseError(ValueError):
@@ -89,7 +90,6 @@ class SpinScenario:
     j: float
     direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
     group_source: str = "sampled"
-    radius: float = 1.0
     reduce_demo: bool = False
     n_directions: int = 20
     n_angle_pairs: int = 10
@@ -101,8 +101,6 @@ class SpinScenario:
             raise ConfigParseError("direction must be a nonzero 3-vector")
         a = a / np.linalg.norm(a)
         object.__setattr__(self, "direction", tuple(float(x) for x in a))
-        if self.radius <= 0:
-            raise ConfigParseError("radius must be positive")
         if self.n_directions < 1 or self.n_angle_pairs < 1:
             raise ConfigParseError(
                 "n_directions and n_angle_pairs must be at least 1"
@@ -355,7 +353,6 @@ def _spin_checks(params, tol: _Tol, rng) -> list[Check]:
         j=float(params["j"]),
         direction=tuple(params["direction"]),
         group_source=params["group_source"],
-        radius=float(params["radius"]),
         reduce_demo=bool(params["reduce"]),
         n_directions=int(params["n_directions"]),
         n_angle_pairs=int(params["n_angle_pairs"]),
@@ -508,7 +505,7 @@ def _spin_checks(params, tol: _Tol, rng) -> list[Check]:
                 "the lowest eigenvalue alone is not closed under the flip",
             ))
 
-    if scn.group_source == "binary_tetrahedral" and d == 2:
+    if scn.group_source == "binary_tetrahedral":
         g = make_named_group("binary_tetrahedral")
         rep = binary_tetrahedral_spin_rep(g)
         cs = make_coherent(rep, left_translation_action(g), g.identity, (1.0, 0.0))
@@ -616,7 +613,6 @@ _SCENARIOS = {
             "j": 0.5,
             "direction": [0.0, 0.0, 1.0],
             "group_source": "sampled",
-            "radius": 1.0,
             "reduce": True,
             "n_directions": 20,
             "n_angle_pairs": 10,
@@ -687,6 +683,18 @@ def parse_config(config) -> dict:
         key: _coerce_param(key, params.get(key, default), default)
         for key, default in defaults.items()
     }
+    if name == "spin":
+        source = resolved_params["group_source"]
+        if source not in SPIN_GROUP_SOURCES:
+            raise ConfigParseError(
+                f"unknown group_source {source!r}; expected one of "
+                f"{list(SPIN_GROUP_SOURCES)}"
+            )
+        if source == "binary_tetrahedral" and resolved_params["j"] != 0.5:
+            raise ConfigParseError(
+                "group_source 'binary_tetrahedral' needs j = 0.5: its spin "
+                "representation is two-dimensional"
+            )
     tolerances = config.get("tolerances") or {}
     if not isinstance(tolerances, dict):
         raise ConfigParseError("tolerances must be an object")

@@ -191,14 +191,12 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
         raise NotPermissibleError(witness)
     order, nv = act.group.order, var.n_values
     rep_point = np.array([np.nonzero(var.values == v)[0][0] for v in range(nv)])
-    induced = np.empty((order, nv), dtype=np.intp)
-    for k in range(order):
-        moved = var.values[act.perm[k]]
-        induced[k] = moved[rep_point]
-        if not np.array_equal(induced[k][var.values], moved):
-            raise AssertionError("induced map failed the defining identity")
+    moved = var.values[act.perm]        # (order, space): value at k.p
+    induced = moved[:, rep_point]       # (order, nv)
+    if not np.array_equal(induced[:, var.values], moved):
+        raise AssertionError("induced map failed the defining identity")
 
-    rows = [tuple(r) for r in induced]
+    rows = [tuple(r) for r in induced.tolist()]
     distinct: list[tuple[int, ...]] = []
     row_index: dict[tuple[int, ...], int] = {}
     for r in rows:
@@ -208,20 +206,11 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     k_to_image = np.array([row_index[r] for r in rows], dtype=np.intp)
 
     m = len(distinct)
-    img_cayley = np.full((m, m), -1, dtype=np.intp)
-    for k1 in range(order):
-        for k2 in range(order):
-            i, j = k_to_image[k1], k_to_image[k2]
-            prod = k_to_image[act.group.cayley[k1, k2]]
-            if img_cayley[i, j] == -1:
-                img_cayley[i, j] = prod
-            elif img_cayley[i, j] != prod:
-                raise AssertionError("induced image multiplication is ambiguous")
+    # check_homomorphism below rejects a table that is not well defined
+    img_cayley = np.empty((m, m), dtype=np.intp)
+    img_cayley[k_to_image[:, None], k_to_image[None, :]] = k_to_image[act.group.cayley]
     identity_img = int(k_to_image[act.group.identity])
-    img_inverses = np.array(
-        [int(np.nonzero(img_cayley[i] == identity_img)[0][0]) for i in range(m)],
-        dtype=np.intp,
-    )
+    img_inverses = np.argmax(img_cayley == identity_img, axis=1)
     image_group = FiniteGroup(
         order=m, cayley=img_cayley, identity=identity_img, inverses=img_inverses,
         name=f"induced({act.group.name})",
@@ -231,8 +220,7 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     if not ok:
         raise AssertionError(f"induced map is not a homomorphism at pair {bad}")
 
-    kernel = tuple(int(k) for k in range(order)
-                   if np.array_equal(induced[k], np.arange(nv)))
+    kernel = tuple(np.flatnonzero((induced == np.arange(nv)).all(axis=1)).tolist())
     if order % len(kernel) or order // len(kernel) != m:
         raise AssertionError("kernel size inconsistent with image order")
 

@@ -39,7 +39,11 @@ class TestEigHermitian:
         spec = eig_hermitian(np.eye(4))
         assert spec.n_clusters == 1
         assert list(spec.multiplicities) == [4]
-        assert_allclose(spec.projections[0], np.eye(4), atol=1e-12)
+        assert_allclose(spec.projection(0), np.eye(4), atol=1e-12)
+        assert_allclose(spec.projection(-1), np.eye(4), atol=1e-12)
+        with pytest.raises(IndexError):
+            spec.projection(1)
+        assert_allclose(spec.reconstruct(), np.eye(4), atol=1e-12)
 
     def test_merging_controlled_by_tolerance(self):
         A = np.diag([1.0, 1.0 + 5e-9, 2.0])
@@ -56,22 +60,53 @@ class TestEigHermitian:
         with pytest.raises(NotHermitianError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @staticmethod
+    def _check_projection_laws(A, spec):
+        d = A.shape[0]
+        scale = max(1.0, np.linalg.norm(A))
+        assert np.linalg.norm(A - spec.reconstruct()) <= 1e-9 * scale
+        assert int(spec.multiplicities.sum()) == d
+        projections = [spec.projection(j) for j in range(spec.n_clusters)]
+        total = np.zeros((d, d), dtype=complex)
+        for i, (P, u, k) in enumerate(zip(projections, spec.eigenvalues,
+                                          spec.multiplicities)):
+            assert np.linalg.norm(P - P.conj().T) <= 1e-9
+            assert abs(np.trace(P).real - k) <= 1e-9
+            assert np.linalg.norm(A @ P - u * P) <= 1e-9 * scale
+            for k2, Q in enumerate(projections):
+                expect = P if i == k2 else 0.0 * P
+                assert np.linalg.norm(P @ Q - expect) <= 1e-9
+            total += P
+        assert np.linalg.norm(total - np.eye(d)) <= 1e-9
+        # the dense sum of eigenvalue-weighted projections is the same operator
+        dense = sum(u * P for u, P in zip(spec.eigenvalues, projections))
+        assert np.linalg.norm(dense - spec.reconstruct()) <= 1e-9 * scale
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
     def test_reconstruction_and_projection_laws(self, d):
         rng = np.random.default_rng(41 + d)
         A = random_hermitian(rng, d)
         spec = eig_hermitian(A)
-        scale = max(1.0, np.linalg.norm(A))
-        assert np.linalg.norm(A - spec.reconstruct()) <= 1e-9 * scale
-        assert int(spec.multiplicities.sum()) == d
-        total = np.zeros((d, d), dtype=complex)
-        for i, P in enumerate(spec.projections):
-            assert np.linalg.norm(P - P.conj().T) <= 1e-9
-            for k, Q in enumerate(spec.projections):
-                expect = P if i == k else 0.0 * P
-                assert np.linalg.norm(P @ Q - expect) <= 1e-9
-            total += P
-        assert np.linalg.norm(total - np.eye(d)) <= 1e-9
+        assert spec.dim == d
+        self._check_projection_laws(A, spec)
+
+    @pytest.mark.parametrize("mults", [(2, 1), (1, 3, 2), (4, 1, 1, 2)])
+    def test_degenerate_cluster_projection_laws(self, mults):
+        # a random unitary conjugate of diag(1,..,1, 2,..,2, ...): cluster j
+        # has multiplicity mults[j] and its projection has trace mults[j]
+        d = sum(mults)
+        rng = np.random.default_rng(d)
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        values = np.repeat(np.arange(1.0, len(mults) + 1), mults)
+        A = (Q * values) @ Q.conj().T
+        A = (A + A.conj().T) / 2
+        spec = eig_hermitian(A)
+        assert list(spec.multiplicities) == list(mults)
+        assert_allclose(spec.eigenvalues, np.arange(1.0, len(mults) + 1), atol=1e-9)
+        self._check_projection_laws(A, spec)
+        for j in range(len(mults)):
+            W = Q[:, values == j + 1]
+            assert np.linalg.norm(spec.projection(j) - W @ W.conj().T) <= 1e-9
 
     def test_expectation_matches_quadratic_form(self):
         rng = np.random.default_rng(7)
@@ -81,6 +116,13 @@ class TestEigHermitian:
         v /= np.linalg.norm(v)
         direct = float((v.conj() @ A @ v).real)
         assert abs(spec.expectation(v) - direct) <= 1e-9
+
+    def test_expectation_on_degenerate_spectrum(self):
+        # diag(2, -1, 2): <v|A|v> = 2(|v0|^2 + |v2|^2) - |v1|^2
+        spec = eig_hermitian(np.diag([2.0, -1.0, 2.0]))
+        assert list(spec.multiplicities) == [1, 2]
+        v = np.array([1.0, 1j, 1.0]) / np.sqrt(3)
+        assert abs(spec.expectation(v) - 1.0) <= 1e-12
 
 
 class TestExpm:

@@ -104,6 +104,17 @@ class TestConfig:
         with pytest.raises(ConfigParseError, match="at least 1"):
             run_scenario({"scenario": "spin", "params": params})
 
+    @pytest.mark.parametrize("source", ["binary_tetrahedal", "", "Sampled"])
+    def test_unknown_group_source_rejected(self, source):
+        with pytest.raises(ConfigParseError, match="unknown group_source"):
+            parse_config({"scenario": "spin", "params": {"group_source": source}})
+
+    @pytest.mark.parametrize("j", [1.0, 1.5, 5.0])
+    def test_binary_tetrahedral_source_needs_spin_half(self, j):
+        with pytest.raises(ConfigParseError, match="needs j = 0.5"):
+            parse_config({"scenario": "spin", "params": {
+                "j": j, "group_source": "binary_tetrahedral"}})
+
     @pytest.mark.parametrize("value", [1e400, -1e400, float("nan")])
     def test_non_finite_tolerance_rejected(self, value):
         with pytest.raises(ConfigParseError, match="finite"):
@@ -254,6 +265,19 @@ class TestCli:
         }))
         assert main(["verify", "--config", str(cfg)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("params", [
+        {"radius": 1.0},
+        {"group_source": "binary_tetrahedal"},
+        {"j": 1.0, "group_source": "binary_tetrahedral"},
+    ])
+    def test_rejected_spin_params_exit_2(self, tmp_path, capsys, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "spin", "params": params}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_failing_check_exit_1(self, capsys):
         assert main(["verify", "--scenario", "phase",

@@ -1,9 +1,14 @@
-"""The all-pairs group, action and representation laws, kept as oracles.
+"""Slow, direct versions of library checks, kept as oracles.
 
 FiniteGroup, GroupAction and UnitaryRep check each "for all pairs" law on
 generators x all elements only. The exhaustive checks they replaced live
 here, and property tests on random permutation groups require the
 constructors and the oracles to reach the same verdicts.
+
+Orbits, generated subgroups and the orbit test of model_reduce all run on
+one vectorized routine, groups.orbit_partition. The point-by-point
+breadth-first searches it replaced live here too, as does the dense stack
+of spectral projections that the matrix-only covariance check used to sum.
 """
 
 import numpy as np
@@ -22,9 +27,21 @@ from symquant.groups import (
     GroupAction,
     cyclic_group,
     generate_group,
+    left_translation_action,
     make_named_group,
     natural_permutation_action,
+    orbit_partition,
+    orbits,
+    subgroup_generated,
 )
+from symquant.quantize import (
+    NotAnOrbitError,
+    conjugation_covariance,
+    eigen_orbit_partition,
+    model_reduce,
+    operator_from_matrix,
+)
+from symquant.spin import perpendicular_unit, spin_component_operator, spin_rotation
 
 settings.register_profile("oracles", max_examples=60, deadline=None,
                           derandomize=True, database=None)
@@ -73,8 +90,95 @@ def closure_by_products(cayley, identity, gens) -> set:
     return closed
 
 
+def orbits_by_bfs(perms, m) -> tuple:
+    """Orbits of the rows of an (r, m) permutation array, one breadth-first
+    search per unseen point; blocks sorted by smallest point."""
+    perms = np.asarray(perms).reshape(-1, m)
+    seen = np.zeros(m, dtype=bool)
+    blocks = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        block = {start}
+        frontier = [start]
+        seen[start] = True
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in perms[:, x]:
+                    y = int(y)
+                    if not seen[y]:
+                        seen[y] = True
+                        block.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+def subgroup_by_two_sided_closure(g: FiniteGroup, gens) -> tuple:
+    """Close the seeds (gens and the identity) under multiplication by a
+    seed on either side."""
+    seeds = sorted({g.identity} | {int(x) for x in gens})
+    closed = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in seeds:
+                for c in (int(g.cayley[a, b]), int(g.cayley[b, a])):
+                    if c not in closed:
+                        closed.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(closed))
+
+
+def orbit_verdict_by_search(perms, ids) -> str | None:
+    """model_reduce's orbit test on target ids: None when they form one
+    orbit, else the reason (closure under every row, then connectivity)."""
+    id_set = set(ids)
+    for row in perms:
+        if {int(row[i]) for i in id_set} != id_set:
+            return "not closed"
+    seen = {ids[0]}
+    frontier = [ids[0]]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for row in perms:
+                y = int(row[x])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return None if seen == id_set else "union of several orbits"
+
+
+def covariance_distance_by_projection_stack(bundle, U, perm) -> float:
+    """|| U^dag A U - sum_j u[perm[j]] P_j ||_F with the k x d x d stack of
+    cluster projections P_j built in full."""
+    spec = bundle.spectrum
+    offsets = np.concatenate([[0], np.cumsum(spec.multiplicities)])
+    stack = np.stack([
+        spec.vectors[:, a:b] @ spec.vectors[:, a:b].conj().T
+        for a, b in zip(offsets, offsets[1:])
+    ])
+    rhs = np.einsum("j,jkl->kl", spec.eigenvalues[np.asarray(perm)], stack)
+    return float(np.linalg.norm(U.conj().T @ bundle.matrix @ U - rhs))
+
+
 # ---------------------------------------------------------------------------
 # strategies
+
+
+@st.composite
+def permutation_sets(draw, max_points=12, max_rows=4):
+    """An (r, m) array of random permutations, r = 0 included; the rows
+    need not form a group."""
+    m = draw(st.integers(1, max_points))
+    rows = draw(st.lists(st.permutations(range(m)), max_size=max_rows))
+    return np.array(rows, dtype=np.intp).reshape(len(rows), m)
 
 
 @st.composite
@@ -207,3 +311,108 @@ class TestRejections:
         for gens in ((), (1,), tuple(range(1, n))):
             with pytest.raises(ValueError):
                 _copy(g, cayley=t, generators=gens)
+
+
+# ---------------------------------------------------------------------------
+# one orbit routine
+
+
+class TestOrbitOracles:
+    @ORACLE_SETTINGS
+    @given(permutation_sets())
+    def test_orbit_partition_matches_search(self, perms):
+        m = perms.shape[1]
+        blocks = orbit_partition(perms)
+        assert blocks == orbits_by_bfs(perms, m)
+        assert sorted(x for b in blocks for x in b) == list(range(m))
+
+    def test_no_rows_gives_singletons(self):
+        assert orbit_partition(np.empty((0, 4), dtype=np.intp)) == (
+            (0,), (1,), (2,), (3,))
+
+    @pytest.mark.parametrize("m", [7, 64, 1000])
+    def test_one_long_cycle_in_shuffled_order(self, m):
+        # one m-cycle through the points in a random order: one orbit
+        order = np.random.default_rng(m).permutation(m)
+        row = np.empty(m, dtype=np.intp)
+        row[order] = np.roll(order, 1)
+        assert orbit_partition(row[None, :]) == (tuple(range(m)),)
+
+    @pytest.mark.parametrize("name", ["cyclic:12", "dihedral:6", "symmetric:4",
+                                      "binary_tetrahedral"])
+    def test_named_group_actions(self, name):
+        g = make_named_group(name)
+        for act in (left_translation_action(g),
+                    GroupAction(group=g, space_size=g.order,
+                                perm=g.cayley.T[g.inverses])):
+            assert orbits(act) == orbits_by_bfs(act.perm, act.space_size)
+        if name.startswith("symmetric"):
+            act = natural_permutation_action(g)
+            assert orbits(act) == orbits_by_bfs(act.perm, act.space_size)
+
+    @ORACLE_SETTINGS
+    @given(permutation_groups(), st.data())
+    def test_subgroup_generated_matches_closure(self, g, data):
+        gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+        assert subgroup_generated(g, gens) == subgroup_by_two_sided_closure(g, gens)
+
+    @ORACLE_SETTINGS
+    @given(permutation_sets(max_points=8))
+    def test_eigen_orbit_partition_matches_search(self, perms):
+        assume(perms.shape[0] > 0)
+        m = perms.shape[1]
+        bundle = operator_from_matrix(np.diag(np.arange(m, dtype=float)))
+        part = eigen_orbit_partition(bundle, perms)
+        assert part.blocks == orbits_by_bfs(perms, m)
+        assert part.single_orbit == (len(part.blocks) == 1)
+
+    @ORACLE_SETTINGS
+    @given(permutation_sets(max_points=8), st.data())
+    def test_model_reduce_verdicts_match_search(self, perms, data):
+        assume(perms.shape[0] > 0)
+        m = perms.shape[1]
+        ids = data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                 max_size=m, unique=True))
+        u = np.arange(m, dtype=float) - 0.5 * m
+        expected = orbit_verdict_by_search(perms, ids)
+        if expected is None:
+            reduced = model_reduce(u, perms, u[ids])
+            assert reduced.value_labels == tuple(sorted(u[ids].tolist()))
+        else:
+            with pytest.raises(NotAnOrbitError, match=expected):
+                model_reduce(u, perms, u[ids])
+
+
+# ---------------------------------------------------------------------------
+# one spectral representation
+
+
+class TestCovarianceOracle:
+    @pytest.mark.parametrize("j", [1.0, 1.5, 3.0])
+    def test_half_turn_reversal_matches_projection_stack(self, j):
+        a = np.array([0.3, -0.5, 0.8])
+        a /= np.linalg.norm(a)
+        bundle = spin_component_operator(j, a)
+        U = spin_rotation(j, perpendicular_unit(a), np.pi)
+        reversal = np.arange(bundle.dim - 1, -1, -1)
+        report = conjugation_covariance(bundle, U, reversal)
+        oracle = covariance_distance_by_projection_stack(bundle, U, reversal)
+        assert report.passed
+        assert abs(report.distance - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("mults", [(1, 1, 1), (2, 1), (1, 3, 2)])
+    def test_degenerate_random_unitaries_match_projection_stack(self, mults):
+        d, k = sum(mults), len(mults)
+        rng = np.random.default_rng(10 * d + k)
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        A = (Q * np.repeat(np.arange(1.0, k + 1), mults)) @ Q.conj().T
+        bundle = operator_from_matrix((A + A.conj().T) / 2)
+        assert list(bundle.spectrum.multiplicities) == list(mults)
+        W, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        for U in (np.eye(d), W):
+            for perm in (np.arange(k), rng.permutation(k)):
+                report = conjugation_covariance(bundle, U, perm)
+                oracle = covariance_distance_by_projection_stack(bundle, U, perm)
+                assert abs(report.distance - oracle) <= 1e-12 * max(1.0, oracle)
+        # the identity with the identity relabelling is covariant
+        assert conjugation_covariance(bundle, np.eye(d), np.arange(k)).passed
