@@ -1,5 +1,5 @@
-"""Unitary representations of finite groups, irreducibility by commutant
-dimension, coherent-state orbits of a fiducial vector, and the frame
+"""Unitary representations of finite groups, irreducibility by the
+character norm, coherent-state orbits of a fiducial vector, and the frame
 operator whose scalarity turns an orbit into a resolution of the identity.
 
 Integrals over a compact symmetry reduce here to weighted sums over a
@@ -104,27 +104,23 @@ def left_regular_rep(g: FiniteGroup) -> UnitaryRep:
 
 
 def commutant_dimension(rep: UnitaryRep, tol: float = 1e-8) -> int:
-    """Dimension of {X : X V(k) = V(k) X for the group's generators}.
+    """Dimension of {X : X V(k) = V(k) X for every element k}.
 
-    Computed as the null-space dimension of the stacked linear system in
-    the d^2 entries of X. Falls back to all elements when the group records
-    no generators.
+    By Schur orthogonality it equals the character norm
+    c = (1/|G|) * sum_k |tr V(k)|^2 (Serre, Linear Representations of
+    Finite Groups, 2.3), which is an integer between 1 and d^2. Raises
+    ValueError when |c - round(c)| > tol*d^2: the matrices then do not form
+    a representation.
     """
     d = rep.dim
-    gens = rep.group.generating_set
-    eye = np.eye(d)
-    blocks = []
-    for k in gens:
-        V = rep.matrices[k]
-        # row-major vec: vec(XV - VX) = (I (x) V^T - V (x) I) vec(X)
-        blocks.append(np.kron(eye, V.T) - np.kron(V, eye))
-    if not blocks:
-        return d * d
-    M = np.vstack(blocks)
-    s = np.linalg.svd(M, compute_uv=False)
-    thresh = tol * max(1.0, float(s[0]) if s.size else 1.0)
-    rank = int(np.sum(s > thresh))
-    return d * d - rank
+    chars = np.einsum("kii->k", rep.matrices)
+    c = float(np.vdot(chars, chars).real) / rep.group.order
+    if abs(c - round(c)) > tol * d * d:
+        raise ValueError(
+            f"character norm {c:.6g} is not an integer; "
+            "the matrices do not form a representation"
+        )
+    return round(c)
 
 
 def is_irreducible(rep: UnitaryRep, tol: float = 1e-8):

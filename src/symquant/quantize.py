@@ -435,6 +435,8 @@ def model_reduce(eigenvalues, perms, target_orbit, tol=1e-9) -> ConceptualVariab
         if hits.size == 0:
             raise NotAnOrbitError(f"target value {x:.6g} is not in the value set")
         ids.append(int(hits[0]))
+    if not ids:
+        raise NotAnOrbitError("target set is empty; an orbit has at least one value")
     id_set = set(ids)
     if len(id_set) != len(ids):
         raise NotAnOrbitError("target values are not distinct")

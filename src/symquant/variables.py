@@ -57,7 +57,7 @@ class ConceptualVariable:
             raise ValueError("label list must be nonempty")
         if v.size and (v.min() < 0 or v.max() >= n_labels):
             raise ValueError("value id out of range")
-        if set(np.unique(v)) != set(range(n_labels)):
+        if not np.bincount(v, minlength=n_labels).all():
             raise ValueError("every label must be attained by some point")
 
     @property
@@ -115,31 +115,55 @@ def _check_sizes(var: ConceptualVariable, act: GroupAction) -> None:
         )
 
 
-def _value_classes(var: ConceptualVariable) -> list[np.ndarray]:
-    return [np.nonzero(var.values == v)[0] for v in range(var.n_values)]
+def _first_points(values) -> np.ndarray:
+    """first[v] is the smallest point whose value is v."""
+    first = np.full(int(values.max()) + 1, values.size, dtype=np.intp)
+    np.minimum.at(first, values, np.arange(values.size))
+    return first
+
+
+def _value_maps(values, images):
+    """Read one value table per row of images off the first point of each
+    value: maps[r][v] = images[r, first[v]]. ok[r] says whether the table
+    reproduces the row, maps[r][values] == images[r] at every point, that
+    is, whether row r is constant on every level set of values.
+    """
+    maps = images[:, _first_points(values)]
+    ok = (maps[:, values] == images).all(axis=1)
+    return maps, ok
+
+
+def _permissible_maps(var: ConceptualVariable, act: GroupAction):
+    """The value map of every element and the first violating triple.
+
+    Returns (maps, None) when every element is permissible, otherwise
+    (maps, (k, p1, p2)): k is the first failing element, and (p1, p2) the
+    smallest pair over the points p2 that k moves off the value of p1, the
+    first point sharing p2's value.
+    """
+    _check_sizes(var, act)
+    moved = var.values[act.perm]
+    maps, ok = _value_maps(var.values, moved)
+    if ok.all():
+        return maps, None
+    k = int(np.argmin(ok))
+    bad = np.flatnonzero(maps[k][var.values] != moved[k])
+    p1s = _first_points(var.values)[var.values[bad]]
+    p1 = int(p1s.min())
+    return maps, (k, p1, int(bad[np.argmax(p1s == p1)]))
 
 
 def is_permissible(var: ConceptualVariable, act: GroupAction):
     """Do equal values stay equal under every group element?
 
-    Exhaustive over all elements and all point pairs. Returns (True, None)
-    or (False, (k, p1, p2)) with the first violating triple in (k, p1, p2)
-    scanning order.
+    Exhaustive over all elements and all points: element k passes when the
+    value at k.p is a function of the value at p. Returns (True, None) or
+    (False, (k, p1, p2)) with k the first failing element and (p1, p2) the
+    smallest pair of points that share a value and that k separates, p1
+    being the first point with that value.
     """
-    _check_sizes(var, act)
-    classes = _value_classes(var)
-    for k in range(act.group.order):
-        moved = var.values[act.perm[k]]
-        candidates = []
-        for cls in classes:
-            vals = moved[cls]
-            bad = np.nonzero(vals != vals[0])[0]
-            if bad.size:
-                candidates.append((int(cls[0]), int(cls[bad[0]])))
-        if candidates:
-            p1, p2 = min(candidates)
-            return False, (k, p1, p2)
-    return True, None
+    witness = _permissible_maps(var, act)[1]
+    return witness is None, witness
 
 
 def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
@@ -151,17 +175,8 @@ def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
     and every label is attained.
     """
     _check_sizes(var, act)
-    moved = var.values[act.perm[h]]
-    g = np.full(var.n_values, -1, dtype=np.intp)
-    for p in range(var.space_size):
-        v = var.values[p]
-        if g[v] == -1:
-            g[v] = moved[p]
-        elif g[v] != moved[p]:
-            return None
-    if len(set(g.tolist())) != var.n_values:
-        return None
-    return g
+    maps, ok = _value_maps(var.values, var.values[act.perm[[h]]])
+    return maps[0] if ok[0] else None
 
 
 @dataclass(frozen=True)
@@ -186,15 +201,10 @@ class InducedAction:
 
 def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     """Push the group action through a permissible variable onto its values."""
-    ok, witness = is_permissible(var, act)
-    if not ok:
+    induced, witness = _permissible_maps(var, act)    # (order, nv)
+    if witness is not None:
         raise NotPermissibleError(witness)
     order, nv = act.group.order, var.n_values
-    rep_point = np.array([np.nonzero(var.values == v)[0][0] for v in range(nv)])
-    moved = var.values[act.perm]        # (order, space): value at k.p
-    induced = moved[:, rep_point]       # (order, nv)
-    if not np.array_equal(induced[:, var.values], moved):
-        raise AssertionError("induced map failed the defining identity")
 
     rows = [tuple(r) for r in induced.tolist()]
     distinct: list[tuple[int, ...]] = []
@@ -239,14 +249,8 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
 def is_permissible_under(var: ConceptualVariable, act: GroupAction, subset) -> bool:
     """Permissibility quantified over a subset of group elements only."""
     _check_sizes(var, act)
-    classes = _value_classes(var)
-    for k in subset:
-        moved = var.values[act.perm[int(k)]]
-        for cls in classes:
-            vals = moved[cls]
-            if np.any(vals != vals[0]):
-                return False
-    return True
+    rows = act.perm[np.asarray(tuple(subset), dtype=np.intp)]
+    return bool(_value_maps(var.values, var.values[rows])[1].all())
 
 
 def maximal_permissible_subgroup(var: ConceptualVariable, act: GroupAction) -> tuple[int, ...]:
@@ -256,18 +260,14 @@ def maximal_permissible_subgroup(var: ConceptualVariable, act: GroupAction) -> t
     closure failure would be an internal inconsistency and raises loudly.
     """
     _check_sizes(var, act)
-    members = tuple(
-        h for h in range(act.group.order)
-        if element_value_map(var, act, h) is not None
-    )
+    ok = _value_maps(var.values, var.values[act.perm])[1]
+    members = tuple(np.flatnonzero(ok).tolist())
     closure = subgroup_generated(act.group, members)
     if set(closure) != set(members):
         raise RuntimeError(
             "element-wise permissible set is not closed under the group table; "
             "this indicates an implementation bug"
         )
-    if not is_permissible_under(var, act, members):
-        raise RuntimeError("returned subgroup fails the restricted check")
     return members
 
 
@@ -281,11 +281,5 @@ def accessibility_leq(alpha: ConceptualVariable, beta: ConceptualVariable):
         raise SizeMismatchError(
             f"variables on {alpha.space_size} vs {beta.space_size} points"
         )
-    f = np.full(beta.n_values, -1, dtype=np.intp)
-    for p in range(beta.space_size):
-        b, a = beta.values[p], alpha.values[p]
-        if f[b] == -1:
-            f[b] = a
-        elif f[b] != a:
-            return False, None
-    return True, f
+    maps, ok = _value_maps(beta.values, alpha.values[None, :])
+    return (True, maps[0]) if ok[0] else (False, None)

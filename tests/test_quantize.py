@@ -297,6 +297,10 @@ class TestModelReduce:
         with pytest.raises(NotAnOrbitError):
             model_reduce([0.0, 1.0], [np.arange(2)], [2.0])
 
+    def test_rejects_empty_target(self):
+        with pytest.raises(NotAnOrbitError, match="empty"):
+            model_reduce([1.0, 2.0], [[0, 1]], [])
+
 
 class TestMaximality:
     def test_distinct_eigenvalues(self):

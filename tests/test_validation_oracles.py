@@ -9,6 +9,12 @@ Orbits, generated subgroups and the orbit test of model_reduce all run on
 one vectorized routine, groups.orbit_partition. The point-by-point
 breadth-first searches it replaced live here too, as does the dense stack
 of spectral projections that the matrix-only covariance check used to sum.
+
+Permissibility, element value maps, the maximal permissible subgroup and
+the accessibility order are all read off one value-map table; the
+point-by-point loops they replaced live here. Irreducibility is decided
+by the character norm; the Kronecker/SVD null-space computation of the
+commutant it replaced lives here as well.
 """
 
 import numpy as np
@@ -19,7 +25,10 @@ from hypothesis import strategies as st
 from symquant.coherent import (
     UnitaryRep,
     binary_tetrahedral_spin_rep,
+    commutant_dimension,
     dihedral_rotation_rep,
+    is_irreducible,
+    left_regular_rep,
     permutation_rep,
 )
 from symquant.groups import (
@@ -42,6 +51,16 @@ from symquant.quantize import (
     operator_from_matrix,
 )
 from symquant.spin import perpendicular_unit, spin_component_operator, spin_rotation
+from symquant.variables import (
+    NotPermissibleError,
+    accessibility_leq,
+    element_value_map,
+    induce_group,
+    is_permissible,
+    is_permissible_under,
+    maximal_permissible_subgroup,
+    variable_from_point_labels,
+)
 
 settings.register_profile("oracles", max_examples=60, deadline=None,
                           derandomize=True, database=None)
@@ -168,6 +187,85 @@ def covariance_distance_by_projection_stack(bundle, U, perm) -> float:
     return float(np.linalg.norm(U.conj().T @ bundle.matrix @ U - rhs))
 
 
+def permissible_by_class_scan(var, act):
+    """Scan the elements in order and, for each, every value class. The
+    witness is the first failing element k and the smallest pair (first
+    point of a class, first point of that class that k moves off the
+    value of the class's first point)."""
+    classes = [np.nonzero(var.values == v)[0] for v in range(var.n_values)]
+    for k in range(act.group.order):
+        moved = var.values[act.perm[k]]
+        candidates = []
+        for cls in classes:
+            vals = moved[cls]
+            bad = np.nonzero(vals != vals[0])[0]
+            if bad.size:
+                candidates.append((int(cls[0]), int(cls[bad[0]])))
+        if candidates:
+            return False, (k, *min(candidates))
+    return True, None
+
+
+def value_map_by_point_loop(var, act, h):
+    """The value permutation of element h, assigned point by point; None
+    when a value would be sent to two values or the table is no bijection."""
+    moved = var.values[act.perm[h]]
+    g = np.full(var.n_values, -1, dtype=np.intp)
+    for p in range(var.space_size):
+        v = var.values[p]
+        if g[v] == -1:
+            g[v] = moved[p]
+        elif g[v] != moved[p]:
+            return None
+    if len(set(g.tolist())) != var.n_values:
+        return None
+    return g
+
+
+def factor_map_by_point_loop(alpha, beta):
+    """(True, f) with alpha = f(beta) pointwise, assigned point by point,
+    or (False, None)."""
+    f = np.full(beta.n_values, -1, dtype=np.intp)
+    for p in range(beta.space_size):
+        b, a = beta.values[p], alpha.values[p]
+        if f[b] == -1:
+            f[b] = a
+        elif f[b] != a:
+            return False, None
+    return True, f
+
+
+def commutant_by_kronecker_svd(rep, tol=1e-8) -> int:
+    """Null-space dimension of X V(s) = V(s) X over the group's generators
+    s, as a linear system in the d^2 entries of X, by SVD. The stacked
+    system has |S|*d^2 rows and d^2 columns: O(|S| d^6) time and
+    O(|S| d^4) memory."""
+    d = rep.dim
+    eye = np.eye(d)
+    blocks = []
+    for k in rep.group.generating_set:
+        V = rep.matrices[k]
+        # row-major vec: vec(XV - VX) = (I (x) V^T - V (x) I) vec(X)
+        blocks.append(np.kron(eye, V.T) - np.kron(V, eye))
+    if not blocks:
+        return d * d
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    thresh = tol * max(1.0, float(s[0]))
+    return d * d - int(np.sum(s > thresh))
+
+
+def direct_sum(*reps) -> UnitaryRep:
+    """Block-diagonal sum of representations of one group."""
+    g = reps[0].group
+    d = sum(r.dim for r in reps)
+    mats = np.zeros((g.order, d, d), dtype=np.complex128)
+    at = 0
+    for r in reps:
+        mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
+        at += r.dim
+    return UnitaryRep(group=g, dim=d, matrices=mats)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -192,6 +290,20 @@ def permutation_groups(draw, max_degree=5):
         return tuple(p[q[i]] for i in range(m))
 
     return generate_group([tuple(p) for p in gens], mul, tuple(range(m)))
+
+
+@st.composite
+def labelled_actions(draw, max_degree=5, max_labels=4):
+    """A random labelling of the points of a random permutation group's
+    natural or left-translation action."""
+    g = draw(permutation_groups(max_degree))
+    if draw(st.booleans()):
+        act = natural_permutation_action(g)
+    else:
+        act = left_translation_action(g)
+    labels = draw(st.lists(st.integers(0, max_labels - 1),
+                           min_size=act.space_size, max_size=act.space_size))
+    return variable_from_point_labels(labels), act
 
 
 def _non_generators(g: FiniteGroup) -> list[int]:
@@ -416,3 +528,145 @@ class TestCovarianceOracle:
                 assert abs(report.distance - oracle) <= 1e-12 * max(1.0, oracle)
         # the identity with the identity relabelling is covariant
         assert conjugation_covariance(bundle, np.eye(d), np.arange(k)).passed
+
+
+# ---------------------------------------------------------------------------
+# one value-map table
+
+
+class TestValueMapOracles:
+    @ORACLE_SETTINGS
+    @given(labelled_actions())
+    def test_verdict_and_witness_match_class_scan(self, case):
+        var, act = case
+        expected = permissible_by_class_scan(var, act)
+        assert is_permissible(var, act) == expected
+        if expected[0]:
+            induced = induce_group(var, act).induced_perm
+            for k in range(act.group.order):
+                assert np.array_equal(induced[k],
+                                      value_map_by_point_loop(var, act, k))
+        else:
+            with pytest.raises(NotPermissibleError) as err:
+                induce_group(var, act)
+            assert err.value.witness == expected[1]
+
+    @ORACLE_SETTINGS
+    @given(labelled_actions())
+    def test_every_element_value_map(self, case):
+        var, act = case
+        for h in range(act.group.order):
+            got = element_value_map(var, act, h)
+            expected = value_map_by_point_loop(var, act, h)
+            if expected is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, expected)
+
+    @ORACLE_SETTINGS
+    @given(labelled_actions())
+    def test_maximal_permissible_subgroup(self, case):
+        var, act = case
+        expected = tuple(h for h in range(act.group.order)
+                         if value_map_by_point_loop(var, act, h) is not None)
+        assert maximal_permissible_subgroup(var, act) == expected
+
+    @ORACLE_SETTINGS
+    @given(labelled_actions(), st.data())
+    def test_permissible_under_random_subsets(self, case, data):
+        var, act = case
+        subset = data.draw(st.lists(st.integers(0, act.group.order - 1),
+                                    max_size=6))
+        expected = all(value_map_by_point_loop(var, act, k) is not None
+                       for k in subset)
+        assert is_permissible_under(var, act, subset) == expected
+
+    @ORACLE_SETTINGS
+    @given(st.integers(1, 10).flatmap(lambda m: st.tuples(
+        st.lists(st.integers(0, 3), min_size=m, max_size=m),
+        st.lists(st.integers(0, 3), min_size=m, max_size=m))))
+    def test_accessibility_both_directions(self, labellings):
+        a, b = (variable_from_point_labels(x) for x in labellings)
+        for alpha, beta in ((a, b), (b, a)):
+            ok, f = accessibility_leq(alpha, beta)
+            expected_ok, expected_f = factor_map_by_point_loop(alpha, beta)
+            assert ok == expected_ok
+            if ok:
+                assert np.array_equal(f, expected_f)
+            else:
+                assert f is None
+
+
+# ---------------------------------------------------------------------------
+# irreducibility by the character norm
+
+
+class TestCommutantOracle:
+    @pytest.mark.parametrize("name", ["dihedral:4", "dihedral:5", "binary_tetrahedral"])
+    def test_named_group_reps(self, name):
+        g = make_named_group(name)
+        if name == "binary_tetrahedral":
+            rep = binary_tetrahedral_spin_rep(g)
+        else:
+            rep = dihedral_rotation_rep(g)
+        assert commutant_dimension(rep) == commutant_by_kronecker_svd(rep) == 1
+        assert is_irreducible(rep) == (True, 1)
+
+    @pytest.mark.parametrize("name", ["cyclic:3", "dihedral:3", "symmetric:3",
+                                      "binary_tetrahedral"])
+    def test_left_regular_reps(self, name):
+        # the regular representation holds each irrep of dimension d_i
+        # d_i times, so its commutant has dimension sum d_i^2 = |G|
+        rep = left_regular_rep(make_named_group(name))
+        assert commutant_dimension(rep) == commutant_by_kronecker_svd(rep) == rep.dim
+
+    @ORACLE_SETTINGS
+    @given(permutation_groups())
+    def test_random_permutation_reps(self, g):
+        acts = [natural_permutation_action(g)]
+        if g.order <= 24:       # the oracle's system grows as d^4
+            acts.append(left_translation_action(g))
+        for act in acts:
+            rep = permutation_rep(act)
+            assert commutant_dimension(rep) == commutant_by_kronecker_svd(rep)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_reducible_direct_sums(self, n):
+        g = make_named_group(f"dihedral:{n}")
+        rot = dihedral_rotation_rep(g)
+        trivial = UnitaryRep(group=g, dim=1, matrices=np.ones((g.order, 1, 1)))
+        sign = UnitaryRep(group=g, dim=1, matrices=np.array(
+            [[[(-1.0) ** b]] for _, b in g.elements]))
+        rng = np.random.default_rng(n)
+        for parts, expected in (((trivial, trivial), 4), ((rot, trivial), 2),
+                                ((rot, rot), 4),
+                                ((rot, sign, trivial), 3),
+                                ((rot, rot, trivial, trivial), 8)):
+            rep = direct_sum(*parts)
+            d = rep.dim
+            W, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            mixed = UnitaryRep(group=g, dim=d,
+                               matrices=W @ rep.matrices @ W.conj().T)
+            for r in (rep, mixed):
+                assert commutant_dimension(r) == commutant_by_kronecker_svd(r) == expected
+                assert is_irreducible(r) == (False, expected)
+
+    def test_left_regular_rep_of_symmetric_five(self):
+        # d = 120: the Kronecker system would be 2 x 14400 x 14400 complex,
+        # about 6.6 GB; the character norm reads 120 traces
+        rep = left_regular_rep(make_named_group("symmetric:5"))
+        assert rep.dim == 120
+        assert commutant_dimension(rep) == 120
+
+    def test_non_integer_character_norm_raises(self):
+        g = make_named_group("dihedral:4")
+        rep = dihedral_rotation_rep(g)
+        mats = rep.matrices.copy()
+        k = next(k for k in range(g.order) if k != g.identity)
+        a = 0.3
+        mats[k] = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+        object.__setattr__(rep, "matrices", mats)
+        with pytest.raises(ValueError, match="not an integer"):
+            commutant_dimension(rep)
+        with pytest.raises(ValueError, match="not an integer"):
+            is_irreducible(rep)

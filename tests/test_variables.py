@@ -218,7 +218,7 @@ class TestAccessibilityOrder:
 
 class TestVariableType:
     def test_surjectivity_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every label must be attained"):
             ConceptualVariable(space_size=2, values=[0, 0],
                               value_labels=(0.0, 1.0))
 
