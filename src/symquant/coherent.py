@@ -87,8 +87,7 @@ def permutation_rep(act: GroupAction) -> UnitaryRep:
     """Permutation matrices realizing an action: U(k) e_x = e_{k.x}."""
     n, m = act.group.order, act.space_size
     mats = np.zeros((n, m, m), dtype=np.complex128)
-    for k in range(n):
-        mats[k, act.perm[k], np.arange(m)] = 1.0
+    mats[np.arange(n)[:, None], act.perm, np.arange(m)] = 1.0
     return UnitaryRep(group=act.group, dim=m, matrices=mats)
 
 
@@ -302,12 +301,12 @@ def dihedral_rotation_rep(g: FiniteGroup) -> UnitaryRep:
     if g.elements is None or not g.name.startswith("dihedral:"):
         raise ValueError("expected a group built by make_named_group('dihedral:n')")
     n = g.order // 2
-    mats = np.empty((g.order, 2, 2), dtype=np.complex128)
-    flip = np.diag([1.0, -1.0])
-    for idx, (i, b) in enumerate(g.elements):
-        a = 2.0 * np.pi * i / n
-        rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-        mats[idx] = rot @ (flip if b else np.eye(2))
+    i, b = np.array(g.elements).T
+    a = 2.0 * np.pi * i / n
+    c, s = np.cos(a), np.sin(a)
+    rot = np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
+    reflect = np.where(b[:, None, None] == 1, np.diag([1.0, -1.0]), np.eye(2))
+    mats = (rot @ reflect).astype(np.complex128)
     return UnitaryRep(group=g, dim=2, matrices=mats)
 
 
@@ -315,11 +314,9 @@ def binary_tetrahedral_spin_rep(g: FiniteGroup) -> UnitaryRep:
     """The defining 2x2 unitary matrices of the unit-quaternion group."""
     if g.elements is None or g.name != "binary_tetrahedral":
         raise ValueError("expected make_named_group('binary_tetrahedral')")
-    mats = np.empty((g.order, 2, 2), dtype=np.complex128)
-    for idx, (a2, b2, c2, d2) in enumerate(g.elements):
-        a, b, c, d = a2 / 2.0, b2 / 2.0, c2 / 2.0, d2 / 2.0
-        mats[idx] = np.array([[a + 1j * b, c + 1j * d],
-                              [-c + 1j * d, a - 1j * b]])
+    a, b, c, d = np.array(g.elements).T / 2.0
+    mats = np.moveaxis(np.array([[a + 1j * b, c + 1j * d],
+                                 [-c + 1j * d, a - 1j * b]]), -1, 0)
     return UnitaryRep(group=g, dim=2, matrices=mats)
 
 

@@ -6,10 +6,17 @@ their canonical generators, identity first, then the generators in listed
 order, then products level by level. The ordering is deterministic, so
 Cayley tables are reproducible byte for byte. Direct products follow the
 same rule using the paired generators of the factors.
+
+Named groups are built by generate_group from integer coordinates and a
+multiplication that works on whole arrays of them: the closure makes one
+call per breadth-first level and the Cayley table one call per block of
+rows, with no Python call per pair of elements. Every pair is still
+multiplied, so a product that is not an element is still caught.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +44,19 @@ def _as_index_array(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.intp).copy()
     arr.setflags(write=False)
     return arr
+
+
+def rows_are_permutations(rows: np.ndarray, m: int) -> bool:
+    """Whether every row of an (r, m) integer array is a permutation of
+    0..m-1: entries in range, and every value hit once in each row."""
+    rows = np.asarray(rows)
+    if rows.size == 0:
+        return True
+    if rows.min() < 0 or rows.max() >= m:
+        return False
+    hit = np.zeros(rows.shape, dtype=bool)
+    hit[np.arange(rows.shape[0])[:, None], rows] = True
+    return bool(hit.all())
 
 
 @dataclass(frozen=True)
@@ -79,9 +99,9 @@ class FiniteGroup:
         if self.cayley.min() < 0 or self.cayley.max() >= n:
             raise ValueError("cayley entries out of range")
         full = np.arange(n)
-        if not all(np.array_equal(np.sort(row), full) for row in self.cayley):
+        if not rows_are_permutations(self.cayley, n):
             raise ValueError("cayley table rows are not permutations (not a Latin square)")
-        if not all(np.array_equal(np.sort(col), full) for col in self.cayley.T):
+        if not rows_are_permutations(self.cayley.T, n):
             raise ValueError("cayley table columns are not permutations (not a Latin square)")
         e = self.identity
         if not (0 <= e < n):
@@ -172,10 +192,9 @@ class GroupAction:
             raise ValueError("space_size must be positive")
         if self.perm.shape != (n, m):
             raise ValueError(f"perm must be {n}x{m}")
-        full = np.arange(m)
-        if not all(np.array_equal(np.sort(row), full) for row in self.perm):
+        if not rows_are_permutations(self.perm, m):
             raise ValueError("each group element must act by a bijection")
-        if not np.array_equal(self.perm[self.group.identity], full):
+        if not np.array_equal(self.perm[self.group.identity], np.arange(m)):
             raise ValueError("identity must act trivially")
         t = self.group.cayley
         for s in self.group.generating_set:
@@ -216,49 +235,137 @@ class InvariantMeasure:
 # group generation
 
 
+# Entries (rows x elements x coordinates) of one block of the Cayley
+# table's products: at least this many, so that a small table is one block,
+# and otherwise 1/32 of the n x n table, so that the few block-sized
+# temporaries of mul and of the lookup stay well below the table's size.
+_MIN_BLOCK_ENTRIES = 1 << 14
+_BLOCK_FRACTION = 32
+
+
+def _products(mul, x, y):
+    """mul(x, y) for x of shape (r, 1, k) and y of shape (1, c, k), as an
+    (r*c, k) integer array, x-major."""
+    shape = (x.shape[0], y.shape[1], x.shape[2])
+    out = np.asarray(mul(x, y))
+    if out.shape != shape or out.dtype.kind not in "iu":
+        raise ValueError(
+            f"mul must return integer coordinates of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    return out.astype(np.int64, copy=False).reshape(-1, shape[2])
+
+
+def _element_lookup(coords: np.ndarray):
+    """A map from (r, k) int64 coordinate rows to element indices, -1 where
+    a row is not an element.
+
+    A row's key is its mixed-radix number inside the bounding box of the
+    elements' coordinates: exact, and the same integer only for the same
+    coordinates. Rows outside the box are not elements and get the key
+    box, which no element has. Keys index a dense table over the box, which
+    may hold at most max(n*n, 2**16) points, so that it is no larger than
+    the Cayley table; a wider spread of coordinates raises ValueError.
+    """
+    n, k = coords.shape
+    lo = coords.min(axis=0)
+    span = (coords.max(axis=0) - lo + 1).tolist()
+    box = math.prod(span)
+    if box > max(n * n, 1 << 16):
+        raise ValueError(
+            f"element coordinates span a box of {box} points, more than "
+            f"max(n*n, 2**16) for {n} elements"
+        )
+    radix = np.array([math.prod(span[j + 1:]) for j in range(k)])
+    span = np.array(span, dtype=np.uint64)
+    table = np.full(box + 1, -1, dtype=np.intp)
+    table[(coords - lo) @ radix] = np.arange(n)
+
+    def lookup(rows):
+        off = rows - lo
+        # a negative offset wraps to a huge unsigned one: outside the box
+        inside = (off.view(np.uint64) < span).all(axis=1)
+        return table[np.where(inside, off @ radix, box)]
+
+    return lookup
+
+
 def generate_group(generators, mul, identity, *, name="group", name_of=None,
                    max_order=MAX_GROUP_ORDER):
     """Breadth-first closure of generators under mul, returning a FiniteGroup.
 
-    Elements must be hashable. The element list starts with the identity,
-    then the generators in order, then products level by level.
+    An element is an integer or a tuple of k integer coordinates. mul works
+    on arrays: mul(X, Y) takes integer arrays whose last axis holds the
+    coordinates (length 1 for integer elements) and broadcasts over the
+    leading axes, like a numpy ufunc, returning the products' coordinates.
+
+    The element list starts with the identity, then the generators in
+    order, then products level by level: each element of a level times
+    each generator, in that order. A level is one mul call. The Cayley
+    table multiplies every pair, one call per block of rows
+    mul(E[a:b, None], E[None]); the block's products take at most
+    max(2**14, n*n/32) coordinates, so its temporaries stay well below the
+    n x n table. A product that is not an element raises ValueError, and
+    FiniteGroup then rejects a table that is not a group's (a closed but
+    non-associative mul, for one).
+
+    Products are looked up by an exact integer key of their coordinates
+    in a dense table over the elements' bounding box; a box of more than
+    max(n*n, 2**16) points raises ValueError.
+
+    elements holds the elements as Python values, ints or tuples of ints;
+    name_of is called on each.
     """
-    elements = [identity]
-    index = {identity: 0}
-    gens = []
-    for g in generators:
-        if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
-            gens.append(g)
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in index:
-                    if len(elements) >= max_order:
-                        raise OrderTooLargeError(
-                            f"group exceeds maximum order {max_order}"
-                        )
-                    index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    ident = np.asarray(identity, dtype=np.int64)
+    k = ident.size
+    index: dict[tuple[int, ...], int] = {}
+
+    def discover(rows: np.ndarray) -> list[list[int]]:
+        """The rows not seen before, in order, each given the next index."""
+        new = []
+        for row in rows.tolist():
+            key = tuple(row)
+            if key not in index:
+                index[key] = len(index)
+                new.append(row)
+        return new
+
+    elements = discover(ident.reshape(1, k))
+    gens = discover(np.asarray(generators, dtype=np.int64).reshape(-1, k))
+    elements += gens
+    gen_rows = np.array(gens, dtype=np.int64).reshape(1, -1, k)
+    frontier = np.array(elements, dtype=np.int64)
+    while len(frontier) and gens:
+        level = discover(_products(mul, frontier[:, None], gen_rows))
+        if len(index) > max_order:
+            raise OrderTooLargeError(f"group exceeds maximum order {max_order}")
+        elements += level
+        frontier = np.array(level, dtype=np.int64).reshape(-1, k)
     n = len(elements)
+    coords = np.array(elements, dtype=np.int64)
+    lookup = _element_lookup(coords)
+    block_rows = max(1, max(n * n // _BLOCK_FRACTION, _MIN_BLOCK_ENTRIES) // (n * k))
     cayley = np.empty((n, n), dtype=np.intp)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            cayley[i, j] = index[mul(a, b)]
-    inverses = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        inverses[i] = int(np.nonzero(cayley[i] == 0)[0][0])
-    names = tuple(name_of(x) for x in elements) if name_of else None
-    gen_idx = tuple(index[g] for g in gens)
+    for a in range(0, n, block_rows):
+        b = min(a + block_rows, n)
+        prod = lookup(_products(mul, coords[a:b, None], coords[None]))
+        missing = np.flatnonzero(prod < 0)
+        if missing.size:
+            x, y = divmod(int(missing[0]), n)
+            raise ValueError(
+                f"the product of elements {a + x} and {y} is not an element"
+            )
+        cayley[a:b] = prod.reshape(b - a, n)
+    inverses = np.argmax(cayley == 0, axis=1)
+    if ident.ndim == 0:
+        values = coords[:, 0].tolist()
+    else:
+        values = list(map(tuple, elements))
+    names = tuple(name_of(x) for x in values) if name_of else None
     return FiniteGroup(
         order=n, cayley=cayley, identity=0, inverses=inverses, name=name,
-        element_names=names, generators=gen_idx, elements=tuple(elements),
+        element_names=names, generators=tuple(range(1, 1 + len(gens))),
+        elements=tuple(values),
     )
 
 
@@ -300,9 +407,9 @@ def dihedral_group(n: int) -> FiniteGroup:
         raise OrderTooLargeError(f"order {2*n} exceeds {MAX_GROUP_ORDER}")
 
     def mul(x, y):
-        i1, b1 = x
-        i2, b2 = y
-        return ((i1 + (i2 if b1 == 0 else -i2)) % n, b1 ^ b2)
+        i1, b1 = x[..., 0], x[..., 1]
+        i2, b2 = y[..., 0], y[..., 1]
+        return np.stack(((i1 + np.where(b1 == 0, i2, -i2)) % n, b1 ^ b2), axis=-1)
 
     def nm(x):
         i, b = x
@@ -310,7 +417,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         s = "s" if b else ""
         return (r + s) or "e"
 
-    return generate_group([(1, 0), (0, 1)], mul, (0, 0),
+    return generate_group([(1 % n, 0), (0, 1)], mul, (0, 0),
                           name=f"dihedral:{n}", name_of=nm)
 
 
@@ -333,7 +440,7 @@ def symmetric_group(n: int) -> FiniteGroup:
             gens.append(tuple((i + 1) % n for i in range(n)))
 
     def mul(p, q):  # (p o q)(x) = p(q(x))
-        return tuple(p[q[i]] for i in range(n))
+        return np.take_along_axis(p, q, axis=-1)
 
     return generate_group(gens, mul, identity,
                           name=f"symmetric:{n}", name_of=_perm_cycles)
@@ -341,16 +448,16 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def _quat_mul(x, y):
     # Hamilton product on doubled integer coordinates (a,b,c,d) ~ q = x/2
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    prod = (
+    a1, b1, c1, d1 = np.moveaxis(x, -1, 0)
+    a2, b2, c2, d2 = np.moveaxis(y, -1, 0)
+    prod = np.stack((
         a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
         a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
         a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
         a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
-    assert all(v % 2 == 0 for v in prod), "product left the Hurwitz units"
-    return tuple(v // 2 for v in prod)
+    ), axis=-1)
+    assert (prod % 2 == 0).all(), "product left the Hurwitz units"
+    return prod // 2
 
 
 def _quat_name(x):
@@ -387,7 +494,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     t1, t2 = g1.cayley, g2.cayley
 
     def mul(x, y):
-        return (int(t1[x[0], y[0]]), int(t2[x[1], y[1]]))
+        return np.stack((t1[x[..., 0], y[..., 0]], t2[x[..., 1], y[..., 1]]), axis=-1)
 
     e = (g1.identity, g2.identity)
     gens = ([(a, g2.identity) for a in g1.generating_set]
@@ -449,7 +556,8 @@ def cyclic_shift_action(g: FiniteGroup, space_size: int | None = None) -> GroupA
     m = n if space_size is None else space_size
     if m != n:
         raise ValueError("shift action needs space_size == group order")
-    perm = np.array([[(x + k) % n for x in range(n)] for k in range(n)])
+    shifts = np.arange(n)
+    perm = (shifts[:, None] + shifts[None, :]) % n
     return GroupAction(group=g, space_size=n, perm=perm)
 
 
@@ -458,10 +566,9 @@ def dihedral_vertex_action(g: FiniteGroup) -> GroupAction:
     if g.elements is None or not g.name.startswith("dihedral:"):
         raise ValueError("expected a group built by make_named_group('dihedral:n')")
     n = g.order // 2
-    perm = np.empty((g.order, n), dtype=np.intp)
-    for idx, (i, b) in enumerate(g.elements):
-        for x in range(n):
-            perm[idx, x] = (i + (x if b == 0 else -x)) % n
+    i, b = np.array(g.elements, dtype=np.intp).T[:, :, None]
+    x = np.arange(n)
+    perm = (i + np.where(b == 0, x, -x)) % n
     return GroupAction(group=g, space_size=n, perm=perm)
 
 

@@ -26,7 +26,7 @@ from .linalg import (
     is_unitary,
     max_abs,
 )
-from .groups import orbit_partition
+from .groups import orbit_partition, rows_are_permutations
 from .variables import ConceptualVariable, GroupAction, element_value_map
 from .coherent import NotUnitaryError, UnitaryRep, resolution_deviation
 
@@ -371,12 +371,10 @@ def _as_id_perms(perms, n: int) -> np.ndarray:
         raise SpectrumNotPreservedError(
             f"permutations must act on all {n} eigenvalue ids"
         )
-    full = np.arange(n)
-    for row in arr:
-        if not np.array_equal(np.sort(row), full):
-            raise SpectrumNotPreservedError(
-                "a transformation fails to map the eigenvalue set onto itself"
-            )
+    if not rows_are_permutations(arr, n):
+        raise SpectrumNotPreservedError(
+            "a transformation fails to map the eigenvalue set onto itself"
+        )
     return arr
 
 

@@ -87,6 +87,13 @@ class TestIrreducibility:
         irr, cdim = is_irreducible(rep)
         assert irr and cdim == 1
 
+    def test_dihedral_one_rotation_rep(self):
+        # D1 = {e, s}: the identity and the reflection diag(1, -1), which
+        # split into two characters
+        rep = dihedral_rotation_rep(make_named_group("dihedral:1"))
+        assert np.array_equal(rep.matrices, [np.eye(2), np.diag([1.0, -1.0])])
+        assert is_irreducible(rep) == (False, 2)
+
     def test_doubled_trivial_rep(self):
         g = cyclic_group(2)
         mats = np.stack([np.eye(2), np.eye(2)]).astype(complex)

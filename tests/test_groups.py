@@ -1,5 +1,7 @@
 """Tests for finite groups, actions, orbits, and invariant measures."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from symquant.groups import (
     cyclic_group,
     cyclic_shift_action,
     dihedral_vertex_action,
+    generate_group,
     haar_measure,
     invariant_measure,
     is_transitive,
@@ -24,6 +27,26 @@ from symquant.groups import (
     orbits,
     subgroup_generated,
 )
+
+# SHA-256 of each named group's Cayley table as little-endian int64. The
+# tables are integers, so the digests are the same on every platform; a
+# change to the element order of a named group changes its digest.
+CAYLEY_SHA256 = {
+    "cyclic:1": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    "cyclic:6": "2e06ad144d1c87196b9321980710b463c6fba841e32b478a8276b1e72213ece7",
+    "cyclic:64": "6d8988074a34eebaeed944798d4fa44b21266b91c05575e8c036efb936a699f9",
+    "dihedral:1": "db7f8e2aa97f8d230fc0a6c6d68184ecfee02f4bd2e94dcb331c0d3d54ca5fe8",
+    "dihedral:2": "cd18db5001222f5aa2e67a2e1ec7bedb6c97259bc407ac0536383a96da99ee0d",
+    "dihedral:4": "0f8e8639240aafeb34206674b3c9b959c60888269e784124abd1c13ac8d85ab0",
+    "dihedral:24": "d17c4c87b869d9f359858e4ae8666256a3f0d2aafd282f179e582304ad14a679",
+    "dihedral:200": "ca09b0cc214311795e21f1725541936d34e2a57d30ed01c185c8e0488ee0d22f",
+    "symmetric:3": "00c2207c6dc19a5a026b2979b44eef1a223251213ae8cc9c8d51c31604f55e54",
+    "symmetric:4": "12de8f85aee855561355cdc0865043a30e79e911ff638ef26d60f75c855a7144",
+    "symmetric:5": "0c3028285ab5321164e78641cc8a115f60cdef6334a81676213de4f7110248d1",
+    "binary_tetrahedral": "d17242f6da89adc172a151c82715193d3a7a8357257a12b26bcb0902a15e194a",
+    "cyclic:2xcyclic:3": "c945688de4660acf690fcfe1961eeea175d081be758d95cb25aee774b8bfd7cb",
+    "dihedral:3xcyclic:2": "5f3785375fbd4e53296f0e801a8b83790afb9a0aa47003cca5c664a10c0b881f",
+}
 
 
 class TestNamedGroups:
@@ -73,6 +96,31 @@ class TestNamedGroups:
         # every non-identity element squares to the identity
         assert all(g.mul(x, x) == g.identity for x in range(4))
 
+    def test_dihedral_one_is_order_two(self):
+        # the rotation generator (1 mod 1, 0) is the identity: D1 = {e, s}
+        g = make_named_group("dihedral:1")
+        assert g.order == 2
+        assert g.elements == ((0, 0), (0, 1))
+        assert g.element_names == ("e", "s")
+        assert g.generators == (1,)
+        assert np.array_equal(g.cayley, [[0, 1], [1, 0]])
+        act = dihedral_vertex_action(g)
+        assert act.space_size == 1
+        assert np.array_equal(act.perm, [[0], [0]])
+
+    @pytest.mark.parametrize("name", sorted(CAYLEY_SHA256))
+    def test_cayley_tables_pinned(self, name):
+        t = make_named_group(name).cayley
+        digest = hashlib.sha256(np.ascontiguousarray(t, dtype="<i8").tobytes())
+        assert digest.hexdigest() == CAYLEY_SHA256[name]
+
+    def test_elements_are_python_values(self):
+        assert all(type(x) is int for x in make_named_group("cyclic:5").elements)
+        for name in ("dihedral:3", "symmetric:3", "binary_tetrahedral",
+                     "cyclic:2xcyclic:3"):
+            for x in make_named_group(name).elements:
+                assert type(x) is tuple and all(type(c) is int for c in x)
+
     def test_unknown_name(self):
         for bad in ("", "quaternion:8", "cyclic", "cyclic:x"):
             with pytest.raises(UnknownGroupNameError):
@@ -85,8 +133,11 @@ class TestNamedGroups:
             make_named_group("cyclic:20000")
 
     def test_validation_rejects_broken_table(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rows are not permutations"):
             FiniteGroup(order=2, cayley=[[0, 0], [1, 1]], identity=0,
+                        inverses=[0, 1])
+        with pytest.raises(ValueError, match="columns are not permutations"):
+            FiniteGroup(order=2, cayley=[[0, 1], [0, 1]], identity=0,
                         inverses=[0, 1])
 
     def test_rejects_non_associative_loop_above_order_64(self):
@@ -110,6 +161,69 @@ class TestNamedGroups:
                         inverses=g.inverses, generators=(2,))
         assert FiniteGroup(order=6, cayley=g.cayley, identity=0,
                            inverses=g.inverses, generators=(2, 3)).depth == 3
+
+
+class TestGenerateGroup:
+    @staticmethod
+    def torus_mul(counter, n):
+        def mul(x, y):
+            counter.append(np.broadcast_shapes(x.shape, y.shape))
+            return (x + y) % n
+        return mul
+
+    def test_no_mul_call_per_pair(self):
+        # Z_20 x Z_20: 160000 pairs, depth 38; one call per level and per
+        # block of table rows
+        calls = []
+        g = generate_group([(1, 0), (0, 1)], self.torus_mul(calls, 20), (0, 0))
+        assert g.order == 400 and g.depth == 38
+        assert len(calls) < 100
+        assert sum(int(np.prod(shape[:-1])) for shape in calls) >= 400 * 400
+
+    def test_integer_elements(self):
+        calls = []
+        g = generate_group([2], self.torus_mul(calls, 6), 0)
+        assert g.elements == (0, 2, 4)
+        assert all(shape[-1] == 1 for shape in calls)
+        assert np.array_equal(g.cayley, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+    def test_duplicate_and_identity_generators_skipped(self):
+        g = generate_group([0, 3, 3, 1], lambda a, b: (a + b) % 4, 0)
+        assert g.elements == (0, 3, 1, 2)
+        assert g.generators == (1, 2)
+
+    def test_order_bound(self):
+        with pytest.raises(OrderTooLargeError):
+            generate_group([1], lambda a, b: (a + b) % 50, 0, max_order=49)
+        assert generate_group([1], lambda a, b: (a + b) % 50, 0,
+                              max_order=50).order == 50
+
+    def test_product_below_the_box_is_not_an_element(self):
+        # Z_2 x Z_2 by xor, except (1, 1)*(1, 1) = (1, -1): below the box in
+        # its second coordinate, though its mixed-radix key 2*1 - 1 is that
+        # of the element (0, 1). The closure never forms that product.
+        def mul(x, y):
+            out = x ^ y
+            both = (x == 1).all(axis=-1) & (y == 1).all(axis=-1)
+            return np.where(both[..., None], [1, -1], out)
+
+        with pytest.raises(ValueError, match="elements 3 and 3 is not an element"):
+            generate_group([(1, 0), (0, 1)], mul, (0, 0))
+
+    def test_coordinate_box_bounded(self):
+        # Z_2 as {(0, 0), (1, h)}: 2 * (h + 1) points in the bounding box
+        def z2(h):
+            return generate_group([(1, h)], lambda x, y: (x + y) % [2, 2 * h], (0, 0))
+
+        assert z2(1000).order == 2
+        with pytest.raises(ValueError, match="box of 200002 points"):
+            z2(100000)
+
+    def test_mul_must_return_integer_coordinates(self):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            generate_group([1], lambda a, b: (a + b) / 2, 0)
+        with pytest.raises(ValueError, match="integer coordinates"):
+            generate_group([(1, 0)], lambda a, b: a[..., 0] + b[..., 0], (0, 0))
 
 
 class TestActionsAndOrbits:
@@ -167,6 +281,10 @@ class TestActionsAndOrbits:
         g = cyclic_group(2)
         with pytest.raises(ValueError):
             GroupAction(group=g, space_size=3, perm=[[0, 1, 2], [1, 2, 0]])
+        # a negative entry must not wrap around to a valid point
+        for row in ([0, 0, 1], [0, 1, 3], [-1, 0, 1]):
+            with pytest.raises(ValueError, match="bijection"):
+                GroupAction(group=g, space_size=3, perm=[[0, 1, 2], row])
 
     def test_left_translation_action_is_valid_and_transitive(self):
         g = make_named_group("binary_tetrahedral")

@@ -258,6 +258,9 @@ class TestEigenOrbits:
         b = build_operator(np.eye(3, dtype=complex), 1.0, [-1.0, 0.0, 2.0])
         with pytest.raises(SpectrumNotPreservedError):
             spectrum_permutations(b.eigenvalues, [lambda u: -u])
+        for row in ([0, 0, 1], [0, 1, 3], [-1, 0, 1]):
+            with pytest.raises(SpectrumNotPreservedError, match="onto itself"):
+                eigen_orbit_partition(b, [np.arange(3), row])
 
     def test_accepts_induced_action(self):
         g = cyclic_group(4)

@@ -15,6 +15,12 @@ the accessibility order are all read off one value-map table; the
 point-by-point loops they replaced live here. Irreducibility is decided
 by the character norm; the Kronecker/SVD null-space computation of the
 commutant it replaced lives here as well.
+
+generate_group multiplies whole arrays of elements at once. The
+construction it replaced, one scalar mul call per (element, generator) in
+the closure and per pair in the Cayley table, lives here with the scalar
+multiplications of the named groups, and must build the same groups byte
+for byte.
 """
 
 import numpy as np
@@ -34,6 +40,8 @@ from symquant.coherent import (
 from symquant.groups import (
     FiniteGroup,
     GroupAction,
+    _perm_cycles,
+    _quat_name,
     cyclic_group,
     generate_group,
     left_translation_action,
@@ -254,6 +262,124 @@ def commutant_by_kronecker_svd(rep, tol=1e-8) -> int:
     return d * d - int(np.sum(s > thresh))
 
 
+def generate_group_by_pairs(generators, mul, identity, *, name="group",
+                            name_of=None) -> FiniteGroup:
+    """Breadth-first closure with one scalar mul call per (element,
+    generator), then one per pair for the Cayley table; elements are any
+    hashable values."""
+    elements = [identity]
+    index = {identity: 0}
+    gens = []
+    for g in generators:
+        if g not in index:
+            index[g] = len(elements)
+            elements.append(g)
+            gens.append(g)
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    n = len(elements)
+    cayley = np.empty((n, n), dtype=np.intp)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            cayley[i, j] = index[mul(a, b)]
+    inverses = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        inverses[i] = int(np.nonzero(cayley[i] == 0)[0][0])
+    names = tuple(name_of(x) for x in elements) if name_of else None
+    return FiniteGroup(
+        order=n, cayley=cayley, identity=0, inverses=inverses, name=name,
+        element_names=names, generators=tuple(index[g] for g in gens),
+        elements=tuple(elements),
+    )
+
+
+def compose_scalar(p, q):
+    """(p o q)(x) = p(q(x)) on image tuples."""
+    return tuple(p[i] for i in q)
+
+
+def quat_mul_scalar(x, y):
+    """Hamilton product on doubled integer quaternion coordinates."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    prod = (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    assert all(v % 2 == 0 for v in prod)
+    return tuple(v // 2 for v in prod)
+
+
+def named_group_by_pairs(name: str) -> FiniteGroup:
+    """make_named_group(name), built by generate_group_by_pairs from scalar
+    multiplications."""
+    parts = name.split("x")
+    if len(parts) > 1:
+        out = named_group_by_pairs(parts[0])
+        for part in parts[1:]:
+            g1, g2 = out, named_group_by_pairs(part)
+            n1 = g1.element_names or tuple(map(str, range(g1.order)))
+            n2 = g2.element_names or tuple(map(str, range(g2.order)))
+            out = generate_group_by_pairs(
+                [(a, g2.identity) for a in g1.generating_set]
+                + [(g1.identity, b) for b in g2.generating_set],
+                lambda x, y, t1=g1.cayley, t2=g2.cayley: (
+                    int(t1[x[0], y[0]]), int(t2[x[1], y[1]])),
+                (g1.identity, g2.identity), name=f"{g1.name}x{g2.name}",
+                name_of=lambda x, n1=n1, n2=n2: f"({n1[x[0]]},{n2[x[1]]})")
+        return out
+    if name == "binary_tetrahedral":
+        return generate_group_by_pairs([(0, 2, 0, 0), (1, 1, 1, 1)], quat_mul_scalar,
+                                       (2, 0, 0, 0), name=name, name_of=_quat_name)
+    head, _, tail = name.partition(":")
+    n = int(tail)
+    if head == "cyclic":
+        return generate_group_by_pairs(
+            [1] if n > 1 else [], lambda a, b: (a + b) % n, 0, name=name,
+            name_of=lambda k: "e" if k == 0 else f"r{k}" if k > 1 else "r")
+    if head == "dihedral":
+        def dihedral_name(x):
+            i, b = x
+            r = "" if i == 0 else ("r" if i == 1 else f"r{i}")
+            return (r + ("s" if b else "")) or "e"
+
+        return generate_group_by_pairs(
+            [(1 % n, 0), (0, 1)],
+            lambda x, y: ((x[0] + (y[0] if x[1] == 0 else -y[0])) % n, x[1] ^ y[1]),
+            (0, 0), name=name, name_of=dihedral_name)
+    assert head == "symmetric"
+    identity = tuple(range(n))
+    gens = []
+    if n >= 2:
+        gens.append((1, 0) + identity[2:])
+        if n >= 3:
+            gens.append(tuple((i + 1) % n for i in range(n)))
+    return generate_group_by_pairs(gens, compose_scalar, identity, name=name,
+                                   name_of=_perm_cycles)
+
+
+def assert_same_group(new: FiniteGroup, old: FiniteGroup):
+    """Byte-identical tables and identical Python element data."""
+    assert new.cayley.dtype == old.cayley.dtype
+    assert new.cayley.tobytes() == old.cayley.tobytes()
+    assert new.inverses.tobytes() == old.inverses.tobytes()
+    # repr tells Python ints from numpy integers
+    assert repr(new.elements) == repr(old.elements)
+    assert new.element_names == old.element_names
+    assert new.generators == old.generators
+    assert new.depth == old.depth
+    assert new.name == old.name
+
+
 def direct_sum(*reps) -> UnitaryRep:
     """Block-diagonal sum of representations of one group."""
     g = reps[0].group
@@ -279,17 +405,25 @@ def permutation_sets(draw, max_points=12, max_rows=4):
     return np.array(rows, dtype=np.intp).reshape(len(rows), m)
 
 
+def compose(p, q):
+    """(p o q)(x) = p(q(x)) on arrays of image tuples, broadcasting."""
+    return np.take_along_axis(p, q, axis=-1)
+
+
+@st.composite
+def permutation_generators(draw, max_degree=5):
+    """A degree up to max_degree and 1-3 random permutations of it."""
+    m = draw(st.integers(1, max_degree))
+    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
+    return m, [tuple(p) for p in gens]
+
+
 @st.composite
 def permutation_groups(draw, max_degree=5):
     """A permutation group on up to max_degree points from 1-3 random
     generators, built breadth-first by generate_group."""
-    m = draw(st.integers(1, max_degree))
-    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
-
-    def mul(p, q):
-        return tuple(p[q[i]] for i in range(m))
-
-    return generate_group([tuple(p) for p in gens], mul, tuple(range(m)))
+    m, gens = draw(permutation_generators(max_degree))
+    return generate_group(gens, compose, tuple(range(m)))
 
 
 @st.composite
@@ -344,6 +478,31 @@ class TestOraclesAgree:
         else:
             rep = dihedral_rotation_rep(g)
         assert rep_law_all_pairs_error(g, rep.matrices) <= 1e-8 * rep.dim
+
+
+ORACLE_GROUP_NAMES = (
+    "cyclic:1", "cyclic:2", "cyclic:7", "cyclic:66", "cyclic:2000",
+    "dihedral:1", "dihedral:2", "dihedral:3", "dihedral:4", "dihedral:24",
+    "dihedral:200", "dihedral:500",
+    "symmetric:1", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5",
+    "symmetric:6", "binary_tetrahedral",
+    "cyclic:2xcyclic:3", "dihedral:3xcyclic:2", "binary_tetrahedralxcyclic:2",
+    "symmetric:3xsymmetric:3xcyclic:2", "cyclic:4xdihedral:5xbinary_tetrahedral",
+)
+
+
+class TestGroupConstructionOracle:
+    @pytest.mark.parametrize("name", ORACLE_GROUP_NAMES)
+    def test_named_groups_match_per_pair_construction(self, name):
+        assert_same_group(make_named_group(name), named_group_by_pairs(name))
+
+    @ORACLE_SETTINGS
+    @given(permutation_generators(max_degree=6))
+    def test_random_permutation_groups_match(self, case):
+        m, gens = case
+        identity = tuple(range(m))
+        assert_same_group(generate_group(gens, compose, identity),
+                          generate_group_by_pairs(gens, compose_scalar, identity))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +582,33 @@ class TestRejections:
         for gens in ((), (1,), tuple(range(1, n))):
             with pytest.raises(ValueError):
                 _copy(g, cayley=t, generators=gens)
+
+
+    def test_product_outside_generated_set_rejected(self):
+        # the closure multiplies by the generator 1 only and stays in
+        # {0..3}; the table's products with 3 leave it
+        def mul(a, b):
+            return np.where(b == 3, 99, (a + b) % 4)
+
+        assert np.array_equal(mul(np.arange(4), np.ones(4, dtype=int)), [1, 2, 3, 0])
+        with pytest.raises(ValueError, match="not an element"):
+            generate_group([1], mul, 0)
+
+    def test_closed_non_associative_mul_rejected(self):
+        # the cyclic:66 table with one intercalate swapped away from column
+        # 1, used as a lookup: the closure under 1 still finds 0..65 in
+        # order, every product is an element, and the table is a Latin
+        # square with identity and inverses, but not associative
+        t = cyclic_group(66).cayley.copy()
+        rows, cols = [2, 2, 35, 35], [3, 36, 3, 36]
+        t[rows, cols] = t[rows, cols][[1, 0, 3, 2]]
+        assert not associative_all_triples(t)
+
+        def mul(x, y):
+            return t[x[..., 0], y[..., 0]][..., None]
+
+        with pytest.raises(ValueError, match="associativity"):
+            generate_group([1], mul, 0)
 
 
 # ---------------------------------------------------------------------------
