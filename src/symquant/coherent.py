@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,11 +49,16 @@ class UnitaryRep:
     h of L generators grows by at most 2*eps per letter (to first order in
     the unitarity error), so every pair then satisfies the law within
     2*D*eps = 1e-8*dim, the bound an all-pairs check would apply.
+
+    law_error records the largest error measured, the Frobenius norm of
+    V(s)V(k) - V(s*k) over generators s and all elements k, so that a
+    report can quote it without measuring the law again.
     """
 
     group: FiniteGroup
     dim: int
     matrices: np.ndarray
+    law_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=np.complex128).copy()
@@ -67,6 +72,7 @@ class UnitaryRep:
             if not is_unitary(mats[k], 1e-9):
                 raise ValueError(f"matrix for element {k} is not unitary")
         tol = 1e-8 * d / (2 * self.group.depth)
+        law_error = 0.0
         for s in self.group.generating_set:
             prods = mats[s] @ mats
             target = mats[self.group.cayley[s]]
@@ -76,8 +82,10 @@ class UnitaryRep:
                     f"representation product law fails at generator {s} "
                     f"(error {err:.3e})"
                 )
+            law_error = max(law_error, err)
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "law_error", law_error)
 
     def matrix(self, k: int) -> np.ndarray:
         return self.matrices[k]

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coherent import UnitaryRep
-from .groups import FiniteGroup, cyclic_group
+from .coherent import UnitaryRep, permutation_rep
+from .groups import FiniteGroup, cyclic_group, cyclic_shift_action
 from .quantize import OperatorBundle, build_operator
 
 
@@ -51,8 +51,9 @@ def shift_rep(n: int, group: FiniteGroup | None = None) -> UnitaryRep:
     """k -> shift by k, a faithful unitary representation of cyclic:n."""
     n = _check_size(n)
     g = group if group is not None else cyclic_group(n)
-    mats = np.stack([shift_unitary(n, k) for k in range(n)])
-    return UnitaryRep(group=g, dim=n, matrices=mats)
+    if g.order != n:
+        raise ValueError(f"a group of order {g.order} cannot shift {n} points")
+    return permutation_rep(cyclic_shift_action(g))
 
 
 def clock_rep(n: int, group: FiniteGroup | None = None) -> UnitaryRep:

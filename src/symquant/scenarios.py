@@ -532,26 +532,18 @@ def _phase_checks(params, tol: _Tol, rng) -> list[Check]:
     n = scn.n
     checks = []
 
-    srep = ps.shift_rep(n)
-    crep = ps.clock_rep(n)
-    g = srep.group
-
-    def rep_error(rep):
-        # generators x all elements bounds every pair (see UnitaryRep)
-        worst = 0.0
-        for s in g.generating_set:
-            prods = rep.matrices[s] @ rep.matrices
-            target = rep.matrices[g.cayley[s]]
-            worst = max(worst, float(np.max(np.abs(prods - target))))
-        return worst
-
+    # each rep measures its product law on generators x all elements,
+    # which bounds every pair (see UnitaryRep)
+    g = cyclic_group(n)
+    srep = ps.shift_rep(n, g)
+    crep = ps.clock_rep(n, g)
     checks.append(make_check(
-        "shift_rep_of_cyclic_group", rep_error(srep),
+        "shift_rep_of_cyclic_group", srep.law_error,
         tol("shift_rep_of_cyclic_group", 1e-12),
         "permutation matrices multiply along the Cayley table",
     ))
     checks.append(make_check(
-        "clock_rep_of_cyclic_group", rep_error(crep),
+        "clock_rep_of_cyclic_group", crep.law_error,
         tol("clock_rep_of_cyclic_group", 1e-10),
         "diagonal phase matrices multiply along the Cayley table",
     ))

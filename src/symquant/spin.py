@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import expm_antihermitian, max_abs
+from .linalg import expm_antihermitian
 from .quantize import OperatorBundle, operator_from_matrix
 
 
@@ -28,8 +28,10 @@ def _check_spin(j: float) -> float:
 def spin_generators(j: float):
     """(Jx, Jy, Jz) for spin j, with Jz = diag(j, j-1, ..., -j).
 
-    Built from the ladder operators; the cyclic commutation relations hold
-    to machine precision and are verified here to 1e-10.
+    Built from the ladder operators, so the cyclic commutation relations
+    [Jx, Jy] = i Jz (and cyclically) hold to rounding. They are not
+    checked here: the spin scenario's generator_commutation_relations
+    check measures all three.
     """
     j = _check_spin(j)
     d = int(round(2 * j)) + 1
@@ -42,9 +44,6 @@ def spin_generators(j: float):
     Jm = Jp.conj().T
     Jx = (Jp + Jm) / 2.0
     Jy = (Jp - Jm) / 2.0j
-    comm = Jx @ Jy - Jy @ Jx - 1j * Jz
-    if max_abs(comm) > 1e-10:
-        raise AssertionError("commutation relations failed")
     return Jx, Jy, Jz
 
 
@@ -64,16 +63,12 @@ def spin_component_operator(j: float, direction,
     """Operator bundle of the component along a direction.
 
     Its eigenvalues are the ladder values j, j-1, ..., -j for every unit
-    direction; they come out simple, so the operator is maximal.
+    direction; they come out simple, so the operator is maximal. The
+    spectrum is not checked here: the spin scenario's
+    component_spectrum_ladder_values check measures it.
     """
     A = component_matrix(j, direction)
-    bundle = operator_from_matrix(A, degeneracy_tol=degeneracy_tol)
-    expected = np.arange(-_check_spin(j), _check_spin(j) + 0.5)
-    if bundle.eigenvalues.shape != expected.shape or (
-        np.max(np.abs(bundle.eigenvalues - expected)) > 1e-9
-    ):
-        raise AssertionError("component spectrum deviates from the ladder values")
-    return bundle
+    return operator_from_matrix(A, degeneracy_tol=degeneracy_tol)
 
 
 def spin_rotation(j: float, axis, angle: float) -> np.ndarray:

@@ -124,6 +124,23 @@ class TestUnitaryRepValidation:
         back = rep_from_json(g, rep_to_json(rep))
         assert np.allclose(back.matrices, rep.matrices)
 
+    @pytest.mark.parametrize("name", ["dihedral:4", "dihedral:7", "binary_tetrahedral"])
+    def test_law_error_is_the_measured_generator_error(self, name):
+        # every non-identity element a generator, in descending order, so
+        # that the largest error is not the last one measured
+        g = make_named_group(name)
+        g = dataclasses.replace(g, generators=tuple(range(g.order - 1, 0, -1)))
+        mats = (binary_tetrahedral_spin_rep(g) if name == "binary_tetrahedral"
+                else dihedral_rotation_rep(g)).matrices
+        rep = UnitaryRep(group=g, dim=2, matrices=mats)
+        expected = max(
+            float(np.linalg.norm(mats[s] @ mats[k] - mats[g.cayley[s, k]]))
+            for s in g.generators for k in range(g.order)
+        )
+        assert rep.law_error == expected
+        assert rep.law_error <= 1e-8 * rep.dim / (2 * g.depth)
+        assert left_regular_rep(g).law_error == 0.0
+
 
 class TestCoherentSystems:
     def test_d4_orbit(self, d4_rep):

@@ -133,12 +133,35 @@ class TestNamedGroups:
             make_named_group("cyclic:20000")
 
     def test_validation_rejects_broken_table(self):
-        with pytest.raises(ValueError, match="rows are not permutations"):
+        # a row or a column that is not a permutation breaks the identity
+        # laws, or else associativity: a Latin-square check would be implied
+        with pytest.raises(ValueError, match="identity laws"):
             FiniteGroup(order=2, cayley=[[0, 0], [1, 1]], identity=0,
                         inverses=[0, 1])
-        with pytest.raises(ValueError, match="columns are not permutations"):
+        with pytest.raises(ValueError, match="identity laws"):
             FiniteGroup(order=2, cayley=[[0, 1], [0, 1]], identity=0,
                         inverses=[0, 1])
+        # identity row and column, self-inverse elements, row 1 repeats 0
+        with pytest.raises(ValueError, match="associativity"):
+            FiniteGroup(order=3, cayley=[[0, 1, 2], [1, 0, 0], [2, 0, 0]],
+                        identity=0, inverses=[0, 1, 2])
+        # 1*2 == 0 == 2*2, but 2*1 != 0: right inverses only, which
+        # associativity rules out
+        with pytest.raises(ValueError, match="associativity"):
+            FiniteGroup(order=3, cayley=[[0, 1, 2], [1, 1, 0], [2, 1, 0]],
+                        identity=0, inverses=[0, 2, 2])
+
+    def test_entries_out_of_range_rejected(self):
+        # -1 must not wrap around to the element 2 it would index
+        g = cyclic_group(3)
+        for bad in (-1, 3):
+            t = g.cayley.copy()
+            t[1, 1] = bad
+            with pytest.raises(ValueError, match="cayley entries out of range"):
+                FiniteGroup(order=3, cayley=t, identity=0, inverses=[0, 2, 1])
+            with pytest.raises(ValueError, match="inverses out of range"):
+                FiniteGroup(order=3, cayley=g.cayley, identity=0,
+                            inverses=[0, bad, 1])
 
     def test_rejects_non_associative_loop_above_order_64(self):
         # one intercalate swapped in the cyclic:66 table: still a Latin
@@ -281,9 +304,14 @@ class TestActionsAndOrbits:
         g = cyclic_group(2)
         with pytest.raises(ValueError):
             GroupAction(group=g, space_size=3, perm=[[0, 1, 2], [1, 2, 0]])
+        # a map that is no bijection breaks the composition law: the
+        # element squares to the identity, so its map would have to invert
+        # itself
+        with pytest.raises(ValueError, match="composition law"):
+            GroupAction(group=g, space_size=3, perm=[[0, 1, 2], [0, 0, 1]])
         # a negative entry must not wrap around to a valid point
-        for row in ([0, 0, 1], [0, 1, 3], [-1, 0, 1]):
-            with pytest.raises(ValueError, match="bijection"):
+        for row in ([0, 1, 3], [-1, 0, 1]):
+            with pytest.raises(ValueError, match="out of range"):
                 GroupAction(group=g, space_size=3, perm=[[0, 1, 2], row])
 
     def test_left_translation_action_is_valid_and_transitive(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symquant.groups import cyclic_group
 from symquant.phasespace import (
     BadSizeError,
     clock_rep,
@@ -61,6 +62,20 @@ class TestShiftAndClock:
         srep = shift_rep(n)
         crep = clock_rep(n)
         assert srep.dim == crep.dim == n
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 64])
+    def test_shift_rep_is_the_permutation_rep_of_the_shifts(self, n):
+        mats = np.stack([shift_unitary(n, k) for k in range(n)])
+        srep = shift_rep(n)
+        assert srep.matrices.dtype == mats.dtype
+        assert srep.matrices.tobytes() == mats.tobytes()
+        assert srep.law_error == 0.0
+
+    def test_group_of_another_order_rejected(self):
+        with pytest.raises(ValueError, match="cannot shift"):
+            shift_rep(4, cyclic_group(5))
+        with pytest.raises(ValueError, match="shape"):
+            clock_rep(4, cyclic_group(5))
 
     def test_weyl_commutation(self):
         n = 4

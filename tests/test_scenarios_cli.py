@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from symquant import groups, spin
 from symquant.cli import main
 from symquant.reporting import Check, dumps, make_check, strip_timing
 from symquant.scenarios import (
@@ -158,6 +160,34 @@ class TestScenarios:
     def test_phase_sizes(self, n):
         rep = run_scenario({"scenario": "phase", "params": {"n": n}})
         assert rep.all_passed
+
+    def test_phase_builds_one_group(self, monkeypatch):
+        # the shift and clock reps share one cyclic group
+        built = []
+        validate = groups.FiniteGroup.__post_init__
+
+        def counted(self):
+            built.append(self.order)
+            validate(self)
+
+        monkeypatch.setattr(groups.FiniteGroup, "__post_init__", counted)
+        assert run_scenario({"scenario": "phase", "params": {"n": 6}}).all_passed
+        assert built == [6]
+
+    def test_wrong_spectrum_fails_its_check(self, monkeypatch, capsys):
+        # generators scaled by 1.01 give the component the spectrum
+        # 1.01*(j, ..., -j): the ladder checks fail in the report, and the
+        # CLI exits 1 instead of raising
+        ladder_generators = spin.spin_generators
+        monkeypatch.setattr(spin, "spin_generators",
+                            lambda j: tuple(1.01 * J for J in ladder_generators(j)))
+        rep = run_scenario({"scenario": "spin", "params": {"j": 1.0}})
+        by_name = {c.name: c for c in rep.checks}
+        ladder = by_name["component_spectrum_ladder_values"]
+        assert not ladder.passed
+        assert ladder.max_error == pytest.approx(0.01)
+        assert not by_name["component_spectrum_random_directions"].passed
+        assert main(["spin", "--j", "1"]) == 1
 
     def test_tolerance_override_can_fail_a_check(self):
         rep = run_scenario({
@@ -328,3 +358,33 @@ class TestReportDeterminism:
             assert code == 0
         a, b = (strip_timing(p.read_text()) for p in paths)
         assert a == b
+
+
+GOLDEN_REPORT = Path(__file__).with_name("verify_report.golden.json")
+
+
+def _split_measured(reports):
+    """Take out the max_error of every check whose tolerance is above 0,
+    returning {(scenario, check): (max_error, tolerance)}."""
+    measured = {}
+    for r in reports:
+        for c in r["checks"]:
+            if c["tolerance"] > 0:
+                measured[r["scenario"], c["name"]] = (c.pop("max_error"), c["tolerance"])
+    return measured
+
+
+class TestGoldenReport:
+    def test_verify_matches_committed_report(self, tmp_path):
+        # every field exactly, except a floating-point error measured
+        # against a positive tolerance: BLAS rounding may move it, so it
+        # must agree within 1e-3 times that tolerance
+        out = tmp_path / "report.json"
+        assert main(["verify", "--out", str(out)]) == 0
+        got = json.loads(strip_timing(out.read_text(encoding="utf-8")))
+        want = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
+        got_measured, want_measured = _split_measured(got), _split_measured(want)
+        assert got == want
+        assert got_measured.keys() == want_measured.keys()
+        for key, (expected, tolerance) in want_measured.items():
+            assert abs(got_measured[key][0] - expected) <= 1e-3 * tolerance, key

@@ -21,7 +21,17 @@ construction it replaced, one scalar mul call per (element, generator) in
 the closure and per pair in the Cayley table, lives here with the scalar
 multiplications of the named groups, and must build the same groups byte
 for byte.
+
+Some laws are not checked at all, because the laws that are checked imply
+them: that a group's table is a Latin square and its inverses two-sided,
+that an action's maps are bijections, that the value maps of a
+permissible variable form a homomorphism with |G| = |kernel| * |image|,
+and that the maximal permissible subgroup is closed. Brute-force versions
+of those laws live here, and the constructors must accept exactly the
+inputs that the brute-force versions accept.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -42,7 +52,9 @@ from symquant.groups import (
     GroupAction,
     _perm_cycles,
     _quat_name,
+    check_homomorphism,
     cyclic_group,
+    dihedral_vertex_action,
     generate_group,
     left_translation_action,
     make_named_group,
@@ -83,6 +95,41 @@ def associative_all_triples(cayley) -> bool:
     """(a*b)*c == a*(b*c) for every triple."""
     t = np.asarray(cayley)
     return bool(np.array_equal(t[t, :], t[:, t]))
+
+
+def is_group_by_brute_force(cayley, identity) -> bool:
+    """Identity laws, a two-sided inverse for every element, and
+    associativity over every triple."""
+    t = np.asarray(cayley)
+    n = t.shape[0]
+    if not (np.array_equal(t[identity], np.arange(n))
+            and np.array_equal(t[:, identity], np.arange(n))):
+        return False
+    unit = t == identity
+    return bool((unit & unit.T).any(axis=1).all()) and associative_all_triples(t)
+
+
+def right_inverses(cayley, identity) -> np.ndarray:
+    """For each a, the first b with a*b == identity, or the identity when
+    there is none; b*a == identity is not required."""
+    unit = np.asarray(cayley) == identity
+    return np.where(unit.any(axis=1), np.argmax(unit, axis=1), identity)
+
+
+def is_latin_square(cayley) -> bool:
+    t = np.asarray(cayley)
+    n = t.shape[0]
+    full = np.arange(n)
+    return all(np.array_equal(np.sort(r), full) for r in np.concatenate([t, t.T]))
+
+
+def is_action_by_brute_force(group: FiniteGroup, perm) -> bool:
+    """Every map a bijection of the points, and the composition law on every
+    pair; the identity then acts trivially."""
+    perm = np.asarray(perm)
+    m = perm.shape[1]
+    return (all(np.array_equal(np.sort(r), np.arange(m)) for r in perm)
+            and action_law_all_pairs(group, perm))
 
 
 def action_law_all_pairs(group: FiniteGroup, perm) -> bool:
@@ -440,6 +487,45 @@ def labelled_actions(draw, max_degree=5, max_labels=4):
     return variable_from_point_labels(labels), act
 
 
+# a loop of order 5 that is no group: a Latin square with identity 0 in
+# which every element is its own inverse, which no group of order 5 has
+LOOP_5 = np.array([[0, 1, 2, 3, 4],
+                   [1, 0, 3, 4, 2],
+                   [2, 4, 0, 1, 3],
+                   [3, 2, 4, 0, 1],
+                   [4, 3, 1, 2, 0]])
+
+
+@st.composite
+def tables_with_identity(draw, max_order=5):
+    """An order-n table, 2 <= n <= max_order, whose row and column 0 are
+    those of an identity: either random, or a group's table (or LOOP_5)
+    relabelled by a permutation fixing 0 and then changed in up to two
+    cells."""
+    n = draw(st.integers(2, max_order))
+    if draw(st.booleans()):
+        bases = [cyclic_group(n).cayley]
+        if n == 4:
+            bases.append(make_named_group("cyclic:2xcyclic:2").cayley)
+        if n == 5:
+            bases.append(LOOP_5)
+        base = draw(st.sampled_from(bases))
+        sigma = np.array([0] + draw(st.permutations(range(1, n))), dtype=np.intp)
+        inv = np.argsort(sigma)
+        t = sigma[base[np.ix_(inv, inv)]]
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            t[i, j] = draw(st.integers(0, n - 1))
+    else:
+        t = np.zeros((n, n), dtype=np.intp)
+        t[0], t[:, 0] = np.arange(n), np.arange(n)
+        t[1:, 1:] = np.reshape(draw(st.lists(st.integers(0, n - 1),
+                                             min_size=(n - 1) ** 2,
+                                             max_size=(n - 1) ** 2)),
+                               (n - 1, n - 1))
+    return t
+
+
 def _non_generators(g: FiniteGroup) -> list[int]:
     return [k for k in range(g.order)
             if k != g.identity and k not in g.generators]
@@ -609,6 +695,168 @@ class TestRejections:
 
         with pytest.raises(ValueError, match="associativity"):
             generate_group([1], mul, 0)
+
+
+# ---------------------------------------------------------------------------
+# laws implied by the checked ones
+
+
+def _tables_with_right_inverses(n) -> np.ndarray:
+    """Every order-n table whose row and column 0 are an identity's and in
+    which every element a has some b with a*b == 0, as a (K, n, n) array."""
+    cells = np.array(list(itertools.product(range(n), repeat=(n - 1) ** 2)),
+                     dtype=np.intp).reshape(-1, n - 1, n - 1)
+    tables = np.empty((len(cells), n, n), dtype=np.intp)
+    tables[:, 0], tables[:, :, 0] = np.arange(n), np.arange(n)
+    tables[:, 1:, 1:] = cells
+    return tables[(tables == 0).any(axis=2).all(axis=1)]
+
+
+def _group_accepts(t, generators=()) -> bool:
+    try:
+        FiniteGroup(order=len(t), cayley=t, identity=0,
+                    inverses=right_inverses(t, 0), generators=generators)
+    except ValueError:
+        return False
+    return True
+
+
+def _action_accepts(g, perm) -> bool:
+    try:
+        GroupAction(group=g, space_size=perm.shape[1], perm=perm)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def rows_for_group(draw, max_degree=4, max_points=4):
+    """A random permutation group and an (order, m) array of maps of m
+    points: either random, or those of a valid action (natural, trivial or
+    left translation) changed up to twice, each time by setting one entry
+    or by swapping two entries of a row (which keeps it a bijection)."""
+    g = draw(permutation_groups(max_degree))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["natural", "trivial", "left"]))
+        if kind == "natural":
+            perm = natural_permutation_action(g).perm.copy()
+        elif kind == "left":
+            perm = g.cayley.copy()
+        else:
+            m = draw(st.integers(1, max_points))
+            perm = np.tile(np.arange(m), (g.order, 1))
+        m = perm.shape[1]
+        for _ in range(draw(st.integers(0, 2))):
+            k, x = draw(st.integers(0, g.order - 1)), draw(st.integers(0, m - 1))
+            y = draw(st.integers(0, m - 1))
+            if draw(st.booleans()):
+                perm[k, x] = y
+            else:
+                perm[k, [x, y]] = perm[k, [y, x]]
+    else:
+        m = draw(st.integers(1, max_points))
+        perm = np.reshape(draw(st.lists(st.integers(0, m - 1),
+                                        min_size=g.order * m,
+                                        max_size=g.order * m)),
+                          (g.order, m))
+    return g, np.asarray(perm, dtype=np.intp)
+
+
+@st.composite
+def coset_variables(draw, max_degree=5):
+    """The left cosets xH of a random subgroup H of a random permutation
+    group, as a variable on its left translation action: always
+    permissible, and the induced action is that on the cosets."""
+    g = draw(permutation_groups(max_degree))
+    gens = draw(st.lists(st.integers(0, g.order - 1), max_size=2))
+    H = list(subgroup_generated(g, gens))
+    labels = g.cayley[:, H].min(axis=1).tolist()
+    return variable_from_point_labels(labels), left_translation_action(g)
+
+
+class TestImpliedLaws:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_tables_accepted_exactly_when_groups(self, n):
+        # every table with an identity row and column and right inverses,
+        # under every generator set: neither the rows and columns nor the
+        # left inverses are checked, yet only the groups' tables pass
+        tables = _tables_with_right_inverses(n)
+        generator_sets = [()] + [gens for r in range(1, n)
+                                 for gens in itertools.combinations(range(1, n), r)]
+        groups = 0
+        for t in tables:
+            is_group = is_group_by_brute_force(t, 0)
+            groups += is_group
+            for gens in generator_sets:
+                reach = closure_by_products(t, 0, gens or range(n)) == set(range(n))
+                assert _group_accepts(t, gens) == (is_group and reach)
+            assert is_latin_square(t) or not is_group
+        assert groups == 1
+
+    @settings(ORACLE_SETTINGS, max_examples=150)
+    @given(tables_with_identity(), st.data())
+    def test_random_tables_accepted_exactly_when_groups(self, t, data):
+        n = len(t)
+        gens = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
+        reach = closure_by_products(t, 0, gens or range(n)) == set(range(n))
+        expected = is_group_by_brute_force(t, 0) and reach
+        assert _group_accepts(t, gens) == expected
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_row_set_accepted_exactly_when_an_action(self, n):
+        # cyclic:n on 3 points, every one of the 27**n choices of maps
+        g = cyclic_group(n)
+        maps = np.array(list(itertools.product(range(3), repeat=3)), dtype=np.intp)
+        actions = 0
+        for rows in itertools.product(range(len(maps)), repeat=n):
+            perm = maps[list(rows)]
+            expected = is_action_by_brute_force(g, perm)
+            actions += expected
+            assert _action_accepts(g, perm) == expected
+        # homomorphisms into S_3: the identity, and for n = 2 the three
+        # transpositions, for n = 3 the two 3-cycles
+        assert actions == {2: 4, 3: 3}[n]
+
+    @ORACLE_SETTINGS
+    @given(rows_for_group())
+    def test_random_rows_accepted_exactly_when_an_action(self, case):
+        g, perm = case
+        assert _action_accepts(g, perm) == is_action_by_brute_force(g, perm)
+
+    @ORACLE_SETTINGS
+    @given(st.one_of(labelled_actions(), coset_variables()))
+    def test_induced_map_is_a_homomorphism(self, case):
+        var, act = case
+        assume(is_permissible(var, act)[0])
+        g = act.group
+        induced = induce_group(var, act)
+        assert check_homomorphism(induced.k_to_image, g,
+                                  induced.image_group) == (True, None)
+        assert g.order == len(induced.kernel) * induced.image_group.order
+        images = [int(induced.k_to_image[s]) for s in g.generators]
+        assert induced.image_group.generators == tuple(dict.fromkeys(images))
+
+    @pytest.mark.parametrize("n", [4, 7, 200])
+    def test_faithful_variable_image_generated_by_generator_images(self, n):
+        # every vertex its own value: the image is the whole group, and
+        # Light's test on it runs on the two generator images
+        g = make_named_group(f"dihedral:{n}")
+        induced = induce_group(variable_from_point_labels(range(n)),
+                               dihedral_vertex_action(g))
+        assert induced.kernel == (g.identity,)
+        assert induced.image_group.order == g.order
+        assert induced.image_group.generators == tuple(
+            int(induced.k_to_image[s]) for s in g.generators)
+        assert check_homomorphism(induced.k_to_image, g,
+                                  induced.image_group) == (True, None)
+
+    @ORACLE_SETTINGS
+    @given(st.one_of(labelled_actions(), coset_variables()))
+    def test_maximal_permissible_subgroup_is_closed(self, case):
+        var, act = case
+        H = list(maximal_permissible_subgroup(var, act))
+        assert act.group.identity in H
+        assert set(act.group.cayley[np.ix_(H, H)].ravel().tolist()) <= set(H)
 
 
 # ---------------------------------------------------------------------------
