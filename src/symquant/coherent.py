@@ -1,6 +1,7 @@
 """Unitary representations of finite groups, irreducibility by the
 character norm, coherent-state orbits of a fiducial vector, and the frame
 operator whose scalarity turns an orbit into a resolution of the identity.
+The frame operator is a weighted projector sum, linalg.projector_sum.
 
 Integrals over a compact symmetry reduce here to weighted sums over a
 finite group; when the base point has a nontrivial stabilizer the sum
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import FiniteGroup, GroupAction, InvariantMeasure, counting_measure, is_transitive
-from .linalg import as_cmatrix, as_cvector, is_unitary, max_abs
+from .linalg import (as_cmatrix, as_cvector, as_state_family, is_unitary,
+                     max_abs, projector_sum)
 
 
 class ZeroFiducialError(ValueError):
@@ -234,9 +236,7 @@ def frame_operator(cs: CoherentSystem) -> FrameOperator:
     T must be lam*I with lam = trace(T)/dim > 0, otherwise NotScalarError
     (a reducible representation or broken invariance).
     """
-    w = cs.state_weights()
-    st = cs.states
-    T = np.einsum("k,ki,kj->ij", w, st, st.conj())
+    T = projector_sum(cs.states, cs.state_weights())
     d = cs.rep.dim
     scale = max(1.0, float(np.linalg.norm(T)))
 
@@ -272,12 +272,8 @@ def frame_operator(cs: CoherentSystem) -> FrameOperator:
 
 def resolution_deviation(states, weights) -> float:
     """Max-norm deviation of sum_i w_i |s_i><s_i| from the identity."""
-    st = np.asarray(states, dtype=np.complex128)
-    if st.ndim != 2:
-        st = np.stack([as_cvector(s) for s in states])
-    w = np.broadcast_to(np.asarray(weights, dtype=float), (st.shape[0],))
-    S = np.einsum("k,ki,kj->ij", w, st, st.conj())
-    return max_abs(S - np.eye(st.shape[1]))
+    st, w = as_state_family(states, weights)
+    return max_abs(projector_sum(st, w) - np.eye(st.shape[1]))
 
 
 def unitary_transport(cs: CoherentSystem, W) -> CoherentSystem:
@@ -291,7 +287,7 @@ def unitary_transport(cs: CoherentSystem, W) -> CoherentSystem:
         raise NotUnitaryError("transport matrix is not unitary")
     if W.shape[0] != cs.rep.dim:
         raise ValueError("transport dimension mismatch")
-    new_mats = np.einsum("ij,kjl,ml->kim", W, cs.rep.matrices, W.conj())
+    new_mats = W @ cs.rep.matrices @ W.conj().T
     new_rep = UnitaryRep(group=cs.rep.group, dim=cs.rep.dim, matrices=new_mats)
     return CoherentSystem(
         rep=new_rep, action=cs.action, base_point=cs.base_point,

@@ -2,6 +2,10 @@
 unitary one-parameter phases, orthonormalization, and the predicates the rest
 of the package leans on.
 
+Every weighted projector sum sum_k w_k |s_k><s_k| in the package (frames,
+operators, effects, densities, spectral sums, exp(-itH)) is one kernel,
+projector_sum, fed by the one state-family reader, as_state_family.
+
 All tolerances are relative to a matrix norm with a floor of 1, so near-zero
 matrices fall back to absolute comparisons. Everything is complex128.
 """
@@ -50,6 +54,21 @@ def as_cvector(a) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
+
+
+def as_state_family(states, weights) -> tuple[np.ndarray, np.ndarray]:
+    """States as the rows of a complex128 array (a list of 1-d vectors is
+    stacked) and real weights broadcast to one per state."""
+    st = np.asarray(states, dtype=np.complex128)
+    if st.ndim != 2:
+        st = np.stack([as_cvector(s) for s in states])
+    return st, np.broadcast_to(np.asarray(weights, dtype=float), (len(st),)).copy()
+
+
+def projector_sum(states: np.ndarray, weights) -> np.ndarray:
+    """sum_k weights[..., k] |s_k><s_k| for states s_k stored as rows;
+    weights of shape (..., n) give a stack of d x d matrices."""
+    return (states.T * np.asarray(weights)[..., None, :]) @ states.conj()
 
 
 def _require_square(A: np.ndarray) -> None:
@@ -129,8 +148,7 @@ class SpectralData:
         """V diag(u) V^dag, each cluster's value repeated by its
         multiplicity; values (one per cluster) default to the eigenvalues."""
         u = self.eigenvalues if values is None else np.asarray(values, dtype=float)
-        V = self.vectors
-        return (V * np.repeat(u, self.multiplicities)) @ V.conj().T
+        return projector_sum(self.vectors.T, np.repeat(u, self.multiplicities))
 
     def expectation(self, v) -> float:
         """Quadratic form <v|A|v> as sum_i u_i |<e_i|v>|^2."""
@@ -208,8 +226,7 @@ def expm_antihermitian(H, t: float) -> np.ndarray:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
-    phases = np.exp(-1j * t * w)
-    return (V * phases) @ V.conj().T
+    return projector_sum(V.T, np.exp(-1j * t * w))
 
 
 def gram_schmidt(vectors) -> list[np.ndarray]:

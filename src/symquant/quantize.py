@@ -7,6 +7,9 @@ The guiding picture: a labelled resolution of the identity turns a variable
 into a Hermitian operator; the induced symmetry of the variable permutes
 the operator's eigenvalues, and restricting the variable's range to one
 orbit of eigenvalues is the natural model reduction.
+
+Operators, effects, densities, covariance rebuilds and coarse-graining
+projections are weighted projector sums, computed by linalg.projector_sum.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from .linalg import (
     SpectralData,
     as_cmatrix,
     as_cvector,
+    as_state_family,
     eig_hermitian,
     is_unitary,
     max_abs,
+    projector_sum,
 )
 from .groups import orbit_partition, rows_are_permutations
 from .variables import ConceptualVariable, GroupAction, element_value_map
@@ -53,17 +58,6 @@ class NotAnOrbitError(ValueError):
 
 class NotUnitError(ValueError):
     pass
-
-
-def _state_family(states) -> np.ndarray:
-    st = np.asarray(states, dtype=np.complex128)
-    if st.ndim != 2:
-        st = np.stack([as_cvector(s) for s in states])
-    return st
-
-
-def _family_weights(weights, n: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(weights, dtype=float), (n,)).copy()
 
 
 @dataclass(frozen=True)
@@ -108,12 +102,11 @@ def build_operator(states, weights, labels, *, require_resolution=True,
     require_resolution=False a failing family only warns, which is useful
     for diagnostics on partial families.
     """
-    st = _state_family(states)
+    st, w = as_state_family(states, weights)
     n, d = st.shape
     lab = np.asarray(labels, dtype=float)
     if lab.shape != (n,):
         raise DimensionMismatchError(f"{n} states but {lab.shape} labels")
-    w = _family_weights(weights, n)
 
     dev = resolution_deviation(st, w)
     if dev > 1e-9 * d:
@@ -122,7 +115,7 @@ def build_operator(states, weights, labels, *, require_resolution=True,
             raise ValueError(msg)
         warnings.warn(msg, stacklevel=2)
 
-    A = np.einsum("k,k,ki,kj->ij", lab, w, st, st.conj())
+    A = projector_sum(st, lab * w)
     A = (A + A.conj().T) / 2.0
     spec = eig_hermitian(A, degeneracy_tol)
     return OperatorBundle(matrix=A, spectrum=spec, labels=lab, states=st,
@@ -219,15 +212,13 @@ def build_povm(model: StatisticalModel, states, weights) -> Povm:
     family resolving the identity and the rows summing to one, and is
     verified to 1e-10.
     """
-    st = _state_family(states)
+    st, w = as_state_family(states, weights)
     n, d = st.shape
     if model.n_values != n:
         raise RowMismatchError(
             f"model has {model.n_values} rows for {n} states"
         )
-    w = _family_weights(weights, n)
-    eff = np.einsum("vz,v,vi,vj->zij", model.probabilities, w, st, st.conj())
-    povm = Povm(effects=eff)
+    povm = Povm(effects=projector_sum(st, model.probabilities.T * w))
     dev = povm.completeness_deviation()
     if dev > 1e-10 * max(1.0, d):
         raise ValueError(f"effects miss the identity by {dev:.3e}")
@@ -262,21 +253,19 @@ def build_density(pi, states, weights, *, normalize=False) -> DensityOp:
     With normalize=True the combined weights pi*w are rescaled to total
     mass 1; for an orthonormal unit-weight family that makes the trace 1.
     """
-    st = _state_family(states)
-    n, _ = st.shape
+    st, w = as_state_family(states, weights)
     p = np.asarray(pi, dtype=float)
-    if p.shape != (n,):
-        raise DimensionMismatchError(f"{n} states but {p.shape} weights")
+    if p.shape != w.shape:
+        raise DimensionMismatchError(f"{len(st)} states but {p.shape} weights")
     if np.any(p < 0):
         raise NegativeWeightError("weight function must be nonnegative")
-    w = _family_weights(weights, n)
     mass = p * w
     if normalize:
         total = mass.sum()
         if total <= 0:
             raise NegativeWeightError("total weight mass must be positive")
         mass = mass / total
-    sigma = np.einsum("k,ki,kj->ij", mass, st, st.conj())
+    sigma = projector_sum(st, mass)
     sigma = (sigma + sigma.conj().T) / 2.0
     return DensityOp(sigma=sigma, weight_function=p)
 
@@ -313,9 +302,7 @@ def conjugation_covariance(bundle: OperatorBundle, unitary, value_perm,
             raise DimensionMismatchError(
                 "value permutation must act on the label indices"
             )
-        lab = bundle.labels[perm]
-        rhs = np.einsum("k,k,ki,kj->ij", lab, bundle.weights,
-                        bundle.states, bundle.states.conj())
+        rhs = projector_sum(bundle.states, bundle.labels[perm] * bundle.weights)
     else:
         if perm.shape != (bundle.spectrum.n_clusters,):
             raise DimensionMismatchError(
@@ -482,7 +469,7 @@ def coarse_grain(basis, fine_labels, t: Callable[[float], float],
     resulting operator has a degenerate eigenvalue and fails the
     maximality check.
     """
-    st = _state_family(basis)
+    st, _ = as_state_family(basis, 1.0)
     n, d = st.shape
     gram = st.conj() @ st.T
     if max_abs(gram - np.eye(n)) > 1e-10:
@@ -495,14 +482,9 @@ def coarse_grain(basis, fine_labels, t: Callable[[float], float],
     coarse_labels = tuple(sorted(set(coarse_per_vec.tolist())))
     label_index = {s: j for j, s in enumerate(coarse_labels)}
     t_map = np.array([label_index[s] for s in coarse_per_vec], dtype=np.intp)
-    blocks = tuple(
-        tuple(int(i) for i in np.nonzero(t_map == j)[0])
-        for j in range(len(coarse_labels))
-    )
-    projections = np.stack([
-        np.einsum("ki,kj->ij", st[list(b)], st[list(b)].conj())
-        for b in blocks
-    ])
+    one_hot = np.arange(len(coarse_labels))[:, None] == t_map
+    blocks = tuple(tuple(int(i) for i in np.nonzero(row)[0]) for row in one_hot)
+    projections = projector_sum(st, one_hot.astype(float))
     bundle = build_operator(st, 1.0, coarse_per_vec,
                             require_resolution=(n == d),
                             degeneracy_tol=degeneracy_tol)

@@ -14,6 +14,7 @@ check.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -97,9 +98,11 @@ class SpinScenario:
     def __post_init__(self):
         _check_spin(self.j)
         a = np.asarray(self.direction, dtype=float)
-        if a.shape != (3,) or np.linalg.norm(a) < 1e-12:
-            raise ConfigParseError("direction must be a nonzero 3-vector")
-        a = a / np.linalg.norm(a)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(a)
+        if a.shape != (3,) or not 1e-12 <= norm < np.inf:
+            raise ConfigParseError("direction must be a nonzero, finite 3-vector")
+        a = a / norm
         object.__setattr__(self, "direction", tuple(float(x) for x in a))
         if self.n_directions < 1 or self.n_angle_pairs < 1:
             raise ConfigParseError(
@@ -554,7 +557,10 @@ def _phase_checks(params, tol: _Tol, rng) -> list[Check]:
         f"all squared overlaps equal 1/{n}",
     ))
 
-    cnorm = ps.commutator_norm(n)
+    F = ps.fourier_matrix(n)
+    X = ps.position_operator(n).matrix
+    P = ps.momentum_operator(n).matrix
+    cnorm = float(np.linalg.norm(X @ P - P @ X))
     checks.append(exact_check(
         "position_momentum_noncommuting", cnorm > 1e-6,
         f"commutator_norm = {cnorm:.6g}",
@@ -568,9 +574,6 @@ def _phase_checks(params, tol: _Tol, rng) -> list[Check]:
         f"{n} unit shifts compose to the identity",
     ))
 
-    F = ps.fourier_matrix(n)
-    X = ps.position_operator(n).matrix
-    P = ps.momentum_operator(n).matrix
     conj_err = float(np.linalg.norm(P - F @ X @ F.conj().T))
     checks.append(make_check(
         "momentum_operator_is_fourier_conjugate", conj_err,
@@ -619,34 +622,33 @@ _SCENARIOS = {
 BUILTIN_SCENARIOS = tuple(_SCENARIOS)
 
 
+def _finite_number(value) -> bool:
+    """A non-bool int or float within the float range (NaN compares false)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _coerce_param(name: str, value, default):
-    """Coerce a configuration value to the type of its default."""
+    """Coerce a configuration value to the type of its default; numbers
+    must be finite."""
     bad = ConfigParseError(f"bad value for parameter {name!r}: {value!r}")
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise bad
         return value
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(default, (int, float)):
+        integral = isinstance(default, int)
+        if not _finite_number(value) or (integral and int(value) != value):
             raise bad
-        if int(value) != value:
-            raise bad
-        return int(value)
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise bad
-        return float(value)
+        return int(value) if integral else float(value)
     if isinstance(default, str):
         if not isinstance(value, str):
             raise bad
         return value
     if isinstance(default, list):
-        if not isinstance(value, (list, tuple)):
+        if not isinstance(value, (list, tuple)) or not all(map(_finite_number, value)):
             raise bad
-        try:
-            return [float(x) for x in value]
-        except (TypeError, ValueError):
-            raise bad from None
+        return [float(x) for x in value]
     raise bad
 
 

@@ -309,6 +309,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", [
+        '{"scenario": "phase", "params": {"n": NaN}}',
+        '{"scenario": "spin", "params": {"j": Infinity}}',
+        '{"scenario": "spin", "params": {"direction": [1e308, 1e308, 0]}}',
+    ])
+    def test_non_finite_config_params_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_spin_non_finite_direction_exit_2(self, capsys):
+        assert main(["spin", "--j", "0.5", "--ax", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_failing_check_exit_1(self, capsys):
         assert main(["verify", "--scenario", "phase",
                      "--tolerance", "1e-30"]) == 1

@@ -29,9 +29,16 @@ permissible variable form a homomorphism with |G| = |kernel| * |image|,
 and that the maximal permissible subgroup is closed. Brute-force versions
 of those laws live here, and the constructors must accept exactly the
 inputs that the brute-force versions accept.
+
+Every weighted sum of state projectors, sum_k w_k |s_k><s_k| (frame
+operators, labelled operators, POVM effects, density operators, coarse-
+graining projections, spectral reconstructions, exp(-itH)), is computed by
+one kernel, linalg.projector_sum. The per-caller einsum contractions it
+replaced live here, and must agree with the callers on random families.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -43,9 +50,13 @@ from symquant.coherent import (
     binary_tetrahedral_spin_rep,
     commutant_dimension,
     dihedral_rotation_rep,
+    frame_operator,
     is_irreducible,
     left_regular_rep,
+    make_coherent,
     permutation_rep,
+    resolution_deviation,
+    unitary_transport,
 )
 from symquant.groups import (
     FiniteGroup,
@@ -63,8 +74,19 @@ from symquant.groups import (
     orbits,
     subgroup_generated,
 )
+from symquant.linalg import (
+    as_state_family,
+    eig_hermitian,
+    expm_antihermitian,
+    projector_sum,
+)
 from symquant.quantize import (
     NotAnOrbitError,
+    StatisticalModel,
+    build_density,
+    build_operator,
+    build_povm,
+    coarse_grain,
     conjugation_covariance,
     eigen_orbit_partition,
     model_reduce,
@@ -427,6 +449,50 @@ def assert_same_group(new: FiniteGroup, old: FiniteGroup):
     assert new.name == old.name
 
 
+def rows_by_stacking(states) -> np.ndarray:
+    """A state family as rows: an array as given, a list of vectors (of
+    any shape) flattened one by one."""
+    rows = np.asarray(states, dtype=np.complex128)
+    if rows.ndim != 2:
+        rows = np.stack([np.ravel(np.asarray(s, dtype=np.complex128))
+                         for s in states])
+    return rows
+
+
+def projectors_by_einsum(weights, rows) -> np.ndarray:
+    """sum_k w_k |s_k><s_k|, one weight vector or a stack of them."""
+    return np.einsum("...k,ki,kj->...ij", weights, rows, rows.conj())
+
+
+def labelled_sum_by_einsum(rows, weights, labels) -> np.ndarray:
+    """sum_k labels_k w_k |s_k><s_k|, unsymmetrized."""
+    return np.einsum("k,k,ki,kj->ij", labels, weights, rows, rows.conj())
+
+
+def povm_effects_by_einsum(probabilities, rows, weights) -> np.ndarray:
+    return np.einsum("vz,v,vi,vj->zij", probabilities, weights, rows, rows.conj())
+
+
+def block_projections_by_einsum(rows, blocks) -> np.ndarray:
+    return np.stack([np.einsum("ki,kj->ij", rows[list(b)], rows[list(b)].conj())
+                     for b in blocks])
+
+
+def spectral_sum_by_einsum(values, vectors) -> np.ndarray:
+    """V diag(values) V^dag for eigenvectors stored as columns."""
+    return np.einsum("k,ik,jk->ij", values, vectors, vectors.conj())
+
+
+def transport_by_einsum(W, mats) -> np.ndarray:
+    return np.einsum("ij,kjl,ml->kim", W, mats, W.conj())
+
+
+def assert_close(got, want):
+    """Agreement within 1e-12 * max(1, ||want||) (Frobenius over all axes)."""
+    scale = max(1.0, float(np.linalg.norm(want)))
+    assert float(np.linalg.norm(got - want)) <= 1e-12 * scale
+
+
 def direct_sum(*reps) -> UnitaryRep:
     """Block-diagonal sum of representations of one group."""
     g = reps[0].group
@@ -524,6 +590,55 @@ def tables_with_identity(draw, max_order=5):
                                              max_size=(n - 1) ** 2)),
                                (n - 1, n - 1))
     return t
+
+
+def _present(rows, form):
+    """A family of row states as an array, a list of 1-d vectors, or a
+    list of column vectors (which must be flattened and stacked)."""
+    if form == "array":
+        return rows
+    if form == "vectors":
+        return list(rows)
+    return [r[:, None] for r in rows]
+
+
+@st.composite
+def state_families(draw, max_states=7, max_dim=5):
+    """(states, weights): random complex states in one of the three forms,
+    with real weights, some zero and some negative, or one scalar weight."""
+    n, d = draw(st.integers(1, max_states)), draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    weights = rng.normal(size=n) * draw(st.sampled_from([1.0, 1e3]))
+    weights[rng.random(n) < 0.3] = 0.0
+    if draw(st.booleans()):
+        weights = float(weights[0])
+    return _present(rows, draw(st.sampled_from(["array", "vectors", "columns"]))), weights
+
+
+@st.composite
+def resolving_families(draw, max_states=7, max_dim=4):
+    """(rows, weights): n >= d row states with positive weights w_k that
+    resolve the identity, sum_k w_k |s_k><s_k| = I: the rows of a random
+    isometry, each divided by sqrt(w_k)."""
+    d = draw(st.integers(1, max_dim))
+    n = draw(st.integers(d, max_states))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
+    weights = rng.uniform(0.1, 10.0, size=n)
+    return V / np.sqrt(weights)[:, None], weights
+
+
+def _random_unitary(rng, d) -> np.ndarray:
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return Q
+
+
+def _quiet_operator(states, weights, labels):
+    """build_operator on a family that need not resolve the identity."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return build_operator(states, weights, labels, require_resolution=False)
 
 
 def _non_generators(g: FiniteGroup) -> list[int]:
@@ -1104,3 +1219,158 @@ class TestCommutantOracle:
             commutant_dimension(rep)
         with pytest.raises(ValueError, match="not an integer"):
             is_irreducible(rep)
+
+
+# ---------------------------------------------------------------------------
+# one projector-sum kernel
+
+
+class TestProjectorSumOracles:
+    @ORACLE_SETTINGS
+    @given(state_families())
+    def test_kernel_and_family_reader(self, family):
+        states, weights = family
+        rows, w = as_state_family(states, weights)
+        assert np.array_equal(rows, rows_by_stacking(states))
+        assert w.shape == (rows.shape[0],)
+        want = projectors_by_einsum(np.broadcast_to(weights, w.shape), rows)
+        assert_close(projector_sum(rows, w), want)
+        dev = np.max(np.abs(want - np.eye(rows.shape[1])))
+        assert abs(resolution_deviation(states, weights) - dev) <= 1e-12 * max(1.0, dev)
+
+    @ORACLE_SETTINGS
+    @given(state_families(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_weight_stacks(self, family, m, seed):
+        rows, _ = as_state_family(*family)
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(m, rows.shape[0]))
+        stack[rng.random(stack.shape) < 0.3] = 0.0
+        got = projector_sum(rows, stack)
+        assert got.shape == (m,) + 2 * (rows.shape[1],)
+        assert_close(got, projectors_by_einsum(stack, rows))
+        for z in range(m):
+            assert_close(got[z], projectors_by_einsum(stack[z], rows))
+
+    @ORACLE_SETTINGS
+    @given(state_families(), st.integers(0, 2**32 - 1))
+    def test_build_operator(self, family, seed):
+        states, weights = family
+        rows = rows_by_stacking(states)
+        w = np.broadcast_to(weights, (rows.shape[0],))
+        labels = np.random.default_rng(seed).normal(size=rows.shape[0])
+        bundle = _quiet_operator(states, weights, labels)
+        A = labelled_sum_by_einsum(rows, w, labels)
+        assert_close(bundle.matrix, (A + A.conj().T) / 2.0)
+
+    @ORACLE_SETTINGS
+    @given(state_families(), st.integers(0, 2**32 - 1))
+    def test_covariance_distance(self, family, seed):
+        states, weights = family
+        rng = np.random.default_rng(seed)
+        rows = rows_by_stacking(states)
+        n, d = rows.shape
+        bundle = _quiet_operator(states, weights, rng.normal(size=n))
+        U, perm = _random_unitary(rng, d), rng.permutation(n)
+        rhs = labelled_sum_by_einsum(rows, np.broadcast_to(weights, (n,)),
+                                     bundle.labels[perm])
+        oracle = float(np.linalg.norm(U.conj().T @ bundle.matrix @ U - rhs))
+        report = conjugation_covariance(bundle, U, perm)
+        scale = max(1.0, float(np.linalg.norm(bundle.matrix)))
+        assert abs(report.distance - oracle) <= 1e-12 * scale
+
+    @ORACLE_SETTINGS
+    @given(resolving_families(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from(["array", "vectors", "columns"]))
+    def test_build_povm(self, family, outcomes, seed, form):
+        rows, weights = family
+        rng = np.random.default_rng(seed)
+        P = rng.random(size=(rows.shape[0], outcomes))
+        P[rng.random(P.shape) < 0.3] = 0.0
+        P[:, 0] += 1e-3   # no row may be all zero
+        P /= P.sum(axis=1, keepdims=True)
+        model = StatisticalModel(P)
+        povm = build_povm(model, _present(rows, form), weights)
+        assert_close(povm.effects,
+                     povm_effects_by_einsum(model.probabilities, rows, weights))
+
+    @ORACLE_SETTINGS
+    @given(state_families(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_build_density(self, family, normalize, seed):
+        states, weights = family
+        rows = rows_by_stacking(states)
+        n = rows.shape[0]
+        w = np.abs(np.broadcast_to(weights, (n,)))
+        pi = np.random.default_rng(seed).random(size=n)
+        pi[: n // 2] = 0.0
+        assume(not normalize or float(np.sum(pi * w)) > 0)
+        mass = pi * w
+        if normalize:
+            mass = mass / mass.sum()
+        want = projectors_by_einsum(mass, rows)
+        sigma = build_density(pi, states, w, normalize=normalize).sigma
+        assert_close(sigma, (want + want.conj().T) / 2.0)
+
+    @pytest.mark.filterwarnings("ignore:state family misses the identity")
+    @ORACLE_SETTINGS
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_coarse_grain_projections(self, d, missing, k, seed):
+        rng = np.random.default_rng(seed)
+        n = max(1, d - missing)
+        rows = _random_unitary(rng, d)[:n]
+        fine = rng.permutation(n).astype(float)
+        grain, _ = coarse_grain(list(rows), fine, lambda u: float(u % k))
+        coarse = [float(u % k) for u in fine]
+        blocks = tuple(tuple(i for i in range(n) if coarse[i] == c)
+                       for c in sorted(set(coarse)))
+        assert grain.blocks == blocks
+        assert_close(grain.block_projections,
+                     block_projections_by_einsum(rows, blocks))
+
+    @ORACLE_SETTINGS
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+    def test_reconstruct(self, d, seed, degenerate):
+        rng = np.random.default_rng(seed)
+        Q = _random_unitary(rng, d)
+        u = rng.normal(size=d)
+        if degenerate:
+            u = np.round(u)
+        spec = eig_hermitian((Q * u) @ Q.conj().T)
+        values = rng.normal(size=spec.n_clusters)
+        values[rng.random(values.size) < 0.3] = 0.0
+        for vals in (None, values):
+            want = spectral_sum_by_einsum(
+                np.repeat(spec.eigenvalues if vals is None else vals,
+                          spec.multiplicities),
+                spec.vectors)
+            assert_close(spec.reconstruct(vals), want)
+
+    @ORACLE_SETTINGS
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.floats(-20.0, 20.0))
+    def test_expm_antihermitian(self, d, seed, t):
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        H = (G + G.conj().T) / 2.0
+        w, V = np.linalg.eigh(H)
+        assert_close(expm_antihermitian(H, t),
+                     spectral_sum_by_einsum(np.exp(-1j * t * w), V))
+
+    @ORACLE_SETTINGS
+    @given(st.sampled_from(["dihedral:3", "dihedral:4", "dihedral:6",
+                            "binary_tetrahedral"]),
+           st.integers(0, 2**32 - 1))
+    def test_frame_operator_and_transport(self, name, seed):
+        g = make_named_group(name)
+        if name == "binary_tetrahedral":
+            rep, act, base = (binary_tetrahedral_spin_rep(g),
+                              left_translation_action(g), g.identity)
+        else:
+            rep, act, base = dihedral_rotation_rep(g), dihedral_vertex_action(g), 0
+        rng = np.random.default_rng(seed)
+        cs = make_coherent(rep, act, base, rng.normal(size=2) + 1j * rng.normal(size=2))
+        frame = frame_operator(cs)
+        assert_close(frame.T, projectors_by_einsum(cs.state_weights(), cs.states))
+        W = _random_unitary(rng, 2)
+        moved = unitary_transport(cs, W)
+        assert_close(moved.rep.matrices, transport_by_einsum(W, rep.matrices))
