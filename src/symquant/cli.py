@@ -60,12 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spin.add_argument("--az", type=float, default=1.0)
     p_spin.add_argument("--reduce", action="store_true",
                         help="include the orbit-reduction checks")
-    p_spin.add_argument("--seed", type=int)
     p_spin.add_argument("--out")
 
     p_phase = sub.add_parser("phase", help="finite phase-space scenario")
     p_phase.add_argument("--n", type=int, required=True, help="lattice size")
-    p_phase.add_argument("--seed", type=int)
     p_phase.add_argument("--out")
 
     return parser
@@ -135,13 +133,9 @@ def main(argv=None) -> int:
                     "reduce": bool(args.reduce),
                 },
             }
-            if args.seed is not None:
-                config["seed"] = args.seed
             return _emit(run_scenario(config), args.out)
         if args.command == "phase":
             config = {"scenario": "phase", "params": {"n": args.n}}
-            if args.seed is not None:
-                config["seed"] = args.seed
             return _emit(run_scenario(config), args.out)
         raise AssertionError("unreachable")
     except (ConfigParseError, UnknownScenarioError) as exc:

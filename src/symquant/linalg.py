@@ -146,8 +146,9 @@ class SpectralData:
 
     def reconstruct(self, values=None) -> np.ndarray:
         """V diag(u) V^dag, each cluster's value repeated by its
-        multiplicity; values (one per cluster) default to the eigenvalues."""
-        u = self.eigenvalues if values is None else np.asarray(values, dtype=float)
+        multiplicity; values (one per cluster, real or complex) default to
+        the eigenvalues. Values exp(-i*t*u) give exp(-i*t*A)."""
+        u = self.eigenvalues if values is None else np.asarray(values)
         return projector_sum(self.vectors.T, np.repeat(u, self.multiplicities))
 
     def expectation(self, v) -> float:

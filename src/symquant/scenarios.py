@@ -2,8 +2,9 @@
 
 Each scenario assembles the library's machinery on a small concrete setup,
 runs a fixed list of named checks, and returns a deterministic
-VerificationReport. Randomized property checks draw from a generator
-seeded by the configuration; the seed is echoed in the report.
+VerificationReport. Every verdict is proved on finite objects; nothing
+draws random numbers. The optional "seed" is validated and echoed, but
+feeds nothing.
 
 Configuration document (one UTF-8 JSON object):
     {"scenario": str, "params": object?, "tolerances": object?, "seed": int?}
@@ -58,6 +59,8 @@ from .reporting import Check, VerificationReport, exact_check, make_check
 from .spin import (
     BadSpinError,
     perpendicular_unit,
+    quaternion_axis_angle,
+    rotation_matrix,
     spin_component_operator,
     spin_generators,
     spin_rotation,
@@ -73,7 +76,6 @@ from .variables import (
 )
 
 DEFAULT_SEED = 2026
-SPIN_GROUP_SOURCES = ("sampled", "binary_tetrahedral")
 
 
 class ConfigParseError(ValueError):
@@ -90,10 +92,7 @@ class SpinScenario:
 
     j: float
     direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    group_source: str = "sampled"
     reduce_demo: bool = False
-    n_directions: int = 20
-    n_angle_pairs: int = 10
 
     def __post_init__(self):
         _check_spin(self.j)
@@ -104,14 +103,6 @@ class SpinScenario:
             raise ConfigParseError("direction must be a nonzero, finite 3-vector")
         a = a / norm
         object.__setattr__(self, "direction", tuple(float(x) for x in a))
-        if self.n_directions < 1 or self.n_angle_pairs < 1:
-            raise ConfigParseError(
-                "n_directions and n_angle_pairs must be at least 1"
-            )
-
-    @property
-    def dim(self) -> int:
-        return int(round(2 * self.j)) + 1
 
 
 @dataclass(frozen=True)
@@ -143,7 +134,7 @@ class _Tol:
 # pedagogy: shift action on four points
 
 
-def _pedagogy_z4_checks(params, tol: _Tol, rng) -> list[Check]:
+def _pedagogy_z4_checks(params, tol: _Tol) -> list[Check]:
     g = cyclic_group(4)
     act = cyclic_shift_action(g)
     parity = variable_from_point_labels([0.0, 1.0, 0.0, 1.0])
@@ -248,7 +239,7 @@ def _pedagogy_z4_checks(params, tol: _Tol, rng) -> list[Check]:
 # coherent-state scenarios
 
 
-def _coherent_d4_checks(params, tol: _Tol, rng) -> list[Check]:
+def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
     g = make_named_group("dihedral:4")
     act = dihedral_vertex_action(g)
     rep = dihedral_rotation_rep(g)
@@ -308,7 +299,7 @@ def _coherent_d4_checks(params, tol: _Tol, rng) -> list[Check]:
     return checks
 
 
-def _coherent_bt24_checks(params, tol: _Tol, rng) -> list[Check]:
+def _coherent_bt24_checks(params, tol: _Tol) -> list[Check]:
     g = make_named_group("binary_tetrahedral")
     rep = binary_tetrahedral_spin_rep(g)
     act = left_translation_action(g)
@@ -351,20 +342,18 @@ def _coherent_bt24_checks(params, tol: _Tol, rng) -> list[Check]:
 # spin scenario
 
 
-def _spin_checks(params, tol: _Tol, rng) -> list[Check]:
+def _spin_checks(params, tol: _Tol) -> list[Check]:
     scn = SpinScenario(
         j=float(params["j"]),
         direction=tuple(params["direction"]),
-        group_source=params["group_source"],
         reduce_demo=bool(params["reduce"]),
-        n_directions=int(params["n_directions"]),
-        n_angle_pairs=int(params["n_angle_pairs"]),
     )
-    j, d = scn.j, scn.dim
-    a = np.asarray(scn.direction)
+    j, a = scn.j, np.asarray(scn.direction)
     checks = []
 
-    Jx, Jy, Jz = spin_generators(j)
+    J = np.stack(spin_generators(j))
+    Jx, Jy, Jz = J
+    d = len(Jx)
     comm_err = max(
         max_abs(Jx @ Jy - Jy @ Jx - 1j * Jz),
         max_abs(Jy @ Jz - Jz @ Jy - 1j * Jx),
@@ -385,16 +374,27 @@ def _spin_checks(params, tol: _Tol, rng) -> list[Check]:
         f"eigenvalues of the component along {list(np.round(a, 6))}",
     ))
 
-    worst = 0.0
-    for _ in range(scn.n_directions):
-        v = rng.normal(size=3)
-        v = v / np.linalg.norm(v)
-        b = spin_component_operator(j, v)
-        worst = max(worst, float(np.max(np.abs(b.eigenvalues - ladder))))
+    # U(s)^dag J_i U(s) = sum_k R(s)_ik J_k on the generators s. Conjugation
+    # by a unitary and R acting on the index i both keep the Frobenius error
+    # of the triple J, so a word of L generators errs by at most the sum of
+    # its letters' errors: every element is within depth * the largest.
+    g = make_named_group("binary_tetrahedral")
+    gen_err = 0.0
+    for s in g.generators:
+        axis, angle = quaternion_axis_angle(g.elements[s])
+        U, R = spin_rotation(j, axis, angle), rotation_matrix(axis, angle)
+        gen_err = max(gen_err, math.hypot(*(
+            np.linalg.norm(U.conj().T @ J[i] @ U - np.tensordot(R[i], J, 1))
+            for i in range(3))))
+    rel_err = g.depth * gen_err / max(1.0, float(np.linalg.norm(J)))
     checks.append(make_check(
-        "component_spectrum_random_directions", worst,
-        tol("component_spectrum_random_directions", 1e-9),
-        f"{scn.n_directions} seeded unit directions",
+        "component_covariance_binary_tetrahedral", rel_err,
+        tol("component_covariance_binary_tetrahedral", 1e-9),
+        "U(s)^dag J U(s) = R(s) J on both generators of the binary tetrahedral "
+        f"group, relative to the norm of J; {g.depth} (the generation depth) "
+        "times the larger generator error bounds every element, so with the "
+        "ladder values the spectrum holds along every direction in the orbit "
+        "of a under the group's 12 rotations",
     ))
 
     checks.append(exact_check(
@@ -403,29 +403,36 @@ def _spin_checks(params, tol: _Tol, rng) -> list[Check]:
         f"{bundle.spectrum.degeneracy_tol:.1e})",
     ))
 
+    # U(k), the rotation by 2*pi*k/8 about a, from the measured spectrum;
+    # k < 16 is the cyclic group of order 16, whose generator is U(1)
+    spec = bundle.spectrum
+
+    def turn(k):
+        return spec.reconstruct(np.exp(-0.25j * np.pi * k * spec.eigenvalues))
+
     sign = (-1.0) ** int(round(2 * j))
-    full_turn = spin_rotation(j, a, 2 * np.pi)
-    err_2pi = float(np.linalg.norm(full_turn - sign * np.eye(d)))
+    err_2pi = float(np.linalg.norm(turn(8) - sign * np.eye(d)))
     checks.append(make_check(
         "full_turn_rotation_sign", err_2pi, tol("full_turn_rotation_sign", 1e-9),
         f"rotation by 2*pi equals {int(sign)} * identity at spin {j}",
     ))
-    err_4pi = float(np.linalg.norm(spin_rotation(j, a, 4 * np.pi) - np.eye(d)))
+    err_4pi = float(np.linalg.norm(turn(16) - np.eye(d)))
     checks.append(make_check(
         "double_turn_rotation_identity", err_4pi,
         tol("double_turn_rotation_identity", 1e-9), "rotation by 4*pi",
     ))
 
-    worst = 0.0
-    for _ in range(scn.n_angle_pairs):
-        s, t = rng.uniform(-2 * np.pi, 2 * np.pi, size=2)
-        lhs = spin_rotation(j, a, s) @ spin_rotation(j, a, t)
-        rhs = spin_rotation(j, a, s + t)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    step, current, worst = turn(1), turn(0), 0.0
+    for k in range(1, 17):
+        following = turn(k % 16)
+        worst = max(worst, float(np.linalg.norm(step @ current - following)))
+        current = following
     checks.append(make_check(
         "rotation_angle_additivity", worst,
         tol("rotation_angle_additivity", 1e-8),
-        f"{scn.n_angle_pairs} seeded angle pairs about the fixed axis",
+        "U(1)U(k) = U(k+1 mod 16) for the rotations U(k) by 2*pi*k/8 about "
+        "the fixed axis: the product law of the cyclic group of order 16 on "
+        "its generator and every element",
     ))
 
     if d > 1:
@@ -508,17 +515,6 @@ def _spin_checks(params, tol: _Tol, rng) -> list[Check]:
                 "the lowest eigenvalue alone is not closed under the flip",
             ))
 
-    if scn.group_source == "binary_tetrahedral":
-        g = make_named_group("binary_tetrahedral")
-        rep = binary_tetrahedral_spin_rep(g)
-        cs = make_coherent(rep, left_translation_action(g), g.identity, (1.0, 0.0))
-        frame = frame_operator(cs)
-        err = float(np.linalg.norm(frame.T - 12.0 * np.eye(2)))
-        checks.append(make_check(
-            "finite_subgroup_frame_scalar", err,
-            tol("finite_subgroup_frame_scalar", 1e-9),
-            f"scalar = {frame.lam:.6g} from the 24-element subgroup orbit",
-        ))
     return checks
 
 
@@ -526,7 +522,7 @@ def _spin_checks(params, tol: _Tol, rng) -> list[Check]:
 # phase-space scenario
 
 
-def _phase_checks(params, tol: _Tol, rng) -> list[Check]:
+def _phase_checks(params, tol: _Tol) -> list[Check]:
     scn = PhaseSpaceScenario(
         n=int(params["n"]),
         shift_pos=int(params["c"]),
@@ -607,10 +603,7 @@ _SCENARIOS = {
         {
             "j": 0.5,
             "direction": [0.0, 0.0, 1.0],
-            "group_source": "sampled",
             "reduce": True,
-            "n_directions": 20,
-            "n_angle_pairs": 10,
         },
     ),
     "phase": (_phase_checks, {"n": 4, "c": 1, "d": 1}),
@@ -641,10 +634,6 @@ def _coerce_param(name: str, value, default):
         if not _finite_number(value) or (integral and int(value) != value):
             raise bad
         return int(value) if integral else float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise bad
-        return value
     if isinstance(default, list):
         if not isinstance(value, (list, tuple)) or not all(map(_finite_number, value)):
             raise bad
@@ -677,18 +666,6 @@ def parse_config(config) -> dict:
         key: _coerce_param(key, params.get(key, default), default)
         for key, default in defaults.items()
     }
-    if name == "spin":
-        source = resolved_params["group_source"]
-        if source not in SPIN_GROUP_SOURCES:
-            raise ConfigParseError(
-                f"unknown group_source {source!r}; expected one of "
-                f"{list(SPIN_GROUP_SOURCES)}"
-            )
-        if source == "binary_tetrahedral" and resolved_params["j"] != 0.5:
-            raise ConfigParseError(
-                "group_source 'binary_tetrahedral' needs j = 0.5: its spin "
-                "representation is two-dimensional"
-            )
     tolerances = config.get("tolerances") or {}
     if not isinstance(tolerances, dict):
         raise ConfigParseError("tolerances must be an object")
@@ -714,10 +691,9 @@ def run_scenario(config) -> VerificationReport:
     """Run one scenario from a configuration document."""
     resolved = parse_config(config)
     runner, _ = _SCENARIOS[resolved["scenario"]]
-    rng = np.random.default_rng(resolved["seed"])
     start = time.perf_counter()
     try:
-        checks = runner(resolved["params"], _Tol(resolved["tolerances"]), rng)
+        checks = runner(resolved["params"], _Tol(resolved["tolerances"]))
     except (BadSpinError, BadSizeError) as exc:
         raise ConfigParseError(f"invalid parameters: {exc}") from exc
     timing_ms = int((time.perf_counter() - start) * 1000)
@@ -727,21 +703,18 @@ def run_scenario(config) -> VerificationReport:
     )
 
 
-def run_all(tolerances=None, seed: int | None = None) -> list[VerificationReport]:
+def run_all(tolerances=None) -> list[VerificationReport]:
     """Run every built-in scenario with default parameters."""
     reports = []
     for name in BUILTIN_SCENARIOS:
         config = {"scenario": name}
         if tolerances:
             config["tolerances"] = dict(tolerances)
-        if seed is not None:
-            config["seed"] = seed
         reports.append(run_scenario(config))
     return reports
 
 
-def spin_orbit_demo(j: float = 0.5, direction=(0.0, 0.0, 1.0),
-                    seed: int = DEFAULT_SEED) -> VerificationReport:
+def spin_orbit_demo(j: float = 0.5, direction=(0.0, 0.0, 1.0)) -> VerificationReport:
     """Focused report on the orbit structure of a component's spectrum.
 
     The value transformations come from the rotations fixing or reversing
@@ -752,7 +725,6 @@ def spin_orbit_demo(j: float = 0.5, direction=(0.0, 0.0, 1.0),
     config = {
         "scenario": "spin",
         "params": {"j": float(j), "direction": list(direction), "reduce": True},
-        "seed": seed,
     }
     full = run_scenario(config)
     keep = (
@@ -767,8 +739,6 @@ def spin_orbit_demo(j: float = 0.5, direction=(0.0, 0.0, 1.0),
                               config_echo=full.config_echo)
 
 
-def phase_space_demo(n: int, seed: int = DEFAULT_SEED) -> VerificationReport:
+def phase_space_demo(n: int) -> VerificationReport:
     """Run the finite phase-space scenario for one lattice size."""
-    return run_scenario({
-        "scenario": "phase", "params": {"n": int(n)}, "seed": seed,
-    })
+    return run_scenario({"scenario": "phase", "params": {"n": int(n)}})

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from symquant import groups, spin
 from symquant.cli import main
 from symquant.reporting import Check, dumps, make_check, strip_timing
@@ -101,21 +103,23 @@ class TestConfig:
         {"n_directions": -5, "n_angle_pairs": 0},
         {"n_directions": 0},
         {"n_angle_pairs": 0},
+        {"n_directions": 20, "n_angle_pairs": 10},
+        {"group_source": "binary_tetrahedal"},
+        {"group_source": ""},
+        {"group_source": "Sampled"},
+        {"group_source": "sampled"},
+        {"j": 1.0, "group_source": "binary_tetrahedral"},
+        {"j": 0.5, "group_source": "binary_tetrahedral"},
     ])
-    def test_spin_sample_counts_at_least_one(self, params):
-        with pytest.raises(ConfigParseError, match="at least 1"):
-            run_scenario({"scenario": "spin", "params": params})
+    def test_retired_spin_params_rejected(self, params):
+        # the spin checks are proved on finite groups: no sample counts and
+        # no choice of group are left to configure
+        with pytest.raises(ConfigParseError, match="unknown params"):
+            parse_config({"scenario": "spin", "params": params})
 
-    @pytest.mark.parametrize("source", ["binary_tetrahedal", "", "Sampled"])
-    def test_unknown_group_source_rejected(self, source):
-        with pytest.raises(ConfigParseError, match="unknown group_source"):
-            parse_config({"scenario": "spin", "params": {"group_source": source}})
-
-    @pytest.mark.parametrize("j", [1.0, 1.5, 5.0])
-    def test_binary_tetrahedral_source_needs_spin_half(self, j):
-        with pytest.raises(ConfigParseError, match="needs j = 0.5"):
-            parse_config({"scenario": "spin", "params": {
-                "j": j, "group_source": "binary_tetrahedral"}})
+    def test_spin_params_are_exactly_these(self):
+        resolved = parse_config({"scenario": "spin"})
+        assert sorted(resolved["params"]) == ["direction", "j", "reduce"]
 
     @pytest.mark.parametrize("value", [1e400, -1e400, float("nan")])
     def test_non_finite_tolerance_rejected(self, value):
@@ -148,14 +152,6 @@ class TestScenarios:
         assert "proper subgroup" in \
             by_name["value_transformations_embed_in_symmetric_group"].details
 
-    def test_spin_finite_subgroup_source(self):
-        rep = run_scenario({
-            "scenario": "spin",
-            "params": {"j": 0.5, "group_source": "binary_tetrahedral"},
-        })
-        assert rep.all_passed
-        assert any(c.name == "finite_subgroup_frame_scalar" for c in rep.checks)
-
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_phase_sizes(self, n):
         rep = run_scenario({"scenario": "phase", "params": {"n": n}})
@@ -176,8 +172,9 @@ class TestScenarios:
 
     def test_wrong_spectrum_fails_its_check(self, monkeypatch, capsys):
         # generators scaled by 1.01 give the component the spectrum
-        # 1.01*(j, ..., -j): the ladder checks fail in the report, and the
-        # CLI exits 1 instead of raising
+        # 1.01*(j, ..., -j) and turn each rotation by 1.01 times its angle:
+        # the ladder, covariance and rotation checks fail in the report, and
+        # the CLI exits 1 instead of raising
         ladder_generators = spin.spin_generators
         monkeypatch.setattr(spin, "spin_generators",
                             lambda j: tuple(1.01 * J for J in ladder_generators(j)))
@@ -186,7 +183,8 @@ class TestScenarios:
         ladder = by_name["component_spectrum_ladder_values"]
         assert not ladder.passed
         assert ladder.max_error == pytest.approx(0.01)
-        assert not by_name["component_spectrum_random_directions"].passed
+        assert not by_name["component_covariance_binary_tetrahedral"].passed
+        assert not by_name["rotation_angle_additivity"].passed
         assert main(["spin", "--j", "1"]) == 1
 
     def test_tolerance_override_can_fail_a_check(self):
@@ -200,6 +198,18 @@ class TestScenarios:
         a = dumps(run_all())
         b = dumps(run_all())
         assert strip_timing(a) == strip_timing(b)
+
+    def test_no_verdict_draws_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verdict drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert all(r.all_passed for r in run_all())
+        for j in (1.0, 1.5, 50.0):
+            assert run_scenario({"scenario": "spin", "params": {"j": j}}).all_passed
+        r1 = run_scenario({"scenario": "spin", "seed": 1})
+        r2 = run_scenario({"scenario": "spin", "seed": 2})
+        assert r1.checks == r2.checks
 
     def test_seed_changes_echo_not_verdict(self):
         r1 = run_scenario({"scenario": "spin", "seed": 1})
@@ -294,7 +304,9 @@ class TestCli:
             "params": {"n_directions": -5, "n_angle_pairs": 0},
         }))
         assert main(["verify", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown params" in captured.err
 
     @pytest.mark.parametrize("params", [
         {"radius": 1.0},
@@ -308,6 +320,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "unknown params" in captured.err
 
     @pytest.mark.parametrize("text", [
         '{"scenario": "phase", "params": {"n": NaN}}',
@@ -318,6 +331,21 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("j", [1e300, 1e7, spin.MAX_SPIN + 0.5])
+    def test_huge_spin_config_exit_2(self, tmp_path, capsys, j):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "spin", "params": {"j": j}}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "largest supported spin" in captured.err
+
+    def test_huge_spin_cli_exit_2(self, capsys):
+        assert main(["spin", "--j", "1e300"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")

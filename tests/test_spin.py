@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from symquant.linalg import is_unitary
 from symquant.quantize import maximality_check
 from symquant.spin import (
+    MAX_SPIN,
     BadSpinError,
+    _check_spin,
     component_matrix,
     perpendicular_unit,
     rotation_from_vector,
@@ -46,6 +48,12 @@ class TestGenerators:
     def test_bad_spin(self, bad):
         with pytest.raises(BadSpinError):
             spin_generators(bad)
+
+    def test_spin_bounded_by_max_spin(self):
+        assert _check_spin(MAX_SPIN) == MAX_SPIN
+        for big in (MAX_SPIN + 0.5, 1e7, 1e300):
+            with pytest.raises(BadSpinError, match="largest supported spin"):
+                _check_spin(big)
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
     def test_casimir(self, j):

@@ -35,6 +35,12 @@ operators, labelled operators, POVM effects, density operators, coarse-
 graining projections, spectral reconstructions, exp(-itH)), is computed by
 one kernel, linalg.projector_sum. The per-caller einsum contractions it
 replaced live here, and must agree with the callers on random families.
+
+The spin scenario proves rotation covariance on the two generators of the
+binary tetrahedral group, and angle additivity on the generator of the
+cyclic group of rotations by 2*pi*k/8, read off one measured spectrum.
+Covariance on all 24 elements, and the rotations rebuilt by an independent
+matrix exponential, live here.
 """
 
 import itertools
@@ -42,6 +48,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -92,7 +99,13 @@ from symquant.quantize import (
     model_reduce,
     operator_from_matrix,
 )
-from symquant.spin import perpendicular_unit, spin_component_operator, spin_rotation
+from symquant.spin import (
+    perpendicular_unit,
+    quaternion_axis_angle,
+    spin_component_operator,
+    spin_generators,
+    spin_rotation,
+)
 from symquant.variables import (
     NotPermissibleError,
     accessibility_leq,
@@ -1338,7 +1351,7 @@ class TestProjectorSumOracles:
         spec = eig_hermitian((Q * u) @ Q.conj().T)
         values = rng.normal(size=spec.n_clusters)
         values[rng.random(values.size) < 0.3] = 0.0
-        for vals in (None, values):
+        for vals in (None, values, np.exp(-1j * values)):
             want = spectral_sum_by_einsum(
                 np.repeat(spec.eigenvalues if vals is None else vals,
                           spec.multiplicities),
@@ -1374,3 +1387,60 @@ class TestProjectorSumOracles:
         W = _random_unitary(rng, 2)
         moved = unitary_transport(cs, W)
         assert_close(moved.rep.matrices, transport_by_einsum(W, rep.matrices))
+
+
+# ---------------------------------------------------------------------------
+# spin rotations over finite groups
+
+
+def spin_half_adjoint(U) -> np.ndarray:
+    """R with U^dag J_i U = sum_k R_ik J_k at spin 1/2, where
+    Tr(J_i J_k) = delta_ik / 2."""
+    J = spin_generators(0.5)
+    return np.array([[2.0 * np.trace(U.conj().T @ Ji @ U @ Jk).real for Jk in J]
+                     for Ji in J])
+
+
+def spin_image_by_expm(j, q) -> np.ndarray:
+    axis, angle = quaternion_axis_angle(q)
+    A = sum(n * J for n, J in zip(axis, spin_generators(j)))
+    return scipy.linalg.expm(-1j * angle * A)
+
+
+class TestSpinGroupOracles:
+    def test_spin_half_images_are_the_quaternion_matrices(self):
+        g = make_named_group("binary_tetrahedral")
+        rep = binary_tetrahedral_spin_rep(g)
+        for k, q in enumerate(g.elements):
+            U = spin_rotation(0.5, *quaternion_axis_angle(q))
+            assert np.max(np.abs(U - rep.matrices[k])) <= 1e-15, g.element_names[k]
+
+    @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 5.0])
+    def test_covariance_on_every_element(self, j):
+        # R(g) is read off the spin-1/2 quaternion matrix and U(g) comes
+        # from scipy's expm, so neither goes through the scenario's route
+        g = make_named_group("binary_tetrahedral")
+        rep = binary_tetrahedral_spin_rep(g)
+        J = spin_generators(j)
+        for k, q in enumerate(g.elements):
+            R = spin_half_adjoint(rep.matrices[k])
+            U = spin_image_by_expm(j, q)
+            assert np.allclose(spin_rotation(j, *quaternion_axis_angle(q)), U,
+                               rtol=0, atol=1e-12)
+            err = np.sqrt(sum(
+                np.linalg.norm(U.conj().T @ J[i] @ U
+                               - sum(R[i, m] * J[m] for m in range(3))) ** 2
+                for i in range(3)))
+            assert err <= 1e-9, g.element_names[k]
+
+    @ORACLE_SETTINGS
+    @given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+    def test_spectrum_rotations_match_spin_rotation(self, two_j, seed):
+        j = two_j / 2.0
+        a = np.random.default_rng(seed).normal(size=3)
+        assume(np.linalg.norm(a) > 1e-3)
+        a /= np.linalg.norm(a)
+        spec = spin_component_operator(j, a).spectrum
+        for k in range(16):
+            turn = spec.reconstruct(np.exp(-0.25j * np.pi * k * spec.eigenvalues))
+            assert_close(turn, spin_rotation(j, a, 2.0 * np.pi * k / 8))
