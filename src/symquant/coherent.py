@@ -216,8 +216,9 @@ def make_coherent(rep: UnitaryRep, act: GroupAction, base_point: int,
 class FrameOperator:
     """Weighted sum of orbit-state projectors and its scalar value.
 
-    T equals lam times the identity; normalized_weights are the measure
-    weights divided by lam, under which the orbit resolves the identity.
+    T equals lam times the identity; normalized_weights holds one weight
+    per orbit state, the state's measure weight divided by lam, under which
+    the orbit states resolve the identity.
     """
 
     T: np.ndarray
@@ -267,7 +268,7 @@ def frame_operator(cs: CoherentSystem) -> FrameOperator:
     if dev > 1e-9 * d:
         raise NotScalarError(f"normalized frame misses the identity by {dev:.3e}")
     return FrameOperator(T=T, lam=lam,
-                         normalized_weights=cs.measure.weights / lam)
+                         normalized_weights=cs.state_weights() / lam)
 
 
 def resolution_deviation(states, weights) -> float:
@@ -330,18 +331,13 @@ def binary_tetrahedral_spin_rep(g: FiniteGroup) -> UnitaryRep:
 
 def rep_to_json(rep: UnitaryRep) -> str:
     """Element-indexed arrays of row-major [re, im] entry pairs."""
-    payload = [
-        [[float(z.real), float(z.imag)] for z in mat.ravel()]
-        for mat in rep.matrices
-    ]
-    return json.dumps({"dim": rep.dim, "matrices": payload})
+    pairs = rep.matrices.view(np.float64).reshape(rep.group.order, -1, 2)
+    return json.dumps({"dim": rep.dim, "matrices": pairs.tolist()})
 
 
 def rep_from_json(group: FiniteGroup, text: str) -> UnitaryRep:
     obj = json.loads(text)
     d = int(obj["dim"])
-    mats = np.array(
-        [[complex(re, im) for re, im in mat] for mat in obj["matrices"]],
-        dtype=np.complex128,
-    ).reshape(group.order, d, d)
+    pairs = np.array(obj["matrices"], dtype=np.float64)
+    mats = pairs.view(np.complex128).reshape(group.order, d, d)
     return UnitaryRep(group=group, dim=d, matrices=mats)

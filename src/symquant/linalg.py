@@ -147,9 +147,11 @@ class SpectralData:
     def reconstruct(self, values=None) -> np.ndarray:
         """V diag(u) V^dag, each cluster's value repeated by its
         multiplicity; values (one per cluster, real or complex) default to
-        the eigenvalues. Values exp(-i*t*u) give exp(-i*t*A)."""
+        the eigenvalues. Values exp(-i*t*u) give exp(-i*t*A). Values of
+        shape (..., k) give a stack of matrices."""
         u = self.eigenvalues if values is None else np.asarray(values)
-        return projector_sum(self.vectors.T, np.repeat(u, self.multiplicities))
+        return projector_sum(self.vectors.T,
+                             np.repeat(u, self.multiplicities, axis=-1))
 
     def expectation(self, v) -> float:
         """Quadratic form <v|A|v> as sum_i u_i |<e_i|v>|^2."""

@@ -10,6 +10,11 @@ orbit of eigenvalues is the natural model reduction.
 
 Operators, effects, densities, covariance rebuilds and coarse-graining
 projections are weighted projector sums, computed by linalg.projector_sum.
+
+Covariance has one kernel: covariance_check runs it on a set of group
+elements (one value-map read, one stacked conjugation, the worst distance
+against 1e-9 * max(1, ||A||_F), the rep's matrices not tested again since
+UnitaryRep proved them unitary), conjugation_covariance on one unitary.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .linalg import (
     projector_sum,
 )
 from .groups import orbit_partition, rows_are_permutations
-from .variables import ConceptualVariable, GroupAction, element_value_map
+from .variables import ConceptualVariable, GroupAction, _element_maps
 from .coherent import NotUnitaryError, UnitaryRep, resolution_deviation
 
 
@@ -281,8 +286,32 @@ class CovarianceReport:
     passed: bool
 
 
-def conjugation_covariance(bundle: OperatorBundle, unitary, value_perm,
-                           *, tol_scale=1e-9) -> CovarianceReport:
+def _covariance(bundle: OperatorBundle, mats: np.ndarray,
+                perms: np.ndarray) -> CovarianceReport:
+    """The worst Frobenius distance between V^dag A V and the operator
+    relabelled by perm, over a stack of unitaries V and value permutations
+    perm; tolerance 1e-9 * max(1, ||A||_F)."""
+    A = bundle.matrix
+    lhs = mats.conj().swapaxes(-1, -2) @ A @ mats
+    if bundle.states is not None:
+        if perms.shape[1:] != bundle.labels.shape:
+            raise DimensionMismatchError(
+                "value permutation must act on the label indices"
+            )
+        rhs = projector_sum(bundle.states, bundle.labels[perms] * bundle.weights)
+    else:
+        if perms.shape[1:] != (bundle.spectrum.n_clusters,):
+            raise DimensionMismatchError(
+                "value permutation must act on the eigenvalue clusters"
+            )
+        rhs = bundle.spectrum.reconstruct(bundle.eigenvalues[perms])
+    dist = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
+    tol = 1e-9 * max(1.0, float(np.linalg.norm(A)))
+    return CovarianceReport(distance=dist, tolerance=tol, passed=dist <= tol)
+
+
+def conjugation_covariance(bundle: OperatorBundle, unitary,
+                           value_perm) -> CovarianceReport:
     """Does conjugating the operator match relabelling its construction?
 
     Compares U^dag A U against the operator rebuilt with labels permuted by
@@ -294,42 +323,27 @@ def conjugation_covariance(bundle: OperatorBundle, unitary, value_perm,
     U = as_cmatrix(unitary)
     if not is_unitary(U, 1e-9):
         raise NotUnitaryError("covariance check needs a unitary matrix")
-    A = bundle.matrix
-    lhs = U.conj().T @ A @ U
     perm = np.asarray(value_perm, dtype=np.intp)
-    if bundle.states is not None:
-        if perm.shape != bundle.labels.shape:
-            raise DimensionMismatchError(
-                "value permutation must act on the label indices"
-            )
-        rhs = projector_sum(bundle.states, bundle.labels[perm] * bundle.weights)
-    else:
-        if perm.shape != (bundle.spectrum.n_clusters,):
-            raise DimensionMismatchError(
-                "value permutation must act on the eigenvalue clusters"
-            )
-        rhs = bundle.spectrum.reconstruct(bundle.eigenvalues[perm])
-    dist = float(np.linalg.norm(lhs - rhs))
-    tol = tol_scale * max(1.0, float(np.linalg.norm(A)))
-    return CovarianceReport(distance=dist, tolerance=tol, passed=dist <= tol)
+    return _covariance(bundle, U[None], perm[None])
 
 
-def covariance_check(bundle: OperatorBundle, rep: UnitaryRep, h: int,
-                     var: ConceptualVariable, act: GroupAction,
-                     *, tol_scale=1e-9) -> CovarianceReport:
-    """Covariance for a group element acting through a variable.
+def covariance_check(bundle: OperatorBundle, rep: UnitaryRep, elements,
+                     var: ConceptualVariable, act: GroupAction) -> CovarianceReport:
+    """Covariance for one group element or a nonempty set of them (repeats
+    allowed) acting through a variable; the report holds the worst distance.
 
-    The element must induce a single value permutation on the variable
-    (i.e. lie in the maximal permissible subgroup); otherwise
-    NotInSubgroupError. The representation supplies the unitary for h.
+    NotInSubgroupError names the first element outside the maximal
+    permissible subgroup, groups.BadElementError an index outside the group.
+    The rep's matrices are used as they are: UnitaryRep proved them unitary.
     """
-    g = element_value_map(var, act, h)
-    if g is None:
+    ks, maps, ok = _element_maps(var, act, elements)
+    if ks.size == 0:
+        raise ValueError("covariance needs at least one group element")
+    if not ok.all():
         raise NotInSubgroupError(
-            f"element {h} does not act through a value permutation"
+            f"element {ks[np.argmin(ok)]} does not act through a value permutation"
         )
-    return conjugation_covariance(bundle, rep.matrices[h], g,
-                                  tol_scale=tol_scale)
+    return _covariance(bundle, rep.matrices[ks], maps)
 
 
 # ---------------------------------------------------------------------------

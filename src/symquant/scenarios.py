@@ -26,7 +26,6 @@ from .coherent import (
     binary_tetrahedral_spin_rep,
     dihedral_rotation_rep,
     frame_operator,
-    is_irreducible,
     make_coherent,
     permutation_rep,
     resolution_deviation,
@@ -184,18 +183,13 @@ def _pedagogy_z4_checks(params, tol: _Tol) -> list[Check]:
         "indicator_maximal_subgroup", H == (0, 2), f"H = {list(H)}",
     ))
 
-    subgroups = [(0,), (0, 2), (0, 1, 2, 3)]
-    brute_ok = True
-    for S in subgroups:
-        expect = set(S) <= set(H)
-        if is_permissible_under(indicator, act, S) != expect:
-            brute_ok = False
-    for h in range(g.order):
-        if h in H:
-            continue
-        enlarged = subgroup_generated(g, list(H) + [h])
-        if is_permissible_under(indicator, act, enlarged):
-            brute_ok = False
+    brute_ok = all(
+        is_permissible_under(indicator, act, S) == (set(S) <= set(H))
+        for S in [(0,), (0, 2), (0, 1, 2, 3)]
+    ) and not any(
+        is_permissible_under(indicator, act, subgroup_generated(g, H + (h,)))
+        for h in range(g.order) if h not in H
+    )
     checks.append(exact_check(
         "subgroup_maximality_brute_force", brute_ok,
         "restricted verdicts match on every subgroup; adjoining any outside "
@@ -207,12 +201,9 @@ def _pedagogy_z4_checks(params, tol: _Tol) -> list[Check]:
                             source_variable=parity)
     value_rep = permutation_rep(induced.value_action)
     Hp = maximal_permissible_subgroup(parity, act)
-    worst = 0.0
-    for h in Hp:
-        rep_report = covariance_check(bundle, value_rep, h, parity, act)
-        worst = max(worst, rep_report.distance)
+    cov = covariance_check(bundle, value_rep, Hp, parity, act)
     checks.append(make_check(
-        "covariance_all_subgroup_elements", worst,
+        "covariance_all_subgroup_elements", cov.distance,
         tol("covariance_all_subgroup_elements", 1e-9),
         f"conjugation matches relabelling for all {len(Hp)} elements",
     ))
@@ -243,20 +234,19 @@ def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
     g = make_named_group("dihedral:4")
     act = dihedral_vertex_action(g)
     rep = dihedral_rotation_rep(g)
+    cs = make_coherent(rep, act, 0, (1.0, 0.0))
+    frame = frame_operator(cs)
     checks = []
 
-    irr, cdim = is_irreducible(rep)
     checks.append(exact_check(
-        "rotation_rep_irreducible", irr and cdim == 1,
-        f"commutant dimension = {cdim}",
+        "rotation_rep_irreducible", cs.commutant_dim == 1,
+        f"commutant dimension = {cs.commutant_dim}",
     ))
     checks.append(exact_check(
         "vertex_action_transitive", is_transitive(act),
         "all four vertices lie in one orbit",
     ))
 
-    cs = make_coherent(rep, act, 0, (1.0, 0.0))
-    frame = frame_operator(cs)
     err = float(np.linalg.norm(frame.T - 4.0 * np.eye(2)))
     checks.append(make_check(
         "frame_operator_four_times_identity", err,
@@ -273,7 +263,7 @@ def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
         "checked against all 8 representation matrices",
     ))
 
-    w = cs.state_weights() / frame.lam
+    w = frame.normalized_weights
     dev = resolution_deviation(cs.states, w)
     checks.append(make_check(
         "normalized_orbit_resolves_identity", dev,
@@ -303,18 +293,17 @@ def _coherent_bt24_checks(params, tol: _Tol) -> list[Check]:
     g = make_named_group("binary_tetrahedral")
     rep = binary_tetrahedral_spin_rep(g)
     act = left_translation_action(g)
+    cs = make_coherent(rep, act, g.identity, (1.0, 0.0))
     checks = []
 
     checks.append(exact_check(
         "group_order_24", g.order == 24, f"order = {g.order}",
     ))
-
-    irr, cdim = is_irreducible(rep)
     checks.append(exact_check(
-        "spin_half_rep_irreducible", irr, f"commutant dimension = {cdim}",
+        "spin_half_rep_irreducible", cs.commutant_dim == 1,
+        f"commutant dimension = {cs.commutant_dim}",
     ))
 
-    cs = make_coherent(rep, act, g.identity, (1.0, 0.0))
     norm_dev = float(np.max(np.abs(np.linalg.norm(cs.states, axis=1) - 1.0)))
     checks.append(make_check(
         "orbit_states_unit_norm", norm_dev, tol("orbit_states_unit_norm", 1e-12),
@@ -329,7 +318,7 @@ def _coherent_bt24_checks(params, tol: _Tol) -> list[Check]:
         f"scalar = {frame.lam:.6g} over 24 orbit states",
     ))
 
-    dev = resolution_deviation(cs.states, cs.state_weights() / frame.lam)
+    dev = resolution_deviation(cs.states, frame.normalized_weights)
     checks.append(make_check(
         "normalized_orbit_resolves_identity", dev,
         tol("normalized_orbit_resolves_identity", 1e-9),
@@ -371,7 +360,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     checks.append(make_check(
         "component_spectrum_ladder_values", spec_err,
         tol("component_spectrum_ladder_values", 1e-9),
-        f"eigenvalues of the component along {list(np.round(a, 6))}",
+        f"eigenvalues of the component along {np.round(a, 6).tolist()}",
     ))
 
     # U(s)^dag J_i U(s) = sum_k R(s)_ik J_k on the generators s. Conjugation
@@ -436,10 +425,12 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     ))
 
     if d > 1:
-        b = perpendicular_unit(a)
-        U = spin_rotation(j, b, np.pi)
-        reversal = np.arange(d - 1, -1, -1)
-        cov = conjugation_covariance(bundle, U, reversal)
+        # the half turn about a perpendicular axis b, read off the spectrum
+        # of the component along b, whose eigenbasis the question/answer
+        # check below uses as well
+        spec_b = spin_component_operator(j, perpendicular_unit(a)).spectrum
+        U = spec_b.reconstruct(np.exp(-1j * np.pi * spec_b.eigenvalues))
+        cov = conjugation_covariance(bundle, U, np.arange(d - 1, -1, -1))
         checks.append(make_check(
             "covariance_half_turn_reverses_labels", cov.distance,
             tol("covariance_half_turn_reverses_labels", 1e-9),
@@ -450,12 +441,8 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
         bundle.eigenvalues, [lambda u: u, lambda u: -u]
     )
     partition = eigen_orbit_partition(bundle, flip_perms)
-    expected_blocks = []
-    for i in range(d // 2):
-        expected_blocks.append((i, d - 1 - i))
-    if d % 2:
-        expected_blocks.append((d // 2,))
-    expected_blocks = tuple(sorted(expected_blocks))
+    expected_blocks = tuple(tuple(sorted({i, d - 1 - i}))
+                            for i in range((d + 1) // 2))
     part_ok = partition.blocks == expected_blocks and (
         partition.single_orbit == (len(expected_blocks) == 1)
     )
@@ -485,9 +472,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     ))
 
     if d > 1:
-        b = perpendicular_unit(a)
-        basis_b = spin_component_operator(j, b).spectrum.basis()
-        bases = {"component_a": basis, "component_b": basis_b}
+        bases = {"component_a": basis, "component_b": spec_b.basis()}
         v = basis[:, 0]
         matches = question_answer_match(v, bases)
         checks.append(exact_check(

@@ -46,10 +46,8 @@ def spin_generators(j: float):
     d = int(round(2 * j)) + 1
     m = j - np.arange(d)
     Jz = np.diag(m).astype(np.complex128)
-    Jp = np.zeros((d, d), dtype=np.complex128)
-    for i in range(1, d):
-        # raising from m[i] to m[i] + 1 = m[i-1]
-        Jp[i - 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
+    # raising from m[i] to m[i] + 1 = m[i-1], on the first superdiagonal
+    Jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(np.complex128)
     Jm = Jp.conj().T
     Jx = (Jp + Jm) / 2.0
     Jy = (Jp - Jm) / 2.0j

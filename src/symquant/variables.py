@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupAction
+from .groups import BadElementError, FiniteGroup, GroupAction
 from .groups import _perm_cycles
 
 
@@ -75,10 +75,7 @@ def variable_from_point_labels(point_labels, *, sort=True) -> ConceptualVariable
     ascending eigenvalue order; sort=False keeps first-appearance order.
     """
     pts = list(point_labels)
-    uniq = []
-    for x in pts:
-        if x not in uniq:
-            uniq.append(x)
+    uniq = list(dict.fromkeys(pts))
     if sort:
         uniq = sorted(uniq)
     idx = {x: i for i, x in enumerate(uniq)}
@@ -166,6 +163,20 @@ def is_permissible(var: ConceptualVariable, act: GroupAction):
     return witness is None, witness
 
 
+def _element_maps(var: ConceptualVariable, act: GroupAction, elements):
+    """(ks, maps, ok): the element indices ks (one or a sequence) as a 1-d
+    array and _value_maps of their rows. An index that is no integer in
+    range(order) raises BadElementError; -1 is not the last element."""
+    _check_sizes(var, act)
+    raw = np.asarray(elements).reshape(-1)
+    ks = raw.astype(np.intp)
+    bad = (ks != raw) | (ks < 0) | (ks >= act.group.order)
+    if bad.any():
+        raise BadElementError(f"element index {raw[bad][0]} out of range")
+    maps, ok = _value_maps(var.values, var.values[act.perm[ks]])
+    return ks, maps, ok
+
+
 def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
     """The single permutation of value ids induced by element h, if any.
 
@@ -174,8 +185,7 @@ def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
     single-valued g is automatically a bijection because h is invertible
     and every label is attained.
     """
-    _check_sizes(var, act)
-    maps, ok = _value_maps(var.values, var.values[act.perm[[h]]])
+    _, maps, ok = _element_maps(var, act, h)
     return maps[0] if ok[0] else None
 
 
@@ -216,12 +226,8 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     nv = var.n_values
 
     rows = [tuple(r) for r in induced.tolist()]
-    distinct: list[tuple[int, ...]] = []
-    row_index: dict[tuple[int, ...], int] = {}
-    for r in rows:
-        if r not in row_index:
-            row_index[r] = len(distinct)
-            distinct.append(r)
+    distinct = list(dict.fromkeys(rows))    # in order of first appearance
+    row_index = {r: i for i, r in enumerate(distinct)}
     k_to_image = np.array([row_index[r] for r in rows], dtype=np.intp)
 
     m = len(distinct)
@@ -251,9 +257,7 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
 
 def is_permissible_under(var: ConceptualVariable, act: GroupAction, subset) -> bool:
     """Permissibility quantified over a subset of group elements only."""
-    _check_sizes(var, act)
-    rows = act.perm[np.asarray(tuple(subset), dtype=np.intp)]
-    return bool(_value_maps(var.values, var.values[rows])[1].all())
+    return bool(_element_maps(var, act, tuple(subset))[2].all())
 
 
 def maximal_permissible_subgroup(var: ConceptualVariable, act: GroupAction) -> tuple[int, ...]:

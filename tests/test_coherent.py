@@ -280,6 +280,14 @@ class TestResolution:
         dev = resolution_deviation(np.eye(2), 1.0)
         assert dev == 0.0
 
+    def test_d4_normalized_weights_resolve_identity(self, d4_rep):
+        # four vertices, eight orbit states: one weight per state
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
+        frame = frame_operator(cs)
+        assert frame.normalized_weights.shape == (g.order,)
+        assert resolution_deviation(cs.states, frame.normalized_weights) <= 1e-12
+
     def test_d4_quarter_weights(self, d4_rep):
         g, rep = d4_rep
         act = dihedral_vertex_action(g)

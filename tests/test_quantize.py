@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from symquant.groups import cyclic_group, cyclic_shift_action
-from symquant.coherent import permutation_rep
+from symquant.groups import BadElementError, cyclic_group, cyclic_shift_action
+from symquant.coherent import UnitaryRep, permutation_rep
 from symquant.linalg import DimensionMismatchError
 from symquant.quantize import (
     NegativeWeightError,
@@ -231,6 +231,54 @@ class TestCovariance:
             assert rep.passed
         with pytest.raises(NotInSubgroupError):
             covariance_check(bundle, value_rep, 1, indicator, act)
+
+
+class TestCovarianceOverElements:
+    @pytest.fixture
+    def z4_parity(self):
+        g = cyclic_group(4)
+        act = cyclic_shift_action(g)
+        parity = variable_from_point_labels([0.0, 1.0, 0.0, 1.0])
+        value_rep = permutation_rep(induce_group(parity, act).value_action)
+        bundle = build_operator(QUBIT, 1.0, list(parity.value_labels))
+        return g, act, parity, value_rep, bundle
+
+    def test_whole_group_and_repeats(self, z4_parity):
+        _, act, parity, value_rep, bundle = z4_parity
+        for elements in (range(4), [3, 1, 3, 0, 0], (2,)):
+            report = covariance_check(bundle, value_rep, elements, parity, act)
+            assert report.passed and report.distance <= 1e-15
+
+    def test_worst_element_is_reported(self, z4_parity):
+        # the trivial representation conjugates nothing, so the elements
+        # that swap the two parities miss by ||diag(0, 1) - diag(1, 0)||
+        g, act, parity, _, bundle = z4_parity
+        trivial = UnitaryRep(group=g, dim=2,
+                             matrices=np.broadcast_to(np.eye(2), (4, 2, 2)))
+        assert covariance_check(bundle, trivial, [0, 2], parity, act).passed
+        for elements in ([0, 1], [2, 0, 3], 3):
+            report = covariance_check(bundle, trivial, elements, parity, act)
+            assert not report.passed
+            assert abs(report.distance - np.sqrt(2.0)) <= 1e-12
+        assert report.tolerance == 1e-9
+
+    def test_first_element_outside_subgroup_is_named(self, z4_parity):
+        _, act, _, value_rep, bundle = z4_parity
+        indicator = variable_from_point_labels([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(NotInSubgroupError, match="^element 3 does not"):
+            covariance_check(bundle, value_rep, [0, 2, 3, 1], indicator, act)
+
+    def test_empty_set_rejected(self, z4_parity):
+        _, act, parity, value_rep, bundle = z4_parity
+        with pytest.raises(ValueError, match="at least one"):
+            covariance_check(bundle, value_rep, [], parity, act)
+
+    @pytest.mark.parametrize("elements", [-1, 4, [0, -1], [1, 4]])
+    def test_index_range(self, z4_parity, elements):
+        # a negative index does not count from the end
+        _, act, parity, value_rep, bundle = z4_parity
+        with pytest.raises(BadElementError, match="out of range"):
+            covariance_check(bundle, value_rep, elements, parity, act)
 
 
 class TestEigenOrbits:

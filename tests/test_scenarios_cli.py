@@ -398,6 +398,18 @@ class TestCli:
 
 
 class TestReportDeterminism:
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["phase", "--n", "64"],
+        ["spin", "--j", "50", "--reduce"],
+    ])
+    def test_reports_hold_no_numpy_scalar_reprs(self, tmp_path, argv):
+        # the repr of a numpy scalar depends on the numpy version
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert "np.float64(" not in text and "np.int64(" not in text
+
     def test_cli_reports_byte_identical_modulo_timing(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

@@ -41,6 +41,12 @@ binary tetrahedral group, and angle additivity on the generator of the
 cyclic group of rotations by 2*pi*k/8, read off one measured spectrum.
 Covariance on all 24 elements, and the rotations rebuilt by an independent
 matrix exponential, live here.
+
+covariance_check takes a set of group elements, reads all their value maps
+in one pass and conjugates by all their matrices in one stacked product.
+The per-element check it replaced, one value map and one conjugation per
+element, lives here, and must give the same worst distance and reject the
+same first element.
 """
 
 import itertools
@@ -89,12 +95,14 @@ from symquant.linalg import (
 )
 from symquant.quantize import (
     NotAnOrbitError,
+    NotInSubgroupError,
     StatisticalModel,
     build_density,
     build_operator,
     build_povm,
     coarse_grain,
     conjugation_covariance,
+    covariance_check,
     eigen_orbit_partition,
     model_reduce,
     operator_from_matrix,
@@ -275,6 +283,22 @@ def covariance_distance_by_projection_stack(bundle, U, perm) -> float:
     ])
     rhs = np.einsum("j,jkl->kl", spec.eigenvalues[np.asarray(perm)], stack)
     return float(np.linalg.norm(U.conj().T @ bundle.matrix @ U - rhs))
+
+
+def covariance_by_element_loop(bundle, rep, elements, var, act) -> float:
+    """The worst distance of one covariance check per element: its value
+    map by element_value_map, then conjugation_covariance with its matrix.
+    NotInSubgroupError at the first element without a value map."""
+    worst = 0.0
+    for h in elements:
+        g = element_value_map(var, act, h)
+        if g is None:
+            raise NotInSubgroupError(
+                f"element {h} does not act through a value permutation"
+            )
+        worst = max(worst,
+                    conjugation_covariance(bundle, rep.matrices[h], g).distance)
+    return worst
 
 
 def permissible_by_class_scan(var, act):
@@ -640,6 +664,34 @@ def resolving_families(draw, max_states=7, max_dim=4):
     V, _ = np.linalg.qr(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
     weights = rng.uniform(0.1, 10.0, size=n)
     return V / np.sqrt(weights)[:, None], weights
+
+
+@st.composite
+def covariance_cases(draw, max_degree=5):
+    """(var, act, rep, bundle): a random labelling of a random permutation
+    group's action, its permutation representation conjugated by a random
+    unitary, and an operator whose labels are indexed by the variable's
+    values: built from a random family of one state per value, or, matrix
+    only, with one eigenvalue cluster per value of random multiplicity."""
+    var, act = draw(labelled_actions(max_degree))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = permutation_rep(act)
+    d, k = base.dim, var.n_values
+    W = _random_unitary(rng, d)
+    rep = UnitaryRep(group=act.group, dim=d,
+                     matrices=W @ base.matrices @ W.conj().T)
+    if draw(st.booleans()):
+        states = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+        bundle = _quiet_operator(states, rng.uniform(0.5, 2.0, k),
+                                 rng.normal(size=k))
+    else:
+        mults = 1 + rng.multinomial(d - k, np.full(k, 1.0 / k))
+        values = np.arange(k) + rng.uniform(0.0, 0.5, k)
+        Q = _random_unitary(rng, d)
+        A = (Q * np.repeat(values, mults)) @ Q.conj().T
+        bundle = operator_from_matrix((A + A.conj().T) / 2)
+        assert list(bundle.spectrum.multiplicities) == list(mults)
+    return var, act, rep, bundle
 
 
 def _random_unitary(rng, d) -> np.ndarray:
@@ -1090,6 +1142,38 @@ class TestCovarianceOracle:
                 assert abs(report.distance - oracle) <= 1e-12 * max(1.0, oracle)
         # the identity with the identity relabelling is covariant
         assert conjugation_covariance(bundle, np.eye(d), np.arange(k)).passed
+
+
+class TestCovarianceOverElementsOracle:
+    @ORACLE_SETTINGS
+    @given(covariance_cases(), st.data())
+    def test_worst_distance_matches_element_loop(self, case, data):
+        var, act, rep, bundle = case
+        H = maximal_permissible_subgroup(var, act)
+        elements = data.draw(st.lists(st.sampled_from(H), min_size=1,
+                                      max_size=8))
+        report = covariance_check(bundle, rep, elements, var, act)
+        oracle = covariance_by_element_loop(bundle, rep, elements, var, act)
+        scale = max(1.0, float(np.linalg.norm(bundle.matrix)))
+        assert abs(report.distance - oracle) <= 1e-12 * scale
+        assert report.tolerance == 1e-9 * scale
+
+    @ORACLE_SETTINGS
+    @given(covariance_cases(max_degree=4), st.data())
+    def test_same_first_element_rejected(self, case, data):
+        var, act, rep, bundle = case
+        elements = data.draw(st.lists(st.integers(0, act.group.order - 1),
+                                      min_size=1, max_size=8))
+        try:
+            oracle = covariance_by_element_loop(bundle, rep, elements, var, act)
+        except NotInSubgroupError as expected:
+            with pytest.raises(NotInSubgroupError) as err:
+                covariance_check(bundle, rep, elements, var, act)
+            assert str(err.value) == str(expected)
+        else:
+            report = covariance_check(bundle, rep, elements, var, act)
+            scale = max(1.0, float(np.linalg.norm(bundle.matrix)))
+            assert abs(report.distance - oracle) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from symquant.groups import cyclic_group, cyclic_shift_action, subgroup_generated
+from symquant.groups import (
+    BadElementError,
+    cyclic_group,
+    cyclic_shift_action,
+    subgroup_generated,
+)
 from symquant.variables import (
     ConceptualVariable,
     NotPermissibleError,
@@ -156,6 +161,19 @@ class TestMaximalSubgroup:
         assert g2 is not None and list(g2) == [1, 0]
         assert element_value_map(indicator, act, 1) is None
         assert element_value_map(indicator, act, 3) is None
+
+    @pytest.mark.parametrize("h", [-1, -2, 4, 1.5])
+    def test_element_value_map_index_range(self, z4, indicator, h):
+        # a negative index does not count from the end
+        _, act = z4
+        with pytest.raises(BadElementError, match="out of range"):
+            element_value_map(indicator, act, h)
+
+    @pytest.mark.parametrize("subset", [[0, -1], [0, -2], [4], [2, 4]])
+    def test_permissible_under_index_range(self, z4, indicator, subset):
+        _, act = z4
+        with pytest.raises(BadElementError, match="out of range"):
+            is_permissible_under(indicator, act, subset)
 
     def test_maximality_by_brute_force(self, z4, indicator):
         g, act = z4
