@@ -36,7 +36,7 @@ print("orbits:", orbits(act), " transitive:", is_transitive(act))
 
 print("\n== orbits split when the action has fixed points ==")
 c3 = make_named_group("cyclic:3")
-fix_zero = GroupAction(group=c3, space_size=4,
+fix_zero = GroupAction(group=c3,
                        perm=[[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
 print("orbits:", orbits(fix_zero))
 m = invariant_measure(fix_zero, [1.0, 1.0])

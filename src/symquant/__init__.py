@@ -14,7 +14,6 @@ from .linalg import (
     expm_antihermitian,
     frobenius_dist,
     gram_schmidt,
-    is_hermitian,
     is_unitary,
 )
 from .groups import (

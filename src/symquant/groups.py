@@ -7,6 +7,11 @@ order, then products level by level. The ordering is deterministic, so
 Cayley tables are reproducible byte for byte. Direct products follow the
 same rule using the paired generators of the factors.
 
+Every size, identity and inverse is read off the arrays that fix it: a
+group's order, identity and inverses off its Cayley table, an action's
+space size off its permutation array. No constructor takes them beside
+the array.
+
 Named groups are built by generate_group from integer coordinates and a
 multiplication that works on whole arrays of them: the closure makes one
 call per breadth-first level and the Cayley table one call per block of
@@ -17,7 +22,7 @@ multiplied, so a product that is not an element is still caught.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -63,66 +68,66 @@ def rows_are_permutations(rows: np.ndarray, m: int) -> bool:
 class FiniteGroup:
     """A finite group given by its Cayley table on element indices.
 
-    cayley[a, b] is the index of the product a*b. Validation checks that
-    the entries are in range, the identity laws, and a*inverses[a] == e for
-    every element a. It then checks that the recorded generators reach
-    every element by left multiplication (breadth first from the identity)
-    and runs Light's associativity test, (x*s)*y == x*(s*y) for every
-    generator s and all x, y. The elements s that pass the test are closed
-    under products, so the test proves associativity for all triples. An
-    empty generator tuple makes every element a generator: the test is
-    then the exhaustive one, at O(n^3) cost.
+    cayley[a, b] is the index of the product a*b. The table fixes the rest:
+    order is its side, identity the x with cayley[0, x] == 0 (0*x = 0 holds
+    only for x = e), and inverses[a] the first b with a*b == e. Validation
+    checks that the entries are in range, the identity laws on the row and
+    column of that identity, and a*inverses[a] == e for every element a
+    (a row with no identity in it fails here). It then checks that the
+    recorded generators reach every element by left multiplication
+    (breadth first from the identity) and runs Light's associativity test,
+    (x*s)*y == x*(s*y) for every generator s and all x, y. The elements s
+    that pass the test are closed under products, so the test proves
+    associativity for all triples. An empty generator tuple makes every
+    element a generator: the test is then the exhaustive one, at O(n^3)
+    cost.
 
     Not checked, because implied by those laws: the left inverse law
     (with b = inverses[a] and c = inverses[b], b*a = (b*a)*(b*c) =
     b*(a*b)*c = b*c = e), so the table is a group's, and the Latin-square
     property (a*x = a*y gives x = y on multiplying by a's inverse, and
-    likewise for columns).
+    likewise for columns). A table that is not square fails the identity
+    laws, which need a row and a column equal to 0..n-1.
 
     depth is the breadth-first depth: the longest shortest word in the
     generators (at least 1). Constructors that check a law on generators
     only scale their tolerance by it.
     """
 
-    order: int
     cayley: np.ndarray
-    identity: int
-    inverses: np.ndarray
+    _: KW_ONLY
     name: str = "group"
     element_names: tuple[str, ...] | None = None
     generators: tuple[int, ...] = ()
     elements: tuple | None = None
+    order: int = field(init=False)
+    identity: int = field(init=False)
+    inverses: np.ndarray = field(init=False)
     depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cayley", _as_index_array(self.cayley))
-        object.__setattr__(self, "inverses", _as_index_array(self.inverses))
-        n = self.order
-        if n <= 0:
-            raise ValueError("group order must be positive")
-        if self.cayley.shape != (n, n):
-            raise ValueError(f"cayley table must be {n}x{n}")
-        if self.cayley.min() < 0 or self.cayley.max() >= n:
+        t = _as_index_array(self.cayley)
+        n = len(t)
+        if t.min() < 0 or t.max() >= n:
             raise ValueError("cayley entries out of range")
         full = np.arange(n)
-        e = self.identity
-        if not (0 <= e < n):
-            raise ValueError("identity index out of range")
-        if not (np.array_equal(self.cayley[e], full) and np.array_equal(self.cayley[:, e], full)):
+        e = int(np.argmax(t[0] == 0))
+        if t.shape != (n, n) or not (np.array_equal(t[e], full)
+                                     and np.array_equal(t[:, e], full)):
             raise ValueError("identity laws fail")
-        if self.inverses.shape != (n,):
-            raise ValueError("inverses must list one element per element")
-        if self.inverses.min() < 0 or self.inverses.max() >= n:
-            raise ValueError("inverses out of range")
-        if not np.all(self.cayley[full, self.inverses] == e):
+        inverses = np.argmax(t == e, axis=1)
+        if not np.all(t[full, inverses] == e):
             raise ValueError("inverse law fails")
+        inverses.setflags(write=False)
+        for attr, value in (("cayley", t), ("order", n), ("identity", e),
+                            ("inverses", inverses)):
+            object.__setattr__(self, attr, value)
         if self.element_names is not None and len(self.element_names) != n:
             raise ValueError("element_names length mismatch")
         for g in self.generators:
             if not (0 <= g < n):
                 raise ValueError("generator index out of range")
         object.__setattr__(self, "depth", self._generation_depth())
-        t = self.cayley
         for s in self.generating_set:
             if not np.array_equal(t[t[:, s], :], t[:, t[s, :]]):
                 raise ValueError(f"associativity fails at generator {s}")
@@ -175,8 +180,9 @@ class FiniteGroup:
 class GroupAction:
     """A left action of a finite group on {0..space_size-1}.
 
-    perm[k] is the map applied by element k. Its entries must be points
-    and the identity must act trivially. The composition law
+    perm[k] is the map applied by element k, one row per element; the
+    number of columns is space_size. Its entries must be points and the
+    identity must act trivially. The composition law
     perm[s*k] = perm[s] o perm[k] is checked for every generator s of the
     group and every element k. The elements s that satisfy it are closed
     under products, so the law holds for all pairs; the maps are integer
@@ -187,16 +193,14 @@ class GroupAction:
     """
 
     group: FiniteGroup
-    space_size: int
     perm: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "perm", _as_index_array(self.perm))
-        n, m = self.group.order, self.space_size
-        if m <= 0:
-            raise ValueError("space_size must be positive")
-        if self.perm.shape != (n, m):
-            raise ValueError(f"perm must be {n}x{m}")
+        n = self.group.order
+        if self.perm.ndim != 2 or len(self.perm) != n or self.perm.size == 0:
+            raise ValueError(f"perm must have {n} rows and at least one column")
+        m = self.space_size
         if self.perm.min() < 0 or self.perm.max() >= m:
             raise ValueError("action entries out of range")
         if not np.array_equal(self.perm[self.group.identity], np.arange(m)):
@@ -207,6 +211,10 @@ class GroupAction:
             rhs = self.perm[s][self.perm]   # (n, m)
             if not np.array_equal(lhs, rhs):
                 raise ValueError(f"action composition law fails at generator {s}")
+
+    @property
+    def space_size(self) -> int:
+        return self.perm.shape[1]
 
     def apply(self, k: int, point: int) -> int:
         return int(self.perm[k, point])
@@ -361,16 +369,14 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None,
                 f"the product of elements {a + x} and {y} is not an element"
             )
         cayley[a:b] = prod.reshape(b - a, n)
-    inverses = np.argmax(cayley == 0, axis=1)
     if ident.ndim == 0:
         values = coords[:, 0].tolist()
     else:
         values = list(map(tuple, elements))
     names = tuple(name_of(x) for x in values) if name_of else None
     return FiniteGroup(
-        order=n, cayley=cayley, identity=0, inverses=inverses, name=name,
-        element_names=names, generators=tuple(range(1, 1 + len(gens))),
-        elements=tuple(values),
+        cayley, name=name, element_names=names,
+        generators=tuple(range(1, 1 + len(gens))), elements=tuple(values),
     )
 
 
@@ -552,7 +558,7 @@ def make_named_group(name: str) -> FiniteGroup:
 
 def left_translation_action(g: FiniteGroup) -> GroupAction:
     """The group acting on itself by left multiplication (always transitive)."""
-    return GroupAction(group=g, space_size=g.order, perm=g.cayley.copy())
+    return GroupAction(group=g, perm=g.cayley.copy())
 
 
 def cyclic_shift_action(g: FiniteGroup) -> GroupAction:
@@ -560,7 +566,7 @@ def cyclic_shift_action(g: FiniteGroup) -> GroupAction:
     n = g.order
     shifts = np.arange(n)
     perm = (shifts[:, None] + shifts[None, :]) % n
-    return GroupAction(group=g, space_size=n, perm=perm)
+    return GroupAction(group=g, perm=perm)
 
 
 def dihedral_vertex_action(g: FiniteGroup) -> GroupAction:
@@ -571,7 +577,7 @@ def dihedral_vertex_action(g: FiniteGroup) -> GroupAction:
     i, b = np.array(g.elements, dtype=np.intp).T[:, :, None]
     x = np.arange(n)
     perm = (i + np.where(b == 0, x, -x)) % n
-    return GroupAction(group=g, space_size=n, perm=perm)
+    return GroupAction(group=g, perm=perm)
 
 
 def natural_permutation_action(g: FiniteGroup) -> GroupAction:
@@ -580,7 +586,7 @@ def natural_permutation_action(g: FiniteGroup) -> GroupAction:
         raise ValueError("group does not carry element data")
     m = len(g.elements[0])
     perm = np.array(g.elements, dtype=np.intp).reshape(g.order, m)
-    return GroupAction(group=g, space_size=m, perm=perm)
+    return GroupAction(group=g, perm=perm)
 
 
 def orbit_partition(perms) -> tuple[tuple[int, ...], ...]:

@@ -89,13 +89,6 @@ def frobenius_dist(A, B) -> float:
     return float(np.linalg.norm(A - B))
 
 
-def is_hermitian(A, tol: float = 1e-10) -> bool:
-    A = as_cmatrix(A)
-    if A.shape[0] != A.shape[1]:
-        return False
-    return max_abs(A - A.conj().T) <= tol * max(1.0, max_abs(A))
-
-
 def _require_hermitian(A: np.ndarray, tol: float = 1e-10) -> None:
     _require_square(A)
     dev = max_abs(A - A.conj().T)

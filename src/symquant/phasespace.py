@@ -61,7 +61,7 @@ def clock_rep(n: int, group: FiniteGroup | None = None) -> UnitaryRep:
     n = _check_size(n)
     g = group if group is not None else cyclic_group(n)
     mats = np.stack([clock_unitary(n, k) for k in range(n)])
-    return UnitaryRep(group=g, dim=n, matrices=mats)
+    return UnitaryRep(group=g, matrices=mats)
 
 
 def mub_deviation(n: int) -> float:

@@ -100,7 +100,7 @@ class OperatorBundle:
 
 
 def build_operator(states, weights, labels, *, require_resolution=True,
-                   degeneracy_tol=1e-8, source_variable=None) -> OperatorBundle:
+                   source_variable=None) -> OperatorBundle:
     """The operator sum_i labels[i] * w_i |s_i><s_i| with its spectrum.
 
     The family is expected to resolve the identity; with
@@ -122,16 +122,15 @@ def build_operator(states, weights, labels, *, require_resolution=True,
 
     A = projector_sum(st, lab * w)
     A = (A + A.conj().T) / 2.0
-    spec = eig_hermitian(A, degeneracy_tol)
+    spec = eig_hermitian(A)
     return OperatorBundle(matrix=A, spectrum=spec, labels=lab, states=st,
                           weights=w, source_variable=source_variable)
 
 
-def operator_from_matrix(A, *, degeneracy_tol=1e-8,
-                         source_variable=None) -> OperatorBundle:
+def operator_from_matrix(A, *, source_variable=None) -> OperatorBundle:
     """Bundle an explicitly given Hermitian matrix with its spectrum."""
     A = as_cmatrix(A)
-    spec = eig_hermitian(A, degeneracy_tol)
+    spec = eig_hermitian(A)
     return OperatorBundle(matrix=A, spectrum=spec,
                           source_variable=source_variable)
 
@@ -379,25 +378,31 @@ def _as_id_perms(perms, n: int) -> np.ndarray:
     return arr
 
 
-def spectrum_permutations(eigenvalues, value_maps, tol=1e-9) -> np.ndarray:
+def _value_ids(u: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """For each y, the first id i with |u[i] - y| <= 1e-9 * max(1, max |u|),
+    or len(u) where there is none."""
+    scale = max(1.0, float(np.max(np.abs(u), initial=0.0)))
+    near = np.abs(np.subtract.outer(ys, u)) <= 1e-9 * scale
+    missing = np.ones(ys.shape + (1,), dtype=bool)
+    return np.argmax(np.concatenate([near, missing], axis=-1), axis=-1)
+
+
+def spectrum_permutations(eigenvalues, value_maps) -> np.ndarray:
     """Turn label-level maps into permutations of eigenvalue ids.
 
     Each map must send every eigenvalue to another eigenvalue within
-    tol * max(1, largest magnitude); otherwise SpectrumNotPreservedError.
+    1e-9 * max(1, largest magnitude); otherwise SpectrumNotPreservedError.
     """
     u = np.asarray(eigenvalues, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(u))) if u.size else 1.0)
-    perms = np.empty((len(value_maps), len(u)), dtype=np.intp)
-    for r, f in enumerate(value_maps):
-        for j, x in enumerate(u):
-            y = float(f(x))
-            hits = np.nonzero(np.abs(u - y) <= tol * scale)[0]
-            if hits.size == 0:
-                raise SpectrumNotPreservedError(
-                    f"map sends eigenvalue {x:.6g} to {y:.6g}, "
-                    "which is outside the spectrum"
-                )
-            perms[r, j] = hits[0]
+    images = np.array([[float(f(x)) for x in u] for f in value_maps],
+                      dtype=float).reshape(len(value_maps), len(u))
+    perms = _value_ids(u, images)
+    if (perms == len(u)).any():
+        r, j = np.argwhere(perms == len(u))[0]
+        raise SpectrumNotPreservedError(
+            f"map sends eigenvalue {u[j]:.6g} to {images[r, j]:.6g}, "
+            "which is outside the spectrum"
+        )
     return _as_id_perms(perms, len(u))
 
 
@@ -416,7 +421,7 @@ def eigen_orbit_partition(bundle: OperatorBundle, perms) -> EigenOrbitPartition:
     )
 
 
-def model_reduce(eigenvalues, perms, target_orbit, tol=1e-9) -> ConceptualVariable:
+def model_reduce(eigenvalues, perms, target_orbit) -> ConceptualVariable:
     """Restrict a value set to one orbit of the induced transformations.
 
     eigenvalues is the candidate value set, perms the id permutations of
@@ -427,16 +432,14 @@ def model_reduce(eigenvalues, perms, target_orbit, tol=1e-9) -> ConceptualVariab
     """
     u = np.asarray(eigenvalues, dtype=float)
     arr = _as_id_perms(perms, len(u))
-    scale = max(1.0, float(np.max(np.abs(u))) if u.size else 1.0)
-    ids = []
-    for x in target_orbit:
-        hits = np.nonzero(np.abs(u - float(x)) <= tol * scale)[0]
-        if hits.size == 0:
-            raise NotAnOrbitError(f"target value {x:.6g} is not in the value set")
-        ids.append(int(hits[0]))
-    if not ids:
+    targets = np.array([float(x) for x in target_orbit])
+    ids = _value_ids(u, targets)
+    if (ids == len(u)).any():
+        x = targets[np.argmax(ids == len(u))]
+        raise NotAnOrbitError(f"target value {x:.6g} is not in the value set")
+    if not ids.size:
         raise NotAnOrbitError("target set is empty; an orbit has at least one value")
-    id_set = set(ids)
+    id_set = set(ids.tolist())
     if len(id_set) != len(ids):
         raise NotAnOrbitError("target values are not distinct")
     # the rows are bijections, so a closed set is a union of orbits
@@ -448,11 +451,8 @@ def model_reduce(eigenvalues, perms, target_orbit, tol=1e-9) -> ConceptualVariab
     if len(touched) > 1:
         raise NotAnOrbitError("target set is a union of several orbits")
     labels = sorted(float(u[i]) for i in id_set)
-    return ConceptualVariable(
-        space_size=len(labels),
-        values=np.arange(len(labels), dtype=np.intp),
-        value_labels=tuple(labels),
-    )
+    return ConceptualVariable(values=np.arange(len(labels), dtype=np.intp),
+                              value_labels=tuple(labels))
 
 
 def maximality_check(bundle: OperatorBundle) -> bool:
@@ -474,8 +474,7 @@ class CoarseGraining:
     block_projections: np.ndarray
 
 
-def coarse_grain(basis, fine_labels, t: Callable[[float], float],
-                 *, degeneracy_tol=1e-8):
+def coarse_grain(basis, fine_labels, t: Callable[[float], float]):
     """Relabel an orthonormal basis through t and rebuild the operator.
 
     Returns (CoarseGraining, OperatorBundle). Blocks are the preimages of
@@ -500,8 +499,7 @@ def coarse_grain(basis, fine_labels, t: Callable[[float], float],
     blocks = tuple(tuple(int(i) for i in np.nonzero(row)[0]) for row in one_hot)
     projections = projector_sum(st, one_hot.astype(float))
     bundle = build_operator(st, 1.0, coarse_per_vec,
-                            require_resolution=(n == d),
-                            degeneracy_tol=degeneracy_tol)
+                            require_resolution=(n == d))
     grain = CoarseGraining(t_map=t_map, coarse_labels=coarse_labels,
                            blocks=blocks, block_projections=projections)
     return grain, bundle
@@ -511,12 +509,12 @@ def coarse_grain(basis, fine_labels, t: Callable[[float], float],
 # question/answer matching
 
 
-def question_answer_match(v, bases: Mapping[str, np.ndarray], tol=1e-6):
+def question_answer_match(v, bases: Mapping[str, np.ndarray]):
     """Which basis vectors coincide with a unit vector, up to phase?
 
     bases maps a question label to a matrix whose columns are the basis
     vectors. A pair (label, j) matches when the squared overlap
-    |<basis_j|v>|^2 reaches 1 - tol. Returns the matches in basis order.
+    |<basis_j|v>|^2 reaches 1 - 1e-6. Returns the matches in basis order.
     """
     v = as_cvector(v)
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
@@ -529,6 +527,6 @@ def question_answer_match(v, bases: Mapping[str, np.ndarray], tol=1e-6):
         if B.shape[0] != v.size:
             raise DimensionMismatchError(f"basis {label!r} dimension mismatch")
         overlaps = np.abs(B.conj().T @ v) ** 2
-        for j in np.nonzero(overlaps >= 1.0 - tol)[0]:
+        for j in np.nonzero(overlaps >= 1.0 - 1e-6)[0]:
             matches.append((label, int(j)))
     return matches

@@ -74,9 +74,10 @@ class VerificationReport:
         }
 
 
-def _emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, level: int) -> str:
+    """obj as JSON, nested at level, indented by two spaces a level."""
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -93,19 +94,19 @@ def _emit(obj, indent: int, level: int) -> str:
         if not obj:
             return "{}"
         items = [
-            f"{pad_in}{json.dumps(str(k))}: {_emit(v, indent, level + 1)}"
+            f"{pad_in}{json.dumps(str(k))}: {_emit(v, level + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad_in}{_emit(v, indent, level + 1)}" for v in obj]
+        items = [f"{pad_in}{_emit(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(report, indent: int = 2) -> str:
+def dumps(report) -> str:
     """Serialize a report, a list of reports, or a plain JSON-able object."""
     if isinstance(report, VerificationReport):
         obj = report.to_obj()
@@ -114,7 +115,7 @@ def dumps(report, indent: int = 2) -> str:
                for r in report]
     else:
         obj = report
-    return _emit(obj, indent, 0) + "\n"
+    return _emit(obj, 0) + "\n"
 
 
 def strip_timing(text: str) -> str:

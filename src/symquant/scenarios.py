@@ -340,18 +340,21 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     j, a = scn.j, np.asarray(scn.direction)
     checks = []
 
+    # errors relative to the size of the operators compared, which grows
+    # with j, so that one tolerance serves every spin
     J = np.stack(spin_generators(j))
     Jx, Jy, Jz = J
     d = len(Jx)
+    j_scale = max(1.0, float(np.linalg.norm(J)))
     comm_err = max(
         max_abs(Jx @ Jy - Jy @ Jx - 1j * Jz),
         max_abs(Jy @ Jz - Jz @ Jy - 1j * Jx),
         max_abs(Jz @ Jx - Jx @ Jz - 1j * Jy),
     )
     checks.append(make_check(
-        "generator_commutation_relations", comm_err,
+        "generator_commutation_relations", comm_err / j_scale,
         tol("generator_commutation_relations", 1e-10),
-        "all three cyclic commutators",
+        "all three cyclic commutators, relative to the norm of J",
     ))
 
     bundle = spin_component_operator(j, a)
@@ -375,7 +378,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
         gen_err = max(gen_err, math.hypot(*(
             np.linalg.norm(U.conj().T @ J[i] @ U - np.tensordot(R[i], J, 1))
             for i in range(3))))
-    rel_err = g.depth * gen_err / max(1.0, float(np.linalg.norm(J)))
+    rel_err = g.depth * gen_err / j_scale
     checks.append(make_check(
         "component_covariance_binary_tetrahedral", rel_err,
         tol("component_covariance_binary_tetrahedral", 1e-9),
@@ -432,9 +435,11 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
         U = spec_b.reconstruct(np.exp(-1j * np.pi * spec_b.eigenvalues))
         cov = conjugation_covariance(bundle, U, np.arange(d - 1, -1, -1))
         checks.append(make_check(
-            "covariance_half_turn_reverses_labels", cov.distance,
+            "covariance_half_turn_reverses_labels",
+            cov.distance / max(1.0, float(np.linalg.norm(bundle.matrix))),
             tol("covariance_half_turn_reverses_labels", 1e-9),
-            "half turn about a perpendicular axis negates the component",
+            "half turn about a perpendicular axis negates the component, "
+            "relative to the norm of the component",
         ))
 
     flip_perms = spectrum_permutations(

@@ -65,8 +65,7 @@ def component_matrix(j: float, direction) -> np.ndarray:
     return a[0] * Jx + a[1] * Jy + a[2] * Jz
 
 
-def spin_component_operator(j: float, direction,
-                            degeneracy_tol=1e-8) -> OperatorBundle:
+def spin_component_operator(j: float, direction) -> OperatorBundle:
     """Operator bundle of the component along a direction.
 
     Its eigenvalues are the ladder values j, j-1, ..., -j for every unit
@@ -75,7 +74,7 @@ def spin_component_operator(j: float, direction,
     component_spectrum_ladder_values check measures it.
     """
     A = component_matrix(j, direction)
-    return operator_from_matrix(A, degeneracy_tol=degeneracy_tol)
+    return operator_from_matrix(A)
 
 
 def spin_rotation(j: float, axis, angle: float) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import BadElementError, FiniteGroup, GroupAction
-from .groups import _perm_cycles
 
 
 class SizeMismatchError(ValueError):
@@ -37,11 +36,11 @@ class NotPermissibleError(ValueError):
 class ConceptualVariable:
     """A function from a finite space to a finite list of labels.
 
-    values[point] is an index into value_labels; every label must be
+    values[point] is an index into value_labels, one per point of the
+    space, so space_size is the length of values; every label must be
     attained (the label list is the exact range of the function).
     """
 
-    space_size: int
     values: np.ndarray
     value_labels: tuple
 
@@ -50,7 +49,7 @@ class ConceptualVariable:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "value_labels", tuple(self.value_labels))
-        if v.shape != (self.space_size,):
+        if v.ndim != 1:
             raise ValueError("values must assign one id per point")
         n_labels = len(self.value_labels)
         if n_labels == 0:
@@ -59,6 +58,10 @@ class ConceptualVariable:
             raise ValueError("value id out of range")
         if not np.bincount(v, minlength=n_labels).all():
             raise ValueError("every label must be attained by some point")
+
+    @property
+    def space_size(self) -> int:
+        return len(self.values)
 
     @property
     def n_values(self) -> int:
@@ -80,8 +83,7 @@ def variable_from_point_labels(point_labels, *, sort=True) -> ConceptualVariable
         uniq = sorted(uniq)
     idx = {x: i for i, x in enumerate(uniq)}
     values = np.array([idx[x] for x in pts], dtype=np.intp)
-    return ConceptualVariable(space_size=len(pts), values=values,
-                              value_labels=tuple(uniq))
+    return ConceptualVariable(values=values, value_labels=tuple(uniq))
 
 
 def variable_to_json(var: ConceptualVariable) -> str:
@@ -97,12 +99,16 @@ def variable_to_json(var: ConceptualVariable) -> str:
 
 
 def variable_from_json(text: str) -> ConceptualVariable:
+    """Read variable_to_json's document; its space_size must be the number
+    of values."""
     obj = json.loads(text)
-    return ConceptualVariable(
-        space_size=int(obj["space_size"]),
-        values=np.array(obj["values"], dtype=np.intp),
-        value_labels=tuple(obj["value_labels"]),
-    )
+    var = ConceptualVariable(values=np.array(obj["values"], dtype=np.intp),
+                             value_labels=tuple(obj["value_labels"]))
+    if int(obj["space_size"]) != var.space_size:
+        raise SizeMismatchError(
+            f"space_size {obj['space_size']} but {var.space_size} values"
+        )
+    return var
 
 
 def _check_sizes(var: ConceptualVariable, act: GroupAction) -> None:
@@ -233,21 +239,13 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     m = len(distinct)
     img_cayley = np.empty((m, m), dtype=np.intp)
     img_cayley[k_to_image[:, None], k_to_image[None, :]] = k_to_image[act.group.cayley]
-    identity_img = int(k_to_image[act.group.identity])
-    img_inverses = np.argmax(img_cayley == identity_img, axis=1)
     gens = k_to_image[list(act.group.generators)].tolist()
-    image_group = FiniteGroup(
-        order=m, cayley=img_cayley, identity=identity_img, inverses=img_inverses,
-        name=f"induced({act.group.name})",
-        element_names=tuple(_perm_cycles(r) for r in distinct),
-        generators=tuple(dict.fromkeys(gens)),
-    )
+    image_group = FiniteGroup(img_cayley, name=f"induced({act.group.name})",
+                              generators=tuple(dict.fromkeys(gens)))
     kernel = tuple(np.flatnonzero((induced == np.arange(nv)).all(axis=1)).tolist())
-    value_action = GroupAction(group=act.group, space_size=nv, perm=induced)
-    image_action = GroupAction(
-        group=image_group, space_size=nv,
-        perm=np.array(distinct, dtype=np.intp),
-    )
+    value_action = GroupAction(group=act.group, perm=induced)
+    image_action = GroupAction(group=image_group,
+                               perm=np.array(distinct, dtype=np.intp))
     return InducedAction(
         base=act, variable=var, induced_perm=value_action.perm, kernel=kernel,
         image_group=image_group, k_to_image=k_to_image,

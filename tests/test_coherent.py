@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from symquant.groups import (
     GroupAction,
-    InvariantMeasure,
     cyclic_group,
     dihedral_vertex_action,
     left_translation_action,
@@ -79,7 +78,7 @@ class TestIrreducibility:
         g = cyclic_group(3)
         w = np.exp(2j * np.pi / 3)
         mats = np.array([[[1.0]], [[w]], [[w ** 2]]])
-        rep = UnitaryRep(group=g, dim=1, matrices=mats)
+        rep = UnitaryRep(group=g, matrices=mats)
         assert is_irreducible(rep) == (True, 1)
 
     def test_dihedral_rotation_rep(self, d4_rep):
@@ -97,7 +96,7 @@ class TestIrreducibility:
     def test_doubled_trivial_rep(self):
         g = cyclic_group(2)
         mats = np.stack([np.eye(2), np.eye(2)]).astype(complex)
-        rep = UnitaryRep(group=g, dim=2, matrices=mats)
+        rep = UnitaryRep(group=g, matrices=mats)
         assert is_irreducible(rep) == (False, 4)
 
     def test_binary_tetrahedral_spin_rep_irreducible(self):
@@ -112,12 +111,24 @@ class TestUnitaryRepValidation:
         g = cyclic_group(2)
         mats = np.stack([np.eye(2), np.diag([1.0, 1.0j])])
         with pytest.raises(ValueError):
-            UnitaryRep(group=g, dim=2, matrices=mats)
+            UnitaryRep(group=g, matrices=mats)
 
     def test_rejects_non_unitary(self):
         g = cyclic_group(1)
         with pytest.raises(ValueError):
-            UnitaryRep(group=g, dim=2, matrices=np.stack([2 * np.eye(2)]))
+            UnitaryRep(group=g, matrices=np.stack([2 * np.eye(2)]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    def test_first_non_unitary_element_named(self, d4_rep, bad):
+        g, rep = d4_rep
+        mats = rep.matrices.copy()
+        mats[[3, 5], 0, 0] = bad
+        with pytest.raises(ValueError, match="element 3 is not unitary"):
+            UnitaryRep(group=g, matrices=mats)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="stack of 2 square matrices"):
+            UnitaryRep(group=cyclic_group(2), matrices=np.ones((2, 2, 3)))
 
     def test_json_round_trip(self, d4_rep):
         g, rep = d4_rep
@@ -132,7 +143,7 @@ class TestUnitaryRepValidation:
         g = dataclasses.replace(g, generators=tuple(range(g.order - 1, 0, -1)))
         mats = (binary_tetrahedral_spin_rep(g) if name == "binary_tetrahedral"
                 else dihedral_rotation_rep(g)).matrices
-        rep = UnitaryRep(group=g, dim=2, matrices=mats)
+        rep = UnitaryRep(group=g, matrices=mats)
         expected = max(
             float(np.linalg.norm(mats[s] @ mats[k] - mats[g.cayley[s, k]]))
             for s in g.generators for k in range(g.order)
@@ -152,8 +163,8 @@ class TestCoherentSystems:
 
     def test_trivial_group_single_state(self):
         g = cyclic_group(1)
-        rep = UnitaryRep(group=g, dim=1, matrices=np.ones((1, 1, 1)))
-        act = GroupAction(group=g, space_size=1, perm=[[0]])
+        rep = UnitaryRep(group=g, matrices=np.ones((1, 1, 1)))
+        act = GroupAction(group=g, perm=[[0]])
         cs = make_coherent(rep, act, 0, (1.0,))
         assert_allclose(cs.states, [[1.0]])
 
@@ -172,16 +183,15 @@ class TestCoherentSystems:
 
     def test_non_transitive(self, d4_rep):
         g, rep = d4_rep
-        idle = GroupAction(group=g, space_size=2,
-                           perm=np.zeros((8, 2), dtype=int) + [0, 1])
+        idle = GroupAction(group=g, perm=np.zeros((8, 2), dtype=int) + [0, 1])
         with pytest.raises(NonTransitiveError):
             make_coherent(rep, idle, 0, (1.0, 0.0))
 
     def test_reducible_rep_warns(self):
         g = cyclic_group(2)
         mats = np.stack([np.eye(2), np.eye(2)]).astype(complex)
-        rep = UnitaryRep(group=g, dim=2, matrices=mats)
-        act = GroupAction(group=g, space_size=2, perm=[[0, 1], [1, 0]])
+        rep = UnitaryRep(group=g, matrices=mats)
+        act = GroupAction(group=g, perm=[[0, 1], [1, 0]])
         with pytest.warns(UserWarning, match="reducible"):
             make_coherent(rep, act, 0, (1.0, 0.0))
 
@@ -216,8 +226,8 @@ class TestFrameOperator:
 
     def test_trivial_frame(self):
         g = cyclic_group(1)
-        rep = UnitaryRep(group=g, dim=1, matrices=np.ones((1, 1, 1)))
-        act = GroupAction(group=g, space_size=1, perm=[[0]])
+        rep = UnitaryRep(group=g, matrices=np.ones((1, 1, 1)))
+        act = GroupAction(group=g, perm=[[0]])
         frame = frame_operator(make_coherent(rep, act, 0, (1.0,)))
         assert abs(frame.lam - 1.0) <= 1e-12
 
@@ -229,23 +239,11 @@ class TestFrameOperator:
             V = rep.matrices[k]
             assert np.linalg.norm(V @ frame.T - frame.T @ V) <= 1e-9
 
-    def test_non_invariant_weights_fail_commutation(self, d4_rep):
-        # weights that differ between neighbouring vertices are not
-        # invariant: T = diag(4, 8) fails to commute with the rotations
-        g, rep = d4_rep
-        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
-        uneven = InvariantMeasure(
-            weights=[1.0, 2.0, 1.0, 2.0], per_orbit_normalization=(1.0, 2.0, 1.0, 2.0),
-            orbit_blocks=((0,), (1,), (2,), (3,)),
-        )
-        with pytest.raises(NotScalarError, match="fails to commute"):
-            frame_operator(dataclasses.replace(cs, measure=uneven))
-
     def test_reducible_rep_not_scalar(self):
         g = cyclic_group(2)
         mats = np.stack([np.eye(2), np.eye(2)]).astype(complex)
-        rep = UnitaryRep(group=g, dim=2, matrices=mats)
-        act = GroupAction(group=g, space_size=2, perm=[[0, 1], [1, 0]])
+        rep = UnitaryRep(group=g, matrices=mats)
+        act = GroupAction(group=g, perm=[[0, 1], [1, 0]])
         with pytest.warns(UserWarning):
             cs = make_coherent(rep, act, 0, (1.0, 0.0))
         with pytest.raises(NotScalarError):

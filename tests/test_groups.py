@@ -136,20 +136,23 @@ class TestNamedGroups:
         # a row or a column that is not a permutation breaks the identity
         # laws, or else associativity: a Latin-square check would be implied
         with pytest.raises(ValueError, match="identity laws"):
-            FiniteGroup(order=2, cayley=[[0, 0], [1, 1]], identity=0,
-                        inverses=[0, 1])
+            FiniteGroup([[0, 0], [1, 1]])
         with pytest.raises(ValueError, match="identity laws"):
-            FiniteGroup(order=2, cayley=[[0, 1], [0, 1]], identity=0,
-                        inverses=[0, 1])
+            FiniteGroup([[0, 1], [0, 1]])
+        # a table that is not square has no identity row and column
+        with pytest.raises(ValueError, match="identity laws"):
+            FiniteGroup([[0, 1, 1], [1, 0, 0]])
+        # a monoid: 1*1 == 1, so 1 has no inverse, though the identity laws
+        # and associativity hold
+        with pytest.raises(ValueError, match="inverse law"):
+            FiniteGroup([[0, 1], [1, 1]])
         # identity row and column, self-inverse elements, row 1 repeats 0
         with pytest.raises(ValueError, match="associativity"):
-            FiniteGroup(order=3, cayley=[[0, 1, 2], [1, 0, 0], [2, 0, 0]],
-                        identity=0, inverses=[0, 1, 2])
+            FiniteGroup([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
         # 1*2 == 0 == 2*2, but 2*1 != 0: right inverses only, which
         # associativity rules out
         with pytest.raises(ValueError, match="associativity"):
-            FiniteGroup(order=3, cayley=[[0, 1, 2], [1, 1, 0], [2, 1, 0]],
-                        identity=0, inverses=[0, 2, 2])
+            FiniteGroup([[0, 1, 2], [1, 1, 0], [2, 1, 0]])
 
     def test_entries_out_of_range_rejected(self):
         # -1 must not wrap around to the element 2 it would index
@@ -158,10 +161,14 @@ class TestNamedGroups:
             t = g.cayley.copy()
             t[1, 1] = bad
             with pytest.raises(ValueError, match="cayley entries out of range"):
-                FiniteGroup(order=3, cayley=t, identity=0, inverses=[0, 2, 1])
-            with pytest.raises(ValueError, match="inverses out of range"):
-                FiniteGroup(order=3, cayley=g.cayley, identity=0,
-                            inverses=[0, bad, 1])
+                FiniteGroup(t)
+
+    def test_identity_and_inverses_read_off_the_table(self):
+        # cyclic:3 relabelled so that the identity is element 2
+        t = np.array([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+        g = FiniteGroup(t)
+        assert (g.order, g.identity) == (3, 2)
+        assert g.inverses.tolist() == [1, 0, 2]
 
     def test_rejects_non_associative_loop_above_order_64(self):
         # one intercalate swapped in the cyclic:66 table: still a Latin
@@ -172,18 +179,15 @@ class TestNamedGroups:
         t[rows, cols] = t[rows, cols][[1, 0, 3, 2]]
         for gens in ((), (1,), tuple(range(1, 66))):
             with pytest.raises(ValueError):
-                FiniteGroup(order=66, cayley=t, identity=0,
-                            inverses=g.inverses, generators=gens)
+                FiniteGroup(t, generators=gens)
         with pytest.raises(ValueError, match="associativity"):
-            FiniteGroup(order=66, cayley=t, identity=0, inverses=g.inverses)
+            FiniteGroup(t)
 
     def test_generators_must_generate(self):
         g = cyclic_group(6)
         with pytest.raises(ValueError, match="reach 3 of 6"):
-            FiniteGroup(order=6, cayley=g.cayley, identity=0,
-                        inverses=g.inverses, generators=(2,))
-        assert FiniteGroup(order=6, cayley=g.cayley, identity=0,
-                           inverses=g.inverses, generators=(2, 3)).depth == 3
+            FiniteGroup(g.cayley, generators=(2,))
+        assert FiniteGroup(g.cayley, generators=(2, 3)).depth == 3
 
 
 class TestGenerateGroup:
@@ -252,7 +256,7 @@ class TestGenerateGroup:
 class TestActionsAndOrbits:
     def test_trivial_group_orbits(self):
         g = cyclic_group(1)
-        act = GroupAction(group=g, space_size=3, perm=[[0, 1, 2]])
+        act = GroupAction(group=g, perm=[[0, 1, 2]])
         assert orbits(act) == ((0,), (1,), (2,))
         assert not is_transitive(act)
 
@@ -263,7 +267,7 @@ class TestActionsAndOrbits:
 
     def test_sign_flip_single_orbit(self):
         g = cyclic_group(2)
-        act = GroupAction(group=g, space_size=2, perm=[[0, 1], [1, 0]])
+        act = GroupAction(group=g, perm=[[0, 1], [1, 0]])
         assert orbits(act) == ((0, 1),)
 
     def test_dihedral_vertices_transitive(self):
@@ -289,30 +293,24 @@ class TestActionsAndOrbits:
         rng = np.random.default_rng(0)
         sigma = rng.permutation(g.order)
         inv_sigma = np.argsort(sigma)
-        relabeled = FiniteGroup(
-            order=g.order,
-            cayley=sigma[g.cayley[np.ix_(inv_sigma, inv_sigma)]],
-            identity=int(sigma[g.identity]),
-            inverses=sigma[g.inverses[inv_sigma]],
-        )
-        act2 = GroupAction(group=relabeled, space_size=act.space_size,
-                           perm=act.perm[inv_sigma])
+        relabeled = FiniteGroup(sigma[g.cayley[np.ix_(inv_sigma, inv_sigma)]])
+        act2 = GroupAction(group=relabeled, perm=act.perm[inv_sigma])
         assert orbits(act2) == orbits(act)
 
     def test_action_validation_rejects_bad_composition(self):
         # a 3-cycle does not square to the identity, so it is no C2 action
         g = cyclic_group(2)
         with pytest.raises(ValueError):
-            GroupAction(group=g, space_size=3, perm=[[0, 1, 2], [1, 2, 0]])
+            GroupAction(group=g, perm=[[0, 1, 2], [1, 2, 0]])
         # a map that is no bijection breaks the composition law: the
         # element squares to the identity, so its map would have to invert
         # itself
         with pytest.raises(ValueError, match="composition law"):
-            GroupAction(group=g, space_size=3, perm=[[0, 1, 2], [0, 0, 1]])
+            GroupAction(group=g, perm=[[0, 1, 2], [0, 0, 1]])
         # a negative entry must not wrap around to a valid point
         for row in ([0, 1, 3], [-1, 0, 1]):
             with pytest.raises(ValueError, match="out of range"):
-                GroupAction(group=g, space_size=3, perm=[[0, 1, 2], row])
+                GroupAction(group=g, perm=[[0, 1, 2], row])
 
     def test_left_translation_action_is_valid_and_transitive(self):
         g = make_named_group("binary_tetrahedral")
@@ -346,14 +344,13 @@ class TestMeasures:
     def test_two_orbits(self):
         g = cyclic_group(3)
         # fixes point 0, cycles 1,2,3
-        act = GroupAction(group=g, space_size=4,
-                          perm=[[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
+        act = GroupAction(group=g, perm=[[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
         m = invariant_measure(act, [1.0, 1.0])
         assert_allclose(m.weights, [1.0, 1 / 3, 1 / 3, 1 / 3])
 
     def test_mass_two_on_pair_orbit(self):
         g = cyclic_group(2)
-        act = GroupAction(group=g, space_size=2, perm=[[0, 1], [1, 0]])
+        act = GroupAction(group=g, perm=[[0, 1], [1, 0]])
         m = invariant_measure(act, [2.0])
         assert_allclose(m.weights, [1.0, 1.0])
 

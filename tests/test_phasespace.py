@@ -74,7 +74,7 @@ class TestShiftAndClock:
     def test_group_of_another_order_rejected(self):
         with pytest.raises(ValueError, match="cannot shift"):
             shift_rep(4, cyclic_group(5))
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="stack of 5 square matrices"):
             clock_rep(4, cyclic_group(5))
 
     def test_weyl_commutation(self):

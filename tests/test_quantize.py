@@ -253,8 +253,7 @@ class TestCovarianceOverElements:
         # the trivial representation conjugates nothing, so the elements
         # that swap the two parities miss by ||diag(0, 1) - diag(1, 0)||
         g, act, parity, _, bundle = z4_parity
-        trivial = UnitaryRep(group=g, dim=2,
-                             matrices=np.broadcast_to(np.eye(2), (4, 2, 2)))
+        trivial = UnitaryRep(group=g, matrices=np.broadcast_to(np.eye(2), (4, 2, 2)))
         assert covariance_check(bundle, trivial, [0, 2], parity, act).passed
         for elements in ([0, 1], [2, 0, 3], 3):
             report = covariance_check(bundle, trivial, elements, parity, act)

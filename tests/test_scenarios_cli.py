@@ -152,6 +152,15 @@ class TestScenarios:
         assert "proper subgroup" in \
             by_name["value_transformations_embed_in_symmetric_group"].details
 
+    def test_spin_errors_relative_to_the_size_of_j(self):
+        # the absolute errors grow with j: at j = 200 the half turn's
+        # absolute distance is about 1.1e-10, within 10x of the tolerance
+        rep = run_scenario({"scenario": "spin", "params": {"j": 200.0, "reduce": False}})
+        by_name = {c.name: c for c in rep.checks}
+        for name in ("generator_commutation_relations",
+                     "covariance_half_turn_reverses_labels"):
+            assert by_name[name].max_error <= by_name[name].tolerance / 100, name
+
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_phase_sizes(self, n):
         rep = run_scenario({"scenario": "phase", "params": {"n": n}})
@@ -163,8 +172,8 @@ class TestScenarios:
         validate = groups.FiniteGroup.__post_init__
 
         def counted(self):
-            built.append(self.order)
             validate(self)
+            built.append(self.order)
 
         monkeypatch.setattr(groups.FiniteGroup, "__post_init__", counted)
         assert run_scenario({"scenario": "phase", "params": {"n": 6}}).all_passed

@@ -1,5 +1,10 @@
 """Slow, direct versions of library checks, kept as oracles.
 
+FiniteGroup reads its order, identity and inverses off its Cayley table;
+property tests relabel random permutation groups and must get back the
+relabelled identity and inverses, and the per-pair group construction
+below must find the inverses FiniteGroup reads off.
+
 FiniteGroup, GroupAction and UnitaryRep check each "for all pairs" law on
 generators x all elements only. The exhaustive checks they replaced live
 here, and property tests on random permutation groups require the
@@ -29,6 +34,13 @@ permissible variable form a homomorphism with |G| = |kernel| * |image|,
 and that the maximal permissible subgroup is closed. Brute-force versions
 of those laws live here, and the constructors must accept exactly the
 inputs that the brute-force versions accept.
+
+The frame operator of a coherent system gives every orbit state weight
+1, so it commutes with the representation by construction and
+frame_operator checks only that it is a positive scalar. The commutation
+check on the generators that it ran while it took a measure lives here,
+on random fiducials of dihedral and binary tetrahedral frames, and must
+still catch weights that are not invariant.
 
 Every weighted sum of state projectors, sum_k w_k |s_k><s_k| (frame
 operators, labelled operators, POVM effects, density operators, coarse-
@@ -190,6 +202,12 @@ def rep_law_all_pairs_error(group: FiniteGroup, mats) -> float:
                                     axis=(1, 2))))
         for k1 in range(group.order)
     )
+
+
+def frame_commutator_on_generators(rep: UnitaryRep, T) -> float:
+    """Largest ||V(s) T - T V(s)||_F over the group's generators s."""
+    return max(float(np.linalg.norm(rep.matrices[s] @ T - T @ rep.matrices[s]))
+               for s in rep.group.generating_set)
 
 
 def closure_by_products(cayley, identity, gens) -> set:
@@ -401,11 +419,12 @@ def generate_group_by_pairs(generators, mul, identity, *, name="group",
     for i in range(n):
         inverses[i] = int(np.nonzero(cayley[i] == 0)[0][0])
     names = tuple(name_of(x) for x in elements) if name_of else None
-    return FiniteGroup(
-        order=n, cayley=cayley, identity=0, inverses=inverses, name=name,
-        element_names=names, generators=tuple(index[g] for g in gens),
-        elements=tuple(elements),
+    group = FiniteGroup(
+        cayley, name=name, element_names=names,
+        generators=tuple(index[g] for g in gens), elements=tuple(elements),
     )
+    assert group.identity == 0 and np.array_equal(group.inverses, inverses)
+    return group
 
 
 def compose_scalar(p, q):
@@ -539,7 +558,7 @@ def direct_sum(*reps) -> UnitaryRep:
     for r in reps:
         mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
         at += r.dim
-    return UnitaryRep(group=g, dim=d, matrices=mats)
+    return UnitaryRep(group=g, matrices=mats)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +697,7 @@ def covariance_cases(draw, max_degree=5):
     base = permutation_rep(act)
     d, k = base.dim, var.n_values
     W = _random_unitary(rng, d)
-    rep = UnitaryRep(group=act.group, dim=d,
-                     matrices=W @ base.matrices @ W.conj().T)
+    rep = UnitaryRep(group=act.group, matrices=W @ base.matrices @ W.conj().T)
     if draw(st.booleans()):
         states = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
         bundle = _quiet_operator(states, rng.uniform(0.5, 2.0, k),
@@ -712,10 +730,7 @@ def _non_generators(g: FiniteGroup) -> list[int]:
 
 
 def _copy(g: FiniteGroup, **changes) -> FiniteGroup:
-    fields = dict(order=g.order, cayley=g.cayley, identity=g.identity,
-                  inverses=g.inverses, generators=g.generators)
-    fields.update(changes)
-    return FiniteGroup(**fields)
+    return FiniteGroup(**{"cayley": g.cayley, "generators": g.generators, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +749,16 @@ class TestOraclesAgree:
         assert rep_law_all_pairs_error(g, rep.matrices) == 0.0
         # with no recorded generators every element is one: depth 1
         assert _copy(g, generators=()).depth == 1
+
+    @ORACLE_SETTINGS
+    @given(permutation_groups(), st.data())
+    def test_relabelled_table_gives_relabelled_identity_and_inverses(self, g, data):
+        # element x renamed sigma[x]: the identity need not stay at 0
+        sigma = np.array(data.draw(st.permutations(range(g.order))), dtype=np.intp)
+        inv = np.argsort(sigma)
+        h = FiniteGroup(sigma[g.cayley[np.ix_(inv, inv)]])
+        assert h.order == g.order and h.identity == sigma[g.identity]
+        assert np.array_equal(h.inverses, sigma[g.inverses[inv]])
 
     @pytest.mark.parametrize("name", ["dihedral:5", "binary_tetrahedral"])
     def test_named_group_float_reps(self, name):
@@ -787,7 +812,7 @@ class TestRejections:
         mats[k] = mats[k] * np.exp(1j * theta)      # still unitary
         assert rep_law_all_pairs_error(g, mats) > 1e-8 * mats.shape[1]
         with pytest.raises(ValueError, match="product law"):
-            UnitaryRep(group=g, dim=mats.shape[1], matrices=mats)
+            UnitaryRep(group=g, matrices=mats)
 
     @ORACLE_SETTINGS
     @given(permutation_groups(), st.data())
@@ -802,7 +827,7 @@ class TestRejections:
         perm[k] = row
         assert not action_law_all_pairs(g, perm)
         with pytest.raises(ValueError, match="composition law"):
-            GroupAction(group=g, space_size=act.space_size, perm=perm)
+            GroupAction(group=g, perm=perm)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_every_generator_is_checked(self, n):
@@ -813,11 +838,11 @@ class TestRejections:
         perm = np.array([[(x + i) % n for x in range(n)] for i in shifts])
         assert not action_law_all_pairs(g, perm)
         with pytest.raises(ValueError, match="composition law"):
-            GroupAction(group=g, space_size=n, perm=perm)
+            GroupAction(group=g, perm=perm)
         mats = np.stack([np.roll(np.eye(n), i, axis=0) for i in shifts])
         assert rep_law_all_pairs_error(g, mats) > 1e-8 * n
         with pytest.raises(ValueError, match="product law"):
-            UnitaryRep(group=g, dim=n, matrices=mats)
+            UnitaryRep(group=g, matrices=mats)
 
     @ORACLE_SETTINGS
     @given(permutation_groups(), st.data())
@@ -894,16 +919,16 @@ def _tables_with_right_inverses(n) -> np.ndarray:
 
 def _group_accepts(t, generators=()) -> bool:
     try:
-        FiniteGroup(order=len(t), cayley=t, identity=0,
-                    inverses=right_inverses(t, 0), generators=generators)
+        g = FiniteGroup(t, generators=generators)
     except ValueError:
         return False
+    assert g.identity == 0 and np.array_equal(g.inverses, right_inverses(t, 0))
     return True
 
 
 def _action_accepts(g, perm) -> bool:
     try:
-        GroupAction(group=g, space_size=perm.shape[1], perm=perm)
+        GroupAction(group=g, perm=perm)
     except ValueError:
         return False
     return True
@@ -1069,8 +1094,7 @@ class TestOrbitOracles:
     def test_named_group_actions(self, name):
         g = make_named_group(name)
         for act in (left_translation_action(g),
-                    GroupAction(group=g, space_size=g.order,
-                                perm=g.cayley.T[g.inverses])):
+                    GroupAction(group=g, perm=g.cayley.T[g.inverses])):
             assert orbits(act) == orbits_by_bfs(act.perm, act.space_size)
         if name.startswith("symmetric"):
             act = natural_permutation_action(g)
@@ -1280,8 +1304,8 @@ class TestCommutantOracle:
     def test_reducible_direct_sums(self, n):
         g = make_named_group(f"dihedral:{n}")
         rot = dihedral_rotation_rep(g)
-        trivial = UnitaryRep(group=g, dim=1, matrices=np.ones((g.order, 1, 1)))
-        sign = UnitaryRep(group=g, dim=1, matrices=np.array(
+        trivial = UnitaryRep(group=g, matrices=np.ones((g.order, 1, 1)))
+        sign = UnitaryRep(group=g, matrices=np.array(
             [[[(-1.0) ** b]] for _, b in g.elements]))
         rng = np.random.default_rng(n)
         for parts, expected in (((trivial, trivial), 4), ((rot, trivial), 2),
@@ -1291,8 +1315,7 @@ class TestCommutantOracle:
             rep = direct_sum(*parts)
             d = rep.dim
             W, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-            mixed = UnitaryRep(group=g, dim=d,
-                               matrices=W @ rep.matrices @ W.conj().T)
+            mixed = UnitaryRep(group=g, matrices=W @ rep.matrices @ W.conj().T)
             for r in (rep, mixed):
                 assert commutant_dimension(r) == commutant_by_kronecker_svd(r) == expected
                 assert is_irreducible(r) == (False, expected)
@@ -1467,10 +1490,23 @@ class TestProjectorSumOracles:
         rng = np.random.default_rng(seed)
         cs = make_coherent(rep, act, base, rng.normal(size=2) + 1j * rng.normal(size=2))
         frame = frame_operator(cs)
-        assert_close(frame.T, projectors_by_einsum(cs.state_weights(), cs.states))
+        assert_close(frame.T, projectors_by_einsum(np.ones(g.order), cs.states))
+        scale = max(1.0, float(np.linalg.norm(frame.T)))
+        assert frame_commutator_on_generators(rep, frame.T) <= 1e-9 * scale / g.depth
         W = _random_unitary(rng, 2)
         moved = unitary_transport(cs, W)
         assert_close(moved.rep.matrices, transport_by_einsum(W, rep.matrices))
+
+    def test_frame_commutator_catches_weights_not_invariant(self):
+        # weights 1, 2, 1, 2 on the vertices of the square, carried to the
+        # orbit states: T = diag(4, 8) fails to commute with the rotations
+        g = make_named_group("dihedral:4")
+        rep, act = dihedral_rotation_rep(g), dihedral_vertex_action(g)
+        cs = make_coherent(rep, act, 0, (1.0, 0.0))
+        weights = np.array([1.0, 2.0, 1.0, 2.0])[act.perm[:, 0]]
+        T = projector_sum(cs.states, weights)
+        assert frame_commutator_on_generators(rep, T) > 1.0
+        assert frame_commutator_on_generators(rep, frame_operator(cs).T) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

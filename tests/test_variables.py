@@ -1,5 +1,7 @@
 """Tests for variables, permissibility, induced groups, and the partial order."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -237,8 +239,11 @@ class TestAccessibilityOrder:
 class TestVariableType:
     def test_surjectivity_enforced(self):
         with pytest.raises(ValueError, match="every label must be attained"):
-            ConceptualVariable(space_size=2, values=[0, 0],
-                              value_labels=(0.0, 1.0))
+            ConceptualVariable(values=[0, 0], value_labels=(0.0, 1.0))
+
+    def test_values_one_per_point(self):
+        with pytest.raises(ValueError, match="one id per point"):
+            ConceptualVariable(values=[[0, 1]], value_labels=(0.0, 1.0))
 
     def test_json_round_trip(self, parity):
         text = variable_to_json(parity)
@@ -246,6 +251,12 @@ class TestVariableType:
         assert back.space_size == parity.space_size
         assert np.array_equal(back.values, parity.values)
         assert back.value_labels == parity.value_labels
+
+    def test_json_space_size_must_count_the_values(self, parity):
+        doc = json.loads(variable_to_json(parity))
+        doc["space_size"] += 1
+        with pytest.raises(SizeMismatchError, match="space_size 5 but 4 values"):
+            variable_from_json(json.dumps(doc))
 
     def test_sorted_labels(self):
         var = variable_from_point_labels([3.0, 1.0, 3.0, 2.0])
