@@ -12,8 +12,6 @@ from .linalg import (
     SpectralData,
     eig_hermitian,
     expm_antihermitian,
-    frobenius_dist,
-    gram_schmidt,
     is_unitary,
 )
 from .groups import (
@@ -81,12 +79,6 @@ from .quantize import (
 )
 from .spin import spin_component_operator, spin_generators, spin_rotation
 from .phasespace import fourier_matrix, mub_deviation, position_operator, momentum_operator
-from .scenarios import (
-    BUILTIN_SCENARIOS,
-    phase_space_demo,
-    run_all,
-    run_scenario,
-    spin_orbit_demo,
-)
+from .scenarios import BUILTIN_SCENARIOS, run_all, run_scenario
 
 __version__ = "0.1.0"

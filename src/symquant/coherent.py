@@ -75,14 +75,17 @@ class UnitaryRep:
         eye = np.eye(d)
         if np.linalg.norm(mats[self.group.identity] - eye) > 1e-12 * d:
             raise ValueError("identity element must map to the identity matrix")
-        # V^dag V - I stacked over blocks of about 2**14 entries, which stay
-        # in cache, with V^dag made contiguous so that each product runs on
-        # BLAS; a non-finite entry gives an error that fails the comparison
+        # both laws run on slices of elements of about 2**14 entries, which
+        # stay in cache. V^dag V - I is stacked with V^dag made contiguous
+        # so that each product runs on BLAS; a non-finite entry gives an
+        # error that fails the comparison
+        step = -(-n // (1 + mats.size // (1 << 14)))
+        blocks = [slice(k, k + step) for k in range(0, n, step)]
         with np.errstate(invalid="ignore"):
             err = np.concatenate([
                 np.linalg.norm(np.conjugate(m.swapaxes(1, 2), out=np.empty_like(m)) @ m
                                - eye, axis=(1, 2))
-                for m in np.array_split(mats, 1 + mats.size // (1 << 14))
+                for m in (mats[b] for b in blocks)
             ])
         unitary = err <= 1e-9 * d
         if not unitary.all():
@@ -90,9 +93,9 @@ class UnitaryRep:
         tol = 1e-8 * d / (2 * self.group.depth)
         law_error = 0.0
         for s in self.group.generating_set:
-            prods = mats[s] @ mats
-            target = mats[self.group.cayley[s]]
-            err = float(np.max(np.linalg.norm(prods - target, axis=(1, 2))))
+            err = max(float(np.max(np.linalg.norm(
+                mats[s] @ mats[b] - mats[self.group.cayley[s, b]], axis=(1, 2))))
+                for b in blocks)
             if err > tol:
                 raise ValueError(
                     f"representation product law fails at generator {s} "

@@ -1,6 +1,6 @@
 """Dense complex linear algebra: Hermitian spectra with degeneracy clustering,
-unitary one-parameter phases, orthonormalization, and the predicates the rest
-of the package leans on.
+unitary one-parameter phases, and the predicates the rest of the package
+leans on.
 
 Every weighted projector sum sum_k w_k |s_k><s_k| in the package (frames,
 operators, effects, densities, spectral sums, exp(-itH)) is one kernel,
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DEGENERACY_TOL = 1e-8
-_GS_DROP_TOL = 1e-12
 
 
 class NotSquareError(ValueError):
@@ -79,14 +78,6 @@ def _require_square(A: np.ndarray) -> None:
 def max_abs(A) -> float:
     A = np.asarray(A)
     return float(np.max(np.abs(A))) if A.size else 0.0
-
-
-def frobenius_dist(A, B) -> float:
-    """Frobenius distance between two equally shaped matrices."""
-    A, B = as_cmatrix(A), as_cmatrix(B)
-    if A.shape != B.shape:
-        raise DimensionMismatchError(f"shapes differ: {A.shape} vs {B.shape}")
-    return float(np.linalg.norm(A - B))
 
 
 def _require_hermitian(A: np.ndarray, tol: float = 1e-10) -> None:
@@ -224,26 +215,3 @@ def expm_antihermitian(H, t: float) -> np.ndarray:
         raise ConvergenceFailureError(str(exc)) from exc
     return projector_sum(V.T, np.exp(-1j * t * w))
 
-
-def gram_schmidt(vectors) -> list[np.ndarray]:
-    """Orthonormalize a list of vectors, dropping near-dependent ones.
-
-    A vector whose residual after projection has norm < 1e-12 is dropped.
-    """
-    basis: list[np.ndarray] = []
-    dim = None
-    for raw in vectors:
-        v = as_cvector(raw)
-        if dim is None:
-            dim = v.size
-        elif v.size != dim:
-            raise DimensionMismatchError("vectors have inconsistent dimensions")
-        for b in basis:
-            v = v - (b.conj() @ v) * b
-        # second pass stabilizes nearly dependent inputs
-        for b in basis:
-            v = v - (b.conj() @ v) * b
-        n = float(np.linalg.norm(v))
-        if n >= _GS_DROP_TOL:
-            basis.append(v / n)
-    return basis

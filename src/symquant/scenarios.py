@@ -8,8 +8,9 @@ feeds nothing.
 
 Configuration document (one UTF-8 JSON object):
     {"scenario": str, "params": object?, "tolerances": object?, "seed": int?}
-Tolerance overrides are keyed by check name; the key "*" overrides every
-check.
+Tolerance overrides are finite, non-negative numbers keyed by the name of
+a check that has a tolerance; the key "*" overrides every such check. A
+key that names no toleranced check of the scenario is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .groups import (
     cyclic_group,
     cyclic_shift_action,
     dihedral_vertex_action,
-    is_transitive,
     left_translation_action,
     make_named_group,
     subgroup_generated,
@@ -118,10 +118,14 @@ class PhaseSpaceScenario:
 
 
 class _Tol:
+    """Tolerance lookup by check name; records every name looked up."""
+
     def __init__(self, overrides):
         self.overrides = dict(overrides or {})
+        self.looked_up = {"*"}
 
     def __call__(self, name: str, default: float) -> float:
+        self.looked_up.add(name)
         if name in self.overrides:
             return float(self.overrides[name])
         if "*" in self.overrides:
@@ -197,8 +201,7 @@ def _pedagogy_z4_checks(params, tol: _Tol) -> list[Check]:
     ))
 
     basis = np.eye(2, dtype=np.complex128)
-    bundle = build_operator(basis, 1.0, list(parity.value_labels),
-                            source_variable=parity)
+    bundle = build_operator(basis, 1.0, list(parity.value_labels))
     value_rep = permutation_rep(induced.value_action)
     Hp = maximal_permissible_subgroup(parity, act)
     cov = covariance_check(bundle, value_rep, Hp, parity, act)
@@ -242,10 +245,6 @@ def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
         "rotation_rep_irreducible", cs.commutant_dim == 1,
         f"commutant dimension = {cs.commutant_dim}",
     ))
-    checks.append(exact_check(
-        "vertex_action_transitive", is_transitive(act),
-        "all four vertices lie in one orbit",
-    ))
 
     err = float(np.linalg.norm(frame.T - 4.0 * np.eye(2)))
     checks.append(make_check(
@@ -254,22 +253,7 @@ def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
         f"scalar = {frame.lam:.6g} over 8 orbit states",
     ))
 
-    comm = max(
-        float(np.linalg.norm(rep.matrices[k] @ frame.T - frame.T @ rep.matrices[k]))
-        for k in range(g.order)
-    )
-    checks.append(make_check(
-        "frame_commutes_with_rep", comm, tol("frame_commutes_with_rep", 1e-9),
-        "checked against all 8 representation matrices",
-    ))
-
     w = frame.normalized_weights
-    dev = resolution_deviation(cs.states, w)
-    checks.append(make_check(
-        "normalized_orbit_resolves_identity", dev,
-        tol("normalized_orbit_resolves_identity", 1e-9),
-        "weights divided by the frame scalar",
-    ))
 
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     phase = np.diag([1.0, 1.0j])
@@ -281,10 +265,6 @@ def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
         "transport_preserves_resolution", worst,
         tol("transport_preserves_resolution", 1e-9),
         "orbit carried through a Hadamard-type and a phase unitary",
-    ))
-
-    checks.append(exact_check(
-        "frame_scalar_positive", frame.lam > 0, f"scalar = {frame.lam:.6g}",
     ))
     return checks
 
@@ -316,13 +296,6 @@ def _coherent_bt24_checks(params, tol: _Tol) -> list[Check]:
         "frame_operator_twelve_times_identity", err,
         tol("frame_operator_twelve_times_identity", 1e-9),
         f"scalar = {frame.lam:.6g} over 24 orbit states",
-    ))
-
-    dev = resolution_deviation(cs.states, frame.normalized_weights)
-    checks.append(make_check(
-        "normalized_orbit_resolves_identity", dev,
-        tol("normalized_orbit_resolves_identity", 1e-9),
-        "weights divided by the frame scalar",
     ))
     return checks
 
@@ -457,18 +430,6 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
         f"(clustering tolerance {bundle.spectrum.degeneracy_tol:.1e})",
     ))
 
-    distinct = {tuple(p) for p in flip_perms}
-    closed = all(
-        tuple(p[np.asarray(q)]) in distinct for p in flip_perms for q in flip_perms
-    )
-    is_full = len(distinct) == math.factorial(d)
-    checks.append(exact_check(
-        "value_transformations_embed_in_symmetric_group", closed,
-        f"{len(distinct)} distinct permutations of {d} values; "
-        + ("equal to the full symmetric group"
-           if is_full else "a proper subgroup of the full symmetric group"),
-    ))
-
     basis = bundle.spectrum.basis()
     dev = resolution_deviation(basis.T, 1.0)
     checks.append(make_check(
@@ -513,6 +474,9 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
 
 
 def _phase_checks(params, tol: _Tol) -> list[Check]:
+    """Continuous translations are demonstrated on a finite cyclic lattice;
+    genuinely continuous spectra are out of scope, so no reduction is
+    performed here."""
     scn = PhaseSpaceScenario(
         n=int(params["n"]),
         shift_pos=int(params["c"]),
@@ -573,13 +537,6 @@ def _phase_checks(params, tol: _Tol) -> list[Check]:
         "paired_translation_unitary", uni_err,
         tol("paired_translation_unitary", 1e-12),
         f"position shift {scn.shift_pos} paired with momentum shift {scn.shift_mom}",
-    ))
-
-    checks.append(exact_check(
-        "finite_cyclic_analog_note", True,
-        "continuous translations are demonstrated on a finite cyclic lattice; "
-        "genuinely continuous spectra are out of scope, so no reduction is "
-        "performed here",
     ))
     return checks
 
@@ -659,13 +616,12 @@ def parse_config(config) -> dict:
     tolerances = config.get("tolerances") or {}
     if not isinstance(tolerances, dict):
         raise ConfigParseError("tolerances must be an object")
-    try:
-        tolerances = {str(k): float(v) for k, v in tolerances.items()}
-    except (TypeError, ValueError):
-        raise ConfigParseError("tolerance overrides must be numbers") from None
-    bad = sorted(k for k, v in tolerances.items() if not math.isfinite(v))
+    bad = sorted(str(k) for k, v in tolerances.items()
+                 if not (_finite_number(v) and v >= 0))
     if bad:
-        raise ConfigParseError(f"tolerance overrides must be finite: {bad}")
+        raise ConfigParseError(
+            f"tolerance overrides must be finite, non-negative numbers: {bad}")
+    tolerances = {str(k): float(v) for k, v in tolerances.items()}
     seed = config.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigParseError("seed must be an integer")
@@ -681,11 +637,17 @@ def run_scenario(config) -> VerificationReport:
     """Run one scenario from a configuration document."""
     resolved = parse_config(config)
     runner, _ = _SCENARIOS[resolved["scenario"]]
+    tol = _Tol(resolved["tolerances"])
     start = time.perf_counter()
     try:
-        checks = runner(resolved["params"], _Tol(resolved["tolerances"]))
+        checks = runner(resolved["params"], tol)
     except (BadSpinError, BadSizeError) as exc:
         raise ConfigParseError(f"invalid parameters: {exc}") from exc
+    unused = sorted(set(tol.overrides) - tol.looked_up)
+    if unused:
+        raise ConfigParseError(
+            f"tolerance overrides name no toleranced check of "
+            f"{resolved['scenario']}: {unused}")
     timing_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         scenario=resolved["scenario"], checks=tuple(checks),
@@ -703,32 +665,3 @@ def run_all(tolerances=None) -> list[VerificationReport]:
         reports.append(run_scenario(config))
     return reports
 
-
-def spin_orbit_demo(j: float = 0.5, direction=(0.0, 0.0, 1.0)) -> VerificationReport:
-    """Focused report on the orbit structure of a component's spectrum.
-
-    The value transformations come from the rotations fixing or reversing
-    the measurement direction (identity and sign flip); the report records
-    the orbit partition, whether it is a single orbit, and how the induced
-    permutations sit inside the symmetric group on the eigenvalues.
-    """
-    config = {
-        "scenario": "spin",
-        "params": {"j": float(j), "direction": list(direction), "reduce": True},
-    }
-    full = run_scenario(config)
-    keep = (
-        "sign_flip_orbit_partition",
-        "value_transformations_embed_in_symmetric_group",
-        "reduction_to_sign_flip_orbit",
-        "reduction_rejects_non_orbit",
-    )
-    checks = tuple(c for c in full.checks if c.name in keep)
-    return VerificationReport(scenario="spin_orbit", checks=checks,
-                              timing_ms=full.timing_ms,
-                              config_echo=full.config_echo)
-
-
-def phase_space_demo(n: int) -> VerificationReport:
-    """Run the finite phase-space scenario for one lattice size."""
-    return run_scenario({"scenario": "phase", "params": {"n": int(n)}})

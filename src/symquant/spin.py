@@ -106,15 +106,6 @@ def quaternion_axis_angle(q) -> tuple[np.ndarray, float]:
     return axis, angle
 
 
-def rotation_from_vector(j: float, phi_vec) -> np.ndarray:
-    """Rotation unitary for a rotation vector (axis times angle)."""
-    v = np.asarray(phi_vec, dtype=float)
-    angle = float(np.linalg.norm(v))
-    if angle < 1e-15:
-        return np.eye(int(round(2 * _check_spin(j))) + 1, dtype=np.complex128)
-    return spin_rotation(j, v / angle, angle)
-
-
 def perpendicular_unit(a) -> np.ndarray:
     """A deterministic unit vector orthogonal to a unit 3-vector."""
     a = np.asarray(a, dtype=float)

@@ -6,13 +6,10 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from symquant.linalg import (
-    DimensionMismatchError,
     NotHermitianError,
     NotSquareError,
     eig_hermitian,
     expm_antihermitian,
-    frobenius_dist,
-    gram_schmidt,
     is_unitary,
 )
 
@@ -172,36 +169,10 @@ class TestExpm:
         ) <= 1e-9
 
 
-class TestPredicatesAndGS:
+class TestPredicates:
     def test_is_unitary_identity(self):
         assert is_unitary(np.eye(3), 1e-10)
 
     def test_is_unitary_rejects(self):
         assert not is_unitary(2.0 * np.eye(3), 1e-10)
         assert not is_unitary(np.ones((2, 3)))
-
-    def test_frobenius_dist_self(self):
-        A = np.arange(6, dtype=float).reshape(2, 3)
-        assert frobenius_dist(A, A) == 0.0
-
-    def test_frobenius_dist_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            frobenius_dist(np.eye(2), np.eye(3))
-
-    def test_gram_schmidt_two_step(self):
-        # (1,1) minus its projection on (1,0) leaves (0,1)
-        out = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-        assert len(out) == 2
-        assert_allclose(out[0], [1.0, 0.0], atol=1e-12)
-        assert_allclose(out[1], [0.0, 1.0], atol=1e-12)
-
-    def test_gram_schmidt_drops_dependent(self):
-        out = gram_schmidt([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-        assert len(out) == 1
-
-    def test_gram_schmidt_orthonormal_output(self):
-        rng = np.random.default_rng(5)
-        vecs = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(6)]
-        out = gram_schmidt(vecs)
-        G = np.array([[b1.conj() @ b2 for b2 in out] for b1 in out])
-        assert np.linalg.norm(G - np.eye(len(out))) <= 1e-10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symquant.coherent import UnitaryRep
 from symquant.groups import cyclic_group
 from symquant.phasespace import (
     BadSizeError,
@@ -70,6 +71,29 @@ class TestShiftAndClock:
         assert srep.matrices.dtype == mats.dtype
         assert srep.matrices.tobytes() == mats.tobytes()
         assert srep.law_error == 0.0
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_clock_law_error_is_the_whole_stack_maximum(self, n):
+        # the law is measured on slices of elements: 16 slices of 4 at
+        # n = 64, 128 slices of one at n = 128
+        crep = clock_rep(n)
+        mats, g = crep.matrices, crep.group
+        whole = max(
+            float(np.max(np.linalg.norm(mats[s] @ mats - mats[g.cayley[s]], axis=(1, 2))))
+            for s in g.generating_set
+        )
+        assert crep.law_error == whole
+
+    @pytest.mark.parametrize("factor, message", [
+        (1.001, "element 127 is not unitary"),
+        (np.exp(1e-6j), "product law fails at generator 1 "),   # unitary
+    ])
+    def test_fault_in_the_last_slice_is_caught(self, factor, message):
+        n = 128
+        mats = np.stack([clock_unitary(n, k) for k in range(n)])
+        mats[n - 1] *= factor
+        with pytest.raises(ValueError, match=message):
+            UnitaryRep(group=cyclic_group(n), matrices=mats)
 
     def test_group_of_another_order_rejected(self):
         with pytest.raises(ValueError, match="cannot shift"):

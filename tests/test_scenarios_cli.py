@@ -17,10 +17,8 @@ from symquant.scenarios import (
     ConfigParseError,
     UnknownScenarioError,
     parse_config,
-    phase_space_demo,
     run_all,
     run_scenario,
-    spin_orbit_demo,
 )
 
 
@@ -121,9 +119,10 @@ class TestConfig:
         resolved = parse_config({"scenario": "spin"})
         assert sorted(resolved["params"]) == ["direction", "j", "reduce"]
 
-    @pytest.mark.parametrize("value", [1e400, -1e400, float("nan")])
-    def test_non_finite_tolerance_rejected(self, value):
-        with pytest.raises(ConfigParseError, match="finite"):
+    @pytest.mark.parametrize("value", [1e400, -1e400, float("nan"), -1, -1e-300,
+                                       True, "1e-3", None, [1e-3]])
+    def test_invalid_tolerance_rejected(self, value):
+        with pytest.raises(ConfigParseError, match="finite, non-negative numbers"):
             parse_config({"scenario": "phase", "tolerances": {"*": value}})
 
 
@@ -149,8 +148,6 @@ class TestScenarios:
         rep = run_scenario({"scenario": "spin", "params": {"j": 1.0}})
         by_name = {c.name: c for c in rep.checks}
         assert "[[0, 2], [1]]" in by_name["sign_flip_orbit_partition"].details
-        assert "proper subgroup" in \
-            by_name["value_transformations_embed_in_symmetric_group"].details
 
     def test_spin_errors_relative_to_the_size_of_j(self):
         # the absolute errors grow with j: at j = 200 the half turn's
@@ -227,21 +224,6 @@ class TestScenarios:
         assert r1.config_echo["seed"] == 1
         assert r2.config_echo["seed"] == 2
 
-    def test_spin_orbit_demo(self):
-        rep = spin_orbit_demo(1.0)
-        assert rep.scenario == "spin_orbit"
-        assert rep.all_passed
-        assert {c.name for c in rep.checks} >= {
-            "sign_flip_orbit_partition",
-            "value_transformations_embed_in_symmetric_group",
-        }
-
-    def test_phase_space_demo(self):
-        rep = phase_space_demo(5)
-        assert rep.scenario == "phase"
-        assert rep.all_passed
-        assert rep.config_echo["params"]["n"] == 5
-
 
 class TestCli:
     def test_list(self, capsys):
@@ -289,8 +271,8 @@ class TestCli:
         cfg.write_text(json.dumps({"scenario": "phase"}))
         assert main(["verify", "--config", str(cfg), "--scenario", "spin"]) == 2
 
-    @pytest.mark.parametrize("value", ["1e400", "-inf", "nan"])
-    def test_non_finite_tolerance_exit_2(self, value, capsys):
+    @pytest.mark.parametrize("value", ["1e400", "-inf", "nan", "-1"])
+    def test_invalid_tolerance_exit_2(self, value, capsys):
         assert main(["verify", "--scenario", "phase", f"--tolerance={value}"]) == 2
         assert main(["verify", f"--tolerance={value}"]) == 2
         assert capsys.readouterr().out == ""
@@ -299,12 +281,24 @@ class TestCli:
         '{"scenario": "phase", "tolerances": {"*": 1e400}}',
         '{"scenario": "phase", "tolerances": {"shift_rep_of_cyclic_group": NaN}}',
         '{"scenario": "spin", "tolerances": {"*": -Infinity}}',
+        '{"scenario": "phase", "tolerances": {"*": -1}}',
+        '{"scenario": "phase", "tolerances": {"*": true}}',
+        '{"scenario": "phase", "tolerances": {"*": "1e-3"}}',
+        # overrides that no check reads: an unknown name, an exact check, a
+        # check of another scenario, a deleted check, a check spin 0 skips
+        '{"scenario": "phase", "tolerances": {"no_such_check": 1}}',
+        '{"scenario": "pedagogy_z4", "tolerances": {"parity_variable_permissible": 1}}',
+        '{"scenario": "phase", "tolerances": {"frame_operator_four_times_identity": 1}}',
+        '{"scenario": "coherent_bt24", "tolerances": {"normalized_orbit_resolves_identity": 1e-9}}',
+        '{"scenario": "spin", "params": {"j": 0}, "tolerances": {"*": 1, "covariance_half_turn_reverses_labels": 1}}',
     ])
-    def test_non_finite_config_tolerance_exit_2(self, tmp_path, capsys, text):
+    def test_invalid_config_tolerance_exit_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["verify", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance overrides ")
 
     def test_vacuous_spin_counts_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -13,7 +13,6 @@ from symquant.spin import (
     _check_spin,
     component_matrix,
     perpendicular_unit,
-    rotation_from_vector,
     spin_component_operator,
     spin_generators,
     spin_rotation,
@@ -119,12 +118,6 @@ class TestRotations:
         H = component_matrix(1.5, a)
         U = spin_rotation(1.5, a, 1.234)
         assert np.linalg.norm(U - scipy.linalg.expm(-1.234j * H)) <= 1e-9
-
-    def test_rotation_vector_form(self):
-        v = np.array([np.pi, 0.0, 0.0])
-        assert_allclose(rotation_from_vector(0.5, v),
-                        spin_rotation(0.5, [1, 0, 0], np.pi), atol=1e-12)
-        assert_allclose(rotation_from_vector(0.5, [0.0, 0.0, 0.0]), np.eye(2))
 
     def test_unitary(self):
         rng = np.random.default_rng(20)
