@@ -6,7 +6,9 @@ Groups, actions and unitary representations are validated from their
 generators: each "for all pairs" law is checked on generators x all
 elements, which is exact for integer tables and, for representations,
 holds every pair within 2*D times the generator tolerance (D the longest
-generator word)."""
+generator word). A representation is dense (UnitaryRep, one matrix per
+element) or monomial (MonomialRep, one permutation and one phase vector
+per element), behind one interface."""
 
 from .linalg import (
     SpectralData,
@@ -45,6 +47,7 @@ from .variables import (
 from .coherent import (
     CoherentSystem,
     FrameOperator,
+    MonomialRep,
     UnitaryRep,
     frame_operator,
     is_irreducible,

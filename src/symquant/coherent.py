@@ -3,6 +3,11 @@ character norm, coherent-state orbits of a fiducial vector, and the frame
 operator whose scalarity turns an orbit into a resolution of the identity.
 The frame operator is a projector sum, linalg.projector_sum.
 
+A representation is dense (UnitaryRep) or monomial (MonomialRep); the
+functions here use only the interface the two share, so a monomial rep is
+never expanded into a |G| x d x d stack except by unitary_transport, whose
+output mixes basis vectors.
+
 Integrals over a compact symmetry reduce here to sums over a finite group.
 On a transitive action of a finite group the invariant measure is unique
 up to scale, the counting measure, and the frame scalar divides the scale
@@ -43,7 +48,18 @@ class NotUnitaryError(ValueError):
 
 @dataclass(frozen=True)
 class UnitaryRep:
-    """One unitary matrix per group element, multiplicative over the table.
+    """One dense unitary matrix per group element, multiplicative over the
+    table.
+
+    A representation has one of two forms, with one interface: dim, group,
+    law_error, matrix(k), characters(), orbit(f) and conjugated(A, ks).
+    UnitaryRep stores the d x d matrix of every element; it is the form of
+    reps whose matrices mix basis vectors, such as dihedral_rotation_rep,
+    binary_tetrahedral_spin_rep, rep_from_json and unitary_transport's
+    output. MonomialRep stores a permutation and a phase per element; it is
+    the form of permutation_rep, left_regular_rep, and the phase-space
+    shift_rep and clock_rep. Both check the same laws under the same
+    tolerances.
 
     matrices is a stack of one dim x dim matrix per element. Every matrix
     must be unitary within 1e-9*dim, tested by stacked products, and the
@@ -79,29 +95,16 @@ class UnitaryRep:
         # stay in cache. V^dag V - I is stacked with V^dag made contiguous
         # so that each product runs on BLAS; a non-finite entry gives an
         # error that fails the comparison
-        step = -(-n // (1 + mats.size // (1 << 14)))
-        blocks = [slice(k, k + step) for k in range(0, n, step)]
+        blocks = _element_blocks(n, mats.size)
         with np.errstate(invalid="ignore"):
             err = np.concatenate([
                 np.linalg.norm(np.conjugate(m.swapaxes(1, 2), out=np.empty_like(m)) @ m
                                - eye, axis=(1, 2))
                 for m in (mats[b] for b in blocks)
             ])
-        unitary = err <= 1e-9 * d
-        if not unitary.all():
-            raise ValueError(f"matrix for element {np.argmin(unitary)} is not unitary")
-        tol = 1e-8 * d / (2 * self.group.depth)
-        law_error = 0.0
-        for s in self.group.generating_set:
-            err = max(float(np.max(np.linalg.norm(
-                mats[s] @ mats[b] - mats[self.group.cayley[s, b]], axis=(1, 2))))
-                for b in blocks)
-            if err > tol:
-                raise ValueError(
-                    f"representation product law fails at generator {s} "
-                    f"(error {err:.3e})"
-                )
-            law_error = max(law_error, err)
+        _require_unitary(err, d)
+        law_error = _product_law_error(self.group, d, lambda s, b: np.linalg.norm(
+            mats[s] @ mats[b] - mats[self.group.cayley[s, b]], axis=(1, 2)), blocks)
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "law_error", law_error)
@@ -113,16 +116,156 @@ class UnitaryRep:
     def matrix(self, k: int) -> np.ndarray:
         return self.matrices[k]
 
+    def characters(self) -> np.ndarray:
+        """The trace of every element's matrix."""
+        return np.einsum("kii->k", self.matrices)
 
-def permutation_rep(act: GroupAction) -> UnitaryRep:
-    """Permutation matrices realizing an action: U(k) e_x = e_{k.x}."""
-    n, m = act.group.order, act.space_size
-    mats = np.zeros((n, m, m), dtype=np.complex128)
-    mats[np.arange(n)[:, None], act.perm, np.arange(m)] = 1.0
-    return UnitaryRep(group=act.group, matrices=mats)
+    def orbit(self, f) -> np.ndarray:
+        """V(k) f for every element k, stacked on axis 0; f is a vector or
+        a dim x m matrix."""
+        return self.matrices @ f
+
+    def conjugated(self, A, ks) -> np.ndarray:
+        """The stack V(k)^dag A V(k) over a 1-d index array of elements."""
+        mats = self.matrices[ks]
+        return mats.conj().swapaxes(-1, -2) @ A @ mats
 
 
-def left_regular_rep(g: FiniteGroup) -> UnitaryRep:
+@dataclass(frozen=True)
+class MonomialRep:
+    """A representation by permutations with phases:
+    V(k) e_x = phase[k, x] e_{perm[k, x]}, with perm the maps of a
+    GroupAction.
+
+    These are the representations induced from one-dimensional characters
+    (Serre, Linear Representations of Finite Groups, 7.1). They are stored
+    in O(|G| * dim) memory, never as a |G| x dim x dim stack, and checked
+    against the laws and tolerances of UnitaryRep, which for a monomial V
+    read off the phases. The permutation part obeys the composition law
+    exactly: GroupAction checks it on integers. Then
+    - the identity: ||phase[e] - 1|| <= 1e-12*dim, since perm[e] is the
+      identity map;
+    - unitarity: V^dag V is diagonal with entries |phase[k, x]|^2, so
+      ||V^dag V - I||_F = || |phase[k]|^2 - 1 || <= 1e-9*dim;
+    - the product law: V(s)V(k) e_x = phase[s, perm[k, x]] phase[k, x]
+      e_{perm[s*k, x]}, so ||V(s)V(k) - V(s*k)||_F is the norm over x of
+      phase[s, perm[k, x]] * phase[k, x] - phase[s*k, x]. It is checked
+      for every generator s and every element k within
+      1e-8*dim / (2*D), which bounds every pair as in UnitaryRep, and its
+      largest value is law_error.
+    """
+
+    action: GroupAction
+    phase: np.ndarray
+    law_error: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ph = np.asarray(self.phase, dtype=np.complex128).copy()
+        g, d = self.group, self.dim
+        n = g.order
+        if ph.shape != (n, d):
+            raise ValueError(f"phase must hold {d} phases for each of {n} elements")
+        if np.linalg.norm(ph[g.identity] - 1.0) > 1e-12 * d:
+            raise ValueError("identity element must map to the identity matrix")
+        # slices of elements of about 2**14 entries, as in UnitaryRep
+        blocks = _element_blocks(n, ph.size)
+        with np.errstate(invalid="ignore"):
+            err = np.concatenate([
+                np.linalg.norm((m.real ** 2 + m.imag ** 2) - 1.0, axis=1)
+                for m in (ph[b] for b in blocks)
+            ])
+        _require_unitary(err, d)
+        perm = self.action.perm
+        law_error = _product_law_error(g, d, lambda s, b: np.linalg.norm(
+            ph[s][perm[b]] * ph[b] - ph[g.cayley[s, b]], axis=1), blocks)
+        ph.setflags(write=False)
+        object.__setattr__(self, "phase", ph)
+        object.__setattr__(self, "law_error", law_error)
+        # every phase exactly 1, as in a permutation rep: conjugation is the
+        # gather alone
+        object.__setattr__(self, "_unit_phases", bool((ph == 1).all()))
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.action.group
+
+    @property
+    def dim(self) -> int:
+        return self.action.space_size
+
+    def matrix(self, k: int) -> np.ndarray:
+        """The dense matrix of one element."""
+        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        m[self.action.perm[k], np.arange(self.dim)] = self.phase[k]
+        return m
+
+    def characters(self) -> np.ndarray:
+        """The sum of every element's phases at its fixed points."""
+        fixed = self.action.perm == np.arange(self.dim)
+        return np.where(fixed, self.phase, 0.0).sum(axis=1)
+
+    def orbit(self, f) -> np.ndarray:
+        """V(k) f for every element k, stacked on axis 0, by one scatter;
+        f is a vector or a dim x m matrix."""
+        f = np.asarray(f)
+        out = np.zeros((self.group.order,) + f.shape, dtype=np.complex128)
+        ph = self.phase.reshape(self.phase.shape + (1,) * (f.ndim - 1))
+        out[np.arange(len(out))[:, None], self.action.perm] = ph * f
+        return out
+
+    def conjugated(self, A, ks) -> np.ndarray:
+        """The stack V(k)^dag A V(k) over a 1-d index array of elements, by
+        one gather: entry (x, y) is
+        conj(phase[k, x]) * A[perm[k, x], perm[k, y]] * phase[k, y]."""
+        p = self.action.perm[ks]
+        out = np.asarray(A)[p[:, :, None], p[:, None, :]]
+        if self._unit_phases:
+            return out
+        ph = self.phase[ks]
+        out = out * ph.conj()[:, :, None]
+        out *= ph[:, None, :]
+        return out
+
+
+def _element_blocks(n: int, size: int) -> list[slice]:
+    """Slices of the n elements, each holding about 2**14 of an array's
+    size entries."""
+    step = -(-n // (1 + size // (1 << 14)))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def _require_unitary(err: np.ndarray, d: int) -> None:
+    """Raise at the first element whose ||V^dag V - I||_F exceeds 1e-9*d."""
+    unitary = err <= 1e-9 * d
+    if not unitary.all():
+        raise ValueError(f"matrix for element {np.argmin(unitary)} is not unitary")
+
+
+def _product_law_error(g: FiniteGroup, d: int, errors, blocks) -> float:
+    """The largest of errors(s, b), the Frobenius errors of
+    V(s)V(k) = V(s*k) over the elements k of block b, for every generator
+    s; raises above 1e-8*d / (2*depth)."""
+    tol = 1e-8 * d / (2 * g.depth)
+    law_error = 0.0
+    for s in g.generating_set:
+        err = max(float(np.max(errors(s, b))) for b in blocks)
+        if err > tol:
+            raise ValueError(
+                f"representation product law fails at generator {s} "
+                f"(error {err:.3e})"
+            )
+        law_error = max(law_error, err)
+    return law_error
+
+
+def permutation_rep(act: GroupAction) -> MonomialRep:
+    """Permutation matrices realizing an action, U(k) e_x = e_{k.x}: the
+    monomial rep of the action with every phase 1."""
+    return MonomialRep(action=act,
+                       phase=np.ones((act.group.order, act.space_size)))
+
+
+def left_regular_rep(g: FiniteGroup) -> MonomialRep:
     """The group permuting itself: functions pulled back along k^{-1}.
 
     On basis vectors this sends e_y to e_{k.y}, giving exact 0/1
@@ -133,7 +276,7 @@ def left_regular_rep(g: FiniteGroup) -> UnitaryRep:
     return permutation_rep(left_translation_action(g))
 
 
-def commutant_dimension(rep: UnitaryRep, tol: float = 1e-8) -> int:
+def commutant_dimension(rep: UnitaryRep | MonomialRep, tol: float = 1e-8) -> int:
     """Dimension of {X : X V(k) = V(k) X for every element k}.
 
     By Schur orthogonality it equals the character norm
@@ -143,7 +286,7 @@ def commutant_dimension(rep: UnitaryRep, tol: float = 1e-8) -> int:
     a representation.
     """
     d = rep.dim
-    chars = np.einsum("kii->k", rep.matrices)
+    chars = rep.characters()
     c = float(np.vdot(chars, chars).real) / rep.group.order
     if abs(c - round(c)) > tol * d * d:
         raise ValueError(
@@ -153,7 +296,7 @@ def commutant_dimension(rep: UnitaryRep, tol: float = 1e-8) -> int:
     return round(c)
 
 
-def is_irreducible(rep: UnitaryRep, tol: float = 1e-8):
+def is_irreducible(rep: UnitaryRep | MonomialRep, tol: float = 1e-8):
     """(irreducible?, commutant dimension); irreducible iff the commutant
     is exactly the scalars."""
     c = commutant_dimension(rep, tol)
@@ -169,7 +312,7 @@ class CoherentSystem:
     holds the base point.
     """
 
-    rep: UnitaryRep
+    rep: UnitaryRep | MonomialRep
     action: GroupAction
     base_point: int
     fiducial: np.ndarray
@@ -192,7 +335,7 @@ class CoherentSystem:
         object.__setattr__(self, "states", st)
 
 
-def make_coherent(rep: UnitaryRep, act: GroupAction, base_point: int,
+def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: int,
                   fiducial) -> CoherentSystem:
     """Orbit of a fiducial vector under an irreducible representation.
 
@@ -219,7 +362,7 @@ def make_coherent(rep: UnitaryRep, act: GroupAction, base_point: int,
             "the frame operator may fail to be a scalar",
             stacklevel=2,
         )
-    states = rep.matrices @ f
+    states = rep.orbit(f)
     return CoherentSystem(rep=rep, action=act, base_point=base_point,
                           fiducial=f, states=states, commutant_dim=cdim)
 
@@ -280,15 +423,16 @@ def unitary_transport(cs: CoherentSystem, W) -> CoherentSystem:
     """Carry a coherent system through a unitary change of frame.
 
     States map to W|s>, the representation to W V W^dag, and the weights
-    are unchanged, so the resolution deviation is preserved.
+    are unchanged, so the resolution deviation is preserved. The new
+    matrices mix basis vectors, so the new rep is a dense UnitaryRep
+    whatever the form of the old one.
     """
     W = as_cmatrix(W)
     if not is_unitary(W, 1e-9):
         raise NotUnitaryError("transport matrix is not unitary")
     if W.shape[0] != cs.rep.dim:
         raise ValueError("transport dimension mismatch")
-    new_mats = W @ cs.rep.matrices @ W.conj().T
-    new_rep = UnitaryRep(group=cs.rep.group, matrices=new_mats)
+    new_rep = UnitaryRep(group=cs.rep.group, matrices=W @ cs.rep.orbit(W.conj().T))
     return CoherentSystem(
         rep=new_rep, action=cs.action, base_point=cs.base_point,
         fiducial=W @ cs.fiducial, states=cs.states @ W.T,
@@ -328,10 +472,12 @@ def binary_tetrahedral_spin_rep(g: FiniteGroup) -> UnitaryRep:
 # serialization
 
 
-def rep_to_json(rep: UnitaryRep) -> str:
-    """Element-indexed arrays of row-major [re, im] entry pairs."""
-    pairs = rep.matrices.view(np.float64).reshape(rep.group.order, -1, 2)
-    return json.dumps({"dim": rep.dim, "matrices": pairs.tolist()})
+def rep_to_json(rep: UnitaryRep | MonomialRep) -> str:
+    """Element-indexed arrays of row-major [re, im] entry pairs: the dense
+    matrices of either form, written one element at a time."""
+    pairs = [rep.matrix(k).view(np.float64).reshape(-1, 2).tolist()
+             for k in range(rep.group.order)]
+    return json.dumps({"dim": rep.dim, "matrices": pairs})
 
 
 def rep_from_json(group: FiniteGroup, text: str) -> UnitaryRep:

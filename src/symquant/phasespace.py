@@ -1,6 +1,10 @@
 """Finite cyclic phase space: shift and clock unitaries, the Fourier
 (momentum) basis, mutual unbiasedness, and position/momentum operators.
 
+The shift and clock representations of cyclic:n are monomial: a
+permutation and n phases per element (coherent.MonomialRep), O(n^2) in
+all, so lattices up to MAX_PHASE_N = 1024 points are reachable.
+
 This is the n-point stand-in for translations of position and momentum on
 the line; the genuinely continuous case (unbounded operators, continuous
 spectra) is only analogized, never represented.
@@ -10,9 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coherent import UnitaryRep, permutation_rep
-from .groups import FiniteGroup, cyclic_group, cyclic_shift_action
+from .coherent import MonomialRep, permutation_rep
+from .groups import FiniteGroup, GroupAction, cyclic_group, cyclic_shift_action
 from .quantize import OperatorBundle, build_operator
+
+
+# the largest lattice accepted: the phase scenario at MAX_PHASE_N (cyclic
+# group of order 1024) peaks at about 184 MiB under tracemalloc, well inside
+# a 1 GiB budget; its n x n operators and their eigendecompositions, not the
+# monomial reps' n x n phases, dominate
+MAX_PHASE_N = 1024
 
 
 class BadSizeError(ValueError):
@@ -21,8 +32,10 @@ class BadSizeError(ValueError):
 
 def _check_size(n: int) -> int:
     n = int(n)
-    if n < 2:
-        raise BadSizeError("lattice size must be at least 2")
+    if not 2 <= n <= MAX_PHASE_N:
+        raise BadSizeError(
+            f"lattice size must lie between 2 and the largest supported size "
+            f"{MAX_PHASE_N}, got {n}")
     return n
 
 
@@ -47,21 +60,29 @@ def clock_unitary(n: int, d: int = 1) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * d * np.arange(n) / n))
 
 
-def shift_rep(n: int, group: FiniteGroup | None = None) -> UnitaryRep:
-    """k -> shift by k, a faithful unitary representation of cyclic:n."""
+def _lattice_group(n: int, group: FiniteGroup | None) -> FiniteGroup:
+    """cyclic:n, or the given group when its order is n."""
     n = _check_size(n)
     g = group if group is not None else cyclic_group(n)
     if g.order != n:
         raise ValueError(f"a group of order {g.order} cannot shift {n} points")
-    return permutation_rep(cyclic_shift_action(g))
+    return g
 
 
-def clock_rep(n: int, group: FiniteGroup | None = None) -> UnitaryRep:
-    """k -> clock^k, the Fourier-conjugate representation of cyclic:n."""
-    n = _check_size(n)
-    g = group if group is not None else cyclic_group(n)
-    mats = np.stack([clock_unitary(n, k) for k in range(n)])
-    return UnitaryRep(group=g, matrices=mats)
+def shift_rep(n: int, group: FiniteGroup | None = None) -> MonomialRep:
+    """k -> shift by k, a faithful unitary representation of cyclic:n: the
+    permutation rep of the shifts."""
+    return permutation_rep(cyclic_shift_action(_lattice_group(n, group)))
+
+
+def clock_rep(n: int, group: FiniteGroup | None = None) -> MonomialRep:
+    """k -> clock^k, the Fourier-conjugate representation of cyclic:n: the
+    trivial permutation of every point, with phase w^{kx} at x."""
+    g = _lattice_group(n, group)
+    x = np.arange(n)
+    fixed = GroupAction(group=g, perm=np.broadcast_to(x, (n, n)))
+    # the phases of clock_unitary(n, k), operation for operation
+    return MonomialRep(action=fixed, phase=np.exp(2j * np.pi * x[:, None] * x / n))
 
 
 def mub_deviation(n: int) -> float:

@@ -12,9 +12,11 @@ Operators, effects, densities, covariance rebuilds and coarse-graining
 projections are weighted projector sums, computed by linalg.projector_sum.
 
 Covariance has one kernel: covariance_check runs it on a set of group
-elements (one value-map read, one stacked conjugation, the worst distance
-against 1e-9 * max(1, ||A||_F), the rep's matrices not tested again since
-UnitaryRep proved them unitary), conjugation_covariance on one unitary.
+elements (one value-map read, one stacked conjugation by the rep's
+conjugated method, the worst distance against 1e-9 * max(1, ||A||_F), the
+rep not tested again since its constructor proved it unitary),
+conjugation_covariance on one unitary. A rep of either form serves:
+conjugation by a monomial rep is a gather of the operator's entries.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .linalg import (
 )
 from .groups import orbit_partition, rows_are_permutations
 from .variables import ConceptualVariable, GroupAction, _element_maps
-from .coherent import NotUnitaryError, UnitaryRep, resolution_deviation
+from .coherent import MonomialRep, NotUnitaryError, UnitaryRep, resolution_deviation
 
 
 class RowMismatchError(ValueError):
@@ -62,6 +64,10 @@ class NotAnOrbitError(ValueError):
 
 
 class NotUnitError(ValueError):
+    pass
+
+
+class NotOrthonormalError(ValueError):
     pass
 
 
@@ -285,13 +291,12 @@ class CovarianceReport:
     passed: bool
 
 
-def _covariance(bundle: OperatorBundle, mats: np.ndarray,
+def _covariance(bundle: OperatorBundle, lhs: np.ndarray,
                 perms: np.ndarray) -> CovarianceReport:
-    """The worst Frobenius distance between V^dag A V and the operator
-    relabelled by perm, over a stack of unitaries V and value permutations
-    perm; tolerance 1e-9 * max(1, ||A||_F)."""
+    """The worst Frobenius distance between a stack of conjugates
+    V^dag A V and the operator relabelled by the matching value
+    permutations perm; tolerance 1e-9 * max(1, ||A||_F)."""
     A = bundle.matrix
-    lhs = mats.conj().swapaxes(-1, -2) @ A @ mats
     if bundle.states is not None:
         if perms.shape[1:] != bundle.labels.shape:
             raise DimensionMismatchError(
@@ -323,17 +328,19 @@ def conjugation_covariance(bundle: OperatorBundle, unitary,
     if not is_unitary(U, 1e-9):
         raise NotUnitaryError("covariance check needs a unitary matrix")
     perm = np.asarray(value_perm, dtype=np.intp)
-    return _covariance(bundle, U[None], perm[None])
+    U = U[None]
+    return _covariance(bundle, U.conj().swapaxes(-1, -2) @ bundle.matrix @ U,
+                       perm[None])
 
 
-def covariance_check(bundle: OperatorBundle, rep: UnitaryRep, elements,
+def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elements,
                      var: ConceptualVariable, act: GroupAction) -> CovarianceReport:
     """Covariance for one group element or a nonempty set of them (repeats
     allowed) acting through a variable; the report holds the worst distance.
 
     NotInSubgroupError names the first element outside the maximal
     permissible subgroup, groups.BadElementError an index outside the group.
-    The rep's matrices are used as they are: UnitaryRep proved them unitary.
+    The rep is used as it is: its constructor proved it unitary.
     """
     ks, maps, ok = _element_maps(var, act, elements)
     if ks.size == 0:
@@ -342,7 +349,7 @@ def covariance_check(bundle: OperatorBundle, rep: UnitaryRep, elements,
         raise NotInSubgroupError(
             f"element {ks[np.argmin(ok)]} does not act through a value permutation"
         )
-    return _covariance(bundle, rep.matrices[ks], maps)
+    return _covariance(bundle, rep.conjugated(bundle.matrix, ks), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +521,9 @@ def question_answer_match(v, bases: Mapping[str, np.ndarray]):
 
     bases maps a question label to a matrix whose columns are the basis
     vectors. A pair (label, j) matches when the squared overlap
-    |<basis_j|v>|^2 reaches 1 - 1e-6. Returns the matches in basis order.
+    |<basis_j|v>|^2 reaches 1 - 1e-6. Returns the matches in basis order;
+    NotOrthonormalError when a basis is not orthonormal, NotUnitError when
+    v is not a unit vector.
     """
     v = as_cvector(v)
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
@@ -523,7 +532,7 @@ def question_answer_match(v, bases: Mapping[str, np.ndarray]):
     for label, B in bases.items():
         B = as_cmatrix(B)
         if not is_unitary(B, 1e-9):
-            raise ValueError(f"basis {label!r} is not orthonormal")
+            raise NotOrthonormalError(f"basis {label!r} is not orthonormal")
         if B.shape[0] != v.size:
             raise DimensionMismatchError(f"basis {label!r} dimension mismatch")
         overlaps = np.abs(B.conj().T @ v) ** 2

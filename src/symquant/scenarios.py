@@ -44,6 +44,7 @@ from .groups import (
 from .linalg import max_abs
 from .quantize import (
     NotAnOrbitError,
+    NotOrthonormalError,
     build_operator,
     conjugation_covariance,
     covariance_check,
@@ -53,7 +54,7 @@ from .quantize import (
     question_answer_match,
     spectrum_permutations,
 )
-from .phasespace import BadSizeError
+from .phasespace import BadSizeError, _check_size
 from .reporting import Check, VerificationReport, exact_check, make_check
 from .spin import (
     BadSpinError,
@@ -113,8 +114,7 @@ class PhaseSpaceScenario:
     shift_mom: int = 1
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigParseError("lattice size must be at least 2")
+        _check_size(self.n)
 
 
 class _Tol:
@@ -368,8 +368,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
         f"{bundle.spectrum.degeneracy_tol:.1e})",
     ))
 
-    # U(k), the rotation by 2*pi*k/8 about a, from the measured spectrum;
-    # k < 16 is the cyclic group of order 16, whose generator is U(1)
+    # U(k), the rotation by 2*pi*k/8 about a, from the measured spectrum
     spec = bundle.spectrum
 
     def turn(k):
@@ -385,19 +384,6 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     checks.append(make_check(
         "double_turn_rotation_identity", err_4pi,
         tol("double_turn_rotation_identity", 1e-9), "rotation by 4*pi",
-    ))
-
-    step, current, worst = turn(1), turn(0), 0.0
-    for k in range(1, 17):
-        following = turn(k % 16)
-        worst = max(worst, float(np.linalg.norm(step @ current - following)))
-        current = following
-    checks.append(make_check(
-        "rotation_angle_additivity", worst,
-        tol("rotation_angle_additivity", 1e-8),
-        "U(1)U(k) = U(k+1 mod 16) for the rotations U(k) by 2*pi*k/8 about "
-        "the fixed axis: the product law of the cyclic group of order 16 on "
-        "its generator and every element",
     ))
 
     if d > 1:
@@ -440,10 +426,15 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     if d > 1:
         bases = {"component_a": basis, "component_b": spec_b.basis()}
         v = basis[:, 0]
-        matches = question_answer_match(v, bases)
+        try:
+            matches = question_answer_match(v, bases)
+        except NotOrthonormalError as exc:
+            matches, details = None, str(exc)
+        else:
+            details = f"matches = {matches}"
         checks.append(exact_check(
             "question_answer_unique_match", matches == [("component_a", 0)],
-            f"matches = {matches}",
+            details,
         ))
 
     if scn.reduce_demo:
@@ -486,7 +477,7 @@ def _phase_checks(params, tol: _Tol) -> list[Check]:
     checks = []
 
     # each rep measures its product law on generators x all elements,
-    # which bounds every pair (see UnitaryRep)
+    # which bounds every pair (see MonomialRep)
     g = cyclic_group(n)
     srep = ps.shift_rep(n, g)
     crep = ps.clock_rep(n, g)

@@ -21,7 +21,8 @@ import pytest
 from symquant import coherent, groups, linalg, quantize, scenarios, spin
 from symquant import phasespace as ps
 from symquant.cli import main
-from symquant.coherent import UnitaryRep
+from symquant.coherent import MonomialRep
+from symquant.groups import GroupAction
 from symquant.quantize import NotAnOrbitError
 from symquant.variables import variable_from_point_labels
 
@@ -96,16 +97,29 @@ def _drifting_shift_rep(orig):
     # at k = 0, but n shifts come back with phase exp(1e-11 i n)
     def fault(n, group=None):
         rep = orig(n, group)
-        drift = np.exp(1e-11j * np.arange(n))[:, None, None]
-        return UnitaryRep(group=rep.group, matrices=drift * rep.matrices)
+        drift = np.exp(1e-11j * np.arange(n))[:, None]
+        return MonomialRep(action=rep.action, phase=drift * rep.phase)
     return fault
 
 
 def _drifting_clock_rep(orig):
     # clock^k with the phase step 2*pi/n rounded to 1e-10 relative
     def fault(n, group=None):
-        return UnitaryRep(group=group, matrices=np.stack(
-            [ps.clock_unitary(n, k * (1 + 1e-10)) for k in range(n)]))
+        rep = orig(n, group)
+        x = np.arange(n)
+        return MonomialRep(action=rep.action, phase=np.exp(
+            2j * np.pi * (x * (1 + 1e-10))[:, None] * x / n))
+    return fault
+
+
+def _trivial_permutation_rep(orig):
+    # every element acts as the identity: the permutation part of the
+    # action replaced by the trivial action, phases kept
+    def fault(act):
+        rep = orig(act)
+        fixed = GroupAction(group=act.group,
+                            perm=np.zeros_like(act.perm) + np.arange(act.space_size))
+        return MonomialRep(action=fixed, phase=rep.phase)
     return fault
 
 
@@ -128,6 +142,10 @@ def _clamped_shift(orig):
         S[np.minimum(x + c, n - 1), x] = 1.0
         return S
     return fault
+
+
+def _basis_one_short(orig):
+    return lambda self: orig(self)[:, :-1]
 
 
 def _reduce_keeping_smallest(orig):
@@ -172,10 +190,7 @@ MUTANTS = {
         PEDAGOGY, scenarios, "is_permissible_under",
         lambda orig: lambda var, act, subset: orig(var, act, range(act.group.order))),
     "covariance_all_subgroup_elements": Mutant(
-        PEDAGOGY, scenarios, "permutation_rep",
-        lambda orig: lambda act: UnitaryRep(
-            group=act.group, matrices=np.zeros_like(orig(act).matrices)
-            + np.eye(act.space_size))),
+        PEDAGOGY, scenarios, "permutation_rep", _trivial_permutation_rep),
     "coarser_finer_partial_order": Mutant(
         PEDAGOGY, scenarios, "accessibility_leq",
         lambda orig: lambda alpha, beta: orig(beta, alpha)),
@@ -217,8 +232,6 @@ MUTANTS = {
         SPIN, scenarios, "spin_component_operator",
         lambda orig: lambda j, a: quantize.operator_from_matrix(
             (1 + 1.6e-10) * orig(j, a).matrix)),
-    "rotation_angle_additivity": Mutant(
-        SPIN, spin, "component_matrix", _scaled_component(1.01)),
     "covariance_half_turn_reverses_labels": Mutant(
         SPIN, scenarios, "perpendicular_unit",
         lambda orig: lambda a: np.asarray(a, dtype=float)),
@@ -226,11 +239,10 @@ MUTANTS = {
         {"scenario": "spin", "params": {"reduce": False}},
         scenarios, "eigen_orbit_partition",
         lambda orig: lambda bundle, perms: orig(bundle, perms[:1])),
-    # at spin 0, where no second basis is built: for d > 1 the question and
-    # answer check raises on a basis that is not orthonormal
+    # a basis one vector short: the question and answer check fails with it,
+    # on the basis that is not orthonormal, and the report is still made
     "eigenbasis_resolves_identity": Mutant(
-        {"scenario": "spin", "params": {"j": 0.0}}, linalg.SpectralData, "basis",
-        lambda orig: lambda self: orig(self)[:, :-1]),
+        SPIN, linalg.SpectralData, "basis", _basis_one_short),
     "question_answer_unique_match": Mutant(
         SPIN, scenarios, "question_answer_match",
         lambda orig: lambda v, bases: [(label, 0) for label in bases]),
@@ -279,6 +291,19 @@ def test_mutant_fails_its_check(check, monkeypatch):
     assert _verdict(config, check), "the check must pass on the unpatched library"
     monkeypatch.setattr(target, name, fault(getattr(target, name)))
     assert not _verdict(config, check)
+
+
+def test_basis_not_orthonormal_is_a_failed_check(monkeypatch, capsys):
+    # the eigenbasis mutant at spin 1/2: the report is written, with the
+    # question and answer check failed on the truncated basis, and exit 1
+    monkeypatch.setattr(linalg.SpectralData, "basis",
+                        _basis_one_short(linalg.SpectralData.basis))
+    assert main(["spin", "--j", "0.5"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    match = checks["question_answer_unique_match"]
+    assert not match["passed"]
+    assert match["details"] == "basis 'component_a' is not orthonormal"
+    assert not checks["eigenbasis_resolves_identity"]["passed"]
 
 
 def _verdict(config, check):

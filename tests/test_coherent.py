@@ -6,6 +6,7 @@ character norm on named-group, permutation and direct-sum representations.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,13 +49,13 @@ def d4_rep():
 class TestLeftRegular:
     def test_cyclic_two(self):
         rep = left_regular_rep(cyclic_group(2))
-        assert_allclose(rep.matrices[0], np.eye(2))
-        assert_allclose(rep.matrices[1], [[0, 1], [1, 0]])
+        assert_allclose(rep.matrix(0), np.eye(2))
+        assert_allclose(rep.matrix(1), [[0, 1], [1, 0]])
 
     def test_identity_element(self):
         g = make_named_group("dihedral:3")
         rep = left_regular_rep(g)
-        assert_allclose(rep.matrices[g.identity], np.eye(g.order))
+        assert_allclose(rep.matrix(g.identity), np.eye(g.order))
 
     def test_cyclic_three_pullback(self):
         # U(k) f (x) = f(k^{-1} x): columns follow the index arithmetic
@@ -64,13 +65,25 @@ class TestLeftRegular:
             for x in range(3):
                 for y in range(3):
                     expect = 1.0 if g.mul(g.inv(k), x) == y else 0.0
-                    assert rep.matrices[k][x, y] == expect
+                    assert rep.matrix(k)[x, y] == expect
 
     def test_regular_rep_of_abelian_group_reducible(self):
         rep = left_regular_rep(cyclic_group(3))
         irr, cdim = is_irreducible(rep)
         assert not irr
         assert cdim == 3
+
+    def test_dihedral_200_peaks_below_16_mib(self):
+        # a dense 400 x 400 x 400 stack would be 977 MiB (733 MiB peak was
+        # measured at dihedral:100); the monomial rep holds 400 x 400 phases
+        tracemalloc.start()
+        try:
+            rep = left_regular_rep(make_named_group("dihedral:200"))
+            assert is_irreducible(rep) == (False, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestIrreducibility:
@@ -326,6 +339,6 @@ class TestPermutationRep:
         rep = permutation_rep(act)
         for k in range(g.order):
             for x in range(4):
-                col = rep.matrices[k][:, x]
+                col = rep.matrix(k)[:, x]
                 assert col[act.perm[k, x]] == 1.0
                 assert col.sum() == 1.0

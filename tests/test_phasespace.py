@@ -1,12 +1,15 @@
 """Tests for the finite cyclic phase-space machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symquant.coherent import UnitaryRep
+from symquant.coherent import MonomialRep, UnitaryRep
 from symquant.groups import cyclic_group
 from symquant.phasespace import (
+    MAX_PHASE_N,
     BadSizeError,
     clock_rep,
     clock_unitary,
@@ -18,6 +21,7 @@ from symquant.phasespace import (
     shift_rep,
     shift_unitary,
 )
+from symquant.scenarios import run_scenario
 
 
 class TestFourier:
@@ -35,6 +39,13 @@ class TestFourier:
     def test_bad_size(self):
         with pytest.raises(BadSizeError):
             fourier_matrix(1)
+
+    @pytest.mark.parametrize("n", [MAX_PHASE_N + 1, 20000])
+    def test_size_above_the_bound(self, n):
+        with pytest.raises(BadSizeError, match="largest supported size 1024"):
+            fourier_matrix(n)
+        with pytest.raises(BadSizeError):
+            shift_rep(n)
 
 
 class TestShiftAndClock:
@@ -58,7 +69,7 @@ class TestShiftAndClock:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_reps_are_valid(self, n):
-        # UnitaryRep validation checks the product law on generators x all
+        # MonomialRep validation checks the product law on generators x all
         # elements, which bounds every Cayley pair
         srep = shift_rep(n)
         crep = clock_rep(n)
@@ -68,21 +79,17 @@ class TestShiftAndClock:
     def test_shift_rep_is_the_permutation_rep_of_the_shifts(self, n):
         mats = np.stack([shift_unitary(n, k) for k in range(n)])
         srep = shift_rep(n)
-        assert srep.matrices.dtype == mats.dtype
-        assert srep.matrices.tobytes() == mats.tobytes()
+        dense = np.stack([srep.matrix(k) for k in range(n)])
+        assert dense.dtype == mats.dtype
+        assert dense.tobytes() == mats.tobytes()
         assert srep.law_error == 0.0
 
-    @pytest.mark.parametrize("n", [64, 128])
-    def test_clock_law_error_is_the_whole_stack_maximum(self, n):
-        # the law is measured on slices of elements: 16 slices of 4 at
-        # n = 64, 128 slices of one at n = 128
+    @pytest.mark.parametrize("n", [2, 4, 7, 64, 256])
+    def test_clock_phases_are_the_clock_unitaries(self, n):
         crep = clock_rep(n)
-        mats, g = crep.matrices, crep.group
-        whole = max(
-            float(np.max(np.linalg.norm(mats[s] @ mats - mats[g.cayley[s]], axis=(1, 2))))
-            for s in g.generating_set
-        )
-        assert crep.law_error == whole
+        mats = np.stack([clock_unitary(n, k) for k in range(n)])
+        assert np.array_equal(crep.action.perm, np.broadcast_to(np.arange(n), (n, n)))
+        assert crep.phase.tobytes() == np.diagonal(mats, axis1=1, axis2=2).tobytes()
 
     @pytest.mark.parametrize("factor, message", [
         (1.001, "element 127 is not unitary"),
@@ -95,10 +102,24 @@ class TestShiftAndClock:
         with pytest.raises(ValueError, match=message):
             UnitaryRep(group=cyclic_group(n), matrices=mats)
 
+    @pytest.mark.parametrize("factor, message", [
+        (1.001, "element 127 is not unitary"),
+        (np.exp(1e-6j), "product law fails at generator 1 "),   # unitary
+    ])
+    def test_fault_in_the_last_phase_slice_is_caught(self, factor, message):
+        # 128 x 128 phases run in slices of 128 elements: the fault is in
+        # the last element, and the same message as the dense stack's
+        n = 128
+        crep = clock_rep(n)
+        phase = crep.phase.copy()
+        phase[n - 1] *= factor
+        with pytest.raises(ValueError, match=message):
+            MonomialRep(action=crep.action, phase=phase)
+
     def test_group_of_another_order_rejected(self):
         with pytest.raises(ValueError, match="cannot shift"):
             shift_rep(4, cyclic_group(5))
-        with pytest.raises(ValueError, match="stack of 5 square matrices"):
+        with pytest.raises(ValueError, match="cannot shift"):
             clock_rep(4, cyclic_group(5))
 
     def test_weyl_commutation(self):
@@ -141,3 +162,16 @@ class TestOperators:
             assert_allclose(position_operator(n).eigenvalues, np.arange(n))
             assert_allclose(momentum_operator(n).eigenvalues, np.arange(n),
                             atol=1e-9)
+
+
+class TestMemory:
+    def test_phase_scenario_at_128_peaks_below_16_mib(self):
+        # dense |G| x d x d rep stacks peaked at 97 MiB here; the monomial
+        # reps hold n x n phases, and the n x n operators dominate
+        tracemalloc.start()
+        try:
+            assert run_scenario({"scenario": "phase", "params": {"n": 128}}).all_passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -9,8 +9,9 @@ import pytest
 
 import numpy as np
 
-from symquant import groups, spin
+from symquant import groups, scenarios, spin
 from symquant.cli import main
+from symquant.phasespace import MAX_PHASE_N
 from symquant.reporting import Check, dumps, make_check, strip_timing
 from symquant.scenarios import (
     BUILTIN_SCENARIOS,
@@ -190,7 +191,7 @@ class TestScenarios:
         assert not ladder.passed
         assert ladder.max_error == pytest.approx(0.01)
         assert not by_name["component_covariance_binary_tetrahedral"].passed
-        assert not by_name["rotation_angle_additivity"].passed
+        assert not by_name["double_turn_rotation_identity"].passed
         assert main(["spin", "--j", "1"]) == 1
 
     def test_tolerance_override_can_fail_a_check(self):
@@ -346,6 +347,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "largest supported spin" in captured.err
+
+    @pytest.mark.parametrize("n", [MAX_PHASE_N + 1, 20000])
+    def test_oversized_phase_exit_2_before_any_group(self, monkeypatch, capsys, n):
+        # cyclic:20000 would exceed the largest group order; the lattice
+        # bound is checked first, so neither group is built
+        built = []
+        monkeypatch.setattr(scenarios, "cyclic_group", built.append)
+        monkeypatch.setattr(groups.FiniteGroup, "__post_init__",
+                            lambda self: built.append(self))
+        assert main(["phase", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "largest supported size" in captured.err
+        assert built == []
 
     def test_huge_spin_cli_exit_2(self, capsys):
         assert main(["spin", "--j", "1e300"]) == 2

@@ -49,19 +49,29 @@ one kernel, linalg.projector_sum. The per-caller einsum contractions it
 replaced live here, and must agree with the callers on random families.
 
 The spin scenario proves rotation covariance on the two generators of the
-binary tetrahedral group, and angle additivity on the generator of the
-cyclic group of rotations by 2*pi*k/8, read off one measured spectrum.
-Covariance on all 24 elements, and the rotations rebuilt by an independent
-matrix exponential, live here.
+binary tetrahedral group, and reads the rotations by 2*pi*k/8 off one
+measured spectrum. Covariance on all 24 elements, and the rotations
+rebuilt by an independent matrix exponential, live here.
 
 covariance_check takes a set of group elements, reads all their value maps
 in one pass and conjugates by all their matrices in one stacked product.
 The per-element check it replaced, one value map and one conjugation per
 element, lives here, and must give the same worst distance and reject the
 same first element.
+
+Permutation, left-regular, shift and clock representations are monomial,
+V(k) e_x = phase[k, x] e_{perm[k, x]}, and are stored and checked as a
+permutation and a phase per element, never as a |G| x d x d stack. The
+dense stacks they were built as live here, and on random permutation
+groups with phases drawn from a character, the dense UnitaryRep and
+MonomialRep must agree on the law error (within rounding), characters,
+orbit states, conjugation and covariance, and must reject the same faulty
+phases with the same message.
 """
 
+import hashlib
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -71,6 +81,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symquant.coherent import (
+    MonomialRep,
     UnitaryRep,
     binary_tetrahedral_spin_rep,
     commutant_dimension,
@@ -80,6 +91,7 @@ from symquant.coherent import (
     left_regular_rep,
     make_coherent,
     permutation_rep,
+    rep_to_json,
     resolution_deviation,
     unitary_transport,
 )
@@ -105,6 +117,7 @@ from symquant.linalg import (
     expm_antihermitian,
     projector_sum,
 )
+from symquant.phasespace import clock_rep, clock_unitary
 from symquant.quantize import (
     NotAnOrbitError,
     NotInSubgroupError,
@@ -204,9 +217,44 @@ def rep_law_all_pairs_error(group: FiniteGroup, mats) -> float:
     )
 
 
-def frame_commutator_on_generators(rep: UnitaryRep, T) -> float:
+def monomial_matrices(perm, phase) -> np.ndarray:
+    """The dense |G| x d x d stack with V(k) e_x = phase[k, x] e_{perm[k, x]},
+    phase broadcast against perm."""
+    perm = np.asarray(perm)
+    n, d = perm.shape
+    mats = np.zeros((n, d, d), dtype=np.complex128)
+    mats[np.arange(n)[:, None], perm, np.arange(d)] = phase
+    return mats
+
+
+def permutation_matrices(act: GroupAction) -> np.ndarray:
+    """The 0/1 permutation matrices of an action, as permutation_rep built
+    them before it was monomial."""
+    return monomial_matrices(act.perm, 1.0)
+
+
+def clock_matrices(n: int) -> np.ndarray:
+    """clock^k for every k, as clock_rep built them before it was
+    monomial."""
+    return np.stack([clock_unitary(n, k) for k in range(n)])
+
+
+def permutation_sign(p) -> int:
+    """+1 or -1: the parity of a permutation's image tuple, by cycle count."""
+    seen, cycles = set(), 0
+    for start in range(len(p)):
+        if start not in seen:
+            cycles += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = p[x]
+    return 1 if (len(p) - cycles) % 2 == 0 else -1
+
+
+def frame_commutator_on_generators(rep, T) -> float:
     """Largest ||V(s) T - T V(s)||_F over the group's generators s."""
-    return max(float(np.linalg.norm(rep.matrices[s] @ T - T @ rep.matrices[s]))
+    return max(float(np.linalg.norm(rep.matrix(s) @ T - T @ rep.matrix(s)))
                for s in rep.group.generating_set)
 
 
@@ -315,7 +363,7 @@ def covariance_by_element_loop(bundle, rep, elements, var, act) -> float:
                 f"element {h} does not act through a value permutation"
             )
         worst = max(worst,
-                    conjugation_covariance(bundle, rep.matrices[h], g).distance)
+                    conjugation_covariance(bundle, rep.matrix(h), g).distance)
     return worst
 
 
@@ -376,7 +424,7 @@ def commutant_by_kronecker_svd(rep, tol=1e-8) -> int:
     eye = np.eye(d)
     blocks = []
     for k in rep.group.generating_set:
-        V = rep.matrices[k]
+        V = rep.matrix(k)
         # row-major vec: vec(XV - VX) = (I (x) V^T - V (x) I) vec(X)
         blocks.append(np.kron(eye, V.T) - np.kron(V, eye))
     if not blocks:
@@ -694,10 +742,10 @@ def covariance_cases(draw, max_degree=5):
     only, with one eigenvalue cluster per value of random multiplicity."""
     var, act = draw(labelled_actions(max_degree))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = permutation_rep(act)
-    d, k = base.dim, var.n_values
+    d, k = act.space_size, var.n_values
     W = _random_unitary(rng, d)
-    rep = UnitaryRep(group=act.group, matrices=W @ base.matrices @ W.conj().T)
+    rep = UnitaryRep(group=act.group,
+                     matrices=W @ permutation_matrices(act) @ W.conj().T)
     if draw(st.booleans()):
         states = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
         bundle = _quiet_operator(states, rng.uniform(0.5, 2.0, k),
@@ -710,6 +758,33 @@ def covariance_cases(draw, max_degree=5):
         bundle = operator_from_matrix((A + A.conj().T) / 2)
         assert list(bundle.spectrum.multiplicities) == list(mults)
     return var, act, rep, bundle
+
+
+@st.composite
+def monomial_cases(draw, max_degree=5):
+    """(act, phase): a random permutation group's natural, left-translation
+    (up to order 24) or trivial action, and phases drawn from a character. On the natural
+    and left actions every point carries one character chi of the group
+    (trivial or the sign), conjugated by a random diagonal unitary c:
+    phase[k, x] = chi(k) * c[perm[k, x]] / c[x]. On the trivial action each
+    point carries its own character, so phase[k, x] = chi_x(k)."""
+    g = draw(permutation_groups(max_degree))
+    sign = np.array([permutation_sign(p) for p in g.elements], dtype=float)
+    # the dense all-pairs oracle grows as |G| * d^3: left translation only
+    # up to order 24
+    kind = draw(st.sampled_from(["natural", "trivial"]
+                                + (["left"] if g.order <= 24 else [])))
+    if kind == "trivial":
+        m = draw(st.integers(1, max_degree))
+        act = GroupAction(group=g, perm=np.tile(np.arange(m), (g.order, 1)))
+        signed = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        return act, np.where(signed, sign[:, None], 1.0) + 0j
+    act = (natural_permutation_action(g) if kind == "natural"
+           else left_translation_action(g))
+    chi = sign if draw(st.booleans()) else np.ones(g.order)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = np.exp(2j * np.pi * rng.random(act.space_size))
+    return act, chi[:, None] * c[act.perm] / c
 
 
 def _random_unitary(rng, d) -> np.ndarray:
@@ -745,8 +820,8 @@ class TestOraclesAgree:
         assert 1 <= g.depth <= max(g.order - 1, 1)
         act = natural_permutation_action(g)
         assert action_law_all_pairs(g, act.perm)
-        rep = permutation_rep(act)
-        assert rep_law_all_pairs_error(g, rep.matrices) == 0.0
+        assert rep_law_all_pairs_error(g, permutation_matrices(act)) == 0.0
+        assert permutation_rep(act).law_error == 0.0
         # with no recorded generators every element is one: depth 1
         assert _copy(g, generators=()).depth == 1
 
@@ -808,7 +883,7 @@ class TestRejections:
         assume(candidates)
         k = data.draw(st.sampled_from(candidates))
         theta = data.draw(st.floats(0.01, 2 * np.pi - 0.01))
-        mats = permutation_rep(natural_permutation_action(g)).matrices.copy()
+        mats = permutation_matrices(natural_permutation_action(g))
         mats[k] = mats[k] * np.exp(1j * theta)      # still unitary
         assert rep_law_all_pairs_error(g, mats) > 1e-8 * mats.shape[1]
         with pytest.raises(ValueError, match="product law"):
@@ -1339,6 +1414,145 @@ class TestCommutantOracle:
             commutant_dimension(rep)
         with pytest.raises(ValueError, match="not an integer"):
             is_irreducible(rep)
+
+
+# ---------------------------------------------------------------------------
+# monomial representations against their dense stacks
+
+
+def _both_forms(act, phase):
+    """The monomial rep and the dense rep of the same matrices."""
+    return (MonomialRep(action=act, phase=phase),
+            UnitaryRep(group=act.group, matrices=monomial_matrices(act.perm, phase)))
+
+
+def _rejections(act, phase) -> tuple[str | None, str | None]:
+    """The messages with which MonomialRep and the dense UnitaryRep reject
+    the phases, None for a form that accepts them."""
+    out = []
+    for build in (lambda: MonomialRep(action=act, phase=phase),
+                  lambda: UnitaryRep(group=act.group,
+                                     matrices=monomial_matrices(act.perm, phase))):
+        try:
+            build()
+            out.append(None)
+        except ValueError as err:
+            out.append(str(err))
+    return tuple(out)
+
+
+class TestMonomialOracle:
+    @ORACLE_SETTINGS
+    @given(monomial_cases(), st.integers(0, 2**32 - 1))
+    def test_laws_characters_orbits_and_conjugates_match(self, case, seed):
+        act, phase = case
+        mono, dense = _both_forms(act, phase)
+        g, d = act.group, act.space_size
+        eps = np.finfo(float).eps
+        assert abs(mono.law_error - dense.law_error) <= 16 * eps * d
+        assert rep_law_all_pairs_error(g, dense.matrices) <= 1e-8 * d
+        assert_close(mono.characters(), np.trace(dense.matrices, axis1=1, axis2=2))
+        assert commutant_dimension(mono) == commutant_dimension(dense)
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=d) + 1j * rng.normal(size=d)
+        F = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        assert_close(mono.orbit(f), dense.matrices @ f)
+        assert_close(mono.orbit(F), dense.matrices @ F)
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        ks = rng.integers(0, g.order, size=5)
+        assert_close(mono.conjugated(A, ks), dense.conjugated(A, ks))
+        for k in range(g.order):
+            assert np.array_equal(mono.matrix(k), dense.matrices[k])
+
+    @ORACLE_SETTINGS
+    @given(monomial_cases(), st.integers(0, 2**32 - 1), st.data())
+    def test_covariance_matches(self, case, seed, data):
+        act, phase = case
+        mono, dense = _both_forms(act, phase)
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=act.space_size,
+                                    max_size=act.space_size))
+        var = variable_from_point_labels(labels)
+        H = maximal_permissible_subgroup(var, act)
+        elements = data.draw(st.lists(st.sampled_from(H), min_size=1, max_size=8))
+        rng = np.random.default_rng(seed)
+        k, d = var.n_values, act.space_size
+        states = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+        bundle = _quiet_operator(states, rng.uniform(0.5, 2.0, k), rng.normal(size=k))
+        report = covariance_check(bundle, mono, elements, var, act)
+        oracle = covariance_by_element_loop(bundle, dense, elements, var, act)
+        scale = max(1.0, float(np.linalg.norm(bundle.matrix)))
+        assert abs(report.distance - oracle) <= 1e-12 * scale
+        assert report.tolerance == covariance_check(
+            bundle, dense, elements, var, act).tolerance
+
+    @ORACLE_SETTINGS
+    @given(monomial_cases(), st.data())
+    def test_same_faults_rejected_with_the_same_message(self, case, data):
+        act, phase = case
+        g, d = act.group, act.space_size
+        x = data.draw(st.integers(0, d - 1))
+        theta = data.draw(st.floats(0.01, 2 * np.pi - 0.01))
+        # a phase at the identity that is not 1
+        bad = phase.copy()
+        bad[g.identity, x] *= np.exp(1j * theta)
+        assert _rejections(act, bad) == (
+            "identity element must map to the identity matrix",) * 2
+        others = [k for k in range(g.order) if k != g.identity]
+        if not others:
+            return
+        k = data.draw(st.sampled_from(others))
+        # a phase that is not of unit modulus, or not a number
+        for factor in (1.001, np.nan):
+            bad = phase.copy()
+            bad[k, x] *= factor
+            assert _rejections(act, bad) == (f"matrix for element {k} is not unitary",) * 2
+        # a unit phase changed at a generator or at any other element: it
+        # breaks the product law, unless it is another character's (-1 at a
+        # fixed point of an involution, say); the error message ends with
+        # the measured error, which the two forms round differently
+        bad = phase.copy()
+        bad[k, x] *= np.exp(1j * theta)
+        mono, dense = _rejections(act, bad)
+        if rep_law_all_pairs_error(g, monomial_matrices(act.perm, bad)) > 1e-8 * d:
+            assert mono is not None and mono.startswith("representation product law fails")
+            assert mono.split(" (error")[0] == dense.split(" (error")[0]
+        else:
+            assert mono is None and dense is None
+
+    @pytest.mark.parametrize("n", [4, 64, 128])
+    def test_clock_law_error_matches_the_whole_stack(self, n):
+        # the dense stack's largest error over generators x all elements;
+        # the two forms round differently, so they agree within 1e-3 of the
+        # law's bound (the golden report's margin), and exactly at n = 4
+        crep = clock_rep(n)
+        mats, g = clock_matrices(n), crep.group
+        whole = max(
+            float(np.max(np.linalg.norm(mats[s] @ mats - mats[g.cayley[s]], axis=(1, 2))))
+            for s in g.generating_set
+        )
+        assert UnitaryRep(group=g, matrices=mats).law_error == whole
+        bound = 1e-8 * n / (2 * g.depth)
+        assert abs(crep.law_error - whole) <= 1e-3 * bound
+        if n == 4:
+            assert crep.law_error == whole
+
+    @pytest.mark.parametrize("name", ["cyclic:5", "dihedral:4", "binary_tetrahedral"])
+    def test_left_regular_rep_matches_its_dense_stack(self, name):
+        g = make_named_group(name)
+        rep = left_regular_rep(g)
+        mats = permutation_matrices(left_translation_action(g))
+        dense = UnitaryRep(group=g, matrices=mats)
+        assert rep.law_error == dense.law_error == 0.0
+        assert np.array_equal(rep.characters(), dense.characters())
+        assert rep_to_json(rep) == json.dumps({
+            "dim": g.order,
+            "matrices": mats.view(np.float64).reshape(g.order, -1, 2).tolist()})
+
+    def test_left_regular_json_bytes_are_pinned(self):
+        # SHA-256 of the bytes written from the dense stack
+        text = rep_to_json(left_regular_rep(make_named_group("binary_tetrahedral")))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9db8dae4e18c25b2b44622f314b6c5d69db7d4e88b48c3760754f8b06249054a")
 
 
 # ---------------------------------------------------------------------------
