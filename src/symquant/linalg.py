@@ -149,21 +149,21 @@ class SpectralData:
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    # rotate each column so its largest-magnitude entry is real and positive
-    out = V.copy()
-    for c in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, c])))
-        z = out[i, c]
-        if abs(z) > 0:
-            out[:, c] *= np.conj(z) / abs(z)
-    return out
+    # rotate each column so its largest-magnitude entry z is real and
+    # positive; the columns are unit vectors, so z != 0. |z| is taken by
+    # hypot, which rounds as the scalar abs does (np.abs of a complex array
+    # may differ from it in the last bit)
+    z = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return V * (np.conj(z) / np.hypot(z.real, z.imag))
 
 
 def eig_hermitian(A, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> SpectralData:
     """Eigendecomposition of a Hermitian matrix with degeneracy merging.
 
     Eigenvalues closer than degeneracy_tol * max(1, ||A||_F) are clustered
-    greedily in ascending order and share one eigenspace.
+    greedily in ascending order and share one eigenspace: a cluster ends
+    where the next ascending eigenvalue lies more than that gap above the
+    one before it. A cluster's eigenvalue is the mean of its members.
     """
     A = as_cmatrix(A)
     _require_hermitian(A)
@@ -175,15 +175,12 @@ def eig_hermitian(A, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> Spectral
 
     scale = max(1.0, float(np.linalg.norm(A)))
     gap = degeneracy_tol * scale
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[clusters[-1][-1]] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    eigenvalues = np.array([float(np.mean(w[c])) for c in clusters])
-    multiplicities = np.array([len(c) for c in clusters], dtype=int)
+    # "not within the gap", so that a NaN gap merges nothing
+    starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(w) <= gap))))
+    multiplicities = np.diff(starts, append=len(w))
+    eigenvalues = w[starts]
+    for c in np.flatnonzero(multiplicities > 1):
+        eigenvalues[c] = np.mean(w[starts[c]:starts[c] + multiplicities[c]])
 
     for arr in (eigenvalues, multiplicities, V):
         arr.setflags(write=False)

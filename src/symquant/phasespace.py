@@ -20,9 +20,11 @@ from .quantize import OperatorBundle, build_operator
 
 
 # the largest lattice accepted: the phase scenario at MAX_PHASE_N (cyclic
-# group of order 1024) peaks at about 184 MiB under tracemalloc, well inside
-# a 1 GiB budget; its n x n operators and their eigendecompositions, not the
-# monomial reps' n x n phases, dominate
+# group of order 1024) takes about 4.5 s and peaks at about 168 MiB under
+# tracemalloc with one BLAS thread, well inside a 1 GiB budget; its dense
+# n x n products (the shift's matrix power alone about 1.8 s) dominate, not
+# the monomial reps' n x n phases; it reads only the matrices of X and P,
+# so neither is eigendecomposed
 MAX_PHASE_N = 1024
 
 

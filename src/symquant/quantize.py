@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatchError,
     SpectralData,
+    _require_hermitian,
     as_cmatrix,
     as_cvector,
     as_state_family,
@@ -79,10 +81,12 @@ class OperatorBundle:
     labels) so covariance checks can rebuild relabelled operators; bundles
     built straight from a matrix carry only the matrix and its clustered
     eigenbasis, from which relabelled operators are rebuilt.
+
+    The spectrum is eig_hermitian(matrix), computed on first read and kept:
+    a caller that reads only the matrix pays for no eigendecomposition.
     """
 
     matrix: np.ndarray
-    spectrum: SpectralData
     labels: np.ndarray | None = None
     states: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -96,6 +100,10 @@ class OperatorBundle:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
+    @cached_property
+    def spectrum(self) -> SpectralData:
+        return eig_hermitian(self.matrix)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -107,7 +115,8 @@ class OperatorBundle:
 
 def build_operator(states, weights, labels, *, require_resolution=True,
                    source_variable=None) -> OperatorBundle:
-    """The operator sum_i labels[i] * w_i |s_i><s_i| with its spectrum.
+    """The operator sum_i labels[i] * w_i |s_i><s_i|, its spectrum computed
+    on first read.
 
     The family is expected to resolve the identity; with
     require_resolution=False a failing family only warns, which is useful
@@ -128,17 +137,16 @@ def build_operator(states, weights, labels, *, require_resolution=True,
 
     A = projector_sum(st, lab * w)
     A = (A + A.conj().T) / 2.0
-    spec = eig_hermitian(A)
-    return OperatorBundle(matrix=A, spectrum=spec, labels=lab, states=st,
-                          weights=w, source_variable=source_variable)
+    return OperatorBundle(matrix=A, labels=lab, states=st, weights=w,
+                          source_variable=source_variable)
 
 
 def operator_from_matrix(A, *, source_variable=None) -> OperatorBundle:
-    """Bundle an explicitly given Hermitian matrix with its spectrum."""
+    """Bundle an explicitly given Hermitian matrix, its spectrum computed on
+    first read; a non-square or non-Hermitian matrix is refused here."""
     A = as_cmatrix(A)
-    spec = eig_hermitian(A)
-    return OperatorBundle(matrix=A, spectrum=spec,
-                          source_variable=source_variable)
+    _require_hermitian(A)
+    return OperatorBundle(matrix=A, source_variable=source_variable)
 
 
 def function_operator(states, weights, labels, f: Callable[[float], float],

@@ -7,8 +7,14 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from symquant.groups import BadElementError, cyclic_group, cyclic_shift_action
+from symquant import linalg, quantize
 from symquant.coherent import UnitaryRep, permutation_rep
-from symquant.linalg import DimensionMismatchError
+from symquant.linalg import (
+    DimensionMismatchError,
+    NotHermitianError,
+    NotSquareError,
+    eig_hermitian,
+)
 from symquant.quantize import (
     NegativeWeightError,
     NotAnOrbitError,
@@ -93,6 +99,56 @@ class TestBuildOperator:
         v /= np.linalg.norm(v)
         direct = float((v.conj() @ b.matrix @ v).real)
         assert abs(b.spectrum.expectation(v) - direct) <= 1e-9
+
+
+class TestSpectrumOnFirstRead:
+    """A bundle eigendecomposes its matrix when its spectrum is first read;
+    the input checks of the builders still run at the call."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+
+        def counted(A, *args, **kwargs):
+            calls.append(A)
+            return eig_hermitian(A, *args, **kwargs)
+
+        for mod in (linalg, quantize):
+            monkeypatch.setattr(mod, "eig_hermitian", counted)
+        return calls
+
+    def test_non_square_matrix_refused_at_the_call(self, eig_calls):
+        with pytest.raises(NotSquareError):
+            operator_from_matrix(np.ones((2, 3)))
+        assert eig_calls == []
+
+    def test_non_hermitian_matrix_refused_at_the_call(self, eig_calls):
+        with pytest.raises(NotHermitianError):
+            operator_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert eig_calls == []
+
+    def test_family_missing_the_identity_refused_at_the_call(self, eig_calls):
+        with pytest.raises(ValueError, match="misses the identity"):
+            build_operator([np.array([1.0, 0.0])], 1.0, [5.0])
+        assert eig_calls == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_operator(np.eye(3, dtype=complex), 1.0, [2.0, -1.0, 2.0]),
+        lambda: operator_from_matrix(spin_generators(1.5)[0]),
+    ])
+    def test_spectrum_is_computed_once_on_first_read(self, build, eig_calls):
+        b = build()
+        assert eig_calls == []
+        first = b.spectrum
+        assert b.spectrum is first
+        assert b.eigenvalues is first.eigenvalues
+        assert len(eig_calls) == 1
+        want = eig_hermitian(b.matrix)
+        for name in ("eigenvalues", "multiplicities", "vectors"):
+            got = getattr(first, name)
+            assert got.dtype == getattr(want, name).dtype
+            assert got.tobytes() == getattr(want, name).tobytes(), name
+        assert first.degeneracy_tol == want.degeneracy_tol
 
 
 class TestFunctionOperator:

@@ -9,7 +9,7 @@ import pytest
 
 import numpy as np
 
-from symquant import groups, scenarios, spin
+from symquant import groups, linalg, scenarios, spin
 from symquant.cli import main
 from symquant.phasespace import MAX_PHASE_N
 from symquant.reporting import Check, dumps, make_check, strip_timing
@@ -413,6 +413,31 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["scenario"] == "coherent_d4"
+
+
+class TestEigendecompositionCounts:
+    # a bundle eigendecomposes its matrix only when its spectrum is read:
+    # the phase scenario reads only the matrices of X and P, the spin
+    # scenario the spectra of the component along a and along a unit
+    # vector perpendicular to it
+    @pytest.mark.parametrize("argv, calls", [
+        (["phase", "--n", "64"], 0),
+        (["spin", "--j", "50", "--reduce"], 2),
+    ])
+    def test_cli_run(self, tmp_path, monkeypatch, argv, calls):
+        original = linalg.eig_hermitian
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name == "symquant" or name.startswith("symquant.")) \
+                    and getattr(mod, "eig_hermitian", None) is original:
+                monkeypatch.setattr(mod, "eig_hermitian", counted)
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+        assert len(made) == calls
 
 
 class TestReportDeterminism:
