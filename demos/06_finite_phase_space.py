@@ -10,20 +10,22 @@ continuous spectrum.
 
 import numpy as np
 
+from symquant.groups import cyclic_group
 from symquant.phasespace import (
-    clock_unitary,
+    clock_rep,
     commutator_norm,
     fourier_matrix,
     momentum_operator,
     mub_deviation,
     position_operator,
-    shift_unitary,
+    shift_rep,
 )
 
 n = 4
 print(f"== lattice of {n} points ==")
-S = shift_unitary(n)
-M = clock_unitary(n)
+g = cyclic_group(n)
+S = shift_rep(g).matrix(1)
+M = clock_rep(g).matrix(1)
 print("position shift S:\n", S.real.astype(int))
 print("momentum shift (clock) M diagonal:", np.round(np.diag(M), 6))
 w = np.exp(2j * np.pi / n)

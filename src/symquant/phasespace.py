@@ -1,9 +1,11 @@
-"""Finite cyclic phase space: shift and clock unitaries, the Fourier
-(momentum) basis, mutual unbiasedness, and position/momentum operators.
+"""Finite cyclic phase space: the shift and clock representations of
+cyclic:n, the Fourier (momentum) basis, mutual unbiasedness, and
+position/momentum operators.
 
-The shift and clock representations of cyclic:n are monomial: a
+The shift and clock are held in one form only, the monomial one: a
 permutation and n phases per element (coherent.MonomialRep), O(n^2) in
-all, so lattices up to MAX_PHASE_N = 1024 points are reachable.
+all, so lattices up to MAX_PHASE_N = 1024 points are reachable. A dense
+matrix of one element is rep.matrix(k).
 
 This is the n-point stand-in for translations of position and momentum on
 the line; the genuinely continuous case (unbounded operators, continuous
@@ -15,16 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from .coherent import MonomialRep, permutation_rep
-from .groups import FiniteGroup, GroupAction, cyclic_group, cyclic_shift_action
+from .groups import FiniteGroup, GroupAction, cyclic_shift_action
 from .quantize import OperatorBundle, build_operator
 
 
 # the largest lattice accepted: the phase scenario at MAX_PHASE_N (cyclic
-# group of order 1024) takes about 4.5 s and peaks at about 168 MiB under
-# tracemalloc with one BLAS thread, well inside a 1 GiB budget; its dense
-# n x n products (the shift's matrix power alone about 1.8 s) dominate, not
-# the monomial reps' n x n phases; it reads only the matrices of X and P,
-# so neither is eigendecomposed
+# group of order 1024) takes about 1.9 s and peaks at about 152 MiB under
+# tracemalloc with one BLAS thread (2-core x86-64 box), well inside a 1 GiB
+# budget; the dense n x n X, P and their products dominate, not the
+# monomial reps' n x n phases; it reads only the matrices of X and P, so
+# neither is eigendecomposed
 MAX_PHASE_N = 1024
 
 
@@ -48,42 +50,20 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(x, x) / n) / np.sqrt(n)
 
 
-def shift_unitary(n: int, c: int = 1) -> np.ndarray:
-    """Position shift by c: |x> -> |x + c mod n>."""
-    n = _check_size(n)
-    S = np.zeros((n, n), dtype=np.complex128)
-    S[(np.arange(n) + c) % n, np.arange(n)] = 1.0
-    return S
+def shift_rep(g: FiniteGroup) -> MonomialRep:
+    """k -> shift by k, |x> -> |x + k mod n>, a faithful unitary
+    representation of g = cyclic:n: the permutation rep of the shifts."""
+    _check_size(g.order)
+    return permutation_rep(cyclic_shift_action(g))
 
 
-def clock_unitary(n: int, d: int = 1) -> np.ndarray:
-    """Momentum shift by d, diagonal in position: |x> -> w^{dx} |x>."""
-    n = _check_size(n)
-    return np.diag(np.exp(2j * np.pi * d * np.arange(n) / n))
-
-
-def _lattice_group(n: int, group: FiniteGroup | None) -> FiniteGroup:
-    """cyclic:n, or the given group when its order is n."""
-    n = _check_size(n)
-    g = group if group is not None else cyclic_group(n)
-    if g.order != n:
-        raise ValueError(f"a group of order {g.order} cannot shift {n} points")
-    return g
-
-
-def shift_rep(n: int, group: FiniteGroup | None = None) -> MonomialRep:
-    """k -> shift by k, a faithful unitary representation of cyclic:n: the
-    permutation rep of the shifts."""
-    return permutation_rep(cyclic_shift_action(_lattice_group(n, group)))
-
-
-def clock_rep(n: int, group: FiniteGroup | None = None) -> MonomialRep:
-    """k -> clock^k, the Fourier-conjugate representation of cyclic:n: the
-    trivial permutation of every point, with phase w^{kx} at x."""
-    g = _lattice_group(n, group)
+def clock_rep(g: FiniteGroup) -> MonomialRep:
+    """k -> clock^k, |x> -> w^{kx} |x> with w = exp(2 pi i / n), the
+    Fourier-conjugate representation of g = cyclic:n: the trivial
+    permutation of every point, with phase w^{kx} at x."""
+    n = _check_size(g.order)
     x = np.arange(n)
     fixed = GroupAction(group=g, perm=np.broadcast_to(x, (n, n)))
-    # the phases of clock_unitary(n, k), operation for operation
     return MonomialRep(action=fixed, phase=np.exp(2j * np.pi * x[:, None] * x / n))
 
 

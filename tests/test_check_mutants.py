@@ -95,20 +95,44 @@ def _scaled_component(factor):
 def _drifting_shift_rep(orig):
     # the shift by k carries the phase exp(1e-11 i k): unitary, the identity
     # at k = 0, but n shifts come back with phase exp(1e-11 i n)
-    def fault(n, group=None):
-        rep = orig(n, group)
-        drift = np.exp(1e-11j * np.arange(n))[:, None]
+    def fault(g):
+        rep = orig(g)
+        drift = np.exp(1e-11j * np.arange(g.order))[:, None]
         return MonomialRep(action=rep.action, phase=drift * rep.phase)
     return fault
 
 
 def _drifting_clock_rep(orig):
     # clock^k with the phase step 2*pi/n rounded to 1e-10 relative
-    def fault(n, group=None):
-        rep = orig(n, group)
-        x = np.arange(n)
+    def fault(g):
+        rep = orig(g)
+        x = np.arange(g.order)
         return MonomialRep(action=rep.action, phase=np.exp(
-            2j * np.pi * (x * (1 + 1e-10))[:, None] * x / n))
+            2j * np.pi * (x * (1 + 1e-10))[:, None] * x / g.order))
+    return fault
+
+
+def _unit_shift_turned(orig):
+    # the unit shift carries the phase exp(2e-13 i): at n = 4 the product law
+    # errs by 8e-13, inside its 1e-12, and n unit shifts miss the identity by
+    # 1.6e-12
+    def fault(g):
+        rep = orig(g)
+        phase = rep.phase.copy()
+        phase[1] *= np.exp(2e-13j)
+        return MonomialRep(action=rep.action, phase=phase)
+    return fault
+
+
+def _clock_off_the_circle(orig):
+    # every clock phase but the identity's scaled by 1 + 1e-11: at n = 4 the
+    # product law errs by 4e-11, inside its 1e-10, and W^dag W misses the
+    # identity by as much, outside its 1e-12
+    def fault(g):
+        rep = orig(g)
+        phase = rep.phase * (1 + 1e-11)
+        phase[g.identity] = rep.phase[g.identity]
+        return MonomialRep(action=rep.action, phase=phase)
     return fault
 
 
@@ -120,27 +144,6 @@ def _trivial_permutation_rep(orig):
         fixed = GroupAction(group=act.group,
                             perm=np.zeros_like(act.perm) + np.arange(act.space_size))
         return MonomialRep(action=fixed, phase=rep.phase)
-    return fault
-
-
-def _shorter_cycle_shift(orig):
-    # shifts only the first n - 1 points, an (n-1)-cycle
-    def fault(n, c=1):
-        m = np.arange(n - 1)
-        S = np.zeros((n, n), dtype=np.complex128)
-        S[(m + c) % (n - 1), m] = 1.0
-        S[n - 1, n - 1] = 1.0
-        return S
-    return fault
-
-
-def _clamped_shift(orig):
-    # |x> -> |min(x + c, n - 1)>: the last point absorbs the overflow
-    def fault(n, c=1):
-        x = np.arange(n)
-        S = np.zeros((n, n), dtype=np.complex128)
-        S[np.minimum(x + c, n - 1), x] = 1.0
-        return S
     return fault
 
 
@@ -261,13 +264,13 @@ MUTANTS = {
     "position_momentum_noncommuting": Mutant(
         PHASE, ps, "momentum_operator", lambda orig: ps.position_operator),
     "shift_full_cycle_is_identity": Mutant(
-        PHASE, ps, "shift_unitary", _shorter_cycle_shift),
+        PHASE, ps, "shift_rep", _unit_shift_turned),
     "momentum_operator_is_fourier_conjugate": Mutant(
         PHASE, ps, "momentum_operator",
         lambda orig: lambda n: quantize.build_operator(
             ps.fourier_matrix(n).conj().T, 1.0, np.arange(n, dtype=float))),
     "paired_translation_unitary": Mutant(
-        PHASE, ps, "shift_unitary", _clamped_shift),
+        PHASE, ps, "clock_rep", _clock_off_the_circle),
 }
 
 

@@ -1,25 +1,25 @@
 """Tests for the finite cyclic phase-space machinery."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symquant.cli import main
 from symquant.coherent import MonomialRep, UnitaryRep
 from symquant.groups import cyclic_group
 from symquant.phasespace import (
     MAX_PHASE_N,
     BadSizeError,
     clock_rep,
-    clock_unitary,
     commutator_norm,
     fourier_matrix,
     momentum_operator,
     mub_deviation,
     position_operator,
     shift_rep,
-    shift_unitary,
 )
 from symquant.scenarios import run_scenario
 
@@ -44,13 +44,17 @@ class TestFourier:
     def test_size_above_the_bound(self, n):
         with pytest.raises(BadSizeError, match="largest supported size 1024"):
             fourier_matrix(n)
-        with pytest.raises(BadSizeError):
-            shift_rep(n)
+
+    def test_reps_above_the_bound(self):
+        g = cyclic_group(MAX_PHASE_N + 1)
+        for rep in (shift_rep, clock_rep):
+            with pytest.raises(BadSizeError, match="largest supported size 1024"):
+                rep(g)
 
 
 class TestShiftAndClock:
     def test_shift_moves_basis(self):
-        S = shift_unitary(4, 1)
+        S = shift_rep(cyclic_group(4)).matrix(1)
         for x in range(4):
             e = np.zeros(4)
             e[x] = 1.0
@@ -58,38 +62,27 @@ class TestShiftAndClock:
             assert out[(x + 1) % 4] == 1.0
 
     def test_shift_by_n_is_identity(self):
-        assert_allclose(shift_unitary(4, 4), np.eye(4), atol=1e-15)
-        S = shift_unitary(4, 1)
+        srep = shift_rep(cyclic_group(4))
+        # element 0 is the shift by 4 = 0 mod 4
+        assert_allclose(srep.matrix(0), np.eye(4), atol=1e-15)
+        S = srep.matrix(1)
         assert_allclose(np.linalg.matrix_power(S, 4), np.eye(4), atol=1e-15)
 
     def test_clock_phases(self):
-        M = clock_unitary(3, 1)
+        M = clock_rep(cyclic_group(3)).matrix(1)
         w = np.exp(2j * np.pi / 3)
         assert_allclose(np.diag(M), [1.0, w, w ** 2], atol=1e-15)
+        assert_allclose(M, np.diag(np.diag(M)), atol=0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_reps_are_valid(self, n):
         # MonomialRep validation checks the product law on generators x all
         # elements, which bounds every Cayley pair
-        srep = shift_rep(n)
-        crep = clock_rep(n)
+        g = cyclic_group(n)
+        srep = shift_rep(g)
+        crep = clock_rep(g)
+        assert srep.group is crep.group is g
         assert srep.dim == crep.dim == n
-
-    @pytest.mark.parametrize("n", [2, 4, 7, 64])
-    def test_shift_rep_is_the_permutation_rep_of_the_shifts(self, n):
-        mats = np.stack([shift_unitary(n, k) for k in range(n)])
-        srep = shift_rep(n)
-        dense = np.stack([srep.matrix(k) for k in range(n)])
-        assert dense.dtype == mats.dtype
-        assert dense.tobytes() == mats.tobytes()
-        assert srep.law_error == 0.0
-
-    @pytest.mark.parametrize("n", [2, 4, 7, 64, 256])
-    def test_clock_phases_are_the_clock_unitaries(self, n):
-        crep = clock_rep(n)
-        mats = np.stack([clock_unitary(n, k) for k in range(n)])
-        assert np.array_equal(crep.action.perm, np.broadcast_to(np.arange(n), (n, n)))
-        assert crep.phase.tobytes() == np.diagonal(mats, axis1=1, axis2=2).tobytes()
 
     @pytest.mark.parametrize("factor, message", [
         (1.001, "element 127 is not unitary"),
@@ -97,10 +90,11 @@ class TestShiftAndClock:
     ])
     def test_fault_in_the_last_slice_is_caught(self, factor, message):
         n = 128
-        mats = np.stack([clock_unitary(n, k) for k in range(n)])
+        crep = clock_rep(cyclic_group(n))
+        mats = np.stack([crep.matrix(k) for k in range(n)])
         mats[n - 1] *= factor
         with pytest.raises(ValueError, match=message):
-            UnitaryRep(group=cyclic_group(n), matrices=mats)
+            UnitaryRep(group=crep.group, matrices=mats)
 
     @pytest.mark.parametrize("factor, message", [
         (1.001, "element 127 is not unitary"),
@@ -110,22 +104,17 @@ class TestShiftAndClock:
         # 128 x 128 phases run in slices of 128 elements: the fault is in
         # the last element, and the same message as the dense stack's
         n = 128
-        crep = clock_rep(n)
+        crep = clock_rep(cyclic_group(n))
         phase = crep.phase.copy()
         phase[n - 1] *= factor
         with pytest.raises(ValueError, match=message):
             MonomialRep(action=crep.action, phase=phase)
 
-    def test_group_of_another_order_rejected(self):
-        with pytest.raises(ValueError, match="cannot shift"):
-            shift_rep(4, cyclic_group(5))
-        with pytest.raises(ValueError, match="cannot shift"):
-            clock_rep(4, cyclic_group(5))
-
     def test_weyl_commutation(self):
         n = 4
-        S = shift_unitary(n)
-        M = clock_unitary(n)
+        g = cyclic_group(n)
+        S = shift_rep(g).matrix(1)
+        M = clock_rep(g).matrix(1)
         w = np.exp(2j * np.pi / n)
         # the clock and shift braid by one phase per step
         assert np.linalg.norm(M @ S - w * S @ M) <= 1e-12
@@ -175,3 +164,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestNothingDense:
+    def test_phase_scenario_expands_no_shift_or_clock(self, monkeypatch, tmp_path):
+        # the full cycle and the paired translation are read off the
+        # (perm, phase) pairs: no matrix power, no dense matrix of a rep
+        def refuse(*args, **kwargs):
+            raise AssertionError("the phase scenario built a dense shift or clock")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+        monkeypatch.setattr(MonomialRep, "matrix", refuse)
+        out = tmp_path / "phase.json"
+        assert main(["phase", "--n", "64", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert {c["name"] for c in checks} >= {
+            "shift_full_cycle_is_identity", "paired_translation_unitary"}
+        assert all(c["passed"] for c in checks)

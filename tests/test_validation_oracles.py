@@ -68,6 +68,12 @@ MonomialRep must agree on the law error (within rounding), characters,
 orbit states, conjugation and covariance, and must reject the same faulty
 phases with the same message.
 
+The phase scenario reads its full-cycle and paired-translation checks off
+the shift and clock reps, composing (perm, phase) pairs. The dense n x n
+shift and clock constructors, and the route through them (a matrix power
+of the shift, W^dag W for W = S^c C^d), live here, and the scenario's
+reported errors must equal theirs bit for bit.
+
 eig_hermitian fixes the phase of every eigenvector in one gather and one
 broadcast multiply, and clusters the eigenvalues by comparing each
 ascending gap with the threshold in one pass. The column loop and the
@@ -80,6 +86,7 @@ import hashlib
 import itertools
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,9 +133,9 @@ from symquant.linalg import (
 )
 from symquant.phasespace import (
     clock_rep,
-    clock_unitary,
     momentum_operator,
     position_operator,
+    shift_rep,
 )
 from symquant.quantize import (
     NotAnOrbitError,
@@ -144,6 +151,7 @@ from symquant.quantize import (
     model_reduce,
     operator_from_matrix,
 )
+from symquant.scenarios import run_scenario
 from symquant.spin import (
     perpendicular_unit,
     quaternion_axis_angle,
@@ -243,6 +251,19 @@ def permutation_matrices(act: GroupAction) -> np.ndarray:
     """The 0/1 permutation matrices of an action, as permutation_rep built
     them before it was monomial."""
     return monomial_matrices(act.perm, 1.0)
+
+
+def shift_unitary(n: int, c: int = 1) -> np.ndarray:
+    """Position shift by c: |x> -> |x + c mod n>, as a dense matrix."""
+    S = np.zeros((n, n), dtype=np.complex128)
+    S[(np.arange(n) + c) % n, np.arange(n)] = 1.0
+    return S
+
+
+def clock_unitary(n: int, d: int = 1) -> np.ndarray:
+    """Momentum shift by d, diagonal in position: |x> -> w^{dx} |x>, as a
+    dense matrix."""
+    return np.diag(np.exp(2j * np.pi * d * np.arange(n) / n))
 
 
 def clock_matrices(n: int) -> np.ndarray:
@@ -1536,7 +1557,7 @@ class TestMonomialOracle:
         # the dense stack's largest error over generators x all elements;
         # the two forms round differently, so they agree within 1e-3 of the
         # law's bound (the golden report's margin), and exactly at n = 4
-        crep = clock_rep(n)
+        crep = clock_rep(cyclic_group(n))
         mats, g = clock_matrices(n), crep.group
         whole = max(
             float(np.max(np.linalg.norm(mats[s] @ mats - mats[g.cayley[s]], axis=(1, 2))))
@@ -1565,6 +1586,81 @@ class TestMonomialOracle:
         text = rep_to_json(left_regular_rep(make_named_group("binary_tetrahedral")))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "9db8dae4e18c25b2b44622f314b6c5d69db7d4e88b48c3760754f8b06249054a")
+
+
+class TestShiftAndClockOracle:
+    @pytest.mark.parametrize("n", [2, 4, 7, 64])
+    def test_shift_rep_is_the_permutation_rep_of_the_shifts(self, n):
+        mats = np.stack([shift_unitary(n, k) for k in range(n)])
+        srep = shift_rep(cyclic_group(n))
+        dense = np.stack([srep.matrix(k) for k in range(n)])
+        assert dense.dtype == mats.dtype
+        assert dense.tobytes() == mats.tobytes()
+        assert srep.law_error == 0.0
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 64, 256])
+    def test_clock_phases_are_the_clock_unitaries(self, n):
+        crep = clock_rep(cyclic_group(n))
+        mats = clock_matrices(n)
+        assert np.array_equal(crep.action.perm, np.broadcast_to(np.arange(n), (n, n)))
+        assert crep.phase.tobytes() == np.diagonal(mats, axis1=1, axis2=2).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 256])
+    def test_phase_checks_match_the_dense_route(self, n):
+        # the scenario's errors equal the dense matrices' bit for bit, with
+        # W^dag W summed by numpy's own loops; a BLAS product may fuse the
+        # multiply-adds and leave up to an ulp on its diagonal (OpenBLAS's
+        # zgemm does at n = 3 and 7), so it agrees within 2 eps
+        eye = np.eye(n)
+        cycle = float(np.linalg.norm(np.linalg.matrix_power(shift_unitary(n), n) - eye))
+        pairs = {(1, 1), (0, 1), (1, 0), (n - 1, n - 1),
+                 (n // 2, n // 3), (n - 1, 0), (2 % n, n - 1)}
+        for c, d in sorted(pairs):
+            report = run_scenario(
+                {"scenario": "phase", "params": {"n": n, "c": c, "d": d}})
+            errors = {ch.name: ch.max_error for ch in report.checks}
+            assert errors["shift_full_cycle_is_identity"] == cycle
+            W = shift_unitary(n, c) @ clock_unitary(n, d)
+            paired = errors["paired_translation_unitary"]
+            dense = np.einsum("kx,ky->xy", W.conj(), W)
+            assert paired == float(np.linalg.norm(dense - eye)), (c, d)
+            blas = float(np.linalg.norm(W.conj().T @ W - eye))
+            assert abs(paired - blas) <= 2 * np.finfo(float).eps, (c, d)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 64])
+    def test_faulty_tables_err_as_their_dense_matrices(self, n, monkeypatch):
+        # tables that no valid rep holds, read as the scenario reads a rep
+        # (law_error, action.perm, phase): the unit shift an (n-1)-cycle,
+        # which leaves moved points in V(1)^n, and the phases of both off
+        # the unit circle, each by its own amount at each point
+        x = np.arange(n)
+        perm = [x]
+        for _ in range(n - 1):
+            perm.append(np.where(x < n - 1, (perm[-1] + 1) % (n - 1), n - 1))
+        perm = np.stack(perm)
+        k = np.arange(n)[:, None]
+        fake = {
+            "shift_rep": (perm, (1 + 1e-7 * k * x) * np.exp(1e-3j * k * x)),
+            "clock_rep": (np.broadcast_to(x, (n, n)),
+                          (1 + 1e-9 * x) * np.exp(2j * np.pi * k * x / n)),
+        }
+        for name, (p, f) in fake.items():
+            monkeypatch.setattr(
+                "symquant.phasespace." + name,
+                lambda g, p=p, f=f: SimpleNamespace(
+                    law_error=0.0, action=SimpleNamespace(perm=p), phase=f))
+        c, d = n // 2, 1
+        report = run_scenario({"scenario": "phase", "params": {"n": n, "c": c, "d": d}})
+        errors = {ch.name: ch.max_error for ch in report.checks}
+        dense = {name: monomial_matrices(*table) for name, table in fake.items()}
+        eye = np.eye(n)
+        cycle = np.linalg.norm(np.linalg.matrix_power(dense["shift_rep"][1], n) - eye)
+        assert cycle > 1
+        assert errors["shift_full_cycle_is_identity"] == pytest.approx(cycle, rel=1e-12)
+        W = dense["shift_rep"][c] @ dense["clock_rep"][d]
+        paired = np.linalg.norm(W.conj().T @ W - eye)
+        assert paired > 1e-9
+        assert errors["paired_translation_unitary"] == pytest.approx(paired, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
