@@ -216,9 +216,6 @@ class GroupAction:
     def space_size(self) -> int:
         return self.perm.shape[1]
 
-    def apply(self, k: int, point: int) -> int:
-        return int(self.perm[k, point])
-
 
 @dataclass(frozen=True)
 class InvariantMeasure:
@@ -238,10 +235,6 @@ class InvariantMeasure:
                 raise ValueError("weights must be constant on each orbit")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
 
 # ---------------------------------------------------------------------------

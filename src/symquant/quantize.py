@@ -296,7 +296,10 @@ def build_density(pi, states, weights, *, normalize=False) -> DensityOp:
 class CovarianceReport:
     distance: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.distance <= self.tolerance
 
 
 def _covariance(bundle: OperatorBundle, lhs: np.ndarray,
@@ -319,7 +322,7 @@ def _covariance(bundle: OperatorBundle, lhs: np.ndarray,
         rhs = bundle.spectrum.reconstruct(bundle.eigenvalues[perms])
     dist = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
     tol = 1e-9 * max(1.0, float(np.linalg.norm(A)))
-    return CovarianceReport(distance=dist, tolerance=tol, passed=dist <= tol)
+    return CovarianceReport(distance=dist, tolerance=tol)
 
 
 def conjugation_covariance(bundle: OperatorBundle, unitary,

@@ -17,28 +17,28 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Check:
-    """One named verification with its error, tolerance, and verdict.
+    """One named verification: its error against its tolerance.
 
-    passed is always (max_error <= tolerance); exact checks encode their
-    verdict as max_error 0 or 1 against tolerance 0.
+    The verdict is derived, not stored: passed is max_error <= tolerance.
+    Exact checks encode their verdict as max_error 0 or 1 against
+    tolerance 0; every other check has a positive tolerance, which
+    scenarios.run_scenario may override.
     """
 
     name: str
-    passed: bool
     max_error: float
     tolerance: float
     details: str = ""
 
-    def __post_init__(self):
-        if self.passed != (self.max_error <= self.tolerance):
-            raise ValueError("passed must equal (max_error <= tolerance)")
+    @property
+    def passed(self) -> bool:
+        return self.max_error <= self.tolerance
 
 
 def make_check(name: str, max_error: float, tolerance: float,
                details: str = "") -> Check:
-    err = float(max_error)
-    return Check(name=name, passed=err <= float(tolerance),
-                 max_error=err, tolerance=float(tolerance), details=details)
+    return Check(name=name, max_error=float(max_error),
+                 tolerance=float(tolerance), details=details)
 
 
 def exact_check(name: str, ok: bool, details: str = "") -> Check:

@@ -10,7 +10,9 @@ Configuration document (one UTF-8 JSON object):
     {"scenario": str, "params": object?, "tolerances": object?, "seed": int?}
 Tolerance overrides are finite, non-negative numbers keyed by the name of
 a check that has a tolerance; the key "*" overrides every such check. A
-key that names no toleranced check of the scenario is refused.
+key that names no toleranced check of the scenario is refused. The
+runners state each check once, with its default tolerance; run_scenario
+alone applies the overrides, after the runner returns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -86,46 +88,11 @@ class UnknownScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SpinScenario:
-    """A spin-j component measurement along a unit direction."""
-
-    j: float
-    direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    reduce_demo: bool = False
-
-    def __post_init__(self):
-        _check_spin(self.j)
-        a = np.asarray(self.direction, dtype=float)
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(a)
-        if a.shape != (3,) or not 1e-12 <= norm < np.inf:
-            raise ConfigParseError("direction must be a nonzero, finite 3-vector")
-        a = a / norm
-        object.__setattr__(self, "direction", tuple(float(x) for x in a))
-
-
-class _Tol:
-    """Tolerance lookup by check name; records every name looked up."""
-
-    def __init__(self, overrides):
-        self.overrides = dict(overrides or {})
-        self.looked_up = {"*"}
-
-    def __call__(self, name: str, default: float) -> float:
-        self.looked_up.add(name)
-        if name in self.overrides:
-            return float(self.overrides[name])
-        if "*" in self.overrides:
-            return float(self.overrides["*"])
-        return float(default)
-
-
 # ---------------------------------------------------------------------------
 # pedagogy: shift action on four points
 
 
-def _pedagogy_z4_checks(params, tol: _Tol) -> list[Check]:
+def _pedagogy_z4_checks(params) -> list[Check]:
     g = cyclic_group(4)
     act = cyclic_shift_action(g)
     parity = variable_from_point_labels([0.0, 1.0, 0.0, 1.0])
@@ -194,8 +161,7 @@ def _pedagogy_z4_checks(params, tol: _Tol) -> list[Check]:
     Hp = maximal_permissible_subgroup(parity, act)
     cov = covariance_check(bundle, value_rep, Hp, parity, act)
     checks.append(make_check(
-        "covariance_all_subgroup_elements", cov.distance,
-        tol("covariance_all_subgroup_elements", 1e-9),
+        "covariance_all_subgroup_elements", cov.distance, 1e-9,
         f"conjugation matches relabelling for all {len(Hp)} elements",
     ))
 
@@ -221,7 +187,7 @@ def _pedagogy_z4_checks(params, tol: _Tol) -> list[Check]:
 # coherent-state scenarios
 
 
-def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
+def _coherent_d4_checks(params) -> list[Check]:
     g = make_named_group("dihedral:4")
     act = dihedral_vertex_action(g)
     rep = dihedral_rotation_rep(g)
@@ -236,8 +202,7 @@ def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
 
     err = float(np.linalg.norm(frame.T - 4.0 * np.eye(2)))
     checks.append(make_check(
-        "frame_operator_four_times_identity", err,
-        tol("frame_operator_four_times_identity", 1e-10),
+        "frame_operator_four_times_identity", err, 1e-10,
         f"scalar = {frame.lam:.6g} over 8 orbit states",
     ))
 
@@ -250,14 +215,13 @@ def _coherent_d4_checks(params, tol: _Tol) -> list[Check]:
         for W in (had, phase)
     )
     checks.append(make_check(
-        "transport_preserves_resolution", worst,
-        tol("transport_preserves_resolution", 1e-9),
+        "transport_preserves_resolution", worst, 1e-9,
         "orbit carried through a Hadamard-type and a phase unitary",
     ))
     return checks
 
 
-def _coherent_bt24_checks(params, tol: _Tol) -> list[Check]:
+def _coherent_bt24_checks(params) -> list[Check]:
     g = make_named_group("binary_tetrahedral")
     rep = binary_tetrahedral_spin_rep(g)
     act = left_translation_action(g)
@@ -274,15 +238,14 @@ def _coherent_bt24_checks(params, tol: _Tol) -> list[Check]:
 
     norm_dev = float(np.max(np.abs(np.linalg.norm(cs.states, axis=1) - 1.0)))
     checks.append(make_check(
-        "orbit_states_unit_norm", norm_dev, tol("orbit_states_unit_norm", 1e-12),
+        "orbit_states_unit_norm", norm_dev, 1e-12,
         "24 states from the fiducial (1, 0)",
     ))
 
     frame = frame_operator(cs)
     err = float(np.linalg.norm(frame.T - 12.0 * np.eye(2)))
     checks.append(make_check(
-        "frame_operator_twelve_times_identity", err,
-        tol("frame_operator_twelve_times_identity", 1e-9),
+        "frame_operator_twelve_times_identity", err, 1e-9,
         f"scalar = {frame.lam:.6g} over 24 orbit states",
     ))
     return checks
@@ -292,13 +255,15 @@ def _coherent_bt24_checks(params, tol: _Tol) -> list[Check]:
 # spin scenario
 
 
-def _spin_checks(params, tol: _Tol) -> list[Check]:
-    scn = SpinScenario(
-        j=float(params["j"]),
-        direction=tuple(params["direction"]),
-        reduce_demo=bool(params["reduce"]),
-    )
-    j, a = scn.j, np.asarray(scn.direction)
+def _spin_checks(params) -> list[Check]:
+    j = params["j"]
+    _check_spin(j)
+    a = np.asarray(params["direction"])
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if a.shape != (3,) or not 1e-12 <= norm < np.inf:
+        raise ConfigParseError("direction must be a nonzero, finite 3-vector")
+    a = a / norm
     checks = []
 
     # errors relative to the size of the operators compared, which grows
@@ -313,8 +278,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
         max_abs(Jz @ Jx - Jx @ Jz - 1j * Jy),
     )
     checks.append(make_check(
-        "generator_commutation_relations", comm_err / j_scale,
-        tol("generator_commutation_relations", 1e-10),
+        "generator_commutation_relations", comm_err / j_scale, 1e-10,
         "all three cyclic commutators, relative to the norm of J",
     ))
 
@@ -322,8 +286,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     ladder = np.arange(-j, j + 0.5)
     spec_err = float(np.max(np.abs(bundle.eigenvalues - ladder)))
     checks.append(make_check(
-        "component_spectrum_ladder_values", spec_err,
-        tol("component_spectrum_ladder_values", 1e-9),
+        "component_spectrum_ladder_values", spec_err, 1e-9,
         f"eigenvalues of the component along {np.round(a, 6).tolist()}",
     ))
 
@@ -341,8 +304,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
             for i in range(3))))
     rel_err = g.depth * gen_err / j_scale
     checks.append(make_check(
-        "component_covariance_binary_tetrahedral", rel_err,
-        tol("component_covariance_binary_tetrahedral", 1e-9),
+        "component_covariance_binary_tetrahedral", rel_err, 1e-9,
         "U(s)^dag J U(s) = R(s) J on both generators of the binary tetrahedral "
         f"group, relative to the norm of J; {g.depth} (the generation depth) "
         "times the larger generator error bounds every element, so with the "
@@ -365,13 +327,12 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     sign = (-1.0) ** int(round(2 * j))
     err_2pi = float(np.linalg.norm(turn(8) - sign * np.eye(d)))
     checks.append(make_check(
-        "full_turn_rotation_sign", err_2pi, tol("full_turn_rotation_sign", 1e-9),
+        "full_turn_rotation_sign", err_2pi, 1e-9,
         f"rotation by 2*pi equals {int(sign)} * identity at spin {j}",
     ))
     err_4pi = float(np.linalg.norm(turn(16) - np.eye(d)))
     checks.append(make_check(
-        "double_turn_rotation_identity", err_4pi,
-        tol("double_turn_rotation_identity", 1e-9), "rotation by 4*pi",
+        "double_turn_rotation_identity", err_4pi, 1e-9, "rotation by 4*pi",
     ))
 
     if d > 1:
@@ -384,7 +345,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
         checks.append(make_check(
             "covariance_half_turn_reverses_labels",
             cov.distance / max(1.0, float(np.linalg.norm(bundle.matrix))),
-            tol("covariance_half_turn_reverses_labels", 1e-9),
+            1e-9,
             "half turn about a perpendicular axis negates the component, "
             "relative to the norm of the component",
         ))
@@ -407,8 +368,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
     basis = bundle.spectrum.basis()
     dev = resolution_deviation(basis.T, 1.0)
     checks.append(make_check(
-        "eigenbasis_resolves_identity", dev,
-        tol("eigenbasis_resolves_identity", 1e-9), "unit weights",
+        "eigenbasis_resolves_identity", dev, 1e-9, "unit weights",
     ))
 
     if d > 1:
@@ -425,7 +385,7 @@ def _spin_checks(params, tol: _Tol) -> list[Check]:
             details,
         ))
 
-    if scn.reduce_demo:
+    if params["reduce"]:
         target = partition.label_blocks()[-1]
         reduced = model_reduce(bundle.eigenvalues, flip_perms, target)
         checks.append(exact_check(
@@ -458,7 +418,7 @@ def _compose(a, b):
     return pa[pb], fa[pb] * fb
 
 
-def _phase_checks(params, tol: _Tol) -> list[Check]:
+def _phase_checks(params) -> list[Check]:
     """Continuous translations are demonstrated on a finite cyclic lattice;
     genuinely continuous spectra are out of scope, so no reduction is
     performed here."""
@@ -472,19 +432,16 @@ def _phase_checks(params, tol: _Tol) -> list[Check]:
     srep = ps.shift_rep(g)
     crep = ps.clock_rep(g)
     checks.append(make_check(
-        "shift_rep_of_cyclic_group", srep.law_error,
-        tol("shift_rep_of_cyclic_group", 1e-12),
+        "shift_rep_of_cyclic_group", srep.law_error, 1e-12,
         "permutation matrices multiply along the Cayley table",
     ))
     checks.append(make_check(
-        "clock_rep_of_cyclic_group", crep.law_error,
-        tol("clock_rep_of_cyclic_group", 1e-10),
+        "clock_rep_of_cyclic_group", crep.law_error, 1e-10,
         "diagonal phase matrices multiply along the Cayley table",
     ))
 
     checks.append(make_check(
-        "mutually_unbiased_position_momentum", ps.mub_deviation(n),
-        tol("mutually_unbiased_position_momentum", 1e-10),
+        "mutually_unbiased_position_momentum", ps.mub_deviation(n), 1e-10,
         f"all squared overlaps equal 1/{n}",
     ))
 
@@ -511,15 +468,13 @@ def _phase_checks(params, tol: _Tol) -> list[Check]:
     f = np.where(fixed, f - 1, f)
     err = math.sqrt(float(np.sum(f.real ** 2 + f.imag ** 2)) + np.count_nonzero(~fixed))
     checks.append(make_check(
-        "shift_full_cycle_is_identity", err,
-        tol("shift_full_cycle_is_identity", 1e-12),
+        "shift_full_cycle_is_identity", err, 1e-12,
         f"{n} unit shifts compose to the identity",
     ))
 
     conj_err = float(np.linalg.norm(P - F @ X @ F.conj().T))
     checks.append(make_check(
-        "momentum_operator_is_fourier_conjugate", conj_err,
-        tol("momentum_operator_is_fourier_conjugate", 1e-9),
+        "momentum_operator_is_fourier_conjugate", conj_err, 1e-9,
         "two construction routes for the momentum operator agree",
     ))
 
@@ -528,8 +483,7 @@ def _phase_checks(params, tol: _Tol) -> list[Check]:
                     (crep.action.perm[d % n], crep.phase[d % n]))
     uni_err = float(np.linalg.norm(f.real ** 2 + f.imag ** 2 - 1))
     checks.append(make_check(
-        "paired_translation_unitary", uni_err,
-        tol("paired_translation_unitary", 1e-12),
+        "paired_translation_unitary", uni_err, 1e-12,
         f"position shift {c} paired with momentum shift {d}",
     ))
     return checks
@@ -628,20 +582,28 @@ def parse_config(config) -> dict:
 
 
 def run_scenario(config) -> VerificationReport:
-    """Run one scenario from a configuration document."""
+    """Run one scenario from a configuration document and apply its
+    tolerance overrides to the checks that have a tolerance (above 0:
+    exact checks have none)."""
     resolved = parse_config(config)
     runner, _ = _SCENARIOS[resolved["scenario"]]
-    tol = _Tol(resolved["tolerances"])
+    overrides = resolved["tolerances"]
     start = time.perf_counter()
     try:
-        checks = runner(resolved["params"], tol)
+        checks = runner(resolved["params"])
     except (BadSpinError, BadSizeError) as exc:
         raise ConfigParseError(f"invalid parameters: {exc}") from exc
-    unused = sorted(set(tol.overrides) - tol.looked_up)
+    toleranced = {c.name for c in checks if c.tolerance > 0}
+    unused = sorted(set(overrides) - toleranced - {"*"})
     if unused:
         raise ConfigParseError(
             f"tolerance overrides name no toleranced check of "
             f"{resolved['scenario']}: {unused}")
+    checks = [
+        replace(c, tolerance=overrides.get(c.name, overrides.get("*", c.tolerance)))
+        if c.tolerance > 0 else c
+        for c in checks
+    ]
     timing_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         scenario=resolved["scenario"], checks=tuple(checks),

@@ -67,9 +67,6 @@ class ConceptualVariable:
     def n_values(self) -> int:
         return len(self.value_labels)
 
-    def label_per_point(self) -> list:
-        return [self.value_labels[i] for i in self.values]
-
 
 def variable_from_point_labels(point_labels, *, sort=True) -> ConceptualVariable:
     """Build a variable from the raw label at each point.
@@ -201,30 +198,29 @@ class InducedAction:
 
     induced_perm[k] is the value permutation matching element k; the map
     k -> induced_perm[k] is a homomorphism whose kernel and image are
-    recorded. value_action lets the original group act on value ids;
-    image_action is the faithful action of the quotient image group.
+    recorded, and value_action lets the original group act on value ids.
     """
 
     base: GroupAction
-    variable: ConceptualVariable
     induced_perm: np.ndarray
     kernel: tuple[int, ...]
     image_group: FiniteGroup
     k_to_image: np.ndarray
     value_action: GroupAction
-    image_action: GroupAction
 
 
 def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     """Push the group action through a permissible variable onto its values.
 
     Checked: permissibility, then the action laws of value_action and the
-    group laws of the image group and its action, each from the group's
-    generators and their images. Not checked, because implied: the value
-    map of s*k is that of s after that of k (the values of k.p are a
-    function of those of p), so k -> induced_perm[k] is a homomorphism
-    into the value permutations; its image table is then well defined, the
-    images of the generators generate it, and |G| = |kernel| * |image|.
+    group laws of the image group, each from the group's generators and
+    their images. Not checked, because implied: the value map of s*k is
+    that of s after that of k (the values of k.p are a function of those
+    of p), so k -> induced_perm[k] is a homomorphism into the value
+    permutations; its image table is then well defined, the images of the
+    generators generate it, |G| = |kernel| * |image|, and the image group
+    acts faithfully on the values by value_action's law read through
+    k_to_image.
     """
     induced, witness = _permissible_maps(var, act)    # (order, nv)
     if witness is not None:
@@ -244,12 +240,9 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
                               generators=tuple(dict.fromkeys(gens)))
     kernel = tuple(np.flatnonzero((induced == np.arange(nv)).all(axis=1)).tolist())
     value_action = GroupAction(group=act.group, perm=induced)
-    image_action = GroupAction(group=image_group,
-                               perm=np.array(distinct, dtype=np.intp))
     return InducedAction(
-        base=act, variable=var, induced_perm=value_action.perm, kernel=kernel,
-        image_group=image_group, k_to_image=k_to_image,
-        value_action=value_action, image_action=image_action,
+        base=act, induced_perm=value_action.perm, kernel=kernel,
+        image_group=image_group, k_to_image=k_to_image, value_action=value_action,
     )
 
 

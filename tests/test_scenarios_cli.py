@@ -1,5 +1,6 @@
 """Tests for the scenario driver, report serialization, and the CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -24,9 +25,15 @@ from symquant.scenarios import (
 
 
 class TestReporting:
-    def test_passed_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            Check(name="x", passed=True, max_error=2.0, tolerance=1.0)
+    def test_passed_follows_a_replaced_tolerance(self):
+        # the verdict is derived from the error and the tolerance, so a
+        # check with a new tolerance cannot keep a stale verdict
+        c = make_check("x", 2.0, 1.0)
+        assert not c.passed
+        assert dataclasses.replace(c, tolerance=2.0).passed
+        assert not dataclasses.replace(c, tolerance=1.999).passed
+        assert not dataclasses.replace(make_check("x", 0.5, 1.0), tolerance=0.25).passed
+        assert "passed" not in {f.name for f in dataclasses.fields(Check)}
 
     def test_make_check(self):
         c = make_check("x", 0.5, 1.0)
@@ -200,6 +207,36 @@ class TestScenarios:
             "tolerances": {"clock_rep_of_cyclic_group": 1e-30},
         })
         assert not rep.all_passed
+
+    def test_overrides_change_only_tolerances(self):
+        # the checks with a tolerance of 0 are the exact ones: an override
+        # never reaches them, and they score 0 or 1. The per-name key is
+        # refused outside phase, so the other scenarios take "*" alone.
+        mixed = {"*": 1e-3, "clock_rep_of_cyclic_group": 0.5}
+        runs = [
+            (run_all(), {}),
+            (run_all({"*": 1e-30}), {"*": 1e-30}),
+            ([run_scenario({"scenario": name, "tolerances":
+                            mixed if name == "phase" else {"*": 1e-3}})
+              for name in BUILTIN_SCENARIOS], mixed),
+        ]
+        default = run_all()
+        for reports, overrides in runs:
+            assert [r.scenario for r in reports] == list(BUILTIN_SCENARIOS)
+            for r, d in zip(reports, default):
+                assert len(r.checks) == len(d.checks)
+                for c, c0 in zip(r.checks, d.checks):
+                    assert (c.name, c.max_error, c.details) == (
+                        c0.name, c0.max_error, c0.details)
+                    if c0.tolerance == 0:
+                        assert c.tolerance == 0 and c.passed == c0.passed
+                        assert c.max_error in (0.0, 1.0)
+                    else:
+                        assert c.tolerance == overrides.get(
+                            c.name, overrides.get("*", c0.tolerance))
+        toleranced = [c for r in default for c in r.checks if c.tolerance > 0]
+        assert len(toleranced) == 18
+        assert min(c.tolerance for c in toleranced) >= 1e-12
 
     def test_run_all_deterministic(self):
         a = dumps(run_all())
