@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupAction, is_transitive
+from .groups import FiniteGroup, GroupAction, element_blocks, is_transitive
 from .linalg import (as_cmatrix, as_cvector, as_state_family, is_unitary,
                      max_abs, projector_sum)
 
@@ -95,7 +95,7 @@ class UnitaryRep:
         # stay in cache. V^dag V - I is stacked with V^dag made contiguous
         # so that each product runs on BLAS; a non-finite entry gives an
         # error that fails the comparison
-        blocks = _element_blocks(n, mats.size)
+        blocks = element_blocks(n, mats.size)
         with np.errstate(invalid="ignore"):
             err = np.concatenate([
                 np.linalg.norm(np.conjugate(m.swapaxes(1, 2), out=np.empty_like(m)) @ m
@@ -168,7 +168,7 @@ class MonomialRep:
         if np.linalg.norm(ph[g.identity] - 1.0) > 1e-12 * d:
             raise ValueError("identity element must map to the identity matrix")
         # slices of elements of about 2**14 entries, as in UnitaryRep
-        blocks = _element_blocks(n, ph.size)
+        blocks = element_blocks(n, ph.size)
         with np.errstate(invalid="ignore"):
             err = np.concatenate([
                 np.linalg.norm((m.real ** 2 + m.imag ** 2) - 1.0, axis=1)
@@ -225,13 +225,6 @@ class MonomialRep:
         out = out * ph.conj()[:, :, None]
         out *= ph[:, None, :]
         return out
-
-
-def _element_blocks(n: int, size: int) -> list[slice]:
-    """Slices of the n elements, each holding about 2**14 of an array's
-    size entries."""
-    step = -(-n // (1 + size // (1 << 14)))
-    return [slice(k, k + step) for k in range(0, n, step)]
 
 
 def _require_unitary(err: np.ndarray, d: int) -> None:

@@ -17,6 +17,17 @@ multiplication that works on whole arrays of them: the closure makes one
 call per breadth-first level and the Cayley table one call per block of
 rows, with no Python call per pair of elements. Every pair is still
 multiplied, so a product that is not an element is still caught.
+
+Index arrays are compact. A Cayley table, an action's maps and a
+variable's value ids (variables.ConceptualVariable) are stored read-only
+in the smallest of int16, int32 and int64 that holds every index they may
+take: int16 up to 32,768 elements, points or labels, so for every group
+of at most MAX_GROUP_ORDER elements. The range is checked before the
+entries are narrowed, so an out-of-range entry is refused, never wrapped.
+Arithmetic on these arrays stays in their dtype and can overflow: cast to
+np.intp first (t.astype(np.intp)) to compute with them. Every law that
+FiniteGroup and GroupAction check over all elements runs on blocks of rows
+(element_blocks), so their checks make no temporary of the table's size.
 """
 
 from __future__ import annotations
@@ -45,10 +56,43 @@ class BadElementError(ValueError):
     pass
 
 
-def _as_index_array(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.intp).copy()
-    arr.setflags(write=False)
+def _index_dtype(bound: int) -> type:
+    """The smallest of int16, int32 and int64 that holds 0..bound-1."""
+    if bound <= 1 << 15:
+        return np.int16
+    return np.int32 if bound <= 1 << 31 else np.int64
+
+
+def as_index_array(a, bound: int, message: str) -> np.ndarray:
+    """A read-only array of indices in 0..bound-1, in _index_dtype(bound).
+
+    The range is checked on the input's own integer dtype before it is
+    narrowed, so that an entry of 2**16 + k raises ValueError(message)
+    rather than wrap to k. A non-integer input is first cast to intp, as
+    np.asarray(a, dtype=np.intp) would. The result is a copy, unless the
+    input already is a read-only array of that dtype owning its memory,
+    which no caller can write to: a group's table passed as the maps of
+    left_translation_action is shared, not copied.
+    """
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.intp)
+    if arr.size and (arr.min() < 0 or int(arr.max()) >= bound):
+        raise ValueError(message)
+    dt = _index_dtype(bound)
+    if arr.dtype != dt or arr.flags.writeable or arr.base is not None:
+        arr = arr.astype(dt)
+        arr.setflags(write=False)
     return arr
+
+
+def element_blocks(n: int, size: int) -> list[slice]:
+    """Slices of the n elements, each holding about 2**14 of an array's
+    size entries: the row blocks on which every law over all elements is
+    checked, so that its temporaries stay in cache and far below the
+    array's own size."""
+    step = -(-n // (1 + size // (1 << 14)))
+    return [slice(k, k + step) for k in range(0, n, step)]
 
 
 def rows_are_permutations(rows: np.ndarray, m: int) -> bool:
@@ -68,7 +112,9 @@ def rows_are_permutations(rows: np.ndarray, m: int) -> bool:
 class FiniteGroup:
     """A finite group given by its Cayley table on element indices.
 
-    cayley[a, b] is the index of the product a*b. The table fixes the rest:
+    cayley[a, b] is the index of the product a*b, stored read-only as
+    int16 up to order 32,768 (int32 beyond); see the module docstring.
+    The table fixes the rest:
     order is its side, identity the x with cayley[0, x] == 0 (0*x = 0 holds
     only for x = e), and inverses[a] the first b with a*b == e. Validation
     checks that the entries are in range, the identity laws on the row and
@@ -80,7 +126,8 @@ class FiniteGroup:
     that pass the test are closed under products, so the test proves
     associativity for all triples. An empty generator tuple makes every
     element a generator: the test is then the exhaustive one, at O(n^3)
-    cost.
+    cost. The inverse search and Light's test run on blocks of rows, so
+    their temporaries hold about 2**14 entries whatever the order.
 
     Not checked, because implied by those laws: the left inverse law
     (with b = inverses[a] and c = inverses[b], b*a = (b*a)*(b*c) =
@@ -106,16 +153,18 @@ class FiniteGroup:
     depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = _as_index_array(self.cayley)
+        t = np.asarray(self.cayley)
         n = len(t)
-        if t.min() < 0 or t.max() >= n:
-            raise ValueError("cayley entries out of range")
+        t = as_index_array(t, n, "cayley entries out of range")
         full = np.arange(n)
         e = int(np.argmax(t[0] == 0))
         if t.shape != (n, n) or not (np.array_equal(t[e], full)
                                      and np.array_equal(t[:, e], full)):
             raise ValueError("identity laws fail")
-        inverses = np.argmax(t == e, axis=1)
+        blocks = element_blocks(n, t.size)
+        inverses = np.empty(n, dtype=np.intp)
+        for b in blocks:
+            inverses[b] = np.argmax(t[b] == e, axis=1)
         if not np.all(t[full, inverses] == e):
             raise ValueError("inverse law fails")
         inverses.setflags(write=False)
@@ -129,33 +178,35 @@ class FiniteGroup:
                 raise ValueError("generator index out of range")
         object.__setattr__(self, "depth", self._generation_depth())
         for s in self.generating_set:
-            if not np.array_equal(t[t[:, s], :], t[:, t[s, :]]):
+            # (x*s)*y == x*(s*y) on the rows x of each block
+            col, row = t[:, s], t[s]
+            if not all(np.array_equal(t[col[b]], t[b][:, row]) for b in blocks):
                 raise ValueError(f"associativity fails at generator {s}")
 
     def _generation_depth(self) -> int:
         """Breadth-first search from the identity, left-multiplying by the
-        generating set; raises unless every element is reached."""
-        gens = np.asarray(self.generating_set, dtype=np.intp)
-        seen = np.zeros(self.order, dtype=bool)
-        slot = np.empty(self.order, dtype=np.intp)
-        frontier = np.array([self.identity], dtype=np.intp)
-        seen[frontier] = True
-        depth = 0
+        recorded generators; raises unless every element is reached. With
+        none recorded every element is a generator, and the depth is 1."""
+        if not self.generators:
+            return 1
+        # succ[x] lists s*x for each generator s
+        succ = self.cayley[list(self.generators)].T.tolist()
+        seen = [False] * self.order
+        seen[self.identity] = True
+        frontier, reached, depth = [self.identity], 1, 0
         while True:
-            reached = self.cayley[np.ix_(gens, frontier)].ravel()
-            reached = reached[~seen[reached]]
-            if reached.size == 0:
+            level = []
+            for x in frontier:
+                for y in succ[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        level.append(y)
+            if not level:
                 break
-            # one copy of each element: exactly one position wins slot[x]
-            # (np.unique would do, but costs ~10 ms on its first call)
-            pos = np.arange(reached.size)
-            slot[reached] = pos
-            frontier = reached[slot[reached] == pos]
-            seen[frontier] = True
-            depth += 1
-        if not seen.all():
+            frontier, reached, depth = level, reached + len(level), depth + 1
+        if reached < self.order:
             raise ValueError(
-                f"generators {list(self.generators)} reach {int(seen.sum())} "
+                f"generators {list(self.generators)} reach {reached} "
                 f"of {self.order} elements"
             )
         return max(depth, 1)
@@ -181,12 +232,14 @@ class GroupAction:
     """A left action of a finite group on {0..space_size-1}.
 
     perm[k] is the map applied by element k, one row per element; the
-    number of columns is space_size. Its entries must be points and the
-    identity must act trivially. The composition law
+    number of columns is space_size. It is stored read-only as int16 up to
+    32,768 points (int32 beyond); see the module docstring. Its entries
+    must be points and the identity must act trivially. The composition law
     perm[s*k] = perm[s] o perm[k] is checked for every generator s of the
     group and every element k. The elements s that satisfy it are closed
     under products, so the law holds for all pairs; the maps are integer
-    arrays, so the check is exact.
+    arrays, so the check is exact. It runs on blocks of elements k, as the
+    group's laws do.
 
     Not checked, because implied: every row is a bijection, since
     perm[k] o perm[k^-1] = perm[e] is the identity map.
@@ -196,20 +249,21 @@ class GroupAction:
     perm: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", _as_index_array(self.perm))
+        perm = np.asarray(self.perm)
         n = self.group.order
-        if self.perm.ndim != 2 or len(self.perm) != n or self.perm.size == 0:
+        if perm.ndim != 2 or len(perm) != n or perm.size == 0:
             raise ValueError(f"perm must have {n} rows and at least one column")
-        m = self.space_size
-        if self.perm.min() < 0 or self.perm.max() >= m:
-            raise ValueError("action entries out of range")
-        if not np.array_equal(self.perm[self.group.identity], np.arange(m)):
+        m = perm.shape[1]
+        perm = as_index_array(perm, m, "action entries out of range")
+        object.__setattr__(self, "perm", perm)
+        if not np.array_equal(perm[self.group.identity], np.arange(m)):
             raise ValueError("identity must act trivially")
         t = self.group.cayley
+        blocks = element_blocks(n, perm.size)
         for s in self.group.generating_set:
-            lhs = self.perm[t[s]]           # (n, m)
-            rhs = self.perm[s][self.perm]   # (n, m)
-            if not np.array_equal(lhs, rhs):
+            # perm[s*k] == perm[s] o perm[k] on the elements k of each block
+            row, ps = t[s], perm[s]
+            if not all(np.array_equal(perm[row[b]], ps[perm[b]]) for b in blocks):
                 raise ValueError(f"action composition law fails at generator {s}")
 
     @property
@@ -284,13 +338,18 @@ def _element_lookup(coords: np.ndarray):
         )
     radix = np.array([math.prod(span[j + 1:]) for j in range(k)])
     span = np.array(span, dtype=np.uint64)
-    table = np.full(box + 1, -1, dtype=np.intp)
+    table = np.full(box + 1, -1, dtype=_index_dtype(n))
     table[(coords - lo) @ radix] = np.arange(n)
 
     def lookup(rows):
         off = rows - lo
-        # a negative offset wraps to a huge unsigned one: outside the box
-        inside = (off.view(np.uint64) < span).all(axis=1)
+        # a negative offset wraps to a huge unsigned one: outside the box.
+        # One coordinate column at a time: a reduction along a short last
+        # axis costs several times the comparisons themselves
+        wrapped = off.view(np.uint64)
+        inside = wrapped[:, 0] < span[0]
+        for j in range(1, k):
+            inside &= wrapped[:, j] < span[j]
         return table[np.where(inside, off @ radix, box)]
 
     return lookup
@@ -351,7 +410,7 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None,
     coords = np.array(elements, dtype=np.int64)
     lookup = _element_lookup(coords)
     block_rows = max(1, max(n * n // _BLOCK_FRACTION, _MIN_BLOCK_ENTRIES) // (n * k))
-    cayley = np.empty((n, n), dtype=np.intp)
+    cayley = np.empty((n, n), dtype=_index_dtype(n))
     for a in range(0, n, block_rows):
         b = min(a + block_rows, n)
         prod = lookup(_products(mul, coords[a:b, None], coords[None]))
@@ -367,6 +426,7 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None,
     else:
         values = list(map(tuple, elements))
     names = tuple(name_of(x) for x in values) if name_of else None
+    cayley.setflags(write=False)
     return FiniteGroup(
         cayley, name=name, element_names=names,
         generators=tuple(range(1, 1 + len(gens))), elements=tuple(values),
@@ -550,8 +610,11 @@ def make_named_group(name: str) -> FiniteGroup:
 
 
 def left_translation_action(g: FiniteGroup) -> GroupAction:
-    """The group acting on itself by left multiplication (always transitive)."""
-    return GroupAction(group=g, perm=g.cayley.copy())
+    """The group acting on itself by left multiplication (always transitive).
+
+    The action's maps are the rows of the Cayley table, and perm is the
+    table itself, shared read-only rather than copied."""
+    return GroupAction(group=g, perm=g.cayley)
 
 
 def cyclic_shift_action(g: FiniteGroup) -> GroupAction:
@@ -623,10 +686,14 @@ def orbit_partition(perms) -> tuple[tuple[int, ...], ...]:
 def orbits(act: GroupAction) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the space, blocks sorted by smallest point.
 
-    The output depends only on the set of permutations, so it is invariant
-    under any reordering of the group elements.
+    Computed from the maps of the group's generating set alone, in
+    O(|generators| * space_size): GroupAction proves the composition law
+    on them and FiniteGroup proves that they reach every element, so their
+    maps generate the same permutation group as all the rows. The output
+    depends only on that group, so it is invariant under any reordering of
+    the group elements.
     """
-    return orbit_partition(act.perm)
+    return orbit_partition(act.perm[list(act.group.generating_set)])
 
 
 def is_transitive(act: GroupAction) -> bool:

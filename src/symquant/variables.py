@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import BadElementError, FiniteGroup, GroupAction
+from .groups import BadElementError, FiniteGroup, GroupAction, as_index_array
 
 
 class SizeMismatchError(ValueError):
@@ -38,25 +38,25 @@ class ConceptualVariable:
 
     values[point] is an index into value_labels, one per point of the
     space, so space_size is the length of values; every label must be
-    attained (the label list is the exact range of the function).
+    attained (the label list is the exact range of the function). The ids
+    are stored read-only as int16 up to 32,768 labels (int32 beyond), as
+    the group module stores its index arrays.
     """
 
     values: np.ndarray
     value_labels: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.intp).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "value_labels", tuple(self.value_labels))
+        labels = tuple(self.value_labels)
+        v = np.asarray(self.values)
         if v.ndim != 1:
             raise ValueError("values must assign one id per point")
-        n_labels = len(self.value_labels)
-        if n_labels == 0:
+        if not labels:
             raise ValueError("label list must be nonempty")
-        if v.size and (v.min() < 0 or v.max() >= n_labels):
-            raise ValueError("value id out of range")
-        if not np.bincount(v, minlength=n_labels).all():
+        v = as_index_array(v, len(labels), "value id out of range")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "value_labels", labels)
+        if not np.bincount(v, minlength=len(labels)).all():
             raise ValueError("every label must be attained by some point")
 
     @property
@@ -228,13 +228,16 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     nv = var.n_values
 
     rows = [tuple(r) for r in induced.tolist()]
-    distinct = list(dict.fromkeys(rows))    # in order of first appearance
-    row_index = {r: i for i, r in enumerate(distinct)}
+    first: dict[tuple, int] = {}    # distinct rows, in order of first appearance
+    for k, r in enumerate(rows):
+        first.setdefault(r, k)
+    row_index = {r: i for i, r in enumerate(first)}
     k_to_image = np.array([row_index[r] for r in rows], dtype=np.intp)
 
-    m = len(distinct)
-    img_cayley = np.empty((m, m), dtype=np.intp)
-    img_cayley[k_to_image[:, None], k_to_image[None, :]] = k_to_image[act.group.cayley]
+    # the image of a*b depends only on the images of a and b, so one
+    # representative per image element fills the whole m x m table
+    reps = list(first.values())
+    img_cayley = k_to_image[act.group.cayley[np.ix_(reps, reps)]]
     gens = k_to_image[list(act.group.generators)].tolist()
     image_group = FiniteGroup(img_cayley, name=f"induced({act.group.name})",
                               generators=tuple(dict.fromkeys(gens)))

@@ -1,6 +1,7 @@
 """Tests for finite groups, actions, orbits, and invariant measures."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,15 +19,18 @@ from symquant.groups import (
     cyclic_group,
     cyclic_shift_action,
     dihedral_vertex_action,
+    element_blocks,
     generate_group,
     haar_measure,
     invariant_measure,
     is_transitive,
     left_translation_action,
     make_named_group,
+    orbit_partition,
     orbits,
     subgroup_generated,
 )
+from symquant.variables import ConceptualVariable, variable_from_point_labels
 
 # SHA-256 of each named group's Cayley table as little-endian int64. The
 # tables are integers, so the digests are the same on every platform; a
@@ -155,11 +159,12 @@ class TestNamedGroups:
             FiniteGroup([[0, 1, 2], [1, 1, 0], [2, 1, 0]])
 
     def test_entries_out_of_range_rejected(self):
-        # -1 must not wrap around to the element 2 it would index
+        # -1 must not wrap around to the element 2 it would index, nor
+        # 2**16 + 1 narrow to the element 1 it is in int16
         g = cyclic_group(3)
-        for bad in (-1, 3):
-            t = g.cayley.copy()
-            t[1, 1] = bad
+        for (a, b), bad in (((1, 1), -1), ((1, 1), 3), ((2, 2), 2**16 + 1)):
+            t = g.cayley.astype(np.int64)
+            t[a, b] = bad
             with pytest.raises(ValueError, match="cayley entries out of range"):
                 FiniteGroup(t)
 
@@ -188,6 +193,88 @@ class TestNamedGroups:
         with pytest.raises(ValueError, match="reach 3 of 6"):
             FiniteGroup(g.cayley, generators=(2,))
         assert FiniteGroup(g.cayley, generators=(2, 3)).depth == 3
+
+
+def _relabelled(t, sigma):
+    """The table t with element x renamed sigma[x]."""
+    inv = np.argsort(sigma)
+    return sigma[np.asarray(t)[np.ix_(inv, inv)]]
+
+
+def _last_block(n):
+    return element_blocks(n, n * n)[-1]
+
+
+class TestCompactTables:
+    @pytest.mark.parametrize("name", sorted(CAYLEY_SHA256))
+    def test_named_groups_actions_and_values_store_int16(self, name):
+        g = make_named_group(name)
+        assert g.cayley.dtype == np.int16 and not g.cayley.flags.writeable
+        act = left_translation_action(g)
+        assert act.perm.dtype == np.int16
+        # the table's rows are the maps: shared, not copied
+        assert act.perm is g.cayley
+        var = variable_from_point_labels([x % 3 for x in range(g.order)])
+        assert var.values.dtype == np.int16
+
+    def test_wider_ranges_take_a_wider_dtype(self):
+        for n, dtype in ((2**15, np.int16), (2**15 + 1, np.int32)):
+            var = ConceptualVariable(np.arange(n), tuple(range(n)))
+            assert var.values.dtype == dtype
+            act = GroupAction(group=cyclic_group(1), perm=[np.arange(n)])
+            assert act.perm.dtype == dtype
+
+    def test_inverse_fault_in_the_last_row_block(self):
+        # row 190 of cyclic:200 loses its identity entry: no inverse
+        g = cyclic_group(200)
+        assert len(element_blocks(200, 200 * 200)) > 1
+        assert _last_block(200).start <= 190
+        t = g.cayley.copy()
+        t[190, 10] = 5
+        with pytest.raises(ValueError, match="inverse law fails"):
+            FiniteGroup(t, generators=g.generators)
+
+    def test_associativity_fault_in_the_last_row_block(self):
+        # the intercalate (50, 20), (50, 120), (150, 20), (150, 120) of
+        # cyclic:200 swapped; Light's test at generator 1 then fails on
+        # rows 49, 50, 149 and 150, which the relabelling moves into the
+        # last block (196, 197 and 149, 150)
+        n = 200
+        t = cyclic_group(n).cayley.copy()
+        rows, cols = [50, 50, 150, 150], [20, 120, 20, 120]
+        t[rows, cols] = t[rows, cols][[1, 0, 3, 2]]
+        sigma = np.arange(n)
+        sigma[[49, 50, 196, 197]] = [196, 197, 49, 50]
+        t = _relabelled(t, sigma)
+        bad = np.flatnonzero((t[t[:, 1]] != t[:, t[1]]).any(axis=1))
+        assert bad.min() >= _last_block(n).start
+        with pytest.raises(ValueError, match="associativity fails at generator 1$"):
+            FiniteGroup(t, generators=(1,))
+
+    def test_composition_fault_in_the_last_row_block(self):
+        # the map of element 190 replaced by that of 191: the law at
+        # generator 1 fails for the elements 189 and 190 only
+        g = cyclic_group(200)
+        perm = g.cayley.copy()
+        perm[190] = perm[191]
+        t = g.cayley
+        bad = np.flatnonzero((perm[t[1]] != perm[1][perm]).any(axis=1))
+        assert bad.min() >= _last_block(200).start
+        with pytest.raises(ValueError,
+                           match="composition law fails at generator 1$"):
+            GroupAction(group=g, perm=perm)
+
+    def test_peak_memory_of_a_large_cyclic_group(self):
+        # the Cayley table of cyclic:2000 is 7.6 MiB as int16; with intp
+        # tables and whole-table law checks the same calls peaked at 157 MiB
+        tracemalloc.start()
+        try:
+            g = make_named_group("cyclic:2000")
+            assert orbits(left_translation_action(g)) == (tuple(range(2000)),)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestGenerateGroup:
@@ -307,8 +394,9 @@ class TestActionsAndOrbits:
         # itself
         with pytest.raises(ValueError, match="composition law"):
             GroupAction(group=g, perm=[[0, 1, 2], [0, 0, 1]])
-        # a negative entry must not wrap around to a valid point
-        for row in ([0, 1, 3], [-1, 0, 1]):
+        # a negative entry must not wrap around to a valid point, nor
+        # 2**16 + 1 narrow to the point 1 in int16
+        for row in ([0, 1, 3], [-1, 0, 1], [0, 2**16 + 1, 2]):
             with pytest.raises(ValueError, match="out of range"):
                 GroupAction(group=g, perm=[[0, 1, 2], row])
 

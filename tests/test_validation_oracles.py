@@ -332,6 +332,23 @@ def orbits_by_bfs(perms, m) -> tuple:
     return tuple(blocks)
 
 
+def conjugation_action(g: FiniteGroup) -> GroupAction:
+    """The group acting on itself by k.x = k x k^-1; its orbits are the
+    conjugacy classes."""
+    t = g.cayley.astype(np.intp)
+    return GroupAction(group=g, perm=t[t, g.inverses[:, None]])
+
+
+def image_table_by_scatter(induced, g: FiniteGroup) -> np.ndarray:
+    """The induced image group's table written at every pair of source
+    elements: image(a)*image(b) = image(a*b)."""
+    k = induced.k_to_image
+    m = induced.image_group.order
+    table = np.full((m, m), -1, dtype=np.intp)
+    table[k[:, None], k[None, :]] = k[g.cayley]
+    return table
+
+
 def subgroup_by_two_sided_closure(g: FiniteGroup, gens) -> tuple:
     """Close the seeds (gens and the identity) under multiplication by a
     seed on either side."""
@@ -1148,6 +1165,8 @@ class TestImpliedLaws:
         assert g.order == len(induced.kernel) * induced.image_group.order
         images = [int(induced.k_to_image[s]) for s in g.generators]
         assert induced.image_group.generators == tuple(dict.fromkeys(images))
+        assert np.array_equal(induced.image_group.cayley,
+                              image_table_by_scatter(induced, g))
 
     @pytest.mark.parametrize("n", [4, 7, 200])
     def test_faithful_variable_image_generated_by_generator_images(self, n):
@@ -1162,6 +1181,8 @@ class TestImpliedLaws:
             int(induced.k_to_image[s]) for s in g.generators)
         assert check_homomorphism(induced.k_to_image, g,
                                   induced.image_group) == (True, None)
+        assert np.array_equal(induced.image_group.cayley,
+                              image_table_by_scatter(induced, g))
 
     @ORACLE_SETTINGS
     @given(st.one_of(labelled_actions(), coset_variables()))
@@ -1207,6 +1228,26 @@ class TestOrbitOracles:
         if name.startswith("symmetric"):
             act = natural_permutation_action(g)
             assert orbits(act) == orbits_by_bfs(act.perm, act.space_size)
+
+    @pytest.mark.parametrize("name", ORACLE_GROUP_NAMES)
+    def test_orbits_from_generators_match_all_rows(self, name):
+        # orbits() reads the rows of the generators only
+        g = make_named_group(name)
+        acts = [left_translation_action(g), conjugation_action(g)]
+        head = name.partition(":")[0]
+        if head == "symmetric" and "x" not in name:
+            acts.append(natural_permutation_action(g))
+        if head == "dihedral" and "x" not in name:
+            acts.append(dihedral_vertex_action(g))
+        for act in acts:
+            assert orbits(act) == orbit_partition(act.perm)
+
+    @ORACLE_SETTINGS
+    @given(permutation_groups())
+    def test_orbits_from_generators_match_all_rows_random(self, g):
+        for act in (natural_permutation_action(g), left_translation_action(g),
+                    conjugation_action(g)):
+            assert orbits(act) == orbit_partition(act.perm)
 
     @ORACLE_SETTINGS
     @given(permutation_groups(), st.data())

@@ -241,6 +241,12 @@ class TestVariableType:
         with pytest.raises(ValueError, match="every label must be attained"):
             ConceptualVariable(values=[0, 0], value_labels=(0.0, 1.0))
 
+    def test_value_ids_out_of_range_rejected(self):
+        # 2**16 + 1 must not narrow to the id 1 in int16
+        for bad in (-1, 2, 2**16 + 1):
+            with pytest.raises(ValueError, match="value id out of range"):
+                ConceptualVariable(values=np.array([0, bad]), value_labels=("a", "b"))
+
     def test_values_one_per_point(self):
         with pytest.raises(ValueError, match="one id per point"):
             ConceptualVariable(values=[[0, 1]], value_labels=(0.0, 1.0))
