@@ -1,24 +1,19 @@
 #!/usr/bin/env python3
-"""Walkthrough: building finite groups, acting on spaces, and measuring orbits.
+"""Walkthrough: building finite groups, acting on spaces, and finding orbits.
 
 Every group lives as an explicit Cayley table, so the group axioms and the
 action axioms are checked exhaustively at construction time. We build a few
-named groups, act on small spaces, and put invariant measures on the orbits.
+named groups, act on small spaces, and split the spaces into orbits.
 """
-
-import numpy as np
 
 from symquant import (
     GroupAction,
-    counting_measure,
-    haar_measure,
-    invariant_measure,
     is_transitive,
     make_named_group,
     orbits,
     subgroup_generated,
 )
-from symquant.groups import cyclic_shift_action, dihedral_vertex_action
+from symquant.groups import dihedral_vertex_action
 
 print("== named groups ==")
 for spec in ("cyclic:4", "dihedral:4", "symmetric:3", "binary_tetrahedral",
@@ -38,17 +33,7 @@ print("\n== orbits split when the action has fixed points ==")
 c3 = make_named_group("cyclic:3")
 fix_zero = GroupAction(group=c3,
                        perm=[[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
-print("orbits:", orbits(fix_zero))
-m = invariant_measure(fix_zero, [1.0, 1.0])
-print("weights with unit mass per orbit:", m.weights)
-print("invariance check: weights[k.x] == weights[x] for every k:",
-      all(np.array_equal(m.weights[fix_zero.perm[k]], m.weights)
-          for k in range(3)))
-
-print("\n== counting measures ==")
-shift = cyclic_shift_action(make_named_group("cyclic:4"))
-print("counting measure on one 4-point orbit:", counting_measure(shift).weights)
-print("group counting (Haar) measure of dihedral:4:", haar_measure(d4))
+print("orbits:", orbits(fix_zero), " transitive:", is_transitive(fix_zero))
 
 print("\n== subgroups from generators ==")
 c4 = make_named_group("cyclic:4")

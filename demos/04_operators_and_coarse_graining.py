@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
 """Walkthrough: from a labelled resolution of the identity to operators,
-measurement effects, and density operators.
+their coarse graining, and the questions a state answers.
 
 A state family that resolves the identity, together with a real label per
-state, defines a Hermitian operator. Mixing the projectors with a statistical
-model gives measurement effects; weighting them with a probability profile
-gives a density operator.
+state, defines a Hermitian operator. Relabelling a basis through a
+many-to-one function merges eigenvalues: the coarse operator is no longer
+maximal.
 """
 
 import numpy as np
 
 from symquant import (
-    StatisticalModel,
-    build_density,
     build_operator,
-    build_povm,
     coarse_grain,
-    function_operator,
     maximality_check,
     question_answer_match,
 )
@@ -27,22 +23,6 @@ print("== operator from labelled basis states ==")
 comp = build_operator(basis, 1.0, [0.5, -0.5])
 print("matrix:\n", comp.matrix.real)
 print("eigenvalues:", comp.eigenvalues, " maximal:", maximality_check(comp))
-
-print("\n== functional calculus ==")
-sq = function_operator(basis, 1.0, [0.5, -0.5], lambda u: u * u)
-print("squared labels give", np.diag(sq.matrix.real), "- a degenerate operator")
-print("maximal:", maximality_check(sq))
-
-print("\n== measurement effects from a statistical model ==")
-model = StatisticalModel(probabilities=[[0.3, 0.7], [0.7, 0.3]])
-povm = build_povm(model, basis, 1.0)
-for z in range(povm.outcome_count):
-    print(f"effect {z}:\n", povm.effects[z].real)
-print("completeness deviation:", povm.completeness_deviation())
-
-print("\n== density operators ==")
-rho = build_density([0.25, 0.75], basis, 1.0)
-print("sigma:\n", rho.sigma.real, " trace:", rho.trace)
 
 print("\n== coarse graining a three-level system ==")
 basis3 = np.eye(3, dtype=complex)

@@ -13,7 +13,6 @@ import numpy as np
 from symquant.groups import cyclic_group
 from symquant.phasespace import (
     clock_rep,
-    commutator_norm,
     fourier_matrix,
     momentum_operator,
     mub_deviation,
@@ -43,6 +42,7 @@ X = position_operator(n)
 P = momentum_operator(n)
 print("position spectrum:", X.eigenvalues)
 print("momentum spectrum:", P.eigenvalues)
-print("commutator norm ||[X, P]||_F:", commutator_norm(n))
+print("commutator norm ||[X, P]||_F:",
+      np.linalg.norm(X.matrix @ P.matrix - P.matrix @ X.matrix))
 print("(positive for every lattice size - the two variables cannot be")
 print(" diagonalized together, even though each alone is maximal)")

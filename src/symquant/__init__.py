@@ -19,13 +19,9 @@ from .linalg import (
 from .groups import (
     FiniteGroup,
     GroupAction,
-    InvariantMeasure,
     check_homomorphism,
-    counting_measure,
     cyclic_shift_action,
     dihedral_vertex_action,
-    haar_measure,
-    invariant_measure,
     is_transitive,
     left_translation_action,
     make_named_group,
@@ -61,19 +57,13 @@ from .coherent import (
 )
 from .quantize import (
     CoarseGraining,
-    DensityOp,
     EigenOrbitPartition,
     OperatorBundle,
-    Povm,
-    StatisticalModel,
-    build_density,
     build_operator,
-    build_povm,
     coarse_grain,
     conjugation_covariance,
     covariance_check,
     eigen_orbit_partition,
-    function_operator,
     maximality_check,
     model_reduce,
     operator_from_matrix,

@@ -1,5 +1,5 @@
 """Finite groups as explicit Cayley tables, their actions on finite spaces,
-orbits, subgroups, homomorphism checking, and invariant measures.
+orbits, subgroups and homomorphism checking.
 
 Element ordering convention: named groups are generated breadth-first from
 their canonical generators, identity first, then the generators in listed
@@ -45,10 +45,6 @@ class UnknownGroupNameError(ValueError):
 
 
 class OrderTooLargeError(ValueError):
-    pass
-
-
-class MassCountMismatchError(ValueError):
     pass
 
 
@@ -224,7 +220,11 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.cayley, self.cayley.T))
+        """True iff the generators commute pairwise, which holds iff every
+        pair of elements does, since the generators reach every element."""
+        s = list(self.generating_set)
+        sub = self.cayley[np.ix_(s, s)]
+        return bool(np.array_equal(sub, sub.T))
 
 
 @dataclass(frozen=True)
@@ -269,26 +269,6 @@ class GroupAction:
     @property
     def space_size(self) -> int:
         return self.perm.shape[1]
-
-
-@dataclass(frozen=True)
-class InvariantMeasure:
-    """Nonnegative weights on a space, constant on each orbit of an action."""
-
-    weights: np.ndarray
-    per_orbit_normalization: tuple[float, ...]
-    orbit_blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        for block in self.orbit_blocks:
-            vals = w[list(block)]
-            if np.any(vals != vals[0]):
-                raise ValueError("weights must be constant on each orbit")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +586,7 @@ def make_named_group(name: str) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# actions, orbits, measures
+# actions and orbits
 
 
 def left_translation_action(g: FiniteGroup) -> GroupAction:
@@ -698,44 +678,6 @@ def orbits(act: GroupAction) -> tuple[tuple[int, ...], ...]:
 
 def is_transitive(act: GroupAction) -> bool:
     return len(orbits(act)) == 1
-
-
-def haar_measure(g: FiniteGroup) -> np.ndarray:
-    """Counting measure on the group: weight 1 per element.
-
-    For a finite group this is both the left- and the right-invariant Haar
-    measure, so the two constructions coincide.
-    """
-    w = np.ones(g.order)
-    w.setflags(write=False)
-    return w
-
-
-def invariant_measure(act: GroupAction, per_orbit_mass) -> InvariantMeasure:
-    """Invariant measure with a prescribed total mass on each orbit.
-
-    Each point of an orbit receives mass / orbit size, so invariance holds
-    exactly (the weight depends only on the orbit id).
-    """
-    blocks = orbits(act)
-    masses = [float(m) for m in per_orbit_mass]
-    if len(masses) != len(blocks):
-        raise MassCountMismatchError(
-            f"{len(masses)} masses for {len(blocks)} orbits"
-        )
-    if any(m <= 0 for m in masses):
-        raise ValueError("orbit masses must be positive")
-    weights = np.empty(act.space_size)
-    for mass, block in zip(masses, blocks):
-        weights[list(block)] = mass / len(block)
-    return InvariantMeasure(weights=weights, per_orbit_normalization=tuple(masses),
-                            orbit_blocks=blocks)
-
-
-def counting_measure(act: GroupAction) -> InvariantMeasure:
-    """Weight 1 on every point (orbit mass equal to orbit size)."""
-    blocks = orbits(act)
-    return invariant_measure(act, [len(b) for b in blocks])
 
 
 # ---------------------------------------------------------------------------

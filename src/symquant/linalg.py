@@ -3,8 +3,8 @@ unitary one-parameter phases, and the predicates the rest of the package
 leans on.
 
 Every weighted projector sum sum_k w_k |s_k><s_k| in the package (frames,
-operators, effects, densities, spectral sums, exp(-itH)) is one kernel,
-projector_sum, fed by the one state-family reader, as_state_family.
+operators, spectral sums, exp(-itH)) is one kernel, projector_sum, fed by
+the one state-family reader, as_state_family.
 
 All tolerances are relative to a matrix norm with a floor of 1, so near-zero
 matrices fall back to absolute comparisons. Everything is complex128.
@@ -103,8 +103,7 @@ class SpectralData:
     eigenvalues are ascending, one per cluster; vectors holds the
     orthonormal eigenbasis as columns, grouped cluster by cluster, and
     multiplicities[j] columns belong to cluster j, so their cumulative sum
-    gives the cluster offsets. The projection onto an eigenspace is built
-    on request from its columns. degeneracy_tol records the clustering
+    gives the cluster offsets. degeneracy_tol records the clustering
     tolerance, since multiplicity structure depends on it.
     """
 
@@ -121,13 +120,6 @@ class SpectralData:
     def n_clusters(self) -> int:
         return len(self.eigenvalues)
 
-    def projection(self, j: int) -> np.ndarray:
-        """Orthogonal projection onto the j-th eigenspace."""
-        j = range(self.n_clusters)[j]   # negative j counts from the end
-        stop = int(np.sum(self.multiplicities[: j + 1]))
-        W = self.vectors[:, stop - int(self.multiplicities[j]):stop]
-        return W @ W.conj().T
-
     def reconstruct(self, values=None) -> np.ndarray:
         """V diag(u) V^dag, each cluster's value repeated by its
         multiplicity; values (one per cluster, real or complex) default to
@@ -136,12 +128,6 @@ class SpectralData:
         u = self.eigenvalues if values is None else np.asarray(values)
         return projector_sum(self.vectors.T,
                              np.repeat(u, self.multiplicities, axis=-1))
-
-    def expectation(self, v) -> float:
-        """Quadratic form <v|A|v> as sum_i u_i |<e_i|v>|^2."""
-        v = as_cvector(v)
-        weights = np.abs(self.vectors.conj().T @ v) ** 2
-        return float(np.repeat(self.eigenvalues, self.multiplicities) @ weights)
 
     def basis(self) -> np.ndarray:
         """Orthonormal eigenbasis as columns, cluster by cluster."""

@@ -86,9 +86,3 @@ def momentum_operator(n: int) -> OperatorBundle:
     F = fourier_matrix(n)
     return build_operator(F.T, 1.0, np.arange(n, dtype=float))
 
-
-def commutator_norm(n: int) -> float:
-    """Frobenius norm of [X, P]; strictly positive for every n >= 2."""
-    X = position_operator(n).matrix
-    P = momentum_operator(n).matrix
-    return float(np.linalg.norm(X @ P - P @ X))

@@ -1,15 +1,14 @@
-"""Operators built from weighted state families, measurement effects and
-density operators over them, covariance under symmetry, the orbit structure
-of a spectrum under induced value transformations, reduction of a value set
-to one orbit, and coarse graining.
+"""Operators built from weighted state families, covariance under symmetry,
+the orbit structure of a spectrum under induced value transformations,
+reduction of a value set to one orbit, and coarse graining.
 
 The guiding picture: a labelled resolution of the identity turns a variable
 into a Hermitian operator; the induced symmetry of the variable permutes
 the operator's eigenvalues, and restricting the variable's range to one
 orbit of eigenvalues is the natural model reduction.
 
-Operators, effects, densities, covariance rebuilds and coarse-graining
-projections are weighted projector sums, computed by linalg.projector_sum.
+Operators, covariance rebuilds and coarse-graining projections are
+weighted projector sums, computed by linalg.projector_sum.
 
 Covariance has one kernel: covariance_check runs it on a set of group
 elements (one value-map read, one stacked conjugation by the rep's
@@ -43,14 +42,6 @@ from .linalg import (
 from .groups import orbit_partition, rows_are_permutations
 from .variables import ConceptualVariable, GroupAction, _element_maps
 from .coherent import MonomialRep, NotUnitaryError, UnitaryRep, resolution_deviation
-
-
-class RowMismatchError(ValueError):
-    pass
-
-
-class NegativeWeightError(ValueError):
-    pass
 
 
 class NotInSubgroupError(ValueError):
@@ -147,145 +138,6 @@ def operator_from_matrix(A, *, source_variable=None) -> OperatorBundle:
     A = as_cmatrix(A)
     _require_hermitian(A)
     return OperatorBundle(matrix=A, source_variable=source_variable)
-
-
-def function_operator(states, weights, labels, f: Callable[[float], float],
-                      **kwargs) -> OperatorBundle:
-    """Apply a real function to the labels before building the operator.
-
-    For an orthonormal family this is the functional calculus: the result's
-    eigenvalues are f applied to the original ones.
-    """
-    lab = np.asarray(labels, dtype=float)
-    return build_operator(states, weights, [float(f(u)) for u in lab], **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# measurements and states
-
-
-@dataclass(frozen=True)
-class StatisticalModel:
-    """Row-stochastic table P(outcome | value id)."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float).copy()
-        if p.ndim != 2:
-            raise ValueError("probabilities must be a 2-d table")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("each row must sum to 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-
-    @property
-    def n_values(self) -> int:
-        return self.probabilities.shape[0]
-
-    @property
-    def outcome_count(self) -> int:
-        return self.probabilities.shape[1]
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Positive effects, one per outcome, summing to the identity."""
-
-    effects: np.ndarray
-
-    def __post_init__(self):
-        eff = np.asarray(self.effects, dtype=np.complex128).copy()
-        if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
-            raise ValueError("effects must be square matrices stacked on axis 0")
-        scale = max(1.0, max_abs(eff))
-        for z, M in enumerate(eff):
-            if max_abs(M - M.conj().T) > 1e-10 * scale:
-                raise ValueError(f"effect {z} is not Hermitian")
-            if float(np.linalg.eigvalsh(M)[0]) < -1e-10 * scale:
-                raise ValueError(f"effect {z} is not positive semidefinite")
-        eff.setflags(write=False)
-        object.__setattr__(self, "effects", eff)
-
-    @property
-    def outcome_count(self) -> int:
-        return self.effects.shape[0]
-
-    def effect(self, outcomes) -> np.ndarray:
-        """Additive effect of a set of outcomes."""
-        idx = sorted(set(int(z) for z in outcomes))
-        return self.effects[idx].sum(axis=0)
-
-    def completeness_deviation(self) -> float:
-        d = self.effects.shape[1]
-        return max_abs(self.effects.sum(axis=0) - np.eye(d))
-
-
-def build_povm(model: StatisticalModel, states, weights) -> Povm:
-    """Mix the state projectors with the model's outcome probabilities.
-
-    effects[z] = sum_v P(z|v) w_v |s_v><s_v|; completeness follows from the
-    family resolving the identity and the rows summing to one, and is
-    verified to 1e-10.
-    """
-    st, w = as_state_family(states, weights)
-    n, d = st.shape
-    if model.n_values != n:
-        raise RowMismatchError(
-            f"model has {model.n_values} rows for {n} states"
-        )
-    povm = Povm(effects=projector_sum(st, model.probabilities.T * w))
-    dev = povm.completeness_deviation()
-    if dev > 1e-10 * max(1.0, d):
-        raise ValueError(f"effects miss the identity by {dev:.3e}")
-    return povm
-
-
-@dataclass(frozen=True)
-class DensityOp:
-    """A positive unit-trace operator with the weight profile that built it."""
-
-    sigma: np.ndarray
-    weight_function: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=np.complex128).copy()
-        scale = max(1.0, max_abs(s))
-        if max_abs(s - s.conj().T) > 1e-10 * scale:
-            raise ValueError("density operator must be Hermitian")
-        if float(np.linalg.eigvalsh(s)[0]) < -1e-12 * scale:
-            raise ValueError("density operator must be positive semidefinite")
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma", s)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.sigma).real)
-
-
-def build_density(pi, states, weights, *, normalize=False) -> DensityOp:
-    """Weight the state projectors by a nonnegative profile pi.
-
-    With normalize=True the combined weights pi*w are rescaled to total
-    mass 1; for an orthonormal unit-weight family that makes the trace 1.
-    """
-    st, w = as_state_family(states, weights)
-    p = np.asarray(pi, dtype=float)
-    if p.shape != w.shape:
-        raise DimensionMismatchError(f"{len(st)} states but {p.shape} weights")
-    if np.any(p < 0):
-        raise NegativeWeightError("weight function must be nonnegative")
-    mass = p * w
-    if normalize:
-        total = mass.sum()
-        if total <= 0:
-            raise NegativeWeightError("total weight mass must be positive")
-        mass = mass / total
-    sigma = projector_sum(st, mass)
-    sigma = (sigma + sigma.conj().T) / 2.0
-    return DensityOp(sigma=sigma, weight_function=p)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .quantize import (
     NotAnOrbitError,
     NotOrthonormalError,
     build_operator,
+    coarse_grain,
     conjugation_covariance,
     covariance_check,
     eigen_orbit_partition,
@@ -180,6 +181,23 @@ def _pedagogy_z4_checks(params) -> list[Check]:
         "parity factors through the identity; identity does not factor "
         "through a constant; reflexivity holds",
     ))
+
+    # parity as an accessible function of the identity variable, read off
+    # the factor table f1: relabelling the finer basis through it merges
+    # eigenvalues, so the coarse operator is not maximal
+    ok, details = False, "parity does not factor through the identity"
+    if leq1:
+        to_parity = dict(zip(ident.value_labels,
+                             (parity.value_labels[i] for i in f1)))
+        basis4 = np.eye(4, dtype=np.complex128)
+        grain, coarse = coarse_grain(basis4, ident.value_labels,
+                                     to_parity.__getitem__)
+        _, fine = coarse_grain(basis4, ident.value_labels, lambda u: u)
+        ok = (grain.blocks == ((0, 2), (1, 3))
+              and not maximality_check(coarse) and maximality_check(fine))
+        details = (f"blocks = {[list(b) for b in grain.blocks]}; the coarse "
+                   "operator is degenerate, the identity relabelling is not")
+    checks.append(exact_check("parity_coarse_grain_not_maximal", ok, details))
     return checks
 
 

@@ -201,7 +201,6 @@ class InducedAction:
     recorded, and value_action lets the original group act on value ids.
     """
 
-    base: GroupAction
     induced_perm: np.ndarray
     kernel: tuple[int, ...]
     image_group: FiniteGroup
@@ -244,7 +243,7 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     kernel = tuple(np.flatnonzero((induced == np.arange(nv)).all(axis=1)).tolist())
     value_action = GroupAction(group=act.group, perm=induced)
     return InducedAction(
-        base=act, induced_perm=value_action.perm, kernel=kernel,
+        induced_perm=value_action.perm, kernel=kernel,
         image_group=image_group, k_to_image=k_to_image, value_action=value_action,
     )
 

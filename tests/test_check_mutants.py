@@ -181,7 +181,7 @@ MUTANTS = {
         _induced_with(kernel=lambda ind: (0,))),
     "induced_image_is_two_element_cyclic": Mutant(
         PEDAGOGY, scenarios, "induce_group",
-        _induced_with(image_group=lambda ind: ind.base.group)),
+        _induced_with(image_group=lambda ind: ind.value_action.group)),
     "quotient_by_kernel_injective": Mutant(
         PEDAGOGY, scenarios, "induce_group",
         _induced_with(induced_perm=lambda ind: np.zeros_like(ind.induced_perm)
@@ -197,6 +197,9 @@ MUTANTS = {
     "coarser_finer_partial_order": Mutant(
         PEDAGOGY, scenarios, "accessibility_leq",
         lambda orig: lambda alpha, beta: orig(beta, alpha)),
+    "parity_coarse_grain_not_maximal": Mutant(
+        PEDAGOGY, scenarios, "coarse_grain",
+        lambda orig: lambda basis, labels, t: orig(basis, labels, lambda u: u)),
     # coherent_d4
     "rotation_rep_irreducible": Mutant(
         D4, coherent, "commutant_dimension", _character_norm_plus_one),

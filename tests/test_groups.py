@@ -1,28 +1,23 @@
-"""Tests for finite groups, actions, orbits, and invariant measures."""
+"""Tests for finite groups, actions and orbits."""
 
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from symquant.groups import (
     BadElementError,
     FiniteGroup,
     GroupAction,
-    MassCountMismatchError,
     OrderTooLargeError,
     UnknownGroupNameError,
     check_homomorphism,
-    counting_measure,
     cyclic_group,
     cyclic_shift_action,
     dihedral_vertex_action,
     element_blocks,
     generate_group,
-    haar_measure,
-    invariant_measure,
     is_transitive,
     left_translation_action,
     make_named_group,
@@ -111,6 +106,19 @@ class TestNamedGroups:
         act = dihedral_vertex_action(g)
         assert act.space_size == 1
         assert np.array_equal(act.perm, [[0], [0]])
+
+    @pytest.mark.parametrize("name", sorted(CAYLEY_SHA256))
+    def test_is_abelian_matches_whole_table_oracle(self, name):
+        # is_abelian tests only that the generators commute; the oracle
+        # compares every pair, the whole table with its transpose
+        g = make_named_group(name)
+        assert g.is_abelian == np.array_equal(g.cayley, g.cayley.T)
+
+    @pytest.mark.parametrize("name", ["cyclic:6", "dihedral:4", "cyclic:2xcyclic:3"])
+    def test_is_abelian_without_recorded_generators(self, name):
+        # with none recorded every element is a generator
+        g = make_named_group(name)
+        assert FiniteGroup(g.cayley).is_abelian == g.is_abelian
 
     @pytest.mark.parametrize("name", sorted(CAYLEY_SHA256))
     def test_cayley_tables_pinned(self, name):
@@ -404,59 +412,6 @@ class TestActionsAndOrbits:
         g = make_named_group("binary_tetrahedral")
         act = left_translation_action(g)
         assert is_transitive(act)
-
-
-class TestMeasures:
-    def test_haar_uniform(self):
-        g = cyclic_group(4)
-        assert_allclose(haar_measure(g), np.ones(4))
-        d4 = make_named_group("dihedral:4")
-        w = haar_measure(d4)
-        assert_allclose(w, np.ones(8))
-        assert w.sum() == d4.order
-
-    def test_haar_left_and_right_invariant(self):
-        # weight arrays indexed by elements: invariance under both
-        # translations means w[k*x] == w[x] == w[x*k] for all k, x
-        g = make_named_group("dihedral:3")
-        w = haar_measure(g)
-        for k in range(g.order):
-            assert_allclose(w[g.cayley[k]], w)
-            assert_allclose(w[g.cayley[:, k]], w)
-
-    def test_uniform_mass_on_transitive_orbit(self):
-        act = cyclic_shift_action(cyclic_group(4))
-        m = invariant_measure(act, [1.0])
-        assert_allclose(m.weights, [0.25, 0.25, 0.25, 0.25])
-
-    def test_two_orbits(self):
-        g = cyclic_group(3)
-        # fixes point 0, cycles 1,2,3
-        act = GroupAction(group=g, perm=[[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
-        m = invariant_measure(act, [1.0, 1.0])
-        assert_allclose(m.weights, [1.0, 1 / 3, 1 / 3, 1 / 3])
-
-    def test_mass_two_on_pair_orbit(self):
-        g = cyclic_group(2)
-        act = GroupAction(group=g, perm=[[0, 1], [1, 0]])
-        m = invariant_measure(act, [2.0])
-        assert_allclose(m.weights, [1.0, 1.0])
-
-    def test_mass_count_mismatch(self):
-        act = cyclic_shift_action(cyclic_group(4))
-        with pytest.raises(MassCountMismatchError):
-            invariant_measure(act, [1.0, 1.0])
-
-    def test_invariance_exact(self):
-        g = make_named_group("dihedral:4")
-        act = dihedral_vertex_action(g)
-        m = invariant_measure(act, [3.7])
-        for k in range(g.order):
-            assert np.all(m.weights[act.perm[k]] == m.weights)
-
-    def test_counting_measure(self):
-        act = cyclic_shift_action(cyclic_group(5))
-        assert_allclose(counting_measure(act).weights, np.ones(5))
 
 
 class TestSubgroupsAndHoms:

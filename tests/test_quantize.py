@@ -1,5 +1,5 @@
-"""Tests for operator construction, POVMs, densities, covariance, orbits,
-reduction, coarse graining, and question/answer matching."""
+"""Tests for operator construction, covariance, orbits, reduction, coarse
+graining, and question/answer matching."""
 
 import numpy as np
 import pytest
@@ -16,21 +16,15 @@ from symquant.linalg import (
     eig_hermitian,
 )
 from symquant.quantize import (
-    NegativeWeightError,
     NotAnOrbitError,
     NotInSubgroupError,
     NotUnitError,
-    RowMismatchError,
     SpectrumNotPreservedError,
-    StatisticalModel,
-    build_density,
     build_operator,
-    build_povm,
     coarse_grain,
     conjugation_covariance,
     covariance_check,
     eigen_orbit_partition,
-    function_operator,
     maximality_check,
     model_reduce,
     operator_from_matrix,
@@ -92,14 +86,6 @@ class TestBuildOperator:
         moved = operator_from_matrix(W @ b.matrix @ W.conj().T)
         assert_allclose(moved.eigenvalues, b.eigenvalues, atol=1e-9)
 
-    def test_spectral_sum_matches_quadratic_form(self):
-        rng = np.random.default_rng(4)
-        b = build_operator(np.eye(5, dtype=complex), 1.0, rng.normal(size=5))
-        v = rng.normal(size=5) + 1j * rng.normal(size=5)
-        v /= np.linalg.norm(v)
-        direct = float((v.conj() @ b.matrix @ v).real)
-        assert abs(b.spectrum.expectation(v) - direct) <= 1e-9
-
 
 class TestSpectrumOnFirstRead:
     """A bundle eigendecomposes its matrix when its spectrum is first read;
@@ -149,105 +135,6 @@ class TestSpectrumOnFirstRead:
             assert got.dtype == getattr(want, name).dtype
             assert got.tobytes() == getattr(want, name).tobytes(), name
         assert first.degeneracy_tol == want.degeneracy_tol
-
-
-class TestFunctionOperator:
-    def test_indicator_projects(self):
-        b = function_operator(QUBIT, 1.0, [0.5, -0.5],
-                              lambda u: 1.0 if u == 0.5 else 0.0)
-        assert_allclose(b.matrix, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_square_on_spin_one(self):
-        basis = np.eye(3, dtype=complex)
-        b = function_operator(basis, 1.0, [1.0, 0.0, -1.0], lambda u: u * u)
-        assert_allclose(b.matrix, np.diag([1.0, 0.0, 1.0]), atol=1e-15)
-
-    def test_identity_function(self):
-        b1 = build_operator(QUBIT, 1.0, [0.5, -0.5])
-        b2 = function_operator(QUBIT, 1.0, [0.5, -0.5], lambda u: u)
-        assert_allclose(b1.matrix, b2.matrix)
-
-    def test_functional_calculus_on_orthonormal_family(self):
-        rng = np.random.default_rng(12)
-        W, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        labels = np.array([2.0, -1.0, 0.0, 1.0])
-        f = lambda u: u ** 2 + 1.0
-        b = function_operator(W.T, 1.0, labels, f)
-        expect = sorted({f(u) for u in labels})
-        assert_allclose(b.eigenvalues, expect, atol=1e-9)
-
-
-class TestPovm:
-    def test_two_state_example(self):
-        model = StatisticalModel(probabilities=[[0.3, 0.7], [0.7, 0.3]])
-        povm = build_povm(model, QUBIT, 1.0)
-        assert_allclose(povm.effects[0], np.diag([0.3, 0.7]), atol=1e-15)
-
-    def test_deterministic_model_gives_projections(self):
-        model = StatisticalModel(probabilities=np.eye(2))
-        povm = build_povm(model, QUBIT, 1.0)
-        assert_allclose(povm.effects[0], np.diag([1.0, 0.0]), atol=1e-15)
-        assert_allclose(povm.effects[1], np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_completeness_seeded_models(self):
-        rng = np.random.default_rng(31)
-        for size in (2, 3, 4, 5):
-            probs = rng.uniform(0.05, 1.0, size=(size, 3))
-            probs /= probs.sum(axis=1, keepdims=True)
-            povm = build_povm(StatisticalModel(probabilities=probs),
-                              np.eye(size, dtype=complex), 1.0)
-            assert povm.completeness_deviation() <= 1e-10
-
-    def test_additivity(self):
-        rng = np.random.default_rng(5)
-        probs = rng.uniform(0.1, 1.0, size=(3, 4))
-        probs /= probs.sum(axis=1, keepdims=True)
-        povm = build_povm(StatisticalModel(probabilities=probs),
-                          np.eye(3, dtype=complex), 1.0)
-        combined = povm.effect([0, 2])
-        assert_allclose(combined, povm.effects[0] + povm.effects[2])
-
-    def test_row_mismatch(self):
-        model = StatisticalModel(probabilities=[[0.5, 0.5]])
-        with pytest.raises(RowMismatchError):
-            build_povm(model, QUBIT, 1.0)
-
-    def test_rows_must_be_stochastic(self):
-        with pytest.raises(ValueError):
-            StatisticalModel(probabilities=[[0.5, 0.6]])
-        with pytest.raises(ValueError):
-            StatisticalModel(probabilities=[[-0.1, 1.1]])
-
-
-class TestDensity:
-    def test_uniform_maximally_mixed(self):
-        rho = build_density([0.5, 0.5], QUBIT, 1.0)
-        assert_allclose(rho.sigma, np.eye(2) / 2, atol=1e-15)
-        assert abs(rho.trace - 1.0) <= 1e-10
-
-    def test_pure_state(self):
-        rho = build_density([1.0, 0.0], QUBIT, 1.0)
-        assert_allclose(rho.sigma, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_diagonal_mixture(self):
-        rho = build_density([0.25, 0.75], QUBIT, 1.0)
-        assert_allclose(rho.sigma, np.diag([0.25, 0.75]), atol=1e-15)
-
-    def test_negative_weight(self):
-        with pytest.raises(NegativeWeightError):
-            build_density([-0.1, 1.1], QUBIT, 1.0)
-
-    def test_normalize_flag(self):
-        rho = build_density([3.0, 1.0], QUBIT, 1.0, normalize=True)
-        assert abs(rho.trace - 1.0) <= 1e-12
-        assert_allclose(rho.sigma, np.diag([0.75, 0.25]), atol=1e-15)
-
-    def test_psd(self):
-        rng = np.random.default_rng(14)
-        W, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        pi = rng.uniform(size=4)
-        rho = build_density(pi, W.T, 1.0, normalize=True)
-        assert float(np.linalg.eigvalsh(rho.sigma)[0]) >= -1e-12
 
 
 class TestCovariance:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -139,8 +140,13 @@ class TestScenarios:
     def test_builtin_passes(self, name):
         rep = run_scenario({"scenario": name})
         assert rep.all_passed
+        # an exact check reports a 0/1 verdict; a measured one needs a
+        # positive, finite tolerance to be able to pass and to fail
         for c in rep.checks:
-            assert c.passed == (c.max_error <= c.tolerance)
+            if c.tolerance == 0:
+                assert c.max_error in (0.0, 1.0), c.name
+            else:
+                assert 0 < c.tolerance < math.inf, c.name
 
     def test_spin_half_has_enough_checks(self):
         rep = run_scenario({"scenario": "spin", "params": {"j": 0.5}})

@@ -43,8 +43,8 @@ on random fiducials of dihedral and binary tetrahedral frames, and must
 still catch weights that are not invariant.
 
 Every weighted sum of state projectors, sum_k w_k |s_k><s_k| (frame
-operators, labelled operators, POVM effects, density operators, coarse-
-graining projections, spectral reconstructions, exp(-itH)), is computed by
+operators, labelled operators, coarse-graining projections, spectral
+reconstructions, exp(-itH)), is computed by
 one kernel, linalg.projector_sum. The per-caller einsum contractions it
 replaced live here, and must agree with the callers on random families.
 
@@ -140,10 +140,7 @@ from symquant.phasespace import (
 from symquant.quantize import (
     NotAnOrbitError,
     NotInSubgroupError,
-    StatisticalModel,
-    build_density,
     build_operator,
-    build_povm,
     coarse_grain,
     conjugation_covariance,
     covariance_check,
@@ -623,10 +620,6 @@ def labelled_sum_by_einsum(rows, weights, labels) -> np.ndarray:
     return np.einsum("k,k,ki,kj->ij", labels, weights, rows, rows.conj())
 
 
-def povm_effects_by_einsum(probabilities, rows, weights) -> np.ndarray:
-    return np.einsum("vz,v,vi,vj->zij", probabilities, weights, rows, rows.conj())
-
-
 def block_projections_by_einsum(rows, blocks) -> np.ndarray:
     return np.stack([np.einsum("ki,kj->ij", rows[list(b)], rows[list(b)].conj())
                      for b in blocks])
@@ -768,19 +761,6 @@ def state_families(draw, max_states=7, max_dim=5):
     if draw(st.booleans()):
         weights = float(weights[0])
     return _present(rows, draw(st.sampled_from(["array", "vectors", "columns"]))), weights
-
-
-@st.composite
-def resolving_families(draw, max_states=7, max_dim=4):
-    """(rows, weights): n >= d row states with positive weights w_k that
-    resolve the identity, sum_k w_k |s_k><s_k| = I: the rows of a random
-    isometry, each divided by sqrt(w_k)."""
-    d = draw(st.integers(1, max_dim))
-    n = draw(st.integers(d, max_states))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    V, _ = np.linalg.qr(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
-    weights = rng.uniform(0.1, 10.0, size=n)
-    return V / np.sqrt(weights)[:, None], weights
 
 
 @st.composite
@@ -1760,38 +1740,6 @@ class TestProjectorSumOracles:
         report = conjugation_covariance(bundle, U, perm)
         scale = max(1.0, float(np.linalg.norm(bundle.matrix)))
         assert abs(report.distance - oracle) <= 1e-12 * scale
-
-    @ORACLE_SETTINGS
-    @given(resolving_families(), st.integers(1, 4), st.integers(0, 2**32 - 1),
-           st.sampled_from(["array", "vectors", "columns"]))
-    def test_build_povm(self, family, outcomes, seed, form):
-        rows, weights = family
-        rng = np.random.default_rng(seed)
-        P = rng.random(size=(rows.shape[0], outcomes))
-        P[rng.random(P.shape) < 0.3] = 0.0
-        P[:, 0] += 1e-3   # no row may be all zero
-        P /= P.sum(axis=1, keepdims=True)
-        model = StatisticalModel(P)
-        povm = build_povm(model, _present(rows, form), weights)
-        assert_close(povm.effects,
-                     povm_effects_by_einsum(model.probabilities, rows, weights))
-
-    @ORACLE_SETTINGS
-    @given(state_families(), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_build_density(self, family, normalize, seed):
-        states, weights = family
-        rows = rows_by_stacking(states)
-        n = rows.shape[0]
-        w = np.abs(np.broadcast_to(weights, (n,)))
-        pi = np.random.default_rng(seed).random(size=n)
-        pi[: n // 2] = 0.0
-        assume(not normalize or float(np.sum(pi * w)) > 0)
-        mass = pi * w
-        if normalize:
-            mass = mass / mass.sum()
-        want = projectors_by_einsum(mass, rows)
-        sigma = build_density(pi, states, w, normalize=normalize).sigma
-        assert_close(sigma, (want + want.conj().T) / 2.0)
 
     @pytest.mark.filterwarnings("ignore:state family misses the identity")
     @ORACLE_SETTINGS
