@@ -189,6 +189,21 @@ def test_08_rotation_group_law():
     report("rotation_group_law", ok)
 
 
+def test_09_coarse_graining_loses_maximality():
+    # on Z_n with n even and n > 2, parity as a function of the identity
+    # variable pairs the even and the odd points, so its operator is
+    # degenerate
+    ok = True
+    for n in (4, 6, 8):
+        labels = [float(u) for u in range(n)]
+        basis = np.eye(n, dtype=complex)
+        grain, coarse = coarse_grain(basis, labels, lambda u: u % 2)
+        _, fine = coarse_grain(basis, labels, lambda u: u)
+        ok = ok and grain.blocks == (tuple(range(0, n, 2)), tuple(range(1, n, 2)))
+        ok = ok and not maximality_check(coarse) and maximality_check(fine)
+    report("coarse_graining_loses_maximality", ok)
+
+
 def test_10_phase_space_analog():
     ok = all(mub_deviation(n) <= 1e-10 for n in range(2, 17))
     for n in range(2, 17):

@@ -365,6 +365,13 @@ class TestActionsAndOrbits:
         act = GroupAction(group=g, perm=[[0, 1], [1, 0]])
         assert orbits(act) == ((0, 1),)
 
+    def test_fixed_point_and_three_cycle(self):
+        # Z3 fixes point 0 and cycles 1 -> 2 -> 3
+        g = cyclic_group(3)
+        act = GroupAction(group=g, perm=[[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
+        assert orbits(act) == ((0,), (1, 2, 3))
+        assert not is_transitive(act)
+
     def test_dihedral_vertices_transitive(self):
         g = make_named_group("dihedral:4")
         act = dihedral_vertex_action(g)

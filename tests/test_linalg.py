@@ -108,6 +108,27 @@ class TestEigHermitian:
             W = Q[:, values == j + 1]
             assert np.linalg.norm(_projections(spec)[j] - W @ W.conj().T) <= 1e-9
 
+    def test_projections_reproduce_quadratic_form(self):
+        # <v|A|v> = sum_j u_j <v|P_j|v> over the eigenspace projections
+        rng = np.random.default_rng(7)
+        A = random_hermitian(rng, 6)
+        spec = eig_hermitian(A)
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        v /= np.linalg.norm(v)
+        spectral = sum(u * (v.conj() @ P @ v).real
+                       for u, P in zip(spec.eigenvalues, _projections(spec)))
+        direct = float((v.conj() @ A @ v).real)
+        assert abs(spectral - direct) <= 1e-9
+
+    def test_quadratic_form_on_degenerate_spectrum(self):
+        # diag(2, -1, 2): <v|A|v> = 2(|v0|^2 + |v2|^2) - |v1|^2
+        spec = eig_hermitian(np.diag([2.0, -1.0, 2.0]))
+        assert list(spec.multiplicities) == [1, 2]
+        v = np.array([1.0, 1j, 1.0]) / np.sqrt(3)
+        spectral = sum(u * (v.conj() @ P @ v).real
+                       for u, P in zip(spec.eigenvalues, _projections(spec)))
+        assert abs(spectral - 1.0) <= 1e-12
+
 
 class TestExpm:
     def test_zero_angle(self):

@@ -62,3 +62,19 @@ def test_every_public_function_reaches_a_report_or_is_listed(tmp_path):
         sys.setprofile(None)
     missed = {name for name, code in _public_functions() if code not in called}
     assert missed == set(NOT_REACHED)
+
+
+DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
+           "counting_measure", "MassCountMismatchError", "StatisticalModel",
+           "Povm", "build_povm", "DensityOp", "build_density",
+           "RowMismatchError", "NegativeWeightError", "function_operator",
+           "commutator_norm")
+
+
+def test_removed_names_are_not_exported():
+    # none of the measure, POVM, density or wrapper names is reachable
+    # from the package or from any of its modules
+    modules = [symquant] + [importlib.import_module(f"symquant.{info.name}")
+                            for info in pkgutil.iter_modules(symquant.__path__)]
+    for module in modules:
+        assert not [n for n in DELETED if hasattr(module, n)], module.__name__

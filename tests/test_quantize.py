@@ -86,6 +86,55 @@ class TestBuildOperator:
         moved = operator_from_matrix(W @ b.matrix @ W.conj().T)
         assert_allclose(moved.eigenvalues, b.eigenvalues, atol=1e-9)
 
+    def test_spectral_sum_matches_quadratic_form(self):
+        # <v|A|v> = sum_j u_j |<w_j|v>|^2 over the eigenvector columns w_j
+        rng = np.random.default_rng(4)
+        b = build_operator(np.eye(5, dtype=complex), 1.0, rng.normal(size=5))
+        v = rng.normal(size=5) + 1j * rng.normal(size=5)
+        v /= np.linalg.norm(v)
+        spec = b.spectrum
+        u = np.repeat(spec.eigenvalues, spec.multiplicities)
+        spectral = float(u @ np.abs(spec.vectors.conj().T @ v) ** 2)
+        direct = float((v.conj() @ b.matrix @ v).real)
+        assert abs(spectral - direct) <= 1e-9
+
+
+class TestFunctionsOfLabels:
+    """A function f of a variable is quantized by passing the labels
+    [f(u) for u in labels] to build_operator."""
+
+    def test_indicator_projects(self):
+        labels = [0.5, -0.5]
+        b = build_operator(QUBIT, 1.0, [1.0 if u == 0.5 else 0.0 for u in labels])
+        assert_allclose(b.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+
+    def test_square_on_spin_one(self):
+        b = build_operator(np.eye(3, dtype=complex), 1.0,
+                           [u * u for u in (1.0, 0.0, -1.0)])
+        assert_allclose(b.matrix, np.diag([1.0, 0.0, 1.0]), atol=1e-15)
+        assert list(b.spectrum.multiplicities) == [1, 2]
+
+    def test_eigenvalues_are_the_function_values(self):
+        rng = np.random.default_rng(12)
+        W, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        labels = np.array([2.0, -1.0, 0.0, 1.0])
+        f = lambda u: u ** 2 + 1.0
+        b = build_operator(W.T, 1.0, [f(u) for u in labels])
+        assert_allclose(b.eigenvalues, sorted({f(u) for u in labels}), atol=1e-9)
+
+    def test_agrees_with_functional_calculus(self):
+        # on an orthonormal family, the operator of f(labels) is f applied
+        # to the spectrum of the operator of the labels
+        rng = np.random.default_rng(13)
+        W, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        labels = [-2.0, -1.0, 0.0, 1.0, 2.0]
+        f = np.abs
+        a = build_operator(W.T, 1.0, labels)
+        fa = build_operator(W.T, 1.0, [f(u) for u in labels])
+        assert_allclose(fa.matrix, a.spectrum.reconstruct(f(a.eigenvalues)),
+                        atol=1e-12)
+        assert not maximality_check(fa)
+
 
 class TestSpectrumOnFirstRead:
     """A bundle eigendecomposes its matrix when its spectrum is first read;
@@ -350,6 +399,33 @@ class TestCoarseGrain:
         _, coarse_bundle = coarse_grain(basis, [1.0, 0.0, -1.0], lambda u: u * u)
         assert maximality_check(fine_bundle)
         assert not maximality_check(coarse_bundle)
+
+    @pytest.fixture
+    def z4_parity_map(self):
+        # parity read off as an accessible function of the identity
+        # variable on Z4, through accessibility_leq's table
+        ident = variable_from_point_labels([0.0, 1.0, 2.0, 3.0])
+        parity = variable_from_point_labels([0.0, 1.0, 0.0, 1.0])
+        ok, f = accessibility_leq(parity, ident)
+        assert ok
+        to_parity = dict(zip(ident.value_labels,
+                             (parity.value_labels[i] for i in f)))
+        return ident.value_labels, to_parity.__getitem__
+
+    def test_parity_on_z4_pairs_even_and_odd(self, z4_parity_map):
+        labels, t = z4_parity_map
+        grain, bundle = coarse_grain(np.eye(4, dtype=complex), labels, t)
+        assert grain.blocks == ((0, 2), (1, 3))
+        assert grain.coarse_labels == (0.0, 1.0)
+        assert_allclose(bundle.matrix, np.diag([0.0, 1.0, 0.0, 1.0]), atol=1e-15)
+
+    def test_parity_on_z4_is_not_maximal(self, z4_parity_map):
+        labels, t = z4_parity_map
+        basis = np.eye(4, dtype=complex)
+        _, coarse = coarse_grain(basis, labels, t)
+        _, fine = coarse_grain(basis, labels, lambda u: u)
+        assert not maximality_check(coarse)
+        assert maximality_check(fine)
 
 
 class TestQuestionAnswer:
