@@ -26,8 +26,8 @@ print("eigenvalues:", comp.eigenvalues, " maximal:", maximality_check(comp))
 
 print("\n== coarse graining a three-level system ==")
 basis3 = np.eye(3, dtype=complex)
-grain, bundle = coarse_grain(basis3, [1.0, 0.0, -1.0], lambda u: u * u)
-print("blocks (preimages of each coarse label):", grain.blocks)
+blocks, bundle = coarse_grain(basis3, [1.0, 0.0, -1.0], lambda u: u * u)
+print("blocks (preimages of each coarse label):", blocks)
 print("coarse operator:", np.diag(bundle.matrix.real))
 print("maximal after the non-injective relabelling:", maximality_check(bundle))
 

@@ -56,7 +56,6 @@ from .coherent import (
     unitary_transport,
 )
 from .quantize import (
-    CoarseGraining,
     EigenOrbitPartition,
     OperatorBundle,
     build_operator,

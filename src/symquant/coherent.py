@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupAction, element_blocks, is_transitive
+from .groups import (FiniteGroup, GroupAction, element_blocks, generator_law,
+                     is_transitive)
 from .linalg import (as_cmatrix, as_cvector, as_state_family, is_unitary,
                      max_abs, projector_sum)
 
@@ -64,8 +65,8 @@ class UnitaryRep:
     matrices is a stack of one dim x dim matrix per element. Every matrix
     must be unitary within 1e-9*dim, tested by stacked products, and the
     identity element must map to the identity matrix. The product law
-    V(s)V(k) = V(s*k) is checked for every generator s of the group and
-    every element k, within
+    V(s)V(k) = V(s*k) is checked by groups.generator_law, for every
+    generator s of the group and every element k, within
     eps = 1e-8*dim / (2*D) (Frobenius), where D is the group's generation
     depth. The elements that satisfy the law exactly are closed under
     products; in floating point the error of V(h)V(k) = V(h*k) for a word
@@ -95,16 +96,17 @@ class UnitaryRep:
         # stay in cache. V^dag V - I is stacked with V^dag made contiguous
         # so that each product runs on BLAS; a non-finite entry gives an
         # error that fails the comparison
-        blocks = element_blocks(n, mats.size)
         with np.errstate(invalid="ignore"):
             err = np.concatenate([
                 np.linalg.norm(np.conjugate(m.swapaxes(1, 2), out=np.empty_like(m)) @ m
                                - eye, axis=(1, 2))
-                for m in (mats[b] for b in blocks)
+                for m in (mats[b] for b in element_blocks(n, mats.size))
             ])
         _require_unitary(err, d)
-        law_error = _product_law_error(self.group, d, lambda s, b: np.linalg.norm(
-            mats[s] @ mats[b] - mats[self.group.cayley[s, b]], axis=(1, 2)), blocks)
+        g = self.group
+        law_error = generator_law(g, mats.size, lambda s, b: np.linalg.norm(
+            mats[s] @ mats[b] - mats[g.cayley[s, b]], axis=(1, 2)),
+            "representation product law", 1e-8 * d / (2 * g.depth))
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "law_error", law_error)
@@ -150,9 +152,9 @@ class MonomialRep:
     - the product law: V(s)V(k) e_x = phase[s, perm[k, x]] phase[k, x]
       e_{perm[s*k, x]}, so ||V(s)V(k) - V(s*k)||_F is the norm over x of
       phase[s, perm[k, x]] * phase[k, x] - phase[s*k, x]. It is checked
-      for every generator s and every element k within
-      1e-8*dim / (2*D), which bounds every pair as in UnitaryRep, and its
-      largest value is law_error.
+      by groups.generator_law, for every generator s and every element k,
+      within 1e-8*dim / (2*D), which bounds every pair as in UnitaryRep,
+      and its largest value is law_error.
     """
 
     action: GroupAction
@@ -168,16 +170,16 @@ class MonomialRep:
         if np.linalg.norm(ph[g.identity] - 1.0) > 1e-12 * d:
             raise ValueError("identity element must map to the identity matrix")
         # slices of elements of about 2**14 entries, as in UnitaryRep
-        blocks = element_blocks(n, ph.size)
         with np.errstate(invalid="ignore"):
             err = np.concatenate([
                 np.linalg.norm((m.real ** 2 + m.imag ** 2) - 1.0, axis=1)
-                for m in (ph[b] for b in blocks)
+                for m in (ph[b] for b in element_blocks(n, ph.size))
             ])
         _require_unitary(err, d)
         perm = self.action.perm
-        law_error = _product_law_error(g, d, lambda s, b: np.linalg.norm(
-            ph[s][perm[b]] * ph[b] - ph[g.cayley[s, b]], axis=1), blocks)
+        law_error = generator_law(g, ph.size, lambda s, b: np.linalg.norm(
+            ph[s][perm[b]] * ph[b] - ph[g.cayley[s, b]], axis=1),
+            "representation product law", 1e-8 * d / (2 * g.depth))
         ph.setflags(write=False)
         object.__setattr__(self, "phase", ph)
         object.__setattr__(self, "law_error", law_error)
@@ -232,23 +234,6 @@ def _require_unitary(err: np.ndarray, d: int) -> None:
     unitary = err <= 1e-9 * d
     if not unitary.all():
         raise ValueError(f"matrix for element {np.argmin(unitary)} is not unitary")
-
-
-def _product_law_error(g: FiniteGroup, d: int, errors, blocks) -> float:
-    """The largest of errors(s, b), the Frobenius errors of
-    V(s)V(k) = V(s*k) over the elements k of block b, for every generator
-    s; raises above 1e-8*d / (2*depth)."""
-    tol = 1e-8 * d / (2 * g.depth)
-    law_error = 0.0
-    for s in g.generating_set:
-        err = max(float(np.max(errors(s, b))) for b in blocks)
-        if err > tol:
-            raise ValueError(
-                f"representation product law fails at generator {s} "
-                f"(error {err:.3e})"
-            )
-        law_error = max(law_error, err)
-    return law_error
 
 
 def permutation_rep(act: GroupAction) -> MonomialRep:

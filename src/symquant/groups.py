@@ -25,9 +25,14 @@ take: int16 up to 32,768 elements, points or labels, so for every group
 of at most MAX_GROUP_ORDER elements. The range is checked before the
 entries are narrowed, so an out-of-range entry is refused, never wrapped.
 Arithmetic on these arrays stays in their dtype and can overflow: cast to
-np.intp first (t.astype(np.intp)) to compute with them. Every law that
-FiniteGroup and GroupAction check over all elements runs on blocks of rows
-(element_blocks), so their checks make no temporary of the table's size.
+np.intp first (t.astype(np.intp)) to compute with them.
+
+Every "for all pairs" law (Light's associativity test, the action law,
+both representation product laws, check_homomorphism) is checked by one
+routine, generator_law, on the generators s and all elements k in blocks
+of rows (element_blocks): the s that satisfy it are closed under products
+and reach every element. Caller-supplied element indices are read by
+element_indices.
 """
 
 from __future__ import annotations
@@ -50,6 +55,14 @@ class OrderTooLargeError(ValueError):
 
 class BadElementError(ValueError):
     pass
+
+
+class GeneratorLawError(ValueError):
+    """A law over all elements fails at the generator named by .generator."""
+
+    def __init__(self, message: str, generator: int):
+        super().__init__(message)
+        self.generator = generator
 
 
 def _index_dtype(bound: int) -> type:
@@ -91,6 +104,40 @@ def element_blocks(n: int, size: int) -> list[slice]:
     return [slice(k, k + step) for k in range(0, n, step)]
 
 
+def generator_law(g: FiniteGroup, size: int, error, law: str,
+                  tol: float = 0.0) -> float:
+    """The largest entry of error(s, b), the errors of the elements k in
+    b, over the generators s of g and the slices b of
+    element_blocks(g.order, size), size being the entries of the array the
+    law reads; an exact law's error is a boolean mismatch. At the first s
+    over tol, raises GeneratorLawError(f"{law} fails at generator {s}"),
+    with the error appended when tol > 0."""
+    blocks = element_blocks(g.order, size)
+    worst = 0.0
+    for s in g.generating_set:
+        err = max(float(np.max(error(s, b))) for b in blocks)
+        if err > tol:
+            message = f"{law} fails at generator {s}"
+            raise GeneratorLawError(
+                message + f" (error {err:.3e})" if tol else message, s)
+        worst = max(worst, err)
+    return worst
+
+
+def element_indices(elements, order: int) -> np.ndarray:
+    """Caller-supplied element indices, one or a sequence, as a 1-d intp
+    array: each must be an integer in range(order) (2.0 reads as 2), and
+    anything else (1.5, -1, 2**64) raises BadElementError."""
+    raw = np.asarray(elements).reshape(-1)
+    inside = np.asarray((raw >= 0) & (raw < order), dtype=bool)
+    ks = np.where(inside, raw, 0).astype(np.intp)
+    bad = ~inside | (ks != raw)
+    if bad.any():
+        raise BadElementError(f"element index {raw[bad][0]} out of range: "
+                              f"not an integer in range({order})")
+    return ks
+
+
 def rows_are_permutations(rows: np.ndarray, m: int) -> bool:
     """Whether every row of an (r, m) integer array is a permutation of
     0..m-1: entries in range, and every value hit once in each row."""
@@ -118,8 +165,8 @@ class FiniteGroup:
     (a row with no identity in it fails here). It then checks that the
     recorded generators reach every element by left multiplication
     (breadth first from the identity) and runs Light's associativity test,
-    (x*s)*y == x*(s*y) for every generator s and all x, y. The elements s
-    that pass the test are closed under products, so the test proves
+    (x*s)*y == x*(s*y) for every generator s and all x, y (generator_law).
+    The elements s that pass it are closed under products, so it proves
     associativity for all triples. An empty generator tuple makes every
     element a generator: the test is then the exhaustive one, at O(n^3)
     cost. The inverse search and Light's test run on blocks of rows, so
@@ -157,9 +204,8 @@ class FiniteGroup:
         if t.shape != (n, n) or not (np.array_equal(t[e], full)
                                      and np.array_equal(t[:, e], full)):
             raise ValueError("identity laws fail")
-        blocks = element_blocks(n, t.size)
         inverses = np.empty(n, dtype=np.intp)
-        for b in blocks:
+        for b in element_blocks(n, t.size):
             inverses[b] = np.argmax(t[b] == e, axis=1)
         if not np.all(t[full, inverses] == e):
             raise ValueError("inverse law fails")
@@ -173,11 +219,9 @@ class FiniteGroup:
             if not (0 <= g < n):
                 raise ValueError("generator index out of range")
         object.__setattr__(self, "depth", self._generation_depth())
-        for s in self.generating_set:
-            # (x*s)*y == x*(s*y) on the rows x of each block
-            col, row = t[:, s], t[s]
-            if not all(np.array_equal(t[col[b]], t[b][:, row]) for b in blocks):
-                raise ValueError(f"associativity fails at generator {s}")
+        # (x*s)*y == x*(s*y) on the rows x of each block
+        generator_law(self, t.size, lambda s, b: t[t[b, s]] != t[b][:, t[s]],
+                      "associativity")
 
     def _generation_depth(self) -> int:
         """Breadth-first search from the identity, left-multiplying by the
@@ -236,10 +280,9 @@ class GroupAction:
     32,768 points (int32 beyond); see the module docstring. Its entries
     must be points and the identity must act trivially. The composition law
     perm[s*k] = perm[s] o perm[k] is checked for every generator s of the
-    group and every element k. The elements s that satisfy it are closed
-    under products, so the law holds for all pairs; the maps are integer
-    arrays, so the check is exact. It runs on blocks of elements k, as the
-    group's laws do.
+    group and every element k, by generator_law. The elements s that
+    satisfy it are closed under products, so the law holds for all pairs;
+    the maps are integer arrays, so the check is exact.
 
     Not checked, because implied: every row is a bijection, since
     perm[k] o perm[k^-1] = perm[e] is the identity map.
@@ -259,12 +302,10 @@ class GroupAction:
         if not np.array_equal(perm[self.group.identity], np.arange(m)):
             raise ValueError("identity must act trivially")
         t = self.group.cayley
-        blocks = element_blocks(n, perm.size)
-        for s in self.group.generating_set:
-            # perm[s*k] == perm[s] o perm[k] on the elements k of each block
-            row, ps = t[s], perm[s]
-            if not all(np.array_equal(perm[row[b]], ps[perm[b]]) for b in blocks):
-                raise ValueError(f"action composition law fails at generator {s}")
+        # perm[s*k] == perm[s] o perm[k] on the elements k of each block
+        generator_law(self.group, perm.size,
+                      lambda s, b: perm[t[s, b]] != perm[s][perm[b]],
+                      "action composition law")
 
     @property
     def space_size(self) -> int:
@@ -273,14 +314,6 @@ class GroupAction:
 
 # ---------------------------------------------------------------------------
 # group generation
-
-
-# Entries (rows x elements x coordinates) of one block of the Cayley
-# table's products: at least this many, so that a small table is one block,
-# and otherwise 1/32 of the n x n table, so that the few block-sized
-# temporaries of mul and of the lookup stay well below the table's size.
-_MIN_BLOCK_ENTRIES = 1 << 14
-_BLOCK_FRACTION = 32
 
 
 def _products(mul, x, y):
@@ -348,9 +381,9 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None,
     order, then products level by level: each element of a level times
     each generator, in that order. A level is one mul call. The Cayley
     table multiplies every pair, one call per block of rows
-    mul(E[a:b, None], E[None]); the block's products take at most
-    max(2**14, n*n/32) coordinates, so its temporaries stay well below the
-    n x n table. A product that is not an element raises ValueError, and
+    mul(E[b, None], E[None]) over the slices b of element_blocks, so that a
+    block's products take about 2**14 coordinates and its temporaries stay
+    far below the n x n table. A product that is not an element raises ValueError, and
     FiniteGroup then rejects a table that is not a group's (a closed but
     non-associative mul, for one).
 
@@ -389,18 +422,16 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None,
     n = len(elements)
     coords = np.array(elements, dtype=np.int64)
     lookup = _element_lookup(coords)
-    block_rows = max(1, max(n * n // _BLOCK_FRACTION, _MIN_BLOCK_ENTRIES) // (n * k))
     cayley = np.empty((n, n), dtype=_index_dtype(n))
-    for a in range(0, n, block_rows):
-        b = min(a + block_rows, n)
-        prod = lookup(_products(mul, coords[a:b, None], coords[None]))
+    for b in element_blocks(n, n * n * k):
+        prod = lookup(_products(mul, coords[b, None], coords[None]))
         missing = np.flatnonzero(prod < 0)
         if missing.size:
             x, y = divmod(int(missing[0]), n)
             raise ValueError(
-                f"the product of elements {a + x} and {y} is not an element"
+                f"the product of elements {b.start + x} and {y} is not an element"
             )
-        cayley[a:b] = prod.reshape(b - a, n)
+        cayley[b] = prod.reshape(-1, n)
     if ident.ndim == 0:
         values = coords[:, 0].tolist()
     else:
@@ -686,31 +717,30 @@ def is_transitive(act: GroupAction) -> bool:
 
 def subgroup_generated(g: FiniteGroup, gens) -> tuple[int, ...]:
     """Smallest subset containing the identity and gens, closed under the table."""
-    gens = list(gens)
-    for x in gens:
-        if not (0 <= int(x) < g.order):
-            raise BadElementError(f"element index {x} out of range")
-    seeds = sorted({g.identity} | {int(x) for x in gens})
+    seeds = sorted({g.identity} | set(element_indices(list(gens), g.order).tolist()))
     # the subgroup is the orbit of the identity under x -> x*s, s in seeds
     return next(b for b in orbit_partition(g.cayley[:, seeds].T)
                 if g.identity in b)
 
 
 def check_homomorphism(f, src: FiniteGroup, dst: FiniteGroup):
-    """Exhaustively test f(a*b) == f(a)*f(b) over all pairs.
+    """Test f(a*b) == f(a)*f(b) for every pair by f(s*k) == f(s)*f(k) on
+    the generators s of src and all k (generator_law), which implies it.
 
-    f is an index map (sequence of dst indices, one per src element).
-    Returns (True, None) or (False, (a, b)) with the first violating pair.
+    f holds one dst index per src element, read by element_indices.
+    Returns (True, None), or (False, (s, k)) with s the first failing
+    generator and k the first element it fails on.
     """
-    f = np.asarray(f, dtype=np.intp)
-    if f.shape != (src.order,):
+    if np.shape(f) != (src.order,):
         raise ValueError("map must assign one image per source element")
-    if f.min() < 0 or f.max() >= dst.order:
-        raise BadElementError("map image out of range")
-    lhs = f[src.cayley]
-    rhs = dst.cayley[f[:, None], f[None, :]]
-    if np.array_equal(lhs, rhs):
-        return True, None
-    bad = np.argwhere(lhs != rhs)
-    a, b = map(int, bad[0])
-    return False, (a, b)
+    f = element_indices(f, dst.order)
+
+    def error(s, b):
+        return f[src.cayley[s, b]] != dst.cayley[f[s], f[b]]
+
+    try:
+        generator_law(src, src.order, error, "homomorphism law")
+    except GeneratorLawError as exc:
+        s = exc.generator
+        return False, (s, int(np.argmax(error(s, slice(None)))))
+    return True, None

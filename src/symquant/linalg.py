@@ -129,10 +129,6 @@ class SpectralData:
         return projector_sum(self.vectors.T,
                              np.repeat(u, self.multiplicities, axis=-1))
 
-    def basis(self) -> np.ndarray:
-        """Orthonormal eigenbasis as columns, cluster by cluster."""
-        return self.vectors
-
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     # rotate each column so its largest-magnitude entry z is real and

@@ -7,8 +7,8 @@ into a Hermitian operator; the induced symmetry of the variable permutes
 the operator's eigenvalues, and restricting the variable's range to one
 orbit of eigenvalues is the natural model reduction.
 
-Operators, covariance rebuilds and coarse-graining projections are
-weighted projector sums, computed by linalg.projector_sum.
+Operators and covariance rebuilds are weighted projector sums, computed
+by linalg.projector_sum.
 
 Covariance has one kernel: covariance_check runs it on a set of group
 elements (one value-map read, one stacked conjugation by the rep's
@@ -334,23 +334,13 @@ def maximality_check(bundle: OperatorBundle) -> bool:
 # coarse graining
 
 
-@dataclass(frozen=True)
-class CoarseGraining:
-    """A many-to-one relabelling of basis labels and its block structure."""
-
-    t_map: np.ndarray
-    coarse_labels: tuple[float, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    block_projections: np.ndarray
-
-
 def coarse_grain(basis, fine_labels, t: Callable[[float], float]):
     """Relabel an orthonormal basis through t and rebuild the operator.
 
-    Returns (CoarseGraining, OperatorBundle). Blocks are the preimages of
-    the distinct coarse labels (ascending); when t is not injective the
-    resulting operator has a degenerate eigenvalue and fails the
-    maximality check.
+    Returns (blocks, OperatorBundle). The blocks are the preimages of the
+    distinct coarse labels, as tuples of basis indices in ascending order
+    of label; when t is not injective the resulting operator has a
+    degenerate eigenvalue and fails the maximality check.
     """
     st, _ = as_state_family(basis, 1.0)
     n, d = st.shape
@@ -361,18 +351,10 @@ def coarse_grain(basis, fine_labels, t: Callable[[float], float]):
     if fine.shape != (n,):
         raise DimensionMismatchError(f"{n} basis vectors but {fine.shape} labels")
 
-    coarse_per_vec = np.array([float(t(u)) for u in fine])
-    coarse_labels = tuple(sorted(set(coarse_per_vec.tolist())))
-    label_index = {s: j for j, s in enumerate(coarse_labels)}
-    t_map = np.array([label_index[s] for s in coarse_per_vec], dtype=np.intp)
-    one_hot = np.arange(len(coarse_labels))[:, None] == t_map
-    blocks = tuple(tuple(int(i) for i in np.nonzero(row)[0]) for row in one_hot)
-    projections = projector_sum(st, one_hot.astype(float))
-    bundle = build_operator(st, 1.0, coarse_per_vec,
-                            require_resolution=(n == d))
-    grain = CoarseGraining(t_map=t_map, coarse_labels=coarse_labels,
-                           blocks=blocks, block_projections=projections)
-    return grain, bundle
+    coarse = [float(t(u)) for u in fine]
+    blocks = tuple(tuple(i for i, x in enumerate(coarse) if x == c)
+                   for c in sorted(set(coarse)))
+    return blocks, build_operator(st, 1.0, coarse, require_resolution=(n == d))
 
 
 # ---------------------------------------------------------------------------

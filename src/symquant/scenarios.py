@@ -116,7 +116,8 @@ def _pedagogy_z4_checks(params) -> list[Check]:
     hom_ok, _ = check_homomorphism(induced.k_to_image, g, induced.image_group)
     checks.append(exact_check(
         "induced_map_homomorphism_all_pairs", hom_ok,
-        "all 16 ordered element pairs checked",
+        "f(s*k) = f(s)f(k) for the generator and all 4 elements, which "
+        "implies all 16 ordered pairs",
     ))
     checks.append(exact_check(
         "induced_kernel_two_element_subgroup", induced.kernel == (0, 2),
@@ -190,12 +191,12 @@ def _pedagogy_z4_checks(params) -> list[Check]:
         to_parity = dict(zip(ident.value_labels,
                              (parity.value_labels[i] for i in f1)))
         basis4 = np.eye(4, dtype=np.complex128)
-        grain, coarse = coarse_grain(basis4, ident.value_labels,
-                                     to_parity.__getitem__)
+        blocks, coarse = coarse_grain(basis4, ident.value_labels,
+                                      to_parity.__getitem__)
         _, fine = coarse_grain(basis4, ident.value_labels, lambda u: u)
-        ok = (grain.blocks == ((0, 2), (1, 3))
+        ok = (blocks == ((0, 2), (1, 3))
               and not maximality_check(coarse) and maximality_check(fine))
-        details = (f"blocks = {[list(b) for b in grain.blocks]}; the coarse "
+        details = (f"blocks = {[list(b) for b in blocks]}; the coarse "
                    "operator is degenerate, the identity relabelling is not")
     checks.append(exact_check("parity_coarse_grain_not_maximal", ok, details))
     return checks
@@ -383,14 +384,14 @@ def _spin_checks(params) -> list[Check]:
         f"(clustering tolerance {bundle.spectrum.degeneracy_tol:.1e})",
     ))
 
-    basis = bundle.spectrum.basis()
+    basis = bundle.spectrum.vectors
     dev = resolution_deviation(basis.T, 1.0)
     checks.append(make_check(
         "eigenbasis_resolves_identity", dev, 1e-9, "unit weights",
     ))
 
     if d > 1:
-        bases = {"component_a": basis, "component_b": spec_b.basis()}
+        bases = {"component_a": basis, "component_b": spec_b.vectors}
         v = basis[:, 0]
         try:
             matches = question_answer_match(v, bases)

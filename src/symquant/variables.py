@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import BadElementError, FiniteGroup, GroupAction, as_index_array
+from .groups import FiniteGroup, GroupAction, as_index_array, element_indices
 
 
 class SizeMismatchError(ValueError):
@@ -167,15 +167,10 @@ def is_permissible(var: ConceptualVariable, act: GroupAction):
 
 
 def _element_maps(var: ConceptualVariable, act: GroupAction, elements):
-    """(ks, maps, ok): the element indices ks (one or a sequence) as a 1-d
-    array and _value_maps of their rows. An index that is no integer in
-    range(order) raises BadElementError; -1 is not the last element."""
+    """(ks, maps, ok): the element indices ks (one or a sequence, read by
+    groups.element_indices) as a 1-d array and _value_maps of their rows."""
     _check_sizes(var, act)
-    raw = np.asarray(elements).reshape(-1)
-    ks = raw.astype(np.intp)
-    bad = (ks != raw) | (ks < 0) | (ks >= act.group.order)
-    if bad.any():
-        raise BadElementError(f"element index {raw[bad][0]} out of range")
+    ks = element_indices(elements, act.group.order)
     maps, ok = _value_maps(var.values, var.values[act.perm[ks]])
     return ks, maps, ok
 

@@ -197,9 +197,9 @@ def test_09_coarse_graining_loses_maximality():
     for n in (4, 6, 8):
         labels = [float(u) for u in range(n)]
         basis = np.eye(n, dtype=complex)
-        grain, coarse = coarse_grain(basis, labels, lambda u: u % 2)
+        blocks, coarse = coarse_grain(basis, labels, lambda u: u % 2)
         _, fine = coarse_grain(basis, labels, lambda u: u)
-        ok = ok and grain.blocks == (tuple(range(0, n, 2)), tuple(range(1, n, 2)))
+        ok = ok and blocks == (tuple(range(0, n, 2)), tuple(range(1, n, 2)))
         ok = ok and not maximality_check(coarse) and maximality_check(fine)
     report("coarse_graining_loses_maximality", ok)
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from symquant import coherent, groups, linalg, quantize, scenarios, spin
+from symquant import coherent, groups, quantize, scenarios, spin
 from symquant import phasespace as ps
 from symquant.cli import main
 from symquant.coherent import MonomialRep
@@ -147,8 +147,23 @@ def _trivial_permutation_rep(orig):
     return fault
 
 
-def _basis_one_short(orig):
-    return lambda self: orig(self)[:, :-1]
+def _eigenvector_lost(orig):
+    # the eigenbasis one vector short, its last cluster one dimension smaller
+    def fault(A, *args):
+        spec = orig(A, *args)
+        mult = spec.multiplicities.copy()
+        mult[-1] -= 1
+        return dataclasses.replace(spec, multiplicities=mult,
+                                   vectors=spec.vectors[:, :-1])
+    return fault
+
+
+def _component_a_one_short(orig):
+    # the real question and answer match, handed the eigenbasis of the
+    # component along a one vector short
+    def fault(v, bases):
+        return orig(v, {**bases, "component_a": bases["component_a"][:, :-1]})
+    return fault
 
 
 def _reduce_keeping_smallest(orig):
@@ -245,10 +260,12 @@ MUTANTS = {
         {"scenario": "spin", "params": {"reduce": False}},
         scenarios, "eigen_orbit_partition",
         lambda orig: lambda bundle, perms: orig(bundle, perms[:1])),
-    # a basis one vector short: the question and answer check fails with it,
-    # on the basis that is not orthonormal, and the report is still made
+    # an eigensolver that loses an eigenvector, at spin 0: there is no
+    # perpendicular component, whose half turn it would make non-unitary,
+    # so the report is still made
     "eigenbasis_resolves_identity": Mutant(
-        SPIN, linalg.SpectralData, "basis", _basis_one_short),
+        {"scenario": "spin", "params": {"j": 0}}, quantize, "eig_hermitian",
+        _eigenvector_lost),
     "question_answer_unique_match": Mutant(
         SPIN, scenarios, "question_answer_match",
         lambda orig: lambda v, bases: [(label, 0) for label in bases]),
@@ -300,16 +317,18 @@ def test_mutant_fails_its_check(check, monkeypatch):
 
 
 def test_basis_not_orthonormal_is_a_failed_check(monkeypatch, capsys):
-    # the eigenbasis mutant at spin 1/2: the report is written, with the
-    # question and answer check failed on the truncated basis, and exit 1
-    monkeypatch.setattr(linalg.SpectralData, "basis",
-                        _basis_one_short(linalg.SpectralData.basis))
+    # at spin 1/2, question_answer_match raises on the truncated basis: the
+    # report is written, with the question and answer check failed, and
+    # exit 1
+    monkeypatch.setattr(scenarios, "question_answer_match",
+                        _component_a_one_short(scenarios.question_answer_match))
     assert main(["spin", "--j", "0.5"]) == 1
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     match = checks["question_answer_unique_match"]
     assert not match["passed"]
     assert match["details"] == "basis 'component_a' is not orthonormal"
-    assert not checks["eigenbasis_resolves_identity"]["passed"]
+    assert [name for name, c in checks.items() if not c["passed"]] == [
+        "question_answer_unique_match"]
 
 
 def _verdict(config, check):

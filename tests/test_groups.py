@@ -9,6 +9,7 @@ import pytest
 from symquant.groups import (
     BadElementError,
     FiniteGroup,
+    GeneratorLawError,
     GroupAction,
     OrderTooLargeError,
     UnknownGroupNameError,
@@ -17,7 +18,9 @@ from symquant.groups import (
     cyclic_shift_action,
     dihedral_vertex_action,
     element_blocks,
+    element_indices,
     generate_group,
+    generator_law,
     is_transitive,
     left_translation_action,
     make_named_group,
@@ -472,3 +475,77 @@ class TestSubgroupsAndHoms:
         a, b = witness
         f = [0, 0, 1, 0]
         assert f[g4.mul(a, b)] != g2.mul(f[a], f[b])
+
+    def test_fractional_images_rejected(self):
+        # read as [0, 1, 0, 1], a homomorphism, had they been truncated
+        with pytest.raises(BadElementError, match="1.7"):
+            check_homomorphism([0, 1.7, 0, 1.2], cyclic_group(4), cyclic_group(2))
+
+    def test_fractional_seed_rejected(self):
+        # read as 1, the whole group, had it been truncated
+        with pytest.raises(BadElementError, match="1.5"):
+            subgroup_generated(cyclic_group(4), [1.5])
+
+    def test_huge_image_rejected(self):
+        g = cyclic_group(4)
+        with pytest.raises(BadElementError, match=str(2**64)):
+            check_homomorphism([0, 1, 2, 2**64], g, g)
+
+    def test_map_of_the_wrong_shape_rejected(self):
+        g = cyclic_group(4)
+        with pytest.raises(ValueError, match="one image per source element"):
+            check_homomorphism(np.arange(4).reshape(2, 2), g, g)
+
+    def test_integral_floats_are_indices(self):
+        assert element_indices([2.0, 0, True], 4).tolist() == [2, 0, 1]
+        assert element_indices(3, 4).tolist() == [3]
+        for bad in (-1, 4, 0.5, float("nan"), 2**63, 2**64):
+            with pytest.raises(BadElementError):
+                element_indices([0, bad], 4)
+
+    def test_identity_map_of_a_large_group_stays_small(self):
+        # all pairs through intp temporaries peaked at 42 MiB here
+        g = make_named_group("cyclic:2000")
+        tracemalloc.start()
+        try:
+            assert check_homomorphism(np.arange(2000), g, g) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestGeneratorLaw:
+    def test_largest_error_over_generators_and_blocks(self):
+        g = make_named_group("dihedral:3")
+        seen = []
+
+        def error(s, b):
+            seen.append((s, b))
+            return np.arange(g.order)[b] * s / 10
+
+        assert generator_law(g, 2**15, error, "test law", tol=2.0) == 1.0
+        # generators 1 and 2, each on the three blocks of 2**15 entries
+        blocks = element_blocks(g.order, 2**15)
+        assert len(blocks) == 3
+        assert seen == [(s, b) for s in g.generators for b in blocks]
+
+    def test_raises_at_the_first_generator_over_tol(self):
+        g = make_named_group("dihedral:3")
+        with pytest.raises(GeneratorLawError,
+                           match=r"^test law fails at generator 2 \(error 1.000e\+00\)$") as exc:
+            generator_law(g, g.order, lambda s, b: np.arange(g.order)[b] * s / 10,
+                          "test law", tol=0.7)
+        assert exc.value.generator == 2
+
+    def test_exact_law_message_has_no_error(self):
+        g = cyclic_group(3)
+        with pytest.raises(GeneratorLawError, match=r"^exact law fails at generator 1$"):
+            generator_law(g, g.order, lambda s, b: np.ones(g.order, dtype=bool)[b],
+                          "exact law")
+
+    def test_no_recorded_generators_checks_every_element(self):
+        g = FiniteGroup(cyclic_group(4).cayley)
+        seen = []
+        generator_law(g, g.order, lambda s, b: seen.append(s) or np.zeros(1), "law")
+        assert seen == [0, 1, 2, 3]

@@ -68,12 +68,12 @@ DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
            "counting_measure", "MassCountMismatchError", "StatisticalModel",
            "Povm", "build_povm", "DensityOp", "build_density",
            "RowMismatchError", "NegativeWeightError", "function_operator",
-           "commutator_norm")
+           "commutator_norm", "CoarseGraining")
 
 
 def test_removed_names_are_not_exported():
-    # none of the measure, POVM, density or wrapper names is reachable
-    # from the package or from any of its modules
+    # none of the measure, POVM, density, wrapper or coarse-graining record
+    # names is reachable from the package or from any of its modules
     modules = [symquant] + [importlib.import_module(f"symquant.{info.name}")
                             for info in pkgutil.iter_modules(symquant.__path__)]
     for module in modules:

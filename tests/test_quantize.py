@@ -360,25 +360,28 @@ class TestMaximality:
 class TestCoarseGrain:
     def test_identity_map_recovers_operator(self):
         basis = np.eye(3, dtype=complex)
-        grain, bundle = coarse_grain(basis, [1.0, 0.0, -1.0], lambda u: u)
-        assert grain.coarse_labels == (-1.0, 0.0, 1.0)
+        blocks, bundle = coarse_grain(basis, [1.0, 0.0, -1.0], lambda u: u)
+        assert blocks == ((2,), (1,), (0,))
+        assert bundle.eigenvalues.tolist() == [-1.0, 0.0, 1.0]
         assert_allclose(bundle.matrix, np.diag([1.0, 0.0, -1.0]), atol=1e-15)
         assert maximality_check(bundle)
 
     def test_square_blocks(self):
         basis = np.eye(3, dtype=complex)
-        grain, bundle = coarse_grain(basis, [1.0, 0.0, -1.0], lambda u: u * u)
-        assert grain.coarse_labels == (0.0, 1.0)
-        assert grain.blocks == ((1,), (0, 2))
+        blocks, bundle = coarse_grain(basis, [1.0, 0.0, -1.0], lambda u: u * u)
+        assert bundle.eigenvalues.tolist() == [0.0, 1.0]
+        assert blocks == ((1,), (0, 2))
         assert_allclose(bundle.matrix, np.diag([1.0, 0.0, 1.0]), atol=1e-15)
         assert not maximality_check(bundle)
-        # block projections sum the right rank-one pieces
-        assert_allclose(grain.block_projections[1], np.diag([1.0, 0.0, 1.0]))
+        # the eigenspace of the coarse label 1 is spanned by its block
+        assert_allclose(bundle.spectrum.reconstruct([0.0, 1.0]),
+                        np.diag([1.0, 0.0, 1.0]), atol=1e-15)
 
     def test_constant_map(self):
         basis = np.eye(2, dtype=complex)
-        grain, bundle = coarse_grain(basis, [0.5, -0.5], lambda u: 3.0)
-        assert grain.coarse_labels == (3.0,)
+        blocks, bundle = coarse_grain(basis, [0.5, -0.5], lambda u: 3.0)
+        assert blocks == ((0, 1),)
+        assert bundle.eigenvalues.tolist() == [3.0]
         assert_allclose(bundle.matrix, 3.0 * np.eye(2), atol=1e-15)
         assert not maximality_check(bundle)
 
@@ -414,9 +417,9 @@ class TestCoarseGrain:
 
     def test_parity_on_z4_pairs_even_and_odd(self, z4_parity_map):
         labels, t = z4_parity_map
-        grain, bundle = coarse_grain(np.eye(4, dtype=complex), labels, t)
-        assert grain.blocks == ((0, 2), (1, 3))
-        assert grain.coarse_labels == (0.0, 1.0)
+        blocks, bundle = coarse_grain(np.eye(4, dtype=complex), labels, t)
+        assert blocks == ((0, 2), (1, 3))
+        assert bundle.eigenvalues.tolist() == [0.0, 1.0]
         assert_allclose(bundle.matrix, np.diag([0.0, 1.0, 0.0, 1.0]), atol=1e-15)
 
     def test_parity_on_z4_is_not_maximal(self, z4_parity_map):

@@ -5,10 +5,13 @@ property tests relabel random permutation groups and must get back the
 relabelled identity and inverses, and the per-pair group construction
 below must find the inverses FiniteGroup reads off.
 
-FiniteGroup, GroupAction and UnitaryRep check each "for all pairs" law on
-generators x all elements only. The exhaustive checks they replaced live
-here, and property tests on random permutation groups require the
-constructors and the oracles to reach the same verdicts.
+FiniteGroup, GroupAction, both representation forms and
+check_homomorphism check each "for all pairs" law on generators x all
+elements only, through one routine, groups.generator_law. The exhaustive
+checks they replaced live here, and property tests on random permutation
+groups require the constructors and the oracles to reach the same
+verdicts; a fault at the second generator of a dihedral group must be
+named in each law's error.
 
 Orbits, generated subgroups and the orbit test of model_reduce all run on
 one vectorized routine, groups.orbit_partition. The point-by-point
@@ -43,7 +46,7 @@ on random fiducials of dihedral and binary tetrahedral frames, and must
 still catch weights that are not invariant.
 
 Every weighted sum of state projectors, sum_k w_k |s_k><s_k| (frame
-operators, labelled operators, coarse-graining projections, spectral
+operators, labelled operators, coarse-grained operators, spectral
 reconstructions, exp(-itH)), is computed by
 one kernel, linalg.projector_sum. The per-caller einsum contractions it
 replaced live here, and must agree with the callers on random families.
@@ -232,6 +235,18 @@ def rep_law_all_pairs_error(group: FiniteGroup, mats) -> float:
                                     axis=(1, 2))))
         for k1 in range(group.order)
     )
+
+
+def homomorphism_by_all_pairs(f, src: FiniteGroup, dst: FiniteGroup):
+    """f(a*b) == f(a)*f(b) over all pairs: (True, None), or (False, (a, b))
+    with the first violating pair in row-major order."""
+    f = np.asarray(f, dtype=np.intp)
+    lhs = f[src.cayley]
+    rhs = dst.cayley[f[:, None], f[None, :]]
+    if np.array_equal(lhs, rhs):
+        return True, None
+    a, b = map(int, np.argwhere(lhs != rhs)[0])
+    return False, (a, b)
 
 
 def monomial_matrices(perm, phase) -> np.ndarray:
@@ -739,6 +754,34 @@ def tables_with_identity(draw, max_order=5):
     return t
 
 
+@st.composite
+def group_maps(draw, max_degree=4):
+    """(f, src, dst): a map of element indices between random permutation
+    groups. f is the induced map k_to_image of a permissible variable, the
+    identity map, or a random map; up to two of its images are then
+    changed, and src sometimes loses its recorded generators, so that
+    every element is one."""
+    kind = draw(st.sampled_from(["induced", "identity", "random"]))
+    if kind == "induced":
+        var, act = draw(st.one_of(labelled_actions(max_degree),
+                                  coset_variables(max_degree)))
+        assume(is_permissible(var, act)[0])
+        induced = induce_group(var, act)
+        f, src, dst = induced.k_to_image.copy(), act.group, induced.image_group
+    elif kind == "identity":
+        src = dst = draw(permutation_groups(max_degree))
+        f = np.arange(src.order)
+    else:
+        src, dst = draw(permutation_groups(max_degree)), draw(permutation_groups(max_degree))
+        f = np.array(draw(st.lists(st.integers(0, dst.order - 1),
+                                   min_size=src.order, max_size=src.order)))
+    for _ in range(draw(st.integers(0, 2))):
+        f[draw(st.integers(0, src.order - 1))] = draw(st.integers(0, dst.order - 1))
+    if draw(st.booleans()):
+        src = _copy(src, generators=())
+    return f, src, dst
+
+
 def _present(rows, form):
     """A family of row states as an array, a list of 1-d vectors, or a
     list of column vectors (which must be flattened and stacked)."""
@@ -933,21 +976,6 @@ class TestRejections:
         assert not action_law_all_pairs(g, perm)
         with pytest.raises(ValueError, match="composition law"):
             GroupAction(group=g, perm=perm)
-
-    @pytest.mark.parametrize("n", [3, 4, 6])
-    def test_every_generator_is_checked(self, n):
-        # rotation by i for the element (i, b), whatever b: the law holds
-        # at the rotation generator and fails at the flip generator
-        g = make_named_group(f"dihedral:{n}")
-        shifts = [i for i, _ in g.elements]
-        perm = np.array([[(x + i) % n for x in range(n)] for i in shifts])
-        assert not action_law_all_pairs(g, perm)
-        with pytest.raises(ValueError, match="composition law"):
-            GroupAction(group=g, perm=perm)
-        mats = np.stack([np.roll(np.eye(n), i, axis=0) for i in shifts])
-        assert rep_law_all_pairs_error(g, mats) > 1e-8 * n
-        with pytest.raises(ValueError, match="product law"):
-            UnitaryRep(group=g, matrices=mats)
 
     @ORACLE_SETTINGS
     @given(permutation_groups(), st.data())
@@ -1171,6 +1199,90 @@ class TestImpliedLaws:
         H = list(maximal_permissible_subgroup(var, act))
         assert act.group.identity in H
         assert set(act.group.cayley[np.ix_(H, H)].ravel().tolist()) <= set(H)
+
+
+# ---------------------------------------------------------------------------
+# one generator-law routine
+
+
+def _flip_twisted_table(g: FiniteGroup) -> np.ndarray:
+    """The table of dihedral:n with one rotation added to the product of two
+    flips: (i, a)(j, b) = (i + (-1)^a j + ab, a ^ b). Identity, right
+    inverses and generation survive, and (x*r)*y == x*(r*y) still holds
+    for the rotation r; for n >= 3 it fails for the flip."""
+    index = {x: k for k, x in enumerate(g.elements)}
+    n = g.order // 2
+    return np.array([[index[((i + (-j if a else j) + a * b) % n, a ^ b)]
+                      for j, b in g.elements] for i, a in g.elements])
+
+
+class TestGeneratorLaw:
+    @settings(ORACLE_SETTINGS, max_examples=150)
+    @given(group_maps())
+    def test_homomorphism_verdicts_match_all_pairs(self, case):
+        f, src, dst = case
+        ok, witness = check_homomorphism(f, src, dst)
+        assert ok == homomorphism_by_all_pairs(f, src, dst)[0]
+        if ok:
+            assert witness is None
+        else:
+            s, k = witness
+            assert s in src.generating_set
+            assert f[src.cayley[s, k]] != dst.cayley[f[s], f[k]]
+
+    # a fault at the second generator of dihedral:n, the flip, and none at
+    # the first, the rotation: the all-pairs oracle sees it, and each law's
+    # error names the flip
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_associativity_names_the_flip(self, n):
+        g = make_named_group(f"dihedral:{n}")
+        t = _flip_twisted_table(g)
+        assert not associative_all_triples(t)
+        with pytest.raises(ValueError, match=f"associativity fails at generator "
+                                              f"{g.generators[1]}$"):
+            FiniteGroup(t, generators=g.generators)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_action_law_names_the_flip(self, n):
+        # every element acts by its rotation part
+        g = make_named_group(f"dihedral:{n}")
+        perm = np.array([[(x + i) % n for x in range(n)] for i, _ in g.elements])
+        assert not action_law_all_pairs(g, perm)
+        with pytest.raises(ValueError, match=f"action composition law fails at "
+                                              f"generator {g.generators[1]}$"):
+            GroupAction(group=g, perm=perm)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_dense_product_law_names_the_flip(self, n):
+        g = make_named_group(f"dihedral:{n}")
+        mats = np.stack([np.roll(np.eye(n), i, axis=0) for i, _ in g.elements])
+        assert rep_law_all_pairs_error(g, mats) > 1e-8 * n
+        with pytest.raises(ValueError, match=f"product law fails at generator "
+                                              f"{g.generators[1]} "):
+            UnitaryRep(group=g, matrices=mats)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_monomial_product_law_names_the_flip(self, n):
+        # the phase i^b of the element (i, b): two flips give -1, not 1
+        g = make_named_group(f"dihedral:{n}")
+        act = dihedral_vertex_action(g)
+        phase = np.array([[1j ** b] * n for _, b in g.elements])
+        mats = monomial_matrices(act.perm, phase)
+        assert rep_law_all_pairs_error(g, mats) > 1e-8 * n
+        with pytest.raises(ValueError, match=f"product law fails at generator "
+                                              f"{g.generators[1]} "):
+            MonomialRep(action=act, phase=phase)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_homomorphism_witness_names_the_flip(self, n):
+        # every element to its rotation part
+        g = make_named_group(f"dihedral:{n}")
+        f = [g.elements.index((i, 0)) for i, _ in g.elements]
+        assert not homomorphism_by_all_pairs(f, g, g)[0]
+        ok, (s, k) = check_homomorphism(f, g, g)
+        assert not ok and s == g.generators[1]
+        assert f[g.cayley[s, k]] != g.cayley[f[s], f[k]]
 
 
 # ---------------------------------------------------------------------------
@@ -1750,13 +1862,15 @@ class TestProjectorSumOracles:
         n = max(1, d - missing)
         rows = _random_unitary(rng, d)[:n]
         fine = rng.permutation(n).astype(float)
-        grain, _ = coarse_grain(list(rows), fine, lambda u: float(u % k))
+        got, bundle = coarse_grain(list(rows), fine, lambda u: float(u % k))
         coarse = [float(u % k) for u in fine]
+        labels = sorted(set(coarse))
         blocks = tuple(tuple(i for i in range(n) if coarse[i] == c)
-                       for c in sorted(set(coarse)))
-        assert grain.blocks == blocks
-        assert_close(grain.block_projections,
-                     block_projections_by_einsum(rows, blocks))
+                       for c in labels)
+        assert got == blocks
+        # the coarse operator is each label times its block's projection
+        assert_close(bundle.matrix, np.tensordot(
+            labels, block_projections_by_einsum(rows, blocks), 1))
 
     @ORACLE_SETTINGS
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())

@@ -171,7 +171,7 @@ class TestMaximalSubgroup:
         with pytest.raises(BadElementError, match="out of range"):
             element_value_map(indicator, act, h)
 
-    @pytest.mark.parametrize("subset", [[0, -1], [0, -2], [4], [2, 4]])
+    @pytest.mark.parametrize("subset", [[0, -1], [0, -2], [4], [2, 4], [2**64]])
     def test_permissible_under_index_range(self, z4, indicator, subset):
         _, act = z4
         with pytest.raises(BadElementError, match="out of range"):
