@@ -29,7 +29,7 @@ print("  respects the action:", ok)
 induced = induce_group(parity, act)
 print("  induced value permutations per element:")
 for k in range(g.order):
-    print(f"    element {k}: value ids -> {list(induced.induced_perm[k])}")
+    print(f"    element {k}: value ids -> {induced.value_action.perm[k].tolist()}")
 print("  kernel (elements acting trivially on values):", induced.kernel)
 print("  image group order:", induced.image_group.order)
 

@@ -30,13 +30,13 @@ frame = frame_operator(cs)
 print("frame operator:\n", np.round(frame.T.real, 12))
 print("scalar:", frame.lam, " (group order 8 / dimension 2 = 4)")
 print("resolution deviation after dividing by the scalar:",
-      resolution_deviation(cs.states, frame.normalized_weights))
+      resolution_deviation(cs.states, 1.0 / frame.lam))
 
 print("\n== the same orbit in a rotated frame ==")
 had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 moved = unitary_transport(cs, had)
 print("resolution deviation unchanged:",
-      resolution_deviation(moved.states, frame.normalized_weights))
+      resolution_deviation(moved.states, 1.0 / frame.lam))
 
 print("\n== 24 unit quaternions on a two-dimensional space ==")
 bt = make_named_group("binary_tetrahedral")

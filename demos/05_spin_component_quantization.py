@@ -31,17 +31,18 @@ for j in (0.5, 1.0, 1.5):
           " maximal:", maximality_check(bundle))
 
     flips = spectrum_permutations(bundle.eigenvalues, [lambda u: u, lambda u: -u])
-    part = eigen_orbit_partition(bundle, flips)
+    blocks = eigen_orbit_partition(bundle, flips)
+    orbits = [bundle.eigenvalues[list(b)].tolist() for b in blocks]
     print("orbits under the sign flip:",
-          [tuple(round(u, 9) for u in b) for b in part.label_blocks()],
-          " single orbit:", part.single_orbit)
+          [tuple(round(u, 9) for u in o) for o in orbits],
+          " single orbit:", len(blocks) == 1)
 
     U = spin_rotation(j, perpendicular_unit(a), np.pi)
     cov = conjugation_covariance(bundle, U, np.arange(bundle.dim - 1, -1, -1))
     print("half-turn conjugation matches label reversal:",
           cov.passed, f"(distance {cov.distance:.2e})")
 
-    target = part.label_blocks()[0]
+    target = orbits[0]
     reduced = model_reduce(bundle.eigenvalues, flips, target)
     print("reduced variable labels:",
           tuple(round(u, 9) for u in reduced.value_labels))

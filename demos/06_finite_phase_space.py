@@ -35,7 +35,7 @@ print("\n== mutual unbiasedness ==")
 F = fourier_matrix(n)
 print("|<x|p>|^2 (all entries should be 1/n):\n", np.round(np.abs(F) ** 2, 12))
 for m in range(2, 9):
-    print(f"  n={m}: max deviation from 1/n = {mub_deviation(m):.3e}")
+    print(f"  n={m}: max deviation from 1/n = {mub_deviation(fourier_matrix(m)):.3e}")
 
 print("\n== coordinate operators ==")
 X = position_operator(n)

@@ -56,7 +56,6 @@ from .coherent import (
     unitary_transport,
 )
 from .quantize import (
-    EigenOrbitPartition,
     OperatorBundle,
     build_operator,
     coarse_grain,

@@ -14,7 +14,8 @@ up to scale, the counting measure, and the frame scalar divides the scale
 out, so every orbit state has weight 1 and no measure is taken. When the
 base point has a nontrivial stabilizer the sum counts each state once per
 stabilizing element, a constant factor that is absorbed into the frame
-scalar as well.
+scalar as well. The orbit states then resolve the identity with the
+weight 1/lam each, lam being FrameOperator.lam.
 """
 
 from __future__ import annotations
@@ -183,9 +184,6 @@ class MonomialRep:
         ph.setflags(write=False)
         object.__setattr__(self, "phase", ph)
         object.__setattr__(self, "law_error", law_error)
-        # every phase exactly 1, as in a permutation rep: conjugation is the
-        # gather alone
-        object.__setattr__(self, "_unit_phases", bool((ph == 1).all()))
 
     @property
     def group(self) -> FiniteGroup:
@@ -221,8 +219,6 @@ class MonomialRep:
         conj(phase[k, x]) * A[perm[k, x], perm[k, y]] * phase[k, y]."""
         p = self.action.perm[ks]
         out = np.asarray(A)[p[:, :, None], p[:, None, :]]
-        if self._unit_phases:
-            return out
         ph = self.phase[ks]
         out = out * ph.conj()[:, :, None]
         out *= ph[:, None, :]
@@ -349,14 +345,12 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
 class FrameOperator:
     """Sum of orbit-state projectors and its scalar value.
 
-    T equals lam times the identity; normalized_weights holds one weight
-    per orbit state, 1/lam, under which the orbit states resolve the
-    identity.
+    T equals lam times the identity, so the orbit states resolve the
+    identity under the weight 1/lam each.
     """
 
     T: np.ndarray
     lam: float
-    normalized_weights: np.ndarray
 
 
 def frame_operator(cs: CoherentSystem) -> FrameOperator:
@@ -387,8 +381,7 @@ def frame_operator(cs: CoherentSystem) -> FrameOperator:
     dev = max_abs(T / lam - np.eye(d))
     if dev > 1e-9 * d:
         raise NotScalarError(f"normalized frame misses the identity by {dev:.3e}")
-    return FrameOperator(T=T, lam=lam,
-                         normalized_weights=np.full(len(cs.states), 1.0 / lam))
+    return FrameOperator(T=T, lam=lam)
 
 
 def resolution_deviation(states, weights) -> float:
@@ -406,7 +399,7 @@ def unitary_transport(cs: CoherentSystem, W) -> CoherentSystem:
     whatever the form of the old one.
     """
     W = as_cmatrix(W)
-    if not is_unitary(W, 1e-9):
+    if not is_unitary(W):
         raise NotUnitaryError("transport matrix is not unitary")
     if W.shape[0] != cs.rep.dim:
         raise ValueError("transport dimension mismatch")

@@ -368,8 +368,7 @@ def _element_lookup(coords: np.ndarray):
     return lookup
 
 
-def generate_group(generators, mul, identity, *, name="group", name_of=None,
-                   max_order=MAX_GROUP_ORDER):
+def generate_group(generators, mul, identity, *, name="group", name_of=None):
     """Breadth-first closure of generators under mul, returning a FiniteGroup.
 
     An element is an integer or a tuple of k integer coordinates. mul works
@@ -390,6 +389,9 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None,
     Products are looked up by an exact integer key of their coordinates
     in a dense table over the elements' bounding box; a box of more than
     max(n*n, 2**16) points raises ValueError.
+
+    A closure of more than MAX_GROUP_ORDER elements, read at the call,
+    raises OrderTooLargeError.
 
     elements holds the elements as Python values, ints or tuples of ints;
     name_of is called on each.
@@ -415,8 +417,9 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None,
     frontier = np.array(elements, dtype=np.int64)
     while len(frontier) and gens:
         level = discover(_products(mul, frontier[:, None], gen_rows))
-        if len(index) > max_order:
-            raise OrderTooLargeError(f"group exceeds maximum order {max_order}")
+        if len(index) > MAX_GROUP_ORDER:
+            raise OrderTooLargeError(
+                f"group exceeds maximum order {MAX_GROUP_ORDER}")
         elements += level
         frontier = np.array(level, dtype=np.int64).reshape(-1, k)
     n = len(elements)

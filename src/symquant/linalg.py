@@ -7,7 +7,9 @@ operators, spectral sums, exp(-itH)) is one kernel, projector_sum, fed by
 the one state-family reader, as_state_family.
 
 All tolerances are relative to a matrix norm with a floor of 1, so near-zero
-matrices fall back to absolute comparisons. Everything is complex128.
+matrices fall back to absolute comparisons, and each is a constant of its
+function, not an option: eigenvalue clustering uses DEGENERACY_TOL.
+Everything is complex128.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DEGENERACY_TOL = 1e-8
+DEGENERACY_TOL = 1e-8
 
 
 class NotSquareError(ValueError):
@@ -80,20 +82,20 @@ def max_abs(A) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def _require_hermitian(A: np.ndarray, tol: float = 1e-10) -> None:
+def _require_hermitian(A: np.ndarray) -> None:
     _require_square(A)
     dev = max_abs(A - A.conj().T)
-    if dev > tol * max(1.0, max_abs(A)):
+    if dev > 1e-10 * max(1.0, max_abs(A)):
         raise NotHermitianError(f"max |A - A^dag| = {dev:.3e}")
 
 
-def is_unitary(U, tol: float = 1e-9) -> bool:
-    """True iff ||U^dag U - I||_F <= tol * dim."""
+def is_unitary(U) -> bool:
+    """True iff ||U^dag U - I||_F <= 1e-9 * dim."""
     U = as_cmatrix(U)
     if U.shape[0] != U.shape[1]:
         return False
     d = U.shape[0]
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(d))) <= tol * d
+    return float(np.linalg.norm(U.conj().T @ U - np.eye(d))) <= 1e-9 * d
 
 
 @dataclass(frozen=True)
@@ -103,14 +105,12 @@ class SpectralData:
     eigenvalues are ascending, one per cluster; vectors holds the
     orthonormal eigenbasis as columns, grouped cluster by cluster, and
     multiplicities[j] columns belong to cluster j, so their cumulative sum
-    gives the cluster offsets. degeneracy_tol records the clustering
-    tolerance, since multiplicity structure depends on it.
+    gives the cluster offsets. The clustering tolerance is DEGENERACY_TOL.
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     vectors: np.ndarray
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 
     @property
     def dim(self) -> int:
@@ -139,10 +139,10 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return V * (np.conj(z) / np.hypot(z.real, z.imag))
 
 
-def eig_hermitian(A, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> SpectralData:
+def eig_hermitian(A) -> SpectralData:
     """Eigendecomposition of a Hermitian matrix with degeneracy merging.
 
-    Eigenvalues closer than degeneracy_tol * max(1, ||A||_F) are clustered
+    Eigenvalues closer than DEGENERACY_TOL * max(1, ||A||_F) are clustered
     greedily in ascending order and share one eigenspace: a cluster ends
     where the next ascending eigenvalue lies more than that gap above the
     one before it. A cluster's eigenvalue is the mean of its members.
@@ -156,7 +156,7 @@ def eig_hermitian(A, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> Spectral
     V = _fix_phases(V)
 
     scale = max(1.0, float(np.linalg.norm(A)))
-    gap = degeneracy_tol * scale
+    gap = DEGENERACY_TOL * scale
     # "not within the gap", so that a NaN gap merges nothing
     starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(w) <= gap))))
     multiplicities = np.diff(starts, append=len(w))
@@ -166,8 +166,7 @@ def eig_hermitian(A, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> Spectral
 
     for arr in (eigenvalues, multiplicities, V):
         arr.setflags(write=False)
-    spec = SpectralData(eigenvalues, multiplicities, V,
-                        degeneracy_tol=float(degeneracy_tol))
+    spec = SpectralData(eigenvalues, multiplicities, V)
 
     # merging replaces each raw eigenvalue by its cluster mean, which adds a
     # known, intentional reconstruction error on top of the solver's own

@@ -18,15 +18,16 @@ import numpy as np
 
 from .coherent import MonomialRep, permutation_rep
 from .groups import FiniteGroup, GroupAction, cyclic_shift_action
-from .quantize import OperatorBundle, build_operator
+from .quantize import OperatorBundle, build_operator, operator_from_matrix
 
 
 # the largest lattice accepted: the phase scenario at MAX_PHASE_N (cyclic
-# group of order 1024) takes about 1.9 s and peaks at about 152 MiB under
+# group of order 1024) takes about 1.3 s and peaks at about 134 MiB under
 # tracemalloc with one BLAS thread (2-core x86-64 box), well inside a 1 GiB
-# budget; the dense n x n X, P and their products dominate, not the
-# monomial reps' n x n phases; it reads only the matrices of X and P, so
-# neither is eigendecomposed
+# budget; the dense n x n momentum operator, the Fourier matrix and the
+# products X P, P X and F X F^dag dominate, not the monomial reps' n x n
+# phases; it reads only the matrices of X and P, so neither is
+# eigendecomposed, and X is built as its diagonal
 MAX_PHASE_N = 1024
 
 
@@ -67,17 +68,17 @@ def clock_rep(g: FiniteGroup) -> MonomialRep:
     return MonomialRep(action=fixed, phase=np.exp(2j * np.pi * x[:, None] * x / n))
 
 
-def mub_deviation(n: int) -> float:
-    """Largest deviation of |<x|p>|^2 from 1/n over the two bases."""
-    F = fourier_matrix(n)
-    return float(np.max(np.abs(np.abs(F) ** 2 - 1.0 / n)))
+def mub_deviation(F) -> float:
+    """Largest deviation of |<x|p>|^2 from 1/n over the position basis and
+    the columns p of an n x n matrix F, such as fourier_matrix(n)."""
+    F = np.asarray(F)
+    return float(np.max(np.abs(np.abs(F) ** 2 - 1.0 / len(F))))
 
 
 def position_operator(n: int) -> OperatorBundle:
-    """Multiplication by the lattice coordinate, labels 0..n-1."""
+    """Multiplication by the lattice coordinate, diag(0, ..., n-1)."""
     n = _check_size(n)
-    basis = np.eye(n, dtype=np.complex128)
-    return build_operator(basis, 1.0, np.arange(n, dtype=float))
+    return operator_from_matrix(np.diag(np.arange(n, dtype=float)))
 
 
 def momentum_operator(n: int) -> OperatorBundle:

@@ -16,11 +16,15 @@ conjugated method, the worst distance against 1e-9 * max(1, ||A||_F), the
 rep not tested again since its constructor proved it unitary),
 conjugation_covariance on one unitary. A rep of either form serves:
 conjugation by a monomial rep is a gather of the operator's entries.
+
+Orbits of a spectrum come back as plain blocks of eigenvalue ids
+(eigen_orbit_partition), as coarse graining returns its blocks of basis
+indices; a block's labels are read off the bundle's eigenvalues, and the
+permutations of an induced action are passed as its value_action.perm.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -104,15 +108,11 @@ class OperatorBundle:
         return self.spectrum.eigenvalues
 
 
-def build_operator(states, weights, labels, *, require_resolution=True,
+def build_operator(states, weights, labels, *,
                    source_variable=None) -> OperatorBundle:
     """The operator sum_i labels[i] * w_i |s_i><s_i|, its spectrum computed
-    on first read.
-
-    The family is expected to resolve the identity; with
-    require_resolution=False a failing family only warns, which is useful
-    for diagnostics on partial families.
-    """
+    on first read. A family that does not resolve the identity within
+    1e-9 * dim is refused."""
     st, w = as_state_family(states, weights)
     n, d = st.shape
     lab = np.asarray(labels, dtype=float)
@@ -121,10 +121,7 @@ def build_operator(states, weights, labels, *, require_resolution=True,
 
     dev = resolution_deviation(st, w)
     if dev > 1e-9 * d:
-        msg = f"state family misses the identity by {dev:.3e}"
-        if require_resolution:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=2)
+        raise ValueError(f"state family misses the identity by {dev:.3e}")
 
     A = projector_sum(st, lab * w)
     A = (A + A.conj().T) / 2.0
@@ -188,7 +185,7 @@ def conjugation_covariance(bundle: OperatorBundle, unitary,
     repeated by the multiplicity of cluster j.
     """
     U = as_cmatrix(unitary)
-    if not is_unitary(U, 1e-9):
+    if not is_unitary(U):
         raise NotUnitaryError("covariance check needs a unitary matrix")
     perm = np.asarray(value_perm, dtype=np.intp)
     U = U[None]
@@ -219,21 +216,7 @@ def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elem
 # orbit structure of the spectrum and model reduction
 
 
-@dataclass(frozen=True)
-class EigenOrbitPartition:
-    """Orbits of eigenvalue ids under a set of value permutations."""
-
-    eigenvalues: tuple[float, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    single_orbit: bool
-
-    def label_blocks(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(self.eigenvalues[i] for i in b) for b in self.blocks)
-
-
 def _as_id_perms(perms, n: int) -> np.ndarray:
-    if hasattr(perms, "induced_perm"):
-        perms = perms.induced_perm
     arr = np.asarray(perms, dtype=np.intp)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -276,19 +259,13 @@ def spectrum_permutations(eigenvalues, value_maps) -> np.ndarray:
     return _as_id_perms(perms, len(u))
 
 
-def eigen_orbit_partition(bundle: OperatorBundle, perms) -> EigenOrbitPartition:
-    """Partition the eigenvalue ids into orbits of the given permutations.
-
-    perms may be an InducedAction (its value permutations are used) or an
-    array of id permutations. Each permutation must be a bijection of the
-    id set; blocks are sorted by smallest member.
-    """
-    n = bundle.spectrum.n_clusters
-    blocks = orbit_partition(_as_id_perms(perms, n))
-    return EigenOrbitPartition(
-        eigenvalues=tuple(float(x) for x in bundle.eigenvalues),
-        blocks=blocks, single_orbit=len(blocks) == 1,
-    )
+def eigen_orbit_partition(bundle: OperatorBundle,
+                          perms) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the eigenvalue ids under an array of id permutations
+    (for an InducedAction, its value_action.perm), as tuples of ids sorted
+    by smallest member. Each permutation must be a bijection of the id
+    set."""
+    return orbit_partition(_as_id_perms(perms, bundle.spectrum.n_clusters))
 
 
 def model_reduce(eigenvalues, perms, target_orbit) -> ConceptualVariable:
@@ -335,7 +312,8 @@ def maximality_check(bundle: OperatorBundle) -> bool:
 
 
 def coarse_grain(basis, fine_labels, t: Callable[[float], float]):
-    """Relabel an orthonormal basis through t and rebuild the operator.
+    """Relabel an orthonormal basis through t and rebuild the operator; a
+    basis that does not span the space is refused by build_operator.
 
     Returns (blocks, OperatorBundle). The blocks are the preimages of the
     distinct coarse labels, as tuples of basis indices in ascending order
@@ -343,7 +321,7 @@ def coarse_grain(basis, fine_labels, t: Callable[[float], float]):
     degenerate eigenvalue and fails the maximality check.
     """
     st, _ = as_state_family(basis, 1.0)
-    n, d = st.shape
+    n = len(st)
     gram = st.conj() @ st.T
     if max_abs(gram - np.eye(n)) > 1e-10:
         raise ValueError("basis must be orthonormal")
@@ -354,7 +332,7 @@ def coarse_grain(basis, fine_labels, t: Callable[[float], float]):
     coarse = [float(t(u)) for u in fine]
     blocks = tuple(tuple(i for i, x in enumerate(coarse) if x == c)
                    for c in sorted(set(coarse)))
-    return blocks, build_operator(st, 1.0, coarse, require_resolution=(n == d))
+    return blocks, build_operator(st, 1.0, coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +354,7 @@ def question_answer_match(v, bases: Mapping[str, np.ndarray]):
     matches = []
     for label, B in bases.items():
         B = as_cmatrix(B)
-        if not is_unitary(B, 1e-9):
+        if not is_unitary(B):
             raise NotOrthonormalError(f"basis {label!r} is not orthonormal")
         if B.shape[0] != v.size:
             raise DimensionMismatchError(f"basis {label!r} dimension mismatch")

@@ -3,7 +3,8 @@
 A variable assigns each point of the space a value id drawn from a finite
 label list. The module decides whether a variable respects the action
 (equal values stay equal under every group element), builds the induced
-transformation group on the value space, finds the largest subgroup under
+transformation group on the value space (whose value permutations are the
+maps of InducedAction.value_action), finds the largest subgroup under
 which the variable behaves, and compares variables by the coarser/finer
 partial order.
 """
@@ -68,16 +69,14 @@ class ConceptualVariable:
         return len(self.value_labels)
 
 
-def variable_from_point_labels(point_labels, *, sort=True) -> ConceptualVariable:
+def variable_from_point_labels(point_labels) -> ConceptualVariable:
     """Build a variable from the raw label at each point.
 
-    Numeric labels are sorted ascending by default so value ids align with
-    ascending eigenvalue order; sort=False keeps first-appearance order.
+    The labels are sorted ascending, so that value ids align with ascending
+    eigenvalue order.
     """
     pts = list(point_labels)
-    uniq = list(dict.fromkeys(pts))
-    if sort:
-        uniq = sorted(uniq)
+    uniq = sorted(dict.fromkeys(pts))
     idx = {x: i for i, x in enumerate(uniq)}
     values = np.array([idx[x] for x in pts], dtype=np.intp)
     return ConceptualVariable(values=values, value_labels=tuple(uniq))
@@ -191,12 +190,12 @@ def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
 class InducedAction:
     """The transformation group induced on a variable's value space.
 
-    induced_perm[k] is the value permutation matching element k; the map
-    k -> induced_perm[k] is a homomorphism whose kernel and image are
-    recorded, and value_action lets the original group act on value ids.
+    value_action lets the original group act on value ids:
+    value_action.perm[k] is the value permutation matching element k. The
+    map k -> value_action.perm[k] is a homomorphism whose kernel and image
+    are recorded.
     """
 
-    induced_perm: np.ndarray
     kernel: tuple[int, ...]
     image_group: FiniteGroup
     k_to_image: np.ndarray
@@ -210,7 +209,7 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     group laws of the image group, each from the group's generators and
     their images. Not checked, because implied: the value map of s*k is
     that of s after that of k (the values of k.p are a function of those
-    of p), so k -> induced_perm[k] is a homomorphism into the value
+    of p), so k -> value_action.perm[k] is a homomorphism into the value
     permutations; its image table is then well defined, the images of the
     generators generate it, |G| = |kernel| * |image|, and the image group
     acts faithfully on the values by value_action's law read through
@@ -237,10 +236,8 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
                               generators=tuple(dict.fromkeys(gens)))
     kernel = tuple(np.flatnonzero((induced == np.arange(nv)).all(axis=1)).tolist())
     value_action = GroupAction(group=act.group, perm=induced)
-    return InducedAction(
-        induced_perm=value_action.perm, kernel=kernel,
-        image_group=image_group, k_to_image=k_to_image, value_action=value_action,
-    )
+    return InducedAction(kernel=kernel, image_group=image_group,
+                         k_to_image=k_to_image, value_action=value_action)
 
 
 def is_permissible_under(var: ConceptualVariable, act: GroupAction, subset) -> bool:

@@ -70,13 +70,12 @@ def _character_norm_plus_one(orig):
     return lambda rep, tol=1e-8: orig(rep, tol) + 1
 
 
-def _frame_with(T_scale=1.0, weight_scale=1.0):
+def _frame_with(T_scale=1.0, lam_scale=1.0):
     def make(orig):
         def fault(cs):
             frame = orig(cs)
-            return dataclasses.replace(
-                frame, T=T_scale * frame.T, lam=T_scale * frame.lam,
-                normalized_weights=weight_scale * frame.normalized_weights)
+            return dataclasses.replace(frame, T=T_scale * frame.T,
+                                       lam=lam_scale * frame.lam)
         return fault
     return make
 
@@ -149,8 +148,8 @@ def _trivial_permutation_rep(orig):
 
 def _eigenvector_lost(orig):
     # the eigenbasis one vector short, its last cluster one dimension smaller
-    def fault(A, *args):
-        spec = orig(A, *args)
+    def fault(A):
+        spec = orig(A)
         mult = spec.multiplicities.copy()
         mult[-1] -= 1
         return dataclasses.replace(spec, multiplicities=mult,
@@ -197,10 +196,13 @@ MUTANTS = {
     "induced_image_is_two_element_cyclic": Mutant(
         PEDAGOGY, scenarios, "induce_group",
         _induced_with(image_group=lambda ind: ind.value_action.group)),
+    # every element acting trivially on the values
     "quotient_by_kernel_injective": Mutant(
         PEDAGOGY, scenarios, "induce_group",
-        _induced_with(induced_perm=lambda ind: np.zeros_like(ind.induced_perm)
-                      + np.arange(ind.induced_perm.shape[1]))),
+        _induced_with(value_action=lambda ind: GroupAction(
+            group=ind.value_action.group,
+            perm=np.zeros_like(ind.value_action.perm)
+            + np.arange(ind.value_action.space_size)))),
     "indicator_maximal_subgroup": Mutant(
         PEDAGOGY, scenarios, "maximal_permissible_subgroup",
         lambda orig: lambda var, act: (0,)),
@@ -219,9 +221,10 @@ MUTANTS = {
     "rotation_rep_irreducible": Mutant(
         D4, coherent, "commutant_dimension", _character_norm_plus_one),
     "frame_operator_four_times_identity": Mutant(
-        D4, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
+        D4, scenarios, "frame_operator", _frame_with(T_scale=0.5, lam_scale=0.5)),
+    # the scalar doubled, so the weights 1/lam are halved
     "transport_preserves_resolution": Mutant(
-        D4, scenarios, "frame_operator", _frame_with(weight_scale=0.5)),
+        D4, scenarios, "frame_operator", _frame_with(lam_scale=2.0)),
     # coherent_bt24
     "group_order_24": Mutant(
         BT24, groups, "binary_tetrahedral_group", lambda orig: _quaternion_group),
@@ -231,7 +234,7 @@ MUTANTS = {
         BT24, scenarios, "make_coherent",
         lambda orig: lambda rep, act, base, f: orig(rep, act, base, 2 * np.asarray(f))),
     "frame_operator_twelve_times_identity": Mutant(
-        BT24, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
+        BT24, scenarios, "frame_operator", _frame_with(T_scale=0.5, lam_scale=0.5)),
     # spin
     "generator_commutation_relations": Mutant(
         SPIN, scenarios, "spin_generators",
@@ -260,12 +263,10 @@ MUTANTS = {
         {"scenario": "spin", "params": {"reduce": False}},
         scenarios, "eigen_orbit_partition",
         lambda orig: lambda bundle, perms: orig(bundle, perms[:1])),
-    # an eigensolver that loses an eigenvector, at spin 0: there is no
-    # perpendicular component, whose half turn it would make non-unitary,
-    # so the report is still made
+    # an eigensolver that loses an eigenvector; the half turn it makes
+    # non-unitary is a failed check, not an error
     "eigenbasis_resolves_identity": Mutant(
-        {"scenario": "spin", "params": {"j": 0}}, quantize, "eig_hermitian",
-        _eigenvector_lost),
+        SPIN, quantize, "eig_hermitian", _eigenvector_lost),
     "question_answer_unique_match": Mutant(
         SPIN, scenarios, "question_answer_match",
         lambda orig: lambda v, bases: [(label, 0) for label in bases]),
@@ -329,6 +330,21 @@ def test_basis_not_orthonormal_is_a_failed_check(monkeypatch, capsys):
     assert match["details"] == "basis 'component_a' is not orthonormal"
     assert [name for name, c in checks.items() if not c["passed"]] == [
         "question_answer_unique_match"]
+
+
+def test_eigenvector_lost_is_a_failed_half_turn(monkeypatch, capsys):
+    # at spin 1/2 the half turn read off a spectrum one eigenvector short is
+    # not unitary: the report is written, with the half-turn check failed
+    # by ||U^dag U - I||_F, and exit 1
+    monkeypatch.setattr(quantize, "eig_hermitian",
+                        _eigenvector_lost(quantize.eig_hermitian))
+    assert main(["spin", "--j", "0.5"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    half_turn = checks["covariance_half_turn_reverses_labels"]
+    assert not half_turn["passed"]
+    assert abs(half_turn["max_error"] - 1.0) <= 1e-12
+    assert half_turn["details"].startswith("the half turn is not unitary")
+    assert not checks["eigenbasis_resolves_identity"]["passed"]
 
 
 def _verdict(config, check):

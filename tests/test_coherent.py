@@ -292,12 +292,12 @@ class TestResolution:
         assert dev == 0.0
 
     def test_d4_normalized_weights_resolve_identity(self, d4_rep):
-        # four vertices, eight orbit states: one weight per state
+        # four vertices, eight orbit states, each of weight 1/lam
         g, rep = d4_rep
         cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
         frame = frame_operator(cs)
-        assert frame.normalized_weights.shape == (g.order,)
-        assert resolution_deviation(cs.states, frame.normalized_weights) <= 1e-12
+        assert len(cs.states) == g.order
+        assert resolution_deviation(cs.states, 1.0 / frame.lam) <= 1e-12
 
     def test_d4_quarter_weights(self, d4_rep):
         g, rep = d4_rep

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from symquant import groups
 from symquant.groups import (
     BadElementError,
     FiniteGroup,
@@ -317,11 +318,13 @@ class TestGenerateGroup:
         assert g.elements == (0, 3, 1, 2)
         assert g.generators == (1, 2)
 
-    def test_order_bound(self):
-        with pytest.raises(OrderTooLargeError):
-            generate_group([1], lambda a, b: (a + b) % 50, 0, max_order=49)
-        assert generate_group([1], lambda a, b: (a + b) % 50, 0,
-                              max_order=50).order == 50
+    def test_order_bound(self, monkeypatch):
+        # the bound is read at the call
+        monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 49)
+        with pytest.raises(OrderTooLargeError, match="maximum order 49"):
+            generate_group([1], lambda a, b: (a + b) % 50, 0)
+        monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 50)
+        assert generate_group([1], lambda a, b: (a + b) % 50, 0).order == 50
 
     def test_product_below_the_box_is_not_an_element(self):
         # Z_2 x Z_2 by xor, except (1, 1)*(1, 1) = (1, -1): below the box in

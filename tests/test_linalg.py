@@ -27,7 +27,7 @@ def _projections(spec):
 
 class TestEigHermitian:
     def test_diagonal_with_degeneracy(self):
-        spec = eig_hermitian(np.diag([3.0, 1.0, 1.0]), 1e-8)
+        spec = eig_hermitian(np.diag([3.0, 1.0, 1.0]))
         assert_allclose(spec.eigenvalues, [1.0, 3.0])
         assert list(spec.multiplicities) == [2, 1]
 
@@ -46,10 +46,10 @@ class TestEigHermitian:
         assert_allclose(spec.reconstruct(), np.eye(4), atol=1e-12)
 
     def test_merging_controlled_by_tolerance(self):
-        A = np.diag([1.0, 1.0 + 5e-9, 2.0])
-        merged = eig_hermitian(A, 1e-8)
+        # DEGENERACY_TOL = 1e-8, relative to ||A||_F = sqrt(6) here
+        merged = eig_hermitian(np.diag([1.0, 1.0 + 5e-9, 2.0]))
         assert list(merged.multiplicities) == [2, 1]
-        split = eig_hermitian(A, 1e-12)
+        split = eig_hermitian(np.diag([1.0, 1.0 + 5e-8, 2.0]))
         assert list(split.multiplicities) == [1, 1, 1]
 
     def test_not_square(self):
@@ -156,7 +156,7 @@ class TestExpm:
         H = random_hermitian(rng, d)
         t = float(rng.uniform(-3, 3))
         U = expm_antihermitian(H, t)
-        assert is_unitary(U, 1e-9)
+        assert is_unitary(U)
         assert np.linalg.norm(U @ expm_antihermitian(H, -t) - np.eye(d)) <= 1e-9 * d
 
     def test_one_parameter_group_law(self):
@@ -179,8 +179,13 @@ class TestExpm:
 
 class TestPredicates:
     def test_is_unitary_identity(self):
-        assert is_unitary(np.eye(3), 1e-10)
+        assert is_unitary(np.eye(3))
+
+    def test_is_unitary_tolerance_is_1e_9_per_dimension(self):
+        # ||(1 + e)^2 I - I||_F = sqrt(3) (2e + e^2) against 3e-9
+        assert is_unitary((1 + 1e-10) * np.eye(3))
+        assert not is_unitary((1 + 1e-9) * np.eye(3))
 
     def test_is_unitary_rejects(self):
-        assert not is_unitary(2.0 * np.eye(3), 1e-10)
+        assert not is_unitary(2.0 * np.eye(3))
         assert not is_unitary(np.ones((2, 3)))

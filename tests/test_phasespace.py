@@ -39,7 +39,7 @@ class TestFourier:
     def test_unitary_and_unbiased(self, n):
         F = fourier_matrix(n)
         assert np.linalg.norm(F.conj().T @ F - np.eye(n)) <= 1e-12 * n
-        assert mub_deviation(n) <= 1e-10
+        assert mub_deviation(F) <= 1e-10
 
     def test_bad_size(self):
         with pytest.raises(BadSizeError):

@@ -1,17 +1,24 @@
-"""Every public function reaches a report, or is named here with a reason.
+"""Every public function reaches a report, and every option is used by
+one, or is named here with a reason.
 
 run_all() and the CLI's largest spin and phase reports run under
-sys.setprofile, which records the code of every Python function called.
-Each public module-level function of symquant must be among them or in
-NOT_REACHED, and every name in NOT_REACHED must really be missed: a
-function that no report calls and no listed reason keeps is dead surface,
-and a stale entry hides one that has become reachable.
+sys.setprofile, which records the code of every Python function called
+and the arguments it was called with. Each public module-level function
+of symquant must be among them or in NOT_REACHED, and each parameter with
+a default must receive another value in one of those calls or be in
+DEFAULT_ONLY. Every listed name must really be missed: a function that no
+report calls, or an option that every call leaves at its default, is dead
+surface (an option with one value in use is a constant), and a stale
+entry hides one that has become used.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 import sys
+
+import pytest
 
 import symquant
 from symquant.cli import main
@@ -36,39 +43,104 @@ NOT_REACHED = {
 }
 
 
+DEFAULT_ONLY = {
+    # the benchmark passes these; only a change to the benchmark may drop them
+    "coherent.is_irreducible.tol": "the benchmark's blanket tolerance",
+    "coherent.commutant_dimension.tol": "is_irreducible's tol, passed on",
+    "quantize.build_operator.source_variable": "the benchmark's dihedral rung",
+    "quantize.operator_from_matrix.source_variable": "kept beside build_operator's",
+    # the CLI's blanket override, symquant verify --tolerance
+    "scenarios.run_all.tolerances": "verify --tolerance",
+}
+
+
 def _public_functions():
     for info in pkgutil.iter_modules(symquant.__path__):
         module = importlib.import_module(f"symquant.{info.name}")
         for name, obj in vars(module).items():
             if (inspect.isfunction(obj) and obj.__module__ == module.__name__
                     and not name.startswith("_")):
-                yield f"{info.name}.{name}", obj.__code__
+                yield f"{info.name}.{name}", obj
 
 
-def test_every_public_function_reaches_a_report_or_is_listed(tmp_path):
-    called = set()
+def _defaults(fn) -> dict:
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()
+            if p.default is not inspect.Parameter.empty}
+
+
+def _is_default(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return type(value) is type(default) and bool(value == default)
+    except (TypeError, ValueError):
+        return False
+
+
+@pytest.fixture(scope="module")
+def report_calls(tmp_path_factory):
+    """The code of every function called by the three reports, and the
+    options, "module.function.parameter", passed a value other than their
+    default."""
+    defaults = {fn.__code__: (name, _defaults(fn))
+                for name, fn in _public_functions()}
+    called, set_options = set(), set()
 
     def record(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
+        if event != "call":
+            return
+        called.add(frame.f_code)
+        name, options = defaults.get(frame.f_code, (None, {}))
+        for option, default in options.items():
+            if not _is_default(frame.f_locals[option], default):
+                set_options.add(f"{name}.{option}")
 
+    out = tmp_path_factory.mktemp("reports")
     sys.setprofile(record)
     try:
         run_all()
         assert main(["spin", "--j", "50", "--reduce",
-                     "--out", str(tmp_path / "spin.json")]) == 0
-        assert main(["phase", "--n", "64", "--out", str(tmp_path / "phase.json")]) == 0
+                     "--out", str(out / "spin.json")]) == 0
+        assert main(["phase", "--n", "64", "--out", str(out / "phase.json")]) == 0
     finally:
         sys.setprofile(None)
-    missed = {name for name, code in _public_functions() if code not in called}
+    return called, set_options
+
+
+def test_every_public_function_reaches_a_report_or_is_listed(report_calls):
+    called, _ = report_calls
+    missed = {name for name, fn in _public_functions() if fn.__code__ not in called}
     assert missed == set(NOT_REACHED)
+
+
+def test_every_option_is_set_by_a_report_or_is_listed(report_calls):
+    _, set_options = report_calls
+    options = {f"{name}.{option}" for name, fn in _public_functions()
+               if name not in NOT_REACHED for option in _defaults(fn)}
+    assert options - set_options == set(DEFAULT_ONLY)
 
 
 DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
            "counting_measure", "MassCountMismatchError", "StatisticalModel",
            "Povm", "build_povm", "DensityOp", "build_density",
            "RowMismatchError", "NegativeWeightError", "function_operator",
-           "commutator_norm", "CoarseGraining")
+           "commutator_norm", "CoarseGraining", "EigenOrbitPartition")
+
+# stored copies and derived values: read them off the one field that holds
+# them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL)
+DELETED_FIELDS = {
+    "variables.InducedAction": ("induced_perm",),
+    "coherent.FrameOperator": ("normalized_weights",),
+    "linalg.SpectralData": ("degeneracy_tol",),
+}
+
+
+def test_removed_fields_are_gone():
+    for path, names in DELETED_FIELDS.items():
+        module, cls = path.split(".")
+        fields = {f.name for f in dataclasses.fields(
+            getattr(importlib.import_module(f"symquant.{module}"), cls))}
+        assert not fields.intersection(names), path
 
 
 def test_removed_names_are_not_exported():

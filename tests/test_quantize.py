@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from symquant.groups import BadElementError, cyclic_group, cyclic_shift_action
+from symquant.groups import (BadElementError, GroupAction, cyclic_group,
+                             cyclic_shift_action)
 from symquant import linalg, quantize
 from symquant.coherent import UnitaryRep, permutation_rep
 from symquant.linalg import (
@@ -50,12 +51,6 @@ class TestBuildOperator:
     def test_unit_labels_give_identity(self):
         b = build_operator(QUBIT, 1.0, [1.0, 1.0])
         assert np.max(np.abs(b.matrix - np.eye(2))) <= 1e-10
-
-    def test_single_state_warn_mode(self):
-        with pytest.warns(UserWarning, match="misses the identity"):
-            b = build_operator([np.array([1.0, 0.0])], 1.0, [5.0],
-                               require_resolution=False)
-        assert_allclose(b.matrix, np.diag([5.0, 0.0]), atol=1e-15)
 
     def test_strict_mode_raises(self):
         with pytest.raises(ValueError, match="misses the identity"):
@@ -183,7 +178,6 @@ class TestSpectrumOnFirstRead:
             got = getattr(first, name)
             assert got.dtype == getattr(want, name).dtype
             assert got.tobytes() == getattr(want, name).tobytes(), name
-        assert first.degeneracy_tol == want.degeneracy_tol
 
 
 class TestCovariance:
@@ -276,22 +270,18 @@ class TestEigenOrbits:
     def test_sign_flip_pair(self):
         b = build_operator(QUBIT, 1.0, [0.5, -0.5])
         perms = spectrum_permutations(b.eigenvalues, [lambda u: u, lambda u: -u])
-        part = eigen_orbit_partition(b, perms)
-        assert part.blocks == ((0, 1),)
-        assert part.single_orbit
+        assert eigen_orbit_partition(b, perms) == ((0, 1),)
 
     def test_trivial_group_singletons(self):
         b = build_operator(np.eye(3, dtype=complex), 1.0, [1.0, 0.0, -1.0])
-        part = eigen_orbit_partition(b, [np.arange(3)])
-        assert part.blocks == ((0,), (1,), (2,))
-        assert not part.single_orbit
+        assert eigen_orbit_partition(b, [np.arange(3)]) == ((0,), (1,), (2,))
 
     def test_flip_fixes_zero(self):
         b = build_operator(np.eye(3, dtype=complex), 1.0, [1.0, 0.0, -1.0])
         perms = spectrum_permutations(b.eigenvalues, [lambda u: -u])
-        part = eigen_orbit_partition(b, perms)
-        assert part.blocks == ((0, 2), (1,))
-        assert part.label_blocks() == ((-1.0, 1.0), (0.0,))
+        blocks = eigen_orbit_partition(b, perms)
+        assert blocks == ((0, 2), (1,))
+        assert [b.eigenvalues[list(x)].tolist() for x in blocks] == [[-1.0, 1.0], [0.0]]
 
     def test_spectrum_not_preserved(self):
         b = build_operator(np.eye(3, dtype=complex), 1.0, [-1.0, 0.0, 2.0])
@@ -301,14 +291,24 @@ class TestEigenOrbits:
             with pytest.raises(SpectrumNotPreservedError, match="onto itself"):
                 eigen_orbit_partition(b, [np.arange(3), row])
 
-    def test_accepts_induced_action(self):
+    def test_induced_value_permutations(self):
+        # parity on Z4: the odd shifts swap the two values, so the two
+        # eigenvalue ids form one orbit under value_action.perm
         g = cyclic_group(4)
         act = cyclic_shift_action(g)
         parity = variable_from_point_labels([0.0, 1.0, 0.0, 1.0])
         induced = induce_group(parity, act)
         b = build_operator(QUBIT, 1.0, list(parity.value_labels))
-        part = eigen_orbit_partition(b, induced)
-        assert part.single_orbit
+        assert eigen_orbit_partition(b, induced.value_action.perm) == ((0, 1),)
+
+    def test_induced_value_permutations_with_fixed_values(self):
+        # cyclic:2 on three points, swapping 1 and 2 and fixing 0: the
+        # identity variable's blocks are {0} and {1, 2}
+        act = GroupAction(group=cyclic_group(2), perm=[[0, 1, 2], [0, 2, 1]])
+        var = variable_from_point_labels([0.0, 1.0, 2.0])
+        induced = induce_group(var, act)
+        b = build_operator(np.eye(3, dtype=complex), 1.0, list(var.value_labels))
+        assert eigen_orbit_partition(b, induced.value_action.perm) == ((0,), (1, 2))
 
 
 class TestModelReduce:
@@ -389,11 +389,18 @@ class TestCoarseGrain:
         with pytest.raises(ValueError, match="orthonormal"):
             coarse_grain([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0], lambda u: u)
 
+    def test_partial_orthonormal_family_refused(self):
+        # two orthonormal vectors in three dimensions do not resolve the
+        # identity, so no operator is built from them
+        basis = np.eye(3, dtype=complex)[:2]
+        with pytest.raises(ValueError, match="misses the identity by 1.000e"):
+            coarse_grain(basis, [1.0, -1.0], lambda u: u)
+
     def test_split_degenerate_block_flips_maximality(self):
         # refining a degenerate operator into distinct labels makes the
         # coarse variable a non-injective function of the fine one
-        fine = variable_from_point_labels([1.0, 0.0, -1.0], sort=False)
-        coarse = variable_from_point_labels([1.0, 0.0, 1.0], sort=False)
+        fine = variable_from_point_labels([1.0, 0.0, -1.0])
+        coarse = variable_from_point_labels([1.0, 0.0, 1.0])
         ok, f = accessibility_leq(coarse, fine)
         assert ok
         assert len(set(f.tolist())) < fine.n_values  # non-injective

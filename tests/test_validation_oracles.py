@@ -88,8 +88,8 @@ two must give the same bytes.
 import hashlib
 import itertools
 import json
-import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,7 +128,9 @@ from symquant.groups import (
     orbits,
     subgroup_generated,
 )
+from symquant import linalg
 from symquant.linalg import (
+    DEGENERACY_TOL,
     as_state_family,
     eig_hermitian,
     expm_antihermitian,
@@ -143,6 +145,7 @@ from symquant.phasespace import (
 from symquant.quantize import (
     NotAnOrbitError,
     NotInSubgroupError,
+    OperatorBundle,
     build_operator,
     coarse_grain,
     conjugation_covariance,
@@ -807,6 +810,23 @@ def state_families(draw, max_states=7, max_dim=5):
 
 
 @st.composite
+def resolving_families(draw, max_states=7, max_dim=5):
+    """(states, weights): n >= d random complex states in one of the three
+    forms with weights in [0.5, 2], whitened by the inverse square root of
+    their frame operator S = sum_k w_k |s_k><s_k|, so that they resolve the
+    identity."""
+    d = draw(st.integers(1, max_dim))
+    n = draw(st.integers(d, max_states))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    weights = rng.uniform(0.5, 2.0, n)
+    vals, V = np.linalg.eigh(projectors_by_einsum(weights, rows))
+    assume(vals[0] > 1e-6 * vals[-1])
+    rows = rows @ ((V / np.sqrt(vals)) @ V.conj().T).T
+    return _present(rows, draw(st.sampled_from(["array", "vectors", "columns"]))), weights
+
+
+@st.composite
 def covariance_cases(draw, max_degree=5):
     """(var, act, rep, bundle): a random labelling of a random permutation
     group's action, its permutation representation conjugated by a random
@@ -866,10 +886,13 @@ def _random_unitary(rng, d) -> np.ndarray:
 
 
 def _quiet_operator(states, weights, labels):
-    """build_operator on a family that need not resolve the identity."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return build_operator(states, weights, labels, require_resolution=False)
+    """The bundle build_operator makes, for a family that need not resolve
+    the identity: its labelled projector sum, symmetrized, and the family."""
+    rows, w = as_state_family(states, weights)
+    lab = np.asarray(labels, dtype=float)
+    A = labelled_sum_by_einsum(rows, w, lab)
+    return OperatorBundle(matrix=(A + A.conj().T) / 2.0, labels=lab,
+                          states=rows, weights=w)
 
 
 def _non_generators(g: FiniteGroup) -> list[int]:
@@ -1353,9 +1376,7 @@ class TestOrbitOracles:
         assume(perms.shape[0] > 0)
         m = perms.shape[1]
         bundle = operator_from_matrix(np.diag(np.arange(m, dtype=float)))
-        part = eigen_orbit_partition(bundle, perms)
-        assert part.blocks == orbits_by_bfs(perms, m)
-        assert part.single_orbit == (len(part.blocks) == 1)
+        assert eigen_orbit_partition(bundle, perms) == orbits_by_bfs(perms, m)
 
     @ORACLE_SETTINGS
     @given(permutation_sets(max_points=8), st.data())
@@ -1453,7 +1474,7 @@ class TestValueMapOracles:
         expected = permissible_by_class_scan(var, act)
         assert is_permissible(var, act) == expected
         if expected[0]:
-            induced = induce_group(var, act).induced_perm
+            induced = induce_group(var, act).value_action.perm
             for k in range(act.group.order):
                 assert np.array_equal(induced[k],
                                       value_map_by_point_loop(var, act, k))
@@ -1827,15 +1848,29 @@ class TestProjectorSumOracles:
             assert_close(got[z], projectors_by_einsum(stack[z], rows))
 
     @ORACLE_SETTINGS
-    @given(state_families(), st.integers(0, 2**32 - 1))
+    @given(resolving_families(), st.integers(0, 2**32 - 1))
     def test_build_operator(self, family, seed):
         states, weights = family
         rows = rows_by_stacking(states)
-        w = np.broadcast_to(weights, (rows.shape[0],))
         labels = np.random.default_rng(seed).normal(size=rows.shape[0])
-        bundle = _quiet_operator(states, weights, labels)
-        A = labelled_sum_by_einsum(rows, w, labels)
+        bundle = build_operator(states, weights, labels)
+        A = labelled_sum_by_einsum(rows, weights, labels)
         assert_close(bundle.matrix, (A + A.conj().T) / 2.0)
+
+    @ORACLE_SETTINGS
+    @given(state_families(), st.integers(0, 2**32 - 1))
+    def test_build_operator_refuses_what_misses_the_identity(self, family, seed):
+        # a random family misses the identity; resolving_families above
+        # gives the families that are accepted
+        states, weights = family
+        rows = rows_by_stacking(states)
+        n, d = rows.shape
+        w = np.broadcast_to(weights, (n,))
+        dev = float(np.max(np.abs(projectors_by_einsum(w, rows) - np.eye(d))))
+        assume(dev > 2e-9 * d)
+        labels = np.random.default_rng(seed).normal(size=n)
+        with pytest.raises(ValueError, match="misses the identity"):
+            build_operator(states, weights, labels)
 
     @ORACLE_SETTINGS
     @given(state_families(), st.integers(0, 2**32 - 1))
@@ -1853,14 +1888,11 @@ class TestProjectorSumOracles:
         scale = max(1.0, float(np.linalg.norm(bundle.matrix)))
         assert abs(report.distance - oracle) <= 1e-12 * scale
 
-    @pytest.mark.filterwarnings("ignore:state family misses the identity")
     @ORACLE_SETTINGS
-    @given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 3),
-           st.integers(0, 2**32 - 1))
-    def test_coarse_grain_projections(self, d, missing, k, seed):
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_coarse_grain_projections(self, n, k, seed):
         rng = np.random.default_rng(seed)
-        n = max(1, d - missing)
-        rows = _random_unitary(rng, d)[:n]
+        rows = _random_unitary(rng, n)
         fine = rng.permutation(n).astype(float)
         got, bundle = coarse_grain(list(rows), fine, lambda u: float(u % k))
         coarse = [float(u % k) for u in fine]
@@ -2021,9 +2053,9 @@ def clusters_by_greedy_loop(w, gap) -> tuple[np.ndarray, np.ndarray]:
             np.array([len(c) for c in clusters], dtype=int))
 
 
-def eig_hermitian_by_loops(A, degeneracy_tol):
+def eig_hermitian_by_loops(A, degeneracy_tol=DEGENERACY_TOL):
     """(eigenvalues, multiplicities, vectors) as eig_hermitian computed them
-    with the two loops above."""
+    with the two loops above, clustering within degeneracy_tol."""
     A = np.asarray(A, dtype=np.complex128)
     w, V = np.linalg.eigh(A)
     gap = degeneracy_tol * max(1.0, float(np.linalg.norm(A)))
@@ -2082,7 +2114,8 @@ class TestEigHermitianOracle:
     @given(planted_spectra())
     def test_same_bytes_as_the_loops(self, case):
         A, tol, planned = case
-        spec = eig_hermitian(A, tol)
+        with mock.patch.object(linalg, "DEGENERACY_TOL", tol):
+            spec = eig_hermitian(A)
         want = eig_hermitian_by_loops(A, tol)
         for name, expected in zip(("eigenvalues", "multiplicities", "vectors"), want):
             got = getattr(spec, name)
@@ -2097,7 +2130,7 @@ class TestEigHermitianOracle:
         # so the choice of each column's largest entry is a near tie
         for bundle in (position_operator(n), momentum_operator(n)):
             spec = bundle.spectrum
-            want = eig_hermitian_by_loops(bundle.matrix, spec.degeneracy_tol)
+            want = eig_hermitian_by_loops(bundle.matrix)
             for got, expected in zip((spec.eigenvalues, spec.multiplicities,
                                       spec.vectors), want):
                 assert got.tobytes() == expected.tobytes()
@@ -2106,7 +2139,8 @@ class TestEigHermitianOracle:
     def test_a_gap_exactly_at_the_threshold_merges(self, exponent):
         tol = 2.0 ** -exponent
         values = tol * np.array([0.0, 1.0, 2.0, 4.0, 4.0, 64.0])
-        spec = eig_hermitian(np.diag(values), tol)
+        with mock.patch.object(linalg, "DEGENERACY_TOL", tol):
+            spec = eig_hermitian(np.diag(values))
+            wider = eig_hermitian(np.diag(values * (1.0 + 2.0 ** -40)))
         assert list(spec.multiplicities) == [3, 2, 1]
-        wider = eig_hermitian(np.diag(values * (1.0 + 2.0 ** -40)), tol)
         assert list(wider.multiplicities) == [1, 1, 1, 2, 1]

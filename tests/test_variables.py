@@ -109,7 +109,7 @@ class TestInducedGroup:
         # defining identity, exhaustively and exactly
         for k in range(g.order):
             for p in range(4):
-                assert ind.induced_perm[k][parity.values[p]] == \
+                assert ind.value_action.perm[k][parity.values[p]] == \
                     parity.values[act.perm[k, p]]
 
     def test_injective_variable_faithful(self, z4):
