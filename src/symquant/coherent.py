@@ -184,6 +184,9 @@ class MonomialRep:
         ph.setflags(write=False)
         object.__setattr__(self, "phase", ph)
         object.__setattr__(self, "law_error", law_error)
+        # every phase exactly 1, as in a permutation rep: conjugation is the
+        # gather alone
+        object.__setattr__(self, "_unit_phases", bool((ph == 1).all()))
 
     @property
     def group(self) -> FiniteGroup:
@@ -219,6 +222,8 @@ class MonomialRep:
         conj(phase[k, x]) * A[perm[k, x], perm[k, y]] * phase[k, y]."""
         p = self.action.perm[ks]
         out = np.asarray(A)[p[:, :, None], p[:, None, :]]
+        if self._unit_phases:
+            return out
         ph = self.phase[ks]
         out = out * ph.conj()[:, :, None]
         out *= ph[:, None, :]

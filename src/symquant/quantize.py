@@ -129,12 +129,12 @@ def build_operator(states, weights, labels, *,
                           source_variable=source_variable)
 
 
-def operator_from_matrix(A, *, source_variable=None) -> OperatorBundle:
+def operator_from_matrix(A) -> OperatorBundle:
     """Bundle an explicitly given Hermitian matrix, its spectrum computed on
     first read; a non-square or non-Hermitian matrix is refused here."""
     A = as_cmatrix(A)
     _require_hermitian(A)
-    return OperatorBundle(matrix=A, source_variable=source_variable)
+    return OperatorBundle(matrix=A)
 
 
 # ---------------------------------------------------------------------------

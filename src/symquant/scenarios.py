@@ -364,15 +364,21 @@ def _spin_checks(params) -> list[Check]:
         try:
             cov = conjugation_covariance(bundle, U, np.arange(d - 1, -1, -1))
         except NotUnitaryError:
+            # no covariance was measured, so no tolerance override may pass
+            # the check: it fails as an exact check
             err = float(np.linalg.norm(U.conj().T @ U - np.eye(d)))
-            details = f"the half turn is not unitary: ||U^dag U - I||_F = {err:.3e}"
+            checks.append(exact_check(
+                "covariance_half_turn_reverses_labels", False,
+                f"the half turn is not unitary: ||U^dag U - I||_F = {err:.3e}",
+            ))
         else:
-            err = cov.distance / max(1.0, float(np.linalg.norm(bundle.matrix)))
-            details = ("half turn about a perpendicular axis negates the "
-                       "component, relative to the norm of the component")
-        checks.append(make_check(
-            "covariance_half_turn_reverses_labels", err, 1e-9, details,
-        ))
+            checks.append(make_check(
+                "covariance_half_turn_reverses_labels",
+                cov.distance / max(1.0, float(np.linalg.norm(bundle.matrix))),
+                1e-9,
+                "half turn about a perpendicular axis negates the component, "
+                "relative to the norm of the component",
+            ))
 
     flip_perms = spectrum_permutations(
         bundle.eigenvalues, [lambda u: u, lambda u: -u]

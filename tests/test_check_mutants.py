@@ -334,17 +334,28 @@ def test_basis_not_orthonormal_is_a_failed_check(monkeypatch, capsys):
 
 def test_eigenvector_lost_is_a_failed_half_turn(monkeypatch, capsys):
     # at spin 1/2 the half turn read off a spectrum one eigenvector short is
-    # not unitary: the report is written, with the half-turn check failed
-    # by ||U^dag U - I||_F, and exit 1
+    # not unitary: the report is written, with the half-turn check failed as
+    # an exact check that names ||U^dag U - I||_F, and exit 1
     monkeypatch.setattr(quantize, "eig_hermitian",
                         _eigenvector_lost(quantize.eig_hermitian))
     assert main(["spin", "--j", "0.5"]) == 1
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     half_turn = checks["covariance_half_turn_reverses_labels"]
     assert not half_turn["passed"]
-    assert abs(half_turn["max_error"] - 1.0) <= 1e-12
-    assert half_turn["details"].startswith("the half turn is not unitary")
+    assert (half_turn["max_error"], half_turn["tolerance"]) == (1.0, 0.0)
+    assert half_turn["details"] == (
+        "the half turn is not unitary: ||U^dag U - I||_F = 1.000e+00")
     assert not checks["eigenbasis_resolves_identity"]["passed"]
+    # no override passes it: the blanket one leaves exact checks alone, and
+    # one that names it is refused, since the check has no tolerance here
+    config = {"scenario": "spin", "params": {"j": 0.5}}
+    report = scenarios.run_scenario({**config, "tolerances": {"*": 1e6}})
+    (half_turn,) = [c for c in report.checks
+                    if c.name == "covariance_half_turn_reverses_labels"]
+    assert not half_turn.passed
+    with pytest.raises(scenarios.ConfigParseError, match="no toleranced check"):
+        scenarios.run_scenario({**config, "tolerances": {
+            "covariance_half_turn_reverses_labels": 1e6}})
 
 
 def _verdict(config, check):

@@ -48,7 +48,6 @@ DEFAULT_ONLY = {
     "coherent.is_irreducible.tol": "the benchmark's blanket tolerance",
     "coherent.commutant_dimension.tol": "is_irreducible's tol, passed on",
     "quantize.build_operator.source_variable": "the benchmark's dihedral rung",
-    "quantize.operator_from_matrix.source_variable": "kept beside build_operator's",
     # the CLI's blanket override, symquant verify --tolerance
     "scenarios.run_all.tolerances": "verify --tolerance",
 }
