@@ -10,14 +10,16 @@ from symquant import (
     accessibility_leq,
     induce_group,
     is_permissible,
+    left_translation_action,
     make_named_group,
     maximal_permissible_subgroup,
     variable_from_point_labels,
 )
-from symquant.groups import cyclic_shift_action
 
 g = make_named_group("cyclic:4")
-act = cyclic_shift_action(g)
+# cyclic:4 acting on its own four elements by left translation: element k
+# shifts point x to (k + x) mod 4
+act = left_translation_action(g)
 
 print("space: four points shifted cyclically by the group\n")
 

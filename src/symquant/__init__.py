@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     GroupAction,
     check_homomorphism,
-    cyclic_shift_action,
     dihedral_vertex_action,
     is_transitive,
     left_translation_action,

@@ -7,7 +7,11 @@ Subcommands:
     phase --n N               run the lattice phase-space scenario
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on invalid
-input. Reports are JSON on stdout or --out.
+input: a bad flag or config, a config file that cannot be read as UTF-8
+JSON, or an --out path that cannot be written. Every such error in main's
+call raises ConfigParseError (or UnknownScenarioError), and main alone
+prints it as "error: ..." and returns 2. Reports are JSON on stdout or
+--out.
 """
 
 from __future__ import annotations
@@ -69,54 +73,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _emit(report_or_list, out_path: str | None) -> int:
     text = dumps(report_or_list)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigParseError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
     reports = report_or_list if isinstance(report_or_list, list) else [report_or_list]
     return 0 if all(r.all_passed for r in reports) else 1
 
 
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigParseError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigParseError("configuration must be a JSON object")
+    return config
+
+
 def _verify(args) -> int:
+    """The config file (or {}), then --scenario, then the --tolerance
+    merge, then run_scenario; with neither file nor scenario, run_all."""
     tolerances = {"*": args.tolerance} if args.tolerance is not None else None
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(config, dict):
-            print("error: configuration must be a JSON object", file=sys.stderr)
-            return 2
-        if args.scenario and config.get("scenario") not in (None, args.scenario):
-            print("error: --scenario disagrees with the config file",
-                  file=sys.stderr)
-            return 2
-        if args.scenario:
-            config["scenario"] = args.scenario
-        if tolerances:
-            merged = dict(config.get("tolerances") or {})
-            merged.update(tolerances)
-            config["tolerances"] = merged
-        return _emit(run_scenario(config), args.out)
+    if not (args.config or args.scenario):
+        return _emit(run_all(tolerances=tolerances), args.out)
+    config = _read_config(args.config) if args.config else {}
     if args.scenario:
-        config = {"scenario": args.scenario}
-        if tolerances:
-            config["tolerances"] = tolerances
-        return _emit(run_scenario(config), args.out)
-    return _emit(run_all(tolerances=tolerances), args.out)
+        if config.get("scenario") not in (None, args.scenario):
+            raise ConfigParseError("--scenario disagrees with the config file")
+        config["scenario"] = args.scenario
+    given = config.get("tolerances") or {}
+    # tolerances that are not an object are left for run_scenario to refuse
+    if tolerances and isinstance(given, dict):
+        config["tolerances"] = {**given, **tolerances}
+    return _emit(run_scenario(config), args.out)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "list":
             for name in BUILTIN_SCENARIOS:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, element_blocks, generator_law,
-                     is_transitive)
+                     is_transitive, left_translation_action)
 from .linalg import (as_cmatrix, as_cvector, as_state_family, is_unitary,
                      max_abs, projector_sum)
 
@@ -250,8 +250,6 @@ def left_regular_rep(g: FiniteGroup) -> MonomialRep:
     On basis vectors this sends e_y to e_{k.y}, giving exact 0/1
     permutation matrices of dimension equal to the group order.
     """
-    from .groups import left_translation_action
-
     return permutation_rep(left_translation_action(g))
 
 

@@ -256,12 +256,6 @@ class FiniteGroup:
         """The recorded generators, or every element when none are recorded."""
         return self.generators or tuple(range(self.order))
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverses[a])
-
     @property
     def is_abelian(self) -> bool:
         """True iff the generators commute pairwise, which holds iff every
@@ -627,16 +621,9 @@ def left_translation_action(g: FiniteGroup) -> GroupAction:
     """The group acting on itself by left multiplication (always transitive).
 
     The action's maps are the rows of the Cayley table, and perm is the
-    table itself, shared read-only rather than copied."""
+    table itself, shared read-only rather than copied. For cyclic:n, whose
+    table is cayley[k, x] == (k + x) % n, it is the shift of n points by k."""
     return GroupAction(group=g, perm=g.cayley)
-
-
-def cyclic_shift_action(g: FiniteGroup) -> GroupAction:
-    """A cyclic group shifting {0..n-1} by +k. Requires the cyclic ordering."""
-    n = g.order
-    shifts = np.arange(n)
-    perm = (shifts[:, None] + shifts[None, :]) % n
-    return GroupAction(group=g, perm=perm)
 
 
 def dihedral_vertex_action(g: FiniteGroup) -> GroupAction:

@@ -59,11 +59,17 @@ def as_cvector(a) -> np.ndarray:
 
 def as_state_family(states, weights) -> tuple[np.ndarray, np.ndarray]:
     """States as the rows of a complex128 array (a list of 1-d vectors is
-    stacked) and real weights broadcast to one per state."""
+    stacked) and real weights broadcast to one per state; a non-finite
+    entry of either raises ValueError."""
     st = np.asarray(states, dtype=np.complex128)
     if st.ndim != 2:
         st = np.stack([as_cvector(s) for s in states])
-    return st, np.broadcast_to(np.asarray(weights, dtype=float), (len(st),)).copy()
+    elif not np.all(np.isfinite(st)):
+        raise ValueError("state entries must be finite")
+    w = np.broadcast_to(np.asarray(weights, dtype=float), (len(st),)).copy()
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    return st, w
 
 
 def projector_sum(states: np.ndarray, weights) -> np.ndarray:
@@ -111,10 +117,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
     @property
     def n_clusters(self) -> int:

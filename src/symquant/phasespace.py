@@ -2,8 +2,10 @@
 cyclic:n, the Fourier (momentum) basis, mutual unbiasedness, and
 position/momentum operators.
 
-The shift and clock are held in one form only, the monomial one: a
-permutation and n phases per element (coherent.MonomialRep), O(n^2) in
+The shift is the left-regular representation of cyclic:n, whose Cayley
+table is cayley[k, x] == (k + x) % n: the group translating its own n
+points. The shift and clock are held in one form only, the monomial one:
+a permutation and n phases per element (coherent.MonomialRep), O(n^2) in
 all, so lattices up to MAX_PHASE_N = 1024 points are reachable. A dense
 matrix of one element is rep.matrix(k).
 
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coherent import MonomialRep, permutation_rep
-from .groups import FiniteGroup, GroupAction, cyclic_shift_action
+from .coherent import MonomialRep, left_regular_rep
+from .groups import FiniteGroup, GroupAction
 from .quantize import OperatorBundle, build_operator, operator_from_matrix
 
 
@@ -53,9 +55,10 @@ def fourier_matrix(n: int) -> np.ndarray:
 
 def shift_rep(g: FiniteGroup) -> MonomialRep:
     """k -> shift by k, |x> -> |x + k mod n>, a faithful unitary
-    representation of g = cyclic:n: the permutation rep of the shifts."""
+    representation of g = cyclic:n: its left-regular rep, whose maps are
+    the rows of g's Cayley table."""
     _check_size(g.order)
-    return permutation_rep(cyclic_shift_action(g))
+    return left_regular_rep(g)
 
 
 def clock_rep(g: FiniteGroup) -> MonomialRep:

@@ -12,10 +12,11 @@ by linalg.projector_sum.
 
 Covariance has one kernel: covariance_check runs it on a set of group
 elements (one value-map read, one stacked conjugation by the rep's
-conjugated method, the worst distance against 1e-9 * max(1, ||A||_F), the
-rep not tested again since its constructor proved it unitary),
-conjugation_covariance on one unitary. A rep of either form serves:
-conjugation by a monomial rep is a gather of the operator's entries.
+conjugated method, the rep not tested again since its constructor proved
+it unitary), conjugation_covariance on one unitary. Both report the worst
+distance only, and the report check that reads it states the tolerance.
+A rep of either form serves: conjugation by a monomial rep is a gather of
+the operator's entries.
 
 Orbits of a spectrum come back as plain blocks of eigenvalue ids
 (eigen_orbit_partition), as coarse graining returns its blocks of basis
@@ -100,10 +101,6 @@ class OperatorBundle:
         return eig_hermitian(self.matrix)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum.eigenvalues
 
@@ -112,15 +109,18 @@ def build_operator(states, weights, labels, *,
                    source_variable=None) -> OperatorBundle:
     """The operator sum_i labels[i] * w_i |s_i><s_i|, its spectrum computed
     on first read. A family that does not resolve the identity within
-    1e-9 * dim is refused."""
+    1e-9 * dim, or a non-finite state, weight or label, is refused."""
     st, w = as_state_family(states, weights)
     n, d = st.shape
     lab = np.asarray(labels, dtype=float)
     if lab.shape != (n,):
         raise DimensionMismatchError(f"{n} states but {lab.shape} labels")
+    if not np.all(np.isfinite(lab)):
+        raise ValueError("labels must be finite")
 
     dev = resolution_deviation(st, w)
-    if dev > 1e-9 * d:
+    # "not within", so that a NaN deviation is refused
+    if not dev <= 1e-9 * d:
         raise ValueError(f"state family misses the identity by {dev:.3e}")
 
     A = projector_sum(st, lab * w)
@@ -143,20 +143,17 @@ def operator_from_matrix(A) -> OperatorBundle:
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    distance: float
-    tolerance: float
+    """The worst Frobenius distance between conjugated and relabelled
+    operators; a report check holds it to its own tolerance."""
 
-    @property
-    def passed(self) -> bool:
-        return self.distance <= self.tolerance
+    distance: float
 
 
 def _covariance(bundle: OperatorBundle, lhs: np.ndarray,
                 perms: np.ndarray) -> CovarianceReport:
     """The worst Frobenius distance between a stack of conjugates
     V^dag A V and the operator relabelled by the matching value
-    permutations perm; tolerance 1e-9 * max(1, ||A||_F)."""
-    A = bundle.matrix
+    permutations perm."""
     if bundle.states is not None:
         if perms.shape[1:] != bundle.labels.shape:
             raise DimensionMismatchError(
@@ -169,9 +166,8 @@ def _covariance(bundle: OperatorBundle, lhs: np.ndarray,
                 "value permutation must act on the eigenvalue clusters"
             )
         rhs = bundle.spectrum.reconstruct(bundle.eigenvalues[perms])
-    dist = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
-    tol = 1e-9 * max(1.0, float(np.linalg.norm(A)))
-    return CovarianceReport(distance=dist, tolerance=tol)
+    return CovarianceReport(
+        distance=float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1)))))
 
 
 def conjugation_covariance(bundle: OperatorBundle, unitary,

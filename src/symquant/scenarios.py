@@ -38,7 +38,6 @@ from .coherent import (
 from .groups import (
     check_homomorphism,
     cyclic_group,
-    cyclic_shift_action,
     dihedral_vertex_action,
     left_translation_action,
     make_named_group,
@@ -96,7 +95,7 @@ class UnknownScenarioError(ValueError):
 
 def _pedagogy_z4_checks(params) -> list[Check]:
     g = cyclic_group(4)
-    act = cyclic_shift_action(g)
+    act = left_translation_action(g)
     parity = variable_from_point_labels([0.0, 1.0, 0.0, 1.0])
     indicator = variable_from_point_labels([1.0, 1.0, 0.0, 0.0])
     checks = []

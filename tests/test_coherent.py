@@ -64,7 +64,7 @@ class TestLeftRegular:
         for k in range(3):
             for x in range(3):
                 for y in range(3):
-                    expect = 1.0 if g.mul(g.inv(k), x) == y else 0.0
+                    expect = 1.0 if g.cayley[g.inverses[k], x] == y else 0.0
                     assert rep.matrix(k)[x, y] == expect
 
     def test_regular_rep_of_abelian_group_reducible(self):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from symquant.linalg import (
     NotHermitianError,
     NotSquareError,
+    as_state_family,
     eig_hermitian,
     expm_antihermitian,
     is_unitary,
@@ -87,7 +88,7 @@ class TestEigHermitian:
         rng = np.random.default_rng(41 + d)
         A = random_hermitian(rng, d)
         spec = eig_hermitian(A)
-        assert spec.dim == d
+        assert spec.vectors.shape == (d, d)
         self._check_projection_laws(A, spec)
 
     @pytest.mark.parametrize("mults", [(2, 1), (1, 3, 2), (4, 1, 1, 2)])
@@ -175,6 +176,21 @@ class TestExpm:
         assert np.linalg.norm(
             expm_antihermitian(H, t) - scipy.linalg.expm(-1j * t * H)
         ) <= 1e-9
+
+
+class TestStateFamily:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_states_refused(self, bad):
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            as_state_family([[bad, 0.0], [0.0, 1.0]], 1.0)
+        # the stacking path, for states that are not one 2-d array
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            as_state_family([[[bad], [0.0]], [[0.0], [1.0]]], 1.0)
+
+    @pytest.mark.parametrize("weights", [np.nan, [1.0, np.inf]])
+    def test_non_finite_weights_refused(self, weights):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            as_state_family(np.eye(2), weights)
 
 
 class TestPredicates:

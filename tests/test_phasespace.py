@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from symquant.cli import main
-from symquant.coherent import MonomialRep, UnitaryRep
+from symquant.coherent import MonomialRep, UnitaryRep, left_regular_rep
 from symquant.groups import cyclic_group
 from symquant.phasespace import (
     MAX_PHASE_N,
@@ -55,6 +55,23 @@ class TestFourier:
         for rep in (shift_rep, clock_rep):
             with pytest.raises(BadSizeError, match="largest supported size 1024"):
                 rep(g)
+
+
+class TestShiftIsLeftRegular:
+    def test_cyclic_table_is_the_shift(self):
+        # the shift is cyclic:n acting on itself: its table is (k + x) mod n,
+        # and shift_rep is the left-regular rep, sharing the table as maps
+        for n in list(range(1, 65)) + [1024]:
+            g = cyclic_group(n)
+            k = np.arange(n)
+            assert g.cayley.dtype == np.int16
+            assert np.array_equal(g.cayley, (k[:, None] + k) % n), n
+            if n < 2:
+                continue
+            shift, regular = shift_rep(g), left_regular_rep(g)
+            assert shift.action.perm is g.cayley
+            assert np.array_equal(shift.action.perm, regular.action.perm), n
+            assert np.array_equal(shift.phase, regular.phase), n
 
 
 class TestShiftAndClock:

@@ -1,18 +1,20 @@
-"""Every public function reaches a report, and every option is used by
-one, or is named here with a reason.
+"""Every public function, method and property reaches a report, and every
+option is used by one, or is named here with a reason.
 
 run_all() and the CLI's largest spin and phase reports run under
 sys.setprofile, which records the code of every Python function called
-and the arguments it was called with. Each public module-level function
-of symquant must be among them or in NOT_REACHED, and each parameter with
-a default must receive another value in one of those calls or be in
-DEFAULT_ONLY. Every listed name must really be missed: a function that no
-report calls, or an option that every call leaves at its default, is dead
-surface (an option with one value in use is a constant), and a stale
-entry hides one that has become used.
+and the arguments it was called with, property getters included. Each
+public module-level function of symquant, and each public method and
+property of a public class, must be among them or in NOT_REACHED, and
+each parameter with a default must receive another value in one of those
+calls or be in DEFAULT_ONLY. Every listed name must really be missed: a
+function that no report calls, or an option that every call leaves at its
+default, is dead surface (an option with one value in use is a constant),
+and a stale entry hides one that has become used.
 """
 
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -36,10 +38,17 @@ NOT_REACHED = {
     "groups.natural_permutation_action": "symmetric:n on its points, for the oracles",
     # report normalization, for tests, CI and the benchmark
     "reporting.strip_timing": "removes volatile fields before comparing reports",
-    # benchmark-only: the group ladder's large monomial rep
-    "coherent.left_regular_rep": "the group ladder's representation",
     # oracle route: a second way to the value maps the checks compute
     "variables.element_value_map": "one element's value map, the oracles' route",
+    # one interface serves both representation forms; the reports use each
+    # member on one form only
+    "coherent.UnitaryRep.conjugated": "one interface serves both forms",
+    "coherent.UnitaryRep.matrix": "one interface serves both forms",
+    "coherent.MonomialRep.characters": "one interface serves both forms",
+    "coherent.MonomialRep.matrix": "one interface serves both forms",
+    "coherent.MonomialRep.orbit": "one interface serves both forms",
+    # shown by demos/01_groups_and_orbits.py
+    "groups.FiniteGroup.is_abelian": "demo 01 shows it",
 }
 
 
@@ -53,13 +62,30 @@ DEFAULT_ONLY = {
 }
 
 
+def _member_function(obj):
+    """The function behind a method, property or cached property, or None."""
+    if isinstance(obj, property):
+        return obj.fget
+    if isinstance(obj, functools.cached_property):
+        return obj.func
+    return obj if inspect.isfunction(obj) else None
+
+
 def _public_functions():
+    """(name, function) for every public module-level function of symquant
+    and every public method and property of its public classes."""
     for info in pkgutil.iter_modules(symquant.__path__):
         module = importlib.import_module(f"symquant.{info.name}")
         for name, obj in vars(module).items():
-            if (inspect.isfunction(obj) and obj.__module__ == module.__name__
-                    and not name.startswith("_")):
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
                 yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = _member_function(member)
+                    if fn is not None and not attr.startswith("_"):
+                        yield f"{info.name}.{name}.{attr}", fn
 
 
 def _defaults(fn) -> dict:
@@ -123,14 +149,17 @@ DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
            "counting_measure", "MassCountMismatchError", "StatisticalModel",
            "Povm", "build_povm", "DensityOp", "build_density",
            "RowMismatchError", "NegativeWeightError", "function_operator",
-           "commutator_norm", "CoarseGraining", "EigenOrbitPartition")
+           "commutator_norm", "CoarseGraining", "EigenOrbitPartition",
+           "cyclic_shift_action")
 
 # stored copies and derived values: read them off the one field that holds
-# them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL)
+# them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL), or, for a
+# covariance tolerance, state it in the check that reads the distance
 DELETED_FIELDS = {
     "variables.InducedAction": ("induced_perm",),
     "coherent.FrameOperator": ("normalized_weights",),
     "linalg.SpectralData": ("degeneracy_tol",),
+    "quantize.CovarianceReport": ("tolerance",),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from symquant.groups import (
     BadElementError,
     cyclic_group,
-    cyclic_shift_action,
+    left_translation_action,
     subgroup_generated,
 )
 from symquant.variables import (
@@ -30,7 +30,7 @@ from symquant.variables import (
 @pytest.fixture
 def z4():
     g = cyclic_group(4)
-    return g, cyclic_shift_action(g)
+    return g, left_translation_action(g)
 
 
 @pytest.fixture
@@ -139,7 +139,7 @@ class TestInducedGroup:
         for k1 in range(g.order):
             for k2 in range(g.order):
                 same_perm = ind.k_to_image[k1] == ind.k_to_image[k2]
-                coset = g.mul(g.inv(k1), k2) in ind.kernel
+                coset = g.cayley[g.inverses[k1], k2] in ind.kernel
                 assert same_perm == coset
 
 
