@@ -114,7 +114,7 @@ def _verify(args) -> int:
         if config.get("scenario") not in (None, args.scenario):
             raise ConfigParseError("--scenario disagrees with the config file")
         config["scenario"] = args.scenario
-    given = config.get("tolerances") or {}
+    given = config.get("tolerances", {})
     # tolerances that are not an object are left for run_scenario to refuse
     if tolerances and isinstance(given, dict):
         config["tolerances"] = {**given, **tolerances}

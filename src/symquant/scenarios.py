@@ -1,26 +1,29 @@
 """Built-in end-to-end scenarios and the verification driver.
 
-Each scenario assembles the library's machinery on a small concrete setup,
-runs a fixed list of named checks, and returns a deterministic
-VerificationReport. Every verdict is proved on finite objects; nothing
-draws random numbers. The optional "seed" is validated and echoed, but
-feeds nothing.
+Each scenario is a setup, which validates the params and builds the
+objects its checks share, and a table that declares each check once as a
+CheckSpec. run_scenario alone runs the declared checks in order, applies
+the tolerance overrides and turns a declared exception into a failed
+exact check. Every verdict is proved on finite objects; nothing draws
+random numbers. The optional "seed" is validated and echoed, but feeds
+nothing.
 
 Configuration document (one UTF-8 JSON object):
     {"scenario": str, "params": object?, "tolerances": object?, "seed": int?}
 Tolerance overrides are finite, non-negative numbers keyed by the name of
-a check that has a tolerance; the key "*" overrides every such check. A
-key that names no toleranced check of the scenario is refused. The
-runners state each check once, with its default tolerance; run_scenario
-alone applies the overrides, after the runner returns.
+a check that the scenario declares with a tolerance for the given params;
+the key "*" overrides every such check. parse_config refuses any other
+key, before the scenario's setup runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
-from dataclasses import replace
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -89,192 +92,182 @@ class UnknownScenarioError(ValueError):
     pass
 
 
+class CheckSpec(NamedTuple):
+    """One declared check. run(shared) returns (error, details), or, for an
+    exact check (tolerance 0), (verdict, details). The report holds the
+    check when when(params) is true. An exception of the types in
+    fails_on[0] fails it as an exact check, with details
+    fails_on[1](shared, exc)."""
+
+    name: str
+    tolerance: float
+    run: Callable
+    when: Callable = lambda params: True
+    fails_on: tuple = ((), None)
+
+
 # ---------------------------------------------------------------------------
 # pedagogy: shift action on four points
 
 
-def _pedagogy_z4_checks(params) -> list[Check]:
+def _z4_setup(params) -> SimpleNamespace:
     g = cyclic_group(4)
     act = left_translation_action(g)
     parity = variable_from_point_labels([0.0, 1.0, 0.0, 1.0])
     indicator = variable_from_point_labels([1.0, 1.0, 0.0, 0.0])
-    checks = []
+    ident = variable_from_point_labels([0.0, 1.0, 2.0, 3.0])
+    return SimpleNamespace(
+        g=g, act=act, parity=parity, indicator=indicator, ident=ident,
+        induced=induce_group(parity, act), H=maximal_permissible_subgroup(indicator, act),
+        parity_of_ident=accessibility_leq(parity, ident))
 
-    ok, _ = is_permissible(parity, act)
-    checks.append(exact_check(
-        "parity_variable_permissible", ok,
-        "equal parities stay equal under every shift (exhaustive)",
-    ))
 
-    ok2, witness = is_permissible(indicator, act)
-    checks.append(exact_check(
-        "indicator_variable_not_permissible", (not ok2) and witness == (1, 0, 1),
-        f"witness (element, point, point) = {witness}",
-    ))
+def _indicator_not_permissible(s):
+    ok, witness = is_permissible(s.indicator, s.act)
+    return (not ok) and witness == (1, 0, 1), \
+        f"witness (element, point, point) = {witness}"
 
-    induced = induce_group(parity, act)
-    hom_ok, _ = check_homomorphism(induced.k_to_image, g, induced.image_group)
-    checks.append(exact_check(
-        "induced_map_homomorphism_all_pairs", hom_ok,
-        "f(s*k) = f(s)f(k) for the generator and all 4 elements, which "
-        "implies all 16 ordered pairs",
-    ))
-    checks.append(exact_check(
-        "induced_kernel_two_element_subgroup", induced.kernel == (0, 2),
-        f"kernel = {list(induced.kernel)}",
-    ))
-    c2 = cyclic_group(2)
-    image_matches = (
-        induced.image_group.order == 2
-        and np.array_equal(induced.image_group.cayley, c2.cayley)
-    )
-    checks.append(exact_check(
-        "induced_image_is_two_element_cyclic", image_matches,
-        "image Cayley table equals the order-2 cyclic table",
-    ))
-    n_distinct = len({tuple(r) for r in induced.value_action.perm})
-    checks.append(exact_check(
-        "quotient_by_kernel_injective",
-        n_distinct == g.order // len(induced.kernel),
-        f"{n_distinct} distinct value permutations for 4 elements, kernel 2",
-    ))
 
-    H = maximal_permissible_subgroup(indicator, act)
-    checks.append(exact_check(
-        "indicator_maximal_subgroup", H == (0, 2), f"H = {list(H)}",
-    ))
+def _quotient_injective(s):
+    n_distinct = len({tuple(r) for r in s.induced.value_action.perm})
+    return (n_distinct == s.g.order // len(s.induced.kernel),
+            f"{n_distinct} distinct value permutations for 4 elements, kernel 2")
 
-    brute_ok = all(
-        is_permissible_under(indicator, act, S) == (set(S) <= set(H))
+
+def _maximality_brute_force(s):
+    ok = all(
+        is_permissible_under(s.indicator, s.act, S) == (set(S) <= set(s.H))
         for S in [(0,), (0, 2), (0, 1, 2, 3)]
     ) and not any(
-        is_permissible_under(indicator, act, subgroup_generated(g, H + (h,)))
-        for h in range(g.order) if h not in H
+        is_permissible_under(s.indicator, s.act, subgroup_generated(s.g, s.H + (h,)))
+        for h in range(s.g.order) if h not in s.H
     )
-    checks.append(exact_check(
-        "subgroup_maximality_brute_force", brute_ok,
-        "restricted verdicts match on every subgroup; adjoining any outside "
-        "element breaks the variable",
-    ))
+    return ok, ("restricted verdicts match on every subgroup; adjoining any "
+                "outside element breaks the variable")
 
-    basis = np.eye(2, dtype=np.complex128)
-    bundle = build_operator(basis, 1.0, list(parity.value_labels))
-    value_rep = permutation_rep(induced.value_action)
-    Hp = maximal_permissible_subgroup(parity, act)
-    cov = covariance_check(bundle, value_rep, Hp, parity, act)
-    checks.append(make_check(
-        "covariance_all_subgroup_elements", cov.distance, 1e-9,
-        f"conjugation matches relabelling for all {len(Hp)} elements",
-    ))
 
-    ident = variable_from_point_labels([0.0, 1.0, 2.0, 3.0])
-    const = variable_from_point_labels([7.0, 7.0, 7.0, 7.0])
-    leq1, f1 = accessibility_leq(parity, ident)
-    leq2, _ = accessibility_leq(ident, const)
-    leq3, f3 = accessibility_leq(parity, parity)
-    order_ok = (
-        leq1 and list(f1) == [0, 1, 0, 1]
-        and not leq2
-        and leq3 and list(f3) == [0, 1]
-    )
-    checks.append(exact_check(
-        "coarser_finer_partial_order", order_ok,
-        "parity factors through the identity; identity does not factor "
-        "through a constant; reflexivity holds",
-    ))
+def _z4_covariance(s):
+    bundle = build_operator(np.eye(2, dtype=np.complex128), 1.0,
+                            list(s.parity.value_labels))
+    value_rep = permutation_rep(s.induced.value_action)
+    Hp = maximal_permissible_subgroup(s.parity, s.act)
+    cov = covariance_check(bundle, value_rep, Hp, s.parity, s.act)
+    return cov.distance, f"conjugation matches relabelling for all {len(Hp)} elements"
 
+
+def _partial_order(s):
+    leq1, f1 = s.parity_of_ident
+    leq2, _ = accessibility_leq(s.ident, variable_from_point_labels([7.0] * 4))
+    leq3, f3 = accessibility_leq(s.parity, s.parity)
+    ok = (leq1 and list(f1) == [0, 1, 0, 1]
+          and not leq2
+          and leq3 and list(f3) == [0, 1])
+    return ok, ("parity factors through the identity; identity does not factor "
+                "through a constant; reflexivity holds")
+
+
+def _coarse_grain_not_maximal(s):
     # parity as an accessible function of the identity variable, read off
     # the factor table f1: relabelling the finer basis through it merges
     # eigenvalues, so the coarse operator is not maximal
-    ok, details = False, "parity does not factor through the identity"
-    if leq1:
-        to_parity = dict(zip(ident.value_labels,
-                             (parity.value_labels[i] for i in f1)))
-        basis4 = np.eye(4, dtype=np.complex128)
-        blocks, coarse = coarse_grain(basis4, ident.value_labels,
-                                      to_parity.__getitem__)
-        _, fine = coarse_grain(basis4, ident.value_labels, lambda u: u)
-        ok = (blocks == ((0, 2), (1, 3))
-              and not maximality_check(coarse) and maximality_check(fine))
-        details = (f"blocks = {[list(b) for b in blocks]}; the coarse "
-                   "operator is degenerate, the identity relabelling is not")
-    checks.append(exact_check("parity_coarse_grain_not_maximal", ok, details))
-    return checks
+    leq1, f1 = s.parity_of_ident
+    if not leq1:
+        return False, "parity does not factor through the identity"
+    labels = s.ident.value_labels
+    to_parity = dict(zip(labels, (s.parity.value_labels[i] for i in f1)))
+    basis4 = np.eye(4, dtype=np.complex128)
+    blocks, coarse = coarse_grain(basis4, labels, to_parity.__getitem__)
+    _, fine = coarse_grain(basis4, labels, lambda u: u)
+    ok = (blocks == ((0, 2), (1, 3))
+          and not maximality_check(coarse) and maximality_check(fine))
+    return ok, (f"blocks = {[list(b) for b in blocks]}; the coarse operator "
+                "is degenerate, the identity relabelling is not")
+
+
+_Z4_CHECKS = (
+    CheckSpec("parity_variable_permissible", 0, lambda s: (
+        is_permissible(s.parity, s.act)[0],
+        "equal parities stay equal under every shift (exhaustive)")),
+    CheckSpec("indicator_variable_not_permissible", 0, _indicator_not_permissible),
+    CheckSpec("induced_map_homomorphism_all_pairs", 0, lambda s: (
+        check_homomorphism(s.induced.k_to_image, s.g, s.induced.image_group)[0],
+        "f(s*k) = f(s)f(k) for the generator and all 4 elements, which "
+        "implies all 16 ordered pairs")),
+    CheckSpec("induced_kernel_two_element_subgroup", 0, lambda s: (
+        s.induced.kernel == (0, 2), f"kernel = {list(s.induced.kernel)}")),
+    CheckSpec("induced_image_is_two_element_cyclic", 0, lambda s: (
+        s.induced.image_group.order == 2
+        and np.array_equal(s.induced.image_group.cayley, cyclic_group(2).cayley),
+        "image Cayley table equals the order-2 cyclic table")),
+    CheckSpec("quotient_by_kernel_injective", 0, _quotient_injective),
+    CheckSpec("indicator_maximal_subgroup", 0, lambda s: (
+        s.H == (0, 2), f"H = {list(s.H)}")),
+    CheckSpec("subgroup_maximality_brute_force", 0, _maximality_brute_force),
+    CheckSpec("covariance_all_subgroup_elements", 1e-9, _z4_covariance),
+    CheckSpec("coarser_finer_partial_order", 0, _partial_order),
+    CheckSpec("parity_coarse_grain_not_maximal", 0, _coarse_grain_not_maximal),
+)
 
 
 # ---------------------------------------------------------------------------
 # coherent-state scenarios
 
 
-def _coherent_d4_checks(params) -> list[Check]:
+def _d4_setup(params) -> SimpleNamespace:
     g = make_named_group("dihedral:4")
     act = dihedral_vertex_action(g)
-    rep = dihedral_rotation_rep(g)
-    cs = make_coherent(rep, act, 0, (1.0, 0.0))
-    frame = frame_operator(cs)
-    checks = []
+    cs = make_coherent(dihedral_rotation_rep(g), act, 0, (1.0, 0.0))
+    return SimpleNamespace(cs=cs, frame=frame_operator(cs))
 
-    checks.append(exact_check(
-        "rotation_rep_irreducible", cs.commutant_dim == 1,
-        f"commutant dimension = {cs.commutant_dim}",
-    ))
 
-    err = float(np.linalg.norm(frame.T - 4.0 * np.eye(2)))
-    checks.append(make_check(
-        "frame_operator_four_times_identity", err, 1e-10,
-        f"scalar = {frame.lam:.6g} over 8 orbit states",
-    ))
+def _bt24_setup(params) -> SimpleNamespace:
+    g = make_named_group("binary_tetrahedral")
+    rep = binary_tetrahedral_spin_rep(g)
+    cs = make_coherent(rep, left_translation_action(g), g.identity, (1.0, 0.0))
+    return SimpleNamespace(g=g, cs=cs, frame=frame_operator(cs))
 
-    w = 1.0 / frame.lam
 
+def _irreducible(s):
+    return s.cs.commutant_dim == 1, f"commutant dimension = {s.cs.commutant_dim}"
+
+
+def _frame_is(scalar):
+    """The run of the check that the frame operator is scalar * I."""
+    return lambda s: (float(np.linalg.norm(s.frame.T - scalar * np.eye(2))),
+                      f"scalar = {s.frame.lam:.6g} over {len(s.cs.states)} orbit states")
+
+
+def _transport(s):
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     phase = np.diag([1.0, 1.0j])
     worst = max(
-        resolution_deviation(unitary_transport(cs, W).states, w)
+        resolution_deviation(unitary_transport(s.cs, W).states, 1.0 / s.frame.lam)
         for W in (had, phase)
     )
-    checks.append(make_check(
-        "transport_preserves_resolution", worst, 1e-9,
-        "orbit carried through a Hadamard-type and a phase unitary",
-    ))
-    return checks
+    return worst, "orbit carried through a Hadamard-type and a phase unitary"
 
 
-def _coherent_bt24_checks(params) -> list[Check]:
-    g = make_named_group("binary_tetrahedral")
-    rep = binary_tetrahedral_spin_rep(g)
-    act = left_translation_action(g)
-    cs = make_coherent(rep, act, g.identity, (1.0, 0.0))
-    checks = []
+_D4_CHECKS = (
+    CheckSpec("rotation_rep_irreducible", 0, _irreducible),
+    CheckSpec("frame_operator_four_times_identity", 1e-10, _frame_is(4.0)),
+    CheckSpec("transport_preserves_resolution", 1e-9, _transport),
+)
 
-    checks.append(exact_check(
-        "group_order_24", g.order == 24, f"order = {g.order}",
-    ))
-    checks.append(exact_check(
-        "spin_half_rep_irreducible", cs.commutant_dim == 1,
-        f"commutant dimension = {cs.commutant_dim}",
-    ))
-
-    norm_dev = float(np.max(np.abs(np.linalg.norm(cs.states, axis=1) - 1.0)))
-    checks.append(make_check(
-        "orbit_states_unit_norm", norm_dev, 1e-12,
-        "24 states from the fiducial (1, 0)",
-    ))
-
-    frame = frame_operator(cs)
-    err = float(np.linalg.norm(frame.T - 12.0 * np.eye(2)))
-    checks.append(make_check(
-        "frame_operator_twelve_times_identity", err, 1e-9,
-        f"scalar = {frame.lam:.6g} over 24 orbit states",
-    ))
-    return checks
+_BT24_CHECKS = (
+    CheckSpec("group_order_24", 0, lambda s: (s.g.order == 24, f"order = {s.g.order}")),
+    CheckSpec("spin_half_rep_irreducible", 0, _irreducible),
+    CheckSpec("orbit_states_unit_norm", 1e-12, lambda s: (
+        float(np.max(np.abs(np.linalg.norm(s.cs.states, axis=1) - 1.0))),
+        "24 states from the fiducial (1, 0)")),
+    CheckSpec("frame_operator_twelve_times_identity", 1e-9, _frame_is(12.0)),
+)
 
 
 # ---------------------------------------------------------------------------
 # spin scenario
 
 
-def _spin_checks(params) -> list[Check]:
+def _spin_setup(params) -> SimpleNamespace:
     j = params["j"]
     _check_spin(j)
     a = np.asarray(params["direction"])
@@ -282,160 +275,164 @@ def _spin_checks(params) -> list[Check]:
         norm = np.linalg.norm(a)
     if a.shape != (3,) or not 1e-12 <= norm < np.inf:
         raise ConfigParseError("direction must be a nonzero, finite 3-vector")
-    a = a / norm
-    checks = []
-
     # errors relative to the size of the operators compared, which grows
     # with j, so that one tolerance serves every spin
     J = np.stack(spin_generators(j))
-    Jx, Jy, Jz = J
-    d = len(Jx)
-    j_scale = max(1.0, float(np.linalg.norm(J)))
-    comm_err = max(
+    a = a / norm
+    bundle = spin_component_operator(j, a)
+    flip_perms = spectrum_permutations(bundle.eigenvalues, [lambda u: u, lambda u: -u])
+    # the spectrum along a perpendicular axis b, read by the half turn and
+    # the question/answer check, is built at its first use: built here, it
+    # raised the tracemalloc peak at j = 50 from 1.90 to 2.06 MiB
+    spec_b = functools.cache(
+        lambda: spin_component_operator(j, perpendicular_unit(a)).spectrum)
+    return SimpleNamespace(
+        j=j, a=a, J=J, d=len(J[0]), j_scale=max(1.0, float(np.linalg.norm(J))),
+        bundle=bundle, flip_perms=flip_perms, spec_b=spec_b,
+        blocks=eigen_orbit_partition(bundle, flip_perms),
+        half_turn=functools.cache(lambda: spec_b().reconstruct(
+            np.exp(-1j * np.pi * spec_b().eigenvalues))))
+
+
+def _d_above_1(params) -> bool:
+    return round(2 * params["j"]) > 0
+
+
+def _commutation(s):
+    Jx, Jy, Jz = s.J
+    err = max(
         max_abs(Jx @ Jy - Jy @ Jx - 1j * Jz),
         max_abs(Jy @ Jz - Jz @ Jy - 1j * Jx),
         max_abs(Jz @ Jx - Jx @ Jz - 1j * Jy),
     )
-    checks.append(make_check(
-        "generator_commutation_relations", comm_err / j_scale, 1e-10,
-        "all three cyclic commutators, relative to the norm of J",
-    ))
+    return err / s.j_scale, "all three cyclic commutators, relative to the norm of J"
 
-    bundle = spin_component_operator(j, a)
-    ladder = np.arange(-j, j + 0.5)
-    spec_err = float(np.max(np.abs(bundle.eigenvalues - ladder)))
-    checks.append(make_check(
-        "component_spectrum_ladder_values", spec_err, 1e-9,
-        f"eigenvalues of the component along {np.round(a, 6).tolist()}",
-    ))
 
+def _bt_covariance(s):
     # U(s)^dag J_i U(s) = sum_k R(s)_ik J_k on the generators s. Conjugation
     # by a unitary and R acting on the index i both keep the Frobenius error
     # of the triple J, so a word of L generators errs by at most the sum of
     # its letters' errors: every element is within depth * the largest.
     g = make_named_group("binary_tetrahedral")
     gen_err = 0.0
-    for s in g.generators:
-        axis, angle = quaternion_axis_angle(g.elements[s])
-        U, R = spin_rotation(j, axis, angle), rotation_matrix(axis, angle)
+    for gen in g.generators:
+        axis, angle = quaternion_axis_angle(g.elements[gen])
+        U, R = spin_rotation(s.j, axis, angle), rotation_matrix(axis, angle)
         gen_err = max(gen_err, math.hypot(*(
-            np.linalg.norm(U.conj().T @ J[i] @ U - np.tensordot(R[i], J, 1))
+            np.linalg.norm(U.conj().T @ s.J[i] @ U - np.tensordot(R[i], s.J, 1))
             for i in range(3))))
-    rel_err = g.depth * gen_err / j_scale
-    checks.append(make_check(
-        "component_covariance_binary_tetrahedral", rel_err, 1e-9,
+    return g.depth * gen_err / s.j_scale, (
         "U(s)^dag J U(s) = R(s) J on both generators of the binary tetrahedral "
         f"group, relative to the norm of J; {g.depth} (the generation depth) "
         "times the larger generator error bounds every element, so with the "
         "ladder values the spectrum holds along every direction in the orbit "
-        "of a under the group's 12 rotations",
-    ))
+        "of a under the group's 12 rotations")
 
-    checks.append(exact_check(
-        "component_operator_maximal", maximality_check(bundle),
+
+def _turn_error(s, k, target):
+    """||U(k) - target||_F for U(k), the rotation by 2*pi*k/8 about a, from
+    the measured spectrum."""
+    spec = s.bundle.spectrum
+    U = spec.reconstruct(np.exp(-0.25j * np.pi * k * spec.eigenvalues))
+    return float(np.linalg.norm(U - target))
+
+
+def _full_turn(s):
+    sign = (-1.0) ** int(round(2 * s.j))
+    return (_turn_error(s, 8, sign * np.eye(s.d)),
+            f"rotation by 2*pi equals {int(sign)} * identity at spin {s.j}")
+
+
+def _half_turn(s):
+    cov = conjugation_covariance(s.bundle, s.half_turn(), np.arange(s.d - 1, -1, -1))
+    return (cov.distance / max(1.0, float(np.linalg.norm(s.bundle.matrix))),
+            "half turn about a perpendicular axis negates the component, "
+            "relative to the norm of the component")
+
+
+def _half_turn_not_unitary(s, exc):
+    U = s.half_turn()
+    err = float(np.linalg.norm(U.conj().T @ U - np.eye(s.d)))
+    return f"the half turn is not unitary: ||U^dag U - I||_F = {err:.3e}"
+
+
+def _sign_flip_orbits(s):
+    expected = tuple(tuple(sorted({i, s.d - 1 - i})) for i in range((s.d + 1) // 2))
+    return s.blocks == expected, (
+        f"orbits of eigenvalue ids = {[list(b) for b in s.blocks]} "
+        f"(clustering tolerance {DEGENERACY_TOL:.1e})")
+
+
+def _question_answer(s):
+    basis = s.bundle.spectrum.vectors
+    matches = question_answer_match(
+        basis[:, 0], {"component_a": basis, "component_b": s.spec_b().vectors})
+    return matches == [("component_a", 0)], f"matches = {matches}"
+
+
+def _reduction(s):
+    target = s.bundle.eigenvalues[list(s.blocks[-1])].tolist()
+    reduced = model_reduce(s.bundle.eigenvalues, s.flip_perms, target)
+    return (reduced.value_labels == tuple(sorted(target)),
+            f"reduced label set = {list(reduced.value_labels)}")
+
+
+def _rejects_non_orbit(s):
+    try:
+        model_reduce(s.bundle.eigenvalues, s.flip_perms,
+                     [float(s.bundle.eigenvalues[0])])
+        rejected = False
+    except NotAnOrbitError:
+        rejected = True
+    return rejected, "the lowest eigenvalue alone is not closed under the flip"
+
+
+_SPIN_CHECKS = (
+    CheckSpec("generator_commutation_relations", 1e-10, _commutation),
+    CheckSpec("component_spectrum_ladder_values", 1e-9, lambda s: (
+        float(np.max(np.abs(s.bundle.eigenvalues - np.arange(-s.j, s.j + 0.5)))),
+        f"eigenvalues of the component along {np.round(s.a, 6).tolist()}")),
+    CheckSpec("component_covariance_binary_tetrahedral", 1e-9, _bt_covariance),
+    CheckSpec("component_operator_maximal", 0, lambda s: (
+        maximality_check(s.bundle),
         "every eigenvalue cluster is one-dimensional (clustering tolerance "
-        f"{DEGENERACY_TOL:.1e})",
-    ))
-
-    # U(k), the rotation by 2*pi*k/8 about a, from the measured spectrum
-    spec = bundle.spectrum
-
-    def turn(k):
-        return spec.reconstruct(np.exp(-0.25j * np.pi * k * spec.eigenvalues))
-
-    sign = (-1.0) ** int(round(2 * j))
-    err_2pi = float(np.linalg.norm(turn(8) - sign * np.eye(d)))
-    checks.append(make_check(
-        "full_turn_rotation_sign", err_2pi, 1e-9,
-        f"rotation by 2*pi equals {int(sign)} * identity at spin {j}",
-    ))
-    err_4pi = float(np.linalg.norm(turn(16) - np.eye(d)))
-    checks.append(make_check(
-        "double_turn_rotation_identity", err_4pi, 1e-9, "rotation by 4*pi",
-    ))
-
-    if d > 1:
-        # the half turn about a perpendicular axis b, read off the spectrum
-        # of the component along b, whose eigenbasis the question/answer
-        # check below uses as well
-        spec_b = spin_component_operator(j, perpendicular_unit(a)).spectrum
-        U = spec_b.reconstruct(np.exp(-1j * np.pi * spec_b.eigenvalues))
-        try:
-            cov = conjugation_covariance(bundle, U, np.arange(d - 1, -1, -1))
-        except NotUnitaryError:
-            # no covariance was measured, so no tolerance override may pass
-            # the check: it fails as an exact check
-            err = float(np.linalg.norm(U.conj().T @ U - np.eye(d)))
-            checks.append(exact_check(
-                "covariance_half_turn_reverses_labels", False,
-                f"the half turn is not unitary: ||U^dag U - I||_F = {err:.3e}",
-            ))
-        else:
-            checks.append(make_check(
-                "covariance_half_turn_reverses_labels",
-                cov.distance / max(1.0, float(np.linalg.norm(bundle.matrix))),
-                1e-9,
-                "half turn about a perpendicular axis negates the component, "
-                "relative to the norm of the component",
-            ))
-
-    flip_perms = spectrum_permutations(
-        bundle.eigenvalues, [lambda u: u, lambda u: -u]
-    )
-    blocks = eigen_orbit_partition(bundle, flip_perms)
-    expected_blocks = tuple(tuple(sorted({i, d - 1 - i}))
-                            for i in range((d + 1) // 2))
-    checks.append(exact_check(
-        "sign_flip_orbit_partition", blocks == expected_blocks,
-        f"orbits of eigenvalue ids = {[list(b) for b in blocks]} "
-        f"(clustering tolerance {DEGENERACY_TOL:.1e})",
-    ))
-
-    basis = bundle.spectrum.vectors
-    dev = resolution_deviation(basis.T, 1.0)
-    checks.append(make_check(
-        "eigenbasis_resolves_identity", dev, 1e-9, "unit weights",
-    ))
-
-    if d > 1:
-        bases = {"component_a": basis, "component_b": spec_b.vectors}
-        v = basis[:, 0]
-        try:
-            matches = question_answer_match(v, bases)
-        except NotOrthonormalError as exc:
-            matches, details = None, str(exc)
-        else:
-            details = f"matches = {matches}"
-        checks.append(exact_check(
-            "question_answer_unique_match", matches == [("component_a", 0)],
-            details,
-        ))
-
-    if params["reduce"]:
-        target = bundle.eigenvalues[list(blocks[-1])].tolist()
-        reduced = model_reduce(bundle.eigenvalues, flip_perms, target)
-        checks.append(exact_check(
-            "reduction_to_sign_flip_orbit",
-            reduced.value_labels == tuple(sorted(target)),
-            f"reduced label set = {list(reduced.value_labels)}",
-        ))
-        if d > 1:
-            try:
-                model_reduce(bundle.eigenvalues, flip_perms,
-                             [float(bundle.eigenvalues[0])])
-                rejected = False
-            except NotAnOrbitError:
-                rejected = True
-            checks.append(exact_check(
-                "reduction_rejects_non_orbit", rejected,
-                "the lowest eigenvalue alone is not closed under the flip",
-            ))
-
-    return checks
+        f"{DEGENERACY_TOL:.1e})")),
+    CheckSpec("full_turn_rotation_sign", 1e-9, _full_turn),
+    CheckSpec("double_turn_rotation_identity", 1e-9, lambda s: (
+        _turn_error(s, 16, np.eye(s.d)), "rotation by 4*pi")),
+    CheckSpec("covariance_half_turn_reverses_labels", 1e-9, _half_turn,
+              when=_d_above_1, fails_on=(NotUnitaryError, _half_turn_not_unitary)),
+    CheckSpec("sign_flip_orbit_partition", 0, _sign_flip_orbits),
+    CheckSpec("eigenbasis_resolves_identity", 1e-9, lambda s: (
+        resolution_deviation(s.bundle.spectrum.vectors.T, 1.0), "unit weights")),
+    CheckSpec("question_answer_unique_match", 0, _question_answer,
+              when=_d_above_1, fails_on=(NotOrthonormalError, lambda s, exc: str(exc))),
+    CheckSpec("reduction_to_sign_flip_orbit", 0, _reduction,
+              when=lambda params: params["reduce"]),
+    CheckSpec("reduction_rejects_non_orbit", 0, _rejects_non_orbit,
+              when=lambda params: params["reduce"] and _d_above_1(params)),
+)
 
 
 # ---------------------------------------------------------------------------
 # phase-space scenario
+#
+# Continuous translations are demonstrated on a finite cyclic lattice;
+# genuinely continuous spectra are out of scope, so no reduction is
+# performed here.
+
+
+def _phase_setup(params) -> SimpleNamespace:
+    n = _check_size(params["n"])
+    # each rep measures its product law on generators x all elements,
+    # which bounds every pair (see MonomialRep)
+    g = cyclic_group(n)
+    # F is built here once; momentum_operator builds its own, so that the
+    # conjugation check compares two routes
+    return SimpleNamespace(
+        n=n, c=params["c"], d=params["d"], srep=ps.shift_rep(g), crep=ps.clock_rep(g),
+        F=ps.fourier_matrix(n), X=ps.position_operator(n).matrix,
+        P=ps.momentum_operator(n).matrix)
 
 
 def _compose(a, b):
@@ -444,48 +441,17 @@ def _compose(a, b):
     return pa[pb], fa[pb] * fb
 
 
-def _phase_checks(params) -> list[Check]:
-    """Continuous translations are demonstrated on a finite cyclic lattice;
-    genuinely continuous spectra are out of scope, so no reduction is
-    performed here."""
-    n = _check_size(params["n"])
-    c, d = params["c"], params["d"]
-    checks = []
+def _noncommuting(s):
+    cnorm = float(np.linalg.norm(s.X @ s.P - s.P @ s.X))
+    return cnorm > 1e-6, f"commutator_norm = {cnorm:.6g}"
 
-    # each rep measures its product law on generators x all elements,
-    # which bounds every pair (see MonomialRep)
-    g = cyclic_group(n)
-    srep = ps.shift_rep(g)
-    crep = ps.clock_rep(g)
-    checks.append(make_check(
-        "shift_rep_of_cyclic_group", srep.law_error, 1e-12,
-        "permutation matrices multiply along the Cayley table",
-    ))
-    checks.append(make_check(
-        "clock_rep_of_cyclic_group", crep.law_error, 1e-10,
-        "diagonal phase matrices multiply along the Cayley table",
-    ))
 
-    # F is built here once; momentum_operator builds its own, so that the
-    # conjugation check below compares two routes
-    F = ps.fourier_matrix(n)
-    checks.append(make_check(
-        "mutually_unbiased_position_momentum", ps.mub_deviation(F), 1e-10,
-        f"all squared overlaps equal 1/{n}",
-    ))
-
-    X = ps.position_operator(n).matrix
-    P = ps.momentum_operator(n).matrix
-    cnorm = float(np.linalg.norm(X @ P - P @ X))
-    checks.append(exact_check(
-        "position_momentum_noncommuting", cnorm > 1e-6,
-        f"commutator_norm = {cnorm:.6g}",
-    ))
-
+def _full_cycle(s):
     # V(1)^n by repeated squaring of (perm, phase), the bits of n taken
     # from the lowest; ||V(1)^n - I||_F sums |phase - 1|^2 over the fixed
     # points and |phase|^2 + 1 over the moved ones
-    unit = srep.action.perm[1], srep.phase[1]
+    n = s.n
+    unit = s.srep.action.perm[1], s.srep.phase[1]
     power, bits = (np.arange(n), np.ones(n)), n
     while bits:
         if bits & 1:
@@ -495,47 +461,59 @@ def _phase_checks(params) -> list[Check]:
     fixed = p == np.arange(n)
     f = np.where(fixed, f - 1, f)
     err = math.sqrt(float(np.sum(f.real ** 2 + f.imag ** 2)) + np.count_nonzero(~fixed))
-    checks.append(make_check(
-        "shift_full_cycle_is_identity", err, 1e-12,
-        f"{n} unit shifts compose to the identity",
-    ))
+    return err, f"{n} unit shifts compose to the identity"
 
-    conj_err = float(np.linalg.norm(P - F @ X @ F.conj().T))
-    checks.append(make_check(
-        "momentum_operator_is_fourier_conjugate", conj_err, 1e-9,
-        "two construction routes for the momentum operator agree",
-    ))
 
+def _paired_translation(s):
     # W = S^c C^d is monomial, so W^dag W is diagonal with entries |phase|^2
-    _, f = _compose((srep.action.perm[c % n], srep.phase[c % n]),
-                    (crep.action.perm[d % n], crep.phase[d % n]))
-    uni_err = float(np.linalg.norm(f.real ** 2 + f.imag ** 2 - 1))
-    checks.append(make_check(
-        "paired_translation_unitary", uni_err, 1e-12,
-        f"position shift {c} paired with momentum shift {d}",
-    ))
-    return checks
+    c, d, n = s.c, s.d, s.n
+    _, f = _compose((s.srep.action.perm[c % n], s.srep.phase[c % n]),
+                    (s.crep.action.perm[d % n], s.crep.phase[d % n]))
+    return (float(np.linalg.norm(f.real ** 2 + f.imag ** 2 - 1)),
+            f"position shift {c} paired with momentum shift {d}")
+
+
+_PHASE_CHECKS = (
+    CheckSpec("shift_rep_of_cyclic_group", 1e-12, lambda s: (
+        s.srep.law_error, "permutation matrices multiply along the Cayley table")),
+    CheckSpec("clock_rep_of_cyclic_group", 1e-10, lambda s: (
+        s.crep.law_error, "diagonal phase matrices multiply along the Cayley table")),
+    CheckSpec("mutually_unbiased_position_momentum", 1e-10, lambda s: (
+        ps.mub_deviation(s.F), f"all squared overlaps equal 1/{s.n}")),
+    CheckSpec("position_momentum_noncommuting", 0, _noncommuting),
+    CheckSpec("shift_full_cycle_is_identity", 1e-12, _full_cycle),
+    CheckSpec("momentum_operator_is_fourier_conjugate", 1e-9, lambda s: (
+        float(np.linalg.norm(s.P - s.F @ s.X @ s.F.conj().T)),
+        "two construction routes for the momentum operator agree")),
+    CheckSpec("paired_translation_unitary", 1e-12, _paired_translation),
+)
 
 
 # ---------------------------------------------------------------------------
 # driver
 
+
+class _Scenario(NamedTuple):
+    setup: Callable     # params -> the shared objects
+    checks: tuple       # the CheckSpecs, in report order
+    defaults: dict
+
+
 _SCENARIOS = {
-    "spin": (
-        _spin_checks,
-        {
-            "j": 0.5,
-            "direction": [0.0, 0.0, 1.0],
-            "reduce": True,
-        },
-    ),
-    "phase": (_phase_checks, {"n": 4, "c": 1, "d": 1}),
-    "pedagogy_z4": (_pedagogy_z4_checks, {}),
-    "coherent_d4": (_coherent_d4_checks, {}),
-    "coherent_bt24": (_coherent_bt24_checks, {}),
+    "spin": _Scenario(_spin_setup, _SPIN_CHECKS,
+                      {"j": 0.5, "direction": [0.0, 0.0, 1.0], "reduce": True}),
+    "phase": _Scenario(_phase_setup, _PHASE_CHECKS, {"n": 4, "c": 1, "d": 1}),
+    "pedagogy_z4": _Scenario(_z4_setup, _Z4_CHECKS, {}),
+    "coherent_d4": _Scenario(_d4_setup, _D4_CHECKS, {}),
+    "coherent_bt24": _Scenario(_bt24_setup, _BT24_CHECKS, {}),
 }
 
 BUILTIN_SCENARIOS = tuple(_SCENARIOS)
+
+
+def _declared(scenario: _Scenario, params: dict) -> list[CheckSpec]:
+    """The scenario's checks that the report holds for params, in order."""
+    return [spec for spec in scenario.checks if spec.when(params)]
 
 
 def _finite_number(value) -> bool:
@@ -565,7 +543,9 @@ def _coerce_param(name: str, value, default):
 
 
 def parse_config(config) -> dict:
-    """Validate a configuration document and fill in defaults."""
+    """Validate a configuration document and fill in defaults. A tolerance
+    override must name a check that the scenario declares with a tolerance
+    for the resolved params."""
     if not isinstance(config, dict):
         raise ConfigParseError("configuration must be a JSON object")
     unknown = set(config) - {"scenario", "params", "tolerances", "seed"}
@@ -578,18 +558,18 @@ def parse_config(config) -> dict:
         raise ConfigParseError("scenario must be a string")
     if name not in _SCENARIOS:
         raise UnknownScenarioError(f"unknown scenario: {name!r}")
-    _, defaults = _SCENARIOS[name]
-    params = config.get("params") or {}
+    scenario = _SCENARIOS[name]
+    params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigParseError("params must be an object")
-    bad = set(params) - set(defaults)
+    bad = set(params) - set(scenario.defaults)
     if bad:
         raise ConfigParseError(f"unknown params for {name}: {sorted(bad)}")
     resolved_params = {
         key: _coerce_param(key, params.get(key, default), default)
-        for key, default in defaults.items()
+        for key, default in scenario.defaults.items()
     }
-    tolerances = config.get("tolerances") or {}
+    tolerances = config.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigParseError("tolerances must be an object")
     bad = sorted(str(k) for k, v in tolerances.items()
@@ -598,6 +578,12 @@ def parse_config(config) -> dict:
         raise ConfigParseError(
             f"tolerance overrides must be finite, non-negative numbers: {bad}")
     tolerances = {str(k): float(v) for k, v in tolerances.items()}
+    toleranced = {spec.name for spec in _declared(scenario, resolved_params)
+                  if spec.tolerance > 0}
+    unused = sorted(set(tolerances) - toleranced - {"*"})
+    if unused:
+        raise ConfigParseError(
+            f"tolerance overrides name no toleranced check of {name}: {unused}")
     seed = config.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigParseError("seed must be an integer")
@@ -609,32 +595,34 @@ def parse_config(config) -> dict:
     }
 
 
+def _check(spec: CheckSpec, shared: SimpleNamespace, overrides: dict) -> Check:
+    errors, explain = spec.fails_on
+    try:
+        value, details = spec.run(shared)
+    except errors as exc:
+        return exact_check(spec.name, False, explain(shared, exc))
+    if spec.tolerance == 0:
+        return exact_check(spec.name, value, details)
+    tolerance = overrides.get(spec.name, overrides.get("*", spec.tolerance))
+    return make_check(spec.name, value, tolerance, details)
+
+
 def run_scenario(config) -> VerificationReport:
-    """Run one scenario from a configuration document and apply its
-    tolerance overrides to the checks that have a tolerance (above 0:
-    exact checks have none)."""
+    """Run one scenario from a configuration document: its setup, then
+    each declared check in order, under its tolerance override."""
     resolved = parse_config(config)
-    runner, _ = _SCENARIOS[resolved["scenario"]]
-    overrides = resolved["tolerances"]
+    scenario = _SCENARIOS[resolved["scenario"]]
+    params = resolved["params"]
     start = time.perf_counter()
     try:
-        checks = runner(resolved["params"])
+        shared = scenario.setup(params)
     except (BadSpinError, BadSizeError) as exc:
         raise ConfigParseError(f"invalid parameters: {exc}") from exc
-    toleranced = {c.name for c in checks if c.tolerance > 0}
-    unused = sorted(set(overrides) - toleranced - {"*"})
-    if unused:
-        raise ConfigParseError(
-            f"tolerance overrides name no toleranced check of "
-            f"{resolved['scenario']}: {unused}")
-    checks = [
-        replace(c, tolerance=overrides.get(c.name, overrides.get("*", c.tolerance)))
-        if c.tolerance > 0 else c
-        for c in checks
-    ]
+    checks = tuple(_check(spec, shared, resolved["tolerances"])
+                   for spec in _declared(scenario, params))
     timing_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
-        scenario=resolved["scenario"], checks=tuple(checks),
+        scenario=resolved["scenario"], checks=checks,
         timing_ms=timing_ms, config_echo=resolved,
     )
 
@@ -644,8 +632,7 @@ def run_all(tolerances=None) -> list[VerificationReport]:
     reports = []
     for name in BUILTIN_SCENARIOS:
         config = {"scenario": name}
-        if tolerances:
+        if tolerances is not None:
             config["tolerances"] = dict(tolerances)
         reports.append(run_scenario(config))
     return reports
-

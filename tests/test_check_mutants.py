@@ -8,7 +8,7 @@ returns a report, and the named check fails in it. No mutant replaces a
 helper that only measures a distance (resolution_deviation, max_abs), and
 none silences an error the library raises on the faulty object. A check
 that no such fault can fail proves nothing, so a new check lands with its
-mutant: the table's keys must equal the names the reports emit.
+mutant: the table's keys must equal the names the scenarios declare.
 """
 
 import dataclasses
@@ -295,17 +295,29 @@ MUTANTS = {
 }
 
 
-def _emitted_names(tmp_path):
-    out = tmp_path / "report.json"
-    names = {c.name for r in scenarios.run_all() for c in r.checks}
-    for argv in (["spin", "--j", "50", "--reduce"], ["phase", "--n", "64"]):
-        assert main(argv + ["--out", str(out)]) == 0
-        names |= {c["name"] for c in json.loads(out.read_text())["checks"]}
-    return names
+def test_every_declared_check_has_a_mutant():
+    # read off the scenario tables, without running a report
+    assert set(MUTANTS) == {spec.name for scenario in scenarios._SCENARIOS.values()
+                            for spec in scenario.checks}
 
 
-def test_every_emitted_check_has_a_mutant(tmp_path):
-    assert set(MUTANTS) == _emitted_names(tmp_path)
+# the checks a spin report of dimension 1 leaves out, and those it leaves
+# out without reduce
+SPIN_D1 = {"covariance_half_turn_reverses_labels", "question_answer_unique_match",
+           "reduction_rejects_non_orbit"}
+SPIN_NO_REDUCE = {"reduction_to_sign_flip_orbit", "reduction_rejects_non_orbit"}
+
+
+@pytest.mark.parametrize("config, dropped", [
+    *[({"scenario": name}, set()) for name in scenarios.BUILTIN_SCENARIOS],
+    ({"scenario": "spin", "params": {"j": 0, "reduce": True}}, SPIN_D1),
+    ({"scenario": "spin", "params": {"reduce": False}}, SPIN_NO_REDUCE),
+    ({"scenario": "spin", "params": {"j": 50}}, set()),
+], ids=[*scenarios.BUILTIN_SCENARIOS, "spin-j0-reduce", "spin-no-reduce", "spin-j50"])
+def test_each_report_emits_its_enabled_declarations_in_order(config, dropped):
+    declared = [spec.name for spec in scenarios._SCENARIOS[config["scenario"]].checks]
+    emitted = [c.name for c in scenarios.run_scenario(config).checks]
+    assert emitted == [name for name in declared if name not in dropped]
 
 
 @pytest.mark.filterwarnings("ignore:representation is reducible")
@@ -346,16 +358,17 @@ def test_eigenvector_lost_is_a_failed_half_turn(monkeypatch, capsys):
     assert half_turn["details"] == (
         "the half turn is not unitary: ||U^dag U - I||_F = 1.000e+00")
     assert not checks["eigenbasis_resolves_identity"]["passed"]
-    # no override passes it: the blanket one leaves exact checks alone, and
-    # one that names it is refused, since the check has no tolerance here
+    # no override passes it: the check is declared with a tolerance, so an
+    # override may name it, but the failure is exact, with the same details
     config = {"scenario": "spin", "params": {"j": 0.5}}
-    report = scenarios.run_scenario({**config, "tolerances": {"*": 1e6}})
-    (half_turn,) = [c for c in report.checks
-                    if c.name == "covariance_half_turn_reverses_labels"]
-    assert not half_turn.passed
-    with pytest.raises(scenarios.ConfigParseError, match="no toleranced check"):
-        scenarios.run_scenario({**config, "tolerances": {
-            "covariance_half_turn_reverses_labels": 1e6}})
+    for overrides in ({"*": 1e6}, {"covariance_half_turn_reverses_labels": 1e6}):
+        report = scenarios.run_scenario({**config, "tolerances": overrides})
+        (half_turn,) = [c for c in report.checks
+                        if c.name == "covariance_half_turn_reverses_labels"]
+        assert not half_turn.passed
+        assert (half_turn.max_error, half_turn.tolerance) == (1.0, 0.0)
+        assert half_turn.details == (
+            "the half turn is not unitary: ||U^dag U - I||_F = 1.000e+00")
 
 
 def _verdict(config, check):

@@ -129,6 +129,34 @@ class TestConfig:
         resolved = parse_config({"scenario": "spin"})
         assert sorted(resolved["params"]) == ["direction", "j", "reduce"]
 
+    @pytest.mark.parametrize("config, message", [
+        ({"params": []}, "params must be an object"),
+        ({"params": 0}, "params must be an object"),
+        ({"params": None}, "params must be an object"),
+        ({"tolerances": False}, "tolerances must be an object"),
+        ({"tolerances": []}, "tolerances must be an object"),
+    ])
+    def test_empty_values_of_the_wrong_type_rejected(self, config, message):
+        # an empty list, 0, null or false is not an empty object
+        with pytest.raises(ConfigParseError, match=message):
+            run_scenario({"scenario": "phase", **config})
+
+    @pytest.mark.parametrize("tolerances", [
+        {"no_such_check": 1},
+        {"position_momentum_noncommuting": 1},
+        {"*": 1, "frame_operator_four_times_identity": 1},
+    ])
+    def test_bad_override_refused_before_setup(self, monkeypatch, tolerances):
+        # an override name is checked against the declared checks, before
+        # the setup builds anything
+        def setup(params):
+            raise AssertionError("the phase setup ran")
+
+        monkeypatch.setitem(scenarios._SCENARIOS, "phase",
+                            scenarios._SCENARIOS["phase"]._replace(setup=setup))
+        with pytest.raises(ConfigParseError, match="no toleranced check of phase"):
+            run_scenario({"scenario": "phase", "tolerances": tolerances})
+
     @pytest.mark.parametrize("value", [1e400, -1e400, float("nan"), -1, -1e-300,
                                        True, "1e-3", None, [1e-3]])
     def test_invalid_tolerance_rejected(self, value):
@@ -337,7 +365,13 @@ class TestCli:
         '{"scenario": "coherent_bt24", "tolerances": {"normalized_orbit_resolves_identity": 1e-9}}',
         '{"scenario": "spin", "params": {"j": 0}, "tolerances": {"*": 1, "covariance_half_turn_reverses_labels": 1}}',
     ])
-    def test_invalid_config_tolerance_exit_2(self, tmp_path, capsys, text):
+    def test_invalid_config_tolerance_exit_2(self, tmp_path, monkeypatch, capsys, text):
+        # refused before the scenario's setup runs
+        def setup(params):
+            raise AssertionError("a setup ran")
+
+        for name, scenario in scenarios._SCENARIOS.items():
+            monkeypatch.setitem(scenarios._SCENARIOS, name, scenario._replace(setup=setup))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["verify", "--config", str(cfg)]) == 2
@@ -448,7 +482,7 @@ class TestCli:
         assert err.startswith("error: cannot read config: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("tolerances", ['"ab"', '[["*", 1]]', '7'])
+    @pytest.mark.parametrize("tolerances", ['"ab"', '[["*", 1]]', '7', 'false', '[]'])
     def test_config_tolerances_not_an_object_with_flag_exit_2(
             self, tmp_path, capsys, tolerances):
         cfg = tmp_path / "cfg.json"
