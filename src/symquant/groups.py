@@ -127,8 +127,12 @@ def generator_law(g: FiniteGroup, size: int, error, law: str,
 def element_indices(elements, order: int) -> np.ndarray:
     """Caller-supplied element indices, one or a sequence, as a 1-d intp
     array: each must be an integer in range(order) (2.0 reads as 2), and
-    anything else (1.5, -1, 2**64) raises BadElementError."""
+    anything else (1.5, -1, 2**64) raises BadElementError. Integer input
+    with every entry in range is cast directly; the rest, refused or not,
+    is compared as read."""
     raw = np.asarray(elements).reshape(-1)
+    if raw.dtype.kind in "iu" and raw.size and raw.min() >= 0 and raw.max() < order:
+        return raw.astype(np.intp)
     inside = np.asarray((raw >= 0) & (raw < order), dtype=bool)
     ks = np.where(inside, raw, 0).astype(np.intp)
     bad = ~inside | (ks != raw)
@@ -343,23 +347,24 @@ def _element_lookup(coords: np.ndarray):
             f"element coordinates span a box of {box} points, more than "
             f"max(n*n, 2**16) for {n} elements"
         )
-    radix = np.array([math.prod(span[j + 1:]) for j in range(k)])
+    radix = [math.prod(span[j + 1:]) for j in range(k)]
     span = np.array(span, dtype=np.uint64)
+
+    def keys(rows):
+        # one coordinate column at a time: a reduction or a matrix product
+        # along a short last axis costs several times the arithmetic itself.
+        # A negative offset wraps to a huge unsigned one: outside the box
+        key, inside = 0, True
+        for j in range(k):
+            off = rows[:, j] - lo[j]
+            inside = inside & (off.view(np.uint64) < span[j])
+            off *= radix[j]
+            key = key + off
+        return np.where(inside, key, box)
+
     table = np.full(box + 1, -1, dtype=_index_dtype(n))
-    table[(coords - lo) @ radix] = np.arange(n)
-
-    def lookup(rows):
-        off = rows - lo
-        # a negative offset wraps to a huge unsigned one: outside the box.
-        # One coordinate column at a time: a reduction along a short last
-        # axis costs several times the comparisons themselves
-        wrapped = off.view(np.uint64)
-        inside = wrapped[:, 0] < span[0]
-        for j in range(1, k):
-            inside &= wrapped[:, j] < span[j]
-        return table[np.where(inside, off @ radix, box)]
-
-    return lookup
+    table[keys(coords)] = np.arange(n)
+    return lambda rows: table[keys(rows)]
 
 
 def generate_group(generators, mul, identity, *, name="group", name_of=None):

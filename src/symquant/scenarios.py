@@ -1,6 +1,7 @@
 """Built-in end-to-end scenarios and the verification driver.
 
-Each scenario is a setup, which validates the params and builds the
+Each scenario is a setup, which validates the params (rounding the spin's
+j to its half-integer, as the report then echoes it) and builds the
 objects its checks share, and a table that declares each check once as a
 CheckSpec. run_scenario alone runs the declared checks in order, applies
 the tolerance overrides and turns a declared exception into a failed
@@ -268,8 +269,9 @@ _BT24_CHECKS = (
 
 
 def _spin_setup(params) -> SimpleNamespace:
-    j = params["j"]
-    _check_spin(j)
+    # j within 1e-12 of a half-integer is that half-integer: the matrices,
+    # the details, the ladder comparison and the echoed params all use it
+    params["j"] = j = _check_spin(params["j"])
     a = np.asarray(params["direction"])
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(a)

@@ -7,12 +7,18 @@ transformation group on the value space (whose value permutations are the
 maps of InducedAction.value_action), finds the largest subgroup under
 which the variable behaves, and compares variables by the coarser/finer
 partial order.
+
+Each of these reads one value-map table off the first point of each
+value (ConceptualVariable.first_points), which a variable computes once,
+on first read, and keeps: the value map of one group element then costs
+O(points).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +48,9 @@ class ConceptualVariable:
     attained (the label list is the exact range of the function). The ids
     are stored read-only as int16 up to 32,768 labels (int32 beyond), as
     the group module stores its index arrays.
+
+    first_points[v] is the smallest point whose value is v, computed on
+    first read and kept, as OperatorBundle keeps its spectrum.
     """
 
     values: np.ndarray
@@ -67,6 +76,14 @@ class ConceptualVariable:
     @property
     def n_values(self) -> int:
         return len(self.value_labels)
+
+    @cached_property
+    def first_points(self) -> np.ndarray:
+        # every label is attained, so the unique ids are 0..n_values-1, and
+        # np.unique returns the index of the first occurrence of each
+        first = np.unique(self.values, return_index=True)[1]
+        first.setflags(write=False)
+        return first
 
 
 def variable_from_point_labels(point_labels) -> ConceptualVariable:
@@ -114,21 +131,15 @@ def _check_sizes(var: ConceptualVariable, act: GroupAction) -> None:
         )
 
 
-def _first_points(values) -> np.ndarray:
-    """first[v] is the smallest point whose value is v."""
-    first = np.full(int(values.max()) + 1, values.size, dtype=np.intp)
-    np.minimum.at(first, values, np.arange(values.size))
-    return first
-
-
-def _value_maps(values, images):
+def _value_maps(var: ConceptualVariable, images):
     """Read one value table per row of images off the first point of each
-    value: maps[r][v] = images[r, first[v]]. ok[r] says whether the table
-    reproduces the row, maps[r][values] == images[r] at every point, that
-    is, whether row r is constant on every level set of values.
+    of var's values: maps[r][v] = images[r, var.first_points[v]]. ok[r]
+    says whether the table reproduces the row, maps[r][var.values] ==
+    images[r] at every point, that is, whether row r is constant on every
+    level set of var.
     """
-    maps = images[:, _first_points(values)]
-    ok = (maps[:, values] == images).all(axis=1)
+    maps = images[:, var.first_points]
+    ok = (maps[:, var.values] == images).all(axis=1)
     return maps, ok
 
 
@@ -142,12 +153,12 @@ def _permissible_maps(var: ConceptualVariable, act: GroupAction):
     """
     _check_sizes(var, act)
     moved = var.values[act.perm]
-    maps, ok = _value_maps(var.values, moved)
+    maps, ok = _value_maps(var, moved)
     if ok.all():
         return maps, None
     k = int(np.argmin(ok))
     bad = np.flatnonzero(maps[k][var.values] != moved[k])
-    p1s = _first_points(var.values)[var.values[bad]]
+    p1s = var.first_points[var.values[bad]]
     p1 = int(p1s.min())
     return maps, (k, p1, int(bad[np.argmax(p1s == p1)]))
 
@@ -170,7 +181,7 @@ def _element_maps(var: ConceptualVariable, act: GroupAction, elements):
     groups.element_indices) as a 1-d array and _value_maps of their rows."""
     _check_sizes(var, act)
     ks = element_indices(elements, act.group.order)
-    maps, ok = _value_maps(var.values, var.values[act.perm[ks]])
+    maps, ok = _value_maps(var, var.values[act.perm[ks]])
     return ks, maps, ok
 
 
@@ -255,7 +266,7 @@ def maximal_permissible_subgroup(var: ConceptualVariable, act: GroupAction) -> t
     They form the stabilizer of the partition into level sets, a subgroup.
     """
     _check_sizes(var, act)
-    ok = _value_maps(var.values, var.values[act.perm])[1]
+    ok = _value_maps(var, var.values[act.perm])[1]
     return tuple(np.flatnonzero(ok).tolist())
 
 
@@ -269,5 +280,5 @@ def accessibility_leq(alpha: ConceptualVariable, beta: ConceptualVariable):
         raise SizeMismatchError(
             f"variables on {alpha.space_size} vs {beta.space_size} points"
         )
-    maps, ok = _value_maps(beta.values, alpha.values[None, :])
+    maps, ok = _value_maps(beta, alpha.values[None, :])
     return (True, maps[0]) if ok[0] else (False, None)

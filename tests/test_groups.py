@@ -502,9 +502,16 @@ class TestSubgroupsAndHoms:
     def test_integral_floats_are_indices(self):
         assert element_indices([2.0, 0, True], 4).tolist() == [2, 0, 1]
         assert element_indices(3, 4).tolist() == [3]
+        assert element_indices(np.array([3, 0], dtype=np.uint8), 4).tolist() == [3, 0]
         for bad in (-1, 4, 0.5, float("nan"), 2**63, 2**64):
             with pytest.raises(BadElementError):
                 element_indices([0, bad], 4)
+        # integer arrays with an entry out of range, of their own dtype
+        for dtype, bad in ((np.int8, -1), (np.uint64, 2**63), (np.int64, 4)):
+            with pytest.raises(BadElementError,
+                               match=rf"^element index {bad} out of range: "
+                                     r"not an integer in range\(4\)$"):
+                element_indices(np.array([0, bad], dtype=dtype), 4)
 
     def test_identity_map_of_a_large_group_stays_small(self):
         # all pairs through intp temporaries peaked at 42 MiB here

@@ -7,9 +7,10 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from symquant.groups import (BadElementError, GroupAction, cyclic_group,
-                             left_translation_action)
+                             dihedral_vertex_action, left_translation_action,
+                             make_named_group)
 from symquant import linalg, quantize
-from symquant.coherent import UnitaryRep, permutation_rep
+from symquant.coherent import UnitaryRep, dihedral_rotation_rep, permutation_rep
 from symquant.linalg import (
     DimensionMismatchError,
     NotHermitianError,
@@ -34,6 +35,7 @@ from symquant.quantize import (
 )
 from symquant.spin import spin_generators
 from symquant.variables import (
+    ConceptualVariable,
     accessibility_leq,
     induce_group,
     variable_from_point_labels,
@@ -269,12 +271,70 @@ class TestCovarianceOverElements:
         with pytest.raises(ValueError, match="at least one"):
             covariance_check(bundle, value_rep, [], parity, act)
 
-    @pytest.mark.parametrize("elements", [-1, 4, [0, -1], [1, 4]])
+    @pytest.mark.parametrize("elements", [-1, 4, [0, -1], [1, 4],
+                                          np.array([1, 4], dtype=np.uint8),
+                                          np.array([0, -1], dtype=np.int8)])
     def test_index_range(self, z4_parity, elements):
         # a negative index does not count from the end
         _, act, parity, value_rep, bundle = z4_parity
         with pytest.raises(BadElementError, match="out of range"):
             covariance_check(bundle, value_rep, elements, parity, act)
+
+
+class TestSingleElementCovariance:
+    """One element per call, as the benchmark's group ladder checks: the
+    same kernel as a set call, on one element's value map and matrix."""
+
+    @staticmethod
+    def dihedral_parity(n):
+        g = make_named_group(f"dihedral:{n}")
+        act = dihedral_vertex_action(g)
+        parity = variable_from_point_labels([x % 2 for x in range(n)])
+        bundle = build_operator(QUBIT, 1.0, list(parity.value_labels))
+        return g, act, parity, bundle
+
+    @pytest.mark.parametrize("n", [4, 6, 24])
+    def test_max_over_single_calls_is_the_set_distance(self, n):
+        # the trivial rep misses the parity swap by sqrt(2); the others
+        # differ from the relabelled operator by rounding
+        g, act, parity, bundle = self.dihedral_parity(n)
+        value_rep = permutation_rep(induce_group(parity, act).value_action)
+        trivial = UnitaryRep(group=g, matrices=np.broadcast_to(QUBIT, (g.order, 2, 2)))
+        for rep in (value_rep, dihedral_rotation_rep(g), trivial):
+            single = max(covariance_check(bundle, rep, h, parity, act).distance
+                         for h in range(g.order))
+            whole = covariance_check(bundle, rep, range(g.order), parity, act)
+            assert single == whole.distance
+        assert abs(whole.distance - np.sqrt(2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 6, 24])
+    def test_non_permissible_element_refused_by_both_forms(self, n):
+        g, act, _, bundle = self.dihedral_parity(n)
+        half = variable_from_point_labels([x < n // 2 for x in range(n)])
+        rep = dihedral_rotation_rep(g)
+        messages = []
+        for elements in (1, [0, 1]):
+            with pytest.raises(NotInSubgroupError) as err:
+                covariance_check(bundle, rep, elements, half, act)
+            messages.append(str(err.value))
+        assert messages == ["element 1 does not act through a value permutation"] * 2
+
+    @pytest.mark.parametrize("n", [4, 24])
+    def test_first_points_computed_once(self, n, monkeypatch):
+        g, act, parity, bundle = self.dihedral_parity(n)
+        value_rep = permutation_rep(induce_group(parity, act).value_action)
+        prop = ConceptualVariable.__dict__["first_points"]
+        first, calls = prop.func, []
+
+        def counted(var):
+            calls.append(var)
+            return first(var)
+
+        monkeypatch.setattr(prop, "func", counted)
+        fresh = variable_from_point_labels([x % 2 for x in range(n)])
+        for h in range(g.order):
+            covariance_check(bundle, value_rep, h, fresh, act)
+        assert len(calls) == 1 and calls[0] is fresh
 
 
 class TestEigenOrbits:

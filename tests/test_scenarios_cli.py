@@ -508,6 +508,20 @@ class TestCli:
         names = [c["name"] for c in obj["checks"]]
         assert "reduction_to_sign_flip_orbit" in names
 
+    def test_spin_j_near_a_half_integer_runs_and_reports_it(self, capsys):
+        # accepted within 1e-12 of 1/2: the echo, the details and the
+        # ladder comparison all read the rounded spin
+        reports = []
+        for j in ("0.5000000000004", "0.5"):
+            assert main(["spin", "--j", j]) == 0
+            reports.append(strip_timing(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        obj = json.loads(reports[0])
+        assert obj["config_echo"]["params"]["j"] == 0.5
+        by_name = {c["name"]: c for c in obj["checks"]}
+        assert by_name["component_spectrum_ladder_values"]["max_error"] == 0
+        assert by_name["full_turn_rotation_sign"]["details"].endswith("at spin 0.5")
+
     def test_spin_rejects_bad_j(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["spin", "--j", "abc"])

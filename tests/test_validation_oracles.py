@@ -20,7 +20,10 @@ of spectral projections that the matrix-only covariance check used to sum.
 
 Permissibility, element value maps, the maximal permissible subgroup and
 the accessibility order are all read off one value-map table; the
-point-by-point loops they replaced live here. Irreducibility is decided
+point-by-point loops they replaced live here. The table is read at the
+first point of each value, which a variable computes once and keeps; the
+scatter of point indices that every value-map read used to redo lives
+here, and must find the same points on enumerated and random variables. Irreducibility is decided
 by the character norm; the Kronecker/SVD null-space computation of the
 commutant it replaced lives here as well.
 
@@ -163,6 +166,7 @@ from symquant.spin import (
     spin_rotation,
 )
 from symquant.variables import (
+    ConceptualVariable,
     NotPermissibleError,
     accessibility_leq,
     element_value_map,
@@ -449,6 +453,14 @@ def permissible_by_class_scan(var, act):
         if candidates:
             return False, (k, *min(candidates))
     return True, None
+
+
+def first_points_by_scatter(values) -> np.ndarray:
+    """first[v], the smallest point whose value is v, by a minimum
+    scatter of the point indices onto their values."""
+    first = np.full(int(values.max()) + 1, values.size, dtype=np.intp)
+    np.minimum.at(first, values, np.arange(values.size))
+    return first
 
 
 def value_map_by_point_loop(var, act, h):
@@ -1483,6 +1495,36 @@ class TestValueMapOracles:
             with pytest.raises(NotPermissibleError) as err:
                 induce_group(var, act)
             assert err.value.witness == expected[1]
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_first_points_of_every_labelling(self, m):
+        for labels in itertools.product(range(3), repeat=m):
+            var = variable_from_point_labels(labels)
+            assert np.array_equal(var.first_points,
+                                  first_points_by_scatter(var.values))
+
+    @ORACLE_SETTINGS
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=60),
+           st.integers(0, 2**32 - 1))
+    def test_first_points_of_random_variables(self, labels, seed):
+        # ids in label order, then relabelled at random, so that a value's
+        # first point need not grow with its id
+        var = variable_from_point_labels(labels)
+        perm = np.random.default_rng(seed).permutation(var.n_values)
+        for v in (var, ConceptualVariable(values=perm[var.values],
+                                          value_labels=var.value_labels)):
+            assert np.array_equal(v.first_points,
+                                  first_points_by_scatter(v.values))
+
+    def test_first_points_of_int32_ids(self):
+        # more than 32,768 labels are stored as int32
+        rng = np.random.default_rng(7)
+        values = rng.permutation(np.concatenate(
+            [np.arange(40000), rng.integers(0, 40000, size=20000)]))
+        var = ConceptualVariable(values=values, value_labels=tuple(range(40000)))
+        assert var.values.dtype == np.int32
+        assert np.array_equal(var.first_points,
+                              first_points_by_scatter(var.values))
 
     @ORACLE_SETTINGS
     @given(labelled_actions())
