@@ -24,9 +24,9 @@ for spec in ("cyclic:4", "dihedral:4", "symmetric:3", "binary_tetrahedral",
 print("\n== the dihedral group permuting square vertices ==")
 d4 = make_named_group("dihedral:4")
 act = dihedral_vertex_action(d4)
-print("element -> vertex permutation")
+print("element (rotation, flip) -> vertex permutation")
 for k in range(d4.order):
-    print(f"  {d4.element_names[k]:4s} -> {list(act.perm[k])}")
+    print(f"  {str(d4.elements[k]):6s} -> {list(act.perm[k])}")
 print("orbits:", orbits(act), " transitive:", is_transitive(act))
 
 print("\n== orbits split when the action has fixed points ==")

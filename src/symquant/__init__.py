@@ -35,9 +35,7 @@ from .variables import (
     induce_group,
     is_permissible,
     maximal_permissible_subgroup,
-    variable_from_json,
     variable_from_point_labels,
-    variable_to_json,
 )
 from .coherent import (
     CoherentSystem,
@@ -49,8 +47,6 @@ from .coherent import (
     left_regular_rep,
     make_coherent,
     permutation_rep,
-    rep_from_json,
-    rep_to_json,
     resolution_deviation,
     unitary_transport,
 )

@@ -20,7 +20,6 @@ weight 1/lam each, lam being FrameOperator.lam.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,11 +56,10 @@ class UnitaryRep:
     law_error, matrix(k), characters(), orbit(f) and conjugated(A, ks).
     UnitaryRep stores the d x d matrix of every element; it is the form of
     reps whose matrices mix basis vectors, such as dihedral_rotation_rep,
-    binary_tetrahedral_spin_rep, rep_from_json and unitary_transport's
-    output. MonomialRep stores a permutation and a phase per element; it is
-    the form of permutation_rep, left_regular_rep, and the phase-space
-    shift_rep and clock_rep. Both check the same laws under the same
-    tolerances.
+    binary_tetrahedral_spin_rep and unitary_transport's output. MonomialRep
+    stores a permutation and a phase per element; it is the form of
+    permutation_rep, left_regular_rep, and the phase-space shift_rep and
+    clock_rep. Both check the same laws under the same tolerances.
 
     matrices is a stack of one dim x dim matrix per element. Every matrix
     must be unitary within 1e-9*dim, tested by stacked products, and the
@@ -319,12 +317,15 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
     The action must be transitive, so that its invariant measure is the
     counting measure up to scale; a reducible representation is allowed
     but triggers a warning because the frame operator then need not be a
-    scalar.
+    scalar. base_point must be an integer in range(act.space_size) (a
+    numpy integer too); it is stored as an int.
     """
     if act.group is not rep.group and not np.array_equal(act.group.cayley, rep.group.cayley):
         raise ValueError("action and representation use different groups")
-    if not (0 <= base_point < act.space_size):
-        raise ValueError("base point out of range")
+    if not (isinstance(base_point, (int, np.integer))
+            and 0 <= base_point < act.space_size):
+        raise ValueError(
+            f"base point must be an integer in range({act.space_size})")
     if not is_transitive(act):
         raise NonTransitiveError("the action must be transitive on the space")
     f = as_cvector(fiducial)
@@ -340,7 +341,7 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
             stacklevel=2,
         )
     states = rep.orbit(f)
-    return CoherentSystem(rep=rep, action=act, base_point=base_point,
+    return CoherentSystem(rep=rep, action=act, base_point=int(base_point),
                           fiducial=f, states=states, commutant_dim=cdim)
 
 
@@ -440,23 +441,3 @@ def binary_tetrahedral_spin_rep(g: FiniteGroup) -> UnitaryRep:
     mats = np.moveaxis(np.array([[a + 1j * b, c + 1j * d],
                                  [-c + 1j * d, a - 1j * b]]), -1, 0)
     return UnitaryRep(group=g, matrices=mats)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def rep_to_json(rep: UnitaryRep | MonomialRep) -> str:
-    """Element-indexed arrays of row-major [re, im] entry pairs: the dense
-    matrices of either form, written one element at a time."""
-    pairs = [rep.matrix(k).view(np.float64).reshape(-1, 2).tolist()
-             for k in range(rep.group.order)]
-    return json.dumps({"dim": rep.dim, "matrices": pairs})
-
-
-def rep_from_json(group: FiniteGroup, text: str) -> UnitaryRep:
-    obj = json.loads(text)
-    d = int(obj["dim"])
-    pairs = np.array(obj["matrices"], dtype=np.float64)
-    mats = pairs.view(np.complex128).reshape(group.order, d, d)
-    return UnitaryRep(group=group, matrices=mats)

@@ -186,12 +186,15 @@ class FiniteGroup:
     depth is the breadth-first depth: the longest shortest word in the
     generators (at least 1). Constructors that check a law on generators
     only scale their tolerance by it.
+
+    elements, when given, holds each element's value (generate_group's
+    integers or coordinate tuples); it is the one description of an
+    element.
     """
 
     cayley: np.ndarray
     _: KW_ONLY
     name: str = "group"
-    element_names: tuple[str, ...] | None = None
     generators: tuple[int, ...] = ()
     elements: tuple | None = None
     order: int = field(init=False)
@@ -217,8 +220,6 @@ class FiniteGroup:
         for attr, value in (("cayley", t), ("order", n), ("identity", e),
                             ("inverses", inverses)):
             object.__setattr__(self, attr, value)
-        if self.element_names is not None and len(self.element_names) != n:
-            raise ValueError("element_names length mismatch")
         for g in self.generators:
             if not (0 <= g < n):
                 raise ValueError("generator index out of range")
@@ -367,7 +368,7 @@ def _element_lookup(coords: np.ndarray):
     return lambda rows: table[keys(rows)]
 
 
-def generate_group(generators, mul, identity, *, name="group", name_of=None):
+def generate_group(generators, mul, identity, *, name="group"):
     """Breadth-first closure of generators under mul, returning a FiniteGroup.
 
     An element is an integer or a tuple of k integer coordinates. mul works
@@ -392,8 +393,7 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None):
     A closure of more than MAX_GROUP_ORDER elements, read at the call,
     raises OrderTooLargeError.
 
-    elements holds the elements as Python values, ints or tuples of ints;
-    name_of is called on each.
+    elements holds the elements as Python values, ints or tuples of ints.
     """
     ident = np.asarray(identity, dtype=np.int64)
     k = ident.size
@@ -438,30 +438,11 @@ def generate_group(generators, mul, identity, *, name="group", name_of=None):
         values = coords[:, 0].tolist()
     else:
         values = list(map(tuple, elements))
-    names = tuple(name_of(x) for x in values) if name_of else None
     cayley.setflags(write=False)
     return FiniteGroup(
-        cayley, name=name, element_names=names,
+        cayley, name=name,
         generators=tuple(range(1, 1 + len(gens))), elements=tuple(values),
     )
-
-
-def _perm_cycles(p: tuple[int, ...]) -> str:
-    seen = [False] * len(p)
-    out = []
-    for s in range(len(p)):
-        if seen[s] or p[s] == s:
-            seen[s] = True
-            continue
-        cyc = [s]
-        seen[s] = True
-        x = p[s]
-        while x != s:
-            cyc.append(x)
-            seen[x] = True
-            x = p[x]
-        out.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(out) if out else "e"
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -470,10 +451,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n > MAX_GROUP_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds {MAX_GROUP_ORDER}")
     gens = [1] if n > 1 else []
-    return generate_group(
-        gens, lambda a, b: (a + b) % n, 0, name=f"cyclic:{n}",
-        name_of=lambda k: "e" if k == 0 else f"r{k}" if k > 1 else "r",
-    )
+    return generate_group(gens, lambda a, b: (a + b) % n, 0, name=f"cyclic:{n}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -488,14 +466,8 @@ def dihedral_group(n: int) -> FiniteGroup:
         i2, b2 = y[..., 0], y[..., 1]
         return np.stack(((i1 + np.where(b1 == 0, i2, -i2)) % n, b1 ^ b2), axis=-1)
 
-    def nm(x):
-        i, b = x
-        r = "" if i == 0 else ("r" if i == 1 else f"r{i}")
-        s = "s" if b else ""
-        return (r + s) or "e"
-
     return generate_group([(1 % n, 0), (0, 1)], mul, (0, 0),
-                          name=f"dihedral:{n}", name_of=nm)
+                          name=f"dihedral:{n}")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -519,8 +491,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     def mul(p, q):  # (p o q)(x) = p(q(x))
         return np.take_along_axis(p, q, axis=-1)
 
-    return generate_group(gens, mul, identity,
-                          name=f"symmetric:{n}", name_of=_perm_cycles)
+    return generate_group(gens, mul, identity, name=f"symmetric:{n}")
 
 
 def _quat_mul(x, y):
@@ -537,18 +508,6 @@ def _quat_mul(x, y):
     return prod // 2
 
 
-def _quat_name(x):
-    a, b, c, d = x
-    if sorted(map(abs, x)) == [0, 0, 0, 2]:
-        for coord, sym in zip(x, ("1", "i", "j", "k")):
-            if coord:
-                return sym if coord > 0 else "-" + sym
-    parts = []
-    for coord, sym in zip(x, ("1", "i", "j", "k")):
-        parts.append(("+" if coord > 0 else "-") + sym)
-    return "(" + "".join(parts).lstrip("+") + ")/2"
-
-
 def binary_tetrahedral_group() -> FiniteGroup:
     """The 24 unit Hurwitz quaternions, generated from i and (1+i+j+k)/2.
 
@@ -558,8 +517,7 @@ def binary_tetrahedral_group() -> FiniteGroup:
     one = (2, 0, 0, 0)
     qi = (0, 2, 0, 0)
     omega = (1, 1, 1, 1)
-    return generate_group([qi, omega], _quat_mul, one,
-                          name="binary_tetrahedral", name_of=_quat_name)
+    return generate_group([qi, omega], _quat_mul, one, name="binary_tetrahedral")
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -576,13 +534,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     e = (g1.identity, g2.identity)
     gens = ([(a, g2.identity) for a in g1.generating_set]
             + [(g1.identity, b) for b in g2.generating_set])
-
-    def nm(x):
-        n1 = g1.element_names[x[0]] if g1.element_names else str(x[0])
-        n2 = g2.element_names[x[1]] if g2.element_names else str(x[1])
-        return f"({n1},{n2})"
-
-    return generate_group(gens, mul, e, name=f"{g1.name}x{g2.name}", name_of=nm)
+    return generate_group(gens, mul, e, name=f"{g1.name}x{g2.name}")
 
 
 def make_named_group(name: str) -> FiniteGroup:

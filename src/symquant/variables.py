@@ -16,7 +16,6 @@ O(points).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,9 +44,10 @@ class ConceptualVariable:
 
     values[point] is an index into value_labels, one per point of the
     space, so space_size is the length of values; every label must be
-    attained (the label list is the exact range of the function). The ids
-    are stored read-only as int16 up to 32,768 labels (int32 beyond), as
-    the group module stores its index arrays.
+    attained (the label list is the exact range of the function), and the
+    labels must be distinct and not NaN (a NaN equals no label, itself
+    included). The ids are stored read-only as int16 up to 32,768 labels
+    (int32 beyond), as the group module stores its index arrays.
 
     first_points[v] is the smallest point whose value is v, computed on
     first read and kept, as OperatorBundle keeps its spectrum.
@@ -63,6 +63,10 @@ class ConceptualVariable:
             raise ValueError("values must assign one id per point")
         if not labels:
             raise ValueError("label list must be nonempty")
+        if any(x != x for x in labels):
+            raise ValueError("labels must not be NaN")
+        if len(set(labels)) != len(labels):
+            raise ValueError("labels must be distinct")
         v = as_index_array(v, len(labels), "value id out of range")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "value_labels", labels)
@@ -97,31 +101,6 @@ def variable_from_point_labels(point_labels) -> ConceptualVariable:
     idx = {x: i for i, x in enumerate(uniq)}
     values = np.array([idx[x] for x in pts], dtype=np.intp)
     return ConceptualVariable(values=values, value_labels=tuple(uniq))
-
-
-def variable_to_json(var: ConceptualVariable) -> str:
-    """Serialize as a JSON object with value ids and the label array."""
-    return json.dumps(
-        {
-            "space_size": var.space_size,
-            "values": [int(i) for i in var.values],
-            "value_labels": list(var.value_labels),
-        },
-        separators=(", ", ": "),
-    )
-
-
-def variable_from_json(text: str) -> ConceptualVariable:
-    """Read variable_to_json's document; its space_size must be the number
-    of values."""
-    obj = json.loads(text)
-    var = ConceptualVariable(values=np.array(obj["values"], dtype=np.intp),
-                             value_labels=tuple(obj["value_labels"]))
-    if int(obj["space_size"]) != var.space_size:
-        raise SizeMismatchError(
-            f"space_size {obj['space_size']} but {var.space_size} values"
-        )
-    return var
 
 
 def _check_sizes(var: ConceptualVariable, act: GroupAction) -> None:

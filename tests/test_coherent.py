@@ -33,8 +33,6 @@ from symquant.coherent import (
     left_regular_rep,
     make_coherent,
     permutation_rep,
-    rep_from_json,
-    rep_to_json,
     resolution_deviation,
     unitary_transport,
 )
@@ -143,11 +141,6 @@ class TestUnitaryRepValidation:
         with pytest.raises(ValueError, match="stack of 2 square matrices"):
             UnitaryRep(group=cyclic_group(2), matrices=np.ones((2, 2, 3)))
 
-    def test_json_round_trip(self, d4_rep):
-        g, rep = d4_rep
-        back = rep_from_json(g, rep_to_json(rep))
-        assert np.allclose(back.matrices, rep.matrices)
-
     @pytest.mark.parametrize("name", ["dihedral:4", "dihedral:7", "binary_tetrahedral"])
     def test_law_error_is_the_measured_generator_error(self, name):
         # every non-identity element a generator, in descending order, so
@@ -187,6 +180,18 @@ class TestCoherentSystems:
         cs = make_coherent(rep, left_translation_action(g), g.identity, (1.0, 0.0))
         assert cs.states.shape == (24, 2)
         assert_allclose(np.linalg.norm(cs.states, axis=1), np.ones(24), atol=1e-12)
+
+    @pytest.mark.parametrize("point", [1.5, 1.0, -1, 4, "0", None])
+    def test_base_point_must_be_a_point(self, d4_rep, point):
+        g, rep = d4_rep
+        act = dihedral_vertex_action(g)
+        with pytest.raises(ValueError, match=r"integer in range\(4\)"):
+            make_coherent(rep, act, point, (1.0, 0.0))
+
+    def test_numpy_integer_base_point_stored_as_int(self, d4_rep):
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), np.int64(3), (1.0, 0.0))
+        assert cs.base_point == 3 and type(cs.base_point) is int
 
     def test_zero_fiducial(self, d4_rep):
         g, rep = d4_rep

@@ -104,7 +104,6 @@ class TestNamedGroups:
         g = make_named_group("dihedral:1")
         assert g.order == 2
         assert g.elements == ((0, 0), (0, 1))
-        assert g.element_names == ("e", "s")
         assert g.generators == (1,)
         assert np.array_equal(g.cayley, [[0, 1], [1, 0]])
         act = dihedral_vertex_action(g)

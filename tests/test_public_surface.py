@@ -27,11 +27,6 @@ from symquant.cli import main
 from symquant.scenarios import run_all
 
 NOT_REACHED = {
-    # serialization: written and read back by users, not by reports
-    "coherent.rep_to_json": "serialization of a representation",
-    "coherent.rep_from_json": "serialization of a representation",
-    "variables.variable_to_json": "serialization of a variable",
-    "variables.variable_from_json": "serialization of a variable",
     # named-group grammar: make_named_group builds these on request
     "groups.symmetric_group": "the symmetric:n group of the name grammar",
     "groups.direct_product": "the AxB product of the name grammar",
@@ -150,7 +145,8 @@ DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
            "Povm", "build_povm", "DensityOp", "build_density",
            "RowMismatchError", "NegativeWeightError", "function_operator",
            "commutator_norm", "CoarseGraining", "EigenOrbitPartition",
-           "cyclic_shift_action")
+           "cyclic_shift_action", "rep_to_json", "rep_from_json",
+           "variable_to_json", "variable_from_json")
 
 # stored copies and derived values: read them off the one field that holds
 # them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL), or, for a
@@ -160,6 +156,7 @@ DELETED_FIELDS = {
     "coherent.FrameOperator": ("normalized_weights",),
     "linalg.SpectralData": ("degeneracy_tol",),
     "quantize.CovarianceReport": ("tolerance",),
+    "groups.FiniteGroup": ("element_names",),
 }
 
 

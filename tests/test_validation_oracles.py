@@ -90,7 +90,6 @@ two must give the same bytes.
 
 import hashlib
 import itertools
-import json
 from types import SimpleNamespace
 from unittest import mock
 
@@ -111,15 +110,12 @@ from symquant.coherent import (
     left_regular_rep,
     make_coherent,
     permutation_rep,
-    rep_to_json,
     resolution_deviation,
     unitary_transport,
 )
 from symquant.groups import (
     FiniteGroup,
     GroupAction,
-    _perm_cycles,
-    _quat_name,
     check_homomorphism,
     cyclic_group,
     dihedral_vertex_action,
@@ -511,8 +507,7 @@ def commutant_by_kronecker_svd(rep, tol=1e-8) -> int:
     return d * d - int(np.sum(s > thresh))
 
 
-def generate_group_by_pairs(generators, mul, identity, *, name="group",
-                            name_of=None) -> FiniteGroup:
+def generate_group_by_pairs(generators, mul, identity, *, name="group") -> FiniteGroup:
     """Breadth-first closure with one scalar mul call per (element,
     generator), then one per pair for the Cayley table; elements are any
     hashable values."""
@@ -543,9 +538,8 @@ def generate_group_by_pairs(generators, mul, identity, *, name="group",
     inverses = np.empty(n, dtype=np.intp)
     for i in range(n):
         inverses[i] = int(np.nonzero(cayley[i] == 0)[0][0])
-    names = tuple(name_of(x) for x in elements) if name_of else None
     group = FiniteGroup(
-        cayley, name=name, element_names=names,
+        cayley, name=name,
         generators=tuple(index[g] for g in gens), elements=tuple(elements),
     )
     assert group.identity == 0 and np.array_equal(group.inverses, inverses)
@@ -577,35 +571,26 @@ def named_group_by_pairs(name: str) -> FiniteGroup:
         out = named_group_by_pairs(parts[0])
         for part in parts[1:]:
             g1, g2 = out, named_group_by_pairs(part)
-            n1 = g1.element_names or tuple(map(str, range(g1.order)))
-            n2 = g2.element_names or tuple(map(str, range(g2.order)))
             out = generate_group_by_pairs(
                 [(a, g2.identity) for a in g1.generating_set]
                 + [(g1.identity, b) for b in g2.generating_set],
                 lambda x, y, t1=g1.cayley, t2=g2.cayley: (
                     int(t1[x[0], y[0]]), int(t2[x[1], y[1]])),
-                (g1.identity, g2.identity), name=f"{g1.name}x{g2.name}",
-                name_of=lambda x, n1=n1, n2=n2: f"({n1[x[0]]},{n2[x[1]]})")
+                (g1.identity, g2.identity), name=f"{g1.name}x{g2.name}")
         return out
     if name == "binary_tetrahedral":
         return generate_group_by_pairs([(0, 2, 0, 0), (1, 1, 1, 1)], quat_mul_scalar,
-                                       (2, 0, 0, 0), name=name, name_of=_quat_name)
+                                       (2, 0, 0, 0), name=name)
     head, _, tail = name.partition(":")
     n = int(tail)
     if head == "cyclic":
         return generate_group_by_pairs(
-            [1] if n > 1 else [], lambda a, b: (a + b) % n, 0, name=name,
-            name_of=lambda k: "e" if k == 0 else f"r{k}" if k > 1 else "r")
+            [1] if n > 1 else [], lambda a, b: (a + b) % n, 0, name=name)
     if head == "dihedral":
-        def dihedral_name(x):
-            i, b = x
-            r = "" if i == 0 else ("r" if i == 1 else f"r{i}")
-            return (r + ("s" if b else "")) or "e"
-
         return generate_group_by_pairs(
             [(1 % n, 0), (0, 1)],
             lambda x, y: ((x[0] + (y[0] if x[1] == 0 else -y[0])) % n, x[1] ^ y[1]),
-            (0, 0), name=name, name_of=dihedral_name)
+            (0, 0), name=name)
     assert head == "symmetric"
     identity = tuple(range(n))
     gens = []
@@ -613,8 +598,7 @@ def named_group_by_pairs(name: str) -> FiniteGroup:
         gens.append((1, 0) + identity[2:])
         if n >= 3:
             gens.append(tuple((i + 1) % n for i in range(n)))
-    return generate_group_by_pairs(gens, compose_scalar, identity, name=name,
-                                   name_of=_perm_cycles)
+    return generate_group_by_pairs(gens, compose_scalar, identity, name=name)
 
 
 def assert_same_group(new: FiniteGroup, old: FiniteGroup):
@@ -624,7 +608,6 @@ def assert_same_group(new: FiniteGroup, old: FiniteGroup):
     assert new.inverses.tobytes() == old.inverses.tobytes()
     # repr tells Python ints from numpy integers
     assert repr(new.elements) == repr(old.elements)
-    assert new.element_names == old.element_names
     assert new.generators == old.generators
     assert new.depth == old.depth
     assert new.name == old.name
@@ -1774,15 +1757,17 @@ class TestMonomialOracle:
         dense = UnitaryRep(group=g, matrices=mats)
         assert rep.law_error == dense.law_error == 0.0
         assert np.array_equal(rep.characters(), dense.characters())
-        assert rep_to_json(rep) == json.dumps({
-            "dim": g.order,
-            "matrices": mats.view(np.float64).reshape(g.order, -1, 2).tolist()})
+        stack = np.stack([rep.matrix(k) for k in range(g.order)])
+        assert stack.dtype == mats.dtype
+        assert np.array_equal(stack, mats)
 
-    def test_left_regular_json_bytes_are_pinned(self):
-        # SHA-256 of the bytes written from the dense stack
-        text = rep_to_json(left_regular_rep(make_named_group("binary_tetrahedral")))
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "9db8dae4e18c25b2b44622f314b6c5d69db7d4e88b48c3760754f8b06249054a")
+    def test_left_regular_stack_bytes_are_pinned(self):
+        # SHA-256 of the dense stack that MonomialRep.matrix expands
+        g = make_named_group("binary_tetrahedral")
+        rep = left_regular_rep(g)
+        stack = np.stack([rep.matrix(k) for k in range(g.order)])
+        assert hashlib.sha256(stack.tobytes()).hexdigest() == (
+            "0dba7081ff0a84cbbd6924e93b10f64b25f066f88378feba589663d9c13faa3b")
 
 
 class TestShiftAndClockOracle:
@@ -2033,7 +2018,7 @@ class TestSpinGroupOracles:
         rep = binary_tetrahedral_spin_rep(g)
         for k, q in enumerate(g.elements):
             U = spin_rotation(0.5, *quaternion_axis_angle(q))
-            assert np.max(np.abs(U - rep.matrices[k])) <= 1e-15, g.element_names[k]
+            assert np.max(np.abs(U - rep.matrices[k])) <= 1e-15, q
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 5.0])
     def test_covariance_on_every_element(self, j):
@@ -2051,7 +2036,7 @@ class TestSpinGroupOracles:
                 np.linalg.norm(U.conj().T @ J[i] @ U
                                - sum(R[i, m] * J[m] for m in range(3))) ** 2
                 for i in range(3)))
-            assert err <= 1e-9, g.element_names[k]
+            assert err <= 1e-9, q
 
     @ORACLE_SETTINGS
     @given(st.integers(0, 10), st.integers(0, 2**32 - 1))

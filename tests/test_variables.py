@@ -1,7 +1,5 @@
 """Tests for variables, permissibility, induced groups, and the partial order."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -21,9 +19,7 @@ from symquant.variables import (
     is_permissible,
     is_permissible_under,
     maximal_permissible_subgroup,
-    variable_from_json,
     variable_from_point_labels,
-    variable_to_json,
 )
 
 
@@ -251,18 +247,23 @@ class TestVariableType:
         with pytest.raises(ValueError, match="one id per point"):
             ConceptualVariable(values=[[0, 1]], value_labels=(0.0, 1.0))
 
-    def test_json_round_trip(self, parity):
-        text = variable_to_json(parity)
-        back = variable_from_json(text)
-        assert back.space_size == parity.space_size
-        assert np.array_equal(back.values, parity.values)
-        assert back.value_labels == parity.value_labels
+    @pytest.mark.parametrize("labels", [(1.0, 1.0), ("a", "a"), (0, 0.0)])
+    def test_repeated_labels_rejected(self, labels):
+        # two ids with one label would make a constant function look like
+        # a two-valued one to induce_group
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            ConceptualVariable(values=[0, 1, 0, 1], value_labels=labels)
 
-    def test_json_space_size_must_count_the_values(self, parity):
-        doc = json.loads(variable_to_json(parity))
-        doc["space_size"] += 1
-        with pytest.raises(SizeMismatchError, match="space_size 5 but 4 values"):
-            variable_from_json(json.dumps(doc))
+    @pytest.mark.parametrize("nan", [float("nan"), np.nan, np.float64("nan")])
+    def test_nan_labels_rejected(self, nan):
+        with pytest.raises(ValueError, match="labels must not be NaN"):
+            ConceptualVariable(values=[0, 1], value_labels=(nan, 1.0))
+
+    def test_nan_point_labels_rejected(self):
+        # distinct NaN objects are distinct dict keys, and NaN has no place
+        # in the ascending label order
+        with pytest.raises(ValueError, match="labels must not be NaN"):
+            variable_from_point_labels([np.nan, float("nan"), 1.0])
 
     def test_sorted_labels(self):
         var = variable_from_point_labels([3.0, 1.0, 3.0, 2.0])
