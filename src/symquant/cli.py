@@ -8,9 +8,10 @@ Subcommands:
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on invalid
 input: a bad flag or config, a config file that cannot be read as UTF-8
-JSON, or an --out path that cannot be written. Every such error in main's
-call raises ConfigParseError (or UnknownScenarioError), and main alone
-prints it as "error: ..." and returns 2. Reports are JSON on stdout or
+JSON (nested too deep, an integer too long to convert, or an object that
+repeats a key), or an --out path that cannot be written. Every such error
+in main's call raises ConfigParseError (or UnknownScenarioError), and main
+alone prints it as "error: ..." and returns 2. Reports are JSON on stdout or
 --out.
 """
 
@@ -34,7 +35,7 @@ from .scenarios import (
 def _parse_half_integer(text: str) -> float:
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(
             f"expected a half-integer like 0.5 or 3/2, got {text!r}"
         ) from None
@@ -90,14 +91,26 @@ def _emit(report_or_list, out_path: str | None) -> int:
     return 0 if all(r.all_passed for r in reports) else 1
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose names are all distinct: json.load would keep the
+    last value of a repeated name and drop the others."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValueError(f"an object repeats the key {name!r}")
+        obj[name] = value
+    return obj
+
+
 def _read_config(path: str) -> dict:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError, a repeated key
+    # and an integer literal beyond Python's digit limit; RecursionError,
+    # nesting too deep for the decoder
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+            config = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigParseError("configuration must be a JSON object")
     return config

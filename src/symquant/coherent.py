@@ -284,7 +284,8 @@ class CoherentSystem:
 
     states[k] = V(k) |fiducial>: states are parametrized by group elements,
     each with weight 1, and the group acts transitively on the space that
-    holds the base point.
+    holds the base point, an integer in range(action.space_size) (a numpy
+    integer too) stored as an int.
     """
 
     rep: UnitaryRep | MonomialRep
@@ -295,6 +296,10 @@ class CoherentSystem:
     commutant_dim: int
 
     def __post_init__(self):
+        point = self.base_point
+        if not (isinstance(point, (int, np.integer)) and 0 <= point < self.action.space_size):
+            raise ValueError(
+                f"base point must be an integer in range({self.action.space_size})")
         f = as_cvector(self.fiducial).copy()
         st = np.asarray(self.states, dtype=np.complex128).copy()
         if st.shape != (self.rep.group.order, self.rep.dim):
@@ -306,6 +311,7 @@ class CoherentSystem:
             raise ValueError("the identity element must reproduce the fiducial")
         f.setflags(write=False)
         st.setflags(write=False)
+        object.__setattr__(self, "base_point", int(point))
         object.__setattr__(self, "fiducial", f)
         object.__setattr__(self, "states", st)
 
@@ -317,15 +323,10 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
     The action must be transitive, so that its invariant measure is the
     counting measure up to scale; a reducible representation is allowed
     but triggers a warning because the frame operator then need not be a
-    scalar. base_point must be an integer in range(act.space_size) (a
-    numpy integer too); it is stored as an int.
+    scalar. CoherentSystem checks base_point.
     """
     if act.group is not rep.group and not np.array_equal(act.group.cayley, rep.group.cayley):
         raise ValueError("action and representation use different groups")
-    if not (isinstance(base_point, (int, np.integer))
-            and 0 <= base_point < act.space_size):
-        raise ValueError(
-            f"base point must be an integer in range({act.space_size})")
     if not is_transitive(act):
         raise NonTransitiveError("the action must be transitive on the space")
     f = as_cvector(fiducial)
@@ -341,7 +342,7 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
             stacklevel=2,
         )
     states = rep.orbit(f)
-    return CoherentSystem(rep=rep, action=act, base_point=int(base_point),
+    return CoherentSystem(rep=rep, action=act, base_point=base_point,
                           fiducial=f, states=states, commutant_dim=cdim)
 
 

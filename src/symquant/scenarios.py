@@ -1,11 +1,14 @@
 """Built-in end-to-end scenarios and the verification driver.
 
-Each scenario is a setup, which validates the params (rounding the spin's
-j to its half-integer, as the report then echoes it) and builds the
-objects its checks share, and a table that declares each check once as a
-CheckSpec. run_scenario alone runs the declared checks in order, applies
-the tolerance overrides and turns a declared exception into a failed
-exact check. Every verdict is proved on finite objects; nothing draws
+Each scenario is a setup, which only builds the objects its checks share
+from params that parse_config has already validated, and a table that
+declares each check once as a CheckSpec. The setup neither validates nor
+edits its params: parse_config alone refuses a configuration, checking
+each param against the type of its default and the bound declared beside
+it (the spin's bound also rounds j to its half-integer, which the report
+then echoes). run_scenario alone runs the declared checks in order,
+applies the tolerance overrides and turns a declared exception into a
+failed exact check. Every verdict is proved on finite objects; nothing draws
 random numbers. The optional "seed" is validated and echoed, but feeds
 nothing.
 
@@ -61,10 +64,9 @@ from .quantize import (
     question_answer_match,
     spectrum_permutations,
 )
-from .phasespace import BadSizeError, _check_size
+from .phasespace import _check_size
 from .reporting import Check, VerificationReport, exact_check, make_check
 from .spin import (
-    BadSpinError,
     perpendicular_unit,
     quaternion_axis_angle,
     rotation_matrix,
@@ -268,19 +270,24 @@ _BT24_CHECKS = (
 # spin scenario
 
 
-def _spin_setup(params) -> SimpleNamespace:
-    # j within 1e-12 of a half-integer is that half-integer: the matrices,
-    # the details, the ladder comparison and the echoed params all use it
-    params["j"] = j = _check_spin(params["j"])
-    a = np.asarray(params["direction"])
+def _nonzero_direction(direction: list) -> list:
+    """The bound of the spin's direction: a finite 3-vector, nonzero."""
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(a)
-    if a.shape != (3,) or not 1e-12 <= norm < np.inf:
-        raise ConfigParseError("direction must be a nonzero, finite 3-vector")
+        norm = np.linalg.norm(direction)
+    if len(direction) != 3 or not 1e-12 <= norm < np.inf:
+        raise ValueError("direction must be a nonzero, finite 3-vector")
+    return direction
+
+
+def _spin_setup(params) -> SimpleNamespace:
+    # parse_config has rounded j to its half-integer: the matrices, the
+    # details, the ladder comparison and the echoed params all use it
+    j = params["j"]
     # errors relative to the size of the operators compared, which grows
     # with j, so that one tolerance serves every spin
     J = np.stack(spin_generators(j))
-    a = a / norm
+    a = np.asarray(params["direction"])
+    a = a / np.linalg.norm(a)
     bundle = spin_component_operator(j, a)
     flip_perms = spectrum_permutations(bundle.eigenvalues, [lambda u: u, lambda u: -u])
     # the spectrum along a perpendicular axis b, read by the half turn and
@@ -297,7 +304,7 @@ def _spin_setup(params) -> SimpleNamespace:
 
 
 def _d_above_1(params) -> bool:
-    return round(2 * params["j"]) > 0
+    return params["j"] > 0
 
 
 def _commutation(s):
@@ -425,7 +432,7 @@ _SPIN_CHECKS = (
 
 
 def _phase_setup(params) -> SimpleNamespace:
-    n = _check_size(params["n"])
+    n = params["n"]
     # each rep measures its product law on generators x all elements,
     # which bounds every pair (see MonomialRep)
     g = cyclic_group(n)
@@ -496,15 +503,18 @@ _PHASE_CHECKS = (
 
 
 class _Scenario(NamedTuple):
-    setup: Callable     # params -> the shared objects
+    setup: Callable     # validated params -> the shared objects
     checks: tuple       # the CheckSpecs, in report order
-    defaults: dict
+    defaults: dict      # each param's default, whose type the param takes
+    bounds: dict = {}   # param -> its value within bounds, else ValueError
 
 
 _SCENARIOS = {
     "spin": _Scenario(_spin_setup, _SPIN_CHECKS,
-                      {"j": 0.5, "direction": [0.0, 0.0, 1.0], "reduce": True}),
-    "phase": _Scenario(_phase_setup, _PHASE_CHECKS, {"n": 4, "c": 1, "d": 1}),
+                      {"j": 0.5, "direction": [0.0, 0.0, 1.0], "reduce": True},
+                      {"j": _check_spin, "direction": _nonzero_direction}),
+    "phase": _Scenario(_phase_setup, _PHASE_CHECKS, {"n": 4, "c": 1, "d": 1},
+                       {"n": _check_size}),
     "pedagogy_z4": _Scenario(_z4_setup, _Z4_CHECKS, {}),
     "coherent_d4": _Scenario(_d4_setup, _D4_CHECKS, {}),
     "coherent_bt24": _Scenario(_bt24_setup, _BT24_CHECKS, {}),
@@ -524,30 +534,27 @@ def _finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _coerce_param(name: str, value, default):
+def _coerce_param(value, default):
     """Coerce a configuration value to the type of its default; numbers
-    must be finite."""
-    bad = ConfigParseError(f"bad value for parameter {name!r}: {value!r}")
+    must be finite. A ValueError holds the value's repr."""
     if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise bad
-        return value
-    if isinstance(default, (int, float)):
+        if isinstance(value, bool):
+            return value
+    elif isinstance(default, (int, float)):
         integral = isinstance(default, int)
-        if not _finite_number(value) or (integral and int(value) != value):
-            raise bad
-        return int(value) if integral else float(value)
-    if isinstance(default, list):
-        if not isinstance(value, (list, tuple)) or not all(map(_finite_number, value)):
-            raise bad
+        if _finite_number(value) and not (integral and int(value) != value):
+            return int(value) if integral else float(value)
+    elif isinstance(value, (list, tuple)) and all(map(_finite_number, value)):
         return [float(x) for x in value]
-    raise bad
+    raise ValueError(repr(value))
 
 
 def parse_config(config) -> dict:
-    """Validate a configuration document and fill in defaults. A tolerance
-    override must name a check that the scenario declares with a tolerance
-    for the resolved params."""
+    """Validate a configuration document and fill in defaults; the only
+    refusal of a configuration. Each param takes the type of its default
+    and must pass the scenario's bound on it. A tolerance override must name
+    a check that the scenario declares with a tolerance for the resolved
+    params."""
     if not isinstance(config, dict):
         raise ConfigParseError("configuration must be a JSON object")
     unknown = set(config) - {"scenario", "params", "tolerances", "seed"}
@@ -567,10 +574,13 @@ def parse_config(config) -> dict:
     bad = set(params) - set(scenario.defaults)
     if bad:
         raise ConfigParseError(f"unknown params for {name}: {sorted(bad)}")
-    resolved_params = {
-        key: _coerce_param(key, params.get(key, default), default)
-        for key, default in scenario.defaults.items()
-    }
+    resolved_params = {}
+    for key, default in scenario.defaults.items():
+        bound = scenario.bounds.get(key, lambda value: value)
+        try:
+            resolved_params[key] = bound(_coerce_param(params.get(key, default), default))
+        except ValueError as exc:
+            raise ConfigParseError(f"bad value for parameter {key!r}: {exc}") from exc
     tolerances = config.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigParseError("tolerances must be an object")
@@ -616,10 +626,7 @@ def run_scenario(config) -> VerificationReport:
     scenario = _SCENARIOS[resolved["scenario"]]
     params = resolved["params"]
     start = time.perf_counter()
-    try:
-        shared = scenario.setup(params)
-    except (BadSpinError, BadSizeError) as exc:
-        raise ConfigParseError(f"invalid parameters: {exc}") from exc
+    shared = scenario.setup(params)
     checks = tuple(_check(spec, shared, resolved["tolerances"])
                    for spec in _declared(scenario, params))
     timing_ms = int((time.perf_counter() - start) * 1000)

@@ -183,10 +183,19 @@ class TestCoherentSystems:
 
     @pytest.mark.parametrize("point", [1.5, 1.0, -1, 4, "0", None])
     def test_base_point_must_be_a_point(self, d4_rep, point):
+        # the system itself refuses it, however it is built: by
+        # make_coherent, by replacing the field, or by a transport that
+        # copies the field of a system whose point was overwritten
         g, rep = d4_rep
         act = dihedral_vertex_action(g)
         with pytest.raises(ValueError, match=r"integer in range\(4\)"):
             make_coherent(rep, act, point, (1.0, 0.0))
+        cs = make_coherent(rep, act, 0, (1.0, 0.0))
+        with pytest.raises(ValueError, match=r"integer in range\(4\)"):
+            dataclasses.replace(cs, base_point=point)
+        object.__setattr__(cs, "base_point", point)
+        with pytest.raises(ValueError, match=r"integer in range\(4\)"):
+            unitary_transport(cs, np.eye(2))
 
     def test_numpy_integer_base_point_stored_as_int(self, d4_rep):
         g, rep = d4_rep

@@ -1,14 +1,20 @@
 """Tests for the scenario driver, report serialization, and the CLI."""
 
 import argparse
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -98,14 +104,52 @@ class TestConfig:
         with pytest.raises(ConfigParseError):
             parse_config({"scenario": "phase", "params": {"n": 2.5}})
 
-    def test_semantically_bad_params(self):
-        with pytest.raises(ConfigParseError):
-            run_scenario({"scenario": "spin", "params": {"j": 0.3}})
-        with pytest.raises(ConfigParseError):
-            run_scenario({"scenario": "phase", "params": {"n": 1}})
-        with pytest.raises(ConfigParseError):
-            run_scenario({"scenario": "spin",
-                          "params": {"direction": [0.0, 0.0, 0.0]}})
+    @pytest.mark.parametrize("config, message", [
+        ({"scenario": "spin", "params": {"j": 0.3}}, "nonnegative half-integer"),
+        ({"scenario": "spin", "params": {"j": -0.5}}, "largest supported spin"),
+        ({"scenario": "phase", "params": {"n": 1}}, "largest supported size"),
+        ({"scenario": "phase", "params": {"n": 0.0}}, "largest supported size"),
+        ({"scenario": "spin", "params": {"direction": [1, 2]}}, "3-vector"),
+        ({"scenario": "spin", "params": {"direction": [1, 2, 3, 4]}}, "3-vector"),
+        ({"scenario": "spin", "params": {"direction": []}}, "3-vector"),
+        ({"scenario": "spin", "params": {"direction": [0.0, 0.0, 0.0]}}, "3-vector"),
+        ({"scenario": "spin", "params": {"direction": [1e-13, 0, 0]}}, "3-vector"),
+        ({"scenario": "spin", "params": {"direction": [1e308, 1e308, 0]}}, "3-vector"),
+    ])
+    def test_semantically_bad_params(self, config, message):
+        # the bounds are checked by parse_config, before any setup
+        with pytest.raises(ConfigParseError, match=message):
+            parse_config(config)
+
+    def test_param_bound_checked_before_overrides(self):
+        # a tolerance override is checked against the checks declared for
+        # the params, so the params are bounded first: a negative spin is
+        # named, not the half turn that spin 0 would leave out
+        with pytest.raises(ConfigParseError, match="largest supported spin"):
+            parse_config({"scenario": "spin", "params": {"j": -0.5},
+                          "tolerances": {"covariance_half_turn_reverses_labels": 1e-6}})
+
+    def test_bounds_resolve_params(self):
+        resolved = parse_config({"scenario": "spin", "params": {
+            "j": 1.5000000000004, "direction": [0, 3, 4]}})
+        assert resolved["params"] == {"j": 1.5, "direction": [0.0, 3.0, 4.0], "reduce": True}
+        assert parse_config({"scenario": "phase", "params": {"n": 8.0}})["params"]["n"] == 8
+
+    def test_setups_only_build(self, monkeypatch):
+        # parse_config resolves every param; a setup reads them and leaves
+        # them as they were
+        unchanged = []
+        for name, scenario in list(scenarios._SCENARIOS.items()):
+            def setup(params, build=scenario.setup):
+                before = copy.deepcopy(params)
+                shared = build(params)
+                unchanged.append(params == before)
+                return shared
+
+            monkeypatch.setitem(scenarios._SCENARIOS, name, scenario._replace(setup=setup))
+        run_all()
+        run_scenario({"scenario": "spin", "params": {"j": 0.5000000000004}})
+        assert unchanged == [True] * (len(BUILTIN_SCENARIOS) + 1)
 
     @pytest.mark.parametrize("params", [
         {"n_directions": -5, "n_angle_pairs": 0},
@@ -322,10 +366,34 @@ class TestCli:
         cfg.write_text("{}")
         assert main(["verify", "--config", str(cfg)]) == 2
 
-    def test_malformed_config_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "not json",
+        # nested too deep for the decoder: RecursionError
+        "[" * 100_000 + "]" * 100_000,
+        # beyond Python's 4,300-digit limit on integer conversion
+        '{"scenario": "phase", "params": {"n": 1' + "0" * 4999 + "}}",
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json")
+        cfg.write_text(text)
         assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"scenario": "phase", "scenario": "spin"}', "'scenario'"),
+        ('{"scenario": "phase", "params": {"n": 4, "n": 8}}', "'n'"),
+    ])
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys, text, key):
+        # json keeps the last value of a repeated name; the config refuses it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read config: an object repeats the key {key}\n"
 
     def test_config_file_runs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -445,6 +513,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        # 1e400 overflows a float, so argparse refuses it
+        with pytest.raises(SystemExit) as err:
+            main(["spin", "--j", "1e400"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --j: " in captured.err.splitlines()[-1]
 
     def test_spin_non_finite_direction_exit_2(self, capsys):
         assert main(["spin", "--j", "0.5", "--ax", "nan"]) == 2
@@ -541,6 +616,105 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["scenario"] == "coherent_d4"
+
+
+# Documents for the config fuzz: well-formed ones, whose params have the
+# right types but may lie out of bounds, ones with one malformed field, and
+# arbitrary JSON. The strategy caps j at 5 and n at 64, so that an accepted
+# document runs fast; values beyond MAX_SPIN and MAX_PHASE_N are drawn too,
+# since their refusal is cheap. The bounds themselves are the program's.
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _weighted(*choices):
+    """Draw from each strategy in proportion to its weight."""
+    table = [strategy for weight, strategy in choices for _ in range(weight)]
+    return st.integers(0, len(table) - 1).flatmap(table.__getitem__)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=4),
+    max_leaves=12)
+_integral = st.integers() | st.integers().map(float)
+# each param's values of its default's type, mostly in bounds
+_TYPED = {
+    "j": _weighted((4, st.integers(0, 10).map(lambda k: k / 2)),
+                   (1, st.integers(0, 10).map(lambda k: k / 2 + 4e-13)),
+                   (1, st.floats(-1, 5)),
+                   (1, st.floats(min_value=spin.MAX_SPIN + 0.5))),
+    "direction": _weighted((3, st.lists(st.integers(-2, 2), min_size=3, max_size=3)),
+                           (1, st.lists(st.floats(-1e308, 1e308), min_size=3, max_size=3)),
+                           (1, st.lists(st.floats(-1, 1), max_size=5))),
+    "reduce": st.booleans(),
+    "n": _weighted((4, st.integers(2, 64) | st.integers(2, 64).map(float)),
+                   (1, st.integers(-2, 1) | st.floats(-2, 64)),
+                   (1, st.integers(min_value=MAX_PHASE_N + 1)
+                    | st.floats(min_value=MAX_PHASE_N + 1))),
+    "c": _weighted((3, _integral), (1, st.floats())),
+    "d": _weighted((3, _integral), (1, st.floats())),
+}
+
+
+def _scenario_documents(name):
+    scenario = scenarios._SCENARIOS[name]
+    typed = {key: _TYPED[key] for key in scenario.defaults}
+    params = st.fixed_dictionaries(typed) | st.fixed_dictionaries({}, optional=typed)
+    names = sorted({spec.name for spec in scenario.checks if spec.tolerance > 0} | {"*"})
+    tolerances = st.dictionaries(st.sampled_from(names), st.floats(0, 1), max_size=3)
+    fields = {"params": params, "tolerances": tolerances, "seed": st.integers()}
+    well_formed = st.fixed_dictionaries({"scenario": st.just(name)}, optional=fields)
+    # one field replaced by arbitrary JSON, or one key added
+    one_malformed = st.builds(lambda doc, key, value: {**doc, key: value},
+                              well_formed, st.sampled_from([*fields, "extra"]), _json)
+    return _weighted((3, well_formed), (1, one_malformed))
+
+
+_BY_SCENARIO = {name: _scenario_documents(name) for name in BUILTIN_SCENARIOS}
+_documents = _weighted(
+    (6, st.sampled_from(BUILTIN_SCENARIOS).flatmap(_BY_SCENARIO.__getitem__)),
+    (1, st.fixed_dictionaries({"scenario": st.text(max_size=6) | _json})),
+    (1, _json))
+
+
+class TestConfigFuzz:
+    @FUZZ_SETTINGS
+    @given(_documents)
+    def test_verify_reports_or_exits_2(self, document):
+        # every document either runs to a parseable report (exit 0 or 1) or
+        # exits 2 with one error line and no report; main never raises
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp, "cfg.json"), Path(tmp, "report.json")
+            cfg.write_text(json.dumps(document), encoding="utf-8")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["verify", "--config", str(cfg), "--out", str(out)])
+            assert stdout.getvalue() == ""
+            if code == 2:
+                err = stderr.getvalue()
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert not out.exists()
+            else:
+                assert code in (0, 1)
+                assert stderr.getvalue() == ""
+                assert json.loads(out.read_text(encoding="utf-8"))["scenario"] == \
+                    document["scenario"]
+
+    @FUZZ_SETTINGS
+    @given(_documents)
+    def test_accepted_config_runs(self, document):
+        # parse_config is the only refusal: whatever it accepts, the setup
+        # builds and every declared check reports on
+        try:
+            resolved = parse_config(document)
+        except (ConfigParseError, UnknownScenarioError):
+            return
+        report = run_scenario(document)
+        assert report.config_echo == resolved
+        assert [c.name for c in report.checks] == [
+            spec.name for spec in scenarios._declared(
+                scenarios._SCENARIOS[resolved["scenario"]], resolved["params"])]
 
 
 class TestEigendecompositionCounts:
