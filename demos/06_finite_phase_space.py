@@ -16,7 +16,6 @@ from symquant.phasespace import (
     fourier_matrix,
     momentum_operator,
     mub_deviation,
-    position_operator,
     shift_rep,
 )
 
@@ -38,11 +37,13 @@ for m in range(2, 9):
     print(f"  n={m}: max deviation from 1/n = {mub_deviation(fourier_matrix(m)):.3e}")
 
 print("\n== coordinate operators ==")
-X = position_operator(n)
-P = momentum_operator(n)
-print("position spectrum:", X.eigenvalues)
+x = np.arange(n, dtype=float)
+X = np.diag(x)                      # position is the coordinate itself
+P = momentum_operator(n)            # F X F^dag, the circulant of one FFT
+print("position spectrum:", x)
 print("momentum spectrum:", P.eigenvalues)
+print("P = F X F^dag:", bool(np.allclose(P.matrix, F @ X @ F.conj().T)))
 print("commutator norm ||[X, P]||_F:",
-      np.linalg.norm(X.matrix @ P.matrix - P.matrix @ X.matrix))
+      np.linalg.norm(X @ P.matrix - P.matrix @ X))
 print("(positive for every lattice size - the two variables cannot be")
 print(" diagonalized together, even though each alone is maximal)")

@@ -64,7 +64,7 @@ from .quantize import (
     spectrum_permutations,
 )
 from .spin import spin_component_operator, spin_generators, spin_rotation
-from .phasespace import fourier_matrix, mub_deviation, position_operator, momentum_operator
+from .phasespace import fourier_matrix, mub_deviation, momentum_operator
 from .scenarios import BUILTIN_SCENARIOS, run_all, run_scenario
 
 __version__ = "0.1.0"

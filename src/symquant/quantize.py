@@ -11,12 +11,13 @@ Operators and covariance rebuilds are weighted projector sums, computed
 by linalg.projector_sum.
 
 Covariance has one kernel: covariance_check runs it on a set of group
-elements (one value-map read, one stacked conjugation by the rep's
-conjugated method, the rep not tested again since its constructor proved
-it unitary), conjugation_covariance on one unitary. A one-element call
-costs O(points) for its value map, read off the first points that the
-variable computes once and keeps, plus one conjugation. Both report the
-worst distance only, and the report check that reads it states the
+elements, one block of groups.element_blocks at a time, as the law checks
+run (per block one value-map read and one stacked conjugation by the
+rep's conjugated method, the rep not tested again since its constructor
+proved it unitary), conjugation_covariance on one unitary. A one-element
+call costs O(points) for its value map, read off the first points that
+the variable computes once and keeps, plus one conjugation. Both report
+the worst distance only, and the report check that reads it states the
 tolerance.
 A rep of either form serves: conjugation by a monomial rep is a gather of
 the operator's entries.
@@ -152,8 +153,7 @@ class CovarianceReport:
     distance: float
 
 
-def _covariance(bundle: OperatorBundle, lhs: np.ndarray,
-                perms: np.ndarray) -> CovarianceReport:
+def _covariance(bundle: OperatorBundle, lhs: np.ndarray, perms: np.ndarray) -> float:
     """The worst Frobenius distance between a stack of conjugates
     V^dag A V and the operator relabelled by the matching value
     permutations perm."""
@@ -174,7 +174,7 @@ def _covariance(bundle: OperatorBundle, lhs: np.ndarray,
     # same bits without the wrapper's per-call cost
     d = lhs - rhs
     sums = np.add.reduce((d.conj() * d).real, axis=(-2, -1))
-    return CovarianceReport(distance=float(np.sqrt(sums.max())))
+    return float(np.sqrt(sums.max()))
 
 
 def conjugation_covariance(bundle: OperatorBundle, unitary,
@@ -192,8 +192,8 @@ def conjugation_covariance(bundle: OperatorBundle, unitary,
         raise NotUnitaryError("covariance check needs a unitary matrix")
     perm = np.asarray(value_perm, dtype=np.intp)
     U = U[None]
-    return _covariance(bundle, U.conj().swapaxes(-1, -2) @ bundle.matrix @ U,
-                       perm[None])
+    return CovarianceReport(distance=_covariance(
+        bundle, U.conj().swapaxes(-1, -2) @ bundle.matrix @ U, perm[None]))
 
 
 def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elements,
@@ -205,14 +205,17 @@ def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elem
     permissible subgroup, groups.BadElementError an index outside the group.
     The rep is used as it is: its constructor proved it unitary.
     """
-    ks, maps, ok = _element_maps(var, act, elements)
-    if ks.size == 0:
+    blocks = _element_maps(var, act, elements, bundle.matrix.size)
+    if not blocks:
         raise ValueError("covariance needs at least one group element")
-    if not ok.all():
-        raise NotInSubgroupError(
-            f"element {ks[np.argmin(ok)]} does not act through a value permutation"
-        )
-    return _covariance(bundle, rep.conjugated(bundle.matrix, ks), maps)
+    for ks, _, ok in blocks:
+        if not ok.all():
+            raise NotInSubgroupError(
+                f"element {ks[np.argmin(ok)]} does not act through a value permutation"
+            )
+    return CovarianceReport(distance=max([
+        _covariance(bundle, rep.conjugated(bundle.matrix, ks), maps)
+        for ks, maps, _ in blocks]))
 
 
 # ---------------------------------------------------------------------------

@@ -436,12 +436,10 @@ def _phase_setup(params) -> SimpleNamespace:
     # each rep measures its product law on generators x all elements,
     # which bounds every pair (see MonomialRep)
     g = cyclic_group(n)
-    # F is built here once; momentum_operator builds its own, so that the
-    # conjugation check compares two routes
+    # X = diag(x) is kept as x; the one check that reads F builds it
     return SimpleNamespace(
         n=n, c=params["c"], d=params["d"], srep=ps.shift_rep(g), crep=ps.clock_rep(g),
-        F=ps.fourier_matrix(n), X=ps.position_operator(n).matrix,
-        P=ps.momentum_operator(n).matrix)
+        x=np.arange(n, dtype=float), P=ps.momentum_operator(n).matrix)
 
 
 def _compose(a, b):
@@ -451,7 +449,8 @@ def _compose(a, b):
 
 
 def _noncommuting(s):
-    cnorm = float(np.linalg.norm(s.X @ s.P - s.P @ s.X))
+    # (XP - PX)[a, b] = (x_a - x_b) P[a, b]
+    cnorm = float(np.linalg.norm((s.x[:, None] - s.x) * s.P))
     return cnorm > 1e-6, f"commutator_norm = {cnorm:.6g}"
 
 
@@ -488,11 +487,12 @@ _PHASE_CHECKS = (
     CheckSpec("clock_rep_of_cyclic_group", 1e-10, lambda s: (
         s.crep.law_error, "diagonal phase matrices multiply along the Cayley table")),
     CheckSpec("mutually_unbiased_position_momentum", 1e-10, lambda s: (
-        ps.mub_deviation(s.F), f"all squared overlaps equal 1/{s.n}")),
+        ps.mub_deviation(ps.fourier_matrix(s.n)), f"all squared overlaps equal 1/{s.n}")),
     CheckSpec("position_momentum_noncommuting", 0, _noncommuting),
     CheckSpec("shift_full_cycle_is_identity", 1e-12, _full_cycle),
+    # F^dag P F against diag(x), by an inverse FFT along rows and an FFT along columns
     CheckSpec("momentum_operator_is_fourier_conjugate", 1e-9, lambda s: (
-        float(np.linalg.norm(s.P - s.F @ s.X @ s.F.conj().T)),
+        float(np.linalg.norm(np.fft.fft(np.fft.ifft(s.P, axis=1), axis=0) - np.diag(s.x))),
         "two construction routes for the momentum operator agree")),
     CheckSpec("paired_translation_unitary", 1e-12, _paired_translation),
 )
@@ -597,8 +597,8 @@ def parse_config(config) -> dict:
         raise ConfigParseError(
             f"tolerance overrides name no toleranced check of {name}: {unused}")
     seed = config.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigParseError("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not -2**63 <= seed < 2**63:
+        raise ConfigParseError("seed must be an integer in [-2**63, 2**63)")
     return {
         "scenario": name,
         "params": resolved_params,

@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupAction, as_index_array, element_indices
+from .groups import (FiniteGroup, GroupAction, as_index_array, element_blocks,
+                     element_indices)
 
 
 class SizeMismatchError(ValueError):
@@ -155,13 +156,18 @@ def is_permissible(var: ConceptualVariable, act: GroupAction):
     return witness is None, witness
 
 
-def _element_maps(var: ConceptualVariable, act: GroupAction, elements):
-    """(ks, maps, ok): the element indices ks (one or a sequence, read by
-    groups.element_indices) as a 1-d array and _value_maps of their rows."""
+def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int = 0):
+    """(ks, maps, ok) per block of the element indices (one or a sequence,
+    read once by groups.element_indices): ks is the block's 1-d index array
+    and (maps, ok) the _value_maps of its rows. The blocks are the slices of
+    element_blocks(count, count * max(points, size)), size being the
+    entries per element of what the caller computes on a block, so a large
+    set is read a block of rows at a time, as the law checks are. No
+    elements give no blocks."""
     _check_sizes(var, act)
     ks = element_indices(elements, act.group.order)
-    maps, ok = _value_maps(var, var.values[act.perm[ks]])
-    return ks, maps, ok
+    blocks = element_blocks(ks.size, ks.size * max(var.space_size, size)) if ks.size else []
+    return [(ks[b], *_value_maps(var, var.values[act.perm[ks[b]]])) for b in blocks]
 
 
 def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
@@ -172,7 +178,7 @@ def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
     single-valued g is automatically a bijection because h is invertible
     and every label is attained.
     """
-    _, maps, ok = _element_maps(var, act, h)
+    _, maps, ok = _element_maps(var, act, h)[0]
     return maps[0] if ok[0] else None
 
 
@@ -232,7 +238,7 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
 
 def is_permissible_under(var: ConceptualVariable, act: GroupAction, subset) -> bool:
     """Permissibility quantified over a subset of group elements only."""
-    return bool(_element_maps(var, act, tuple(subset))[2].all())
+    return all(ok.all() for _, _, ok in _element_maps(var, act, tuple(subset)))
 
 
 def maximal_permissible_subgroup(var: ConceptualVariable, act: GroupAction) -> tuple[int, ...]:

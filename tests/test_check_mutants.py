@@ -282,14 +282,17 @@ MUTANTS = {
     "mutually_unbiased_position_momentum": Mutant(
         PHASE, ps, "fourier_matrix",
         lambda orig: lambda n: np.eye(n, dtype=np.complex128)),
+    # a momentum operator that is the position operator, diag(0, ..., n-1)
     "position_momentum_noncommuting": Mutant(
-        PHASE, ps, "momentum_operator", lambda orig: ps.position_operator),
+        PHASE, ps, "momentum_operator",
+        lambda orig: lambda n: quantize.operator_from_matrix(
+            np.diag(np.arange(n, dtype=float)))),
     "shift_full_cycle_is_identity": Mutant(
         PHASE, ps, "shift_rep", _unit_shift_turned),
+    # the momentum operator of the opposite Fourier sign, F^dag X F = conj(P)
     "momentum_operator_is_fourier_conjugate": Mutant(
         PHASE, ps, "momentum_operator",
-        lambda orig: lambda n: quantize.build_operator(
-            ps.fourier_matrix(n).conj().T, 1.0, np.arange(n, dtype=float))),
+        lambda orig: lambda n: quantize.operator_from_matrix(orig(n).matrix.conj())),
     "paired_translation_unitary": Mutant(
         PHASE, ps, "clock_rep", _clock_off_the_circle),
 }

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symquant import coherent, linalg, phasespace, quantize, scenarios
 from symquant.cli import main
 from symquant.coherent import MonomialRep, UnitaryRep, left_regular_rep
 from symquant.groups import cyclic_group
@@ -17,15 +18,15 @@ from symquant.phasespace import (
     fourier_matrix,
     momentum_operator,
     mub_deviation,
-    position_operator,
     shift_rep,
 )
 from symquant.scenarios import run_scenario
 
 
 def _commutator_norm(n):
-    """||[X, P]||_F of the library's position and momentum operators."""
-    X, P = position_operator(n).matrix, momentum_operator(n).matrix
+    """||[X, P]||_F of X = diag(0, ..., n-1) and the library's momentum
+    operator."""
+    X, P = np.diag(np.arange(n)), momentum_operator(n).matrix
     return np.linalg.norm(X @ P - P @ X)
 
 
@@ -143,14 +144,20 @@ class TestShiftAndClock:
 
 
 class TestOperators:
-    def test_position_diagonal(self):
-        X = position_operator(3).matrix
-        assert_allclose(X, np.diag([0.0, 1.0, 2.0]), atol=1e-15)
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 64])
+    def test_momentum_closed_form(self, n):
+        # P[a, b] = c[(a - b) mod n], c[m] = (1/n) sum_p p w^{mp}, which is
+        # (n - 1)/2 at m = 0 and 1/(w^m - 1) elsewhere, w = exp(2 pi i / n)
+        m = np.arange(1, n)
+        c = np.concatenate([[(n - 1) / 2], 1 / (np.exp(2j * np.pi * m / n) - 1)])
+        a = np.arange(n)
+        assert_allclose(momentum_operator(n).matrix, c[(a[:, None] - a) % n],
+                        rtol=0, atol=1e-13)
 
     def test_momentum_is_fourier_conjugate(self):
         n = 5
         F = fourier_matrix(n)
-        X = position_operator(n).matrix
+        X = np.diag(np.arange(n))
         P = momentum_operator(n).matrix
         assert np.linalg.norm(P - F @ X @ F.conj().T) <= 1e-12
 
@@ -170,7 +177,6 @@ class TestOperators:
 
     def test_spectra_are_full_lattice(self):
         for n in (2, 5):
-            assert_allclose(position_operator(n).eigenvalues, np.arange(n))
             assert_allclose(momentum_operator(n).eigenvalues, np.arange(n),
                             atol=1e-9)
 
@@ -202,4 +208,22 @@ class TestNothingDense:
         checks = json.loads(out.read_text())["checks"]
         assert {c["name"] for c in checks} >= {
             "shift_full_cycle_is_identity", "paired_translation_unitary"}
+        assert all(c["passed"] for c in checks)
+
+    def test_phase_scenario_sums_no_projectors(self, monkeypatch, tmp_path):
+        # P is the circulant of one FFT and X is kept as its diagonal x, so
+        # no operator is a projector sum over a basis, wherever the
+        # function is looked up
+        def refuse(*args, **kwargs):
+            raise AssertionError("the phase scenario summed projectors")
+
+        for module in (linalg, coherent, quantize, phasespace, scenarios):
+            for name in ("projector_sum", "build_operator"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "phase.json"
+        assert main(["phase", "--n", "64", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert {c["name"] for c in checks} >= {
+            "position_momentum_noncommuting", "momentum_operator_is_fourier_conjugate"}
         assert all(c["passed"] for c in checks)

@@ -1,6 +1,8 @@
 """Tests for operator construction, covariance, orbits, reduction, coarse
 graining, and question/answer matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,7 @@ from numpy.testing import assert_allclose
 from symquant.groups import (BadElementError, GroupAction, cyclic_group,
                              dihedral_vertex_action, left_translation_action,
                              make_named_group)
-from symquant import linalg, quantize
+from symquant import linalg, quantize, variables
 from symquant.coherent import UnitaryRep, dihedral_rotation_rep, permutation_rep
 from symquant.linalg import (
     DimensionMismatchError,
@@ -335,6 +337,82 @@ class TestSingleElementCovariance:
         for h in range(g.order):
             covariance_check(bundle, value_rep, h, fresh, act)
         assert len(calls) == 1 and calls[0] is fresh
+
+
+class TestBlockedCovariance:
+    """A large set is checked a block of elements at a time, so that its
+    value maps and conjugates never stand as |elements| x points arrays."""
+
+    N = 600
+
+    @pytest.fixture
+    def cyclic_thirds(self):
+        # x mod 3 on the points of cyclic:600: every translation permutes
+        # its three values, and a family of states that is not the
+        # standard basis leaves each element a nonzero distance
+        g = cyclic_group(self.N)
+        act = left_translation_action(g)
+        var = variable_from_point_labels(np.arange(self.N) % 3)
+        rep = permutation_rep(induce_group(var, act).value_action)
+        states = scipy.linalg.expm(1j * np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]) / 3)
+        bundle = build_operator(states, 1.0, [0.0, 1.0, 3.0])
+        return act, var, rep, bundle
+
+    def test_blocks_give_the_distance_of_one_block(self, cyclic_thirds, monkeypatch):
+        act, var, rep, bundle = cyclic_thirds
+        blocks = []
+        original = variables.element_blocks
+
+        def recorded(n, size):
+            blocks.append(original(n, size))
+            return blocks[-1]
+
+        monkeypatch.setattr(variables, "element_blocks", recorded)
+        blocked = covariance_check(bundle, rep, range(self.N), var, act).distance
+        assert len(blocks[-1]) > 1
+        monkeypatch.setattr(variables, "element_blocks", lambda n, size: [slice(0, n)])
+        whole = covariance_check(bundle, rep, range(self.N), var, act).distance
+        single = max(covariance_check(bundle, rep, k, var, act).distance
+                     for k in range(self.N))
+        assert blocked == whole == single > 0.1
+
+    def test_first_element_outside_subgroup_in_a_later_block(self, cyclic_thirds):
+        act, _, rep, bundle = cyclic_thirds
+        # only the identity keeps the points 0 and 1 together; element 7
+        # comes last but one, in the last block
+        pair = variable_from_point_labels(np.arange(self.N) < 2)
+        with pytest.raises(NotInSubgroupError, match="^element 7 does not"):
+            covariance_check(bundle, rep, [0] * (self.N - 1) + [7, 5], pair, act)
+
+    def test_set_call_stays_below_one_table(self):
+        # all 2000 elements of cyclic:2000 on its points: one int16
+        # |elements| x points table would be 7.6 MiB
+        n = 2000
+        act = left_translation_action(cyclic_group(n))
+        parity = variable_from_point_labels(np.arange(n) % 2)
+        rep = permutation_rep(induce_group(parity, act).value_action)
+        bundle = build_operator(QUBIT, 1.0, [0.0, 1.0])
+        parity.first_points
+        tracemalloc.start()
+        try:
+            assert covariance_check(bundle, rep, range(n), parity, act).distance == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_one_element_reads_its_index_once(self, cyclic_thirds, monkeypatch):
+        act, var, rep, bundle = cyclic_thirds
+        calls = []
+        original = variables.element_indices
+
+        def counted(elements, order):
+            calls.append(elements)
+            return original(elements, order)
+
+        monkeypatch.setattr(variables, "element_indices", counted)
+        covariance_check(bundle, rep, 5, var, act)
+        assert calls == [5]
 
 
 class TestEigenOrbits:

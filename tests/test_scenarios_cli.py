@@ -96,6 +96,19 @@ class TestConfig:
         with pytest.raises(ConfigParseError):
             parse_config({"scenario": "phase", "seed": "abc"})
 
+    @pytest.mark.parametrize("seed", [10**5000, 2**63, -2**63 - 1],
+                             ids=["10**5000", "2**63", "-2**63-1"])
+    def test_seed_outside_64_bits(self, seed):
+        # a seed past Python's 4,300-digit limit would give a report that
+        # dumps cannot write
+        with pytest.raises(ConfigParseError, match=r"integer in \[-2\*\*63, 2\*\*63\)"):
+            parse_config({"scenario": "pedagogy_z4", "seed": seed})
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, -2**63], ids=["2**63-1", "-2**63"])
+    def test_seed_at_the_64_bit_ends(self, seed):
+        report = run_scenario({"scenario": "pedagogy_z4", "seed": seed})
+        assert json.loads(dumps(report))["config_echo"]["seed"] == seed
+
     def test_bad_param_types(self):
         with pytest.raises(ConfigParseError):
             parse_config({"scenario": "spin", "params": {"j": "abc"}})
@@ -663,7 +676,9 @@ def _scenario_documents(name):
     params = st.fixed_dictionaries(typed) | st.fixed_dictionaries({}, optional=typed)
     names = sorted({spec.name for spec in scenario.checks if spec.tolerance > 0} | {"*"})
     tolerances = st.dictionaries(st.sampled_from(names), st.floats(0, 1), max_size=3)
-    fields = {"params": params, "tolerances": tolerances, "seed": st.integers()}
+    # seeds near and past the ends of the 64-bit range as well as small ones
+    seeds = st.integers() | st.integers(-2**64, 2**64) | st.integers(2**63 - 2, 2**63 + 1)
+    fields = {"params": params, "tolerances": tolerances, "seed": seeds}
     well_formed = st.fixed_dictionaries({"scenario": st.just(name)}, optional=fields)
     # one field replaced by arbitrary JSON, or one key added
     one_malformed = st.builds(lambda doc, key, value: {**doc, key: value},
@@ -705,7 +720,7 @@ class TestConfigFuzz:
     @given(_documents)
     def test_accepted_config_runs(self, document):
         # parse_config is the only refusal: whatever it accepts, the setup
-        # builds and every declared check reports on
+        # builds, every declared check reports on, and dumps writes
         try:
             resolved = parse_config(document)
         except (ConfigParseError, UnknownScenarioError):
@@ -715,11 +730,12 @@ class TestConfigFuzz:
         assert [c.name for c in report.checks] == [
             spec.name for spec in scenarios._declared(
                 scenarios._SCENARIOS[resolved["scenario"]], resolved["params"])]
+        assert json.loads(dumps(report))["config_echo"]["seed"] == resolved["seed"]
 
 
 class TestEigendecompositionCounts:
     # a bundle eigendecomposes its matrix only when its spectrum is read:
-    # the phase scenario reads only the matrices of X and P, the spin
+    # the phase scenario reads only the matrix of P, the spin
     # scenario the spectra of the component along a and along a unit
     # vector perpendicular to it
     @pytest.mark.parametrize("argv, calls", [
