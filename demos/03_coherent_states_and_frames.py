@@ -15,7 +15,6 @@ from symquant import (
     make_coherent,
     make_named_group,
     resolution_deviation,
-    unitary_transport,
 )
 from symquant.coherent import binary_tetrahedral_spin_rep, dihedral_rotation_rep
 from symquant.groups import dihedral_vertex_action, left_translation_action
@@ -33,10 +32,11 @@ print("resolution deviation after dividing by the scalar:",
       resolution_deviation(cs.states, 1.0 / frame.lam))
 
 print("\n== the same orbit in a rotated frame ==")
+# a unitary W carries each state s to W s and keeps the weights
 had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-moved = unitary_transport(cs, had)
+moved = cs.states @ had.T
 print("resolution deviation unchanged:",
-      resolution_deviation(moved.states, 1.0 / frame.lam))
+      resolution_deviation(moved, 1.0 / frame.lam))
 
 print("\n== 24 unit quaternions on a two-dimensional space ==")
 bt = make_named_group("binary_tetrahedral")

@@ -4,11 +4,12 @@ checkable desk scale.
 
 Groups, actions and unitary representations are validated from their
 generators: each "for all pairs" law is checked on generators x all
-elements, which is exact for integer tables and, for representations,
-holds every pair within 2*D times the generator tolerance (D the longest
-generator word). A representation is dense (UnitaryRep, one matrix per
-element) or monomial (MonomialRep, one permutation and one phase vector
-per element), behind one interface."""
+elements, which is exact for integer tables (monomial representations
+included) and, for dense representations, holds every pair within 2*D
+times the generator tolerance (D the longest generator word). A
+representation is dense (UnitaryRep, one matrix per element) or monomial
+(MonomialRep, one permutation and one vector of integer exponents of a
+root of unity per element, whose laws are exact), behind one interface."""
 
 from .linalg import (
     SpectralData,
@@ -48,7 +49,6 @@ from .coherent import (
     make_coherent,
     permutation_rep,
     resolution_deviation,
-    unitary_transport,
 )
 from .quantize import (
     OperatorBundle,

@@ -5,8 +5,8 @@ The frame operator is a projector sum, linalg.projector_sum.
 
 A representation is dense (UnitaryRep) or monomial (MonomialRep); the
 functions here use only the interface the two share, so a monomial rep is
-never expanded into a |G| x d x d stack except by unitary_transport, whose
-output mixes basis vectors.
+never expanded into a |G| x d x d stack, nor into a |G| x d table of
+complex phases.
 
 Integrals over a compact symmetry reduce here to sums over a finite group.
 On a transitive action of a finite group the invariant measure is unique
@@ -27,8 +27,7 @@ import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, element_blocks, generator_law,
                      is_transitive, left_translation_action)
-from .linalg import (as_cmatrix, as_cvector, as_state_family, is_unitary,
-                     max_abs, projector_sum)
+from .linalg import as_cvector, as_state_family, max_abs, projector_sum
 
 
 class ZeroFiducialError(ValueError):
@@ -53,13 +52,13 @@ class UnitaryRep:
     table.
 
     A representation has one of two forms, with one interface: dim, group,
-    law_error, matrix(k), characters(), orbit(f) and conjugated(A, ks).
-    UnitaryRep stores the d x d matrix of every element; it is the form of
-    reps whose matrices mix basis vectors, such as dihedral_rotation_rep,
-    binary_tetrahedral_spin_rep and unitary_transport's output. MonomialRep
-    stores a permutation and a phase per element; it is the form of
+    matrix(k), characters(), orbit(f) and conjugated(A, ks). UnitaryRep
+    stores the d x d matrix of every element; it is the form of reps whose
+    matrices mix basis vectors, such as dihedral_rotation_rep and
+    binary_tetrahedral_spin_rep. MonomialRep stores a permutation and the
+    integer exponents of roots of unity per element; it is the form of
     permutation_rep, left_regular_rep, and the phase-space shift_rep and
-    clock_rep. Both check the same laws under the same tolerances.
+    clock_rep, and its laws are exact.
 
     matrices is a stack of one dim x dim matrix per element. Every matrix
     must be unitary within 1e-9*dim, tested by stacked products, and the
@@ -134,57 +133,68 @@ class UnitaryRep:
 
 @dataclass(frozen=True)
 class MonomialRep:
-    """A representation by permutations with phases:
-    V(k) e_x = phase[k, x] e_{perm[k, x]}, with perm the maps of a
-    GroupAction.
+    """A representation by permutations with phases that are roots of
+    unity: V(k) e_x = w^exponent[k, x] e_{perm[k, x]}, with perm the maps
+    of a GroupAction and w = exp(2 pi i / modulus).
 
     These are the representations induced from one-dimensional characters
-    (Serre, Linear Representations of Finite Groups, 7.1). They are stored
-    in O(|G| * dim) memory, never as a |G| x dim x dim stack, and checked
-    against the laws and tolerances of UnitaryRep, which for a monomial V
-    read off the phases. The permutation part obeys the composition law
-    exactly: GroupAction checks it on integers. Then
-    - the identity: ||phase[e] - 1|| <= 1e-12*dim, since perm[e] is the
-      identity map;
-    - unitarity: V^dag V is diagonal with entries |phase[k, x]|^2, so
-      ||V^dag V - I||_F = || |phase[k]|^2 - 1 || <= 1e-9*dim;
-    - the product law: V(s)V(k) e_x = phase[s, perm[k, x]] phase[k, x]
-      e_{perm[s*k, x]}, so ||V(s)V(k) - V(s*k)||_F is the norm over x of
-      phase[s, perm[k, x]] * phase[k, x] - phase[s*k, x]. It is checked
-      by groups.generator_law, for every generator s and every element k,
-      within 1e-8*dim / (2*D), which bounds every pair as in UnitaryRep,
-      and its largest value is law_error.
+    of finite order (Serre, Linear Representations of Finite Groups, 7.1).
+    They are stored as the action and an int16 |G| x dim array of
+    exponents, reduced into range(modulus) and read-only, with 1 <= modulus
+    <= 32767; a phase is read from the table of the modulus roots when a
+    method needs it, and no |G| x dim x dim stack or |G| x dim complex
+    table is stored. The permutation part obeys the composition law
+    exactly: GroupAction checks it on integers. The laws of the phases are
+    exact integer checks too:
+    - the identity: exponent[e] == 0, since perm[e] is the identity map;
+    - unitarity holds by construction, every phase being of modulus 1;
+    - the product law: V(s)V(k) e_x = w^(exponent[s, perm[k, x]] +
+      exponent[k, x]) e_{perm[s*k, x]}, so V(s)V(k) = V(s*k) iff
+      exponent[s, perm[k, x]] + exponent[k, x] - exponent[s*k, x] is 0 mod
+      modulus at every x. It is checked by groups.generator_law, for every
+      generator s and every element k, which proves it for every pair;
+      with modulus 1 every exponent is 0 and it holds trivially.
+    A rep that breaks a law is refused: there is no error to record.
     """
 
     action: GroupAction
-    phase: np.ndarray
-    law_error: float = field(init=False, repr=False, compare=False)
+    exponent: np.ndarray
+    modulus: int
 
     def __post_init__(self):
-        ph = np.asarray(self.phase, dtype=np.complex128).copy()
+        m = self.modulus
+        if not (isinstance(m, (int, np.integer)) and 1 <= m <= np.iinfo(np.int16).max):
+            raise ValueError("modulus must be an integer in [1, 32767]")
+        m = int(m)
+        e = np.asarray(self.exponent)
         g, d = self.group, self.dim
-        n = g.order
-        if ph.shape != (n, d):
-            raise ValueError(f"phase must hold {d} phases for each of {n} elements")
-        if np.linalg.norm(ph[g.identity] - 1.0) > 1e-12 * d:
+        if e.shape != (g.order, d) or e.dtype.kind not in "iu":
+            raise ValueError(
+                f"exponent must hold {d} integers for each of {g.order} elements")
+        # np.mod returns a new array, so the stored table is never the
+        # caller's; a one-byte dtype cannot hold every modulus
+        if e.itemsize < 2:
+            e = e.astype(np.int16)
+        e = np.mod(e, m).astype(np.int16, copy=False)
+        if e[g.identity].any():
             raise ValueError("identity element must map to the identity matrix")
-        # slices of elements of about 2**14 entries, as in UnitaryRep
-        with np.errstate(invalid="ignore"):
-            err = np.concatenate([
-                np.linalg.norm((m.real ** 2 + m.imag ** 2) - 1.0, axis=1)
-                for m in (ph[b] for b in element_blocks(n, ph.size))
-            ])
-        _require_unitary(err, d)
-        perm = self.action.perm
-        law_error = generator_law(g, ph.size, lambda s, b: np.linalg.norm(
-            ph[s][perm[b]] * ph[b] - ph[g.cayley[s, b]], axis=1),
-            "representation product law", 1e-8 * d / (2 * g.depth))
-        ph.setflags(write=False)
-        object.__setattr__(self, "phase", ph)
-        object.__setattr__(self, "law_error", law_error)
-        # every phase exactly 1, as in a permutation rep: conjugation is the
-        # gather alone
-        object.__setattr__(self, "_unit_phases", bool((ph == 1).all()))
+        if m > 1:
+            # int16 sums can overflow: each slice is added in intp
+            perm = self.action.perm
+
+            def mismatch(s, b):
+                err = e[s][perm[b]].astype(np.intp)
+                err += e[b]
+                err -= e[g.cayley[s, b]]
+                return err % m != 0
+
+            generator_law(g, e.size, mismatch, "representation product law")
+        e.setflags(write=False)
+        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        roots.setflags(write=False)
+        object.__setattr__(self, "exponent", e)
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "_roots", roots)
 
     @property
     def group(self) -> FiniteGroup:
@@ -197,32 +207,33 @@ class MonomialRep:
     def matrix(self, k: int) -> np.ndarray:
         """The dense matrix of one element."""
         m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        m[self.action.perm[k], np.arange(self.dim)] = self.phase[k]
+        m[self.action.perm[k], np.arange(self.dim)] = self._roots[self.exponent[k]]
         return m
 
     def characters(self) -> np.ndarray:
         """The sum of every element's phases at its fixed points."""
         fixed = self.action.perm == np.arange(self.dim)
-        return np.where(fixed, self.phase, 0.0).sum(axis=1)
+        return np.where(fixed, self._roots[self.exponent], 0.0).sum(axis=1)
 
     def orbit(self, f) -> np.ndarray:
         """V(k) f for every element k, stacked on axis 0, by one scatter;
         f is a vector or a dim x m matrix."""
         f = np.asarray(f)
         out = np.zeros((self.group.order,) + f.shape, dtype=np.complex128)
-        ph = self.phase.reshape(self.phase.shape + (1,) * (f.ndim - 1))
+        ph = self._roots[self.exponent].reshape(self.exponent.shape + (1,) * (f.ndim - 1))
         out[np.arange(len(out))[:, None], self.action.perm] = ph * f
         return out
 
     def conjugated(self, A, ks) -> np.ndarray:
         """The stack V(k)^dag A V(k) over a 1-d index array of elements, by
         one gather: entry (x, y) is
-        conj(phase[k, x]) * A[perm[k, x], perm[k, y]] * phase[k, y]."""
+        conj(phase[k, x]) * A[perm[k, x], perm[k, y]] * phase[k, y]. With
+        modulus 1 every phase is 1, and the gather is all."""
         p = self.action.perm[ks]
         out = np.asarray(A)[p[:, :, None], p[:, None, :]]
-        if self._unit_phases:
+        if self.modulus == 1:
             return out
-        ph = self.phase[ks]
+        ph = self._roots[self.exponent[ks]]
         out = out * ph.conj()[:, :, None]
         out *= ph[:, None, :]
         return out
@@ -237,9 +248,9 @@ def _require_unitary(err: np.ndarray, d: int) -> None:
 
 def permutation_rep(act: GroupAction) -> MonomialRep:
     """Permutation matrices realizing an action, U(k) e_x = e_{k.x}: the
-    monomial rep of the action with every phase 1."""
-    return MonomialRep(action=act,
-                       phase=np.ones((act.group.order, act.space_size)))
+    monomial rep of the action with modulus 1, every phase 1."""
+    return MonomialRep(action=act, modulus=1, exponent=np.zeros(
+        (act.group.order, act.space_size), dtype=np.int16))
 
 
 def left_regular_rep(g: FiniteGroup) -> MonomialRep:
@@ -393,27 +404,6 @@ def resolution_deviation(states, weights) -> float:
     """Max-norm deviation of sum_i w_i |s_i><s_i| from the identity."""
     st, w = as_state_family(states, weights)
     return max_abs(projector_sum(st, w) - np.eye(st.shape[1]))
-
-
-def unitary_transport(cs: CoherentSystem, W) -> CoherentSystem:
-    """Carry a coherent system through a unitary change of frame.
-
-    States map to W|s>, the representation to W V W^dag, and the weights
-    are unchanged, so the resolution deviation is preserved. The new
-    matrices mix basis vectors, so the new rep is a dense UnitaryRep
-    whatever the form of the old one.
-    """
-    W = as_cmatrix(W)
-    if not is_unitary(W):
-        raise NotUnitaryError("transport matrix is not unitary")
-    if W.shape[0] != cs.rep.dim:
-        raise ValueError("transport dimension mismatch")
-    new_rep = UnitaryRep(group=cs.rep.group, matrices=W @ cs.rep.orbit(W.conj().T))
-    return CoherentSystem(
-        rep=new_rep, action=cs.action, base_point=cs.base_point,
-        fiducial=W @ cs.fiducial, states=cs.states @ W.T,
-        commutant_dim=cs.commutant_dim,
-    )
 
 
 # ---------------------------------------------------------------------------

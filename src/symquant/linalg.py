@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import element_blocks
+
 DEGENERACY_TOL = 1e-8
 
 
@@ -90,8 +92,13 @@ def max_abs(A) -> float:
 
 def _require_hermitian(A: np.ndarray) -> None:
     _require_square(A)
-    dev = max_abs(A - A.conj().T)
-    if dev > 1e-10 * max(1.0, max_abs(A)):
+    # max |A - A^dag| and max |A| over row blocks of about 2**14 entries,
+    # so that no n x n temporary is formed
+    dev = scale = 0.0
+    for rows in element_blocks(len(A), A.size):
+        dev = max(dev, max_abs(A[rows] - A[:, rows].conj().T))
+        scale = max(scale, max_abs(A[rows]))
+    if dev > 1e-10 * max(1.0, scale):
         raise NotHermitianError(f"max |A - A^dag| = {dev:.3e}")
 
 

@@ -5,10 +5,11 @@ momentum operator. Position is the coordinate x itself, X = diag(x).
 The shift is the left-regular representation of cyclic:n, whose Cayley
 table is cayley[k, x] == (k + x) % n: the group translating its own n
 points. The shift and clock are held in one form only, the monomial one:
-a permutation and n phases per element (coherent.MonomialRep), O(n^2) in
-all, and P is the circulant of one FFT, so the phase scenario reaches
-MAX_PHASE_N = 1024 points in about 0.3 s and 84 MiB (tracemalloc). A
-dense matrix of one element is rep.matrix(k).
+a permutation and n int16 exponents of w per element (coherent.MonomialRep),
+O(n^2) small integers in all, with exact laws, and P is the circulant of
+one FFT, so the phase scenario reaches MAX_PHASE_N = 1024 points in about
+0.2 s and 56 MiB (tracemalloc). A dense matrix of one element is
+rep.matrix(k).
 
 This is the n-point stand-in for translations of position and momentum on
 the line; the genuinely continuous case (unbounded operators, continuous
@@ -25,11 +26,12 @@ from .quantize import OperatorBundle, operator_from_matrix
 
 
 # the largest lattice accepted: the phase scenario at MAX_PHASE_N (cyclic
-# group of order 1024) takes about 0.3 s and peaks at about 84 MiB under
+# group of order 1024) takes about 0.2 s and peaks at about 56 MiB under
 # tracemalloc with one BLAS thread (2-core x86-64 box), well inside a 1 GiB
-# budget; it holds three n x n complex arrays (the shift's and the clock's
-# phases, and P), a check adds at most two more (F, or FFTs of P), and no
-# n x n product or eigendecomposition is formed
+# budget; it holds one n x n complex array (P, 16 MiB) and two n x n int16
+# exponent tables (the shift's and the clock's, 2 MiB each), a check adds
+# at most two n x n complex arrays (F, or the FFTs of P), and no n x n
+# product or eigendecomposition is formed
 MAX_PHASE_N = 1024
 
 
@@ -64,11 +66,12 @@ def shift_rep(g: FiniteGroup) -> MonomialRep:
 def clock_rep(g: FiniteGroup) -> MonomialRep:
     """k -> clock^k, |x> -> w^{kx} |x> with w = exp(2 pi i / n), the
     Fourier-conjugate representation of g = cyclic:n: the trivial
-    permutation of every point, with phase w^{kx} at x."""
+    permutation of every point, with the exponent (k x) mod n at x."""
     n = _check_size(g.order)
-    x = np.arange(n)
+    # k x < 2**31 for every n up to MAX_PHASE_N; the rep reduces it mod n
+    x = np.arange(n, dtype=np.int32)
     fixed = GroupAction(group=g, perm=np.broadcast_to(x, (n, n)))
-    return MonomialRep(action=fixed, phase=np.exp(2j * np.pi * x[:, None] * x / n))
+    return MonomialRep(action=fixed, exponent=np.multiply.outer(x, x), modulus=n)
 
 
 def mub_deviation(F) -> float:

@@ -40,9 +40,9 @@ from .coherent import (
     make_coherent,
     permutation_rep,
     resolution_deviation,
-    unitary_transport,
 )
 from .groups import (
+    GeneratorLawError,
     check_homomorphism,
     cyclic_group,
     dihedral_vertex_action,
@@ -240,20 +240,9 @@ def _frame_is(scalar):
                       f"scalar = {s.frame.lam:.6g} over {len(s.cs.states)} orbit states")
 
 
-def _transport(s):
-    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    phase = np.diag([1.0, 1.0j])
-    worst = max(
-        resolution_deviation(unitary_transport(s.cs, W).states, 1.0 / s.frame.lam)
-        for W in (had, phase)
-    )
-    return worst, "orbit carried through a Hadamard-type and a phase unitary"
-
-
 _D4_CHECKS = (
     CheckSpec("rotation_rep_irreducible", 0, _irreducible),
     CheckSpec("frame_operator_four_times_identity", 1e-10, _frame_is(4.0)),
-    CheckSpec("transport_preserves_resolution", 1e-9, _transport),
 )
 
 _BT24_CHECKS = (
@@ -433,19 +422,53 @@ _SPIN_CHECKS = (
 
 def _phase_setup(params) -> SimpleNamespace:
     n = params["n"]
-    # each rep measures its product law on generators x all elements,
-    # which bounds every pair (see MonomialRep)
     g = cyclic_group(n)
-    # X = diag(x) is kept as x; the one check that reads F builds it
+    # each rep proves its laws exactly when it is built, and refuses a rep
+    # that breaks one, so the shift and clock are built at their first use
+    # by a check, which a refusal then fails in a written report. X = diag(x)
+    # is kept as x; the one check that reads F builds it
     return SimpleNamespace(
-        n=n, c=params["c"], d=params["d"], srep=ps.shift_rep(g), crep=ps.clock_rep(g),
+        n=n, c=params["c"], d=params["d"],
+        srep=functools.cache(lambda: ps.shift_rep(g)),
+        crep=functools.cache(lambda: ps.clock_rep(g)),
         x=np.arange(n, dtype=float), P=ps.momentum_operator(n).matrix)
 
 
+def _rep_refused(s, exc):
+    return str(exc)
+
+
+def _laws_hold(rep, details):
+    """The run of the check that a rep's laws hold: its constructor proves
+    them on integers, or raises GeneratorLawError."""
+    def run(s):
+        getattr(s, rep)()
+        return True, details
+    return run
+
+
 def _compose(a, b):
-    """The (perm, phase) pair of V_a V_b from those of V_a and V_b."""
-    (pa, fa), (pb, fb) = a, b
-    return pa[pb], fa[pb] * fb
+    """The (perm, exponent) pair of V_a V_b from those of V_a and V_b, the
+    exponents over one modulus."""
+    (pa, ea), (pb, eb) = a, b
+    return pa[pb], ea[pb] + eb
+
+
+def _weyl(s):
+    # C^d S^c = w^(cd) S^c C^d, w = exp(2 pi i / n), on (perm, exponent)
+    # pairs, the exponents raised to a modulus M that n and both reps'
+    # moduli divide
+    n, c, d = s.n, s.c % s.n, s.d % s.n
+    S, C = s.srep(), s.crep()
+    M = math.lcm(n, S.modulus, C.modulus)
+
+    def pair(rep, k):
+        return rep.action.perm[k], rep.exponent[k].astype(np.intp) * (M // rep.modulus)
+
+    (p1, e1), (p2, e2) = _compose(pair(C, d), pair(S, c)), _compose(pair(S, c), pair(C, d))
+    ok = np.array_equal(p1, p2) and not ((e1 - e2 - c * d * (M // n)) % M).any()
+    return ok, (f"position shift {s.c} paired with momentum shift {s.d}: "
+                "C^d S^c = w^(cd) S^c C^d")
 
 
 def _noncommuting(s):
@@ -454,47 +477,29 @@ def _noncommuting(s):
     return cnorm > 1e-6, f"commutator_norm = {cnorm:.6g}"
 
 
-def _full_cycle(s):
-    # V(1)^n by repeated squaring of (perm, phase), the bits of n taken
-    # from the lowest; ||V(1)^n - I||_F sums |phase - 1|^2 over the fixed
-    # points and |phase|^2 + 1 over the moved ones
-    n = s.n
-    unit = s.srep.action.perm[1], s.srep.phase[1]
-    power, bits = (np.arange(n), np.ones(n)), n
-    while bits:
-        if bits & 1:
-            power = _compose(power, unit)
-        unit, bits = _compose(unit, unit), bits >> 1
-    p, f = power
-    fixed = p == np.arange(n)
-    f = np.where(fixed, f - 1, f)
-    err = math.sqrt(float(np.sum(f.real ** 2 + f.imag ** 2)) + np.count_nonzero(~fixed))
-    return err, f"{n} unit shifts compose to the identity"
-
-
-def _paired_translation(s):
-    # W = S^c C^d is monomial, so W^dag W is diagonal with entries |phase|^2
-    c, d, n = s.c, s.d, s.n
-    _, f = _compose((s.srep.action.perm[c % n], s.srep.phase[c % n]),
-                    (s.crep.action.perm[d % n], s.crep.phase[d % n]))
-    return (float(np.linalg.norm(f.real ** 2 + f.imag ** 2 - 1)),
-            f"position shift {c} paired with momentum shift {d}")
+def _fourier_conjugate(s):
+    # F^dag P F against diag(x), by an inverse FFT along rows and an FFT
+    # along columns; x comes off the diagonal in place, and the Frobenius
+    # norm is read without a second n x n array
+    D = np.fft.fft(np.fft.ifft(s.P, axis=1), axis=0)
+    D[np.diag_indices(s.n)] -= s.x
+    return (math.sqrt(np.vdot(D, D).real),
+            "two construction routes for the momentum operator agree")
 
 
 _PHASE_CHECKS = (
-    CheckSpec("shift_rep_of_cyclic_group", 1e-12, lambda s: (
-        s.srep.law_error, "permutation matrices multiply along the Cayley table")),
-    CheckSpec("clock_rep_of_cyclic_group", 1e-10, lambda s: (
-        s.crep.law_error, "diagonal phase matrices multiply along the Cayley table")),
+    CheckSpec("shift_rep_of_cyclic_group", 0, _laws_hold(
+        "srep", "permutation matrices multiply along the Cayley table"),
+        fails_on=(GeneratorLawError, _rep_refused)),
+    CheckSpec("clock_rep_of_cyclic_group", 0, _laws_hold(
+        "crep", "diagonal phase matrices multiply along the Cayley table"),
+        fails_on=(GeneratorLawError, _rep_refused)),
     CheckSpec("mutually_unbiased_position_momentum", 1e-10, lambda s: (
         ps.mub_deviation(ps.fourier_matrix(s.n)), f"all squared overlaps equal 1/{s.n}")),
     CheckSpec("position_momentum_noncommuting", 0, _noncommuting),
-    CheckSpec("shift_full_cycle_is_identity", 1e-12, _full_cycle),
-    # F^dag P F against diag(x), by an inverse FFT along rows and an FFT along columns
-    CheckSpec("momentum_operator_is_fourier_conjugate", 1e-9, lambda s: (
-        float(np.linalg.norm(np.fft.fft(np.fft.ifft(s.P, axis=1), axis=0) - np.diag(s.x))),
-        "two construction routes for the momentum operator agree")),
-    CheckSpec("paired_translation_unitary", 1e-12, _paired_translation),
+    CheckSpec("momentum_operator_is_fourier_conjugate", 1e-9, _fourier_conjugate),
+    CheckSpec("paired_translation_unitary", 0, _weyl,
+              fails_on=(GeneratorLawError, _rep_refused)),
 )
 
 

@@ -91,47 +91,24 @@ def _scaled_component(factor):
     return lambda orig: lambda j, direction: factor * orig(j, direction)
 
 
-def _drifting_shift_rep(orig):
-    # the shift by k carries the phase exp(1e-11 i k): unitary, the identity
-    # at k = 0, but n shifts come back with phase exp(1e-11 i n)
+def _exponent_off_by_one(orig):
+    # one exponent of the unit step moved by one, over the modulus n: the
+    # rep's exact product law refuses it, and the check that builds it fails
     def fault(g):
         rep = orig(g)
-        drift = np.exp(1e-11j * np.arange(g.order))[:, None]
-        return MonomialRep(action=rep.action, phase=drift * rep.phase)
+        exponent = rep.exponent.astype(np.intp)
+        exponent[1, 0] += 1
+        return MonomialRep(action=rep.action, exponent=exponent, modulus=g.order)
     return fault
 
 
-def _drifting_clock_rep(orig):
-    # clock^k with the phase step 2*pi/n rounded to 1e-10 relative
+def _doubled_clock(orig):
+    # k -> w^(2kx): a valid rep of cyclic:n, so it builds, but it braids
+    # with the shift by w^(2cd), not w^(cd)
     def fault(g):
         rep = orig(g)
-        x = np.arange(g.order)
-        return MonomialRep(action=rep.action, phase=np.exp(
-            2j * np.pi * (x * (1 + 1e-10))[:, None] * x / g.order))
-    return fault
-
-
-def _unit_shift_turned(orig):
-    # the unit shift carries the phase exp(2e-13 i): at n = 4 the product law
-    # errs by 8e-13, inside its 1e-12, and n unit shifts miss the identity by
-    # 1.6e-12
-    def fault(g):
-        rep = orig(g)
-        phase = rep.phase.copy()
-        phase[1] *= np.exp(2e-13j)
-        return MonomialRep(action=rep.action, phase=phase)
-    return fault
-
-
-def _clock_off_the_circle(orig):
-    # every clock phase but the identity's scaled by 1 + 1e-11: at n = 4 the
-    # product law errs by 4e-11, inside its 1e-10, and W^dag W misses the
-    # identity by as much, outside its 1e-12
-    def fault(g):
-        rep = orig(g)
-        phase = rep.phase * (1 + 1e-11)
-        phase[g.identity] = rep.phase[g.identity]
-        return MonomialRep(action=rep.action, phase=phase)
+        return MonomialRep(action=rep.action, exponent=2 * rep.exponent.astype(np.intp),
+                           modulus=rep.modulus)
     return fault
 
 
@@ -142,7 +119,7 @@ def _trivial_permutation_rep(orig):
         rep = orig(act)
         fixed = GroupAction(group=act.group,
                             perm=np.zeros_like(act.perm) + np.arange(act.space_size))
-        return MonomialRep(action=fixed, phase=rep.phase)
+        return MonomialRep(action=fixed, exponent=rep.exponent, modulus=rep.modulus)
     return fault
 
 
@@ -222,9 +199,6 @@ MUTANTS = {
         D4, coherent, "commutant_dimension", _character_norm_plus_one),
     "frame_operator_four_times_identity": Mutant(
         D4, scenarios, "frame_operator", _frame_with(T_scale=0.5, lam_scale=0.5)),
-    # the scalar doubled, so the weights 1/lam are halved
-    "transport_preserves_resolution": Mutant(
-        D4, scenarios, "frame_operator", _frame_with(lam_scale=2.0)),
     # coherent_bt24
     "group_order_24": Mutant(
         BT24, groups, "binary_tetrahedral_group", lambda orig: _quaternion_group),
@@ -276,9 +250,9 @@ MUTANTS = {
         SPIN, scenarios, "model_reduce", _reduce_accepting_anything),
     # phase
     "shift_rep_of_cyclic_group": Mutant(
-        PHASE, ps, "shift_rep", _drifting_shift_rep),
+        PHASE, ps, "shift_rep", _exponent_off_by_one),
     "clock_rep_of_cyclic_group": Mutant(
-        PHASE, ps, "clock_rep", _drifting_clock_rep),
+        PHASE, ps, "clock_rep", _exponent_off_by_one),
     "mutually_unbiased_position_momentum": Mutant(
         PHASE, ps, "fourier_matrix",
         lambda orig: lambda n: np.eye(n, dtype=np.complex128)),
@@ -287,14 +261,12 @@ MUTANTS = {
         PHASE, ps, "momentum_operator",
         lambda orig: lambda n: quantize.operator_from_matrix(
             np.diag(np.arange(n, dtype=float)))),
-    "shift_full_cycle_is_identity": Mutant(
-        PHASE, ps, "shift_rep", _unit_shift_turned),
     # the momentum operator of the opposite Fourier sign, F^dag X F = conj(P)
     "momentum_operator_is_fourier_conjugate": Mutant(
         PHASE, ps, "momentum_operator",
         lambda orig: lambda n: quantize.operator_from_matrix(orig(n).matrix.conj())),
     "paired_translation_unitary": Mutant(
-        PHASE, ps, "clock_rep", _clock_off_the_circle),
+        PHASE, ps, "clock_rep", _doubled_clock),
 }
 
 
@@ -372,6 +344,30 @@ def test_eigenvector_lost_is_a_failed_half_turn(monkeypatch, capsys):
         assert (half_turn.max_error, half_turn.tolerance) == (1.0, 0.0)
         assert half_turn.details == (
             "the half turn is not unitary: ||U^dag U - I||_F = 1.000e+00")
+
+
+@pytest.mark.parametrize("name, failed", [
+    # the Weyl check reads the shift too, so a refused shift fails it
+    ("shift_rep", ["shift_rep_of_cyclic_group", "paired_translation_unitary"]),
+    ("clock_rep", ["clock_rep_of_cyclic_group", "paired_translation_unitary"]),
+])
+def test_refused_rep_is_a_failed_check(name, failed, monkeypatch, capsys):
+    # the rep's constructor raises at its first use: the report is written,
+    # with each check that reads the rep failed as an exact check that names
+    # the law, and exit 1
+    monkeypatch.setattr(ps, name, _exponent_off_by_one(getattr(ps, name)))
+    assert main(["phase", "--n", "4"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert [n for n, c in checks.items() if not c["passed"]] == failed
+    for n in failed:
+        assert (checks[n]["max_error"], checks[n]["tolerance"]) == (1.0, 0.0)
+        assert checks[n]["details"] == "representation product law fails at generator 1"
+
+
+def test_doubled_clock_fails_only_the_weyl_check(monkeypatch):
+    monkeypatch.setattr(ps, "clock_rep", _doubled_clock(ps.clock_rep))
+    report = scenarios.run_scenario(PHASE)
+    assert [c.name for c in report.checks if not c.passed] == ["paired_translation_unitary"]
 
 
 def _verdict(config, check):

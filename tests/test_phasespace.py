@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from symquant import coherent, linalg, phasespace, quantize, scenarios
 from symquant.cli import main
 from symquant.coherent import MonomialRep, UnitaryRep, left_regular_rep
-from symquant.groups import cyclic_group
+from symquant.groups import GeneratorLawError, GroupAction, cyclic_group
 from symquant.phasespace import (
     MAX_PHASE_N,
     BadSizeError,
@@ -72,7 +72,8 @@ class TestShiftIsLeftRegular:
             shift, regular = shift_rep(g), left_regular_rep(g)
             assert shift.action.perm is g.cayley
             assert np.array_equal(shift.action.perm, regular.action.perm), n
-            assert np.array_equal(shift.phase, regular.phase), n
+            assert np.array_equal(shift.exponent, regular.exponent), n
+            assert shift.modulus == regular.modulus == 1
 
 
 class TestShiftAndClock:
@@ -119,19 +120,65 @@ class TestShiftAndClock:
         with pytest.raises(ValueError, match=message):
             UnitaryRep(group=crep.group, matrices=mats)
 
-    @pytest.mark.parametrize("factor, message", [
-        (1.001, "element 127 is not unitary"),
-        (np.exp(1e-6j), "product law fails at generator 1 "),   # unitary
-    ])
-    def test_fault_in_the_last_phase_slice_is_caught(self, factor, message):
-        # 128 x 128 phases run in slices of 128 elements: the fault is in
-        # the last element, and the same message as the dense stack's
+    @pytest.mark.parametrize("shift", [1, -1, 128, 129])
+    def test_fault_in_the_last_exponent_slice_is_caught(self, shift):
+        # 128 x 128 exponents run in one slice of 128 elements: an exponent
+        # moved at one point of the last element breaks the exact law,
+        # unless it moves by the modulus
         n = 128
         crep = clock_rep(cyclic_group(n))
-        phase = crep.phase.copy()
-        phase[n - 1] *= factor
+        exponent = crep.exponent.astype(np.intp)
+        exponent[n - 1, 5] += shift
+        if shift % n:
+            with pytest.raises(GeneratorLawError, match="product law fails at generator 1$"):
+                MonomialRep(action=crep.action, exponent=exponent, modulus=n)
+        else:
+            rep = MonomialRep(action=crep.action, exponent=exponent, modulus=n)
+            assert np.array_equal(rep.exponent, crep.exponent)
+
+    def test_identity_fault_is_caught(self):
+        crep = clock_rep(cyclic_group(8))
+        exponent = crep.exponent.copy()
+        exponent[0, 3] = 1
+        with pytest.raises(ValueError, match="identity element must map to the identity"):
+            MonomialRep(action=crep.action, exponent=exponent, modulus=8)
+
+    @pytest.mark.parametrize("exponent, modulus, message", [
+        (np.zeros((4, 4), dtype=np.int16), 0, r"modulus must be an integer in \[1, 32767\]"),
+        (np.zeros((4, 4), dtype=np.int16), 2**15, r"modulus must be an integer in \[1, 32767\]"),
+        (np.zeros((4, 4), dtype=np.int16), 4.0, r"modulus must be an integer in \[1, 32767\]"),
+        (np.zeros((4, 4)), 4, "exponent must hold 4 integers for each of 4 elements"),
+        (np.zeros((4, 3), dtype=int), 4, "exponent must hold 4 integers for each of 4 elements"),
+    ])
+    def test_bad_exponents_or_modulus_refused(self, exponent, modulus, message):
+        crep = clock_rep(cyclic_group(4))
         with pytest.raises(ValueError, match=message):
-            MonomialRep(action=crep.action, phase=phase)
+            MonomialRep(action=crep.action, exponent=exponent, modulus=modulus)
+
+    def test_exponents_of_any_integer_dtype_are_reduced(self):
+        # the character k -> w^k of cyclic:200 on one point, w a 200th root,
+        # with exponents given as int8 in [-100, 100), as intp past the
+        # modulus and as uint8: reduced into range(200) in int16 each time
+        g = cyclic_group(200)
+        k = np.arange(200)
+        one_point = GroupAction(group=g, perm=np.zeros((200, 1), dtype=int))
+        signed = np.where(k < 100, k, k - 200).astype(np.int8)
+        for exponent in (signed, k + 200, k.astype(np.uint8)):
+            rep = MonomialRep(action=one_point, exponent=exponent[:, None], modulus=200)
+            assert rep.exponent.dtype == np.int16
+            assert np.array_equal(rep.exponent[:, 0], k)
+
+    def test_clock_at_the_largest_size_stores_int16_exponents(self):
+        # 2 MiB of read-only exponents at n = 1024, where n x n complex
+        # phases were 16 MiB; the only complex array held is the n roots
+        crep = clock_rep(cyclic_group(MAX_PHASE_N))
+        assert crep.exponent.dtype == np.int16
+        assert crep.exponent.nbytes == 2 * 2**20
+        assert not crep.exponent.flags.writeable
+        assert crep.modulus == MAX_PHASE_N
+        held = [v for v in vars(crep).values()
+                if isinstance(v, np.ndarray) and v.dtype.kind == "c"]
+        assert [v.size for v in held] == [MAX_PHASE_N]
 
     def test_weyl_commutation(self):
         n = 4
@@ -184,7 +231,7 @@ class TestOperators:
 class TestMemory:
     def test_phase_scenario_at_128_peaks_below_16_mib(self):
         # dense |G| x d x d rep stacks peaked at 97 MiB here; the monomial
-        # reps hold n x n phases, and the n x n operators dominate
+        # reps hold n x n int16 exponents, and the n x n operators dominate
         tracemalloc.start()
         try:
             assert run_scenario({"scenario": "phase", "params": {"n": 128}}).all_passed
@@ -196,8 +243,8 @@ class TestMemory:
 
 class TestNothingDense:
     def test_phase_scenario_expands_no_shift_or_clock(self, monkeypatch, tmp_path):
-        # the full cycle and the paired translation are read off the
-        # (perm, phase) pairs: no matrix power, no dense matrix of a rep
+        # the Weyl relation is read off the (perm, exponent) pairs: no
+        # matrix power, no dense matrix of a rep
         def refuse(*args, **kwargs):
             raise AssertionError("the phase scenario built a dense shift or clock")
 
@@ -206,8 +253,7 @@ class TestNothingDense:
         out = tmp_path / "phase.json"
         assert main(["phase", "--n", "64", "--out", str(out)]) == 0
         checks = json.loads(out.read_text())["checks"]
-        assert {c["name"] for c in checks} >= {
-            "shift_full_cycle_is_identity", "paired_translation_unitary"}
+        assert {c["name"] for c in checks} >= {"paired_translation_unitary"}
         assert all(c["passed"] for c in checks)
 
     def test_phase_scenario_sums_no_projectors(self, monkeypatch, tmp_path):

@@ -294,9 +294,11 @@ class TestScenarios:
         assert main(["spin", "--j", "1"]) == 1
 
     def test_tolerance_override_can_fail_a_check(self):
+        # at n = 4 the toleranced phase checks measure 0; at n = 64 the
+        # Fourier route errs by about 6e-14
         rep = run_scenario({
-            "scenario": "phase",
-            "tolerances": {"clock_rep_of_cyclic_group": 1e-30},
+            "scenario": "phase", "params": {"n": 64},
+            "tolerances": {"momentum_operator_is_fourier_conjugate": 1e-30},
         })
         assert not rep.all_passed
 
@@ -304,7 +306,7 @@ class TestScenarios:
         # the checks with a tolerance of 0 are the exact ones: an override
         # never reaches them, and they score 0 or 1. The per-name key is
         # refused outside phase, so the other scenarios take "*" alone.
-        mixed = {"*": 1e-3, "clock_rep_of_cyclic_group": 0.5}
+        mixed = {"*": 1e-3, "momentum_operator_is_fourier_conjugate": 0.5}
         runs = [
             (run_all(), {}),
             (run_all({"*": 1e-30}), {"*": 1e-30}),
@@ -327,7 +329,7 @@ class TestScenarios:
                         assert c.tolerance == overrides.get(
                             c.name, overrides.get("*", c0.tolerance))
         toleranced = [c for r in default for c in r.checks if c.tolerance > 0]
-        assert len(toleranced) == 18
+        assert len(toleranced) == 13
         assert min(c.tolerance for c in toleranced) >= 1e-12
 
     def test_run_all_deterministic(self):
@@ -444,6 +446,9 @@ class TestCli:
         '{"scenario": "pedagogy_z4", "tolerances": {"parity_variable_permissible": 1}}',
         '{"scenario": "phase", "tolerances": {"frame_operator_four_times_identity": 1}}',
         '{"scenario": "coherent_bt24", "tolerances": {"normalized_orbit_resolves_identity": 1e-9}}',
+        '{"scenario": "phase", "tolerances": {"clock_rep_of_cyclic_group": 1e-10}}',
+        '{"scenario": "phase", "tolerances": {"shift_full_cycle_is_identity": 1e-12}}',
+        '{"scenario": "coherent_d4", "tolerances": {"transport_preserves_resolution": 1e-9}}',
         '{"scenario": "spin", "params": {"j": 0}, "tolerances": {"*": 1, "covariance_half_turn_reverses_labels": 1}}',
     ])
     def test_invalid_config_tolerance_exit_2(self, tmp_path, monkeypatch, capsys, text):
@@ -541,7 +546,8 @@ class TestCli:
         assert captured.err.startswith("error: ")
 
     def test_failing_check_exit_1(self, capsys):
-        assert main(["verify", "--scenario", "phase",
+        # the frame scalar of coherent_d4 errs by 3.5e-16
+        assert main(["verify", "--scenario", "coherent_d4",
                      "--tolerance", "1e-30"]) == 1
 
     def test_out_file(self, tmp_path, capsys):
