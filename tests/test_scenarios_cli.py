@@ -788,6 +788,17 @@ class TestReportDeterminism:
 
 GOLDEN_REPORT = Path(__file__).with_name("verify_report.golden.json")
 
+# the other refactor gate runs, each pinned to the strip_timing output of
+# the code it was generated from; phase --n 1024 is left to the CI
+# determinism step, since its Fourier error (6.1e-12) sits too close to
+# the 1e-3 * tolerance slack for every numpy release
+GATE_REPORTS = {
+    "verify_tolerance_1e-6": ["verify", "--tolerance", "1e-6"],
+    "spin_j50_reduce": ["spin", "--j", "50", "--reduce"],
+    "spin_j0_reduce": ["spin", "--j", "0", "--reduce"],
+    "phase_n64": ["phase", "--n", "64"],
+}
+
 
 def _split_measured(reports):
     """Take out the max_error of every check whose tolerance is above 0,
@@ -800,17 +811,29 @@ def _split_measured(reports):
     return measured
 
 
+def _assert_matches_golden(argv, golden, tmp_path):
+    # every field exactly, except a floating-point error measured against
+    # a positive tolerance: BLAS rounding may move it, so it must agree
+    # within 1e-3 times that tolerance
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    got = json.loads(strip_timing(out.read_text(encoding="utf-8")))
+    want = json.loads(golden.read_text(encoding="utf-8"))
+    if isinstance(want, dict):
+        got, want = [got], [want]
+    got_measured, want_measured = _split_measured(got), _split_measured(want)
+    assert got == want
+    assert got_measured.keys() == want_measured.keys()
+    for key, (expected, tolerance) in want_measured.items():
+        assert abs(got_measured[key][0] - expected) <= 1e-3 * tolerance, key
+
+
 class TestGoldenReport:
     def test_verify_matches_committed_report(self, tmp_path):
-        # every field exactly, except a floating-point error measured
-        # against a positive tolerance: BLAS rounding may move it, so it
-        # must agree within 1e-3 times that tolerance
-        out = tmp_path / "report.json"
-        assert main(["verify", "--out", str(out)]) == 0
-        got = json.loads(strip_timing(out.read_text(encoding="utf-8")))
-        want = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
-        got_measured, want_measured = _split_measured(got), _split_measured(want)
-        assert got == want
-        assert got_measured.keys() == want_measured.keys()
-        for key, (expected, tolerance) in want_measured.items():
-            assert abs(got_measured[key][0] - expected) <= 1e-3 * tolerance, key
+        _assert_matches_golden(["verify"], GOLDEN_REPORT, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(GATE_REPORTS))
+    def test_gate_run_matches_committed_report(self, name, tmp_path):
+        _assert_matches_golden(
+            GATE_REPORTS[name],
+            Path(__file__).with_name(f"{name}_report.golden.json"), tmp_path)
