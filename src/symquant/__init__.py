@@ -16,6 +16,7 @@ from .linalg import (
     eig_hermitian,
     expm_antihermitian,
     is_unitary,
+    resolution_deviation,
 )
 from .groups import (
     FiniteGroup,
@@ -48,7 +49,6 @@ from .coherent import (
     left_regular_rep,
     make_coherent,
     permutation_rep,
-    resolution_deviation,
 )
 from .quantize import (
     OperatorBundle,

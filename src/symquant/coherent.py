@@ -1,7 +1,8 @@
 """Unitary representations of finite groups, irreducibility by the
 character norm, coherent-state orbits of a fiducial vector, and the frame
 operator whose scalarity turns an orbit into a resolution of the identity.
-The frame operator is a projector sum, linalg.projector_sum.
+The frame operator is a projector sum, linalg.projector_sum; unitarity and
+the resolution of the identity are decided in linalg alone.
 
 A representation is dense (UnitaryRep) or monomial (MonomialRep); the
 functions here use only the interface the two share, so a monomial rep is
@@ -21,13 +22,13 @@ weight 1/lam each, lam being FrameOperator.lam.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupAction, element_blocks, generator_law,
-                     is_transitive, left_translation_action)
-from .linalg import as_cvector, as_state_family, max_abs, projector_sum
+from .groups import (FiniteGroup, GroupAction, generator_law, is_transitive,
+                     left_translation_action)
+from .linalg import as_cvector, projector_sum, resolution_deviation, unitarity_errors
 
 
 class ZeroFiducialError(ValueError):
@@ -61,25 +62,19 @@ class UnitaryRep:
     clock_rep, and its laws are exact.
 
     matrices is a stack of one dim x dim matrix per element. Every matrix
-    must be unitary within 1e-9*dim, tested by stacked products, and the
-    identity element must map to the identity matrix. The product law
-    V(s)V(k) = V(s*k) is checked by groups.generator_law, for every
-    generator s of the group and every element k, within
-    eps = 1e-8*dim / (2*D) (Frobenius), where D is the group's generation
-    depth. The elements that satisfy the law exactly are closed under
+    must be unitary by linalg.unitarity_errors, and the identity element
+    must map to the identity matrix. The product law V(s)V(k) = V(s*k) is
+    checked by groups.generator_law, for every generator s of the group
+    and every element k, within eps = 1e-8*dim / (2*D) (Frobenius), where
+    D is the group's generation depth. The elements that satisfy the law exactly are closed under
     products; in floating point the error of V(h)V(k) = V(h*k) for a word
     h of L generators grows by at most 2*eps per letter (to first order in
     the unitarity error), so every pair then satisfies the law within
     2*D*eps = 1e-8*dim, the bound an all-pairs check would apply.
-
-    law_error records the largest error measured, the Frobenius norm of
-    V(s)V(k) - V(s*k) over generators s and all elements k, so that a
-    report can quote it without measuring the law again.
     """
 
     group: FiniteGroup
     matrices: np.ndarray
-    law_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=np.complex128).copy()
@@ -87,27 +82,17 @@ class UnitaryRep:
         if mats.ndim != 3 or len(mats) != n or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"matrices must be a stack of {n} square matrices")
         d = mats.shape[1]
-        eye = np.eye(d)
-        if np.linalg.norm(mats[self.group.identity] - eye) > 1e-12 * d:
+        if np.linalg.norm(mats[self.group.identity] - np.eye(d)) > 1e-12 * d:
             raise ValueError("identity element must map to the identity matrix")
-        # both laws run on slices of elements of about 2**14 entries, which
-        # stay in cache. V^dag V - I is stacked with V^dag made contiguous
-        # so that each product runs on BLAS; a non-finite entry gives an
-        # error that fails the comparison
-        with np.errstate(invalid="ignore"):
-            err = np.concatenate([
-                np.linalg.norm(np.conjugate(m.swapaxes(1, 2), out=np.empty_like(m)) @ m
-                               - eye, axis=(1, 2))
-                for m in (mats[b] for b in element_blocks(n, mats.size))
-            ])
-        _require_unitary(err, d)
+        unitary = unitarity_errors(mats) <= 1e-9 * d
+        if not unitary.all():
+            raise ValueError(f"matrix for element {np.argmin(unitary)} is not unitary")
         g = self.group
-        law_error = generator_law(g, mats.size, lambda s, b: np.linalg.norm(
+        generator_law(g, mats.size, lambda s, b: np.linalg.norm(
             mats[s] @ mats[b] - mats[g.cayley[s, b]], axis=(1, 2)),
             "representation product law", 1e-8 * d / (2 * g.depth))
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "law_error", law_error)
 
     @property
     def dim(self) -> int:
@@ -239,13 +224,6 @@ class MonomialRep:
         return out
 
 
-def _require_unitary(err: np.ndarray, d: int) -> None:
-    """Raise at the first element whose ||V^dag V - I||_F exceeds 1e-9*d."""
-    unitary = err <= 1e-9 * d
-    if not unitary.all():
-        raise ValueError(f"matrix for element {np.argmin(unitary)} is not unitary")
-
-
 def permutation_rep(act: GroupAction) -> MonomialRep:
     """Permutation matrices realizing an action, U(k) e_x = e_{k.x}: the
     monomial rep of the action with modulus 1, every phase 1."""
@@ -289,41 +267,44 @@ def is_irreducible(rep: UnitaryRep | MonomialRep, tol: float = 1e-8):
     return c == 1, c
 
 
+def _require_same_group(rep: UnitaryRep | MonomialRep, act: GroupAction) -> None:
+    """Refuse a rep and an action whose groups differ: the same object, or
+    equal Cayley tables, is one group."""
+    if act.group is not rep.group and not np.array_equal(act.group.cayley, rep.group.cayley):
+        raise ValueError("action and representation use different groups")
+
+
 @dataclass(frozen=True)
 class CoherentSystem:
     """The orbit of a fiducial vector under a representation.
 
-    states[k] = V(k) |fiducial>: states are parametrized by group elements,
-    each with weight 1, and the group acts transitively on the space that
-    holds the base point, an integer in range(action.space_size) (a numpy
-    integer too) stored as an int.
+    states[k] = V(k) |fiducial>, the fiducial being states[identity]: states
+    are parametrized by group elements, each with weight 1, and the group
+    acts transitively on the space that holds the base point, an integer in
+    range(action.space_size) (a numpy integer too) stored as an int.
     """
 
     rep: UnitaryRep | MonomialRep
     action: GroupAction
     base_point: int
-    fiducial: np.ndarray
     states: np.ndarray
     commutant_dim: int
 
     def __post_init__(self):
+        _require_same_group(self.rep, self.action)
         point = self.base_point
         if not (isinstance(point, (int, np.integer)) and 0 <= point < self.action.space_size):
             raise ValueError(
                 f"base point must be an integer in range({self.action.space_size})")
-        f = as_cvector(self.fiducial).copy()
         st = np.asarray(self.states, dtype=np.complex128).copy()
         if st.shape != (self.rep.group.order, self.rep.dim):
             raise ValueError("states must hold one vector per group element")
         norms = np.linalg.norm(st, axis=1)
-        if np.max(np.abs(norms - np.linalg.norm(f))) > 1e-9 * max(1.0, np.linalg.norm(f)):
+        f_norm = norms[self.rep.group.identity]
+        if np.max(np.abs(norms - f_norm)) > 1e-9 * max(1.0, f_norm):
             raise ValueError("orbit states must all share the fiducial norm")
-        if np.linalg.norm(st[self.rep.group.identity] - f) > 1e-12 * max(1.0, np.linalg.norm(f)):
-            raise ValueError("the identity element must reproduce the fiducial")
-        f.setflags(write=False)
         st.setflags(write=False)
         object.__setattr__(self, "base_point", int(point))
-        object.__setattr__(self, "fiducial", f)
         object.__setattr__(self, "states", st)
 
 
@@ -334,10 +315,9 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
     The action must be transitive, so that its invariant measure is the
     counting measure up to scale; a reducible representation is allowed
     but triggers a warning because the frame operator then need not be a
-    scalar. CoherentSystem checks base_point.
+    scalar. CoherentSystem checks base_point, and the groups again.
     """
-    if act.group is not rep.group and not np.array_equal(act.group.cayley, rep.group.cayley):
-        raise ValueError("action and representation use different groups")
+    _require_same_group(rep, act)
     if not is_transitive(act):
         raise NonTransitiveError("the action must be transitive on the space")
     f = as_cvector(fiducial)
@@ -352,9 +332,8 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
             "the frame operator may fail to be a scalar",
             stacklevel=2,
         )
-    states = rep.orbit(f)
     return CoherentSystem(rep=rep, action=act, base_point=base_point,
-                          fiducial=f, states=states, commutant_dim=cdim)
+                          states=rep.orbit(f), commutant_dim=cdim)
 
 
 @dataclass(frozen=True)
@@ -376,34 +355,23 @@ def frame_operator(cs: CoherentSystem) -> FrameOperator:
     T = sum_k V(k)|f><f|V(k)^dag commutes with the representation by
     construction: V(s) T V(s)^dag reindexes the sum by k -> s*k, up to the
     product-law error that UnitaryRep bounds, so it is not checked. T must
-    be lam*I with lam = trace(T)/dim > 0, otherwise NotScalarError (a
-    reducible representation); for a nonzero fiducial
+    be lam*I, lam = trace(T)/dim > 0: the orbit weighted 1/lam resolves the
+    identity within 1e-9*dim, build_operator's rule for every family, or
+    NotScalarError (a reducible representation); for a nonzero fiducial
     lam = |G| * ||f||^2 / dim.
     """
     T = projector_sum(cs.states, np.ones(len(cs.states)))
     d = cs.rep.dim
     lam = float(np.trace(T).real) / d
-    scal_err = float(np.linalg.norm(T - lam * np.eye(d)))
-    if scal_err > 1e-8 * max(1.0, abs(np.trace(T).real)):
+    dev = resolution_deviation(cs.states, 1.0 / lam) if lam > 0 else np.inf
+    if not dev <= 1e-9 * d:
         evals = np.linalg.eigvalsh(T)
         rank = int(np.sum(evals > 1e-12 * max(1.0, evals[-1])))
         raise NotScalarError(
-            f"frame operator is not a scalar (deviation {scal_err:.3e}, "
+            f"frame operator is not a scalar (deviation {dev:.3e}, "
             f"rank {rank} of {d}); the representation is likely reducible"
         )
-    if lam <= 0:
-        raise NotScalarError("frame scalar must be positive for a nonzero fiducial")
-
-    dev = max_abs(T / lam - np.eye(d))
-    if dev > 1e-9 * d:
-        raise NotScalarError(f"normalized frame misses the identity by {dev:.3e}")
     return FrameOperator(T=T, lam=lam)
-
-
-def resolution_deviation(states, weights) -> float:
-    """Max-norm deviation of sum_i w_i |s_i><s_i| from the identity."""
-    st, w = as_state_family(states, weights)
-    return max_abs(projector_sum(st, w) - np.eye(st.shape[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -105,23 +105,21 @@ def element_blocks(n: int, size: int) -> list[slice]:
 
 
 def generator_law(g: FiniteGroup, size: int, error, law: str,
-                  tol: float = 0.0) -> float:
-    """The largest entry of error(s, b), the errors of the elements k in
-    b, over the generators s of g and the slices b of
+                  tol: float = 0.0) -> None:
+    """Check that every entry of error(s, b), the errors of the elements k
+    in b, is at most tol, over the generators s of g and the slices b of
     element_blocks(g.order, size), size being the entries of the array the
     law reads; an exact law's error is a boolean mismatch. At the first s
-    over tol, raises GeneratorLawError(f"{law} fails at generator {s}"),
-    with the error appended when tol > 0."""
+    whose largest error is over tol, raises
+    GeneratorLawError(f"{law} fails at generator {s}"), with the error
+    appended when tol > 0."""
     blocks = element_blocks(g.order, size)
-    worst = 0.0
     for s in g.generating_set:
         err = max(float(np.max(error(s, b))) for b in blocks)
         if err > tol:
             message = f"{law} fails at generator {s}"
             raise GeneratorLawError(
                 message + f" (error {err:.3e})" if tol else message, s)
-        worst = max(worst, err)
-    return worst
 
 
 def element_indices(elements, order: int) -> np.ndarray:

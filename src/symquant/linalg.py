@@ -1,6 +1,8 @@
 """Dense complex linear algebra: Hermitian spectra with degeneracy clustering,
 unitary one-parameter phases, and the predicates the rest of the package
-leans on.
+leans on, each decided here once: unitarity, ||V^dag V - I||_F <= 1e-9*n
+for a d x n matrix V (unitarity_errors), and resolution of the identity,
+max |sum_k w_k |s_k><s_k| - I| <= 1e-9*d (resolution_deviation).
 
 Every weighted projector sum sum_k w_k |s_k><s_k| in the package (frames,
 operators, spectral sums, exp(-itH)) is one kernel, projector_sum, fed by
@@ -80,6 +82,12 @@ def projector_sum(states: np.ndarray, weights) -> np.ndarray:
     return (states.T * np.asarray(weights)[..., None, :]) @ states.conj()
 
 
+def resolution_deviation(states, weights) -> float:
+    """Max-norm deviation of sum_i w_i |s_i><s_i| from the identity."""
+    st, w = as_state_family(states, weights)
+    return max_abs(projector_sum(st, w) - np.eye(st.shape[1]))
+
+
 def _require_square(A: np.ndarray) -> None:
     if A.shape[0] != A.shape[1]:
         raise NotSquareError(f"matrix is {A.shape[0]}x{A.shape[1]}")
@@ -102,13 +110,28 @@ def _require_hermitian(A: np.ndarray) -> None:
         raise NotHermitianError(f"max |A - A^dag| = {dev:.3e}")
 
 
+def unitarity_errors(stack) -> np.ndarray:
+    """||V^dag V - I||_F for each d x n matrix V of a stack (one matrix is a
+    stack of one): V is unitary (n = d), or has orthonormal columns, when
+    it is at most 1e-9*n. The products run on slices of about 2**14
+    entries; a non-finite entry gives NaN, which fails every comparison."""
+    V = np.asarray(stack, dtype=np.complex128)
+    V = V.reshape((-1,) + V.shape[-2:])
+    errors = []
+    with np.errstate(invalid="ignore"):
+        for m in (V[b] for b in element_blocks(len(V), V.size)):
+            # V^dag V - I flattened per matrix, its diagonal every (n+1)th entry
+            G = (m.conj().swapaxes(1, 2) @ m).reshape(len(m), -1)
+            G[:, ::V.shape[2] + 1] -= 1.0
+            x = G.view(np.float64)
+            errors.append(np.sqrt(np.einsum("ij,ij->i", x, x)))
+    return np.concatenate(errors)
+
+
 def is_unitary(U) -> bool:
-    """True iff ||U^dag U - I||_F <= 1e-9 * dim."""
+    """True iff U is square and ||U^dag U - I||_F <= 1e-9 * dim."""
     U = as_cmatrix(U)
-    if U.shape[0] != U.shape[1]:
-        return False
-    d = U.shape[0]
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(d))) <= 1e-9 * d
+    return U.shape[0] == U.shape[1] and bool(unitarity_errors(U)[0] <= 1e-9 * len(U))
 
 
 @dataclass(frozen=True)

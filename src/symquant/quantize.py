@@ -45,12 +45,13 @@ from .linalg import (
     as_state_family,
     eig_hermitian,
     is_unitary,
-    max_abs,
     projector_sum,
+    resolution_deviation,
+    unitarity_errors,
 )
 from .groups import orbit_partition, rows_are_permutations
 from .variables import ConceptualVariable, GroupAction, _element_maps
-from .coherent import MonomialRep, NotUnitaryError, UnitaryRep, resolution_deviation
+from .coherent import MonomialRep, NotUnitaryError, UnitaryRep, _require_same_group
 
 
 class NotInSubgroupError(ValueError):
@@ -177,6 +178,12 @@ def _covariance(bundle: OperatorBundle, lhs: np.ndarray, perms: np.ndarray) -> f
     return float(np.sqrt(sums.max()))
 
 
+def _require_dim(bundle: OperatorBundle, d: int) -> None:
+    if d != len(bundle.matrix):
+        raise DimensionMismatchError(
+            f"unitary of dimension {d}, operator of dimension {len(bundle.matrix)}")
+
+
 def conjugation_covariance(bundle: OperatorBundle, unitary,
                            value_perm) -> CovarianceReport:
     """Does conjugating the operator match relabelling its construction?
@@ -190,6 +197,7 @@ def conjugation_covariance(bundle: OperatorBundle, unitary,
     U = as_cmatrix(unitary)
     if not is_unitary(U):
         raise NotUnitaryError("covariance check needs a unitary matrix")
+    _require_dim(bundle, len(U))
     perm = np.asarray(value_perm, dtype=np.intp)
     U = U[None]
     return CovarianceReport(distance=_covariance(
@@ -203,8 +211,11 @@ def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elem
 
     NotInSubgroupError names the first element outside the maximal
     permissible subgroup, groups.BadElementError an index outside the group.
-    The rep is used as it is: its constructor proved it unitary.
+    A rep of another group than the action's, or of another dimension than
+    the operator's, is refused; its constructor proved it unitary.
     """
+    _require_same_group(rep, act)
+    _require_dim(bundle, rep.dim)
     blocks = _element_maps(var, act, elements, bundle.matrix.size)
     if not blocks:
         raise ValueError("covariance needs at least one group element")
@@ -318,8 +329,9 @@ def maximality_check(bundle: OperatorBundle) -> bool:
 
 
 def coarse_grain(basis, fine_labels, t: Callable[[float], float]):
-    """Relabel an orthonormal basis through t and rebuild the operator; a
-    basis that does not span the space is refused by build_operator.
+    """Relabel a basis, orthonormal by linalg.unitarity_errors on its
+    columns, through t and rebuild the operator; a basis that does not span
+    the space is refused by build_operator.
 
     Returns (blocks, OperatorBundle). The blocks are the preimages of the
     distinct coarse labels, as tuples of basis indices in ascending order
@@ -328,8 +340,7 @@ def coarse_grain(basis, fine_labels, t: Callable[[float], float]):
     """
     st, _ = as_state_family(basis, 1.0)
     n = len(st)
-    gram = st.conj() @ st.T
-    if max_abs(gram - np.eye(n)) > 1e-10:
+    if not unitarity_errors(st.T)[0] <= 1e-9 * n:
         raise ValueError("basis must be orthonormal")
     fine = np.asarray(fine_labels, dtype=float)
     if fine.shape != (n,):

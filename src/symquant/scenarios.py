@@ -39,7 +39,6 @@ from .coherent import (
     frame_operator,
     make_coherent,
     permutation_rep,
-    resolution_deviation,
 )
 from .groups import (
     GeneratorLawError,
@@ -50,7 +49,7 @@ from .groups import (
     make_named_group,
     subgroup_generated,
 )
-from .linalg import DEGENERACY_TOL, max_abs
+from .linalg import DEGENERACY_TOL, max_abs, resolution_deviation, unitarity_errors
 from .quantize import (
     NotAnOrbitError,
     NotOrthonormalError,
@@ -349,8 +348,7 @@ def _half_turn(s):
 
 
 def _half_turn_not_unitary(s, exc):
-    U = s.half_turn()
-    err = float(np.linalg.norm(U.conj().T @ U - np.eye(s.d)))
+    err = unitarity_errors(s.half_turn())[0]
     return f"the half turn is not unitary: ||U^dag U - I||_F = {err:.3e}"
 
 

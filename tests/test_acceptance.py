@@ -8,7 +8,6 @@ from symquant.coherent import (
     dihedral_rotation_rep,
     make_coherent,
     permutation_rep,
-    resolution_deviation,
 )
 from symquant.groups import (
     check_homomorphism,
@@ -18,6 +17,7 @@ from symquant.groups import (
     make_named_group,
     subgroup_generated,
 )
+from symquant.linalg import resolution_deviation
 from symquant.phasespace import fourier_matrix, momentum_operator, mub_deviation
 from symquant.quantize import (
     build_operator,

@@ -32,8 +32,8 @@ from symquant.coherent import (
     left_regular_rep,
     make_coherent,
     permutation_rep,
-    resolution_deviation,
 )
+from symquant.linalg import resolution_deviation
 
 
 @pytest.fixture
@@ -140,22 +140,6 @@ class TestUnitaryRepValidation:
         with pytest.raises(ValueError, match="stack of 2 square matrices"):
             UnitaryRep(group=cyclic_group(2), matrices=np.ones((2, 2, 3)))
 
-    @pytest.mark.parametrize("name", ["dihedral:4", "dihedral:7", "binary_tetrahedral"])
-    def test_law_error_is_the_measured_generator_error(self, name):
-        # every non-identity element a generator, in descending order, so
-        # that the largest error is not the last one measured
-        g = make_named_group(name)
-        g = dataclasses.replace(g, generators=tuple(range(g.order - 1, 0, -1)))
-        mats = (binary_tetrahedral_spin_rep(g) if name == "binary_tetrahedral"
-                else dihedral_rotation_rep(g)).matrices
-        rep = UnitaryRep(group=g, matrices=mats)
-        expected = max(
-            float(np.linalg.norm(mats[s] @ mats[k] - mats[g.cayley[s, k]]))
-            for s in g.generators for k in range(g.order)
-        )
-        assert rep.law_error == expected
-        assert rep.law_error <= 1e-8 * rep.dim / (2 * g.depth)
-
 
 class TestCoherentSystems:
     def test_d4_orbit(self, d4_rep):
@@ -207,6 +191,37 @@ class TestCoherentSystems:
         idle = GroupAction(group=g, perm=np.zeros((8, 2), dtype=int) + [0, 1])
         with pytest.raises(NonTransitiveError):
             make_coherent(rep, idle, 0, (1.0, 0.0))
+
+    @pytest.mark.parametrize("name", ["cyclic:4", "cyclic:2"])
+    def test_action_of_another_group_refused(self, name):
+        # cyclic:4 has the order of dihedral:2, the Klein group, but not its
+        # Cayley table
+        act = left_translation_action(make_named_group("dihedral:2"))
+        rep = left_regular_rep(make_named_group(name))
+        with pytest.raises(ValueError, match="different groups"):
+            make_coherent(rep, act, 0, np.eye(rep.dim)[0])
+
+    def test_system_refuses_an_action_of_another_group(self, d4_rep):
+        # the system itself, however it is built: cyclic:8 has the order of
+        # dihedral:4
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
+        other = left_translation_action(make_named_group("cyclic:8"))
+        with pytest.raises(ValueError, match="different groups"):
+            dataclasses.replace(cs, action=other)
+
+    def test_fiducial_is_the_identity_state(self, d4_rep):
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (0.6, 0.8j))
+        assert_allclose(cs.states[g.identity], [0.6, 0.8j], rtol=0, atol=0)
+
+    def test_states_of_different_norms_refused(self, d4_rep):
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
+        states = cs.states.copy()
+        states[3] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="share the fiducial norm"):
+            dataclasses.replace(cs, states=states)
 
     def test_reducible_rep_warns(self):
         g = cyclic_group(2)
@@ -290,7 +305,7 @@ class TestFrameOperator:
         W, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         # the rep W V W^dag, whose orbit of W f is W times the orbit of f
         moved = make_coherent(UnitaryRep(group=g, matrices=W @ rep.matrices @ W.conj().T),
-                              act, 0, W @ cs.fiducial)
+                              act, 0, W @ cs.states[g.identity])
         frame2 = frame_operator(moved)
         assert np.linalg.norm(frame2.T - W @ frame.T @ W.conj().T) <= 1e-10
         assert abs(frame2.lam - frame.lam) <= 1e-10

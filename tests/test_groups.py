@@ -533,7 +533,8 @@ class TestGeneratorLaw:
             seen.append((s, b))
             return np.arange(g.order)[b] * s / 10
 
-        assert generator_law(g, 2**15, error, "test law", tol=2.0) == 1.0
+        # the largest error, 1.0, is within tol = 1.0
+        generator_law(g, 2**15, error, "test law", tol=1.0)
         # generators 1 and 2, each on the three blocks of 2**15 entries
         blocks = element_blocks(g.order, 2**15)
         assert len(blocks) == 3

@@ -12,6 +12,7 @@ from symquant.linalg import (
     eig_hermitian,
     expm_antihermitian,
     is_unitary,
+    unitarity_errors,
 )
 
 
@@ -205,3 +206,33 @@ class TestPredicates:
     def test_is_unitary_rejects(self):
         assert not is_unitary(2.0 * np.eye(3))
         assert not is_unitary(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(5, 3, 3), (4, 5, 2), (1, 7, 7),
+                                       (3000, 3, 3), (1500, 8, 3)])
+    def test_unitarity_errors_match_the_per_matrix_formula(self, shape):
+        # the last two stacks span several blocks of about 2**14 entries;
+        # half of each stack is unitary (square) or an isometry (d x n)
+        rng = np.random.default_rng(sum(shape))
+        k, d, n = shape
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stack[::2] = np.linalg.qr(stack[::2])[0]
+        want = [np.linalg.norm(V.conj().T @ V - np.eye(n)) for V in stack]
+        got = unitarity_errors(stack)
+        assert got.shape == (k,)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        assert np.all(got[::2] <= 1e-9 * n) and not np.any(got[1::2] <= 1e-9 * n)
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        assert unitarity_errors(np.eye(3)).tolist() == [0.0]
+        # orthonormal columns: an isometry, which is_unitary refuses as
+        # not square
+        assert unitarity_errors(np.eye(3)[:, :2]).tolist() == [0.0]
+        assert not is_unitary(np.eye(3)[:, :2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_fails_only_its_matrix(self, bad):
+        stack = np.stack([np.eye(2)] * 4).astype(complex)
+        stack[2, 1, 0] = bad
+        err = unitarity_errors(stack)
+        assert err[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+        assert not err[2] <= 1e-9 * 2 and not err[2] > 1e-9 * 2

@@ -149,14 +149,17 @@ DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
            "variable_to_json", "variable_from_json")
 
 # stored copies and derived values: read them off the one field that holds
-# them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL), or, for a
-# covariance tolerance, state it in the check that reads the distance
+# them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL, states[identity]),
+# or, for a covariance tolerance, state it in the check that reads the
+# distance; a rep's law error is a verdict, not a value to quote
 DELETED_FIELDS = {
     "variables.InducedAction": ("induced_perm",),
     "coherent.FrameOperator": ("normalized_weights",),
     "linalg.SpectralData": ("degeneracy_tol",),
     "quantize.CovarianceReport": ("tolerance",),
     "groups.FiniteGroup": ("element_names",),
+    "coherent.UnitaryRep": ("law_error",),
+    "coherent.CoherentSystem": ("fiducial",),
 }
 
 

@@ -12,7 +12,8 @@ from symquant.groups import (BadElementError, GroupAction, cyclic_group,
                              dihedral_vertex_action, left_translation_action,
                              make_named_group)
 from symquant import linalg, quantize, variables
-from symquant.coherent import UnitaryRep, dihedral_rotation_rep, permutation_rep
+from symquant.coherent import (UnitaryRep, dihedral_rotation_rep, left_regular_rep,
+                               permutation_rep)
 from symquant.linalg import (
     DimensionMismatchError,
     NotHermitianError,
@@ -281,6 +282,36 @@ class TestCovarianceOverElements:
         _, act, parity, value_rep, bundle = z4_parity
         with pytest.raises(BadElementError, match="out of range"):
             covariance_check(bundle, value_rep, elements, parity, act)
+
+
+class TestCovarianceInputsThatDoNotFit:
+    """A rep and an action of different groups, or a unitary of another
+    dimension than the operator's, are refused before any conjugation."""
+
+    @pytest.mark.parametrize("name", ["cyclic:4", "cyclic:2"])
+    def test_rep_of_another_group_refused(self, name):
+        # cyclic:4 has the order of dihedral:2, the Klein group, and its
+        # left regular rep fits the 4-dimensional operator
+        g = make_named_group("dihedral:2")
+        act = left_translation_action(g)
+        labels = variable_from_point_labels([0.0, 1.0, 2.0, 3.0])
+        bundle = build_operator(np.eye(4), 1.0, list(labels.value_labels))
+        with pytest.raises(ValueError, match="different groups"):
+            covariance_check(bundle, left_regular_rep(make_named_group(name)),
+                             0, labels, act)
+
+    def test_rep_of_another_dimension_refused(self):
+        g = cyclic_group(4)
+        act = left_translation_action(g)
+        parity = variable_from_point_labels([0.0, 1.0, 0.0, 1.0])
+        bundle = build_operator(QUBIT, 1.0, list(parity.value_labels))
+        with pytest.raises(DimensionMismatchError, match="dimension 4, operator of dimension 2"):
+            covariance_check(bundle, left_regular_rep(g), 1, parity, act)
+
+    def test_unitary_of_another_dimension_refused(self):
+        bundle = build_operator(QUBIT, 1.0, [0.5, -0.5])
+        with pytest.raises(DimensionMismatchError, match="dimension 3, operator of dimension 2"):
+            conjugation_covariance(bundle, np.eye(3), [0, 1])
 
 
 class TestSingleElementCovariance:

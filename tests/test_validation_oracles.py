@@ -48,6 +48,16 @@ check on the generators that it ran while it took a measure lives here,
 on random fiducials of dihedral and binary tetrahedral frames, and must
 still catch weights that are not invariant.
 
+Unitarity and the resolution of the identity are each decided by one
+rule in linalg. frame_operator's verdict is the resolution rule alone, on
+the orbit weighted 1/lam; the three tests it used to make (a Frobenius
+scalar test, lam > 0, then the resolution rule) live here, and must reach
+the same verdict on irreducible and reducible reps up to dimension 10,
+where the resolution rule implies the Frobenius test. coarse_grain refuses
+a basis by the unitarity rule on its columns; the max-norm Gram test it
+replaced lives here, and must reach the same verdict on bases far from
+both thresholds.
+
 Every weighted sum of state projectors, sum_k w_k |s_k><s_k| (frame
 operators, labelled operators, coarse-grained operators, spectral
 reconstructions, exp(-itH)), is computed by
@@ -98,6 +108,7 @@ two must give the same bytes.
 
 import hashlib
 import itertools
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -109,6 +120,7 @@ from hypothesis import strategies as st
 
 from symquant.coherent import (
     MonomialRep,
+    NotScalarError,
     UnitaryRep,
     binary_tetrahedral_spin_rep,
     commutant_dimension,
@@ -118,7 +130,6 @@ from symquant.coherent import (
     left_regular_rep,
     make_coherent,
     permutation_rep,
-    resolution_deviation,
 )
 from symquant.groups import (
     FiniteGroup,
@@ -141,6 +152,7 @@ from symquant.linalg import (
     eig_hermitian,
     expm_antihermitian,
     projector_sum,
+    resolution_deviation,
 )
 from symquant.phasespace import (
     clock_rep,
@@ -340,6 +352,26 @@ def frame_commutator_on_generators(rep, T) -> float:
     """Largest ||V(s) T - T V(s)||_F over the group's generators s."""
     return max(float(np.linalg.norm(rep.matrix(s) @ T - T @ rep.matrix(s)))
                for s in rep.group.generating_set)
+
+
+def frame_is_scalar_by_three_tests(states, d: int) -> bool:
+    """The frame verdict as three tests, lam = tr T / d for the unweighted
+    orbit sum T: ||T - lam I||_F <= 1e-8 * max(1, tr T), lam > 0, and
+    max |T / lam - I| <= 1e-9 * d."""
+    T = projectors_by_einsum(np.ones(len(states)), states)
+    tr = float(np.trace(T).real)
+    lam = tr / d
+    if float(np.linalg.norm(T - lam * np.eye(d))) > 1e-8 * max(1.0, abs(tr)):
+        return False
+    if lam <= 0:
+        return False
+    return float(np.max(np.abs(T / lam - np.eye(d)))) <= 1e-9 * d
+
+
+def gram_deviation(rows) -> float:
+    """max |<s_i|s_j> - delta_ij| over the rows s_i; a basis is
+    orthonormal by the max-norm Gram test when this is at most 1e-10."""
+    return float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))))
 
 
 def closure_by_products(cayley, identity, gens) -> set:
@@ -912,6 +944,63 @@ def monomial_cases(draw, max_degree=5):
                                max_size=act.space_size)))
     chi = odd * (modulus // 2) if signed else np.zeros(g.order, dtype=np.intp)
     return act, chi[:, None] + c[act.perm] - c, modulus
+
+
+@st.composite
+def frame_systems(draw, max_dim=10):
+    """(rep, act, base, fiducial) of dimension at most max_dim: irreducible
+    (the rotation rep of dihedral:n, the spin rep of binary_tetrahedral)
+    or reducible (the vertex permutation rep of dihedral:n, the left
+    regular rep of a group of order <= max_dim, the rotation rep of
+    dihedral:n summed with itself or with the trivial rep). The fiducial
+    is random, the first basis vector, or all ones; on the sum of two
+    rotation reps also (1, 0, 0, 1), whose frame is scalar."""
+    kind = draw(st.sampled_from(["rotation", "spin", "vertex", "regular",
+                                 "double", "plus_trivial"]))
+    n = draw(st.integers(3, max_dim))
+    if kind == "spin":
+        g = make_named_group("binary_tetrahedral")
+        rep, act, base = (binary_tetrahedral_spin_rep(g),
+                          left_translation_action(g), g.identity)
+    elif kind == "regular":
+        g = make_named_group(draw(st.sampled_from(
+            [f"cyclic:{m}" for m in range(1, max_dim + 1)]
+            + [f"dihedral:{m}" for m in range(2, max_dim // 2 + 1)])))
+        rep, act, base = left_regular_rep(g), left_translation_action(g), g.identity
+    else:
+        g = make_named_group(f"dihedral:{n}")
+        act, base = dihedral_vertex_action(g), 0
+        rot = dihedral_rotation_rep(g)
+        if kind == "rotation":
+            rep = rot
+        elif kind == "vertex":
+            rep = permutation_rep(act)
+        elif kind == "double":
+            rep = direct_sum(rot, rot)
+        else:
+            rep = direct_sum(rot, UnitaryRep(group=g, matrices=np.ones((g.order, 1, 1))))
+    d = rep.dim
+    choices = ["random", "basis", "ones"] + (["halves"] if kind == "double" else [])
+    form = draw(st.sampled_from(choices))
+    if form == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        fiducial = rng.normal(size=d) + 1j * rng.normal(size=d)
+    else:
+        fiducial = {"basis": np.eye(d)[0], "ones": np.ones(d),
+                    "halves": np.array([1.0, 0.0, 0.0, 1.0])}[form]
+    return rep, act, base, fiducial
+
+
+@st.composite
+def perturbed_bases(draw, max_dim=6):
+    """n <= d orthonormal complex vectors in dimension d, each entry moved
+    by eps times a standard normal, eps from 0 to 1e-3."""
+    d = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-6, 1e-3]))
+    rows = _random_unitary(rng, d)[:n]
+    return rows + eps * (rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
 
 
 def _random_unitary(rng, d) -> np.ndarray:
@@ -1816,7 +1905,10 @@ class TestMonomialOracle:
         rep = left_regular_rep(g)
         mats = permutation_matrices(left_translation_action(g))
         dense = UnitaryRep(group=g, matrices=mats)
-        assert dense.law_error == 0.0 and rep.modulus == 1
+        # the dense stack obeys the product law exactly, as the exponents do
+        assert rep.modulus == 1
+        assert all(np.array_equal(mats[s] @ mats[k], mats[g.cayley[s, k]])
+                   for s in g.generators for k in range(g.order))
         assert np.array_equal(rep.characters(), dense.characters())
         stack = np.stack([rep.matrix(k) for k in range(g.order)])
         assert stack.dtype == mats.dtype
@@ -2062,6 +2154,64 @@ class TestProjectorSumOracles:
         assert_close(frame.T, projectors_by_einsum(np.ones(g.order), cs.states))
         scale = max(1.0, float(np.linalg.norm(frame.T)))
         assert frame_commutator_on_generators(rep, frame.T) <= 1e-9 * scale / g.depth
+
+    @ORACLE_SETTINGS
+    @given(frame_systems())
+    def test_frame_verdict_matches_three_tests(self, system):
+        rep, act, base, fiducial = system
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cs = make_coherent(rep, act, base, fiducial)
+        try:
+            frame_operator(cs)
+            scalar = True
+        except NotScalarError:
+            scalar = False
+        assert scalar == frame_is_scalar_by_three_tests(cs.states, rep.dim)
+
+    @pytest.mark.parametrize("kind, fiducial, scalar", [
+        ("rotation", (0.3, 0.4j), True),
+        ("vertex", (1.0, 0.0, 0.0, 0.0), True),
+        ("vertex", (1.0, 1.0, 1.0, 1.0), False),
+        ("double", (1.0, 0.0, 0.0, 1.0), True),
+        ("double", (1.0, 0.0, 0.0, 0.0), False),
+    ])
+    def test_frame_verdicts_of_both_kinds(self, kind, fiducial, scalar):
+        # reducible reps with a scalar frame, and without one, so that the
+        # agreement above is not on one verdict only
+        g = make_named_group("dihedral:4")
+        act, rot = dihedral_vertex_action(g), dihedral_rotation_rep(g)
+        rep = {"rotation": rot, "vertex": permutation_rep(act),
+               "double": direct_sum(rot, rot)}[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cs = make_coherent(rep, act, 0, fiducial)
+        assert frame_is_scalar_by_three_tests(cs.states, rep.dim) == scalar
+        if scalar:
+            frame_operator(cs)
+        else:
+            with pytest.raises(NotScalarError, match=r"deviation .*, rank \d of"):
+                frame_operator(cs)
+
+    @ORACLE_SETTINGS
+    @given(perturbed_bases())
+    def test_coarse_grain_orthonormality_matches_gram_test(self, rows):
+        # far from both thresholds: the Gram test's 1e-10 in the max norm,
+        # and 1e-9 per vector of ||B^dag B - I||_F for the columns B
+        n, d = rows.shape
+        gram_dev = gram_deviation(rows)
+        frob = float(np.linalg.norm(rows.conj() @ rows.T - np.eye(n)))
+        assume(not 1e-12 <= gram_dev <= 1e-8)
+        assume(not 1e-11 * n <= frob <= 1e-7 * n)
+        try:
+            coarse_grain(rows, np.arange(n, dtype=float), lambda u: u)
+            orthonormal = True
+        except ValueError as exc:
+            # a basis of fewer vectors than the dimension is orthonormal but
+            # does not resolve the identity, which build_operator refuses
+            orthonormal = "misses the identity" in str(exc)
+            assert orthonormal or str(exc) == "basis must be orthonormal"
+        assert orthonormal == (gram_dev <= 1e-10)
 
     def test_frame_commutator_catches_weights_not_invariant(self):
         # weights 1, 2, 1, 2 on the vertices of the square, carried to the
