@@ -1,8 +1,8 @@
 """Unitary representations of finite groups, irreducibility by the
 character norm, coherent-state orbits of a fiducial vector, and the frame
 operator whose scalarity turns an orbit into a resolution of the identity.
-The frame operator is a projector sum, linalg.projector_sum; unitarity and
-the resolution of the identity are decided in linalg alone.
+The frame operator is one projector sum, linalg.projector_sum, and its
+scalarity is tested on that sum; unitarity is decided in linalg alone.
 
 A representation is dense (UnitaryRep) or monomial (MonomialRep); the
 functions here use only the interface the two share, so a monomial rep is
@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, generator_law, is_transitive,
                      left_translation_action)
-from .linalg import as_cvector, projector_sum, resolution_deviation, unitarity_errors
+from .linalg import as_cvector, max_abs, projector_sum, unitarity_errors
 
 
 class ZeroFiducialError(ValueError):
@@ -278,17 +279,17 @@ def _require_same_group(rep: UnitaryRep | MonomialRep, act: GroupAction) -> None
 class CoherentSystem:
     """The orbit of a fiducial vector under a representation.
 
-    states[k] = V(k) |fiducial>, the fiducial being states[identity]: states
-    are parametrized by group elements, each with weight 1, and the group
-    acts transitively on the space that holds the base point, an integer in
-    range(action.space_size) (a numpy integer too) stored as an int.
+    The fiducial, finite, nonzero and of the rep's dimension, is kept
+    read-only; states[k] = V(k) |fiducial> (read-only) and commutant_dim are
+    derived once. States are parametrized by group elements, each with
+    weight 1, and the group acts transitively on the space that holds the
+    base point, an integer (numpy too) in range(action.space_size), kept as int.
     """
 
     rep: UnitaryRep | MonomialRep
     action: GroupAction
     base_point: int
-    states: np.ndarray
-    commutant_dim: int
+    fiducial: np.ndarray
 
     def __post_init__(self):
         _require_same_group(self.rep, self.action)
@@ -296,16 +297,24 @@ class CoherentSystem:
         if not (isinstance(point, (int, np.integer)) and 0 <= point < self.action.space_size):
             raise ValueError(
                 f"base point must be an integer in range({self.action.space_size})")
-        st = np.asarray(self.states, dtype=np.complex128).copy()
-        if st.shape != (self.rep.group.order, self.rep.dim):
-            raise ValueError("states must hold one vector per group element")
-        norms = np.linalg.norm(st, axis=1)
-        f_norm = norms[self.rep.group.identity]
-        if np.max(np.abs(norms - f_norm)) > 1e-9 * max(1.0, f_norm):
-            raise ValueError("orbit states must all share the fiducial norm")
-        st.setflags(write=False)
+        f = as_cvector(self.fiducial).copy()
+        if f.size != self.rep.dim:
+            raise ValueError("fiducial dimension must match the representation")
+        if np.linalg.norm(f) < 1e-12:
+            raise ZeroFiducialError("fiducial vector is numerically zero")
+        f.setflags(write=False)
         object.__setattr__(self, "base_point", int(point))
-        object.__setattr__(self, "states", st)
+        object.__setattr__(self, "fiducial", f)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        st = self.rep.orbit(self.fiducial)
+        st.setflags(write=False)
+        return st
+
+    @cached_property
+    def commutant_dim(self) -> int:
+        return is_irreducible(self.rep)[1]
 
 
 def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: int,
@@ -315,37 +324,33 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
     The action must be transitive, so that its invariant measure is the
     counting measure up to scale; a reducible representation is allowed
     but triggers a warning because the frame operator then need not be a
-    scalar. CoherentSystem checks base_point, and the groups again.
+    scalar. CoherentSystem checks the groups, base_point and the fiducial.
     """
-    _require_same_group(rep, act)
+    cs = CoherentSystem(rep=rep, action=act, base_point=base_point, fiducial=fiducial)
     if not is_transitive(act):
         raise NonTransitiveError("the action must be transitive on the space")
-    f = as_cvector(fiducial)
-    if f.size != rep.dim:
-        raise ValueError("fiducial dimension must match the representation")
-    if np.linalg.norm(f) < 1e-12:
-        raise ZeroFiducialError("fiducial vector is numerically zero")
-    irr, cdim = is_irreducible(rep)
-    if not irr:
+    if cs.commutant_dim != 1:
         warnings.warn(
-            f"representation is reducible (commutant dimension {cdim}); "
+            f"representation is reducible (commutant dimension {cs.commutant_dim}); "
             "the frame operator may fail to be a scalar",
             stacklevel=2,
         )
-    return CoherentSystem(rep=rep, action=act, base_point=base_point,
-                          states=rep.orbit(f), commutant_dim=cdim)
+    return cs
 
 
 @dataclass(frozen=True)
 class FrameOperator:
-    """Sum of orbit-state projectors and its scalar value.
+    """Sum of orbit-state projectors and its scalar value lam = tr T / dim.
 
     T equals lam times the identity, so the orbit states resolve the
     identity under the weight 1/lam each.
     """
 
     T: np.ndarray
-    lam: float
+
+    @property
+    def lam(self) -> float:
+        return float(np.trace(self.T).real) / len(self.T)
 
 
 def frame_operator(cs: CoherentSystem) -> FrameOperator:
@@ -355,23 +360,21 @@ def frame_operator(cs: CoherentSystem) -> FrameOperator:
     T = sum_k V(k)|f><f|V(k)^dag commutes with the representation by
     construction: V(s) T V(s)^dag reindexes the sum by k -> s*k, up to the
     product-law error that UnitaryRep bounds, so it is not checked. T must
-    be lam*I, lam = trace(T)/dim > 0: the orbit weighted 1/lam resolves the
-    identity within 1e-9*dim, build_operator's rule for every family, or
-    NotScalarError (a reducible representation); for a nonzero fiducial
-    lam = |G| * ||f||^2 / dim.
+    be lam*I: max |T/lam - I| <= 1e-9*dim, build_operator's rule for every
+    family, or NotScalarError (a reducible representation); the nonzero
+    fiducial gives lam = |G| * ||f||^2 / dim > 0.
     """
-    T = projector_sum(cs.states, np.ones(len(cs.states)))
+    frame = FrameOperator(T=projector_sum(cs.states, np.ones(len(cs.states))))
     d = cs.rep.dim
-    lam = float(np.trace(T).real) / d
-    dev = resolution_deviation(cs.states, 1.0 / lam) if lam > 0 else np.inf
+    dev = max_abs(frame.T / frame.lam - np.eye(d))
     if not dev <= 1e-9 * d:
-        evals = np.linalg.eigvalsh(T)
+        evals = np.linalg.eigvalsh(frame.T)
         rank = int(np.sum(evals > 1e-12 * max(1.0, evals[-1])))
         raise NotScalarError(
             f"frame operator is not a scalar (deviation {dev:.3e}, "
             f"rank {rank} of {d}); the representation is likely reducible"
         )
-    return FrameOperator(T=T, lam=lam)
+    return frame
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,8 @@ def element_blocks(n: int, size: int) -> list[slice]:
     """Slices of the n elements, each holding about 2**14 of an array's
     size entries: the row blocks on which every law over all elements is
     checked, so that its temporaries stay in cache and far below the
-    array's own size."""
-    step = -(-n // (1 + size // (1 << 14)))
+    array's own size; no elements give no slices."""
+    step = -(-n // (1 + size // (1 << 14))) or 1
     return [slice(k, k + step) for k in range(0, n, step)]
 
 

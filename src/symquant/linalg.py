@@ -42,10 +42,12 @@ class DimensionMismatchError(ValueError):
 
 
 def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
+    """Coerce to a finite nonempty 2-d complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got ndim={m.ndim}")
+    if m.size == 0:
+        raise DimensionMismatchError("matrix must be nonempty")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -114,10 +116,11 @@ def unitarity_errors(stack) -> np.ndarray:
     """||V^dag V - I||_F for each d x n matrix V of a stack (one matrix is a
     stack of one): V is unitary (n = d), or has orthonormal columns, when
     it is at most 1e-9*n. The products run on slices of about 2**14
-    entries; a non-finite entry gives NaN, which fails every comparison."""
+    entries; a non-finite entry gives NaN, which fails every comparison.
+    An empty stack gives no errors."""
     V = np.asarray(stack, dtype=np.complex128)
     V = V.reshape((-1,) + V.shape[-2:])
-    errors = []
+    errors = [np.zeros(0)]
     with np.errstate(invalid="ignore"):
         for m in (V[b] for b in element_blocks(len(V), V.size)):
             # V^dag V - I flattened per matrix, its diagonal every (n+1)th entry

@@ -22,6 +22,7 @@ import numpy as np
 
 from .coherent import MonomialRep, left_regular_rep
 from .groups import FiniteGroup, GroupAction
+from .linalg import as_cmatrix
 from .quantize import OperatorBundle, operator_from_matrix
 
 
@@ -77,7 +78,7 @@ def clock_rep(g: FiniteGroup) -> MonomialRep:
 def mub_deviation(F) -> float:
     """Largest deviation of |<x|p>|^2 from 1/n over the position basis and
     the columns p of an n x n matrix F, such as fourier_matrix(n)."""
-    F = np.asarray(F)
+    F = as_cmatrix(F)
     return float(np.max(np.abs(np.abs(F) ** 2 - 1.0 / len(F))))
 
 

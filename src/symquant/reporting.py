@@ -47,7 +47,6 @@ def exact_check(name: str, ok: bool, details: str = "") -> Check:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    scenario: str
     checks: tuple[Check, ...]
     timing_ms: int
     config_echo: dict
@@ -58,7 +57,7 @@ class VerificationReport:
 
     def to_obj(self) -> dict:
         return {
-            "scenario": self.scenario,
+            "scenario": self.config_echo["scenario"],
             "checks": [
                 {
                     "name": c.name,

@@ -633,10 +633,7 @@ def run_scenario(config) -> VerificationReport:
     checks = tuple(_check(spec, shared, resolved["tolerances"])
                    for spec in _declared(scenario, params))
     timing_ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        scenario=resolved["scenario"], checks=checks,
-        timing_ms=timing_ms, config_echo=resolved,
-    )
+    return VerificationReport(checks=checks, timing_ms=timing_ms, config_echo=resolved)
 
 
 def run_all(tolerances=None) -> list[VerificationReport]:

@@ -166,7 +166,7 @@ def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int
     elements give no blocks."""
     _check_sizes(var, act)
     ks = element_indices(elements, act.group.order)
-    blocks = element_blocks(ks.size, ks.size * max(var.space_size, size)) if ks.size else []
+    blocks = element_blocks(ks.size, ks.size * max(var.space_size, size))
     return [(ks[b], *_value_maps(var, var.values[act.perm[ks[b]]])) for b in blocks]
 
 
@@ -201,15 +201,14 @@ class InducedAction:
 def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     """Push the group action through a permissible variable onto its values.
 
-    Checked: permissibility, then the action laws of value_action and the
-    group laws of the image group, each from the group's generators and
-    their images. Not checked, because implied: the value map of s*k is
-    that of s after that of k (the values of k.p are a function of those
-    of p), so k -> value_action.perm[k] is a homomorphism into the value
-    permutations; its image table is then well defined, the images of the
-    generators generate it, |G| = |kernel| * |image|, and the image group
-    acts faithfully on the values by value_action's law read through
-    k_to_image.
+    Checked: permissibility, then the action laws of value_action, by which
+    k -> value_action.perm[k] is a homomorphism into the value permutations
+    (the value map of s*k is that of s after that of k), and the group laws
+    of the image group, each from the group's generators and their images.
+    Not checked, because implied by the homomorphism: the image table is
+    well defined, the images of the generators generate it,
+    |G| = |kernel| * |image|, and the image group acts faithfully on the
+    values by value_action's law read through k_to_image.
     """
     induced, witness = _permissible_maps(var, act)    # (order, nv)
     if witness is not None:

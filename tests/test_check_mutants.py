@@ -70,12 +70,12 @@ def _character_norm_plus_one(orig):
     return lambda rep, tol=1e-8: orig(rep, tol) + 1
 
 
-def _frame_with(T_scale=1.0, lam_scale=1.0):
+def _frame_with(T_scale):
+    # lam is tr T / d, so it follows the scaled T
     def make(orig):
         def fault(cs):
             frame = orig(cs)
-            return dataclasses.replace(frame, T=T_scale * frame.T,
-                                       lam=lam_scale * frame.lam)
+            return dataclasses.replace(frame, T=T_scale * frame.T)
         return fault
     return make
 
@@ -198,7 +198,7 @@ MUTANTS = {
     "rotation_rep_irreducible": Mutant(
         D4, coherent, "commutant_dimension", _character_norm_plus_one),
     "frame_operator_four_times_identity": Mutant(
-        D4, scenarios, "frame_operator", _frame_with(T_scale=0.5, lam_scale=0.5)),
+        D4, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
     # coherent_bt24
     "group_order_24": Mutant(
         BT24, groups, "binary_tetrahedral_group", lambda orig: _quaternion_group),
@@ -208,7 +208,7 @@ MUTANTS = {
         BT24, scenarios, "make_coherent",
         lambda orig: lambda rep, act, base, f: orig(rep, act, base, 2 * np.asarray(f))),
     "frame_operator_twelve_times_identity": Mutant(
-        BT24, scenarios, "frame_operator", _frame_with(T_scale=0.5, lam_scale=0.5)),
+        BT24, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
     # spin
     "generator_commutation_relations": Mutant(
         SPIN, scenarios, "spin_generators",

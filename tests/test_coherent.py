@@ -19,7 +19,9 @@ from symquant.groups import (
     left_translation_action,
     make_named_group,
 )
+from symquant import coherent, linalg
 from symquant.coherent import (
+    FrameOperator,
     NonTransitiveError,
     NotScalarError,
     UnitaryRep,
@@ -215,13 +217,44 @@ class TestCoherentSystems:
         cs = make_coherent(rep, dihedral_vertex_action(g), 0, (0.6, 0.8j))
         assert_allclose(cs.states[g.identity], [0.6, 0.8j], rtol=0, atol=0)
 
-    def test_states_of_different_norms_refused(self, d4_rep):
+    def test_fiducial_and_states_are_read_only(self, d4_rep):
+        g, rep = d4_rep
+        f = np.array([0.6, 0.8j])
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, f)
+        f[0] = 5.0
+        assert cs.fiducial.tolist() == [0.6, 0.8j]
+        assert not cs.fiducial.flags.writeable and not cs.states.flags.writeable
+
+    def test_derived_values_are_not_fields(self, d4_rep):
+        # the states and the commutant dimension follow from the rep and
+        # the fiducial, and lam from T: none can be set apart from them
         g, rep = d4_rep
         cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
-        states = cs.states.copy()
-        states[3] *= 1 + 1e-6
-        with pytest.raises(ValueError, match="share the fiducial norm"):
-            dataclasses.replace(cs, states=states)
+        with pytest.raises(TypeError):
+            dataclasses.replace(cs, states=np.tile([1.0, 0.0], (8, 1)))
+        with pytest.raises(TypeError):
+            dataclasses.replace(cs, commutant_dim=5)
+        with pytest.raises(TypeError):
+            FrameOperator(T=np.eye(2), lam=3.0)
+
+    def test_replaced_fiducial_is_checked(self, d4_rep):
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
+        with pytest.raises(ZeroFiducialError, match="numerically zero"):
+            dataclasses.replace(cs, fiducial=np.zeros(2))
+        with pytest.raises(ValueError, match="fiducial dimension must match"):
+            dataclasses.replace(cs, fiducial=np.ones(3))
+
+    def test_orbit_is_computed_once(self, d4_rep, monkeypatch):
+        g, rep = d4_rep
+        calls = []
+        orbit = UnitaryRep.orbit
+        monkeypatch.setattr(UnitaryRep, "orbit",
+                            lambda self, f: calls.append(f) or orbit(self, f))
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
+        frame_operator(cs)
+        assert cs.states is cs.states
+        assert len(calls) == 1
 
     def test_reducible_rep_warns(self):
         g = cyclic_group(2)
@@ -309,6 +342,35 @@ class TestFrameOperator:
         frame2 = frame_operator(moved)
         assert np.linalg.norm(frame2.T - W @ frame.T @ W.conj().T) <= 1e-10
         assert abs(frame2.lam - frame.lam) <= 1e-10
+
+
+    def test_orbit_is_summed_once(self, d4_rep, monkeypatch):
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
+        calls = []
+        total = linalg.projector_sum
+        for module in (coherent, linalg):
+            monkeypatch.setattr(module, "projector_sum",
+                                lambda st, w: calls.append(st) or total(st, w))
+        frame_operator(cs)
+        assert len(calls) == 1
+
+    def test_vertex_frame_of_dihedral_200_peaks_below_3_35_mib(self):
+        # 400 basis states e_{k.0} of d = 200, each vertex reached twice, so
+        # T = 2 I; the one sum peaks at 3.06 MiB, a second one made 3.67
+        g = make_named_group("dihedral:200")
+        act = dihedral_vertex_action(g)
+        with pytest.warns(UserWarning, match="reducible"):
+            cs = make_coherent(permutation_rep(act), act, 0, np.eye(200)[0])
+        cs.states
+        tracemalloc.start()
+        try:
+            frame = frame_operator(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frame.lam == 2.0
+        assert peak < 3.35 * 2**20
 
 
 class TestResolution:

@@ -525,6 +525,9 @@ class TestSubgroupsAndHoms:
 
 
 class TestGeneratorLaw:
+    def test_no_elements_give_no_blocks(self):
+        assert element_blocks(0, 0) == [] and element_blocks(0, 2**15) == []
+
     def test_largest_error_over_generators_and_blocks(self):
         g = make_named_group("dihedral:3")
         seen = []

@@ -6,6 +6,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from symquant.linalg import (
+    DimensionMismatchError,
     NotHermitianError,
     NotSquareError,
     as_state_family,
@@ -228,6 +229,16 @@ class TestPredicates:
         # not square
         assert unitarity_errors(np.eye(3)[:, :2]).tolist() == [0.0]
         assert not is_unitary(np.eye(3)[:, :2])
+
+    def test_empty_stack_has_no_errors(self):
+        assert unitarity_errors(np.zeros((0, 2, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("call", [
+        eig_hermitian, lambda A: expm_antihermitian(A, 1.0), is_unitary],
+        ids=["eig_hermitian", "expm_antihermitian", "is_unitary"])
+    def test_empty_matrix_refused(self, call):
+        with pytest.raises(DimensionMismatchError, match="matrix must be nonempty"):
+            call(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_fails_only_its_matrix(self, bad):

@@ -46,6 +46,10 @@ class TestFourier:
         with pytest.raises(BadSizeError):
             fourier_matrix(1)
 
+    def test_empty_matrix_refused(self):
+        with pytest.raises(linalg.DimensionMismatchError, match="matrix must be nonempty"):
+            mub_deviation(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("n", [MAX_PHASE_N + 1, 20000])
     def test_size_above_the_bound(self, n):
         with pytest.raises(BadSizeError, match="largest supported size 1024"):

@@ -149,17 +149,20 @@ DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
            "variable_to_json", "variable_from_json")
 
 # stored copies and derived values: read them off the one field that holds
-# them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL, states[identity]),
-# or, for a covariance tolerance, state it in the check that reads the
-# distance; a rep's law error is a verdict, not a value to quote
+# them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL,
+# config_echo["scenario"]) or derive them from it (a system's states and
+# commutant dimension, a frame's lam = tr T / d), or, for a covariance
+# tolerance, state it in the check that reads the distance; a rep's law
+# error is a verdict, not a value to quote
 DELETED_FIELDS = {
     "variables.InducedAction": ("induced_perm",),
-    "coherent.FrameOperator": ("normalized_weights",),
+    "coherent.FrameOperator": ("normalized_weights", "lam"),
     "linalg.SpectralData": ("degeneracy_tol",),
     "quantize.CovarianceReport": ("tolerance",),
     "groups.FiniteGroup": ("element_names",),
     "coherent.UnitaryRep": ("law_error",),
-    "coherent.CoherentSystem": ("fiducial",),
+    "coherent.CoherentSystem": ("states", "commutant_dim"),
+    "reporting.VerificationReport": ("scenario",),
 }
 
 

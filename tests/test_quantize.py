@@ -170,6 +170,11 @@ class TestSpectrumOnFirstRead:
             operator_from_matrix(np.ones((2, 3)))
         assert eig_calls == []
 
+    def test_empty_matrix_refused_at_the_call(self, eig_calls):
+        with pytest.raises(DimensionMismatchError, match="matrix must be nonempty"):
+            operator_from_matrix(np.zeros((0, 0)))
+        assert eig_calls == []
+
     def test_non_hermitian_matrix_refused_at_the_call(self, eig_calls):
         with pytest.raises(NotHermitianError):
             operator_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))

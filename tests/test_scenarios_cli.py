@@ -316,7 +316,7 @@ class TestScenarios:
         ]
         default = run_all()
         for reports, overrides in runs:
-            assert [r.scenario for r in reports] == list(BUILTIN_SCENARIOS)
+            assert [r.config_echo["scenario"] for r in reports] == list(BUILTIN_SCENARIOS)
             for r, d in zip(reports, default):
                 assert len(r.checks) == len(d.checks)
                 for c, c0 in zip(r.checks, d.checks):

@@ -49,11 +49,13 @@ on random fiducials of dihedral and binary tetrahedral frames, and must
 still catch weights that are not invariant.
 
 Unitarity and the resolution of the identity are each decided by one
-rule in linalg. frame_operator's verdict is the resolution rule alone, on
-the orbit weighted 1/lam; the three tests it used to make (a Frobenius
-scalar test, lam > 0, then the resolution rule) live here, and must reach
-the same verdict on irreducible and reducible reps up to dimension 10,
-where the resolution rule implies the Frobenius test. coarse_grain refuses
+rule in linalg. A coherent system derives its states from the fiducial by
+rep.orbit; the dense product V(k) f per element lives here. frame_operator's
+verdict is the resolution rule alone, on its one sum T weighted 1/lam; the
+orbit summed a second time under that weight, and the three tests it made
+before (a Frobenius scalar test, lam > 0, then the resolution rule), live
+here, and must reach the same verdict on irreducible and reducible reps up
+to dimension 10, where the resolution rule implies the Frobenius test. coarse_grain refuses
 a basis by the unitarity rule on its columns; the max-norm Gram test it
 replaced lives here, and must reach the same verdict on bases far from
 both thresholds.
@@ -2168,6 +2170,37 @@ class TestProjectorSumOracles:
         except NotScalarError:
             scalar = False
         assert scalar == frame_is_scalar_by_three_tests(cs.states, rep.dim)
+
+    @ORACLE_SETTINGS
+    @given(frame_systems())
+    def test_states_are_the_dense_orbit(self, system):
+        # dense and monomial reps alike: one matrix product per element
+        rep, act, base, fiducial = system
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cs = make_coherent(rep, act, base, fiducial)
+        f = cs.fiducial
+        assert_close(cs.states, np.stack([rep.matrix(k) @ f for k in range(rep.group.order)]))
+
+    @ORACLE_SETTINGS
+    @given(frame_systems())
+    def test_frame_verdict_matches_two_sums(self, system):
+        # the rule frame_operator applied before it tested its one sum T:
+        # the orbit summed again under the weight 1/lam, lam = |G| ||f||^2 / d
+        rep, act, base, fiducial = system
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cs = make_coherent(rep, act, base, fiducial)
+        d = rep.dim
+        lam = rep.group.order * float(np.vdot(cs.fiducial, cs.fiducial).real) / d
+        try:
+            frame = frame_operator(cs)
+        except NotScalarError:
+            scalar = False
+        else:
+            scalar = True
+            assert abs(frame.lam - lam) <= 1e-12 * lam
+        assert scalar == (resolution_deviation(cs.states, 1.0 / lam) <= 1e-9 * d)
 
     @pytest.mark.parametrize("kind, fiducial, scalar", [
         ("rotation", (0.3, 0.4j), True),
