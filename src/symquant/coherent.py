@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupAction, generator_law, is_transitive,
-                     left_translation_action)
+from .groups import (FiniteGroup, GroupAction, element_blocks, generator_law,
+                     is_transitive, left_translation_action)
 from .linalg import as_cvector, max_abs, projector_sum, unitarity_errors
 
 
@@ -62,12 +62,13 @@ class UnitaryRep:
     permutation_rep, left_regular_rep, and the phase-space shift_rep and
     clock_rep, and its laws are exact.
 
-    matrices is a stack of one dim x dim matrix per element. Every matrix
-    must be unitary by linalg.unitarity_errors, and the identity element
-    must map to the identity matrix. The product law V(s)V(k) = V(s*k) is
-    checked by groups.generator_law, for every generator s of the group
-    and every element k, within eps = 1e-8*dim / (2*D) (Frobenius), where
-    D is the group's generation depth. The elements that satisfy the law exactly are closed under
+    matrices is a stack of one dim x dim matrix per element, dim >= 1.
+    Every matrix must be unitary by linalg.unitarity_errors, and the
+    identity element must map to the identity matrix. The product law
+    V(s)V(k) = V(s*k) is checked by groups.generator_law, for every
+    generator s of the group and every element k, within
+    eps = 1e-8*dim / (2*D) (Frobenius), where D is the group's generation
+    depth. The elements that satisfy the law exactly are closed under
     products; in floating point the error of V(h)V(k) = V(h*k) for a word
     h of L generators grows by at most 2*eps per letter (to first order in
     the unitarity error), so every pair then satisfies the law within
@@ -83,6 +84,8 @@ class UnitaryRep:
         if mats.ndim != 3 or len(mats) != n or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"matrices must be a stack of {n} square matrices")
         d = mats.shape[1]
+        if d == 0:
+            raise ValueError("matrices must have dimension at least 1")
         if np.linalg.norm(mats[self.group.identity] - np.eye(d)) > 1e-12 * d:
             raise ValueError("identity element must map to the identity matrix")
         unitary = unitarity_errors(mats) <= 1e-9 * d
@@ -197,17 +200,24 @@ class MonomialRep:
         return m
 
     def characters(self) -> np.ndarray:
-        """The sum of every element's phases at its fixed points."""
-        fixed = self.action.perm == np.arange(self.dim)
-        return np.where(fixed, self._roots[self.exponent], 0.0).sum(axis=1)
+        """The sum of every element's phases at its fixed points, read on
+        the element blocks of groups.element_blocks, as the laws are."""
+        out = np.empty(self.group.order, dtype=np.complex128)
+        for b in element_blocks(len(out), self.exponent.size):
+            fixed = self.action.perm[b] == np.arange(self.dim)
+            out[b] = np.where(fixed, self._roots[self.exponent[b]], 0.0).sum(axis=1)
+        return out
 
     def orbit(self, f) -> np.ndarray:
-        """V(k) f for every element k, stacked on axis 0, by one scatter;
-        f is a vector or a dim x m matrix."""
+        """V(k) f for every element k, stacked on axis 0, by one scatter per
+        element block of groups.element_blocks; f is a vector or a dim x m
+        matrix."""
         f = np.asarray(f)
         out = np.zeros((self.group.order,) + f.shape, dtype=np.complex128)
-        ph = self._roots[self.exponent].reshape(self.exponent.shape + (1,) * (f.ndim - 1))
-        out[np.arange(len(out))[:, None], self.action.perm] = ph * f
+        for b in element_blocks(len(out), out.size):
+            e = self.exponent[b]
+            ph = self._roots[e].reshape(e.shape + (1,) * (f.ndim - 1))
+            out[np.arange(len(out))[b, None], self.action.perm[b]] = ph * f
         return out
 
     def conjugated(self, A, ks) -> np.ndarray:

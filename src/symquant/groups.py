@@ -31,8 +31,10 @@ Every "for all pairs" law (Light's associativity test, the action law,
 both representation product laws, check_homomorphism) is checked by one
 routine, generator_law, on the generators s and all elements k in blocks
 of rows (element_blocks): the s that satisfy it are closed under products
-and reach every element. Caller-supplied element indices are read by
-element_indices.
+and reach every element. The other reads over all elements run on the
+same blocks: a variable's value maps (variables._element_maps) and a
+monomial rep's characters and orbits. Caller-supplied element indices are
+read by element_indices.
 """
 
 from __future__ import annotations

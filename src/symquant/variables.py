@@ -11,7 +11,9 @@ partial order.
 Each of these reads one value-map table off the first point of each
 value (ConceptualVariable.first_points), which a variable computes once,
 on first read, and keeps: the value map of one group element then costs
-O(points).
+O(points). The value maps of one element, a subset or the whole group
+have one reader, _element_maps, which reads them a block of elements at a
+time (groups.element_blocks).
 """
 
 from __future__ import annotations
@@ -104,13 +106,6 @@ def variable_from_point_labels(point_labels) -> ConceptualVariable:
     return ConceptualVariable(values=values, value_labels=tuple(uniq))
 
 
-def _check_sizes(var: ConceptualVariable, act: GroupAction) -> None:
-    if var.space_size != act.space_size:
-        raise SizeMismatchError(
-            f"variable on {var.space_size} points, action on {act.space_size}"
-        )
-
-
 def _value_maps(var: ConceptualVariable, images):
     """Read one value table per row of images off the first point of each
     of var's values: maps[r][v] = images[r, var.first_points[v]]. ok[r]
@@ -123,6 +118,25 @@ def _value_maps(var: ConceptualVariable, images):
     return maps, ok
 
 
+def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int = 0):
+    """(ks, maps, ok) per block of the element indices (one or a sequence,
+    read once by groups.element_indices): ks is the block's 1-d index array
+    and (maps, ok) the _value_maps of its rows. The blocks are the slices of
+    element_blocks(count, count * max(points, size)), size being the
+    entries per element of what the caller computes on a block, so a large
+    set is read a block of rows at a time, as the law checks are. No
+    elements give no blocks. It is the one reader of element value maps,
+    so no |G| x points table is gathered, not even over the whole group."""
+    if var.space_size != act.space_size:
+        raise SizeMismatchError(
+            f"variable on {var.space_size} points, action on {act.space_size}"
+        )
+    ks = element_indices(elements, act.group.order)
+    blocks = element_blocks(ks.size, ks.size * max(var.space_size, size))
+    # take gathers by the int16 maps faster than fancy indexing does
+    return [(ks[b], *_value_maps(var, var.values.take(act.perm[ks[b]]))) for b in blocks]
+
+
 def _permissible_maps(var: ConceptualVariable, act: GroupAction):
     """The value map of every element and the first violating triple.
 
@@ -131,16 +145,17 @@ def _permissible_maps(var: ConceptualVariable, act: GroupAction):
     smallest pair over the points p2 that k moves off the value of p1, the
     first point sharing p2's value.
     """
-    _check_sizes(var, act)
-    moved = var.values[act.perm]
-    maps, ok = _value_maps(var, moved)
-    if ok.all():
-        return maps, None
-    k = int(np.argmin(ok))
-    bad = np.flatnonzero(maps[k][var.values] != moved[k])
-    p1s = var.first_points[var.values[bad]]
-    p1 = int(p1s.min())
-    return maps, (k, p1, int(bad[np.argmax(p1s == p1)]))
+    blocks = _element_maps(var, act, np.arange(act.group.order))
+    maps = np.concatenate([m for _, m, _ in blocks])
+    for ks, m, ok in blocks:
+        if not ok.all():
+            i = int(np.argmin(ok))
+            k = int(ks[i])
+            bad = np.flatnonzero(m[i][var.values] != var.values[act.perm[k]])
+            p1s = var.first_points[var.values[bad]]
+            p1 = int(p1s.min())
+            return maps, (k, p1, int(bad[np.argmax(p1s == p1)]))
+    return maps, None
 
 
 def is_permissible(var: ConceptualVariable, act: GroupAction):
@@ -154,20 +169,6 @@ def is_permissible(var: ConceptualVariable, act: GroupAction):
     """
     witness = _permissible_maps(var, act)[1]
     return witness is None, witness
-
-
-def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int = 0):
-    """(ks, maps, ok) per block of the element indices (one or a sequence,
-    read once by groups.element_indices): ks is the block's 1-d index array
-    and (maps, ok) the _value_maps of its rows. The blocks are the slices of
-    element_blocks(count, count * max(points, size)), size being the
-    entries per element of what the caller computes on a block, so a large
-    set is read a block of rows at a time, as the law checks are. No
-    elements give no blocks."""
-    _check_sizes(var, act)
-    ks = element_indices(elements, act.group.order)
-    blocks = element_blocks(ks.size, ks.size * max(var.space_size, size))
-    return [(ks[b], *_value_maps(var, var.values[act.perm[ks[b]]])) for b in blocks]
 
 
 def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
@@ -215,16 +216,13 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
         raise NotPermissibleError(witness)
     nv = var.n_values
 
-    rows = [tuple(r) for r in induced.tolist()]
-    first: dict[tuple, int] = {}    # distinct rows, in order of first appearance
-    for k, r in enumerate(rows):
-        first.setdefault(r, k)
-    row_index = {r: i for i, r in enumerate(first)}
-    k_to_image = np.array([row_index[r] for r in rows], dtype=np.intp)
+    index: dict[bytes, int] = {}    # distinct rows, numbered in order of first appearance
+    k_to_image = np.array([index.setdefault(r.tobytes(), len(index)) for r in induced],
+                          dtype=np.intp)
 
     # the image of a*b depends only on the images of a and b, so one
-    # representative per image element fills the whole m x m table
-    reps = list(first.values())
+    # representative per image element, its first, fills the whole m x m table
+    reps = np.unique(k_to_image, return_index=True)[1]
     img_cayley = k_to_image[act.group.cayley[np.ix_(reps, reps)]]
     gens = k_to_image[list(act.group.generators)].tolist()
     image_group = FiniteGroup(img_cayley, name=f"induced({act.group.name})",
@@ -249,9 +247,8 @@ def maximal_permissible_subgroup(var: ConceptualVariable, act: GroupAction) -> t
     is a union of level sets of the same total size, so none is missed).
     They form the stabilizer of the partition into level sets, a subgroup.
     """
-    _check_sizes(var, act)
-    ok = _value_maps(var, var.values[act.perm])[1]
-    return tuple(np.flatnonzero(ok).tolist())
+    blocks = _element_maps(var, act, np.arange(act.group.order))
+    return tuple(np.concatenate([ks[ok] for ks, _, ok in blocks]).tolist())
 
 
 def accessibility_leq(alpha: ConceptualVariable, beta: ConceptualVariable):

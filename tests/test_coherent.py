@@ -84,6 +84,19 @@ class TestLeftRegular:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_cyclic_2000_characters_peak_below_8_mib(self):
+        # read on element blocks; the whole 2000 x 2000 complex table of
+        # phases took the peak to 126 MiB
+        rep = left_regular_rep(make_named_group("cyclic:2000"))
+        tracemalloc.start()
+        try:
+            chars = rep.characters()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chars[0] == 2000 and not chars[1:].any()
+        assert peak < 8 * 2**20
+
 
 class TestIrreducibility:
     def test_one_dimensional(self):
@@ -141,6 +154,10 @@ class TestUnitaryRepValidation:
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="stack of 2 square matrices"):
             UnitaryRep(group=cyclic_group(2), matrices=np.ones((2, 2, 3)))
+
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match="^matrices must have dimension at least 1$"):
+            UnitaryRep(group=cyclic_group(2), matrices=np.zeros((2, 0, 0)))
 
 
 class TestCoherentSystems:

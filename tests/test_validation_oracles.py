@@ -23,9 +23,13 @@ the accessibility order are all read off one value-map table; the
 point-by-point loops they replaced live here. The table is read at the
 first point of each value, which a variable computes once and keeps; the
 scatter of point indices that every value-map read used to redo lives
-here, and must find the same points on enumerated and random variables. Irreducibility is decided
-by the character norm; the Kronecker/SVD null-space computation of the
-commutant it replaced lives here as well.
+here, and must find the same points on enumerated and random variables.
+Every read of value maps, over one element or all of them, runs a block
+of elements at a time, and the verdicts, witnesses and subgroups must be
+the same with one element per block. induce_group numbers the images by
+the bytes of each value map; the numbering by tuples it replaced lives
+here. Irreducibility is decided by the character norm; the Kronecker/SVD
+null-space computation of the commutant it replaced lives here as well.
 
 generate_group multiplies whole arrays of elements at once. The
 construction it replaced, one scalar mul call per (element, generator) in
@@ -147,7 +151,7 @@ from symquant.groups import (
     orbits,
     subgroup_generated,
 )
-from symquant import linalg
+from symquant import linalg, variables
 from symquant.linalg import (
     DEGENERACY_TOL,
     as_state_family,
@@ -1593,22 +1597,56 @@ class TestCovarianceOverElementsOracle:
 # one value-map table
 
 
+def element_blocks_of_one(n, size):
+    """One element per block, so that every read over all elements is
+    assembled across as many blocks as there are elements."""
+    return [slice(k, k + 1) for k in range(n)]
+
+
+BLOCK_SIZES = pytest.mark.parametrize(
+    "blocks", [variables.element_blocks, element_blocks_of_one],
+    ids=["default_blocks", "one_element_per_block"])
+
+
+def image_numbering_by_tuples(induced):
+    """k_to_image numbered by the tuple of each value map, in order of
+    first appearance, as induce_group numbered it before it keyed rows by
+    their bytes."""
+    rows = [tuple(r) for r in induced.tolist()]
+    index = {r: i for i, r in enumerate(dict.fromkeys(rows))}
+    return np.array([index[r] for r in rows])
+
+
 class TestValueMapOracles:
+    @BLOCK_SIZES
     @ORACLE_SETTINGS
     @given(labelled_actions())
-    def test_verdict_and_witness_match_class_scan(self, case):
+    def test_verdict_and_witness_match_class_scan(self, blocks, case):
         var, act = case
         expected = permissible_by_class_scan(var, act)
-        assert is_permissible(var, act) == expected
+        with mock.patch.object(variables, "element_blocks", blocks):
+            verdict = is_permissible(var, act)
+            if expected[0]:
+                induced = induce_group(var, act).value_action.perm
+            else:
+                with pytest.raises(NotPermissibleError) as err:
+                    induce_group(var, act)
+        assert verdict == expected
         if expected[0]:
-            induced = induce_group(var, act).value_action.perm
             for k in range(act.group.order):
                 assert np.array_equal(induced[k],
                                       value_map_by_point_loop(var, act, k))
         else:
-            with pytest.raises(NotPermissibleError) as err:
-                induce_group(var, act)
             assert err.value.witness == expected[1]
+
+    @ORACLE_SETTINGS
+    @given(labelled_actions())
+    def test_image_numbering_matches_tuples(self, case):
+        var, act = case
+        assume(is_permissible(var, act)[0])
+        induced = induce_group(var, act)
+        assert np.array_equal(induced.k_to_image,
+                              image_numbering_by_tuples(induced.value_action.perm))
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_first_points_of_every_labelling(self, m):
@@ -1652,13 +1690,15 @@ class TestValueMapOracles:
             else:
                 assert np.array_equal(got, expected)
 
+    @BLOCK_SIZES
     @ORACLE_SETTINGS
     @given(labelled_actions())
-    def test_maximal_permissible_subgroup(self, case):
+    def test_maximal_permissible_subgroup(self, blocks, case):
         var, act = case
         expected = tuple(h for h in range(act.group.order)
                          if value_map_by_point_loop(var, act, h) is not None)
-        assert maximal_permissible_subgroup(var, act) == expected
+        with mock.patch.object(variables, "element_blocks", blocks):
+            assert maximal_permissible_subgroup(var, act) == expected
 
     @ORACLE_SETTINGS
     @given(labelled_actions(), st.data())

@@ -1,5 +1,7 @@
 """Tests for variables, permissibility, induced groups, and the partial order."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from symquant.groups import (
     BadElementError,
     cyclic_group,
     left_translation_action,
+    make_named_group,
     subgroup_generated,
 )
 from symquant.variables import (
@@ -269,3 +272,62 @@ class TestVariableType:
         var = variable_from_point_labels([3.0, 1.0, 3.0, 2.0])
         assert var.value_labels == (1.0, 2.0, 3.0)
         assert list(var.values) == [2, 0, 2, 1]
+
+
+def traced(call):
+    """call() and the tracemalloc peak of the call alone, in MiB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def cyclic_5000():
+    g = make_named_group("cyclic:5000")
+    return g, left_translation_action(g)
+
+
+class TestReadsOverAllElementsStayCompact:
+    """A whole 5000 x 5000 read of the value ids under the action peaked at
+    119 MiB; on element blocks each call stays near 1 MiB above the built
+    group."""
+
+    def test_is_permissible(self, cyclic_5000):
+        _, act = cyclic_5000
+        parity = variable_from_point_labels(np.arange(5000) % 2)
+        result, peak = traced(lambda: is_permissible(parity, act))
+        assert result == (True, None) and peak < 8
+
+    def test_maximal_permissible_subgroup(self, cyclic_5000):
+        _, act = cyclic_5000
+        parity = variable_from_point_labels(np.arange(5000) % 2)
+        half = variable_from_point_labels(np.arange(5000) < 2500)
+        result, peak = traced(lambda: maximal_permissible_subgroup(parity, act))
+        assert result == tuple(range(5000)) and peak < 8
+        # the shift by 2500 swaps the halves, in a later block than the identity
+        result, peak = traced(lambda: maximal_permissible_subgroup(half, act))
+        assert result == (0, 2500) and peak < 8
+        assert is_permissible(half, act) == (False, (1, 0, 2499))
+
+    def test_induce_group(self, cyclic_5000):
+        _, act = cyclic_5000
+        parity = variable_from_point_labels(np.arange(5000) % 2)
+        induced, peak = traced(lambda: induce_group(parity, act))
+        assert induced.image_group.order == 2 and peak < 8
+        assert induced.kernel == tuple(range(0, 5000, 2))
+        assert np.array_equal(induced.k_to_image, np.arange(5000) % 2)
+
+    def test_induce_group_of_the_identity_labelling(self):
+        # the 2000 value maps are all distinct, so the image is the group;
+        # read as one whole table and keyed by tuples of their rows, they
+        # took the call's peak to 191 MiB
+        g = make_named_group("cyclic:2000")
+        act = left_translation_action(g)
+        ident = variable_from_point_labels(np.arange(2000))
+        induced, peak = traced(lambda: induce_group(ident, act))
+        assert induced.image_group.order == 2000 and induced.kernel == (0,)
+        assert peak < 100
