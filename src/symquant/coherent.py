@@ -1,8 +1,9 @@
 """Unitary representations of finite groups, irreducibility by the
 character norm, coherent-state orbits of a fiducial vector, and the frame
 operator whose scalarity turns an orbit into a resolution of the identity.
-The frame operator is one projector sum, linalg.projector_sum, and its
-scalarity is tested on that sum; unitarity is decided in linalg alone.
+Irreducibility has one routine, is_irreducible, and a CoherentSystem
+checks that its own action is transitive. The frame operator is one
+projector sum, linalg.projector_sum; unitarity is decided in linalg alone.
 
 A representation is dense (UnitaryRep) or monomial (MonomialRep); the
 functions here use only the interface the two share, so a monomial rep is
@@ -251,10 +252,12 @@ def left_regular_rep(g: FiniteGroup) -> MonomialRep:
     return permutation_rep(left_translation_action(g))
 
 
-def commutant_dimension(rep: UnitaryRep | MonomialRep, tol: float = 1e-8) -> int:
-    """Dimension of {X : X V(k) = V(k) X for every element k}.
+def is_irreducible(rep: UnitaryRep | MonomialRep, tol: float = 1e-8):
+    """(irreducible?, commutant dimension), the commutant being
+    {X : X V(k) = V(k) X for every element k}; irreducible iff it is
+    exactly the scalars.
 
-    By Schur orthogonality it equals the character norm
+    By Schur orthogonality its dimension equals the character norm
     c = (1/|G|) * sum_k |tr V(k)|^2 (Serre, Linear Representations of
     Finite Groups, 2.3), which is an integer between 1 and d^2. Raises
     ValueError when |c - round(c)| > tol*d^2: the matrices then do not form
@@ -268,14 +271,7 @@ def commutant_dimension(rep: UnitaryRep | MonomialRep, tol: float = 1e-8) -> int
             f"character norm {c:.6g} is not an integer; "
             "the matrices do not form a representation"
         )
-    return round(c)
-
-
-def is_irreducible(rep: UnitaryRep | MonomialRep, tol: float = 1e-8):
-    """(irreducible?, commutant dimension); irreducible iff the commutant
-    is exactly the scalars."""
-    c = commutant_dimension(rep, tol)
-    return c == 1, c
+    return round(c) == 1, round(c)
 
 
 def _require_same_group(rep: UnitaryRep | MonomialRep, act: GroupAction) -> None:
@@ -292,8 +288,9 @@ class CoherentSystem:
     The fiducial, finite, nonzero and of the rep's dimension, is kept
     read-only; states[k] = V(k) |fiducial> (read-only) and commutant_dim are
     derived once. States are parametrized by group elements, each with
-    weight 1, and the group acts transitively on the space that holds the
-    base point, an integer (numpy too) in range(action.space_size), kept as int.
+    weight 1, the counting measure, which needs a transitive action; the
+    base point is an integer (numpy too) in range(action.space_size), kept
+    as int.
     """
 
     rep: UnitaryRep | MonomialRep
@@ -312,6 +309,8 @@ class CoherentSystem:
             raise ValueError("fiducial dimension must match the representation")
         if np.linalg.norm(f) < 1e-12:
             raise ZeroFiducialError("fiducial vector is numerically zero")
+        if not is_transitive(self.action):
+            raise NonTransitiveError("the action must be transitive on the space")
         f.setflags(write=False)
         object.__setattr__(self, "base_point", int(point))
         object.__setattr__(self, "fiducial", f)
@@ -331,14 +330,11 @@ def make_coherent(rep: UnitaryRep | MonomialRep, act: GroupAction, base_point: i
                   fiducial) -> CoherentSystem:
     """Orbit of a fiducial vector under an irreducible representation.
 
-    The action must be transitive, so that its invariant measure is the
-    counting measure up to scale; a reducible representation is allowed
-    but triggers a warning because the frame operator then need not be a
-    scalar. CoherentSystem checks the groups, base_point and the fiducial.
+    CoherentSystem checks the groups, the transitive action, base_point and
+    the fiducial; a reducible representation is allowed but triggers a
+    warning because the frame operator then need not be a scalar.
     """
     cs = CoherentSystem(rep=rep, action=act, base_point=base_point, fiducial=fiducial)
-    if not is_transitive(act):
-        raise NonTransitiveError("the action must be transitive on the space")
     if cs.commutant_dim != 1:
         warnings.warn(
             f"representation is reducible (commutant dimension {cs.commutant_dim}); "

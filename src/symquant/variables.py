@@ -13,7 +13,8 @@ value (ConceptualVariable.first_points), which a variable computes once,
 on first read, and keeps: the value map of one group element then costs
 O(points). The value maps of one element, a subset or the whole group
 have one reader, _element_maps, which reads them a block of elements at a
-time (groups.element_blocks).
+time (groups.element_blocks). An induced action holds its value action and
+derives the rest.
 """
 
 from __future__ import annotations
@@ -80,13 +81,9 @@ class ConceptualVariable:
     def space_size(self) -> int:
         return len(self.values)
 
-    @property
-    def n_values(self) -> int:
-        return len(self.value_labels)
-
     @cached_property
     def first_points(self) -> np.ndarray:
-        # every label is attained, so the unique ids are 0..n_values-1, and
+        # every label is attained, so the unique ids are 0..len(labels)-1, and
         # np.unique returns the index of the first occurrence of each
         first = np.unique(self.values, return_index=True)[1]
         first.setflags(write=False)
@@ -189,14 +186,34 @@ class InducedAction:
 
     value_action lets the original group act on value ids:
     value_action.perm[k] is the value permutation matching element k. The
-    map k -> value_action.perm[k] is a homomorphism whose kernel and image
-    are recorded.
+    map k -> value_action.perm[k] is a homomorphism: k_to_image numbers its
+    images, and it, image_group and kernel are derived on first read and kept.
     """
 
-    kernel: tuple[int, ...]
-    image_group: FiniteGroup
-    k_to_image: np.ndarray
     value_action: GroupAction
+
+    @cached_property
+    def k_to_image(self) -> np.ndarray:
+        index: dict[bytes, int] = {}    # distinct maps, numbered in order of first appearance
+        k_to_image = np.array([index.setdefault(r.tobytes(), len(index))
+                               for r in self.value_action.perm], dtype=np.intp)
+        k_to_image.setflags(write=False)
+        return k_to_image
+
+    @cached_property
+    def image_group(self) -> FiniteGroup:
+        # the image of a*b depends only on the images of a and b, so one
+        # representative per image element, its first, fills the whole m x m table
+        g, k_to_image = self.value_action.group, self.k_to_image
+        reps = np.unique(k_to_image, return_index=True)[1]
+        gens = k_to_image[list(g.generators)].tolist()
+        return FiniteGroup(k_to_image[g.cayley[np.ix_(reps, reps)]], name=f"induced({g.name})",
+                           generators=tuple(dict.fromkeys(gens)))
+
+    @cached_property
+    def kernel(self) -> tuple[int, ...]:
+        act = self.value_action    # the elements whose value map is the identity
+        return tuple(np.flatnonzero((act.perm == np.arange(act.space_size)).all(1)).tolist())
 
 
 def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
@@ -204,33 +221,18 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
 
     Checked: permissibility, then the action laws of value_action, by which
     k -> value_action.perm[k] is a homomorphism into the value permutations
-    (the value map of s*k is that of s after that of k), and the group laws
-    of the image group, each from the group's generators and their images.
+    (the value map of s*k is that of s after that of k), and, on its first
+    read, the group laws of the image group, each from the group's
+    generators and their images.
     Not checked, because implied by the homomorphism: the image table is
     well defined, the images of the generators generate it,
     |G| = |kernel| * |image|, and the image group acts faithfully on the
     values by value_action's law read through k_to_image.
     """
-    induced, witness = _permissible_maps(var, act)    # (order, nv)
+    induced, witness = _permissible_maps(var, act)    # (order, values)
     if witness is not None:
         raise NotPermissibleError(witness)
-    nv = var.n_values
-
-    index: dict[bytes, int] = {}    # distinct rows, numbered in order of first appearance
-    k_to_image = np.array([index.setdefault(r.tobytes(), len(index)) for r in induced],
-                          dtype=np.intp)
-
-    # the image of a*b depends only on the images of a and b, so one
-    # representative per image element, its first, fills the whole m x m table
-    reps = np.unique(k_to_image, return_index=True)[1]
-    img_cayley = k_to_image[act.group.cayley[np.ix_(reps, reps)]]
-    gens = k_to_image[list(act.group.generators)].tolist()
-    image_group = FiniteGroup(img_cayley, name=f"induced({act.group.name})",
-                              generators=tuple(dict.fromkeys(gens)))
-    kernel = tuple(np.flatnonzero((induced == np.arange(nv)).all(axis=1)).tolist())
-    value_action = GroupAction(group=act.group, perm=induced)
-    return InducedAction(kernel=kernel, image_group=image_group,
-                         k_to_image=k_to_image, value_action=value_action)
+    return InducedAction(value_action=GroupAction(group=act.group, perm=induced))
 
 
 def is_permissible_under(var: ConceptualVariable, act: GroupAction, subset) -> bool:

@@ -24,7 +24,7 @@ from symquant.cli import main
 from symquant.coherent import MonomialRep
 from symquant.groups import GroupAction
 from symquant.quantize import NotAnOrbitError
-from symquant.variables import variable_from_point_labels
+from symquant.variables import InducedAction, variable_from_point_labels
 
 
 class Mutant(NamedTuple):
@@ -56,18 +56,28 @@ def _swapped_witness(orig):
 
 
 def _induced_with(**changes):
-    # induce_group returning its result with some fields computed wrongly
+    # induce_group returning its result with some values computed wrongly.
+    # Every derived value is read off the true value action first, so that
+    # one wrong value does not move the others, and is then written into
+    # the record's __dict__, where its cached_property finds it
     def make(orig):
         def fault(var, act):
             induced = orig(var, act)
-            return dataclasses.replace(induced, **{
-                key: change(induced) for key, change in changes.items()})
+            values = {name: getattr(induced, name)
+                      for name in ("k_to_image", "image_group", "kernel")}
+            values.update({key: change(induced) for key, change in changes.items()})
+            faulty = InducedAction(value_action=values.pop("value_action", induced.value_action))
+            faulty.__dict__.update(values)
+            return faulty
         return fault
     return make
 
 
 def _character_norm_plus_one(orig):
-    return lambda rep, tol=1e-8: orig(rep, tol) + 1
+    def fault(rep, tol=1e-8):
+        c = orig(rep, tol)[1] + 1
+        return c == 1, c
+    return fault
 
 
 def _frame_with(T_scale):
@@ -196,14 +206,14 @@ MUTANTS = {
         lambda orig: lambda basis, labels, t: orig(basis, labels, lambda u: u)),
     # coherent_d4
     "rotation_rep_irreducible": Mutant(
-        D4, coherent, "commutant_dimension", _character_norm_plus_one),
+        D4, coherent, "is_irreducible", _character_norm_plus_one),
     "frame_operator_four_times_identity": Mutant(
         D4, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
     # coherent_bt24
     "group_order_24": Mutant(
         BT24, groups, "binary_tetrahedral_group", lambda orig: _quaternion_group),
     "spin_half_rep_irreducible": Mutant(
-        BT24, coherent, "commutant_dimension", _character_norm_plus_one),
+        BT24, coherent, "is_irreducible", _character_norm_plus_one),
     "orbit_states_unit_norm": Mutant(
         BT24, scenarios, "make_coherent",
         lambda orig: lambda rep, act, base, f: orig(rep, act, base, 2 * np.asarray(f))),

@@ -27,7 +27,6 @@ from symquant.coherent import (
     UnitaryRep,
     ZeroFiducialError,
     binary_tetrahedral_spin_rep,
-    commutant_dimension,
     dihedral_rotation_rep,
     frame_operator,
     is_irreducible,
@@ -127,7 +126,6 @@ class TestIrreducibility:
     def test_binary_tetrahedral_spin_rep_irreducible(self):
         g = make_named_group("binary_tetrahedral")
         rep = binary_tetrahedral_spin_rep(g)
-        assert commutant_dimension(rep) == 1
         assert is_irreducible(rep) == (True, 1)
 
 
@@ -210,6 +208,18 @@ class TestCoherentSystems:
         idle = GroupAction(group=g, perm=np.zeros((8, 2), dtype=int) + [0, 1])
         with pytest.raises(NonTransitiveError):
             make_coherent(rep, idle, 0, (1.0, 0.0))
+
+    def test_system_refuses_a_non_transitive_action(self, d4_rep):
+        # the system itself, however it is built: the identity action of
+        # dihedral:4 on its 4 points would give the frame scalar 4.0
+        g, rep = d4_rep
+        cs = make_coherent(rep, dihedral_vertex_action(g), 0, (1.0, 0.0))
+        idle = GroupAction(group=g, perm=np.zeros((8, 4), dtype=int) + np.arange(4))
+        message = "the action must be transitive on the space"
+        with pytest.raises(NonTransitiveError, match=message):
+            coherent.CoherentSystem(rep=rep, action=idle, base_point=0, fiducial=(1.0, 0.0))
+        with pytest.raises(NonTransitiveError, match=message):
+            dataclasses.replace(cs, action=idle)
 
     @pytest.mark.parametrize("name", ["cyclic:4", "cyclic:2"])
     def test_action_of_another_group_refused(self, name):

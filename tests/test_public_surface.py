@@ -50,7 +50,6 @@ NOT_REACHED = {
 DEFAULT_ONLY = {
     # the benchmark passes these; only a change to the benchmark may drop them
     "coherent.is_irreducible.tol": "the benchmark's blanket tolerance",
-    "coherent.commutant_dimension.tol": "is_irreducible's tol, passed on",
     "quantize.build_operator.source_variable": "the benchmark's dihedral rung",
     # the CLI's blanket override, symquant verify --tolerance
     "scenarios.run_all.tolerances": "verify --tolerance",
@@ -146,16 +145,17 @@ DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
            "RowMismatchError", "NegativeWeightError", "function_operator",
            "commutator_norm", "CoarseGraining", "EigenOrbitPartition",
            "cyclic_shift_action", "rep_to_json", "rep_from_json",
-           "variable_to_json", "variable_from_json")
+           "variable_to_json", "variable_from_json", "commutant_dimension")
 
 # stored copies and derived values: read them off the one field that holds
 # them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL,
 # config_echo["scenario"]) or derive them from it (a system's states and
-# commutant dimension, a frame's lam = tr T / d), or, for a covariance
+# commutant dimension, an induced action's numbering, image and kernel, a
+# frame's lam = tr T / d), or, for a covariance
 # tolerance, state it in the check that reads the distance; a rep's law
 # error is a verdict, not a value to quote
 DELETED_FIELDS = {
-    "variables.InducedAction": ("induced_perm",),
+    "variables.InducedAction": ("induced_perm", "kernel", "k_to_image", "image_group"),
     "coherent.FrameOperator": ("normalized_weights", "lam"),
     "linalg.SpectralData": ("degeneracy_tol",),
     "quantize.CovarianceReport": ("tolerance",),

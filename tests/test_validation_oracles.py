@@ -129,7 +129,6 @@ from symquant.coherent import (
     NotScalarError,
     UnitaryRep,
     binary_tetrahedral_spin_rep,
-    commutant_dimension,
     dihedral_rotation_rep,
     frame_operator,
     is_irreducible,
@@ -188,6 +187,7 @@ from symquant.spin import (
 )
 from symquant.variables import (
     ConceptualVariable,
+    InducedAction,
     NotPermissibleError,
     accessibility_leq,
     element_value_map,
@@ -511,7 +511,7 @@ def permissible_by_class_scan(var, act):
     witness is the first failing element k and the smallest pair (first
     point of a class, first point of that class that k moves off the
     value of the class's first point)."""
-    classes = [np.nonzero(var.values == v)[0] for v in range(var.n_values)]
+    classes = [np.nonzero(var.values == v)[0] for v in range(len(var.value_labels))]
     for k in range(act.group.order):
         moved = var.values[act.perm[k]]
         candidates = []
@@ -537,14 +537,14 @@ def value_map_by_point_loop(var, act, h):
     """The value permutation of element h, assigned point by point; None
     when a value would be sent to two values or the table is no bijection."""
     moved = var.values[act.perm[h]]
-    g = np.full(var.n_values, -1, dtype=np.intp)
+    g = np.full(len(var.value_labels), -1, dtype=np.intp)
     for p in range(var.space_size):
         v = var.values[p]
         if g[v] == -1:
             g[v] = moved[p]
         elif g[v] != moved[p]:
             return None
-    if len(set(g.tolist())) != var.n_values:
+    if len(set(g.tolist())) != len(var.value_labels):
         return None
     return g
 
@@ -552,7 +552,7 @@ def value_map_by_point_loop(var, act, h):
 def factor_map_by_point_loop(alpha, beta):
     """(True, f) with alpha = f(beta) pointwise, assigned point by point,
     or (False, None)."""
-    f = np.full(beta.n_values, -1, dtype=np.intp)
+    f = np.full(len(beta.value_labels), -1, dtype=np.intp)
     for p in range(beta.space_size):
         b, a = beta.values[p], alpha.values[p]
         if f[b] == -1:
@@ -900,7 +900,7 @@ def covariance_cases(draw, max_degree=5):
     only, with one eigenvalue cluster per value of random multiplicity."""
     var, act = draw(labelled_actions(max_degree))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d, k = act.space_size, var.n_values
+    d, k = act.space_size, len(var.value_labels)
     W = _random_unitary(rng, d)
     rep = UnitaryRep(group=act.group,
                      matrices=W @ permutation_matrices(act) @ W.conj().T)
@@ -1648,6 +1648,20 @@ class TestValueMapOracles:
         assert np.array_equal(induced.k_to_image,
                               image_numbering_by_tuples(induced.value_action.perm))
 
+    @ORACLE_SETTINGS
+    @given(labelled_actions())
+    def test_induced_action_from_its_value_action(self, case):
+        # a record built from value maps assigned point by point derives
+        # the numbering, kernel and image table that induce_group's does
+        var, act = case
+        assume(is_permissible(var, act)[0])
+        induced = induce_group(var, act)
+        direct = InducedAction(value_action=GroupAction(group=act.group, perm=[
+            value_map_by_point_loop(var, act, k) for k in range(act.group.order)]))
+        assert np.array_equal(direct.k_to_image, induced.k_to_image)
+        assert direct.kernel == induced.kernel
+        assert np.array_equal(direct.image_group.cayley, induced.image_group.cayley)
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_first_points_of_every_labelling(self, m):
         for labels in itertools.product(range(3), repeat=m):
@@ -1662,7 +1676,7 @@ class TestValueMapOracles:
         # ids in label order, then relabelled at random, so that a value's
         # first point need not grow with its id
         var = variable_from_point_labels(labels)
-        perm = np.random.default_rng(seed).permutation(var.n_values)
+        perm = np.random.default_rng(seed).permutation(len(var.value_labels))
         for v in (var, ConceptualVariable(values=perm[var.values],
                                           value_labels=var.value_labels)):
             assert np.array_equal(v.first_points,
@@ -1738,8 +1752,7 @@ class TestCommutantOracle:
             rep = binary_tetrahedral_spin_rep(g)
         else:
             rep = dihedral_rotation_rep(g)
-        assert commutant_dimension(rep) == commutant_by_kronecker_svd(rep) == 1
-        assert is_irreducible(rep) == (True, 1)
+        assert is_irreducible(rep) == (True, commutant_by_kronecker_svd(rep)) == (True, 1)
 
     @pytest.mark.parametrize("name", ["cyclic:3", "dihedral:3", "symmetric:3",
                                       "binary_tetrahedral"])
@@ -1747,7 +1760,7 @@ class TestCommutantOracle:
         # the regular representation holds each irrep of dimension d_i
         # d_i times, so its commutant has dimension sum d_i^2 = |G|
         rep = left_regular_rep(make_named_group(name))
-        assert commutant_dimension(rep) == commutant_by_kronecker_svd(rep) == rep.dim
+        assert is_irreducible(rep)[1] == commutant_by_kronecker_svd(rep) == rep.dim
 
     @ORACLE_SETTINGS
     @given(permutation_groups())
@@ -1757,7 +1770,7 @@ class TestCommutantOracle:
             acts.append(left_translation_action(g))
         for act in acts:
             rep = permutation_rep(act)
-            assert commutant_dimension(rep) == commutant_by_kronecker_svd(rep)
+            assert is_irreducible(rep)[1] == commutant_by_kronecker_svd(rep)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_reducible_direct_sums(self, n):
@@ -1776,15 +1789,15 @@ class TestCommutantOracle:
             W, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
             mixed = UnitaryRep(group=g, matrices=W @ rep.matrices @ W.conj().T)
             for r in (rep, mixed):
-                assert commutant_dimension(r) == commutant_by_kronecker_svd(r) == expected
-                assert is_irreducible(r) == (False, expected)
+                oracle = commutant_by_kronecker_svd(r)
+                assert is_irreducible(r) == (False, oracle) == (False, expected)
 
     def test_left_regular_rep_of_symmetric_five(self):
         # d = 120: the Kronecker system would be 2 x 14400 x 14400 complex,
         # about 6.6 GB; the character norm reads 120 traces
         rep = left_regular_rep(make_named_group("symmetric:5"))
         assert rep.dim == 120
-        assert commutant_dimension(rep) == 120
+        assert is_irreducible(rep)[1] == 120
 
     def test_non_integer_character_norm_raises(self):
         g = make_named_group("dihedral:4")
@@ -1794,8 +1807,6 @@ class TestCommutantOracle:
         a = 0.3
         mats[k] = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
         object.__setattr__(rep, "matrices", mats)
-        with pytest.raises(ValueError, match="not an integer"):
-            commutant_dimension(rep)
         with pytest.raises(ValueError, match="not an integer"):
             is_irreducible(rep)
 
@@ -1836,7 +1847,7 @@ class TestMonomialOracle:
         assert mono.exponent.dtype == np.int16 and not mono.exponent.flags.writeable
         assert rep_law_all_pairs_error(g, dense.matrices) <= 1e-8 * d
         assert_close(mono.characters(), np.trace(dense.matrices, axis1=1, axis2=2))
-        assert commutant_dimension(mono) == commutant_dimension(dense)
+        assert is_irreducible(mono)[1] == is_irreducible(dense)[1]
         rng = np.random.default_rng(seed)
         f = rng.normal(size=d) + 1j * rng.normal(size=d)
         F = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
@@ -1882,7 +1893,7 @@ class TestMonomialOracle:
         H = maximal_permissible_subgroup(var, act)
         elements = data.draw(st.lists(st.sampled_from(H), min_size=1, max_size=8))
         rng = np.random.default_rng(seed)
-        k, d = var.n_values, act.space_size
+        k, d = len(var.value_labels), act.space_size
         states = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
         bundle = _quiet_operator(states, rng.uniform(0.5, 2.0, k), rng.normal(size=k))
         report = covariance_check(bundle, mono, elements, var, act)

@@ -1,5 +1,6 @@
 """Tests for variables, permissibility, induced groups, and the partial order."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,17 @@ class TestInducedGroup:
         with pytest.raises(NotPermissibleError) as err:
             induce_group(indicator, act)
         assert err.value.witness == (1, 0, 1)
+
+    def test_derived_values_are_not_fields(self, z4, parity):
+        # the numbering, image and kernel follow from the value action, are
+        # read once, and cannot be set apart from it
+        _, act = z4
+        ind = induce_group(parity, act)
+        for name in ("kernel", "k_to_image", "image_group"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(ind, **{name: getattr(ind, name)})
+            assert getattr(ind, name) is getattr(ind, name)
+        assert not ind.k_to_image.flags.writeable
 
     def test_quotient_injective(self, z4, parity):
         g, act = z4
@@ -274,6 +286,12 @@ class TestVariableType:
         assert list(var.values) == [2, 0, 2, 1]
 
 
+def read_all(induced):
+    """The induced action, its numbering, image and kernel read once."""
+    induced.k_to_image, induced.image_group, induced.kernel
+    return induced
+
+
 def traced(call):
     """call() and the tracemalloc peak of the call alone, in MiB."""
     tracemalloc.start()
@@ -316,7 +334,7 @@ class TestReadsOverAllElementsStayCompact:
     def test_induce_group(self, cyclic_5000):
         _, act = cyclic_5000
         parity = variable_from_point_labels(np.arange(5000) % 2)
-        induced, peak = traced(lambda: induce_group(parity, act))
+        induced, peak = traced(lambda: read_all(induce_group(parity, act)))
         assert induced.image_group.order == 2 and peak < 8
         assert induced.kernel == tuple(range(0, 5000, 2))
         assert np.array_equal(induced.k_to_image, np.arange(5000) % 2)
@@ -328,6 +346,6 @@ class TestReadsOverAllElementsStayCompact:
         g = make_named_group("cyclic:2000")
         act = left_translation_action(g)
         ident = variable_from_point_labels(np.arange(2000))
-        induced, peak = traced(lambda: induce_group(ident, act))
+        induced, peak = traced(lambda: read_all(induce_group(ident, act)))
         assert induced.image_group.order == 2000 and induced.kernel == (0,)
         assert peak < 100
