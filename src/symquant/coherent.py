@@ -131,7 +131,7 @@ class MonomialRep:
     of finite order (Serre, Linear Representations of Finite Groups, 7.1).
     They are stored as the action and an int16 |G| x dim array of
     exponents, reduced into range(modulus) and read-only, with 1 <= modulus
-    <= 32767; a phase is read from the table of the modulus roots when a
+    <= 32767 (at modulus 1 a view of one shared zero); a phase is read from the table of the modulus roots when a
     method needs it, and no |G| x dim x dim stack or |G| x dim complex
     table is stored. The permutation part obeys the composition law
     exactly: GroupAction checks it on integers. The laws of the phases are
@@ -161,14 +161,17 @@ class MonomialRep:
         if e.shape != (g.order, d) or e.dtype.kind not in "iu":
             raise ValueError(
                 f"exponent must hold {d} integers for each of {g.order} elements")
-        # np.mod returns a new array, so the stored table is never the
-        # caller's; a one-byte dtype cannot hold every modulus
-        if e.itemsize < 2:
-            e = e.astype(np.int16)
-        e = np.mod(e, m).astype(np.int16, copy=False)
-        if e[g.identity].any():
-            raise ValueError("identity element must map to the identity matrix")
-        if m > 1:
+        if m == 1:
+            # every exponent is 0 mod 1, so every law holds
+            e = _zero_exponents(e.shape)
+        else:
+            # np.mod returns a new array, so the stored table is never the
+            # caller's; a one-byte dtype cannot hold every modulus
+            if e.itemsize < 2:
+                e = e.astype(np.int16)
+            e = np.mod(e, m).astype(np.int16, copy=False)
+            if e[g.identity].any():
+                raise ValueError("identity element must map to the identity matrix")
             # int16 sums can overflow: each slice is added in intp
             perm = self.action.perm
 
@@ -179,7 +182,7 @@ class MonomialRep:
                 return err % m != 0
 
             generator_law(g, e.size, mismatch, "representation product law")
-        e.setflags(write=False)
+            e.setflags(write=False)
         roots = np.exp(2j * np.pi * np.arange(m) / m)
         roots.setflags(write=False)
         object.__setattr__(self, "exponent", e)
@@ -236,11 +239,21 @@ class MonomialRep:
         return out
 
 
+_ZERO = np.zeros(1, dtype=np.int16)
+_ZERO.setflags(write=False)
+
+
+def _zero_exponents(shape) -> np.ndarray:
+    """A read-only int16 table of zeros that stores one shared zero, read
+    with strides 0 (np.broadcast_to builds the same view more slowly)."""
+    return np.ndarray(shape, np.int16, _ZERO, strides=(0, 0))
+
+
 def permutation_rep(act: GroupAction) -> MonomialRep:
     """Permutation matrices realizing an action, U(k) e_x = e_{k.x}: the
     monomial rep of the action with modulus 1, every phase 1."""
-    return MonomialRep(action=act, modulus=1, exponent=np.zeros(
-        (act.group.order, act.space_size), dtype=np.int16))
+    return MonomialRep(action=act, modulus=1,
+                       exponent=_zero_exponents((act.group.order, act.space_size)))
 
 
 def left_regular_rep(g: FiniteGroup) -> MonomialRep:

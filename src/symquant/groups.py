@@ -32,7 +32,8 @@ both representation product laws, check_homomorphism) is checked by one
 routine, generator_law, on the generators s and all elements k in blocks
 of rows (element_blocks): the s that satisfy it are closed under products
 and reach every element. The other reads over all elements run on the
-same blocks: a variable's value maps (variables._element_maps) and a
+same blocks: a variable's value maps (variables._element_maps, which
+yields them block by block, so a permissibility verdict keeps none) and a
 monomial rep's characters and orbits. Caller-supplied element indices are
 read by element_indices.
 """

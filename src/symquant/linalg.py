@@ -117,9 +117,11 @@ def unitarity_errors(stack) -> np.ndarray:
     stack of one): V is unitary (n = d), or has orthonormal columns, when
     it is at most 1e-9*n. The products run on slices of about 2**14
     entries; a non-finite entry gives NaN, which fails every comparison.
-    An empty stack gives no errors; a matrix with no rows or no columns is
-    refused (DimensionMismatchError)."""
+    An empty stack gives no errors; an input of fewer than 2 dimensions, or
+    a matrix with no rows or no columns, is refused (DimensionMismatchError)."""
     V = np.asarray(stack, dtype=np.complex128)
+    if V.ndim < 2:
+        raise DimensionMismatchError(f"expected a stack of matrices, got ndim={V.ndim}")
     if 0 in V.shape[-2:]:
         raise DimensionMismatchError("matrices must be nonempty")
     V = V.reshape((-1,) + V.shape[-2:])

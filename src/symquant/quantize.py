@@ -83,8 +83,11 @@ class OperatorBundle:
     built straight from a matrix carry only the matrix and its clustered
     eigenbasis, from which relabelled operators are rebuilt.
 
-    The spectrum is eig_hermitian(matrix), computed on first read and kept:
-    a caller that reads only the matrix pays for no eigendecomposition.
+    The matrix must be a finite nonempty Hermitian matrix (as_cmatrix and
+    the Hermitian test of linalg), however the bundle is built; it is kept
+    as a read-only complex copy, as the family's arrays are. The
+    spectrum is eig_hermitian(matrix), computed on first read and kept: a
+    caller that reads only the matrix pays for no eigendecomposition.
     """
 
     matrix: np.ndarray
@@ -94,6 +97,9 @@ class OperatorBundle:
     source_variable: ConceptualVariable | None = None
 
     def __post_init__(self):
+        A = as_cmatrix(self.matrix)
+        _require_hermitian(A)
+        object.__setattr__(self, "matrix", A)
         for name in ("matrix", "labels", "states", "weights"):
             arr = getattr(self, name)
             if arr is not None:
@@ -136,9 +142,7 @@ def build_operator(states, weights, labels, *,
 
 def operator_from_matrix(A) -> OperatorBundle:
     """Bundle an explicitly given Hermitian matrix, its spectrum computed on
-    first read; a non-square or non-Hermitian matrix is refused here."""
-    A = as_cmatrix(A)
-    _require_hermitian(A)
+    first read; OperatorBundle refuses a non-square or non-Hermitian one."""
     return OperatorBundle(matrix=A)
 
 
@@ -216,7 +220,7 @@ def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elem
     """
     _require_same_group(rep, act)
     _require_dim(bundle, rep.dim)
-    blocks = _element_maps(var, act, elements, bundle.matrix.size)
+    blocks = list(_element_maps(var, act, elements, bundle.matrix.size))
     if not blocks:
         raise ValueError("covariance needs at least one group element")
     for ks, _, ok in blocks:

@@ -12,9 +12,10 @@ Each of these reads one value-map table off the first point of each
 value (ConceptualVariable.first_points), which a variable computes once,
 on first read, and keeps: the value map of one group element then costs
 O(points). The value maps of one element, a subset or the whole group
-have one reader, _element_maps, which reads them a block of elements at a
-time (groups.element_blocks). An induced action holds its value action and
-derives the rest.
+have one reader, _element_maps, which yields them a block of elements at
+a time (groups.element_blocks), so a yes/no verdict keeps no maps and
+stops at the first failing block. An induced action holds its value action
+and derives the rest.
 """
 
 from __future__ import annotations
@@ -120,10 +121,12 @@ def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int
     read once by groups.element_indices): ks is the block's 1-d index array
     and (maps, ok) the _value_maps of its rows. The blocks are the slices of
     element_blocks(count, count * max(points, size)), size being the
-    entries per element of what the caller computes on a block, so a large
-    set is read a block of rows at a time, as the law checks are. No
-    elements give no blocks. It is the one reader of element value maps,
-    so no |G| x points table is gathered, not even over the whole group."""
+    entries per element of what the caller computes on a block, and are
+    yielded one at a time, so a large set is read a block of rows at a
+    time, as the law checks are; the sizes and indices are checked on the
+    call. No elements give no blocks. It is the one reader of element value
+    maps, so no |G| x points table is gathered, not even over the whole
+    group."""
     if var.space_size != act.space_size:
         raise SizeMismatchError(
             f"variable on {var.space_size} points, action on {act.space_size}"
@@ -131,19 +134,16 @@ def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int
     ks = element_indices(elements, act.group.order)
     blocks = element_blocks(ks.size, ks.size * max(var.space_size, size))
     # take gathers by the int16 maps faster than fancy indexing does
-    return [(ks[b], *_value_maps(var, var.values.take(act.perm[ks[b]]))) for b in blocks]
+    return ((ks[b], *_value_maps(var, var.values.take(act.perm[ks[b]]))) for b in blocks)
 
 
-def _permissible_maps(var: ConceptualVariable, act: GroupAction):
-    """The value map of every element and the first violating triple.
+def _witness(var: ConceptualVariable, act: GroupAction, blocks):
+    """The first violating triple of the _element_maps blocks, or None.
 
-    Returns (maps, None) when every element is permissible, otherwise
-    (maps, (k, p1, p2)): k is the first failing element, and (p1, p2) the
-    smallest pair over the points p2 that k moves off the value of p1, the
-    first point sharing p2's value.
+    (k, p1, p2): k is the first failing element, and (p1, p2) the smallest
+    pair over the points p2 that k moves off the value of p1, the first
+    point sharing p2's value. No block after k's is read.
     """
-    blocks = _element_maps(var, act, np.arange(act.group.order))
-    maps = np.concatenate([m for _, m, _ in blocks])
     for ks, m, ok in blocks:
         if not ok.all():
             i = int(np.argmin(ok))
@@ -151,8 +151,8 @@ def _permissible_maps(var: ConceptualVariable, act: GroupAction):
             bad = np.flatnonzero(m[i][var.values] != var.values[act.perm[k]])
             p1s = var.first_points[var.values[bad]]
             p1 = int(p1s.min())
-            return maps, (k, p1, int(bad[np.argmax(p1s == p1)]))
-    return maps, None
+            return k, p1, int(bad[np.argmax(p1s == p1)])
+    return None
 
 
 def is_permissible(var: ConceptualVariable, act: GroupAction):
@@ -162,9 +162,9 @@ def is_permissible(var: ConceptualVariable, act: GroupAction):
     value at k.p is a function of the value at p. Returns (True, None) or
     (False, (k, p1, p2)) with k the first failing element and (p1, p2) the
     smallest pair of points that share a value and that k separates, p1
-    being the first point with that value.
+    being the first point with that value. No value map is kept.
     """
-    witness = _permissible_maps(var, act)[1]
+    witness = _witness(var, act, _element_maps(var, act, np.arange(act.group.order)))
     return witness is None, witness
 
 
@@ -176,7 +176,7 @@ def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
     single-valued g is automatically a bijection because h is invertible
     and every label is attained.
     """
-    _, maps, ok = _element_maps(var, act, h)[0]
+    _, maps, ok = next(_element_maps(var, act, h))
     return maps[0] if ok[0] else None
 
 
@@ -229,14 +229,17 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     |G| = |kernel| * |image|, and the image group acts faithfully on the
     values by value_action's law read through k_to_image.
     """
-    induced, witness = _permissible_maps(var, act)    # (order, values)
+    blocks = list(_element_maps(var, act, np.arange(act.group.order)))
+    witness = _witness(var, act, blocks)
     if witness is not None:
         raise NotPermissibleError(witness)
+    induced = np.concatenate([m for _, m, _ in blocks])    # (order, values)
     return InducedAction(value_action=GroupAction(group=act.group, perm=induced))
 
 
 def is_permissible_under(var: ConceptualVariable, act: GroupAction, subset) -> bool:
-    """Permissibility quantified over a subset of group elements only."""
+    """Permissibility quantified over a subset of group elements only; it
+    stops at the first block with a failing element."""
     return all(ok.all() for _, _, ok in _element_maps(var, act, tuple(subset)))
 
 

@@ -83,6 +83,22 @@ class TestLeftRegular:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_cyclic_5000_holds_no_exponent_table(self):
+        # every exponent is 0 mod 1, so the rep reads one shared zero with
+        # strides 0: a stored 5000 x 5000 int16 table held 47.7 MiB, and its
+        # np.mod copy took the build's peak to 95.4 MiB
+        g = make_named_group("cyclic:5000")
+        tracemalloc.start()
+        try:
+            rep = left_regular_rep(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        e = rep.exponent
+        assert e.shape == (5000, 5000) and e.dtype == np.int16
+        assert not e.flags.writeable and not e.any()
+
     def test_cyclic_2000_characters_peak_below_8_mib(self):
         # read on element blocks; the whole 2000 x 2000 complex table of
         # phases took the peak to 126 MiB

@@ -233,6 +233,11 @@ class TestPredicates:
     def test_empty_stack_has_no_errors(self):
         assert unitarity_errors(np.zeros((0, 2, 2))).shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(3,), ()], ids=["vector", "scalar"])
+    def test_input_of_fewer_than_two_dimensions_refused(self, shape):
+        with pytest.raises(DimensionMismatchError, match=f"got ndim={len(shape)}"):
+            unitarity_errors(np.zeros(shape))
+
     @pytest.mark.parametrize("shape", [(3, 2, 0), (2, 0, 0), (3, 0, 2)],
                              ids=["2x0", "0x0", "0x2"])
     def test_matrices_without_rows_or_columns_refused(self, shape):

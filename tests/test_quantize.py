@@ -1,6 +1,7 @@
 """Tests for operator construction, covariance, orbits, reduction, coarse
 graining, and question/answer matching."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from symquant.quantize import (
     NotAnOrbitError,
     NotInSubgroupError,
     NotUnitError,
+    OperatorBundle,
     SpectrumNotPreservedError,
     build_operator,
     coarse_grain,
@@ -178,6 +180,21 @@ class TestSpectrumOnFirstRead:
     def test_non_hermitian_matrix_refused_at_the_call(self, eig_calls):
         with pytest.raises(NotHermitianError):
             operator_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert eig_calls == []
+
+    def test_bundle_refuses_a_non_hermitian_matrix(self, eig_calls):
+        # the record itself, however it is built: maximality_check would
+        # otherwise meet the matrix only in the lazy spectrum
+        with pytest.raises(NotHermitianError):
+            OperatorBundle(matrix=[[0, 1], [0, 0]])
+        assert eig_calls == []
+
+    def test_replaced_matrix_is_checked(self, eig_calls):
+        bundle = operator_from_matrix(np.diag([1.0, -1.0]))
+        with pytest.raises(NotHermitianError):
+            dataclasses.replace(bundle, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotSquareError):
+            dataclasses.replace(bundle, matrix=np.ones((2, 3)))
         assert eig_calls == []
 
     def test_family_missing_the_identity_refused_at_the_call(self, eig_calls):

@@ -339,6 +339,15 @@ class TestReadsOverAllElementsStayCompact:
         assert induced.kernel == tuple(range(0, 5000, 2))
         assert np.array_equal(induced.k_to_image, np.arange(5000) % 2)
 
+    def test_permissibility_of_the_identity_labelling_keeps_no_maps(self):
+        # a yes/no verdict reads the 2000 x 2000 value maps block by block
+        # and keeps none; concatenating them took the peak to 15.4 MiB
+        g = make_named_group("cyclic:2000")
+        act = left_translation_action(g)
+        ident = variable_from_point_labels(np.arange(2000))
+        result, peak = traced(lambda: is_permissible(ident, act))
+        assert result == (True, None) and peak < 2
+
     def test_induce_group_of_the_identity_labelling(self):
         # the 2000 value maps are all distinct, so the image is the group;
         # read as one whole table and keyed by tuples of their rows, they
