@@ -121,6 +121,16 @@ class UnitaryRep:
         return mats.conj().swapaxes(-1, -2) @ A @ mats
 
 
+_ZERO = np.zeros(1, dtype=np.int16)
+_ZERO.setflags(write=False)
+
+
+def _zero_exponents(shape) -> np.ndarray:
+    """A read-only int16 table of zeros that stores one shared zero, read
+    with strides 0 (np.broadcast_to builds the same view more slowly)."""
+    return np.ndarray(shape, np.int16, _ZERO, strides=(0, 0))
+
+
 @dataclass(frozen=True)
 class MonomialRep:
     """A representation by permutations with phases that are roots of
@@ -131,11 +141,11 @@ class MonomialRep:
     of finite order (Serre, Linear Representations of Finite Groups, 7.1).
     They are stored as the action and an int16 |G| x dim array of
     exponents, reduced into range(modulus) and read-only, with 1 <= modulus
-    <= 32767 (at modulus 1 a view of one shared zero); a phase is read from the table of the modulus roots when a
-    method needs it, and no |G| x dim x dim stack or |G| x dim complex
-    table is stored. The permutation part obeys the composition law
-    exactly: GroupAction checks it on integers. The laws of the phases are
-    exact integer checks too:
+    <= 32767 (at modulus 1 a view of one shared zero); a phase is read from
+    the table of the modulus roots when a method needs it, and no
+    |G| x dim x dim stack or |G| x dim complex table is stored. The
+    permutation part obeys the composition law exactly: GroupAction checks
+    it on integers. The laws of the phases are exact integer checks too:
     - the identity: exponent[e] == 0, since perm[e] is the identity map;
     - unitarity holds by construction, every phase being of modulus 1;
     - the product law: V(s)V(k) e_x = w^(exponent[s, perm[k, x]] +
@@ -237,16 +247,6 @@ class MonomialRep:
         out = out * ph.conj()[:, :, None]
         out *= ph[:, None, :]
         return out
-
-
-_ZERO = np.zeros(1, dtype=np.int16)
-_ZERO.setflags(write=False)
-
-
-def _zero_exponents(shape) -> np.ndarray:
-    """A read-only int16 table of zeros that stores one shared zero, read
-    with strides 0 (np.broadcast_to builds the same view more slowly)."""
-    return np.ndarray(shape, np.int16, _ZERO, strides=(0, 0))
 
 
 def permutation_rep(act: GroupAction) -> MonomialRep:

@@ -151,9 +151,9 @@ DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
 # them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL,
 # config_echo["scenario"]) or derive them from it (a system's states and
 # commutant dimension, an induced action's numbering, image and kernel, a
-# frame's lam = tr T / d), or, for a covariance
-# tolerance, state it in the check that reads the distance; a rep's law
-# error is a verdict, not a value to quote
+# frame's lam = tr T / d), or, for a covariance tolerance, state it in the
+# check that reads the distance; a rep's law error is a verdict, not a
+# value to quote
 DELETED_FIELDS = {
     "variables.InducedAction": ("induced_perm", "kernel", "k_to_image", "image_group"),
     "coherent.FrameOperator": ("normalized_weights", "lam"),
