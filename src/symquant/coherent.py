@@ -239,11 +239,11 @@ class MonomialRep:
         one gather: entry (x, y) is
         conj(phase[k, x]) * A[perm[k, x], perm[k, y]] * phase[k, y]. With
         modulus 1 every phase is 1, and the gather is all."""
-        p = self.action.perm[ks]
+        p = self.action.perm.take(ks, axis=0)
         out = np.asarray(A)[p[:, :, None], p[:, None, :]]
         if self.modulus == 1:
             return out
-        ph = self._roots[self.exponent[ks]]
+        ph = self._roots.take(self.exponent.take(ks, axis=0))
         out = out * ph.conj()[:, :, None]
         out *= ph[:, None, :]
         return out

@@ -31,11 +31,12 @@ Every "for all pairs" law (Light's associativity test, the action law,
 both representation product laws, check_homomorphism) is checked by one
 routine, generator_law, on the generators s and all elements k in blocks
 of rows (element_blocks): the s that satisfy it are closed under products
-and reach every element. The other reads over all elements run on the
-same blocks: a variable's value maps (variables._element_maps, which
-yields them block by block, so a permissibility verdict keeps none) and a
-monomial rep's characters and orbits. Caller-supplied element indices are
-read by element_indices.
+and reach every element. The action law on the group's own table
+(left_translation_action) is associativity, and is not checked again.
+The other reads over all elements run on the same blocks: a variable's
+value maps (variables._element_maps, which yields them block by block,
+so a permissibility verdict keeps none) and a monomial rep's characters
+and orbits. Caller-supplied element indices are read by element_indices.
 """
 
 from __future__ import annotations
@@ -128,9 +129,16 @@ def generator_law(g: FiniteGroup, size: int, error, law: str,
 def element_indices(elements, order: int) -> np.ndarray:
     """Caller-supplied element indices, one or a sequence, as a 1-d intp
     array: each must be an integer in range(order) (2.0 reads as 2), and
-    anything else (1.5, -1, 2**64) raises BadElementError. Integer input
-    with every entry in range is cast directly; the rest, refused or not,
-    is compared as read."""
+    anything else (1.5, -1, 2**64) raises BadElementError. An integer
+    scalar in range(order) is read at once, and so is a range object whose
+    first and last entries are, since its other entries lie between them;
+    integer input with every entry in range is cast directly, and the
+    rest, refused or not, is compared as read."""
+    if isinstance(elements, (int, np.integer)) and 0 <= elements < order:
+        return np.array([elements], dtype=np.intp)
+    if isinstance(elements, range) and (not elements or (
+            elements[0] in range(order) and elements[-1] in range(order))):
+        return np.arange(elements.start, elements.stop, elements.step, dtype=np.intp)
     raw = np.asarray(elements).reshape(-1)
     if raw.dtype.kind in "iu" and raw.size and raw.min() >= 0 and raw.max() < order:
         return raw.astype(np.intp)
@@ -285,13 +293,19 @@ class GroupAction:
     the maps are integer arrays, so the check is exact.
 
     Not checked, because implied: every row is a bijection, since
-    perm[k] o perm[k^-1] = perm[e] is the identity map.
+    perm[k] o perm[k^-1] = perm[e] is the identity map. And when perm is
+    the group's own table (perm is group.cayley, left_translation_action),
+    nothing is checked again: FiniteGroup has proved its entries in range,
+    its identity row the identity map, and its composition law
+    (s*k)*x = s*(k*x), which is associativity, by Light's test.
     """
 
     group: FiniteGroup
     perm: np.ndarray
 
     def __post_init__(self):
+        if self.perm is self.group.cayley:
+            return
         perm = np.asarray(self.perm)
         n = self.group.order
         if perm.ndim != 2 or len(perm) != n or perm.size == 0:
@@ -579,7 +593,8 @@ def left_translation_action(g: FiniteGroup) -> GroupAction:
     """The group acting on itself by left multiplication (always transitive).
 
     The action's maps are the rows of the Cayley table, and perm is the
-    table itself, shared read-only rather than copied. For cyclic:n, whose
+    table itself, shared read-only rather than copied; its laws are the
+    group's, so GroupAction checks nothing again. For cyclic:n, whose
     table is cayley[k, x] == (k + x) % n, it is the shift of n points by k."""
     return GroupAction(group=g, perm=g.cayley)
 

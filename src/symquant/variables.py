@@ -111,8 +111,8 @@ def _value_maps(var: ConceptualVariable, images):
     images[r] at every point, that is, whether row r is constant on every
     level set of var.
     """
-    maps = images[:, var.first_points]
-    ok = (maps[:, var.values] == images).all(axis=1)
+    maps = images.take(var.first_points, axis=1)
+    ok = (maps.take(var.values, axis=1) == images).all(axis=1)
     return maps, ok
 
 
@@ -134,7 +134,8 @@ def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int
     ks = element_indices(elements, act.group.order)
     blocks = element_blocks(ks.size, ks.size * max(var.space_size, size))
     # take gathers by the int16 maps faster than fancy indexing does
-    return ((ks[b], *_value_maps(var, var.values.take(act.perm[ks[b]]))) for b in blocks)
+    return ((ks[b], *_value_maps(var, var.values.take(act.perm.take(ks[b], axis=0))))
+            for b in blocks)
 
 
 def _witness(var: ConceptualVariable, act: GroupAction, blocks):
@@ -164,7 +165,7 @@ def is_permissible(var: ConceptualVariable, act: GroupAction):
     smallest pair of points that share a value and that k separates, p1
     being the first point with that value. No value map is kept.
     """
-    witness = _witness(var, act, _element_maps(var, act, np.arange(act.group.order)))
+    witness = _witness(var, act, _element_maps(var, act, range(act.group.order)))
     return witness is None, witness
 
 
@@ -229,7 +230,7 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     |G| = |kernel| * |image|, and the image group acts faithfully on the
     values by value_action's law read through k_to_image.
     """
-    blocks = list(_element_maps(var, act, np.arange(act.group.order)))
+    blocks = list(_element_maps(var, act, range(act.group.order)))
     witness = _witness(var, act, blocks)
     if witness is not None:
         raise NotPermissibleError(witness)
@@ -252,7 +253,7 @@ def maximal_permissible_subgroup(var: ConceptualVariable, act: GroupAction) -> t
     is a union of level sets of the same total size, so none is missed).
     They form the stabilizer of the partition into level sets, a subgroup.
     """
-    blocks = _element_maps(var, act, np.arange(act.group.order))
+    blocks = _element_maps(var, act, range(act.group.order))
     return tuple(np.concatenate([ks[ok] for ks, _, ok in blocks]).tolist())
 
 

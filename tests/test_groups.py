@@ -425,6 +425,29 @@ class TestActionsAndOrbits:
         act = left_translation_action(g)
         assert is_transitive(act)
 
+    def test_the_table_itself_is_not_checked_again(self, monkeypatch):
+        # its law (s*k)*x = s*(k*x) is associativity, proved by FiniteGroup
+        g = make_named_group("dihedral:4")
+        calls = []
+        monkeypatch.setattr(groups, "generator_law",
+                            lambda *args, **kw: calls.append(args[3]))
+        assert GroupAction(group=g, perm=g.cayley).perm is g.cayley
+        assert left_translation_action(g).perm is g.cayley
+        assert calls == []
+        # an equal copy of the table is an array like any other
+        GroupAction(group=g, perm=g.cayley.copy())
+        assert calls == ["action composition law"]
+
+    @pytest.mark.parametrize("name", ["cyclic:5", "dihedral:4"])
+    def test_table_with_two_rows_swapped_is_refused(self, name):
+        # rows 1 and 2 of cyclic:5 are shifts by 1 and 2, and of dihedral:4
+        # a rotation and a flip: no automorphism exchanges either pair
+        g = make_named_group(name)
+        swapped = g.cayley.copy()
+        swapped[[1, 2]] = swapped[[2, 1]]
+        with pytest.raises(ValueError, match="composition law"):
+            GroupAction(group=g, perm=swapped)
+
 
 class TestSubgroupsAndHoms:
     def test_subgroup_generated_examples(self):
@@ -511,6 +534,29 @@ class TestSubgroupsAndHoms:
                                match=rf"^element index {bad} out of range: "
                                      r"not an integer in range\(4\)$"):
                 element_indices(np.array([0, bad], dtype=dtype), 4)
+
+    @pytest.mark.parametrize("x", [
+        0, 4, True, np.int16(3), np.uint64(3), -1, 5, 2**64, 2.0, 1.5,
+        range(0), range(5), range(4, -1, -1), range(1, 5, 2),
+        range(-1, 3), range(2, 6), range(0, 6, 5), range(5, 0, -2)])
+    def test_read_at_once_matches_the_array_route(self, x):
+        # an integer scalar or a range inside range(5) is read at once; each
+        # input reads as its list does, and a scalar as its 0-d array too
+        if isinstance(x, range):
+            forms, listed = (x,), list(x)
+        else:
+            forms, listed = (x, np.array(x)), [x]
+        for form in forms:
+            try:
+                expected = element_indices(listed, 5)
+            except BadElementError as exc:
+                with pytest.raises(BadElementError) as err:
+                    element_indices(form, 5)
+                assert str(err.value) == str(exc)
+            else:
+                got = element_indices(form, 5)
+                assert got.dtype == expected.dtype == np.intp
+                assert got.ndim == 1 and np.array_equal(got, expected)
 
     def test_identity_map_of_a_large_group_stays_small(self):
         # all pairs through intp temporaries peaked at 42 MiB here

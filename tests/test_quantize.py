@@ -21,6 +21,7 @@ from symquant.linalg import (
     NotSquareError,
     eig_hermitian,
 )
+from symquant.phasespace import clock_rep, fourier_matrix, shift_rep
 from symquant.quantize import (
     NotAnOrbitError,
     NotInSubgroupError,
@@ -348,19 +349,47 @@ class TestSingleElementCovariance:
         bundle = build_operator(QUBIT, 1.0, list(parity.value_labels))
         return g, act, parity, bundle
 
-    @pytest.mark.parametrize("n", [4, 6, 24])
-    def test_max_over_single_calls_is_the_set_distance(self, n):
-        # the trivial rep misses the parity swap by sqrt(2); the others
-        # differ from the relabelled operator by rounding
-        g, act, parity, bundle = self.dihedral_parity(n)
-        value_rep = permutation_rep(induce_group(parity, act).value_action)
-        trivial = UnitaryRep(group=g, matrices=np.broadcast_to(QUBIT, (g.order, 2, 2)))
-        for rep in (value_rep, dihedral_rotation_rep(g), trivial):
-            single = max(covariance_check(bundle, rep, h, parity, act).distance
+    @staticmethod
+    def clock_momentum(n):
+        # the identity labelling of cyclic:n's points under left translation
+        # and the momentum operator: the clock, of modulus n, shifts the
+        # Fourier basis as the translations shift the labels, while the
+        # shift, of modulus 1, commutes with the operator
+        g = cyclic_group(n)
+        act = left_translation_action(g)
+        var = variable_from_point_labels(range(n))
+        bundle = build_operator(fourier_matrix(n).T, 1.0, range(n))
+        return g, act, var, bundle, (clock_rep(g), shift_rep(g))
+
+    @pytest.mark.parametrize("n, route", [(4, "states"), (6, "states"), (24, "states"),
+                                          (24, "matrix"), (6, "clock")],
+                             ids=["4", "6", "24", "matrix-24", "clock-6"])
+    def test_max_over_single_calls_is_the_set_distance(self, n, route):
+        # every route of _covariance (a state family, or a bare matrix
+        # relabelled through its spectrum) and of conjugated (dense, a
+        # permutation, phases): the trivial rep misses the parity swap by
+        # sqrt(2), the clock holds within rounding, and the others differ
+        # from the relabelled operator by rounding or by a swap
+        if route == "clock":
+            g, act, var, bundle, reps = self.clock_momentum(n)
+        else:
+            g, act, var, bundle = self.dihedral_parity(n)
+            if route == "matrix":
+                bundle = operator_from_matrix(bundle.matrix)
+            value_rep = permutation_rep(induce_group(var, act).value_action)
+            trivial = UnitaryRep(group=g, matrices=np.broadcast_to(QUBIT, (g.order, 2, 2)))
+            reps = (value_rep, dihedral_rotation_rep(g), trivial)
+        distances = []
+        for rep in reps:
+            single = max(covariance_check(bundle, rep, h, var, act).distance
                          for h in range(g.order))
-            whole = covariance_check(bundle, rep, range(g.order), parity, act)
+            whole = covariance_check(bundle, rep, range(g.order), var, act)
             assert single == whole.distance
-        assert abs(whole.distance - np.sqrt(2.0)) <= 1e-12
+            distances.append(whole.distance)
+        if route == "clock":
+            assert distances[0] <= 1e-12 < 1.0 <= distances[1]
+        else:
+            assert abs(distances[-1] - np.sqrt(2.0)) <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 6, 24])
     def test_non_permissible_element_refused_by_both_forms(self, n):
