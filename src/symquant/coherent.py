@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, element_blocks, generator_law,
-                     is_transitive, left_translation_action)
+                     is_transitive, left_translation_action, read_only)
 from .linalg import as_cvector, max_abs, projector_sum, unitarity_errors
 
 
@@ -63,7 +63,9 @@ class UnitaryRep:
     permutation_rep, left_regular_rep, and the phase-space shift_rep and
     clock_rep, and its laws are exact.
 
-    matrices is a stack of one dim x dim matrix per element, dim >= 1.
+    matrices is a stack of one dim x dim matrix per element, dim >= 1,
+    kept read-only as complex128 by groups.read_only's rule: a copy,
+    unless it already is a read-only complex128 array owning its memory.
     Every matrix must be unitary by linalg.unitarity_errors, and the
     identity element must map to the identity matrix. The product law
     V(s)V(k) = V(s*k) is checked by groups.generator_law, for every
@@ -80,7 +82,7 @@ class UnitaryRep:
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=np.complex128).copy()
+        mats = read_only(np.asarray(self.matrices, dtype=np.complex128))
         n = self.group.order
         if mats.ndim != 3 or len(mats) != n or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"matrices must be a stack of {n} square matrices")
@@ -96,7 +98,6 @@ class UnitaryRep:
         generator_law(g, mats.size, lambda s, b: np.linalg.norm(
             mats[s] @ mats[b] - mats[g.cayley[s, b]], axis=(1, 2)),
             "representation product law", 1e-8 * d / (2 * g.depth))
-        mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -141,9 +142,11 @@ class MonomialRep:
     of finite order (Serre, Linear Representations of Finite Groups, 7.1).
     They are stored as the action and an int16 |G| x dim array of
     exponents, reduced into range(modulus) and read-only, with 1 <= modulus
-    <= 32767 (at modulus 1 a view of one shared zero); a phase is read from
-    the table of the modulus roots when a method needs it, and no
-    |G| x dim x dim stack or |G| x dim complex table is stored. The
+    <= 32767 (at modulus 1 a view of one shared zero). A table that already
+    is in that form and owns its memory is kept, not copied, by
+    groups.read_only's rule; any other is reduced into a new one. A phase
+    is read from the table of the modulus roots when a method needs it,
+    and no |G| x dim x dim stack or |G| x dim complex table is stored. The
     permutation part obeys the composition law exactly: GroupAction checks
     it on integers. The laws of the phases are exact integer checks too:
     - the identity: exponent[e] == 0, since perm[e] is the identity map;
@@ -175,11 +178,14 @@ class MonomialRep:
             # every exponent is 0 mod 1, so every law holds
             e = _zero_exponents(e.shape)
         else:
-            # np.mod returns a new array, so the stored table is never the
-            # caller's; a one-byte dtype cannot hold every modulus
-            if e.itemsize < 2:
-                e = e.astype(np.int16)
-            e = np.mod(e, m).astype(np.int16, copy=False)
+            if e.dtype != np.int16 or e.min() < 0 or e.max() >= m:
+                # a one-byte dtype cannot hold every modulus
+                if e.itemsize < 2:
+                    e = e.astype(np.int16)
+                e = np.mod(e, m).astype(np.int16, copy=False)
+                e.setflags(write=False)
+            # a reduced int16 table is copied unless no caller can write to it
+            e = read_only(e)
             if e[g.identity].any():
                 raise ValueError("identity element must map to the identity matrix")
             # int16 sums can overflow: each slice is added in intp
@@ -192,7 +198,6 @@ class MonomialRep:
                 return err % m != 0
 
             generator_law(g, e.size, mismatch, "representation product law")
-            e.setflags(write=False)
         roots = np.exp(2j * np.pi * np.arange(m) / m)
         roots.setflags(write=False)
         object.__setattr__(self, "exponent", e)

@@ -24,6 +24,10 @@ in the smallest of int16, int32 and int64 that holds every index they may
 take: int16 up to 32,768 elements, points or labels, so for every group
 of at most MAX_GROUP_ORDER elements. The range is checked before the
 entries are narrowed, so an out-of-range entry is refused, never wrapped.
+A table handed over read-only, in its stored dtype and owning its memory,
+is kept without a copy (read_only), so the library's own actions build
+their tables that way, in place or a block of rows at a time, with no
+intp temporary.
 Arithmetic on these arrays stays in their dtype and can overflow: cast to
 np.intp first (t.astype(np.intp)) to compute with them.
 
@@ -76,27 +80,43 @@ def _index_dtype(bound: int) -> type:
     return np.int32 if bound <= 1 << 31 else np.int64
 
 
+def read_only(arr: np.ndarray, dtype=None) -> np.ndarray:
+    """arr as a constructor stores it, read-only in dtype (arr's own by
+    default): arr itself when it already is a read-only array of that dtype
+    owning its memory, which no caller can write to, else a read-only
+    C-ordered copy.
+
+    This is the one ownership rule of the library's stored arrays: a
+    constructor that builds its array in the dtype and shape it keeps, and
+    hands it over read-only (arr.setflags(write=False)), pays for no second
+    copy. as_index_array, OperatorBundle, UnitaryRep and MonomialRep keep
+    their arrays by it.
+    """
+    dt = arr.dtype if dtype is None else dtype
+    if arr.dtype != dt or arr.flags.writeable or arr.base is not None:
+        arr = arr.astype(dt, order="C")
+        arr.setflags(write=False)
+    return arr
+
+
 def as_index_array(a, bound: int, message: str) -> np.ndarray:
-    """A read-only array of indices in 0..bound-1, in _index_dtype(bound).
+    """A read-only array of indices in 0..bound-1, in _index_dtype(bound),
+    kept by read_only's rule.
 
     The range is checked on the input's own integer dtype before it is
     narrowed, so that an entry of 2**16 + k raises ValueError(message)
     rather than wrap to k. A non-integer input is first cast to intp, as
     np.asarray(a, dtype=np.intp) would. The result is a copy, unless the
-    input already is a read-only array of that dtype owning its memory,
-    which no caller can write to: a group's table passed as the maps of
-    left_translation_action is shared, not copied.
+    input already is a read-only array of that dtype owning its memory: a
+    group's table passed as the maps of left_translation_action is shared,
+    and an action's maps built in that dtype are kept, not copied.
     """
     arr = np.asarray(a)
     if arr.dtype.kind not in "iu":
         arr = arr.astype(np.intp)
     if arr.size and (arr.min() < 0 or int(arr.max()) >= bound):
         raise ValueError(message)
-    dt = _index_dtype(bound)
-    if arr.dtype != dt or arr.flags.writeable or arr.base is not None:
-        arr = arr.astype(dt)
-        arr.setflags(write=False)
-    return arr
+    return read_only(arr, _index_dtype(bound))
 
 
 def element_blocks(n: int, size: int) -> list[slice]:
@@ -604,18 +624,29 @@ def dihedral_vertex_action(g: FiniteGroup) -> GroupAction:
     if g.elements is None or not g.name.startswith("dihedral:"):
         raise ValueError("expected a group built by make_named_group('dihedral:n')")
     n = g.order // 2
-    i, b = np.array(g.elements, dtype=np.intp).T[:, :, None]
-    x = np.arange(n)
-    perm = (i + np.where(b == 0, x, -x)) % n
+    # built in the stored dtype, with no intp temporary: i + x and i - x
+    # lie in -(n - 1)..2n - 2, and 2n - 2 <= MAX_GROUP_ORDER - 2 = 9,998
+    # < 2**15, so no int16 sum overflows before the remainder
+    dt = _index_dtype(n)
+    i, b = np.array(g.elements, dtype=dt).T[:, :, None]
+    x = np.arange(n, dtype=dt)
+    perm = np.where(b == 0, x, -x)
+    perm += i
+    perm %= n
+    perm.setflags(write=False)
     return GroupAction(group=g, perm=perm)
 
 
 def natural_permutation_action(g: FiniteGroup) -> GroupAction:
-    """A symmetric group acting on its points via the stored image tuples."""
+    """A symmetric group acting on its points via the stored image tuples,
+    read into the stored dtype a block of elements at a time."""
     if g.elements is None:
         raise ValueError("group does not carry element data")
     m = len(g.elements[0])
-    perm = np.array(g.elements, dtype=np.intp).reshape(g.order, m)
+    perm = np.empty((g.order, m), dtype=_index_dtype(m))
+    for b in element_blocks(g.order, perm.size):
+        perm[b] = as_index_array(g.elements[b], m, "action entries out of range")
+    perm.setflags(write=False)
     return GroupAction(group=g, perm=perm)
 
 

@@ -103,10 +103,14 @@ def max_abs(A) -> float:
 def _require_hermitian(A: np.ndarray) -> None:
     _require_square(A)
     # max |A - A^dag| and max |A| over row blocks of about 2**14 entries,
-    # so that no n x n temporary is formed
+    # so that no n x n temporary is formed; each block's (A^dag - A)^T,
+    # whose entries have the same moduli, is formed in place in one copy
     dev = scale = 0.0
     for rows in element_blocks(len(A), A.size):
-        dev = max(dev, max_abs(A[rows] - A[:, rows].conj().T))
+        diff = A[:, rows].copy()
+        np.conjugate(diff, out=diff)
+        diff -= A[rows].T
+        dev = max(dev, max_abs(diff))
         scale = max(scale, max_abs(A[rows]))
     if dev > 1e-10 * max(1.0, scale):
         raise NotHermitianError(f"max |A - A^dag| = {dev:.3e}")

@@ -52,7 +52,7 @@ from .linalg import (
     resolution_deviation,
     unitarity_errors,
 )
-from .groups import orbit_partition, rows_are_permutations
+from .groups import orbit_partition, read_only, rows_are_permutations
 from .variables import ConceptualVariable, GroupAction, _element_maps
 from .coherent import MonomialRep, NotUnitaryError, UnitaryRep, _require_same_group
 
@@ -88,7 +88,9 @@ class OperatorBundle:
 
     The matrix must be a finite nonempty Hermitian matrix (as_cmatrix and
     the Hermitian test of linalg), however the bundle is built; it is kept
-    as a read-only complex copy, as the family's arrays are. The
+    read-only as complex128, as the family's arrays are kept read-only, by
+    groups.read_only's rule: a copy, unless the array already is read-only
+    and owns its memory, as phasespace.momentum_operator hands it over. The
     spectrum is eig_hermitian(matrix), computed on first read and kept: a
     caller that reads only the matrix pays for no eigendecomposition.
     """
@@ -106,9 +108,7 @@ class OperatorBundle:
         for name in ("matrix", "labels", "states", "weights"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.asarray(arr).copy()
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, read_only(np.asarray(arr)))
 
     @cached_property
     def spectrum(self) -> SpectralData:
@@ -139,6 +139,7 @@ def build_operator(states, weights, labels, *,
 
     A = projector_sum(st, lab * w)
     A = (A + A.conj().T) / 2.0
+    A.setflags(write=False)
     return OperatorBundle(matrix=A, labels=lab, states=st, weights=w,
                           source_variable=source_variable)
 

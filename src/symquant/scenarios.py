@@ -45,6 +45,7 @@ from .groups import (
     check_homomorphism,
     cyclic_group,
     dihedral_vertex_action,
+    element_blocks,
     left_translation_action,
     make_named_group,
     subgroup_generated,
@@ -470,16 +471,22 @@ def _weyl(s):
 
 
 def _noncommuting(s):
-    # (XP - PX)[a, b] = (x_a - x_b) P[a, b]
-    cnorm = float(np.linalg.norm((s.x[:, None] - s.x) * s.P))
+    # (XP - PX)[a, b] = (x_a - x_b) P[a, b], formed in one complex buffer
+    C = np.empty_like(s.P)
+    np.subtract(s.x[:, None], s.x, out=C)
+    C *= s.P
+    cnorm = float(np.linalg.norm(C))
     return cnorm > 1e-6, f"commutator_norm = {cnorm:.6g}"
 
 
 def _fourier_conjugate(s):
     # F^dag P F against diag(x), by an inverse FFT along rows and an FFT
-    # along columns; x comes off the diagonal in place, and the Frobenius
-    # norm is read without a second n x n array
-    D = np.fft.fft(np.fft.ifft(s.P, axis=1), axis=0)
+    # along columns, written back a block of columns at a time; x comes off
+    # the diagonal in place, and the Frobenius norm is read without a second
+    # n x n array
+    D = np.fft.ifft(s.P, axis=1)
+    for b in element_blocks(s.n, D.size):
+        D[:, b] = np.fft.fft(D[:, b], axis=0)
     D[np.diag_indices(s.n)] -= s.x
     return (math.sqrt(np.vdot(D, D).real),
             "two construction routes for the momentum operator agree")

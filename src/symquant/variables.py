@@ -230,11 +230,15 @@ def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     |G| = |kernel| * |image|, and the image group acts faithfully on the
     values by value_action's law read through k_to_image.
     """
-    blocks = list(_element_maps(var, act, range(act.group.order)))
-    witness = _witness(var, act, blocks)
-    if witness is not None:
-        raise NotPermissibleError(witness)
-    induced = np.concatenate([m for _, m, _ in blocks])    # (order, values)
+    # each block's maps are written into the (order, values) table, in the
+    # values' dtype, as the permissibility check reads them; no block is
+    # kept, and the first failing block names the witness
+    induced = np.empty((act.group.order, len(var.value_labels)), dtype=var.values.dtype)
+    for ks, maps, ok in _element_maps(var, act, range(act.group.order)):
+        if not ok.all():
+            raise NotPermissibleError(_witness(var, act, [(ks, maps, ok)]))
+        induced[ks] = maps
+    induced.setflags(write=False)
     return InducedAction(value_action=GroupAction(group=act.group, perm=induced))
 
 

@@ -1,0 +1,139 @@
+"""Every table and operator is built at the size it is kept.
+
+A constructor builds its array in the dtype and shape it stores, in place
+or a block of rows at a time (groups.element_blocks), and hands it over
+read-only and owning its memory, so that groups.read_only keeps it
+without a copy. The tracemalloc peak of each construction is then the
+bytes it keeps plus the temporaries of one element block; the intp index
+tables and whole-array temporaries it replaced took each of these peaks
+to two to eight times the kept bytes.
+"""
+
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from symquant import phasespace, scenarios
+from symquant.coherent import MonomialRep, UnitaryRep
+from symquant.groups import (
+    GroupAction,
+    cyclic_group,
+    dihedral_vertex_action,
+    left_translation_action,
+    make_named_group,
+    read_only,
+)
+from symquant.quantize import operator_from_matrix
+from symquant.variables import induce_group, variable_from_point_labels
+
+# the temporaries of one element block: about 2**14 entries
+# (groups.element_blocks), at most two complex arrays of them at once
+ONE_BLOCK = 2 * 2**14 * 16
+
+
+def traced(call):
+    """call() and the tracemalloc peak of the call alone, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestPeakIsKeptBytesPlusOneBlock:
+    def test_dihedral_vertex_action(self):
+        # intp tables of i + x and its remainder: 1.29 MiB for 156 KiB kept
+        g = make_named_group("dihedral:200")
+        act, peak = traced(lambda: dihedral_vertex_action(g))
+        assert peak <= act.perm.nbytes + ONE_BLOCK
+
+    def test_clock_rep(self):
+        # the int32 outer product and its remainder: 0.82 MiB for 256 KiB
+        g = cyclic_group(256)
+        rep, peak = traced(lambda: phasespace.clock_rep(g))
+        assert peak <= rep.exponent.nbytes + rep.action.perm.nbytes + ONE_BLOCK
+
+    def test_momentum_operator(self):
+        # two n x n intp index tables and a copy of P in the bundle: 2.0 MiB
+        # for 1 MiB kept
+        phasespace.momentum_operator(256)    # the FFT of size 256 planned
+        bundle, peak = traced(lambda: phasespace.momentum_operator(256))
+        assert peak <= bundle.matrix.nbytes + ONE_BLOCK
+
+    def test_fourier_matrix_and_its_deviation(self):
+        # the whole-array formula: 2 MiB for 1 MiB kept, and 1 MiB to read it
+        F, peak = traced(lambda: phasespace.fourier_matrix(256))
+        assert peak <= F.nbytes + ONE_BLOCK
+        dev, peak = traced(lambda: phasespace.mub_deviation(F))
+        assert dev <= 1e-12 and peak <= ONE_BLOCK
+
+    def test_phase_checks_form_one_n_by_n_array(self):
+        # the commutator through a float and a complex n x n array, and the
+        # Fourier conjugate through two complex ones
+        n = 256
+        s = SimpleNamespace(n=n, x=np.arange(n, dtype=float),
+                            P=phasespace.momentum_operator(n).matrix)
+        scenarios._fourier_conjugate(s)    # the FFT of size 256 planned
+        for check in (scenarios._noncommuting, scenarios._fourier_conjugate):
+            _, peak = traced(lambda: check(s))
+            assert peak <= s.P.nbytes + ONE_BLOCK, check.__name__
+
+    def test_induce_group_of_the_identity_labelling(self):
+        # every block's maps kept and then concatenated: 23.2 MiB for 7.6 MiB
+        act = left_translation_action(make_named_group("cyclic:2000"))
+        ident = variable_from_point_labels(np.arange(2000))
+        ident.first_points
+        induced, peak = traced(lambda: induce_group(ident, act))
+        assert peak <= induced.value_action.perm.nbytes + ONE_BLOCK
+
+
+def owned(a):
+    """A read-only array owning its memory, as a constructor hands it over."""
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+class TestOneOwnershipRule:
+    def test_read_only_keeps_only_what_no_caller_can_write(self):
+        a = owned(np.arange(6.0))
+        assert read_only(a) is a and read_only(a, np.float64) is a
+        for other in (np.arange(6.0), a[::2], a[:, None].T):
+            kept = read_only(other)
+            assert kept is not other and not kept.flags.writeable
+            assert kept.base is None and np.array_equal(kept, other)
+        cast = read_only(a, np.complex128)
+        assert cast.dtype == np.complex128 and not cast.flags.writeable
+
+    def test_operator_bundle_keeps_a_handed_over_matrix(self):
+        P = phasespace.momentum_operator(8).matrix
+        assert operator_from_matrix(P).matrix is P
+        writable = P.copy()
+        kept = operator_from_matrix(writable).matrix
+        assert kept is not writable and not kept.flags.writeable
+        writable[0, 0] = 7.0
+        assert kept[0, 0] == P[0, 0]
+
+    def test_unitary_rep_keeps_a_handed_over_stack(self):
+        g = cyclic_group(2)
+        mats = owned(np.stack([np.eye(2), [[0, 1], [1, 0]]]).astype(np.complex128))
+        assert UnitaryRep(group=g, matrices=mats).matrices is mats
+        for other in (mats.copy(), mats.real):
+            kept = UnitaryRep(group=g, matrices=other).matrices
+            assert kept is not other and not kept.flags.writeable
+            assert kept.dtype == np.complex128 and np.array_equal(kept, mats)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_monomial_rep_keeps_reduced_exponents(self, n):
+        fixed = GroupAction(group=cyclic_group(n), perm=np.broadcast_to(np.arange(n), (n, n)))
+        e = owned((np.multiply.outer(np.arange(n), np.arange(n)) % n).astype(np.int16))
+        assert MonomialRep(action=fixed, exponent=e, modulus=n).exponent is e
+        # a writable table, and one that is not reduced, are stored anew
+        for other in (e.copy(), owned(e + n)):
+            kept = MonomialRep(action=fixed, exponent=other, modulus=n).exponent
+            assert kept is not other and not kept.flags.writeable
+            assert np.array_equal(kept, e)

@@ -104,6 +104,15 @@ sum over the Fourier columns that built P, and the dense products X P and
 P X, live here, and must agree with them entry by entry within 2 n^2 eps
 and in the six printed digits of the commutator norm.
 
+Every table and operator is built in the dtype and shape it is kept in,
+in place or a block of rows at a time: the dihedral vertex and natural
+permutation actions in int16, the clock's exponents reduced into int16,
+the momentum operator as one copy of windows of its reversed tiled
+column, the Fourier matrix by row blocks, and the phase scenario's
+commutator and Fourier-conjugate checks in one n x n buffer each. The
+intp and whole-array formulas they replaced live here, and the new
+tables, matrices and check values must equal them exactly.
+
 eig_hermitian fixes the phase of every eigenvector in one gather and one
 broadcast multiply, and clusters the eigenvalues by comparing each
 ascending gap with the threshold in one pass. The column loop and the
@@ -137,6 +146,7 @@ from symquant.coherent import (
     permutation_rep,
 )
 from symquant.groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupAction,
     check_homomorphism,
@@ -150,7 +160,7 @@ from symquant.groups import (
     orbits,
     subgroup_generated,
 )
-from symquant import linalg, variables
+from symquant import linalg, scenarios, variables
 from symquant.linalg import (
     DEGENERACY_TOL,
     as_state_family,
@@ -163,6 +173,7 @@ from symquant.phasespace import (
     clock_rep,
     fourier_matrix,
     momentum_operator,
+    mub_deviation,
     shift_rep,
 )
 from symquant.quantize import (
@@ -2072,6 +2083,124 @@ class TestMomentumOracle:
         (check,) = [c for c in report.checks if c.name == "position_momentum_noncommuting"]
         assert check.passed
         assert check.details == f"commutator_norm = {want:.6g}"
+
+
+# ---------------------------------------------------------------------------
+# tables and operators built at the size they are kept
+
+
+def vertex_table_by_intp(elements, n: int) -> np.ndarray:
+    """(i + x) % n for a rotation (i, 0) and (i - x) % n for a reflection
+    (i, 1), through intp tables, as dihedral_vertex_action built them."""
+    i, b = np.array(elements, dtype=np.intp).T[:, :, None]
+    x = np.arange(n)
+    return (i + np.where(b == 0, x, -x)) % n
+
+
+def natural_table_by_intp(g: FiniteGroup) -> np.ndarray:
+    """The image tuples as one intp table, as natural_permutation_action
+    built it."""
+    return np.array(g.elements, dtype=np.intp).reshape(g.order, len(g.elements[0]))
+
+
+def clock_exponents_by_outer(n: int) -> np.ndarray:
+    """(k x) % n over the whole int32 outer product, as clock_rep and
+    MonomialRep built the exponents."""
+    x = np.arange(n, dtype=np.int32)
+    return np.mod(np.multiply.outer(x, x), n).astype(np.int16)
+
+
+def circulant_by_index_table(n: int) -> np.ndarray:
+    """c[(a - b) % n] through an n x n index table."""
+    c = np.fft.ifft(np.arange(n, dtype=float))
+    a = np.arange(n)
+    return c[(a[:, None] - a) % n]
+
+
+def fourier_by_outer(n: int) -> np.ndarray:
+    """exp(2 pi i outer(x, x) / n) / sqrt(n) over whole n x n arrays."""
+    x = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(x, x) / n) / np.sqrt(n)
+
+
+def mub_deviation_by_whole_array(F) -> float:
+    return float(np.max(np.abs(np.abs(F) ** 2 - 1.0 / len(F))))
+
+
+def fourier_conjugate_by_whole_ffts(P, x) -> float:
+    """||F^dag P F - diag(x)||_F with both FFTs over the whole matrix."""
+    D = np.fft.fft(np.fft.ifft(P, axis=1), axis=0)
+    D[np.diag_indices(len(x))] -= x
+    return float(np.sqrt(np.vdot(D, D).real))
+
+
+def assert_kept(table, dtype):
+    """A table in its stored form: dtype, read-only, owning its memory."""
+    assert table.dtype == dtype
+    assert not table.flags.writeable and table.base is None
+
+
+class TestKeptTablesOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 200])
+    def test_vertex_action_is_the_intp_table(self, n):
+        g = make_named_group(f"dihedral:{n}")
+        perm = dihedral_vertex_action(g).perm
+        assert_kept(perm, np.int16)
+        assert np.array_equal(perm, vertex_table_by_intp(g.elements, n))
+
+    def test_vertex_arithmetic_stays_in_int16_at_the_largest_order(self, monkeypatch):
+        # dihedral:5000 is the largest dihedral group; i + x and i - x
+        # reach 2n - 2 and -(n - 1), inside int16. The extreme rows are
+        # computed by the library's own arithmetic, with no group built
+        n = MAX_GROUP_ORDER // 2
+        assert 2 * n - 2 < 2**15
+        elements = tuple((i, b) for b in (0, 1) for i in (0, 1, n // 2, n - 2, n - 1))
+        fake = SimpleNamespace(name=f"dihedral:{n}", order=2 * n, elements=elements)
+        monkeypatch.setattr("symquant.groups.GroupAction", lambda group, perm: perm)
+        perm = dihedral_vertex_action(fake)
+        assert perm.dtype == np.int16
+        assert np.array_equal(perm, vertex_table_by_intp(elements, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_natural_action_is_the_intp_table(self, n):
+        g = make_named_group(f"symmetric:{n}")
+        perm = natural_permutation_action(g).perm
+        assert_kept(perm, np.int16)
+        assert np.array_equal(perm, natural_table_by_intp(g))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 64, 200])
+    def test_clock_exponents_are_the_reduced_outer_product(self, n):
+        exponent = clock_rep(cyclic_group(n)).exponent
+        assert_kept(exponent, np.int16)
+        assert np.array_equal(exponent, clock_exponents_by_outer(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 64, 200])
+    def test_momentum_operator_is_the_indexed_circulant(self, n):
+        P = momentum_operator(n).matrix
+        assert_kept(P, np.complex128)
+        assert np.array_equal(P, circulant_by_index_table(n))
+        assert P.tobytes() == circulant_by_index_table(n).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 64, 200])
+    def test_fourier_matrix_and_its_deviation_over_whole_arrays(self, n):
+        F = fourier_matrix(n)
+        assert F.dtype == np.complex128
+        assert np.array_equal(F, fourier_by_outer(n))
+        assert F.tobytes() == fourier_by_outer(n).tobytes()
+        assert mub_deviation(F) == mub_deviation_by_whole_array(F)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 64, 200])
+    def test_phase_checks_over_whole_arrays(self, n, monkeypatch):
+        x = np.arange(n, dtype=float)
+        P = momentum_operator(n).matrix
+        s = SimpleNamespace(n=n, x=x, P=P)
+        assert scenarios._fourier_conjugate(s)[0] == fourier_conjugate_by_whole_ffts(P, x)
+        # the commutator's norm is taken of the same entries, (x_a - x_b) P[a, b]
+        seen = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda a: seen.append(a.copy()) or norm(a))
+        scenarios._noncommuting(s)
+        assert np.array_equal(seen[0], (x[:, None] - x) * P)
 
 
 # ---------------------------------------------------------------------------
