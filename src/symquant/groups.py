@@ -12,11 +12,21 @@ group's order, identity and inverses off its Cayley table, an action's
 space size off its permutation array. No constructor takes them beside
 the array.
 
-Named groups are built by generate_group from integer coordinates and a
-multiplication that works on whole arrays of them: the closure makes one
-call per breadth-first level and the Cayley table one call per block of
-rows, with no Python call per pair of elements. Every pair is still
-multiplied, so a product that is not an element is still caught.
+Cyclic, dihedral and direct-product groups are built by _index_group
+from a law on the integer codes of their elements (k, 2i + b and
+a*|G2| + b), whose product has a closed form on those codes: one law call
+gives each code times each generator, a breadth-first search over that
+table gives the elements in the order below, and the Cayley table is the
+law on blocks of rows read back through the inverse of that order, with
+no closure level and no coordinate lookup. Since the search visits the
+codes exactly as generate_group's closure visits the coordinates, the
+tables, elements and generators are the same byte for byte. The other
+named groups (symmetric, binary tetrahedral) are built by generate_group
+from integer coordinates and a multiplication that works on whole arrays
+of them: the closure makes one call per breadth-first level and the
+Cayley table one call per block of rows, with no Python call per pair of
+elements. Either way every pair is multiplied, so a product that is not
+an element is caught.
 
 Index arrays are compact. A Cayley table, an action's maps and a
 variable's value ids (variables.ConceptualVariable) are stored read-only
@@ -350,6 +360,16 @@ class GroupAction:
 # group generation
 
 
+def _product_blocks(n: int, size: int) -> list[slice]:
+    """Slices of whole rows of an n-row array of size entries, as many rows
+    as hold at most 2**17 entries (one, if a row holds more): the blocks on
+    which generate_group forms a Cayley table's product coordinates, so
+    that rows wider than element_blocks' 2**14 entries (35,280 coordinates
+    for symmetric:7) still share a block."""
+    step = max(1, (n << 17) // size)
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
 def _products(mul, x, y):
     """mul(x, y) for x of shape (r, 1, k) and y of shape (1, c, k), as an
     (r*c, k) integer array, x-major."""
@@ -414,12 +434,12 @@ def generate_group(generators, mul, identity, *, name="group"):
     The element list starts with the identity, then the generators in
     order, then products level by level: each element of a level times
     each generator, in that order. A level is one mul call. The Cayley
-    table multiplies every pair, one call per block of rows
-    mul(E[b, None], E[None]) over the slices b of element_blocks, so that a
-    block's products take about 2**14 coordinates and its temporaries stay
-    far below the n x n table. A product that is not an element raises ValueError, and
-    FiniteGroup then rejects a table that is not a group's (a closed but
-    non-associative mul, for one).
+    table multiplies every pair, one call per block of whole rows
+    mul(E[b, None], E[None]) over the slices b of _product_blocks, so that
+    a block's products take at most 2**17 coordinates (or one row) and its
+    temporaries stay far below the n x n table. A product that is not an
+    element raises ValueError, and FiniteGroup then rejects a table that is
+    not a group's (a closed but non-associative mul, for one).
 
     Products are looked up by an exact integer key of their coordinates
     in a dense table over the elements' bounding box; a box of more than
@@ -460,7 +480,7 @@ def generate_group(generators, mul, identity, *, name="group"):
     coords = np.array(elements, dtype=np.int64)
     lookup = _element_lookup(coords)
     cayley = np.empty((n, n), dtype=_index_dtype(n))
-    for b in element_blocks(n, n * n * k):
+    for b in _product_blocks(n, n * n * k):
         prod = lookup(_products(mul, coords[b, None], coords[None]))
         missing = np.flatnonzero(prod < 0)
         if missing.size:
@@ -480,13 +500,74 @@ def generate_group(generators, mul, identity, *, name="group"):
     )
 
 
+def _law_codes(law, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """law(x, y), refused with ValueError unless every value is a code in
+    0..n-1."""
+    out = np.asarray(law(x, y))
+    if out.size and (out.min() < 0 or out.max() >= n):
+        raise ValueError(f"the law gives a value outside the codes 0..{n - 1}")
+    return out
+
+
+def _index_group(n: int, law, identity: int, generators, *, radix=None,
+                 name: str) -> FiniteGroup:
+    """The group on the codes 0..n-1 under law, in generate_group's
+    element order.
+
+    law(x, y) takes two 1-d arrays of codes and returns the len(x) x len(y)
+    table of the codes of the products x[i]*y[j]. The codes come in the
+    table's dtype (int16 up to 32,768 codes), in which the law must not
+    overflow. The element order is generate_group's: the identity, the
+    generators not already listed, then level by level each element times
+    each generator, found by breadth-first search over the n x g table of
+    each code times each generator (one law call). Then the Cayley table
+    is pos[law(order[b], order)] on the row blocks b of element_blocks,
+    pos being the inverse of the order. A law value that is not a code
+    raises ValueError, and so do generators that do not reach every code.
+
+    elements holds each element's code, or the pair divmod(code, radix)
+    when radix is given.
+    """
+    gens = list(dict.fromkeys(s for s in generators if s != identity))
+    dt = _index_dtype(n)
+    codes = np.arange(n, dtype=dt)
+    succ = _law_codes(law, codes, np.array(gens, dtype=dt), n).tolist()
+    order = [identity] + gens
+    seen = bytearray(n)
+    for x in order:
+        seen[x] = 1
+    # the list is its own queue: each element is taken in order, and its
+    # products with the generators are appended level after level
+    for x in order:
+        for y in succ[x]:
+            if not seen[y]:
+                seen[y] = 1
+                order.append(y)
+    if len(order) < n:
+        raise ValueError(f"generators reach {len(order)} of {n} codes")
+    order = np.array(order, dtype=dt)
+    pos = np.empty(n, dtype=dt)
+    pos[order] = codes
+    cayley = np.empty((n, n), dtype=dt)
+    for b in element_blocks(n, n * n):
+        cayley[b] = pos[_law_codes(law, order[b], order, n)]
+    cayley.setflags(write=False)
+    if radix is None:
+        values = order.tolist()
+    else:
+        values = zip(*(c.tolist() for c in divmod(order, radix)))
+    return FiniteGroup(cayley, name=name, generators=tuple(range(1, 1 + len(gens))),
+                       elements=tuple(values))
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise UnknownGroupNameError("cyclic order must be >= 1")
     if n > MAX_GROUP_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds {MAX_GROUP_ORDER}")
     gens = [1] if n > 1 else []
-    return generate_group(gens, lambda a, b: (a + b) % n, 0, name=f"cyclic:{n}")
+    return _index_group(n, lambda a, b: (a[:, None] + b) % n, 0, gens,
+                        name=f"cyclic:{n}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -496,13 +577,13 @@ def dihedral_group(n: int) -> FiniteGroup:
     if 2 * n > MAX_GROUP_ORDER:
         raise OrderTooLargeError(f"order {2*n} exceeds {MAX_GROUP_ORDER}")
 
-    def mul(x, y):
-        i1, b1 = x[..., 0], x[..., 1]
-        i2, b2 = y[..., 0], y[..., 1]
-        return np.stack(((i1 + np.where(b1 == 0, i2, -i2)) % n, b1 ^ b2), axis=-1)
+    def law(x, y):
+        # (i1, b1)(i2, b2) = (i1 + (-1)**b1 i2, b1 ^ b2) on the codes 2i + b
+        i1, b1 = (x >> 1)[:, None], (x & 1)[:, None]
+        return ((i1 + (1 - 2 * b1) * (y >> 1)) % n << 1) + (b1 ^ (y & 1))
 
-    return generate_group([(1 % n, 0), (0, 1)], mul, (0, 0),
-                          name=f"dihedral:{n}")
+    return _index_group(2 * n, law, 0, [2 * (1 % n), 1], radix=2,
+                        name=f"dihedral:{n}")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -561,15 +642,26 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         raise OrderTooLargeError(
             f"order {g1.order * g2.order} exceeds {MAX_GROUP_ORDER}"
         )
-    t1, t2 = g1.cayley, g2.cayley
+    t1, t2, m = g1.cayley, g2.cayley, g2.order
 
-    def mul(x, y):
-        return np.stack((t1[x[..., 0], y[..., 0]], t2[x[..., 1], y[..., 1]]), axis=-1)
+    def outer(t, a, b):
+        # t[a[:, None], b], several times faster gathered as rows then
+        # columns; the shorter of a and b is gathered first
+        return t[a][:, b] if len(a) <= len(b) else t[:, b][a]
 
-    e = (g1.identity, g2.identity)
-    gens = ([(a, g2.identity) for a in g1.generating_set]
-            + [(g1.identity, b) for b in g2.generating_set])
-    return generate_group(gens, mul, e, name=f"{g1.name}x{g2.name}")
+    def law(x, y):
+        # the codes a*m + b; every code is below MAX_GROUP_ORDER < 2**15, so
+        # the int16 entries of t1 times m do not overflow
+        (a1, b1), (a2, b2) = divmod(x, m), divmod(y, m)
+        out = outer(t1, a1, a2) * m
+        out += outer(t2, b1, b2)
+        return out
+
+    e1, e2 = g1.identity, g2.identity
+    gens = ([a * m + e2 for a in g1.generating_set]
+            + [e1 * m + b for b in g2.generating_set])
+    return _index_group(g1.order * m, law, e1 * m + e2, gens, radix=m,
+                        name=f"{g1.name}x{g2.name}")
 
 
 def make_named_group(name: str) -> FiniteGroup:

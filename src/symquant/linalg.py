@@ -48,7 +48,8 @@ def as_cmatrix(a) -> np.ndarray:
         raise DimensionMismatchError(f"expected a matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise DimensionMismatchError("matrix must be nonempty")
-    if not np.all(np.isfinite(m)):
+    # on row blocks, so that the check forms no n x n boolean array
+    if not all(np.isfinite(m[b]).all() for b in element_blocks(len(m), m.size)):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -104,7 +105,8 @@ def _require_hermitian(A: np.ndarray) -> None:
     _require_square(A)
     # max |A - A^dag| and max |A| over row blocks of about 2**14 entries,
     # so that no n x n temporary is formed; each block's (A^dag - A)^T,
-    # whose entries have the same moduli, is formed in place in one copy
+    # whose entries have the same moduli, is formed in place in one copy,
+    # released before the next block's is made
     dev = scale = 0.0
     for rows in element_blocks(len(A), A.size):
         diff = A[:, rows].copy()
@@ -112,6 +114,7 @@ def _require_hermitian(A: np.ndarray) -> None:
         diff -= A[rows].T
         dev = max(dev, max_abs(diff))
         scale = max(scale, max_abs(A[rows]))
+        del diff
     if dev > 1e-10 * max(1.0, scale):
         raise NotHermitianError(f"max |A - A^dag| = {dev:.3e}")
 

@@ -570,6 +570,18 @@ class TestSubgroupsAndHoms:
         assert peak < 2**20
 
 
+class TestProductBlocks:
+    @pytest.mark.parametrize("n, k, rows", [
+        (5040, 7, 3),       # symmetric:7: a row is 35,280 coordinates
+        (24, 4, 24),        # binary_tetrahedral: the whole table
+        (100, 2**16, 1),    # a row wider than 2**17 coordinates
+    ])
+    def test_whole_rows_up_to_2_17_coordinates(self, n, k, rows):
+        blocks = groups._product_blocks(n, n * n * k)
+        assert [b.start for b in blocks] == list(range(0, n, rows))
+        assert all(len(range(n)[b]) == rows for b in blocks)
+
+
 class TestGeneratorLaw:
     def test_no_elements_give_no_blocks(self):
         assert element_blocks(0, 0) == [] and element_blocks(0, 2**15) == []

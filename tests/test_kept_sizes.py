@@ -64,6 +64,12 @@ class TestPeakIsKeptBytesPlusOneBlock:
         bundle, peak = traced(lambda: phasespace.momentum_operator(256))
         assert peak <= bundle.matrix.nbytes + ONE_BLOCK
 
+    def test_momentum_operator_at_the_largest_size(self):
+        # the finiteness check on one n x n boolean array: 17.0 MiB for 16
+        phasespace.momentum_operator(1024)    # the FFT of size 1024 planned
+        bundle, peak = traced(lambda: phasespace.momentum_operator(1024))
+        assert peak <= bundle.matrix.nbytes + ONE_BLOCK
+
     def test_fourier_matrix_and_its_deviation(self):
         # the whole-array formula: 2 MiB for 1 MiB kept, and 1 MiB to read it
         F, peak = traced(lambda: phasespace.fourier_matrix(256))

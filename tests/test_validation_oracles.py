@@ -35,7 +35,11 @@ generate_group multiplies whole arrays of elements at once. The
 construction it replaced, one scalar mul call per (element, generator) in
 the closure and per pair in the Cayley table, lives here with the scalar
 multiplications of the named groups, and must build the same groups byte
-for byte.
+for byte. Cyclic, dihedral and direct-product groups are built from a law
+on the integer codes of their elements, with no closure level and no
+coordinate lookup; the coordinate multiplications generate_group built
+them from live here, and must give the same groups byte for byte,
+including a product whose factor's identity is not index 0.
 
 Some laws are not checked at all, because the laws that are checked imply
 them: that a group's table is a Latin square and its inverses two-sided,
@@ -152,6 +156,7 @@ from symquant.groups import (
     check_homomorphism,
     cyclic_group,
     dihedral_vertex_action,
+    direct_product,
     generate_group,
     left_translation_action,
     make_named_group,
@@ -160,7 +165,7 @@ from symquant.groups import (
     orbits,
     subgroup_generated,
 )
-from symquant import linalg, scenarios, variables
+from symquant import groups, linalg, scenarios, variables
 from symquant.linalg import (
     DEGENERACY_TOL,
     as_state_family,
@@ -695,7 +700,53 @@ def assert_same_group(new: FiniteGroup, old: FiniteGroup):
     assert repr(new.elements) == repr(old.elements)
     assert new.generators == old.generators
     assert new.depth == old.depth
+    assert new.identity == old.identity
     assert new.name == old.name
+
+
+def cyclic_by_coordinates(n: int) -> FiniteGroup:
+    """cyclic:n by generate_group from integer elements."""
+    return generate_group([1] if n > 1 else [], lambda a, b: (a + b) % n, 0,
+                          name=f"cyclic:{n}")
+
+
+def dihedral_by_coordinates(n: int) -> FiniteGroup:
+    """dihedral:n by generate_group from (rotation, flip) pairs."""
+    def mul(x, y):
+        i1, b1 = x[..., 0], x[..., 1]
+        i2, b2 = y[..., 0], y[..., 1]
+        return np.stack(((i1 + np.where(b1 == 0, i2, -i2)) % n, b1 ^ b2), axis=-1)
+
+    return generate_group([(1 % n, 0), (0, 1)], mul, (0, 0), name=f"dihedral:{n}")
+
+
+def direct_product_by_coordinates(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    """g1 x g2 by generate_group from pairs of factor indices."""
+    t1, t2 = g1.cayley, g2.cayley
+
+    def mul(x, y):
+        return np.stack((t1[x[..., 0], y[..., 0]], t2[x[..., 1], y[..., 1]]), axis=-1)
+
+    gens = ([(a, g2.identity) for a in g1.generating_set]
+            + [(g1.identity, b) for b in g2.generating_set])
+    return generate_group(gens, mul, (g1.identity, g2.identity),
+                          name=f"{g1.name}x{g2.name}")
+
+
+def named_group_by_coordinates(name: str) -> FiniteGroup:
+    """make_named_group(name) with its cyclic, dihedral and product groups
+    built by generate_group from coordinates."""
+    out = None
+    for part in name.split("x"):
+        head, _, tail = part.partition(":")
+        if head == "cyclic":
+            g = cyclic_by_coordinates(int(tail))
+        elif head == "dihedral":
+            g = dihedral_by_coordinates(int(tail))
+        else:
+            g = make_named_group(part)
+        out = g if out is None else direct_product_by_coordinates(out, g)
+    return out
 
 
 def rows_by_stacking(states) -> np.ndarray:
@@ -1093,10 +1144,31 @@ ORACLE_GROUP_NAMES = (
 )
 
 
+INDEX_LAW_GROUP_NAMES = (
+    [f"cyclic:{n}" for n in range(1, 71)]
+    + [f"dihedral:{n}" for n in range(1, 41)] + ["dihedral:200"]
+    + ["cyclic:2xcyclic:3", "dihedral:3xcyclic:2",
+       "cyclic:4xdihedral:5xbinary_tetrahedral", "binary_tetrahedralxcyclic:3",
+       "symmetric:3xdihedral:4", "cyclic:1xcyclic:1"]
+)
+
+
 class TestGroupConstructionOracle:
     @pytest.mark.parametrize("name", ORACLE_GROUP_NAMES)
     def test_named_groups_match_per_pair_construction(self, name):
         assert_same_group(make_named_group(name), named_group_by_pairs(name))
+
+    @pytest.mark.parametrize("name", INDEX_LAW_GROUP_NAMES)
+    def test_index_law_groups_match_coordinate_construction(self, name):
+        assert_same_group(make_named_group(name), named_group_by_coordinates(name))
+
+    def test_product_with_a_factor_whose_identity_is_not_index_0(self):
+        odd = FiniteGroup([[1, 0], [0, 1]])
+        assert odd.identity == 1
+        c3 = cyclic_group(3)
+        for g1, g2 in ((odd, c3), (c3, odd), (odd, odd)):
+            assert_same_group(direct_product(g1, g2),
+                              direct_product_by_coordinates(g1, g2))
 
     @ORACLE_SETTINGS
     @given(permutation_generators(max_degree=6))
@@ -1180,6 +1252,23 @@ class TestRejections:
         assert np.array_equal(mul(np.arange(4), np.ones(4, dtype=int)), [1, 2, 3, 0])
         with pytest.raises(ValueError, match="not an element"):
             generate_group([1], mul, 0)
+
+    @pytest.mark.parametrize("law", [
+        # 3 + 1 is 4, not a code, in the table of codes times generators
+        lambda a, b: a[:, None] + b,
+        # the generator table is right; the Cayley table's products with
+        # 3 give -1, which an index array would read as the last code
+        lambda a, b: np.where(b == 3, -1, (a[:, None] + b) % 4),
+    ], ids=["above", "negative"])
+    def test_index_law_value_outside_the_codes_rejected(self, law):
+        with pytest.raises(ValueError, match="outside the codes 0..3"):
+            groups._index_group(4, law, 0, [1], name="bad")
+
+    def test_index_law_generators_that_miss_codes_rejected(self):
+        # 2 generates the even codes only
+        with pytest.raises(ValueError, match="generators reach 3 of 6 codes"):
+            groups._index_group(6, lambda a, b: (a[:, None] + b) % 6, 0, [2],
+                                name="bad")
 
     def test_closed_non_associative_mul_rejected(self):
         # the cyclic:66 table with one intercalate swapped away from column
