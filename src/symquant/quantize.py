@@ -180,9 +180,12 @@ def _covariance(bundle: OperatorBundle, lhs: np.ndarray, perms: np.ndarray) -> f
         rhs = bundle.spectrum.reconstruct(bundle.eigenvalues.take(perms))
     # np.linalg.norm(d, axis=(-2, -1)) evaluates this expression, and the
     # square root is monotone, so taking it of the largest sum gives the
-    # same bits without the wrapper's per-call cost
-    d = lhs - rhs
-    sums = np.add.reduce((d.conj() * d).real, axis=(-2, -1))
+    # same bits without the wrapper's per-call cost. The difference is
+    # written over rhs and squared in one more array
+    d = np.subtract(lhs, rhs, out=rhs)
+    dc = d.conj()
+    dc *= d
+    sums = np.add.reduce(dc.real, axis=(-2, -1))
     return float(np.sqrt(sums.max()))
 
 

@@ -273,8 +273,9 @@ def _spin_setup(params) -> SimpleNamespace:
     # details, the ladder comparison and the echoed params all use it
     j = params["j"]
     # errors relative to the size of the operators compared, which grows
-    # with j, so that one tolerance serves every spin
-    J = np.stack(spin_generators(j))
+    # with j, so that one tolerance serves every spin. J itself is not
+    # kept: the two checks that read it build it while they run
+    j_scale = max(1.0, float(np.linalg.norm(spin_generators(j))))
     a = np.asarray(params["direction"])
     a = a / np.linalg.norm(a)
     bundle = spin_component_operator(j, a)
@@ -285,7 +286,7 @@ def _spin_setup(params) -> SimpleNamespace:
     spec_b = functools.cache(
         lambda: spin_component_operator(j, perpendicular_unit(a)).spectrum)
     return SimpleNamespace(
-        j=j, a=a, J=J, d=len(J[0]), j_scale=max(1.0, float(np.linalg.norm(J))),
+        j=j, a=a, d=len(bundle.matrix), j_scale=j_scale,
         bundle=bundle, flip_perms=flip_perms, spec_b=spec_b,
         blocks=eigen_orbit_partition(bundle, flip_perms),
         half_turn=functools.cache(lambda: spec_b().reconstruct(
@@ -297,13 +298,34 @@ def _d_above_1(params) -> bool:
 
 
 def _commutation(s):
-    Jx, Jy, Jz = s.J
-    err = max(
-        max_abs(Jx @ Jy - Jy @ Jx - 1j * Jz),
-        max_abs(Jy @ Jz - Jz @ Jy - 1j * Jx),
-        max_abs(Jz @ Jx - Jx @ Jz - 1j * Jy),
-    )
+    # each residual A @ B - B @ A - 1j * C, in that order, formed in one
+    # buffer beside one temporary
+    Jx, Jy, Jz = spin_generators(s.j)
+    err = 0.0
+    for A, B, C in ((Jx, Jy, Jz), (Jy, Jz, Jx), (Jz, Jx, Jy)):
+        res = A @ B
+        res -= B @ A
+        res -= 1j * C
+        err = max(err, max_abs(res))
     return err / s.j_scale, "all three cyclic commutators, relative to the norm of J"
+
+
+def _generator_turn_error(j, q):
+    """The Frobenius error of U^dag J U = R J, over the triple J, for the
+    rotation named by the quaternion q."""
+    axis, angle = quaternion_axis_angle(q)
+    U, R = spin_rotation(j, axis, angle), rotation_matrix(axis, angle)
+    # J is built after U's eigendecomposition, and each residual is formed
+    # in one buffer, in the order U^dag J_i U - sum_k R_ik J_k
+    J = spin_generators(j)
+
+    def residual_norm(i):
+        res = U.conj().T @ J[i]
+        res = res @ U
+        res -= np.tensordot(R[i], J, 1)
+        return np.linalg.norm(res)
+
+    return math.hypot(*(residual_norm(i) for i in range(3)))
 
 
 def _bt_covariance(s):
@@ -311,14 +333,9 @@ def _bt_covariance(s):
     # by a unitary and R acting on the index i both keep the Frobenius error
     # of the triple J, so a word of L generators errs by at most the sum of
     # its letters' errors: every element is within depth * the largest.
+    # One generator's U and J are released before the next U is built.
     g = make_named_group("binary_tetrahedral")
-    gen_err = 0.0
-    for gen in g.generators:
-        axis, angle = quaternion_axis_angle(g.elements[gen])
-        U, R = spin_rotation(s.j, axis, angle), rotation_matrix(axis, angle)
-        gen_err = max(gen_err, math.hypot(*(
-            np.linalg.norm(U.conj().T @ s.J[i] @ U - np.tensordot(R[i], s.J, 1))
-            for i in range(3))))
+    gen_err = max(_generator_turn_error(s.j, g.elements[gen]) for gen in g.generators)
     return g.depth * gen_err / s.j_scale, (
         "U(s)^dag J U(s) = R(s) J on both generators of the binary tetrahedral "
         f"group, relative to the norm of J; {g.depth} (the generation depth) "

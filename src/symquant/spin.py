@@ -1,5 +1,6 @@
-"""Angular-momentum matrices in the ladder construction, component
-operators along a direction, and rotation unitaries generated by them.
+"""Angular-momentum matrices, filled on the three bands of the ladder
+construction, component operators along a direction, and rotation
+unitaries generated by them.
 
 Conventions: hbar = 1, the z generator is diagonal with entries
 j, j-1, ..., -j (descending), and a rotation by angle phi about a unit
@@ -16,7 +17,8 @@ from .quantize import OperatorBundle, operator_from_matrix
 
 
 # the largest spin accepted: the spin scenario at MAX_SPIN (dimension 801)
-# peaks at about 128 MiB under tracemalloc, well inside a 1 GiB budget
+# peaks at 78.4 MiB under tracemalloc (8 complex 801 x 801 matrices), well
+# inside a 1 GiB budget
 MAX_SPIN = 400.0
 
 
@@ -34,35 +36,69 @@ def _check_spin(j: float) -> float:
     return round(two_j) / 2.0
 
 
-def spin_generators(j: float):
-    """(Jx, Jy, Jz) for spin j, with Jz = diag(j, j-1, ..., -j).
-
-    Built from the ladder operators, so the cyclic commutation relations
-    [Jx, Jy] = i Jz (and cyclically) hold to rounding. They are not
-    checked here: the spin scenario's generator_commutation_relations
-    check measures all three.
-    """
+def _ladder(j: float) -> tuple[np.ndarray, np.ndarray]:
+    """m = j, j-1, ..., -j, and c/2 for the ladder coefficients
+    c = sqrt(j(j+1) - m(m+1)) of J+ on its first superdiagonal, where it
+    raises m[i] to m[i] + 1 = m[i-1]."""
     j = _check_spin(j)
-    d = int(round(2 * j)) + 1
-    m = j - np.arange(d)
-    Jz = np.diag(m).astype(np.complex128)
-    # raising from m[i] to m[i] + 1 = m[i-1], on the first superdiagonal
-    Jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(np.complex128)
-    Jm = Jp.conj().T
-    Jx = (Jp + Jm) / 2.0
-    Jy = (Jp - Jm) / 2.0j
-    return Jx, Jy, Jz
+    m = j - np.arange(int(round(2 * j)) + 1)
+    return m, np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)) / 2.0
+
+
+def spin_generators(j: float) -> np.ndarray:
+    """(Jx, Jy, Jz) for spin j as one (3, d, d) complex array, with
+    Jz = diag(j, j-1, ..., -j).
+
+    Each is filled directly on its three bands: Jz = m on the diagonal,
+    Jx = c/2 on both off-diagonals and Jy = -i c/2 above, +i c/2 below,
+    where c = sqrt(j(j+1) - m(m+1)) is the ladder coefficient of J+ from m.
+    These are (J+ + J-)/2 and (J+ - J-)/2i entry for entry, so the cyclic
+    commutation relations [Jx, Jy] = i Jz (and cyclically) hold to
+    rounding. They are not checked here: the spin scenario's
+    generator_commutation_relations check measures all three.
+    """
+    m, half = _ladder(j)
+    d = len(m)
+    J = np.zeros((3, d, d), dtype=np.complex128)
+    flat = J.reshape(3, d * d)
+    flat[0, 1::d + 1] = flat[0, d::d + 1] = half
+    flat[1, 1::d + 1].imag = -half
+    flat[1, d::d + 1].imag = half
+    flat[2, ::d + 1] = m
+    return J
 
 
 def component_matrix(j: float, direction) -> np.ndarray:
-    """The Hermitian matrix of the component along a unit direction."""
+    """The Hermitian matrix of the component along a unit direction.
+
+    Filled as one d x d array: a_z m on the diagonal and
+    (a_x -/+ i a_y) c/2 above/below it. Each band, and the zero elsewhere,
+    is combined as a_x Jx + a_y Jy + a_z Jz would combine the whole
+    matrices, so every entry has the same bits, the sign of each zero
+    included: the eigensolver's output depends on it.
+    """
     a = np.asarray(direction, dtype=float)
     if a.shape != (3,):
         raise ValueError("direction must be a 3-vector")
     if abs(np.linalg.norm(a) - 1.0) > 1e-12:
         raise ValueError("direction must have unit norm")
-    Jx, Jy, Jz = spin_generators(j)
-    return a[0] * Jx + a[1] * Jy + a[2] * Jz
+    m, half = _ladder(j)
+    d = len(m)
+    # per generator: its diagonal, superdiagonal and subdiagonal (the
+    # first d - 1 entries) and, in the last column, the zero elsewhere
+    bands = np.zeros((3, 3, d + 1), dtype=np.complex128)
+    bands[0, 1:, :d - 1] = half
+    bands[1, 1, :d - 1].imag = -half
+    bands[1, 2, :d - 1].imag = half
+    bands[2, 0, :d] = m
+    bands *= a[:, None, None]
+    band = bands[0] + bands[1] + bands[2]
+    A = np.full((d, d), band[0, d])
+    flat = A.reshape(-1)
+    flat[::d + 1] = band[0, :d]
+    flat[1::d + 1] = band[1, :d - 1]
+    flat[d::d + 1] = band[2, :d - 1]
+    return A
 
 
 def spin_component_operator(j: float, direction) -> OperatorBundle:

@@ -7,6 +7,11 @@ without a copy. The tracemalloc peak of each construction is then the
 bytes it keeps plus the temporaries of one element block; the intp index
 tables and whole-array temporaries it replaced took each of these peaks
 to two to eight times the kept bytes.
+
+The spin generators and the component along a direction are filled on
+their three bands into the one array each returns, and the spin scenario
+keeps the component and its eigenvectors, not J: each check builds what it
+reads and forms its residuals in one buffer.
 """
 
 import tracemalloc
@@ -15,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from symquant import phasespace, scenarios
+from symquant import phasespace, scenarios, spin
 from symquant.coherent import MonomialRep, UnitaryRep
 from symquant.groups import (
     GroupAction,
@@ -95,6 +100,32 @@ class TestPeakIsKeptBytesPlusOneBlock:
         ident.first_points
         induced, peak = traced(lambda: induce_group(ident, act))
         assert peak <= induced.value_action.perm.nbytes + ONE_BLOCK
+
+
+class TestSpinMatricesAreTridiagonalFills:
+    @pytest.mark.parametrize("j", [100.0, spin.MAX_SPIN])
+    def test_each_peaks_within_a_tenth_above_its_array(self, j):
+        # filled on their three bands, whose O(d) entries are 5% of one
+        # matrix at j = 100; the dense ladder route took the component to
+        # 6.0 times its matrix and the generators' stack to 2.0 times
+        a = np.array([0.36, -0.48, 0.8])
+        A, peak = traced(lambda: spin.component_matrix(j, a))
+        assert peak <= 1.1 * A.nbytes
+        J, peak = traced(lambda: spin.spin_generators(j))
+        assert peak <= 1.1 * J.nbytes
+
+    def test_scenario_at_j_50_peaks_below_8_5_matrices(self):
+        # j = 50 with reduce: the component and its eigenvectors held from
+        # setup on, the perpendicular spectrum and the half turn from that
+        # check on, and no check forming more than six d x d complex
+        # matrices beside them: 8.1 matrices at the peak, where the dense
+        # ladder route, a held stack of J and whole-array residuals took it
+        # to 12.1
+        config = {"scenario": "spin", "params": {"j": 50.0, "reduce": True}}
+        scenarios.run_scenario(config)    # the binary tetrahedral group built
+        report, peak = traced(lambda: scenarios.run_scenario(config))
+        assert report.all_passed
+        assert peak <= 8.5 * 101**2 * 16
 
 
 def owned(a):

@@ -277,13 +277,13 @@ class TestScenarios:
         assert built == [6]
 
     def test_wrong_spectrum_fails_its_check(self, monkeypatch, capsys):
-        # generators scaled by 1.01 give the component the spectrum
-        # 1.01*(j, ..., -j) and turn each rotation by 1.01 times its angle:
+        # a component matrix scaled by 1.01 has the spectrum
+        # 1.01*(j, ..., -j) and turns each rotation by 1.01 times its angle:
         # the ladder, covariance and rotation checks fail in the report, and
         # the CLI exits 1 instead of raising
-        ladder_generators = spin.spin_generators
-        monkeypatch.setattr(spin, "spin_generators",
-                            lambda j: tuple(1.01 * J for J in ladder_generators(j)))
+        ladder_component = spin.component_matrix
+        monkeypatch.setattr(spin, "component_matrix",
+                            lambda j, direction: 1.01 * ladder_component(j, direction))
         rep = run_scenario({"scenario": "spin", "params": {"j": 1.0}})
         by_name = {c.name: c for c in rep.checks}
         ladder = by_name["component_spectrum_ladder_values"]

@@ -117,6 +117,16 @@ commutator and Fourier-conjugate checks in one n x n buffer each. The
 intp and whole-array formulas they replaced live here, and the new
 tables, matrices and check values must equal them exactly.
 
+The spin generators and the component along a direction are tridiagonal,
+and are filled on their three bands into one (3, d, d) array and one
+d x d array. The dense ladder construction they replaced, J+ and its
+adjoint combined into Jx and Jy and then summed along the direction,
+lives here, and the filled matrices must equal it byte for byte, the sign
+of every zero included. The two spin checks that read J build it while
+they run and form each residual in one buffer in place, and the
+covariance distance is squared in place; the whole-matrix expressions
+live here, and must give the same errors bit for bit.
+
 eig_hermitian fixes the phase of every eigenvector in one gather and one
 broadcast multiply, and clusters the eigenvalues by comparing each
 ascending gap with the threshold in one pass. The column loop and the
@@ -127,6 +137,7 @@ two must give the same bytes.
 
 import hashlib
 import itertools
+import math
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -195,8 +206,10 @@ from symquant.quantize import (
 )
 from symquant.scenarios import run_scenario
 from symquant.spin import (
+    component_matrix,
     perpendicular_unit,
     quaternion_axis_angle,
+    rotation_matrix,
     spin_component_operator,
     spin_generators,
     spin_rotation,
@@ -2582,6 +2595,102 @@ class TestSpinGroupOracles:
         for k in range(16):
             turn = spec.reconstruct(np.exp(-0.25j * np.pi * k * spec.eigenvalues))
             assert_close(turn, spin_rotation(j, a, 2.0 * np.pi * k / 8))
+
+
+# ---------------------------------------------------------------------------
+# spin matrices filled on their three bands
+
+
+def spin_generators_by_ladder(j) -> tuple:
+    """(Jx, Jy, Jz) = ((J+ + J-)/2, (J+ - J-)/2i, diag(m)) from the dense
+    raising operator J+ and its adjoint J-."""
+    d = int(round(2 * j)) + 1
+    m = j - np.arange(d)
+    Jz = np.diag(m).astype(np.complex128)
+    Jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(np.complex128)
+    Jm = Jp.conj().T
+    return (Jp + Jm) / 2.0, (Jp - Jm) / 2.0j, Jz
+
+
+def component_by_dense_sum(j, a) -> np.ndarray:
+    Jx, Jy, Jz = spin_generators_by_ladder(j)
+    return a[0] * Jx + a[1] * Jy + a[2] * Jz
+
+
+def commutation_error_by_whole_products(j) -> float:
+    Jx, Jy, Jz = spin_generators_by_ladder(j)
+    return max(
+        float(np.max(np.abs(Jx @ Jy - Jy @ Jx - 1j * Jz))),
+        float(np.max(np.abs(Jy @ Jz - Jz @ Jy - 1j * Jx))),
+        float(np.max(np.abs(Jz @ Jx - Jx @ Jz - 1j * Jy))),
+    )
+
+
+def bt_generator_error_by_whole_products(j) -> float:
+    """The larger of the two binary tetrahedral generators' Frobenius
+    errors of U^dag J U = R J, over the stacked triple J."""
+    g = make_named_group("binary_tetrahedral")
+    J = np.stack(spin_generators_by_ladder(j))
+    err = 0.0
+    for gen in g.generators:
+        axis, angle = quaternion_axis_angle(g.elements[gen])
+        U, R = spin_rotation(j, axis, angle), rotation_matrix(axis, angle)
+        err = max(err, math.hypot(*(
+            np.linalg.norm(U.conj().T @ J[i] @ U - np.tensordot(R[i], J, 1))
+            for i in range(3))))
+    return err
+
+
+def spin_directions(seed, count=12) -> list:
+    """Seeded unit directions, and the axes, their negatives and the
+    all-negative diagonal, whose products with zero entries are -0."""
+    rng = np.random.default_rng(seed)
+    fixed = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1],
+             [-1, -1, -1], [-0.0, 0, 1], [0.6, -0.8, -0.0]]
+    dirs = [np.asarray(v, dtype=float) for v in fixed] + list(rng.normal(size=(count, 3)))
+    return [v / np.linalg.norm(v) for v in dirs]
+
+
+class TestSpinBandsOracle:
+    @pytest.mark.parametrize("j", [0, 0.5, 1, 1.5, 2, 7.5, 20, 50])
+    def test_generators_are_the_ladder_construction(self, j):
+        J = spin_generators(j)
+        d = int(2 * j) + 1
+        assert J.shape == (3, d, d) and J.dtype == np.complex128
+        for got, want in zip(J, spin_generators_by_ladder(j)):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("j", [0, 0.5, 1, 2.5, 3, 10, 24.5, 50])
+    def test_component_is_the_sum_of_dense_generators(self, j):
+        # byte for byte, the sign of each zero included: the eigensolver's
+        # output bits depend on it
+        for a in spin_directions(seed=int(2 * j)):
+            A, want = component_matrix(j, a), component_by_dense_sum(j, a)
+            assert np.array_equal(A, want), a
+            assert A.tobytes() == want.tobytes(), a
+
+    @pytest.mark.parametrize("j", [0, 0.5, 1, 3.5, 10, 20])
+    def test_spin_checks_over_whole_products(self, j):
+        # each residual formed in one buffer, in place, in the order of the
+        # whole-matrix expression: the same errors, bit for bit
+        s = SimpleNamespace(j=j, j_scale=1.0)
+        assert scenarios._commutation(s)[0] == commutation_error_by_whole_products(j)
+        depth = make_named_group("binary_tetrahedral").depth
+        assert scenarios._bt_covariance(s)[0] == depth * bt_generator_error_by_whole_products(j)
+
+    @pytest.mark.parametrize("j", [1, 3.5, 10])
+    def test_conjugation_distance_over_whole_arrays(self, j):
+        # the distance squared in place equals the norm of U^dag A U minus
+        # the relabelled operator over whole arrays
+        for a in spin_directions(seed=int(2 * j), count=3):
+            bundle = spin_component_operator(j, a)
+            U = spin_rotation(j, perpendicular_unit(a), np.pi)
+            perm = np.arange(bundle.spectrum.n_clusters)[::-1]
+            lhs = U.conj().T @ bundle.matrix @ U
+            rhs = bundle.spectrum.reconstruct(bundle.eigenvalues[perm])
+            want = float(np.linalg.norm(lhs - rhs, axis=(-2, -1)))
+            assert conjugation_covariance(bundle, U, perm).distance == want
 
 
 # ---------------------------------------------------------------------------
