@@ -14,19 +14,16 @@ the array.
 
 Cyclic, dihedral and direct-product groups are built by _index_group
 from a law on the integer codes of their elements (k, 2i + b and
-a*|G2| + b), whose product has a closed form on those codes: one law call
-gives each code times each generator, a breadth-first search over that
-table gives the elements in the order below, and the Cayley table is the
-law on blocks of rows read back through the inverse of that order, with
-no closure level and no coordinate lookup. Since the search visits the
-codes exactly as generate_group's closure visits the coordinates, the
-tables, elements and generators are the same byte for byte. The other
-named groups (symmetric, binary tetrahedral) are built by generate_group
-from integer coordinates and a multiplication that works on whole arrays
-of them: the closure makes one call per breadth-first level and the
-Cayley table one call per block of rows, with no Python call per pair of
-elements. Either way every pair is multiplied, so a product that is not
-an element is caught.
+a*|G2| + b): one law call gives each code times each generator, and
+_breadth_first over that table visits the codes exactly as
+generate_group's closure visits the coordinates, so the tables, elements
+and generators are the same byte for byte. The other named groups
+(symmetric, binary tetrahedral) are built by generate_group from integer
+coordinates and a mul on whole arrays of them, one call per level of its
+closure. Both fill the table by _cayley_table, one law call per row block
+of element_blocks and no Python call per pair: every pair is multiplied,
+and a product that is not an element is refused, naming the pair.
+FiniteGroup's reach-and-depth check is the same _breadth_first.
 
 Index arrays are compact. A Cayley table, an action's maps and a
 variable's value ids (variables.ConceptualVariable) are stored read-only
@@ -181,6 +178,27 @@ def element_indices(elements, order: int) -> np.ndarray:
     return ks
 
 
+def _breadth_first(succ: list[list[int]], roots: list[int]) -> tuple[list[int], int]:
+    """The nodes reached from the distinct roots over the successor lists
+    succ, in breadth-first order (the roots, then level by level each
+    node's successors in listed order), and the number of levels after
+    the roots'."""
+    seen = bytearray(len(succ))
+    for x in roots:
+        seen[x] = 1
+    order, start, depth = list(roots), 0, 0
+    while True:
+        end = len(order)
+        for x in order[start:end]:
+            for y in succ[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    order.append(y)
+        if len(order) == end:
+            return order, depth
+        start, depth = end, depth + 1
+
+
 def rows_are_permutations(rows: np.ndarray, m: int) -> bool:
     """Whether every row of an (r, m) integer array is a permutation of
     0..m-1: entries in range, and every value hit once in each row."""
@@ -275,22 +293,10 @@ class FiniteGroup:
             return 1
         # succ[x] lists s*x for each generator s
         succ = self.cayley[list(self.generators)].T.tolist()
-        seen = [False] * self.order
-        seen[self.identity] = True
-        frontier, reached, depth = [self.identity], 1, 0
-        while True:
-            level = []
-            for x in frontier:
-                for y in succ[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        level.append(y)
-            if not level:
-                break
-            frontier, reached, depth = level, reached + len(level), depth + 1
-        if reached < self.order:
+        reached, depth = _breadth_first(succ, [self.identity])
+        if len(reached) < self.order:
             raise ValueError(
-                f"generators {list(self.generators)} reach {reached} "
+                f"generators {list(self.generators)} reach {len(reached)} "
                 f"of {self.order} elements"
             )
         return max(depth, 1)
@@ -360,16 +366,6 @@ class GroupAction:
 # group generation
 
 
-def _product_blocks(n: int, size: int) -> list[slice]:
-    """Slices of whole rows of an n-row array of size entries, as many rows
-    as hold at most 2**17 entries (one, if a row holds more): the blocks on
-    which generate_group forms a Cayley table's product coordinates, so
-    that rows wider than element_blocks' 2**14 entries (35,280 coordinates
-    for symmetric:7) still share a block."""
-    step = max(1, (n << 17) // size)
-    return [slice(k, k + step) for k in range(0, n, step)]
-
-
 def _products(mul, x, y):
     """mul(x, y) for x of shape (r, 1, k) and y of shape (1, c, k), as an
     (r*c, k) integer array, x-major."""
@@ -423,6 +419,30 @@ def _element_lookup(coords: np.ndarray):
     return lambda rows: table[keys(rows)]
 
 
+def _law_codes(values, n: int, x, y) -> np.ndarray:
+    """values, the codes of the products x[i]*y[j], refused with ValueError
+    at the first pair whose value is not a code in 0..n-1."""
+    out = np.asarray(values)
+    if out.size and (out.min() < 0 or out.max() >= n):
+        i, j = divmod(int(np.argmax((out < 0) | (out >= n))), out.shape[1])
+        raise ValueError(f"the product of elements {x[i]} and {y[j]} is not an element: "
+                         f"the law gives a value outside the codes 0..{n - 1}")
+    return out
+
+
+def _cayley_table(n: int, rows, pos=None) -> np.ndarray:
+    """The read-only n x n Cayley table, filled on the row blocks b of
+    element_blocks(n, n*n) by rows(b), the codes of the products of the
+    elements in b with every element: checked by _law_codes, which names
+    a pair by element index, before they are read through pos, if given."""
+    cayley = np.empty((n, n), dtype=_index_dtype(n))
+    for b in element_blocks(n, n * n):
+        codes = _law_codes(rows(b), n, range(n)[b], range(n))
+        cayley[b] = codes if pos is None else pos[codes]
+    cayley.setflags(write=False)
+    return cayley
+
+
 def generate_group(generators, mul, identity, *, name="group"):
     """Breadth-first closure of generators under mul, returning a FiniteGroup.
 
@@ -434,16 +454,13 @@ def generate_group(generators, mul, identity, *, name="group"):
     The element list starts with the identity, then the generators in
     order, then products level by level: each element of a level times
     each generator, in that order. A level is one mul call. The Cayley
-    table multiplies every pair, one call per block of whole rows
-    mul(E[b, None], E[None]) over the slices b of _product_blocks, so that
-    a block's products take at most 2**17 coordinates (or one row) and its
-    temporaries stay far below the n x n table. A product that is not an
-    element raises ValueError, and FiniteGroup then rejects a table that is
-    not a group's (a closed but non-associative mul, for one).
-
-    Products are looked up by an exact integer key of their coordinates
-    in a dense table over the elements' bounding box; a box of more than
-    max(n*n, 2**16) points raises ValueError.
+    table is _cayley_table's one fill, one call mul(E[b, None], E[None])
+    per row block b of element_blocks, its products read back to element
+    indices by an exact integer key of their coordinates in a dense table
+    over the elements' bounding box (a box of more than max(n*n, 2**16)
+    points raises ValueError). A product that is not an element raises
+    ValueError naming the pair, and FiniteGroup then rejects a table that
+    is not a group's (a closed but non-associative mul, for one).
 
     A closure of more than MAX_GROUP_ORDER elements, read at the call,
     raises OrderTooLargeError.
@@ -479,34 +496,16 @@ def generate_group(generators, mul, identity, *, name="group"):
     n = len(elements)
     coords = np.array(elements, dtype=np.int64)
     lookup = _element_lookup(coords)
-    cayley = np.empty((n, n), dtype=_index_dtype(n))
-    for b in _product_blocks(n, n * n * k):
-        prod = lookup(_products(mul, coords[b, None], coords[None]))
-        missing = np.flatnonzero(prod < 0)
-        if missing.size:
-            x, y = divmod(int(missing[0]), n)
-            raise ValueError(
-                f"the product of elements {b.start + x} and {y} is not an element"
-            )
-        cayley[b] = prod.reshape(-1, n)
+    cayley = _cayley_table(n, lambda b: lookup(
+        _products(mul, coords[b, None], coords[None])).reshape(-1, n))
     if ident.ndim == 0:
         values = coords[:, 0].tolist()
     else:
         values = list(map(tuple, elements))
-    cayley.setflags(write=False)
     return FiniteGroup(
         cayley, name=name,
         generators=tuple(range(1, 1 + len(gens))), elements=tuple(values),
     )
-
-
-def _law_codes(law, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """law(x, y), refused with ValueError unless every value is a code in
-    0..n-1."""
-    out = np.asarray(law(x, y))
-    if out.size and (out.min() < 0 or out.max() >= n):
-        raise ValueError(f"the law gives a value outside the codes 0..{n - 1}")
-    return out
 
 
 def _index_group(n: int, law, identity: int, generators, *, radix=None,
@@ -519,11 +518,11 @@ def _index_group(n: int, law, identity: int, generators, *, radix=None,
     table's dtype (int16 up to 32,768 codes), in which the law must not
     overflow. The element order is generate_group's: the identity, the
     generators not already listed, then level by level each element times
-    each generator, found by breadth-first search over the n x g table of
-    each code times each generator (one law call). Then the Cayley table
-    is pos[law(order[b], order)] on the row blocks b of element_blocks,
-    pos being the inverse of the order. A law value that is not a code
-    raises ValueError, and so do generators that do not reach every code.
+    each generator, found by _breadth_first over the n x g table of each
+    code times each generator (one law call). Then _cayley_table fills the
+    table with law(order[b], order) on its row blocks b, read through pos,
+    the inverse of the order. A law value that is not a code raises
+    ValueError, and so do generators that do not reach every code.
 
     elements holds each element's code, or the pair divmod(code, radix)
     when radix is given.
@@ -531,27 +530,14 @@ def _index_group(n: int, law, identity: int, generators, *, radix=None,
     gens = list(dict.fromkeys(s for s in generators if s != identity))
     dt = _index_dtype(n)
     codes = np.arange(n, dtype=dt)
-    succ = _law_codes(law, codes, np.array(gens, dtype=dt), n).tolist()
-    order = [identity] + gens
-    seen = bytearray(n)
-    for x in order:
-        seen[x] = 1
-    # the list is its own queue: each element is taken in order, and its
-    # products with the generators are appended level after level
-    for x in order:
-        for y in succ[x]:
-            if not seen[y]:
-                seen[y] = 1
-                order.append(y)
+    succ = _law_codes(law(codes, np.array(gens, dtype=dt)), n, codes, gens).tolist()
+    order, _ = _breadth_first(succ, [identity] + gens)
     if len(order) < n:
         raise ValueError(f"generators reach {len(order)} of {n} codes")
     order = np.array(order, dtype=dt)
     pos = np.empty(n, dtype=dt)
     pos[order] = codes
-    cayley = np.empty((n, n), dtype=dt)
-    for b in element_blocks(n, n * n):
-        cayley[b] = pos[_law_codes(law, order[b], order, n)]
-    cayley.setflags(write=False)
+    cayley = _cayley_table(n, lambda b: law(order[b], order), pos)
     if radix is None:
         values = order.tolist()
     else:

@@ -186,6 +186,18 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return V * (np.conj(z) / np.hypot(z.real, z.imag))
 
 
+def _eigh(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A as a Hermitian complex matrix with np.linalg.eigh's eigenvalues and
+    eigenvectors; a solver failure raises ConvergenceFailureError."""
+    A = as_cmatrix(A)
+    _require_hermitian(A)
+    try:
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(str(exc)) from exc
+    return A, w, V
+
+
 def eig_hermitian(A) -> SpectralData:
     """Eigendecomposition of a Hermitian matrix with degeneracy merging.
 
@@ -194,12 +206,7 @@ def eig_hermitian(A) -> SpectralData:
     where the next ascending eigenvalue lies more than that gap above the
     one before it. A cluster's eigenvalue is the mean of its members.
     """
-    A = as_cmatrix(A)
-    _require_hermitian(A)
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
+    A, w, V = _eigh(A)
     V = _fix_phases(V)
 
     scale = max(1.0, float(np.linalg.norm(A)))
@@ -232,11 +239,6 @@ def expm_antihermitian(H, t: float) -> np.ndarray:
     The result is unitary to eigensolver accuracy because the phases are
     applied to an exactly orthonormal eigenbasis.
     """
-    H = as_cmatrix(H)
-    _require_hermitian(H)
-    try:
-        w, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
+    _, w, V = _eigh(H)
     return projector_sum(V.T, np.exp(-1j * t * w))
 

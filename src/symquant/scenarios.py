@@ -42,6 +42,7 @@ from .coherent import (
 )
 from .groups import (
     GeneratorLawError,
+    binary_tetrahedral_group,
     check_homomorphism,
     cyclic_group,
     dihedral_vertex_action,
@@ -328,13 +329,18 @@ def _generator_turn_error(j, q):
     return math.hypot(*(residual_norm(i) for i in range(3)))
 
 
+# built and validated once per process; bound at import, so that a builder
+# patched into groups later never fills the cache
+_bt_group = functools.cache(binary_tetrahedral_group)
+
+
 def _bt_covariance(s):
     # U(s)^dag J_i U(s) = sum_k R(s)_ik J_k on the generators s. Conjugation
     # by a unitary and R acting on the index i both keep the Frobenius error
     # of the triple J, so a word of L generators errs by at most the sum of
     # its letters' errors: every element is within depth * the largest.
     # One generator's U and J are released before the next U is built.
-    g = make_named_group("binary_tetrahedral")
+    g = _bt_group()
     gen_err = max(_generator_turn_error(s.j, g.elements[gen]) for gen in g.generators)
     return g.depth * gen_err / s.j_scale, (
         "U(s)^dag J U(s) = R(s) J on both generators of the binary tetrahedral "

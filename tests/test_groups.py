@@ -45,6 +45,7 @@ CAYLEY_SHA256 = {
     "symmetric:3": "00c2207c6dc19a5a026b2979b44eef1a223251213ae8cc9c8d51c31604f55e54",
     "symmetric:4": "12de8f85aee855561355cdc0865043a30e79e911ff638ef26d60f75c855a7144",
     "symmetric:5": "0c3028285ab5321164e78641cc8a115f60cdef6334a81676213de4f7110248d1",
+    "symmetric:6": "dfbaca1d389953bbb010c04083cf13aa50bc1d4bafdf901f4d1df865fac053f6",
     "binary_tetrahedral": "d17242f6da89adc172a151c82715193d3a7a8357257a12b26bcb0902a15e194a",
     "cyclic:2xcyclic:3": "c945688de4660acf690fcfe1961eeea175d081be758d95cb25aee774b8bfd7cb",
     "dihedral:3xcyclic:2": "5f3785375fbd4e53296f0e801a8b83790afb9a0aa47003cca5c664a10c0b881f",
@@ -568,18 +569,6 @@ class TestSubgroupsAndHoms:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-
-
-class TestProductBlocks:
-    @pytest.mark.parametrize("n, k, rows", [
-        (5040, 7, 3),       # symmetric:7: a row is 35,280 coordinates
-        (24, 4, 24),        # binary_tetrahedral: the whole table
-        (100, 2**16, 1),    # a row wider than 2**17 coordinates
-    ])
-    def test_whole_rows_up_to_2_17_coordinates(self, n, k, rows):
-        blocks = groups._product_blocks(n, n * n * k)
-        assert [b.start for b in blocks] == list(range(0, n, rows))
-        assert all(len(range(n)[b]) == rows for b in blocks)
 
 
 class TestGeneratorLaw:

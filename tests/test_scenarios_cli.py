@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -275,6 +276,33 @@ class TestScenarios:
         monkeypatch.setattr(groups.FiniteGroup, "__post_init__", counted)
         assert run_scenario({"scenario": "phase", "params": {"n": 6}}).all_passed
         assert built == [6]
+
+    def test_spin_builds_its_group_once_per_process(self, monkeypatch):
+        # the binary tetrahedral group is cached by the first spin run;
+        # a later run builds no group
+        assert run_scenario({"scenario": "spin", "params": {"j": 0.5}}).all_passed
+        built = []
+        validate = groups.FiniteGroup.__post_init__
+
+        def counted(self):
+            validate(self)
+            built.append(self.order)
+
+        monkeypatch.setattr(groups.FiniteGroup, "__post_init__", counted)
+        assert run_scenario({"scenario": "spin", "params": {"j": 0.5}}).all_passed
+        assert built == []
+
+    def test_spin_group_is_not_the_patched_builders(self, monkeypatch):
+        # i and j generate the 8-element quaternion group; a builder
+        # patched into groups, as the group_order_24 mutant does, never
+        # fills the spin scenario's cache. The run fills an empty copy of
+        # the cache, and the process's own is restored after the test
+        fresh = functools.cache(scenarios._bt_group.__wrapped__)
+        monkeypatch.setattr(scenarios, "_bt_group", fresh)
+        monkeypatch.setattr(groups, "binary_tetrahedral_group", lambda: groups.generate_group(
+            [(0, 2, 0, 0), (0, 0, 2, 0)], groups._quat_mul, (2, 0, 0, 0)))
+        assert run_scenario({"scenario": "spin", "params": {"j": 0.5}}).all_passed
+        assert fresh.cache_info().currsize == 1 and fresh().order == 24
 
     def test_wrong_spectrum_fails_its_check(self, monkeypatch, capsys):
         # a component matrix scaled by 1.01 has the spectrum

@@ -40,6 +40,11 @@ on the integer codes of their elements, with no closure level and no
 coordinate lookup; the coordinate multiplications generate_group built
 them from live here, and must give the same groups byte for byte,
 including a product whose factor's identity is not index 0.
+A group's depth, the longest shortest word in its generators, is read off
+one breadth-first search; the word lengths found by growing the sets S,
+S*S, ... of products on the table until they cover the group live here,
+and must give the same depth on every pinned named group and on random
+permutation groups under random generating sets.
 
 Some laws are not checked at all, because the laws that are checked imply
 them: that a group's table is a Latin square and its inverses two-sided,
@@ -226,6 +231,7 @@ from symquant.variables import (
     maximal_permissible_subgroup,
     variable_from_point_labels,
 )
+from test_groups import CAYLEY_SHA256
 
 settings.register_profile("oracles", max_examples=60, deadline=None,
                           derandomize=True, database=None)
@@ -1190,6 +1196,38 @@ class TestGroupConstructionOracle:
         identity = tuple(range(m))
         assert_same_group(generate_group(gens, compose, identity),
                           generate_group_by_pairs(gens, compose_scalar, identity))
+
+
+def depth_by_word_powers(g: FiniteGroup) -> int:
+    """The least L for which the identity and the products of at most L
+    elements of the generating set S cover the group: the sets S, S*S, ...
+    grown on the table, one right multiplication by S per length."""
+    S = [int(s) for s in g.generating_set]
+    covered = {g.identity, *S}
+    power, length = set(S), 1
+    while len(covered) < g.order:
+        power = {int(g.cayley[x, s]) for x in power for s in S}
+        covered |= power
+        length += 1
+    return length
+
+
+class TestDepthOracle:
+    @pytest.mark.parametrize("name", sorted(CAYLEY_SHA256))
+    def test_named_group_depth_is_the_longest_word(self, name):
+        g = make_named_group(name)
+        assert g.depth == depth_by_word_powers(g)
+
+    @ORACLE_SETTINGS
+    @given(permutation_groups(max_degree=6), st.data())
+    def test_random_permutation_group_depth_is_the_longest_word(self, g, data):
+        assert g.depth == depth_by_word_powers(g)
+        # any generating list, the identity and repeats included
+        gens = tuple(data.draw(st.lists(st.integers(0, g.order - 1),
+                                        min_size=1, max_size=4)))
+        assume(closure_by_products(g.cayley, g.identity, gens) == set(range(g.order)))
+        h = _copy(g, generators=gens)
+        assert h.depth == depth_by_word_powers(h)
 
 
 # ---------------------------------------------------------------------------
