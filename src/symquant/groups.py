@@ -53,6 +53,7 @@ and orbits. Caller-supplied element indices are read by element_indices.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
@@ -546,11 +547,30 @@ def _index_group(n: int, law, identity: int, generators, *, radix=None,
                        elements=tuple(values))
 
 
-def cyclic_group(n: int) -> FiniteGroup:
+def _refuse_above_bound(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise OrderTooLargeError(f"order {order} exceeds {MAX_GROUP_ORDER}")
+
+
+def _named_order(head: str, n: int) -> int:
+    """The order of the group head:n (n, 2n or n!), read off its parameter;
+    UnknownGroupNameError for n < 1, OrderTooLargeError above
+    MAX_GROUP_ORDER."""
     if n < 1:
-        raise UnknownGroupNameError("cyclic order must be >= 1")
-    if n > MAX_GROUP_ORDER:
-        raise OrderTooLargeError(f"order {n} exceeds {MAX_GROUP_ORDER}")
+        what = "cyclic order" if head == "cyclic" else f"{head} order parameter"
+        raise UnknownGroupNameError(f"{what} must be >= 1")
+    if head == "cyclic":
+        order = n
+    elif head == "dihedral":
+        order = 2 * n
+    else:
+        order = math.factorial(n)
+    _refuse_above_bound(order)
+    return order
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    _named_order("cyclic", n)
     gens = [1] if n > 1 else []
     return _index_group(n, lambda a, b: (a[:, None] + b) % n, 0, gens,
                         name=f"cyclic:{n}")
@@ -558,10 +578,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of a regular n-gon as pairs (rotation, flip)."""
-    if n < 1:
-        raise UnknownGroupNameError("dihedral order parameter must be >= 1")
-    if 2 * n > MAX_GROUP_ORDER:
-        raise OrderTooLargeError(f"order {2*n} exceeds {MAX_GROUP_ORDER}")
+    _named_order("dihedral", n)
 
     def law(x, y):
         # (i1, b1)(i2, b2) = (i1 + (-1)**b1 i2, b1 ^ b2) on the codes 2i + b
@@ -574,13 +591,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """All permutations of n points, as image tuples."""
-    if n < 1:
-        raise UnknownGroupNameError("symmetric order parameter must be >= 1")
-    order = 1
-    for k in range(2, n + 1):
-        order *= k
-    if order > MAX_GROUP_ORDER:
-        raise OrderTooLargeError(f"order {order} exceeds {MAX_GROUP_ORDER}")
+    _named_order("symmetric", n)
     identity = tuple(range(n))
     gens = []
     if n >= 2:
@@ -624,10 +635,7 @@ def binary_tetrahedral_group() -> FiniteGroup:
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product, generated breadth-first from the paired generators."""
-    if g1.order * g2.order > MAX_GROUP_ORDER:
-        raise OrderTooLargeError(
-            f"order {g1.order * g2.order} exceeds {MAX_GROUP_ORDER}"
-        )
+    _refuse_above_bound(g1.order * g2.order)
     t1, t2, m = g1.cayley, g2.cayley, g2.order
 
     def outer(t, a, b):
@@ -650,23 +658,14 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
                         name=f"{g1.name}x{g2.name}")
 
 
-def make_named_group(name: str) -> FiniteGroup:
-    """Build a group from a name string.
-
-    Grammar: ``cyclic:<n>``, ``dihedral:<n>``, ``symmetric:<n>``,
-    ``binary_tetrahedral``, and ``<name>x<name>`` for direct products.
-    """
-    if not isinstance(name, str) or not name:
+def _named_factor(name: str) -> tuple[int, Callable[[], FiniteGroup]]:
+    """The order of a group named without a product, read off its name, and
+    the call that builds it; a name its builder would refuse is refused
+    here, with the builder's error, and nothing is built."""
+    if not name:
         raise UnknownGroupNameError(f"bad group name: {name!r}")
-    parts = name.split("x")
-    if len(parts) > 1:
-        groups = [make_named_group(p) for p in parts]
-        out = groups[0]
-        for g in groups[1:]:
-            out = direct_product(out, g)
-        return out
     if name == "binary_tetrahedral":
-        return binary_tetrahedral_group()
+        return 24, lambda: binary_tetrahedral_group()
     head, sep, tail = name.partition(":")
     if not sep:
         raise UnknownGroupNameError(f"unknown group name: {name!r}")
@@ -674,13 +673,33 @@ def make_named_group(name: str) -> FiniteGroup:
         n = int(tail)
     except ValueError:
         raise UnknownGroupNameError(f"bad order in group name: {name!r}") from None
-    if head == "cyclic":
-        return cyclic_group(n)
-    if head == "dihedral":
-        return dihedral_group(n)
-    if head == "symmetric":
-        return symmetric_group(n)
-    raise UnknownGroupNameError(f"unknown group name: {name!r}")
+    builders = {"cyclic": cyclic_group, "dihedral": dihedral_group,
+                "symmetric": symmetric_group}
+    if head not in builders:
+        raise UnknownGroupNameError(f"unknown group name: {name!r}")
+    return _named_order(head, n), lambda: builders[head](n)
+
+
+def make_named_group(name: str) -> FiniteGroup:
+    """Build a group from a name string.
+
+    Grammar: ``cyclic:<n>``, ``dihedral:<n>``, ``symmetric:<n>``,
+    ``binary_tetrahedral``, and ``<name>x<name>`` for direct products.
+    Every factor's order is read off its name, so a product above
+    MAX_GROUP_ORDER is refused before any factor is built.
+    """
+    if not isinstance(name, str) or not name:
+        raise UnknownGroupNameError(f"bad group name: {name!r}")
+    factors = [_named_factor(part) for part in name.split("x")]
+    order = 1
+    for factor_order, _ in factors:
+        order *= factor_order
+        _refuse_above_bound(order)
+    groups = [build() for _, build in factors]
+    out = groups[0]
+    for g in groups[1:]:
+        out = direct_product(out, g)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ max |sum_k w_k |s_k><s_k| - I| <= 1e-9*d (resolution_deviation).
 
 Every weighted projector sum sum_k w_k |s_k><s_k| in the package (frames,
 operators, spectral sums, exp(-itH)) is one kernel, projector_sum, fed by
-the one state-family reader, as_state_family.
+the one state-family reader, as_state_family. It forms one temporary beside
+its result: the weighted states are conjugated in place, multiplied by the
+states and the product conjugated in place, which gives the values of
+(S^T w) @ conj(S) in the same matrix product on the same operand layouts;
+only the signs of exact zeros may differ.
 
 All tolerances are relative to a matrix norm with a floor of 1, so near-zero
 matrices fall back to absolute comparisons, and each is a constant of its
@@ -82,13 +86,23 @@ def as_state_family(states, weights) -> tuple[np.ndarray, np.ndarray]:
 def projector_sum(states: np.ndarray, weights) -> np.ndarray:
     """sum_k weights[..., k] |s_k><s_k| for states s_k stored as rows;
     weights of shape (..., n) give a stack of d x d matrices."""
-    return (states.T * np.asarray(weights)[..., None, :]) @ states.conj()
+    # conj(conj(S^T w) @ S): no conjugated copy of the states is formed. A
+    # strided view is copied, as states.conj() copied it, so that the
+    # product's operands keep that copy's layout
+    if not (states.flags.c_contiguous or states.flags.f_contiguous):
+        states = states.copy(order="K")
+    X = states.T * np.asarray(weights)[..., None, :]
+    np.conjugate(X, out=X)
+    out = X @ states
+    return np.conjugate(out, out=out)
 
 
 def resolution_deviation(states, weights) -> float:
     """Max-norm deviation of sum_i w_i |s_i><s_i| from the identity."""
     st, w = as_state_family(states, weights)
-    return max_abs(projector_sum(st, w) - np.eye(st.shape[1]))
+    dev = projector_sum(st, w)
+    dev.reshape(-1)[::st.shape[1] + 1] -= 1.0
+    return max_abs(dev)
 
 
 def _require_square(A: np.ndarray) -> None:
@@ -177,13 +191,13 @@ class SpectralData:
                              np.repeat(u, self.multiplicities, axis=-1))
 
 
-def _fix_phases(V: np.ndarray) -> np.ndarray:
-    # rotate each column so its largest-magnitude entry z is real and
-    # positive; the columns are unit vectors, so z != 0. |z| is taken by
+def _fix_phases(V: np.ndarray) -> None:
+    # rotate each column, in place, so its largest-magnitude entry z is real
+    # and positive; the columns are unit vectors, so z != 0. |z| is taken by
     # hypot, which rounds as the scalar abs does (np.abs of a complex array
     # may differ from it in the last bit)
     z = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    return V * (np.conj(z) / np.hypot(z.real, z.imag))
+    V *= np.conj(z) / np.hypot(z.real, z.imag)
 
 
 def _eigh(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,7 +221,7 @@ def eig_hermitian(A) -> SpectralData:
     one before it. A cluster's eigenvalue is the mean of its members.
     """
     A, w, V = _eigh(A)
-    V = _fix_phases(V)
+    _fix_phases(V)
 
     scale = max(1.0, float(np.linalg.norm(A)))
     gap = DEGENERACY_TOL * scale
@@ -225,7 +239,10 @@ def eig_hermitian(A) -> SpectralData:
     # merging replaces each raw eigenvalue by its cluster mean, which adds a
     # known, intentional reconstruction error on top of the solver's own
     merge_err = float(np.linalg.norm(w - np.repeat(eigenvalues, multiplicities)))
-    recon_err = float(np.linalg.norm(A - spec.reconstruct()))
+    # R - A in R's buffer: its entries have the moduli of A - R's
+    R = spec.reconstruct()
+    R -= A
+    recon_err = float(np.linalg.norm(R))
     if recon_err > 1e-9 * scale + merge_err:
         raise ConvergenceFailureError(
             f"spectral reconstruction error {recon_err:.3e} exceeds tolerance"
@@ -239,6 +256,8 @@ def expm_antihermitian(H, t: float) -> np.ndarray:
     The result is unitary to eigensolver accuracy because the phases are
     applied to an exactly orthonormal eigenbasis.
     """
-    _, w, V = _eigh(H)
+    # H, and _eigh's alias of it, are released before the sum is formed
+    w, V = _eigh(H)[1:]
+    del H
     return projector_sum(V.T, np.exp(-1j * t * w))
 

@@ -181,9 +181,9 @@ def _covariance(bundle: OperatorBundle, lhs: np.ndarray, perms: np.ndarray) -> f
     # np.linalg.norm(d, axis=(-2, -1)) evaluates this expression, and the
     # square root is monotone, so taking it of the largest sum gives the
     # same bits without the wrapper's per-call cost. The difference is
-    # written over rhs and squared in one more array
+    # written over rhs and squared over lhs, which each caller forms anew
     d = np.subtract(lhs, rhs, out=rhs)
-    dc = d.conj()
+    dc = np.conjugate(d, out=lhs)
     dc *= d
     sums = np.add.reduce(dc.real, axis=(-2, -1))
     return float(np.sqrt(sums.max()))
@@ -206,13 +206,17 @@ def conjugation_covariance(bundle: OperatorBundle, unitary,
     repeated by the multiplicity of cluster j.
     """
     U = as_cmatrix(unitary)
+    del unitary
     if not is_unitary(U):
         raise NotUnitaryError("covariance check needs a unitary matrix")
     _require_dim(bundle, len(U))
     perm = np.asarray(value_perm, dtype=np.intp)
+    # the conjugate is formed and the unitary released before the
+    # relabelled operator is built
     U = U[None]
-    return CovarianceReport(distance=_covariance(
-        bundle, U.conj().swapaxes(-1, -2) @ bundle.matrix @ U, perm[None]))
+    lhs = U.conj().swapaxes(-1, -2) @ bundle.matrix @ U
+    del U
+    return CovarianceReport(distance=_covariance(bundle, lhs, perm[None]))
 
 
 def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elements,

@@ -75,6 +75,9 @@ from .spin import (
     spin_generators,
     spin_rotation,
     _check_spin,
+    _combination,
+    _generator,
+    _ladder,
 )
 from .variables import (
     accessibility_leq,
@@ -275,7 +278,7 @@ def _spin_setup(params) -> SimpleNamespace:
     j = params["j"]
     # errors relative to the size of the operators compared, which grows
     # with j, so that one tolerance serves every spin. J itself is not
-    # kept: the two checks that read it build it while they run
+    # kept: the two checks that read it fill one generator at a time
     j_scale = max(1.0, float(np.linalg.norm(spin_generators(j))))
     a = np.asarray(params["direction"])
     a = a / np.linalg.norm(a)
@@ -289,9 +292,7 @@ def _spin_setup(params) -> SimpleNamespace:
     return SimpleNamespace(
         j=j, a=a, d=len(bundle.matrix), j_scale=j_scale,
         bundle=bundle, flip_perms=flip_perms, spec_b=spec_b,
-        blocks=eigen_orbit_partition(bundle, flip_perms),
-        half_turn=functools.cache(lambda: spec_b().reconstruct(
-            np.exp(-1j * np.pi * spec_b().eigenvalues))))
+        blocks=eigen_orbit_partition(bundle, flip_perms))
 
 
 def _d_above_1(params) -> bool:
@@ -300,13 +301,16 @@ def _d_above_1(params) -> bool:
 
 def _commutation(s):
     # each residual A @ B - B @ A - 1j * C, in that order, formed in one
-    # buffer beside one temporary
-    Jx, Jy, Jz = spin_generators(s.j)
+    # buffer beside one temporary. The generators are filled per residual
+    # from one ladder, and A and B are released before C is filled
+    ladder = _ladder(s.j)
     err = 0.0
-    for A, B, C in ((Jx, Jy, Jz), (Jy, Jz, Jx), (Jz, Jx, Jy)):
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        A, B = _generator(ladder, a), _generator(ladder, b)
         res = A @ B
         res -= B @ A
-        res -= 1j * C
+        del A, B
+        res -= 1j * _generator(ladder, c)
         err = max(err, max_abs(res))
     return err / s.j_scale, "all three cyclic commutators, relative to the norm of J"
 
@@ -316,14 +320,15 @@ def _generator_turn_error(j, q):
     rotation named by the quaternion q."""
     axis, angle = quaternion_axis_angle(q)
     U, R = spin_rotation(j, axis, angle), rotation_matrix(axis, angle)
-    # J is built after U's eigendecomposition, and each residual is formed
-    # in one buffer, in the order U^dag J_i U - sum_k R_ik J_k
-    J = spin_generators(j)
+    # each residual U^dag J_i U - sum_k R_ik J_k is formed in one buffer, in
+    # that order, J_i and the combination filled on their bands from one
+    # ladder while it is formed, after U's eigendecomposition
+    ladder = _ladder(j)
 
     def residual_norm(i):
-        res = U.conj().T @ J[i]
+        res = U.conj().T @ _generator(ladder, i)
         res = res @ U
-        res -= np.tensordot(R[i], J, 1)
+        res -= _combination(ladder, R[i])
         return np.linalg.norm(res)
 
     return math.hypot(*(residual_norm(i) for i in range(3)))
@@ -339,7 +344,7 @@ def _bt_covariance(s):
     # by a unitary and R acting on the index i both keep the Frobenius error
     # of the triple J, so a word of L generators errs by at most the sum of
     # its letters' errors: every element is within depth * the largest.
-    # One generator's U and J are released before the next U is built.
+    # One generator's U is released before the next U is built.
     g = _bt_group()
     gen_err = max(_generator_turn_error(s.j, g.elements[gen]) for gen in g.generators)
     return g.depth * gen_err / s.j_scale, (
@@ -364,15 +369,23 @@ def _full_turn(s):
             f"rotation by 2*pi equals {int(sign)} * identity at spin {s.j}")
 
 
+def _half_turn_unitary(s):
+    """The rotation by pi about the perpendicular axis b, from b's spectrum;
+    it is built for its check and not kept."""
+    spec = s.spec_b()
+    return spec.reconstruct(np.exp(-1j * np.pi * spec.eigenvalues))
+
+
 def _half_turn(s):
-    cov = conjugation_covariance(s.bundle, s.half_turn(), np.arange(s.d - 1, -1, -1))
+    cov = conjugation_covariance(s.bundle, _half_turn_unitary(s),
+                                 np.arange(s.d - 1, -1, -1))
     return (cov.distance / max(1.0, float(np.linalg.norm(s.bundle.matrix))),
             "half turn about a perpendicular axis negates the component, "
             "relative to the norm of the component")
 
 
 def _half_turn_not_unitary(s, exc):
-    err = unitarity_errors(s.half_turn())[0]
+    err = unitarity_errors(_half_turn_unitary(s))[0]
     return f"the half turn is not unitary: ||U^dag U - I||_F = {err:.3e}"
 
 

@@ -17,7 +17,8 @@ from .quantize import OperatorBundle, operator_from_matrix
 
 
 # the largest spin accepted: the spin scenario at MAX_SPIN (dimension 801)
-# peaks at 78.4 MiB under tracemalloc (8 complex 801 x 801 matrices), well
+# peaks at 58.8 MiB under tracemalloc (6 complex 801 x 801 matrices; 68.6
+# MiB on CPython 3.10, which holds a call's argument until it returns), well
 # inside a 1 GiB budget
 MAX_SPIN = 400.0
 
@@ -45,44 +46,36 @@ def _ladder(j: float) -> tuple[np.ndarray, np.ndarray]:
     return m, np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)) / 2.0
 
 
-def spin_generators(j: float) -> np.ndarray:
-    """(Jx, Jy, Jz) for spin j as one (3, d, d) complex array, with
-    Jz = diag(j, j-1, ..., -j).
-
-    Each is filled directly on its three bands: Jz = m on the diagonal,
-    Jx = c/2 on both off-diagonals and Jy = -i c/2 above, +i c/2 below,
-    where c = sqrt(j(j+1) - m(m+1)) is the ladder coefficient of J+ from m.
-    These are (J+ + J-)/2 and (J+ - J-)/2i entry for entry, so the cyclic
-    commutation relations [Jx, Jy] = i Jz (and cyclically) hold to
-    rounding. They are not checked here: the spin scenario's
-    generator_commutation_relations check measures all three.
-    """
-    m, half = _ladder(j)
+def _generator(ladder, i: int, out=None) -> np.ndarray:
+    """J_i (i = 0, 1, 2 for x, y, z) filled on its bands, as
+    spin_generators states them, from ladder = _ladder(j) into out, a
+    zeroed d x d array (by default a new one), which is returned."""
+    m, half = ladder
     d = len(m)
-    J = np.zeros((3, d, d), dtype=np.complex128)
-    flat = J.reshape(3, d * d)
-    flat[0, 1::d + 1] = flat[0, d::d + 1] = half
-    flat[1, 1::d + 1].imag = -half
-    flat[1, d::d + 1].imag = half
-    flat[2, ::d + 1] = m
-    return J
+    if out is None:
+        out = np.zeros((d, d), dtype=np.complex128)
+    flat = out.reshape(-1)
+    if i == 0:
+        flat[1::d + 1] = flat[d::d + 1] = half
+    elif i == 1:
+        flat[1::d + 1].imag = -half
+        flat[d::d + 1].imag = half
+    else:
+        flat[::d + 1] = m
+    return out
 
 
-def component_matrix(j: float, direction) -> np.ndarray:
-    """The Hermitian matrix of the component along a unit direction.
+def _combination(ladder, a) -> np.ndarray:
+    """a . J = a_x Jx + a_y Jy + a_z Jz for a real 3-vector a, filled from
+    ladder = _ladder(j) as one d x d array: a_z m on the diagonal and
+    (a_x -/+ i a_y) c/2 above/below it.
 
-    Filled as one d x d array: a_z m on the diagonal and
-    (a_x -/+ i a_y) c/2 above/below it. Each band, and the zero elsewhere,
-    is combined as a_x Jx + a_y Jy + a_z Jz would combine the whole
-    matrices, so every entry has the same bits, the sign of each zero
-    included: the eigensolver's output depends on it.
+    Each band, and the zero elsewhere, is combined as a_x Jx + a_y Jy +
+    a_z Jz would combine the whole matrices, so every entry has the same
+    bits, the sign of each zero included: the eigensolver's output depends
+    on it.
     """
-    a = np.asarray(direction, dtype=float)
-    if a.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(a) - 1.0) > 1e-12:
-        raise ValueError("direction must have unit norm")
-    m, half = _ladder(j)
+    m, half = ladder
     d = len(m)
     # per generator: its diagonal, superdiagonal and subdiagonal (the
     # first d - 1 entries) and, in the last column, the zero elsewhere
@@ -99,6 +92,37 @@ def component_matrix(j: float, direction) -> np.ndarray:
     flat[1::d + 1] = band[1, :d - 1]
     flat[d::d + 1] = band[2, :d - 1]
     return A
+
+
+def spin_generators(j: float) -> np.ndarray:
+    """(Jx, Jy, Jz) for spin j as one (3, d, d) complex array, with
+    Jz = diag(j, j-1, ..., -j).
+
+    Each is filled on its three bands (_generator): Jz = m on the diagonal,
+    Jx = c/2 on both off-diagonals and Jy = -i c/2 above, +i c/2 below,
+    where c = sqrt(j(j+1) - m(m+1)) is the ladder coefficient of J+ from m.
+    These are (J+ + J-)/2 and (J+ - J-)/2i entry for entry, so the cyclic
+    commutation relations [Jx, Jy] = i Jz (and cyclically) hold to
+    rounding. They are not checked here: the spin scenario's
+    generator_commutation_relations check measures all three.
+    """
+    ladder = _ladder(j)
+    d = len(ladder[0])
+    J = np.zeros((3, d, d), dtype=np.complex128)
+    for i in range(3):
+        _generator(ladder, i, J[i])
+    return J
+
+
+def component_matrix(j: float, direction) -> np.ndarray:
+    """The Hermitian matrix of the component along a unit direction, filled
+    on its three bands as one d x d array (_combination)."""
+    a = np.asarray(direction, dtype=float)
+    if a.shape != (3,):
+        raise ValueError("direction must be a 3-vector")
+    if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+        raise ValueError("direction must have unit norm")
+    return _combination(_ladder(j), a)
 
 
 def spin_component_operator(j: float, direction) -> OperatorBundle:

@@ -220,9 +220,10 @@ MUTANTS = {
     "frame_operator_twelve_times_identity": Mutant(
         BT24, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
     # spin
+    # the generator fill with Jy's bands negated: [Jx, -Jy] = -i Jz
     "generator_commutation_relations": Mutant(
-        SPIN, scenarios, "spin_generators",
-        lambda orig: lambda j: (lambda Jx, Jy, Jz: (Jx, -Jy, Jz))(*orig(j))),
+        SPIN, scenarios, "_generator",
+        lambda orig: lambda ladder, i: -orig(ladder, i) if i == 1 else orig(ladder, i)),
     "component_spectrum_ladder_values": Mutant(
         SPIN, spin, "component_matrix", _scaled_component(1.01)),
     "component_covariance_binary_tetrahedral": Mutant(

@@ -78,6 +78,9 @@ operators, labelled operators, coarse-grained operators, spectral
 reconstructions, exp(-itH)), is computed by
 one kernel, linalg.projector_sum. The per-caller einsum contractions it
 replaced live here, and must agree with the callers on random families.
+It forms one temporary beside its result; the expression with a second,
+conjugated copy of the states lives here, and must give the same values on
+seeded families in every memory layout, the signs of exact zeros aside.
 
 The spin scenario proves rotation covariance on the two generators of the
 binary tetrahedral group, and reads the rotations by 2*pi*k/8 off one
@@ -127,10 +130,14 @@ and are filled on their three bands into one (3, d, d) array and one
 d x d array. The dense ladder construction they replaced, J+ and its
 adjoint combined into Jx and Jy and then summed along the direction,
 lives here, and the filled matrices must equal it byte for byte, the sign
-of every zero included. The two spin checks that read J build it while
-they run and form each residual in one buffer in place, and the
-covariance distance is squared in place; the whole-matrix expressions
-live here, and must give the same errors bit for bit.
+of every zero included; along a unit axis the component is that
+generator, byte for byte. The two spin checks that read J fill the
+generators, and the combinations sum_k R_ik J_k, on their bands one
+residual at a time and form each residual in one buffer in place, and the
+covariance distance is squared in place. The whole-matrix expressions over
+the stacked J, with np.tensordot for the combinations, live here, and must
+give the same norms bit for bit from j = 0 to 50 and at 150 and 400; the
+combinations must have tensordot's values.
 
 eig_hermitian fixes the phase of every eigenvector in one gather and one
 broadcast multiply, and clusters the eigenvalues by comparing each
@@ -181,7 +188,7 @@ from symquant.groups import (
     orbits,
     subgroup_generated,
 )
-from symquant import groups, linalg, scenarios, variables
+from symquant import groups, linalg, scenarios, spin, variables
 from symquant.linalg import (
     DEGENERACY_TOL,
     as_state_family,
@@ -781,6 +788,33 @@ def rows_by_stacking(states) -> np.ndarray:
 def projectors_by_einsum(weights, rows) -> np.ndarray:
     """sum_k w_k |s_k><s_k|, one weight vector or a stack of them."""
     return np.einsum("...k,ki,kj->...ij", weights, rows, rows.conj())
+
+
+def projector_sum_by_two_temporaries(states, weights) -> np.ndarray:
+    """The weighted states times a conjugated copy of the states, the
+    expression projector_sum evaluated before it formed one temporary."""
+    return (states.T * np.asarray(weights)[..., None, :]) @ states.conj()
+
+
+def seeded_families(seed) -> list:
+    """(states, weights) pairs from one seed: the states C-ordered,
+    F-ordered, a strided view and an offset view of larger arrays, with
+    weights real or complex, 1-d or stacked, some of them zero."""
+    rng = np.random.default_rng(seed)
+    n, d = (int(k) for k in rng.integers(1, 40, size=2))
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    forms = [cplx(n, d), np.asfortranarray(cplx(n, d)), cplx(n, 2 * d)[:, ::2],
+             cplx(n + 2, d + 3)[1:n + 1, 3:]]
+    families = []
+    for states in forms:
+        for shape in [(n,), (int(rng.integers(1, 4)), n)]:
+            for weights in (rng.normal(size=shape), cplx(*shape)):
+                weights[rng.random(shape) < 0.2] = 0.0
+                families.append((states, weights))
+    return families
 
 
 def labelled_sum_by_einsum(rows, weights, labels) -> np.ndarray:
@@ -2360,6 +2394,16 @@ class TestProjectorSumOracles:
         dev = np.max(np.abs(want - np.eye(rows.shape[1])))
         assert abs(resolution_deviation(states, weights) - dev) <= 1e-12 * max(1.0, dev)
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_one_temporary_has_the_two_temporary_values(self, seed):
+        # the weighted states conjugated in place, times the states, and
+        # the product conjugated in place: the same product on the same
+        # operand layouts, so the same values; only the signs of exact
+        # zeros may differ
+        for states, weights in seeded_families(seed):
+            want = projector_sum_by_two_temporaries(states, weights)
+            assert np.array_equal(projector_sum(states, weights), want)
+
     @ORACLE_SETTINGS
     @given(state_families(), st.integers(0, 3), st.integers(0, 2**32 - 1))
     def test_weight_stacks(self, family, m, seed):
@@ -2664,19 +2708,20 @@ def commutation_error_by_whole_products(j) -> float:
     )
 
 
-def bt_generator_error_by_whole_products(j) -> float:
-    """The larger of the two binary tetrahedral generators' Frobenius
-    errors of U^dag J U = R J, over the stacked triple J."""
-    g = make_named_group("binary_tetrahedral")
+def generator_turn_error_by_whole_j(j, q) -> float:
+    """The Frobenius error of U^dag J U = R J for the rotation named by the
+    quaternion q, each residual formed from the stacked triple J by whole
+    products and np.tensordot."""
+    axis, angle = quaternion_axis_angle(q)
+    U, R = spin_rotation(j, axis, angle), rotation_matrix(axis, angle)
     J = np.stack(spin_generators_by_ladder(j))
-    err = 0.0
-    for gen in g.generators:
-        axis, angle = quaternion_axis_angle(g.elements[gen])
-        U, R = spin_rotation(j, axis, angle), rotation_matrix(axis, angle)
-        err = max(err, math.hypot(*(
-            np.linalg.norm(U.conj().T @ J[i] @ U - np.tensordot(R[i], J, 1))
-            for i in range(3))))
-    return err
+    return math.hypot(*(
+        np.linalg.norm(U.conj().T @ J[i] @ U - np.tensordot(R[i], J, 1))
+        for i in range(3)))
+
+
+# j = 0..50 by halves, and two spins up to MAX_SPIN
+SPIN_ORACLE_J = [k / 2 for k in range(101)] + [150, 400]
 
 
 def spin_directions(seed, count=12) -> list:
@@ -2708,14 +2753,44 @@ class TestSpinBandsOracle:
             assert np.array_equal(A, want), a
             assert A.tobytes() == want.tobytes(), a
 
-    @pytest.mark.parametrize("j", [0, 0.5, 1, 3.5, 10, 20])
-    def test_spin_checks_over_whole_products(self, j):
+    @pytest.mark.parametrize("j", SPIN_ORACLE_J)
+    def test_spin_checks_over_whole_j(self, j):
         # each residual formed in one buffer, in place, in the order of the
-        # whole-matrix expression: the same errors, bit for bit
+        # whole-matrix expression, from generators and combinations R J
+        # filled on their bands one residual at a time: the same norms as
+        # whole products of J and tensordot over it, bit for bit
         s = SimpleNamespace(j=j, j_scale=1.0)
         assert scenarios._commutation(s)[0] == commutation_error_by_whole_products(j)
-        depth = make_named_group("binary_tetrahedral").depth
-        assert scenarios._bt_covariance(s)[0] == depth * bt_generator_error_by_whole_products(j)
+        g = make_named_group("binary_tetrahedral")
+        for gen in g.generators:
+            q = g.elements[gen]
+            assert scenarios._generator_turn_error(j, q) == generator_turn_error_by_whole_j(j, q)
+
+    @pytest.mark.parametrize("j", [0, 0.5, 1, 3.5, 10, 20])
+    def test_covariance_check_is_depth_times_the_larger_generator_error(self, j):
+        s = SimpleNamespace(j=j, j_scale=1.0)
+        g = make_named_group("binary_tetrahedral")
+        want = max(generator_turn_error_by_whole_j(j, g.elements[gen]) for gen in g.generators)
+        assert scenarios._bt_covariance(s)[0] == g.depth * want
+
+    @pytest.mark.parametrize("j", [0, 0.5, 1, 7.5, 50, 150])
+    def test_combinations_have_the_tensordot_values(self, j):
+        # sum_k R_ik J_k filled on its bands, for the rows of the binary
+        # tetrahedral generators' rotations and of seeded matrices: the
+        # values of tensordot over whole J; only the signs of zeros differ
+        J, ladder = spin_generators(j), spin._ladder(j)
+        g = make_named_group("binary_tetrahedral")
+        rows = [rotation_matrix(*quaternion_axis_angle(g.elements[gen]))
+                for gen in g.generators]
+        rows.append(np.random.default_rng(int(2 * j)).normal(size=(3, 3)))
+        for r in np.concatenate(rows):
+            assert np.array_equal(spin._combination(ladder, r), np.tensordot(r, J, 1)), r
+
+    @pytest.mark.parametrize("j", [0, 0.5, 1, 2.5, 20, 50, 400])
+    def test_component_along_an_axis_is_that_generator(self, j):
+        J = spin_generators(j)
+        for axis, want in zip(np.eye(3), J):
+            assert component_matrix(j, axis).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("j", [1, 3.5, 10])
     def test_conjugation_distance_over_whole_arrays(self, j):
