@@ -555,16 +555,26 @@ def _refuse_above_bound(order: int) -> None:
 def _named_order(head: str, n: int) -> int:
     """The order of the group head:n (n, 2n or n!), read off its parameter;
     UnknownGroupNameError for n < 1, OrderTooLargeError above
-    MAX_GROUP_ORDER."""
+    MAX_GROUP_ORDER. The order is formed only while it is near the bound;
+    past that, the refusal names the group, so that it neither waits on n!
+    nor formats a number past Python's limit on integer digits."""
     if n < 1:
         what = "cyclic order" if head == "cyclic" else f"{head} order parameter"
         raise UnknownGroupNameError(f"{what} must be >= 1")
     if head == "cyclic":
         order = n
     elif head == "dihedral":
-        order = 2 * n
+        order = 2 * n if n <= MAX_GROUP_ORDER else None
     else:
-        order = math.factorial(n)
+        # the running product of 1..n, stopped once it passes the bound
+        order = 1
+        for k in range(2, n + 1):
+            order *= k
+            if order > MAX_GROUP_ORDER and k < n:
+                order = None
+                break
+    if order is None:
+        raise OrderTooLargeError(f"order of {head}:{n} exceeds {MAX_GROUP_ORDER}")
     _refuse_above_bound(order)
     return order
 

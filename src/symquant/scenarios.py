@@ -217,46 +217,45 @@ _Z4_CHECKS = (
 
 
 # ---------------------------------------------------------------------------
-# coherent-state scenarios
+# coherent-state scenario: one row per declared system
 
 
-def _d4_setup(params) -> SimpleNamespace:
-    g = make_named_group("dihedral:4")
-    act = dihedral_vertex_action(g)
-    cs = make_coherent(dihedral_rotation_rep(g), act, 0, (1.0, 0.0))
-    return SimpleNamespace(cs=cs, frame=frame_operator(cs))
+# group name -> (action builder, rep builder, fiducial). Every row's base
+# point is 0: vertex 0 of the dihedral action, the binary tetrahedral identity
+_SYSTEMS = {
+    "dihedral:4": (dihedral_vertex_action, dihedral_rotation_rep, (1.0, 0.0)),
+    "binary_tetrahedral": (left_translation_action, binary_tetrahedral_spin_rep,
+                           (1.0, 0.0)),
+}
 
 
-def _bt24_setup(params) -> SimpleNamespace:
-    g = make_named_group("binary_tetrahedral")
-    rep = binary_tetrahedral_spin_rep(g)
-    cs = make_coherent(rep, left_translation_action(g), g.identity, (1.0, 0.0))
-    return SimpleNamespace(g=g, cs=cs, frame=frame_operator(cs))
+def _coherent_setup(params) -> dict:
+    systems = {}
+    for name, (action, rep, fiducial) in _SYSTEMS.items():
+        g = make_named_group(name)
+        cs = make_coherent(rep(g), action(g), 0, fiducial)
+        systems[name] = SimpleNamespace(cs=cs, frame=frame_operator(cs))
+    return systems
 
 
-def _irreducible(s):
-    return s.cs.commutant_dim == 1, f"commutant dimension = {s.cs.commutant_dim}"
+def _irreducible(name, systems):
+    cs = systems[name].cs
+    return cs.commutant_dim == 1, f"commutant dimension = {cs.commutant_dim}"
 
 
-def _frame_is(scalar):
-    """The run of the check that the frame operator is scalar * I."""
-    return lambda s: (float(np.linalg.norm(s.frame.T - scalar * np.eye(2))),
-                      f"scalar = {s.frame.lam:.6g} over {len(s.cs.states)} orbit states")
+def _frame_scalar(name, systems):
+    """||T - c I_d||_F against the closed form c = |G| ||f||^2 / d."""
+    cs, frame = systems[name].cs, systems[name].frame
+    d = cs.rep.dim
+    c = cs.rep.group.order * np.vdot(cs.fiducial, cs.fiducial).real / d
+    return (float(np.linalg.norm(frame.T - c * np.eye(d))),
+            f"scalar = {frame.lam:.6g} over {len(cs.states)} orbit states")
 
 
-_D4_CHECKS = (
-    CheckSpec("rotation_rep_irreducible", 0, _irreducible),
-    CheckSpec("frame_operator_four_times_identity", 1e-10, _frame_is(4.0)),
-)
-
-_BT24_CHECKS = (
-    CheckSpec("group_order_24", 0, lambda s: (s.g.order == 24, f"order = {s.g.order}")),
-    CheckSpec("spin_half_rep_irreducible", 0, _irreducible),
-    CheckSpec("orbit_states_unit_norm", 1e-12, lambda s: (
-        float(np.max(np.abs(np.linalg.norm(s.cs.states, axis=1) - 1.0))),
-        "24 states from the fiducial (1, 0)")),
-    CheckSpec("frame_operator_twelve_times_identity", 1e-9, _frame_is(12.0)),
-)
+_COHERENT_CHECKS = tuple(spec for name in _SYSTEMS for spec in (
+    CheckSpec(f"rep_irreducible[{name}]", 0, functools.partial(_irreducible, name)),
+    CheckSpec(f"frame_scalar[{name}]", 1e-10, functools.partial(_frame_scalar, name)),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +354,18 @@ def _bt_covariance(s):
         "of a under the group's 12 rotations")
 
 
-def _turn_error(s, k, target):
-    """||U(k) - target||_F for U(k), the rotation by 2*pi*k/8 about a, from
-    the measured spectrum."""
+def _turn_error(s, k, sign):
+    """||U(k) - sign * I||_F for U(k), the rotation by 2*pi*k/8 about a,
+    from the measured spectrum; sign comes off U's diagonal in place."""
     spec = s.bundle.spectrum
     U = spec.reconstruct(np.exp(-0.25j * np.pi * k * spec.eigenvalues))
-    return float(np.linalg.norm(U - target))
+    U[np.diag_indices(s.d)] -= sign
+    return float(np.linalg.norm(U))
 
 
 def _full_turn(s):
     sign = (-1.0) ** int(round(2 * s.j))
-    return (_turn_error(s, 8, sign * np.eye(s.d)),
+    return (_turn_error(s, 8, sign),
             f"rotation by 2*pi equals {int(sign)} * identity at spin {s.j}")
 
 
@@ -432,7 +432,7 @@ _SPIN_CHECKS = (
         f"{DEGENERACY_TOL:.1e})")),
     CheckSpec("full_turn_rotation_sign", 1e-9, _full_turn),
     CheckSpec("double_turn_rotation_identity", 1e-9, lambda s: (
-        _turn_error(s, 16, np.eye(s.d)), "rotation by 4*pi")),
+        _turn_error(s, 16, 1.0), "rotation by 4*pi")),
     CheckSpec("covariance_half_turn_reverses_labels", 1e-9, _half_turn,
               when=_d_above_1, fails_on=(NotUnitaryError, _half_turn_not_unitary)),
     CheckSpec("sign_flip_orbit_partition", 0, _sign_flip_orbits),
@@ -562,8 +562,7 @@ _SCENARIOS = {
     "phase": _Scenario(_phase_setup, _PHASE_CHECKS, {"n": 4, "c": 1, "d": 1},
                        {"n": _check_size}),
     "pedagogy_z4": _Scenario(_z4_setup, _Z4_CHECKS, {}),
-    "coherent_d4": _Scenario(_d4_setup, _D4_CHECKS, {}),
-    "coherent_bt24": _Scenario(_bt24_setup, _BT24_CHECKS, {}),
+    "coherent": _Scenario(_coherent_setup, _COHERENT_CHECKS, {}),
 }
 
 BUILTIN_SCENARIOS = tuple(_SCENARIOS)
@@ -653,7 +652,7 @@ def parse_config(config) -> dict:
     }
 
 
-def _check(spec: CheckSpec, shared: SimpleNamespace, overrides: dict) -> Check:
+def _check(spec: CheckSpec, shared, overrides: dict) -> Check:
     errors, explain = spec.fails_on
     try:
         value, details = spec.run(shared)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from symquant import coherent, groups, quantize, scenarios, spin
+from symquant import coherent, quantize, scenarios, spin
 from symquant import phasespace as ps
 from symquant.cli import main
 from symquant.coherent import MonomialRep
@@ -35,8 +35,7 @@ class Mutant(NamedTuple):
 
 
 PEDAGOGY = {"scenario": "pedagogy_z4"}
-D4 = {"scenario": "coherent_d4"}
-BT24 = {"scenario": "coherent_bt24"}
+COHERENT = {"scenario": "coherent"}
 SPIN = {"scenario": "spin"}
 PHASE = {"scenario": "phase"}
 
@@ -88,13 +87,6 @@ def _frame_with(T_scale):
             return dataclasses.replace(frame, T=T_scale * frame.T)
         return fault
     return make
-
-
-def _quaternion_group():
-    # i and j generate the 8-element quaternion group, whose defining
-    # representation is still irreducible
-    return groups.generate_group([(0, 2, 0, 0), (0, 0, 2, 0)], groups._quat_mul,
-                                 (2, 0, 0, 0), name="binary_tetrahedral")
 
 
 def _scaled_component(factor):
@@ -204,21 +196,15 @@ MUTANTS = {
     "parity_coarse_grain_not_maximal": Mutant(
         PEDAGOGY, scenarios, "coarse_grain",
         lambda orig: lambda basis, labels, t: orig(basis, labels, lambda u: u)),
-    # coherent_d4
-    "rotation_rep_irreducible": Mutant(
-        D4, coherent, "is_irreducible", _character_norm_plus_one),
-    "frame_operator_four_times_identity": Mutant(
-        D4, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
-    # coherent_bt24
-    "group_order_24": Mutant(
-        BT24, groups, "binary_tetrahedral_group", lambda orig: _quaternion_group),
-    "spin_half_rep_irreducible": Mutant(
-        BT24, coherent, "is_irreducible", _character_norm_plus_one),
-    "orbit_states_unit_norm": Mutant(
-        BT24, scenarios, "make_coherent",
-        lambda orig: lambda rep, act, base, f: orig(rep, act, base, 2 * np.asarray(f))),
-    "frame_operator_twelve_times_identity": Mutant(
-        BT24, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
+    # coherent
+    "rep_irreducible[dihedral:4]": Mutant(
+        COHERENT, coherent, "is_irreducible", _character_norm_plus_one),
+    "frame_scalar[dihedral:4]": Mutant(
+        COHERENT, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
+    "rep_irreducible[binary_tetrahedral]": Mutant(
+        COHERENT, coherent, "is_irreducible", _character_norm_plus_one),
+    "frame_scalar[binary_tetrahedral]": Mutant(
+        COHERENT, scenarios, "frame_operator", _frame_with(T_scale=0.5)),
     # spin
     # the generator fill with Jy's bands negated: [Jx, -Jy] = -i Jz
     "generator_commutation_relations": Mutant(

@@ -144,10 +144,19 @@ class TestNamedGroups:
                 make_named_group(bad)
 
     def test_order_too_large(self):
-        with pytest.raises(OrderTooLargeError):
-            make_named_group("symmetric:8")
-        with pytest.raises(OrderTooLargeError):
-            make_named_group("cyclic:20000")
+        # an order reached only through a large n is refused by naming the
+        # group: 2000! and 2n for n of 4,300 nines have more digits than
+        # Python formats (a bare ValueError), and 100000! took 0.13 s
+        nines = "9" * 4300
+        for name, message in [
+            ("symmetric:8", "order 40320 exceeds 10000"),
+            ("cyclic:20000", "order 20000 exceeds 10000"),
+            ("symmetric:2000", "order of symmetric:2000 exceeds 10000"),
+            ("symmetric:100000", "order of symmetric:100000 exceeds 10000"),
+            (f"dihedral:{nines}", f"order of dihedral:{nines} exceeds 10000"),
+        ]:
+            with pytest.raises(OrderTooLargeError, match=f"^{re.escape(message)}$"):
+                make_named_group(name)
 
     def test_product_above_the_bound_is_refused_before_any_factor_is_built(self, monkeypatch):
         # 14 factors of order 2, 2**14 = 16384 elements: building every

@@ -202,7 +202,7 @@ class TestConfig:
     @pytest.mark.parametrize("tolerances", [
         {"no_such_check": 1},
         {"position_momentum_noncommuting": 1},
-        {"*": 1, "frame_operator_four_times_identity": 1},
+        {"*": 1, "frame_scalar[dihedral:4]": 1},
     ])
     def test_bad_override_refused_before_setup(self, monkeypatch, tolerances):
         # an override name is checked against the declared checks, before
@@ -234,6 +234,19 @@ class TestScenarios:
                 assert c.max_error in (0.0, 1.0), c.name
             else:
                 assert 0 < c.tolerance < math.inf, c.name
+
+    @pytest.mark.parametrize("name, unit_scalar", [("dihedral:4", 4), ("binary_tetrahedral", 12)])
+    def test_coherent_frame_scalar_follows_the_fiducial(self, monkeypatch, name, unit_scalar):
+        # c = |G| ||f||^2 / d: the unit fiducial gives the scalars the
+        # scenario once hard-coded (4 and 12), and (1, i) doubles them
+        assert scenarios._SYSTEMS[name][2] == (1.0, 0.0)
+        for fiducial, scalar in [((1.0, 0.0), unit_scalar), ((1.0, 1j), 2 * unit_scalar)]:
+            action, rep, _ = scenarios._SYSTEMS[name]
+            monkeypatch.setitem(scenarios._SYSTEMS, name, (action, rep, fiducial))
+            by_name = {c.name: c for c in run_scenario({"scenario": "coherent"}).checks}
+            check = by_name[f"frame_scalar[{name}]"]
+            assert check.passed and check.max_error <= 1e-14, fiducial
+            assert check.details.startswith(f"scalar = {scalar} over "), fiducial
 
     def test_spin_half_has_enough_checks(self):
         rep = run_scenario({"scenario": "spin", "params": {"j": 0.5}})
@@ -294,9 +307,9 @@ class TestScenarios:
 
     def test_spin_group_is_not_the_patched_builders(self, monkeypatch):
         # i and j generate the 8-element quaternion group; a builder
-        # patched into groups, as the group_order_24 mutant does, never
-        # fills the spin scenario's cache. The run fills an empty copy of
-        # the cache, and the process's own is restored after the test
+        # patched into groups never fills the spin scenario's cache. The
+        # run fills an empty copy of the cache, and the process's own is
+        # restored after the test
         fresh = functools.cache(scenarios._bt_group.__wrapped__)
         monkeypatch.setattr(scenarios, "_bt_group", fresh)
         monkeypatch.setattr(groups, "binary_tetrahedral_group", lambda: groups.generate_group(
@@ -357,7 +370,7 @@ class TestScenarios:
                         assert c.tolerance == overrides.get(
                             c.name, overrides.get("*", c0.tolerance))
         toleranced = [c for r in default for c in r.checks if c.tolerance > 0]
-        assert len(toleranced) == 13
+        assert len(toleranced) == 12
         assert min(c.tolerance for c in toleranced) >= 1e-12
 
     def test_run_all_deterministic(self):
@@ -401,8 +414,28 @@ class TestCli:
         obj = json.loads(capsys.readouterr().out)
         assert [r["scenario"] for r in obj] == list(BUILTIN_SCENARIOS)
 
-    def test_unknown_scenario_exit_2(self, capsys):
-        assert main(["verify", "--scenario", "nope"]) == 2
+    # coherent_d4 names no scenario: its system is the dihedral:4 row of coherent
+    @pytest.mark.parametrize("name", ["nope", "coherent_d4"])
+    def test_unknown_scenario_exit_2(self, capsys, name):
+        assert main(["verify", "--scenario", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown scenario: {name!r}\n"
+
+    # the two coherent scenarios are now the rows of one; their names are refused
+    @pytest.mark.parametrize("name", ["coherent_d4", "coherent_bt24"])
+    def test_config_names_a_retired_scenario_exit_2(self, tmp_path, monkeypatch, capsys, name):
+        def setup(params):
+            raise AssertionError("a setup ran")
+
+        for key, scenario in scenarios._SCENARIOS.items():
+            monkeypatch.setitem(scenarios._SCENARIOS, key, scenario._replace(setup=setup))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": name}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown scenario: {name!r}\n"
 
     def test_empty_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -472,11 +505,12 @@ class TestCli:
         # check of another scenario, a deleted check, a check spin 0 skips
         '{"scenario": "phase", "tolerances": {"no_such_check": 1}}',
         '{"scenario": "pedagogy_z4", "tolerances": {"parity_variable_permissible": 1}}',
-        '{"scenario": "phase", "tolerances": {"frame_operator_four_times_identity": 1}}',
-        '{"scenario": "coherent_bt24", "tolerances": {"normalized_orbit_resolves_identity": 1e-9}}',
+        '{"scenario": "coherent", "tolerances": {"rep_irreducible[dihedral:4]": 1}}',
+        '{"scenario": "phase", "tolerances": {"frame_scalar[dihedral:4]": 1}}',
+        '{"scenario": "coherent", "tolerances": {"normalized_orbit_resolves_identity": 1e-9}}',
         '{"scenario": "phase", "tolerances": {"clock_rep_of_cyclic_group": 1e-10}}',
         '{"scenario": "phase", "tolerances": {"shift_full_cycle_is_identity": 1e-12}}',
-        '{"scenario": "coherent_d4", "tolerances": {"transport_preserves_resolution": 1e-9}}',
+        '{"scenario": "coherent", "tolerances": {"transport_preserves_resolution": 1e-9}}',
         '{"scenario": "spin", "params": {"j": 0}, "tolerances": {"*": 1, "covariance_half_turn_reverses_labels": 1}}',
     ])
     def test_invalid_config_tolerance_exit_2(self, tmp_path, monkeypatch, capsys, text):
@@ -574,8 +608,8 @@ class TestCli:
         assert captured.err.startswith("error: ")
 
     def test_failing_check_exit_1(self, capsys):
-        # the frame scalar of coherent_d4 errs by 3.5e-16
-        assert main(["verify", "--scenario", "coherent_d4",
+        # the dihedral:4 frame scalar of coherent errs by 3.5e-16
+        assert main(["verify", "--scenario", "coherent",
                      "--tolerance", "1e-30"]) == 1
 
     def test_out_file(self, tmp_path, capsys):
@@ -658,11 +692,11 @@ class TestCli:
         out = tmp_path / "r.json"
         proc = subprocess.run(
             [sys.executable, "-m", "symquant.cli", "verify",
-             "--scenario", "coherent_d4", "--out", str(out)],
+             "--scenario", "coherent", "--out", str(out)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        assert json.loads(out.read_text())["scenario"] == "coherent_d4"
+        assert json.loads(out.read_text())["scenario"] == "coherent"
 
 
 # Documents for the config fuzz: well-formed ones, whose params have the
