@@ -26,7 +26,7 @@ d4 = make_named_group("dihedral:4")
 act = dihedral_vertex_action(d4)
 print("element (rotation, flip) -> vertex permutation")
 for k in range(d4.order):
-    print(f"  {str(d4.elements[k]):6s} -> {list(act.perm[k])}")
+    print(f"  {str(d4.elements[k]):6s} -> {act.perm[k].tolist()}")
 print("orbits:", orbits(act), " transitive:", is_transitive(act))
 
 print("\n== orbits split when the action has fixed points ==")

@@ -47,6 +47,6 @@ print("  largest subgroup under which it does behave:", H)
 print("\ncoarser/finer partial order:")
 ident = variable_from_point_labels([0.0, 1.0, 2.0, 3.0])
 ok, f = accessibility_leq(parity, ident)
-print("  parity = f(identity-variable)?", ok, " f table:", list(f))
+print("  parity = f(identity-variable)?", ok, " f table:", f.tolist())
 ok, _ = accessibility_leq(ident, parity)
 print("  identity-variable = f(parity)?", ok)
