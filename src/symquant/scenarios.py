@@ -406,8 +406,11 @@ def _question_answer(s):
 def _reduction(s):
     target = s.bundle.eigenvalues[list(s.blocks[-1])].tolist()
     reduced = model_reduce(s.bundle.eigenvalues, s.flip_perms, target)
+    # the labels are eigenvalues, whose last bits depend on the LAPACK
+    # build: shown to 6 decimals, as the direction is, and a zero unsigned
+    shown = (np.round(reduced.value_labels, 6) + 0.0).tolist()
     return (reduced.value_labels == tuple(sorted(target)),
-            f"reduced label set = {list(reduced.value_labels)}")
+            f"reduced label set = {shown}")
 
 
 def _rejects_non_orbit(s):
