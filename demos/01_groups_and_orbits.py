@@ -6,6 +6,8 @@ action axioms are checked exhaustively at construction time. We build a few
 named groups, act on small spaces, and split the spaces into orbits.
 """
 
+import numpy as np
+
 from symquant import (
     GroupAction,
     is_transitive,
@@ -19,7 +21,9 @@ print("== named groups ==")
 for spec in ("cyclic:4", "dihedral:4", "symmetric:3", "binary_tetrahedral",
              "cyclic:2xcyclic:2"):
     g = make_named_group(spec)
-    print(f"{spec:22s} order {g.order:3d}  abelian={g.is_abelian}")
+    # abelian: every pair commutes, so the table equals its transpose
+    abelian = np.array_equal(g.cayley, g.cayley.T)
+    print(f"{spec:22s} order {g.order:3d}  abelian={abelian}")
 
 print("\n== the dihedral group permuting square vertices ==")
 d4 = make_named_group("dihedral:4")

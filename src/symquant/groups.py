@@ -307,14 +307,6 @@ class FiniteGroup:
         """The recorded generators, or every element when none are recorded."""
         return self.generators or tuple(range(self.order))
 
-    @property
-    def is_abelian(self) -> bool:
-        """True iff the generators commute pairwise, which holds iff every
-        pair of elements does, since the generators reach every element."""
-        s = list(self.generating_set)
-        sub = self.cayley[np.ix_(s, s)]
-        return bool(np.array_equal(sub, sub.T))
-
 
 @dataclass(frozen=True)
 class GroupAction:
@@ -740,19 +732,6 @@ def dihedral_vertex_action(g: FiniteGroup) -> GroupAction:
     perm = np.where(b == 0, x, -x)
     perm += i
     perm %= n
-    perm.setflags(write=False)
-    return GroupAction(group=g, perm=perm)
-
-
-def natural_permutation_action(g: FiniteGroup) -> GroupAction:
-    """A symmetric group acting on its points via the stored image tuples,
-    read into the stored dtype a block of elements at a time."""
-    if g.elements is None:
-        raise ValueError("group does not carry element data")
-    m = len(g.elements[0])
-    perm = np.empty((g.order, m), dtype=_index_dtype(m))
-    for b in element_blocks(g.order, perm.size):
-        perm[b] = as_index_array(g.elements[b], m, "action entries out of range")
     perm.setflags(write=False)
     return GroupAction(group=g, perm=perm)
 

@@ -169,18 +169,6 @@ def is_permissible(var: ConceptualVariable, act: GroupAction):
     return witness is None, witness
 
 
-def element_value_map(var: ConceptualVariable, act: GroupAction, h: int):
-    """The single permutation of value ids induced by element h, if any.
-
-    Returns an index array g with g[value at p] == value at h.p for every
-    point p, or None when no single-valued assignment exists. A total
-    single-valued g is automatically a bijection because h is invertible
-    and every label is attained.
-    """
-    _, maps, ok = next(_element_maps(var, act, h))
-    return maps[0] if ok[0] else None
-
-
 @dataclass(frozen=True)
 class InducedAction:
     """The transformation group induced on a variable's value space.

@@ -23,6 +23,7 @@ import sys
 import pytest
 
 import symquant
+from symquant import groups
 from symquant.cli import main
 from symquant.scenarios import run_all
 
@@ -30,11 +31,8 @@ NOT_REACHED = {
     # named-group grammar: make_named_group builds these on request
     "groups.symmetric_group": "the symmetric:n group of the name grammar",
     "groups.direct_product": "the AxB product of the name grammar",
-    "groups.natural_permutation_action": "symmetric:n on its points, for the oracles",
     # report normalization, for tests, CI and the benchmark
     "reporting.strip_timing": "removes volatile fields before comparing reports",
-    # oracle route: a second way to the value maps the checks compute
-    "variables.element_value_map": "one element's value map, the oracles' route",
     # one interface serves both representation forms; the reports use each
     # member on one form only
     "coherent.UnitaryRep.conjugated": "one interface serves both forms",
@@ -42,8 +40,6 @@ NOT_REACHED = {
     "coherent.MonomialRep.characters": "one interface serves both forms",
     "coherent.MonomialRep.matrix": "one interface serves both forms",
     "coherent.MonomialRep.orbit": "one interface serves both forms",
-    # shown by demos/01_groups_and_orbits.py
-    "groups.FiniteGroup.is_abelian": "demo 01 shows it",
 }
 
 
@@ -145,7 +141,8 @@ DELETED = ("InvariantMeasure", "haar_measure", "invariant_measure",
            "RowMismatchError", "NegativeWeightError", "function_operator",
            "commutator_norm", "CoarseGraining", "EigenOrbitPartition",
            "cyclic_shift_action", "rep_to_json", "rep_from_json",
-           "variable_to_json", "variable_from_json", "commutant_dimension")
+           "variable_to_json", "variable_from_json", "commutant_dimension",
+           "element_value_map", "natural_permutation_action")
 
 # stored copies and derived values: read them off the one field that holds
 # them (value_action.perm, 1 / lam, linalg.DEGENERACY_TOL,
@@ -172,6 +169,12 @@ def test_removed_fields_are_gone():
         fields = {f.name for f in dataclasses.fields(
             getattr(importlib.import_module(f"symquant.{module}"), cls))}
         assert not fields.intersection(names), path
+
+
+def test_finite_group_has_no_is_abelian():
+    # only tests and demo 01 read it; they compare the Cayley table with its
+    # transpose
+    assert not hasattr(groups.FiniteGroup, "is_abelian")
 
 
 def test_removed_names_are_not_exported():

@@ -183,7 +183,6 @@ from symquant.groups import (
     generate_group,
     left_translation_action,
     make_named_group,
-    natural_permutation_action,
     orbit_partition,
     orbits,
     subgroup_generated,
@@ -231,7 +230,6 @@ from symquant.variables import (
     InducedAction,
     NotPermissibleError,
     accessibility_leq,
-    element_value_map,
     induce_group,
     is_permissible,
     is_permissible_under,
@@ -344,6 +342,11 @@ def monomial_matrices(perm, phase) -> np.ndarray:
     mats = np.zeros((n, d, d), dtype=np.complex128)
     mats[np.arange(n)[:, None], perm, np.arange(d)] = phase
     return mats
+
+
+def natural_action(g: FiniteGroup) -> GroupAction:
+    """A permutation group acting on its points by its image tuples."""
+    return GroupAction(group=g, perm=np.array(g.elements))
 
 
 def permutation_matrices(act: GroupAction) -> np.ndarray:
@@ -534,11 +537,11 @@ def covariance_distance_by_projection_stack(bundle, U, perm) -> float:
 
 def covariance_by_element_loop(bundle, rep, elements, var, act) -> float:
     """The worst distance of one covariance check per element: its value
-    map by element_value_map, then conjugation_covariance with its matrix.
-    NotInSubgroupError at the first element without a value map."""
+    map by value_map_by_point_loop, then conjugation_covariance with its
+    matrix. NotInSubgroupError at the first element without a value map."""
     worst = 0.0
     for h in elements:
-        g = element_value_map(var, act, h)
+        g = value_map_by_point_loop(var, act, h)
         if g is None:
             raise NotInSubgroupError(
                 f"element {h} does not act through a value permutation"
@@ -890,7 +893,7 @@ def labelled_actions(draw, max_degree=5, max_labels=4):
     natural or left-translation action."""
     g = draw(permutation_groups(max_degree))
     if draw(st.booleans()):
-        act = natural_permutation_action(g)
+        act = natural_action(g)
     else:
         act = left_translation_action(g)
     labels = draw(st.lists(st.integers(0, max_labels - 1),
@@ -1057,7 +1060,7 @@ def monomial_cases(draw, max_degree=5):
         signed = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
         modulus = draw(st.sampled_from([2, 4, 6]) if signed.any() else st.just(1))
         return act, np.where(signed, odd[:, None] * (modulus // 2), 0), modulus
-    act = (natural_permutation_action(g) if kind == "natural"
+    act = (natural_action(g) if kind == "natural"
            else left_translation_action(g))
     signed = draw(st.booleans())
     modulus = draw(st.sampled_from([2, 4, 6, 12] if signed else [1, 3, 5, 8]))
@@ -1158,7 +1161,7 @@ class TestOraclesAgree:
     def test_random_permutation_groups(self, g):
         assert associative_all_triples(g.cayley)
         assert 1 <= g.depth <= max(g.order - 1, 1)
-        act = natural_permutation_action(g)
+        act = natural_action(g)
         assert action_law_all_pairs(g, act.perm)
         assert rep_law_all_pairs_error(g, permutation_matrices(act)) == 0.0
         assert permutation_rep(act).modulus == 1
@@ -1276,7 +1279,7 @@ class TestRejections:
         assume(candidates)
         k = data.draw(st.sampled_from(candidates))
         theta = data.draw(st.floats(0.01, 2 * np.pi - 0.01))
-        mats = permutation_matrices(natural_permutation_action(g))
+        mats = permutation_matrices(natural_action(g))
         mats[k] = mats[k] * np.exp(1j * theta)      # still unitary
         assert rep_law_all_pairs_error(g, mats) > 1e-8 * mats.shape[1]
         with pytest.raises(ValueError, match="product law"):
@@ -1288,7 +1291,7 @@ class TestRejections:
         candidates = _non_generators(g)
         assume(candidates)
         k = data.draw(st.sampled_from(candidates))
-        act = natural_permutation_action(g)
+        act = natural_action(g)
         row = data.draw(st.permutations(range(act.space_size)))
         assume(list(row) != act.perm[k].tolist())
         perm = act.perm.copy()
@@ -1414,7 +1417,7 @@ def rows_for_group(draw, max_degree=4, max_points=4):
     if draw(st.booleans()):
         kind = draw(st.sampled_from(["natural", "trivial", "left"]))
         if kind == "natural":
-            perm = natural_permutation_action(g).perm.copy()
+            perm = natural_action(g).perm.copy()
         elif kind == "left":
             perm = g.cayley.copy()
         else:
@@ -1656,7 +1659,7 @@ class TestOrbitOracles:
                     GroupAction(group=g, perm=g.cayley.T[g.inverses])):
             assert orbits(act) == orbits_by_bfs(act.perm, act.space_size)
         if name.startswith("symmetric"):
-            act = natural_permutation_action(g)
+            act = natural_action(g)
             assert orbits(act) == orbits_by_bfs(act.perm, act.space_size)
 
     @pytest.mark.parametrize("name", ORACLE_GROUP_NAMES)
@@ -1666,7 +1669,7 @@ class TestOrbitOracles:
         acts = [left_translation_action(g), conjugation_action(g)]
         head = name.partition(":")[0]
         if head == "symmetric" and "x" not in name:
-            acts.append(natural_permutation_action(g))
+            acts.append(natural_action(g))
         if head == "dihedral" and "x" not in name:
             acts.append(dihedral_vertex_action(g))
         for act in acts:
@@ -1675,7 +1678,7 @@ class TestOrbitOracles:
     @ORACLE_SETTINGS
     @given(permutation_groups())
     def test_orbits_from_generators_match_all_rows_random(self, g):
-        for act in (natural_permutation_action(g), left_translation_action(g),
+        for act in (natural_action(g), left_translation_action(g),
                     conjugation_action(g)):
             assert orbits(act) == orbit_partition(act.perm)
 
@@ -1880,14 +1883,18 @@ class TestValueMapOracles:
     @ORACLE_SETTINGS
     @given(labelled_actions())
     def test_every_element_value_map(self, case):
+        # _element_maps' rows over the whole group against the point loop,
+        # one element at a time
         var, act = case
-        for h in range(act.group.order):
-            got = element_value_map(var, act, h)
-            expected = value_map_by_point_loop(var, act, h)
-            if expected is None:
-                assert got is None
-            else:
-                assert np.array_equal(got, expected)
+        blocks = list(variables._element_maps(var, act, range(act.group.order)))
+        read = np.concatenate([ks for ks, _, _ in blocks])
+        assert read.tolist() == list(range(act.group.order))
+        for ks, maps, ok in blocks:
+            for h, got, single_valued in zip(ks.tolist(), maps, ok):
+                expected = value_map_by_point_loop(var, act, h)
+                assert single_valued == (expected is not None)
+                if single_valued:
+                    assert np.array_equal(got, expected)
 
     @BLOCK_SIZES
     @ORACLE_SETTINGS
@@ -1950,7 +1957,7 @@ class TestCommutantOracle:
     @ORACLE_SETTINGS
     @given(permutation_groups())
     def test_random_permutation_reps(self, g):
-        acts = [natural_permutation_action(g)]
+        acts = [natural_action(g)]
         if g.order <= 24:       # the oracle's system grows as d^4
             acts.append(left_translation_action(g))
         for act in acts:
@@ -2271,12 +2278,6 @@ def vertex_table_by_intp(elements, n: int) -> np.ndarray:
     return (i + np.where(b == 0, x, -x)) % n
 
 
-def natural_table_by_intp(g: FiniteGroup) -> np.ndarray:
-    """The image tuples as one intp table, as natural_permutation_action
-    built it."""
-    return np.array(g.elements, dtype=np.intp).reshape(g.order, len(g.elements[0]))
-
-
 def clock_exponents_by_outer(n: int) -> np.ndarray:
     """(k x) % n over the whole int32 outer product, as clock_rep and
     MonomialRep built the exponents."""
@@ -2334,13 +2335,6 @@ class TestKeptTablesOracle:
         perm = dihedral_vertex_action(fake)
         assert perm.dtype == np.int16
         assert np.array_equal(perm, vertex_table_by_intp(elements, n))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_natural_action_is_the_intp_table(self, n):
-        g = make_named_group(f"symmetric:{n}")
-        perm = natural_permutation_action(g).perm
-        assert_kept(perm, np.int16)
-        assert np.array_equal(perm, natural_table_by_intp(g))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 64, 200])
     def test_clock_exponents_are_the_reduced_outer_product(self, n):

@@ -18,7 +18,6 @@ from symquant.variables import (
     NotPermissibleError,
     SizeMismatchError,
     accessibility_leq,
-    element_value_map,
     induce_group,
     is_permissible,
     is_permissible_under,
@@ -168,19 +167,23 @@ class TestMaximalSubgroup:
         ident = variable_from_point_labels([0.0, 1.0, 2.0, 3.0])
         assert maximal_permissible_subgroup(ident, act) == tuple(range(g.order))
 
-    def test_element_value_map_consistency(self, z4, indicator):
+    def test_single_element_permissibility(self, z4, indicator):
+        # element 2 swaps the two values, 1 and 3 split the level sets
         _, act = z4
-        g2 = element_value_map(indicator, act, 2)
-        assert g2 is not None and list(g2) == [1, 0]
-        assert element_value_map(indicator, act, 1) is None
-        assert element_value_map(indicator, act, 3) is None
+        assert [is_permissible_under(indicator, act, (h,)) for h in range(4)] == [
+            True, False, True, False]
+        assert maximal_permissible_subgroup(indicator, act) == (0, 2)
+        moved = ConceptualVariable(values=indicator.values[act.perm[2]],
+                                   value_labels=indicator.value_labels)
+        ok, value_map = accessibility_leq(moved, indicator)
+        assert ok and value_map.tolist() == [1, 0]
 
     @pytest.mark.parametrize("h", [-1, -2, 4, 1.5])
-    def test_element_value_map_index_range(self, z4, indicator, h):
+    def test_single_element_index_range(self, z4, indicator, h):
         # a negative index does not count from the end
         _, act = z4
         with pytest.raises(BadElementError, match="out of range"):
-            element_value_map(indicator, act, h)
+            is_permissible_under(indicator, act, (h,))
 
     @pytest.mark.parametrize("subset", [[0, -1], [0, -2], [4], [2, 4], [2**64]])
     def test_permissible_under_index_range(self, z4, indicator, subset):
