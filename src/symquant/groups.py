@@ -671,10 +671,15 @@ def _named_factor(name: str) -> tuple[int, Callable[[], FiniteGroup]]:
     head, sep, tail = name.partition(":")
     if not sep:
         raise UnknownGroupNameError(f"unknown group name: {name!r}")
+    # the order is written as its integer, so a name builds the group it
+    # names: no sign, space, underscore, leading zero or non-ASCII digit
     try:
         n = int(tail)
+        written = str(n) == tail
     except ValueError:
-        raise UnknownGroupNameError(f"bad order in group name: {name!r}") from None
+        written = False
+    if not written:
+        raise UnknownGroupNameError(f"bad order in group name: {name!r}")
     builders = {"cyclic": cyclic_group, "dihedral": dihedral_group,
                 "symmetric": symmetric_group}
     if head not in builders:

@@ -130,6 +130,25 @@ class TestNamedGroups:
             with pytest.raises(UnknownGroupNameError):
                 make_named_group(bad)
 
+    @pytest.mark.parametrize("name, bad", [
+        *((name, name) for name in ("cyclic:3_0", "cyclic:+3", "cyclic: 3",
+                                    "cyclic:3 ", "cyclic:\u0663", "cyclic:07",
+                                    "dihedral:-0")),
+        ("cyclic:3xsymmetric:03", "symmetric:03"),
+    ])
+    def test_order_not_written_as_its_integer(self, name, bad):
+        # int() reads each of these tails; the name would build another
+        # group's name, or the same group under a second name
+        with pytest.raises(UnknownGroupNameError,
+                           match=f"^{re.escape(f'bad order in group name: {bad!r}')}$"):
+            make_named_group(name)
+
+    @pytest.mark.parametrize("name", ["cyclic:1", "cyclic:30", "dihedral:10",
+                                      "symmetric:4", "binary_tetrahedral",
+                                      "cyclic:2xdihedral:3xsymmetric:1"])
+    def test_accepted_name_round_trips(self, name):
+        assert make_named_group(name).name == name
+
     def test_order_too_large(self):
         # an order reached only through a large n is refused by naming the
         # group: 2000! and 2n for n of 4,300 nines have more digits than
