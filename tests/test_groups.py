@@ -53,6 +53,14 @@ CAYLEY_SHA256 = {
 }
 
 
+def generators_commute(g: FiniteGroup) -> bool:
+    """True iff the generating set commutes pairwise: abelian-ness read off
+    the generators only."""
+    s = list(g.generating_set)
+    sub = g.cayley[np.ix_(s, s)]
+    return bool(np.array_equal(sub, sub.T))
+
+
 class TestNamedGroups:
     def test_cyclic_four(self):
         g = make_named_group("cyclic:4")
@@ -111,6 +119,21 @@ class TestNamedGroups:
         act = dihedral_vertex_action(g)
         assert act.space_size == 1
         assert np.array_equal(act.perm, [[0], [0]])
+
+    @pytest.mark.parametrize("name", sorted(CAYLEY_SHA256))
+    def test_is_abelian_matches_whole_table_oracle(self, name):
+        # the generating set commutes pairwise iff the whole table equals
+        # its transpose, since the generators reach every element
+        g = make_named_group(name)
+        assert generators_commute(g) == np.array_equal(g.cayley, g.cayley.T)
+
+    @pytest.mark.parametrize("name", ["cyclic:6", "dihedral:4", "cyclic:2xcyclic:3"])
+    def test_is_abelian_without_recorded_generators(self, name):
+        # with none recorded every element is a generator
+        g = make_named_group(name)
+        bare = FiniteGroup(g.cayley)
+        assert bare.generating_set == tuple(range(g.order))
+        assert generators_commute(bare) == generators_commute(g)
 
     @pytest.mark.parametrize("name", sorted(CAYLEY_SHA256))
     def test_cayley_tables_pinned(self, name):

@@ -2323,6 +2323,14 @@ class TestKeptTablesOracle:
         assert_kept(perm, np.int16)
         assert np.array_equal(perm, vertex_table_by_intp(g.elements, n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_natural_action_is_the_intp_table(self, n):
+        # GroupAction reads the int64 image tuples into its stored form
+        g = make_named_group(f"symmetric:{n}")
+        perm = natural_action(g).perm
+        assert_kept(perm, np.int16)
+        assert np.array_equal(perm, np.array(g.elements, dtype=np.intp))
+
     def test_vertex_arithmetic_stays_in_int16_at_the_largest_order(self, monkeypatch):
         # dihedral:5000 is the largest dihedral group; i + x and i - x
         # reach 2n - 2 and -(n - 1), inside int16. The extreme rows are
