@@ -65,7 +65,8 @@ class UnitaryRep:
 
     matrices is a stack of one dim x dim matrix per element, dim >= 1,
     kept read-only as complex128 by groups.read_only's rule: a copy,
-    unless it already is a read-only complex128 array owning its memory.
+    unless it already is a read-only complex128 array owning its memory
+    (or viewing a read-only array that does).
     Every matrix must be unitary by linalg.unitarity_errors, and the
     identity element must map to the identity matrix. The product law
     V(s)V(k) = V(s*k) is checked by groups.generator_law, for every
@@ -143,8 +144,8 @@ class MonomialRep:
     They are stored as the action and an int16 |G| x dim array of
     exponents, reduced into range(modulus) and read-only, with 1 <= modulus
     <= 32767 (at modulus 1 a view of one shared zero). A table that already
-    is in that form and owns its memory is kept, not copied, by
-    groups.read_only's rule; any other is reduced into a new one. A phase
+    is in that form and that no caller can write to is kept, not copied,
+    by groups.read_only's rule; any other is reduced into a new one. A phase
     is read from the table of the modulus roots when a method needs it,
     and no |G| x dim x dim stack or |G| x dim complex table is stored. The
     permutation part obeys the composition law exactly: GroupAction checks

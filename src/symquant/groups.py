@@ -31,10 +31,10 @@ in the smallest of int16, int32 and int64 that holds every index they may
 take: int16 up to 32,768 elements, points or labels, so for every group
 of at most MAX_GROUP_ORDER elements. The range is checked before the
 entries are narrowed, so an out-of-range entry is refused, never wrapped.
-A table handed over read-only, in its stored dtype and owning its memory,
-is kept without a copy (read_only), so the library's own actions build
-their tables that way, in place or a block of rows at a time, with no
-intp temporary.
+A table handed over read-only, in its stored dtype and owning its memory
+(or a read-only view of a read-only array that does), is kept without a
+copy (read_only), so the library's own actions build their tables that
+way, in place or a block of rows at a time, with no intp temporary.
 Arithmetic on these arrays stays in their dtype and can overflow: cast to
 np.intp first (t.astype(np.intp)) to compute with them.
 
@@ -46,8 +46,9 @@ and reach every element. The action law on the group's own table
 (left_translation_action) is associativity, and is not checked again.
 The other reads over all elements run on the same blocks: a variable's
 value maps (variables._element_maps, which yields them block by block,
-so a permissibility verdict keeps none) and a monomial rep's characters
-and orbits. Caller-supplied element indices are read by element_indices.
+so a verdict over a set keeps none; whole-group permissibility reads the
+generators alone) and a monomial rep's characters and orbits.
+Caller-supplied element indices are read by element_indices.
 """
 
 from __future__ import annotations
@@ -91,17 +92,21 @@ def _index_dtype(bound: int) -> type:
 def read_only(arr: np.ndarray, dtype=None) -> np.ndarray:
     """arr as a constructor stores it, read-only in dtype (arr's own by
     default): arr itself when it already is a read-only array of that dtype
-    owning its memory, which no caller can write to, else a read-only
-    C-ordered copy.
+    that owns its memory, or a read-only view of a read-only array that
+    does, which no caller can write to, else a read-only C-ordered copy.
 
     This is the one ownership rule of the library's stored arrays: a
     constructor that builds its array in the dtype and shape it keeps, and
     hands it over read-only (arr.setflags(write=False)), pays for no second
-    copy. as_index_array, OperatorBundle, UnitaryRep and MonomialRep keep
-    their arrays by it.
+    copy; a table of equal rows handed over as one read-only row read with
+    stride 0 (phasespace.clock_rep's maps) stays one row.
+    as_index_array, OperatorBundle, UnitaryRep and MonomialRep keep their
+    arrays by it.
     """
     dt = arr.dtype if dtype is None else dtype
-    if arr.dtype != dt or arr.flags.writeable or arr.base is not None:
+    owner = arr if arr.base is None else arr.base
+    if (arr.dtype != dt or arr.flags.writeable or not isinstance(owner, np.ndarray)
+            or owner.base is not None or owner.flags.writeable):
         arr = arr.astype(dt, order="C")
         arr.setflags(write=False)
     return arr
@@ -114,10 +119,11 @@ def as_index_array(a, bound: int, message: str) -> np.ndarray:
     The range is checked on the input's own integer dtype before it is
     narrowed, so that an entry of 2**16 + k raises ValueError(message)
     rather than wrap to k. A non-integer input is first cast to intp, as
-    np.asarray(a, dtype=np.intp) would. The result is a copy, unless the
-    input already is a read-only array of that dtype owning its memory: a
-    group's table passed as the maps of left_translation_action is shared,
-    and an action's maps built in that dtype are kept, not copied.
+    np.asarray(a, dtype=np.intp) would. The result is a copy, unless
+    read_only keeps the input, a read-only array of that dtype owning its
+    memory or viewing one that does: a group's table passed as the maps of
+    left_translation_action is shared, and an action's maps built in that
+    dtype are kept, not copied.
     """
     arr = np.asarray(a)
     if arr.dtype.kind not in "iu":

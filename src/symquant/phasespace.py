@@ -6,11 +6,12 @@ The shift is the left-regular representation of cyclic:n, whose Cayley
 table is cayley[k, x] == (k + x) % n: the group translating its own n
 points. The shift and clock are held in one form only, the monomial one:
 a permutation and n int16 exponents of w per element (coherent.MonomialRep),
-O(n^2) small integers in all, with exact laws, and P is the circulant of
-one FFT. Every table and matrix here is built in the dtype and shape it is
-kept in, in place or a block of rows at a time, and handed over read-only,
+O(n^2) small integers in all, with exact laws (the clock's permutations,
+all the identity, are one shared row), and P is the circulant of one FFT.
+Every table and matrix here is built in the dtype and shape it is kept
+in, in place or a block of rows at a time, and handed over read-only,
 so that no n x n temporary passes through a constructor: the phase
-scenario reaches MAX_PHASE_N = 1024 points in about 0.15 s and 39 MiB
+scenario reaches MAX_PHASE_N = 1024 points in about 0.15 s and 37 MiB
 (tracemalloc). A dense matrix of one element is rep.matrix(k).
 
 This is the n-point stand-in for translations of position and momentum on
@@ -29,10 +30,11 @@ from .quantize import OperatorBundle, operator_from_matrix
 
 
 # the largest lattice accepted: the phase scenario at MAX_PHASE_N (cyclic
-# group of order 1024) takes about 0.15 s and peaks at about 39 MiB under
+# group of order 1024) takes about 0.15 s and peaks at about 37 MiB under
 # tracemalloc with one BLAS thread (2-core x86-64 box), well inside a 1 GiB
 # budget; it holds one n x n complex array (P, 16 MiB) and n x n int16
-# tables (the group's, the clock's permutation and exponents, 2 MiB each),
+# tables (the group's, which the shift shares, and the clock's exponents,
+# 2 MiB each; the clock's identity maps are one shared row),
 # a check adds at most one n x n complex array (F, the commutator, or the
 # FFTs of P) and the temporaries of one row block, and no n x n product
 # or eigendecomposition is formed
@@ -89,7 +91,11 @@ def clock_rep(g: FiniteGroup) -> MonomialRep:
     for b in element_blocks(n, exponent.size):
         np.remainder(np.multiply.outer(x[b], x), n, out=exponent[b])
     exponent.setflags(write=False)
-    fixed = GroupAction(group=g, perm=np.broadcast_to(x.astype(np.int16), (n, n)))
+    # every element's map is the identity: one shared read-only row, read
+    # with stride 0 and kept by GroupAction without a copy
+    row = x.astype(np.int16)
+    row.setflags(write=False)
+    fixed = GroupAction(group=g, perm=np.ndarray((n, n), np.int16, row, strides=(0, 2)))
     return MonomialRep(action=fixed, exponent=exponent, modulus=n)
 
 

@@ -14,14 +14,17 @@ Covariance has one kernel: covariance_check runs it on a set of group
 elements, one block of groups.element_blocks at a time, as the law checks
 run (per block one value-map read and one stacked conjugation by the
 rep's conjugated method, the rep not tested again since its constructor
-proved it unitary), conjugation_covariance on one unitary. A one-element
-call costs O(points) for its value map, read off the first points that
-the variable computes once and keeps, plus one conjugation; its index is
-read as a scalar and its rows are gathered by take, so on dihedral:200's
-vertex parity with the permutation rep of its value action a call takes
-about 23 us (one BLAS thread, 2-core x86-64), most of it the numpy calls
-of the arithmetic. Both report the worst distance only, and the report
-check that reads it states the tolerance.
+proved it unitary), and on one element, given as an int or a numpy
+integer, with no block: its value map is read from its one row
+(variables._element_map) and it is conjugated once.
+conjugation_covariance runs it on one unitary. A one-element call costs
+O(points) for its value map, read off the first points that the
+variable computes once and keeps, plus one conjugation, so on
+dihedral:200's vertex parity with the permutation rep of its value action
+a call takes about 31 us, where a one-element block took 38 us (one BLAS
+thread, 2-core x86-64), most of it the numpy calls of the arithmetic.
+Both report the worst distance only, and the report check that reads it
+states the tolerance.
 A rep of either form serves: conjugation by a monomial rep is a gather of
 the operator's entries.
 
@@ -33,6 +36,7 @@ permutations of an induced action are passed as its value_action.perm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -53,7 +57,7 @@ from .linalg import (
     unitarity_errors,
 )
 from .groups import orbit_partition, read_only, rows_are_permutations
-from .variables import ConceptualVariable, GroupAction, _element_maps
+from .variables import ConceptualVariable, GroupAction, _element_map, _element_maps
 from .coherent import MonomialRep, NotUnitaryError, UnitaryRep, _require_same_group
 
 
@@ -90,7 +94,8 @@ class OperatorBundle:
     the Hermitian test of linalg), however the bundle is built; it is kept
     read-only as complex128, as the family's arrays are kept read-only, by
     groups.read_only's rule: a copy, unless the array already is read-only
-    and owns its memory, as phasespace.momentum_operator hands it over. The
+    and owns its memory (or views a read-only array that does), as
+    phasespace.momentum_operator hands it over. The
     spectrum is eig_hermitian(matrix), computed on first read and kept: a
     caller that reads only the matrix pays for no eigendecomposition.
     """
@@ -186,7 +191,7 @@ def _covariance(bundle: OperatorBundle, lhs: np.ndarray, perms: np.ndarray) -> f
     dc = np.conjugate(d, out=lhs)
     dc *= d
     sums = np.add.reduce(dc.real, axis=(-2, -1))
-    return float(np.sqrt(sums.max()))
+    return math.sqrt(sums.max())
 
 
 def _require_dim(bundle: OperatorBundle, d: int) -> None:
@@ -219,11 +224,18 @@ def conjugation_covariance(bundle: OperatorBundle, unitary,
     return CovarianceReport(distance=_covariance(bundle, lhs, perm[None]))
 
 
+def _outside_subgroup(k) -> NotInSubgroupError:
+    return NotInSubgroupError(f"element {k} does not act through a value permutation")
+
+
 def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elements,
                      var: ConceptualVariable, act: GroupAction) -> CovarianceReport:
     """Covariance for one group element or a nonempty set of them (repeats
     allowed) acting through a variable; the report holds the worst distance.
 
+    One element, an int or a numpy integer, is read as one row
+    (variables._element_map) and conjugated once; a set is read and
+    conjugated a block of elements at a time. Both give the same bits.
     NotInSubgroupError names the first element outside the maximal
     permissible subgroup, groups.BadElementError an index outside the group.
     A rep of another group than the action's, or of another dimension than
@@ -231,14 +243,19 @@ def covariance_check(bundle: OperatorBundle, rep: UnitaryRep | MonomialRep, elem
     """
     _require_same_group(rep, act)
     _require_dim(bundle, rep.dim)
+    if isinstance(elements, (int, np.integer)):
+        ks, maps, ok = _element_map(var, act, elements)
+        if not ok:
+            raise _outside_subgroup(ks[0])
+        return CovarianceReport(distance=_covariance(
+            bundle, rep.conjugated(bundle.matrix, ks), maps[None]))
     blocks = list(_element_maps(var, act, elements, bundle.matrix.size))
     if not blocks:
         raise ValueError("covariance needs at least one group element")
     for ks, _, ok in blocks:
         i = ok.argmin()
         if not ok[i]:
-            raise NotInSubgroupError(
-                f"element {ks[i]} does not act through a value permutation")
+            raise _outside_subgroup(ks[i])
     return CovarianceReport(distance=max([
         _covariance(bundle, rep.conjugated(bundle.matrix, ks), maps)
         for ks, maps, _ in blocks]))

@@ -8,14 +8,18 @@ maps of InducedAction.value_action), finds the largest subgroup under
 which the variable behaves, and compares variables by the coarser/finer
 partial order.
 
-Each of these reads one value-map table off the first point of each
-value (ConceptualVariable.first_points), which a variable computes once,
-on first read, and keeps: the value map of one group element then costs
-O(points). The value maps of one element, a subset or the whole group
-have one reader, _element_maps, which yields them a block of elements at
-a time (groups.element_blocks), so a yes/no verdict keeps no maps and
-stops at the first failing block. An induced action holds its value action
-and derives the rest.
+Each of these reads value maps off the first point of each value
+(ConceptualVariable.first_points), which a variable computes once, on
+first read, and keeps: the value map of one group element then costs
+O(points). The value maps of a subset or the whole group have one reader,
+_element_maps, which yields them a block of elements at a time
+(groups.element_blocks), so a yes/no verdict keeps no maps and stops at
+the first failing block; a single element has its own reader,
+_element_map, which reads its one row. Whole-group permissibility is
+decided on the group's generating set alone, so its witness names the
+first failing generator; an induced action then reads every element's map
+at the first points only, and holds its value action and derives the
+rest.
 """
 
 from __future__ import annotations
@@ -109,33 +113,49 @@ def _value_maps(var: ConceptualVariable, images):
     of var's values: maps[r][v] = images[r, var.first_points[v]]. ok[r]
     says whether the table reproduces the row, maps[r][var.values] ==
     images[r] at every point, that is, whether row r is constant on every
-    level set of var.
+    level set of var. A 1-d images is one row, read by 1-d takes, and gives
+    one table and one bool.
     """
-    maps = images.take(var.first_points, axis=1)
-    ok = (maps.take(var.values, axis=1) == images).all(axis=1)
+    maps = images.take(var.first_points, axis=-1)
+    ok = np.logical_and.reduce(maps.take(var.values, axis=-1) == images, axis=-1)
     return maps, ok
 
 
-def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int = 0):
-    """(ks, maps, ok) per block of the element indices (one or a sequence,
-    read once by groups.element_indices): ks is the block's 1-d index array
-    and (maps, ok) the _value_maps of its rows. The blocks are the slices of
-    element_blocks(count, count * max(points, size)), size being the
-    entries per element of what the caller computes on a block, and are
-    yielded one at a time, so a large set is read a block of rows at a
-    time, as the law checks are; the sizes and indices are checked on the
-    call. No elements give no blocks. It is the one reader of element value
-    maps, so no |G| x points table is gathered, not even over the whole
-    group."""
+def _checked_indices(var: ConceptualVariable, act: GroupAction, elements) -> np.ndarray:
+    """The sizes checked, then the element indices read once by
+    groups.element_indices."""
     if var.space_size != act.space_size:
         raise SizeMismatchError(
             f"variable on {var.space_size} points, action on {act.space_size}"
         )
-    ks = element_indices(elements, act.group.order)
+    return element_indices(elements, act.group.order)
+
+
+def _element_maps(var: ConceptualVariable, act: GroupAction, elements, size: int = 0):
+    """(ks, maps, ok) per block of the element indices (one or a sequence):
+    ks is the block's 1-d index array and (maps, ok) the _value_maps of its
+    rows. The blocks are the slices of
+    element_blocks(count, count * max(points, size)), size being the
+    entries per element of what the caller computes on a block, and are
+    yielded one at a time, so a large set is read a block of rows at a
+    time, as the law checks are; the sizes and indices are checked on the
+    call. No elements give no blocks. It is the one reader of the value maps
+    of a set of elements, so no |G| x points table is gathered, not even
+    over the whole group; _element_map reads a single element."""
+    ks = _checked_indices(var, act, elements)
     blocks = element_blocks(ks.size, ks.size * max(var.space_size, size))
     # take gathers by the int16 maps faster than fancy indexing does
     return ((ks[b], *_value_maps(var, var.values.take(act.perm.take(ks[b], axis=0))))
             for b in blocks)
+
+
+def _element_map(var: ConceptualVariable, act: GroupAction, element):
+    """(ks, map, ok) of one element, with the sizes and the index checked
+    as _element_maps checks them: ks is its index as a 1-d array of one,
+    and (map, ok) the _value_maps of its row, read as a view of act.perm
+    by 1-d takes, with no block."""
+    ks = _checked_indices(var, act, element)
+    return (ks, *_value_maps(var, var.values.take(act.perm[ks[0]])))
 
 
 def _witness(var: ConceptualVariable, act: GroupAction, blocks):
@@ -156,16 +176,31 @@ def _witness(var: ConceptualVariable, act: GroupAction, blocks):
     return None
 
 
+def _generator_witness(var: ConceptualVariable, act: GroupAction):
+    """_witness over the group's generating set: the first failing
+    generator, or None when every element is permissible.
+
+    The generators suffice: an element is permissible when its map sends
+    every level set of var into a level set, such maps compose, GroupAction
+    has proved that the maps compose as the elements multiply, and
+    FiniteGroup has proved that the generators reach every element.
+    """
+    return _witness(var, act, _element_maps(var, act, act.group.generating_set))
+
+
 def is_permissible(var: ConceptualVariable, act: GroupAction):
     """Do equal values stay equal under every group element?
 
-    Exhaustive over all elements and all points: element k passes when the
-    value at k.p is a function of the value at p. Returns (True, None) or
-    (False, (k, p1, p2)) with k the first failing element and (p1, p2) the
-    smallest pair of points that share a value and that k separates, p1
-    being the first point with that value. No value map is kept.
+    Decided on the group's generating set, which implies it for every
+    element (_generator_witness), at all points: generator s passes when
+    the value at s.p is a function of the value at p. Returns (True, None)
+    or (False, (s, p1, p2)) with s the first failing generator and (p1, p2)
+    the smallest pair of points that share a value and that s separates,
+    p1 being the first point with that value. When the generators are the
+    elements 1..g, as in every named group, s is also the first failing
+    element. No value map is kept.
     """
-    witness = _witness(var, act, _element_maps(var, act, range(act.group.order)))
+    witness = _generator_witness(var, act)
     return witness is None, witness
 
 
@@ -208,24 +243,28 @@ class InducedAction:
 def induce_group(var: ConceptualVariable, act: GroupAction) -> InducedAction:
     """Push the group action through a permissible variable onto its values.
 
-    Checked: permissibility, then the action laws of value_action, by which
-    k -> value_action.perm[k] is a homomorphism into the value permutations
-    (the value map of s*k is that of s after that of k), and, on its first
-    read, the group laws of the image group, each from the group's
-    generators and their images.
-    Not checked, because implied by the homomorphism: the image table is
-    well defined, the images of the generators generate it,
+    Checked: permissibility, on the generators (is_permissible; a failing
+    generator raises NotPermissibleError with its witness), then the action
+    laws of value_action, by which k -> value_action.perm[k] is a
+    homomorphism into the value permutations (the value map of s*k is that
+    of s after that of k), and, on its first read, the group laws of the
+    image group, each from the group's generators and their images.
+    Not checked, because implied by permissibility: every element's map is
+    read at the first point of each value, and holds at every point. Not
+    checked, because implied by the homomorphism: the image table is well
+    defined, the images of the generators generate it,
     |G| = |kernel| * |image|, and the image group acts faithfully on the
     values by value_action's law read through k_to_image.
     """
-    # each block's maps are written into the (order, values) table, in the
-    # values' dtype, as the permissibility check reads them; no block is
-    # kept, and the first failing block names the witness
-    induced = np.empty((act.group.order, len(var.value_labels)), dtype=var.values.dtype)
-    for ks, maps, ok in _element_maps(var, act, range(act.group.order)):
-        if not ok.all():
-            raise NotPermissibleError(_witness(var, act, [(ks, maps, ok)]))
-        induced[ks] = maps
+    witness = _generator_witness(var, act)
+    if witness is not None:
+        raise NotPermissibleError(witness)
+    # every element's map at the first points, a block of rows at a time,
+    # in the values' dtype
+    order, first = act.group.order, var.first_points
+    induced = np.empty((order, first.size), dtype=var.values.dtype)
+    for b in element_blocks(order, induced.size):
+        induced[b] = var.values.take(act.perm[b].take(first, axis=1))
     induced.setflags(write=False)
     return InducedAction(value_action=GroupAction(group=act.group, perm=induced))
 
@@ -259,5 +298,5 @@ def accessibility_leq(alpha: ConceptualVariable, beta: ConceptualVariable):
         raise SizeMismatchError(
             f"variables on {alpha.space_size} vs {beta.space_size} points"
         )
-    maps, ok = _value_maps(beta, alpha.values[None, :])
-    return (True, maps[0]) if ok[0] else (False, None)
+    maps, ok = _value_maps(beta, alpha.values)
+    return (True, maps) if ok else (False, None)

@@ -65,11 +65,16 @@ class TestPeakIsKeptBytesPlusOneBlock:
         act, peak = traced(lambda: dihedral_vertex_action(g))
         assert peak <= act.perm.nbytes + ONE_BLOCK
 
-    def test_clock_rep(self):
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_clock_rep(self, n):
         # the int32 outer product and its remainder: 0.82 MiB for 256 KiB
-        g = cyclic_group(256)
+        # at n = 256; the identity maps as an n x n table: 2 MiB more at
+        # n = 1024. They are one shared row read with stride 0
+        g = cyclic_group(n)
         rep, peak = traced(lambda: phasespace.clock_rep(g))
-        assert peak <= rep.exponent.nbytes + rep.action.perm.nbytes + ONE_BLOCK
+        perm = rep.action.perm
+        assert perm.strides[0] == 0 and perm.base.nbytes == n * perm.itemsize
+        assert peak <= rep.exponent.nbytes + ONE_BLOCK
 
     def test_momentum_operator(self):
         # two n x n intp index tables and a copy of P in the bundle: 2.0 MiB
@@ -184,9 +189,16 @@ def owned(a):
 
 class TestOneOwnershipRule:
     def test_read_only_keeps_only_what_no_caller_can_write(self):
+        # an owner, and a view of it, that are both read-only are kept
         a = owned(np.arange(6.0))
-        assert read_only(a) is a and read_only(a, np.float64) is a
-        for other in (np.arange(6.0), a[::2], a[:, None].T):
+        for view in (a, a[::2], a[:, None].T):
+            assert read_only(view) is view and read_only(view, np.float64) is view
+        # a writable array, a writable view, and a read-only view of a
+        # writable array are copied
+        writable = np.arange(6.0)
+        flagged = writable[::2]
+        flagged.setflags(write=False)
+        for other in (writable, writable[::2], flagged):
             kept = read_only(other)
             assert kept is not other and not kept.flags.writeable
             assert kept.base is None and np.array_equal(kept, other)

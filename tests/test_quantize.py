@@ -391,6 +391,52 @@ class TestSingleElementCovariance:
         else:
             assert abs(distances[-1] - np.sqrt(2.0)) <= 1e-12
 
+    @pytest.mark.parametrize("route", ["rotation", "permutation", "clock", "shift"])
+    @pytest.mark.parametrize("built", ["states", "matrix"])
+    def test_one_element_gives_the_bits_of_its_set(self, route, built):
+        # an int or numpy integer is read as one row and conjugated once,
+        # a one-element set a block at a time: a UnitaryRep (rotation),
+        # MonomialReps of modulus 1 (permutation, shift) and of modulus n
+        # (clock), on bundles from states and from a matrix
+        if route in ("clock", "shift"):
+            g, act, var, bundle, (clock, shift) = self.clock_momentum(6)
+            rep = clock if route == "clock" else shift
+        else:
+            g, act, var, bundle = self.dihedral_parity(6)
+            rep = (dihedral_rotation_rep(g) if route == "rotation"
+                   else permutation_rep(induce_group(var, act).value_action))
+        if built == "matrix":
+            bundle = operator_from_matrix(bundle.matrix)
+        for h in range(g.order):
+            expected = covariance_check(bundle, rep, [h], var, act).distance.hex()
+            for scalar in (h, np.int64(h), np.uint8(h)):
+                assert covariance_check(bundle, rep, scalar, var, act).distance.hex() == expected
+
+    @pytest.mark.parametrize("fault, error", [
+        ("outside", NotInSubgroupError), ("negative", BadElementError),
+        ("fraction", BadElementError), ("huge", BadElementError),
+        ("size", variables.SizeMismatchError), ("group", ValueError),
+        ("dimension", DimensionMismatchError)])
+    def test_one_element_raises_as_its_set(self, fault, error):
+        g, act, var, bundle = self.dihedral_parity(6)
+        rep, h = dihedral_rotation_rep(g), 1
+        if fault == "outside":
+            var = variable_from_point_labels([x < 3 for x in range(6)])
+        elif fault in ("negative", "fraction", "huge"):
+            h = {"negative": -1, "fraction": 1.5, "huge": 2**64}[fault]
+        elif fault == "size":
+            var = variable_from_point_labels([x % 2 for x in range(8)])
+        elif fault == "group":
+            rep = dihedral_rotation_rep(make_named_group("dihedral:4"))
+        else:
+            rep = left_regular_rep(g)
+        raised = []
+        for elements in (h, [h]):
+            with pytest.raises(error) as err:
+                covariance_check(bundle, rep, elements, var, act)
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1]
+
     @pytest.mark.parametrize("n", [4, 6, 24])
     def test_non_permissible_element_refused_by_both_forms(self, n):
         g, act, _, bundle = self.dihedral_parity(n)

@@ -24,12 +24,21 @@ point-by-point loops they replaced live here. The table is read at the
 first point of each value, which a variable computes once and keeps; the
 scatter of point indices that every value-map read used to redo lives
 here, and must find the same points on enumerated and random variables.
-Every read of value maps, over one element or all of them, runs a block
-of elements at a time, and the verdicts, witnesses and subgroups must be
-the same with one element per block. induce_group numbers the images by
-the bytes of each value map; the numbering by tuples it replaced lives
-here. Irreducibility is decided by the character norm; the Kronecker/SVD
-null-space computation of the commutant it replaced lives here as well.
+Every read of value maps over a set of elements runs a block of elements
+at a time, and the verdicts, witnesses and subgroups must be the same with
+one element per block. is_permissible and induce_group decide
+permissibility on the group's generators alone, and induce_group then
+reads every element's map at the first points only. The scan over every
+element at every point that they ran before lives here
+(permissible_by_every_element), and must reach their verdict on random
+and named groups, also when the generator tuple is shuffled or padded with
+products; the witness must name a failing generator, and the first
+failing element when the generators are the elements 1..g. The induced
+maps must be the rows that _element_maps reads. induce_group numbers the
+images by the bytes of each value map; the numbering by tuples it
+replaced lives here. Irreducibility is decided by the character norm; the
+Kronecker/SVD null-space computation of the commutant it replaced lives
+here as well.
 
 generate_group multiplies whole arrays of elements at once. The
 construction it replaced, one scalar mul call per (element, generator) in
@@ -568,6 +577,23 @@ def permissible_by_class_scan(var, act):
         if candidates:
             return False, (k, *min(candidates))
     return True, None
+
+
+def permissible_by_every_element(var, act):
+    """is_permissible read over every element of the group, a block of
+    elements at a time, as it was before it read the generators alone:
+    (True, None), or (False, (k, p1, p2)) with k the first failing element
+    and (p1, p2) the pair that is_permissible names for it."""
+    witness = variables._witness(var, act, variables._element_maps(
+        var, act, range(act.group.order)))
+    return witness is None, witness
+
+
+def element_maps_over_the_group(var, act) -> np.ndarray:
+    """Every element's value map, the rows of _element_maps over the whole
+    group, as one table."""
+    return np.concatenate([maps for _, maps, _ in variables._element_maps(
+        var, act, range(act.group.order))])
 
 
 def first_points_by_scatter(values) -> np.ndarray:
@@ -1452,6 +1478,28 @@ def coset_variables(draw, max_degree=5):
     return variable_from_point_labels(labels), left_translation_action(g)
 
 
+@st.composite
+def relisted_generators(draw):
+    """A labelled action or coset variable whose group is rebuilt from its
+    own table, with a seeded change of its generator tuple: kept,
+    shuffled, padded with products of generators, both, or none recorded,
+    which makes every element a generator."""
+    var, act = draw(st.one_of(labelled_actions(), coset_variables()))
+    g = act.group
+    gens = list(g.generators)
+    form = draw(st.sampled_from(["kept", "shuffled", "padded", "shuffled_padded", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if "padded" in form and gens:
+        pairs = rng.choice(gens, size=(int(rng.integers(1, 4)), 2))
+        gens += [int(g.cayley[a, b]) for a, b in pairs]
+    if "shuffled" in form:
+        gens = [gens[i] for i in rng.permutation(len(gens))]
+    if form == "none":
+        gens = []
+    h = FiniteGroup(g.cayley, name=g.name, generators=tuple(gens), elements=g.elements)
+    return var, GroupAction(group=h, perm=act.perm)
+
+
 class TestImpliedLaws:
     @pytest.mark.parametrize("n", [2, 3])
     def test_small_tables_accepted_exactly_when_groups(self, n):
@@ -1930,6 +1978,61 @@ class TestValueMapOracles:
                 assert np.array_equal(f, expected_f)
             else:
                 assert f is None
+
+
+class TestPermissibleOnTheGenerators:
+    @pytest.mark.parametrize("name", ORACLE_GROUP_NAMES)
+    def test_named_groups(self, name):
+        # left translation under random labels, the left cosets of the
+        # subgroup of each of the first two generators, and the two halves
+        # of the elements; the dihedral vertex action under its parity and
+        # its half blocks
+        g = make_named_group(name)
+        rng = np.random.default_rng(ORACLE_GROUP_NAMES.index(name))
+        left = left_translation_action(g)
+        cases = [(left, rng.integers(0, 3, g.order)), (left, np.arange(g.order) < g.order // 2)]
+        cases += [(left, g.cayley[:, list(subgroup_generated(g, [s]))].min(axis=1))
+                  for s in g.generating_set[:2]]
+        if name.startswith("dihedral:") and "x" not in name:
+            n, vertex = g.order // 2, dihedral_vertex_action(g)
+            cases += [(vertex, np.arange(n) % 2), (vertex, np.arange(n) < n // 2)]
+        for act, labels in cases:
+            var = variable_from_point_labels(labels)
+            expected = permissible_by_every_element(var, act)
+            assert is_permissible(var, act) == expected
+            if expected[0]:
+                assert np.array_equal(induce_group(var, act).value_action.perm,
+                                      element_maps_over_the_group(var, act))
+            else:
+                with pytest.raises(NotPermissibleError) as err:
+                    induce_group(var, act)
+                assert err.value.witness == expected[1]
+
+    @settings(ORACLE_SETTINGS, max_examples=150)
+    @given(relisted_generators())
+    def test_relisted_generators(self, case):
+        var, act = case
+        g = act.group
+        verdict, expected = is_permissible(var, act), permissible_by_every_element(var, act)
+        assert verdict[0] == expected[0]
+        if g.generating_set in (tuple(range(1, len(g.generators) + 1)), tuple(range(g.order))):
+            assert verdict == expected
+        if verdict[0]:
+            assert np.array_equal(induce_group(var, act).value_action.perm,
+                                  element_maps_over_the_group(var, act))
+            return
+        # the first failing generator, and a pair of points that share a
+        # value, the first of them the value's first point, which it
+        # separates
+        k, p1, p2 = verdict[1]
+        assert k == next(s for s in g.generating_set
+                         if value_map_by_point_loop(var, act, s) is None)
+        moved = var.values[act.perm[k]]
+        assert p1 == var.first_points[var.values[p1]] < p2
+        assert var.values[p1] == var.values[p2] and moved[p1] != moved[p2]
+        with pytest.raises(NotPermissibleError) as err:
+            induce_group(var, act)
+        assert err.value.witness == verdict[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ import pytest
 
 from symquant.groups import (
     BadElementError,
+    FiniteGroup,
     cyclic_group,
     left_translation_action,
     make_named_group,
     subgroup_generated,
 )
+from symquant import variables
 from symquant.variables import (
     ConceptualVariable,
     NotPermissibleError,
@@ -97,6 +99,34 @@ class TestPermissibility:
                 [float(x) for x in rng.integers(0, 3, size=4)]
             )
             assert is_permissible(var, act)[0] == brute_force_permissible(var, act)
+
+
+class TestVerdictsReadTheGenerators:
+    """Whole-group permissibility is decided on the generating set alone:
+    the generators' maps compose into every element's."""
+
+    @pytest.mark.parametrize("name", ["cyclic:4", "dihedral:6", "symmetric:4", "none"])
+    def test_only_the_generating_set_is_read(self, name, monkeypatch):
+        # "none": cyclic:6 with no generators recorded, every element one
+        g = make_named_group(name) if name != "none" else FiniteGroup(cyclic_group(6).cayley)
+        act = left_translation_action(g)
+        calls = []
+        original = variables._element_maps
+
+        def counted(var, act, elements, size=0):
+            calls.append(elements)
+            return original(var, act, elements, size)
+
+        monkeypatch.setattr(variables, "_element_maps", counted)
+        const = variable_from_point_labels([0.0] * g.order)
+        # the identity's point alone: a translation by s moves s^-1 into it
+        lone = variable_from_point_labels(np.arange(g.order) == g.identity)
+        assert is_permissible(const, act) == (True, None)
+        assert induce_group(const, act).kernel == tuple(range(g.order))
+        assert not is_permissible(lone, act)[0]
+        with pytest.raises(NotPermissibleError):
+            induce_group(lone, act)
+        assert calls == [g.generating_set] * 4
 
 
 class TestInducedGroup:
